@@ -11,8 +11,10 @@ for the metric; its parameter enters through the brackets
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .exterior import KForm, Vector
+from .linalg import nullspace
 from .scalars import LAM, Scalar
 
 # quaternion unit table (1, i, j, k): _QUAT[a][b] = (sign, index of a*b)
@@ -28,15 +30,67 @@ def quat_mul(a: int, b: int) -> tuple[int, int]:
     return _QUAT[a][b]
 
 
-class QHAlgebra:
+class StructureConstants:
+    """Sparse Lie bracket table on the basis e_0..e_{dim-1}.
+
+    `structure` maps (i, j) with i < j to the nonzero brackets [e_i, e_j].
+    """
+
+    def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
+        self.dim = dim
+        self._sc = structure
+        # _rows[i][j] = [e_i, e_j] for every nonzero bracket, both orders
+        self._rows: list[dict[int, Vector]] = [{} for _ in range(dim)]
+        for (i, j), v in structure.items():
+            self._rows[i][j] = v
+            self._rows[j][i] = -v
+        self._d1: list[KForm | None] = [None] * dim
+
+    def basis_vector(self, index: int) -> Vector:
+        return Vector.basis(self.dim, index)
+
+    def bracket_basis(self, i: int, j: int) -> Vector:
+        v = self._rows[i].get(j)
+        return v if v is not None else Vector.zero(self.dim)
+
+    def bracket(self, x: Vector, y: Vector) -> Vector:
+        """Bilinear extension over the nonzero components of x."""
+        out = Vector.zero(self.dim)
+        for i, xi in enumerate(x):
+            if xi.is_zero():
+                continue
+            for j, v in self._rows[i].items():
+                c = xi * y[j]
+                if not c.is_zero():
+                    out = out + v.scale(c)
+        return out
+
+    def d_basis_one_form(self, index: int) -> KForm:
+        """Chevalley-Eilenberg differential of the index-th basis 1-form."""
+        cached = self._d1[index]
+        if cached is None:
+            comps = {}
+            for (i, j), v in self._sc.items():
+                c = v[index]
+                if not c.is_zero():
+                    comps[(i, j)] = -c
+            cached = KForm(self.dim, 2, comps)
+            self._d1[index] = cached
+        return cached
+
+
+class QHAlgebra(StructureConstants):
     """Structure constants, metric frame and vertical/horizontal split."""
 
     def __init__(self, p: int, lam: Scalar, structure: dict[tuple[int, int], Vector]):
+        super().__init__(4 * p + 3, structure)
         self.p = p
-        self.dim = 4 * p + 3
         self.lam = lam
-        self._sc = structure  # keys (i, j) with i < j, nonzero values only
-        self._d1: list[KForm | None] = [None] * self.dim
+
+    # Spans are labelled by the class that defines a method
+    # (benchmarks/tracing.py); binding it here keeps the group algebra's
+    # brackets under `algebra.QHAlgebra.bracket`.
+    bracket = StructureConstants.bracket
 
     # -- frame accessors (1-based, matching the usual naming) -------------
 
@@ -54,9 +108,6 @@ class QHAlgebra:
     def theta(self, l: int) -> KForm:
         return KForm.basis(self.dim, (2 + l,))
 
-    def basis_vector(self, index: int) -> Vector:
-        return Vector.basis(self.dim, index)
-
     @property
     def vertical_indices(self) -> tuple[int, ...]:
         return (0, 1, 2)
@@ -72,38 +123,6 @@ class QHAlgebra:
 
     def is_vertical(self, index: int) -> bool:
         return index < 3
-
-    # -- bracket -----------------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return Vector.zero(self.dim)
-        if i < j:
-            v = self._sc.get((i, j))
-            return v if v is not None else Vector.zero(self.dim)
-        v = self._sc.get((j, i))
-        return -v if v is not None else Vector.zero(self.dim)
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = Vector.zero(self.dim)
-        for (i, j), v in self._sc.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if not c.is_zero():
-                out = out + v.scale(c)
-        return out
-
-    def d_basis_one_form(self, index: int) -> KForm:
-        """Chevalley-Eilenberg differential of the index-th basis 1-form."""
-        cached = self._d1[index]
-        if cached is None:
-            comps = {}
-            for (i, j), v in self._sc.items():
-                c = v[index]
-                if not c.is_zero():
-                    comps[(i, j)] = -c
-            cached = KForm(self.dim, 2, comps)
-            self._d1[index] = cached
-        return cached
 
     def metric(self, x: Vector, y: Vector) -> Scalar:
         return x.dot(y)
@@ -151,35 +170,38 @@ def build(p: int, lam=None) -> QHAlgebra:
     return QHAlgebra(p, lam_scalar, structure)
 
 
-def jacobi_check(alg: QHAlgebra) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi identity over all basis triples; witness on failure."""
-    n = alg.dim
-    for i in range(n):
-        ei = alg.basis_vector(i)
-        for j in range(i + 1, n):
-            ej = alg.basis_vector(j)
-            bij = alg.bracket_basis(i, j)
-            for k in range(j + 1, n):
-                ek = alg.basis_vector(k)
-                total = (
-                    alg.bracket(bij, ek)
-                    + alg.bracket(alg.bracket_basis(j, k), ei)
-                    + alg.bracket(alg.bracket_basis(k, i), ej)
-                )
-                if not total.is_zero():
-                    return False, (i, j, k)
+def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | None]:
+    """Exact Jacobi identity over all basis triples i < j < k.
+
+    Returns the lexicographically first triple with a nonzero cyclic sum.
+    A sum runs only over the nonzero brackets among its three vectors.
+    """
+    for i, j, k in combinations(range(sc.dim), 3):
+        total = None
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            v = sc._rows[a].get(b)
+            if v is not None:
+                term = sc.bracket(v, sc.basis_vector(c))
+                total = term if total is None else total + term
+        if total is not None and not total.is_zero():
+            return False, (i, j, k)
     return True, None
 
 
-def center_dimension(alg: QHAlgebra) -> int:
-    """Dimension of the center, computed from the structure constants."""
-    n = alg.dim
-    count = 0
-    for i in range(n):
-        ei = alg.basis_vector(i)
-        if all(alg.bracket(ei, alg.basis_vector(j)).is_zero() for j in range(n)):
-            count += 1
-    return count
+def center_dimension(sc: StructureConstants) -> int:
+    """Dimension of the center, the exact nullspace of x -> ad(x).
+
+    One row per (e_j, output index k, parameter power e) asks that the
+    coefficient of lam^e in [x, e_j]_k vanish.
+    """
+    n = sc.dim
+    rows: dict[tuple[int, int, int], list[Fraction]] = {}
+    for (i, j), v in sc._sc.items():
+        for k, c in enumerate(v):
+            for e, q in c.terms():
+                rows.setdefault((j, k, e), [Fraction(0)] * n)[i] += q
+                rows.setdefault((i, k, e), [Fraction(0)] * n)[j] -= q
+    return len(nullspace(list(rows.values()), n))
 
 
 def quaternion_action(alg: QHAlgebra, a: int):

@@ -11,19 +11,21 @@ Omega(X), which is what all parallelism checks below use.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import QHAlgebra
+from .algebra import QHAlgebra, StructureConstants, jacobi_check
 from .exterior import (
     Endo,
     KForm,
     Vector,
+    _sort_tuple,
     form_inner,
     interior,
     two_form_endo,
     wedge,
 )
 from .linalg import FractionSpan, solve_in_rational_span
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 
 class Connection:
@@ -219,10 +221,9 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
             for (r, b), v in a.m.items():
                 if r != i:
                     continue
-                new = idx[:t] + (b,) + idx[t + 1 :]
-                if len(set(new)) < len(new):
+                sign, key = _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
+                if sign == 0:
                     continue
-                key, sign = _sorted_sign(new)
                 term = c * v
                 cur = comps.get(key, ZERO) - (term if sign > 0 else -term)
                 if cur.is_zero():
@@ -232,17 +233,6 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
     out = KForm.__new__(KForm)
     out.dim, out.degree, out.comps = f.dim, f.degree, comps
     return out
-
-
-def _sorted_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    lst = list(idx)
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return tuple(lst), sign
 
 
 def nabla_tensor(conn: Connection, tensor):
@@ -431,20 +421,24 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
 # -- natural reductivity ------------------------------------------------------
 
 
-def transvection_check(alg: QHAlgebra, conn: Connection):
-    """Rebuild the homogeneous algebra hol + m and test it exactly.
+def transvection_algebra(alg: QHAlgebra, conn: Connection):
+    """The homogeneous algebra hol + m as one structure-constant table.
 
-    Requires parallel torsion and curvature (rejected with a witness
-    otherwise), then checks the Jacobi identity of the recombined
-    bracket and the reductivity condition
-    <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 on all frame triples.
+    hol takes the indices 0..h-1 of the holonomy basis, m the indices
+    h..h+n-1 of the frame.  The brackets are [A, B] in holonomy
+    coordinates, [A, e_i] = A e_i and [e_i, e_j] = (-R(e_i, e_j),
+    -T(e_i, e_j)).  Requires totally skew, parallel torsion and parallel
+    curvature; returns (table, None), or (None, witness) otherwise.
     """
-    t3 = torsion_form(alg, conn)
+    try:
+        t3 = torsion_form(alg, conn)
+    except ValueError:
+        return None, ("torsion not totally skew",)
     if not is_parallel(conn, t3):
-        return False, ("torsion not parallel",)
+        return None, ("torsion not parallel",)
     r = curvature(alg, conn)
     if not is_parallel(conn, r):
-        return False, ("curvature not parallel",)
+        return None, ("curvature not parallel",)
 
     hol = holonomy(alg, conn)
     h = len(hol)
@@ -457,90 +451,54 @@ def transvection_check(alg: QHAlgebra, conn: Connection):
             target[rr * n + cc] = v
         return solve_in_rational_span(flat_hol, target)
 
-    # bracket tables
-    hol_hol: list[list[list[Scalar] | None]] = [[None] * h for _ in range(h)]
+    table: dict[tuple[int, int], Vector] = {}
+
+    def put(x: int, y: int, coords: list[Scalar], v: Vector):
+        w = Vector(list(coords) + list(v))
+        if not w.is_zero():
+            table[(x, y)] = w
+
+    for a, b in combinations(range(h), 2):
+        coords = hol_coords(hol[a].commutator(hol[b]))
+        if coords is None:
+            return None, ("holonomy not closed under bracket", a, b)
+        put(a, b, coords, Vector.zero(n))
     for a in range(h):
-        for b in range(h):
-            coords = hol_coords(hol[a].commutator(hol[b]))
-            if coords is None:
-                return False, ("holonomy not closed under bracket", a, b)
-            hol_hol[a][b] = coords
-
-    mm_hol: dict[tuple[int, int], list[Scalar]] = {}
-    mm_m: dict[tuple[int, int], Vector] = {}
-    tor = torsion_tensor(alg, conn)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = hol_coords(-r.endo(i, j))
-            if coords is None:
-                return False, ("curvature outside holonomy span", i, j)
-            mm_hol[(i, j)] = coords
-            mm_m[(i, j)] = -tor.get((i, j), Vector.zero(n))
-
-    def pair_bracket(c1, v1, c2, v2):
-        """Bracket of (hol coords, m vector) pairs."""
-        out_c = [ZERO] * h
-        out_v = Vector.zero(n)
-        for a in range(h):
-            for b in range(h):
-                f = c1[a] * c2[b]
-                if f.is_zero():
-                    continue
-                tab = hol_hol[a][b]
-                out_c = [x + f * y for x, y in zip(out_c, tab)]
-        for a in range(h):
-            if not c1[a].is_zero():
-                out_v = out_v + hol[a].apply(v2).scale(c1[a])
-            if not c2[a].is_zero():
-                out_v = out_v - hol[a].apply(v1).scale(c2[a])
         for i in range(n):
-            xi = v1[i]
-            for j in range(n):
-                yj = v2[j]
-                f = xi * yj
-                if f.is_zero() or i == j:
-                    continue
-                a, b = (i, j) if i < j else (j, i)
-                sgn = ONE if i < j else -ONE
-                coords = mm_hol[(a, b)]
-                vec = mm_m[(a, b)]
-                out_c = [x + f * sgn * y for x, y in zip(out_c, coords)]
-                out_v = out_v + vec.scale(f * sgn)
-        return out_c, out_v
+            put(a, h + i, [ZERO] * h, hol[a].column(i))
+    tor = torsion_tensor(alg, conn)
+    for i, j in combinations(range(n), 2):
+        coords = hol_coords(-r.endo(i, j))
+        if coords is None:
+            return None, ("curvature outside holonomy span", i, j)
+        put(h + i, h + j, coords, -tor.get((i, j), Vector.zero(n)))
+    return StructureConstants(h + n, table), None
 
-    basis = [([ONE if k == a else ZERO for k in range(h)], Vector.zero(n)) for a in range(h)]
-    basis += [([ZERO] * h, alg.basis_vector(i)) for i in range(n)]
 
-    total = len(basis)
-    for x in range(total):
-        for y in range(x + 1, total):
-            bxy = pair_bracket(*basis[x], *basis[y])
-            for z in range(y + 1, total):
-                byz = pair_bracket(*basis[y], *basis[z])
-                bzx = pair_bracket(*basis[z], *basis[x])
-                jc = pair_bracket(*bxy, *basis[z])
-                jc2 = pair_bracket(*byz, *basis[x])
-                jc3 = pair_bracket(*bzx, *basis[y])
-                cs = [a + b + c for a, b, c in zip(jc[0], jc2[0], jc3[0])]
-                vs = jc[1] + jc2[1] + jc3[1]
-                if any(not c.is_zero() for c in cs) or not vs.is_zero():
-                    return False, ("jacobi failure", x, y, z)
+def transvection_check(alg: QHAlgebra, conn: Connection):
+    """Rebuild hol + m and test it exactly.
 
-    # reductivity: the m-part of the m,m bracket pairs skewly
-    for i in range(n):
-        for j in range(n):
+    Checks the Jacobi identity of the rebuilt table and the reductivity
+    condition <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 on all frame triples.
+    """
+    table, witness = transvection_algebra(alg, conn)
+    if table is None:
+        return False, witness
+    ok, triple = jacobi_check(table)
+    if not ok:
+        return False, ("jacobi failure", *triple)
+
+    h = table.dim - alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
             if i == j:
                 continue
-            a, b = (i, j) if i < j else (j, i)
-            sgn = 1 if i < j else -1
-            vij = mm_m[(a, b)].scale(sgn)
-            for k in range(n):
-                a2, b2 = (i, k) if i < k else (k, i)
-                if i == k:
+            vij = table.bracket_basis(h + i, h + j)
+            for k in range(alg.dim):
+                if k == i:
                     continue
-                sgn2 = 1 if i < k else -1
-                vik = mm_m[(a2, b2)].scale(sgn2)
-                if not (vij[k] + vik[j]).is_zero():
+                vik = table.bracket_basis(h + i, h + k)
+                if not (vij[h + k] + vik[h + j]).is_zero():
                     return False, ("reductivity failure", i, j, k)
     return True, None
 

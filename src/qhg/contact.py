@@ -19,6 +19,7 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _sort_tuple,
     ce_differential,
     two_form_endo,
     wedge,
@@ -440,10 +441,9 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
                 if not coeff:
                     continue
                 rhs -= coeff * const
-                key = tuple(sorted((x, a, b)))
-                if len(set(key)) < 3:
+                sign, key = _sort_tuple((x, a, b))
+                if sign == 0:
                     continue
-                sign = _perm_sign((x, a, b))
                 row[t_index[key]] += coeff * Fraction(1, 2) * sign
             if any(row) or rhs:
                 sys_rows.append(row)
@@ -470,13 +470,3 @@ def _rat(s: Scalar) -> Fraction:
 def _rat_linear(s: Scalar, alg: QHAlgebra) -> Fraction:
     """Strip the parameter factor shared by all Koszul coefficients."""
     return (s / alg.lam).rational_value()
-
-
-def _perm_sign(idx: tuple[int, ...]) -> int:
-    sign = 1
-    lst = list(idx)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return sign

@@ -265,22 +265,12 @@ def interior(x: Vector, a: KForm) -> KForm:
     return out
 
 
-def _complement_sign(idx: tuple[int, ...], dim: int) -> tuple[int, tuple[int, ...]]:
-    comp = tuple(i for i in range(dim) if i not in idx)
-    merged = idx + comp
-    sign = 1
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            if merged[i] > merged[j]:
-                sign = -sign
-    return sign, comp
-
-
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the orthonormal frame, e_0^...^e_{n-1} positive."""
     comps: dict[tuple[int, ...], Scalar] = {}
     for idx, c in a.comps.items():
-        sign, comp = _complement_sign(idx, a.dim)
+        comp = tuple(i for i in range(a.dim) if i not in idx)
+        sign, _ = _sort_tuple(idx + comp)
         comps[comp] = c if sign > 0 else -c
     return KForm(a.dim, a.dim - a.degree, comps)
 

@@ -94,6 +94,27 @@ def test_jacobi_mutated_structure_fails():
     assert not total.is_zero()
 
 
+def test_center_is_the_exact_nullspace_of_ad():
+    """[e3, e5] = lam e5 and [e4, e5] = -lam e5: e3 + e4 is central, e3 and e4 are not."""
+    e5 = Vector.basis(7, 5).scale(LAM)
+    alg = algebra.QHAlgebra(1, LAM, {(3, 5): e5, (4, 5): -e5})
+    assert algebra.jacobi_check(alg) == (True, None)
+    assert alg.bracket(alg.basis_vector(3) + alg.basis_vector(4), alg.basis_vector(5)).is_zero()
+    # e0, e1, e2, e6 and e3 + e4; counting central basis vectors gives 4
+    assert algebra.center_dimension(alg) == 5
+
+
+def test_structure_constants_on_a_non_nilpotent_table():
+    """sl(2): [h, e] = 2e, [h, f] = -2f, [e, f] = h; Jacobi holds, center is 0."""
+    h, e, f = (Vector.basis(3, i) for i in range(3))
+    sl2 = algebra.StructureConstants(3, {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): h})
+    assert sl2.bracket(e, h) == e.scale(-2)
+    assert algebra.jacobi_check(sl2) == (True, None)
+    assert algebra.center_dimension(sl2) == 0
+    broken = algebra.StructureConstants(3, {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): e})
+    assert algebra.jacobi_check(broken) == (False, (0, 1, 2))
+
+
 def test_two_step_nilpotent():
     alg = algebra.build(2)
     n = alg.dim

@@ -7,6 +7,7 @@ from qhg import algebra, connections as cn
 from qhg.exterior import (
     Endo,
     KForm,
+    Vector,
     ce_differential,
     form_inner,
     interior,
@@ -270,6 +271,35 @@ def test_transvection(p):
     conn = cn.canonical_connection(alg)
     ok, witness = cn.transvection_check(alg, conn)
     assert ok and witness is None
+
+
+def test_transvection_rejects_non_skew_torsion():
+    alg = algebra.build(1)
+    ok, witness = cn.transvection_check(alg, cn.flat_connection(alg))
+    assert not ok and witness == ("torsion not totally skew",)
+
+
+def test_transvection_algebra_jacobi_negative_control():
+    alg = algebra.build(1)
+    table, witness = cn.transvection_algebra(alg, cn.canonical_connection(alg))
+    assert witness is None and table.dim == 3 + alg.dim
+    assert algebra.jacobi_check(table) == (True, None)
+    # flip the sign of the hol component of [xi_1, xi_2]
+    h = table.dim - alg.dim
+    structure = dict(table._sc)
+    v = structure[(h, h + 1)]
+    assert any(not v[a].is_zero() for a in range(h))
+    structure[(h, h + 1)] = Vector([-c if a < h else c for a, c in enumerate(v)])
+    mutated = algebra.StructureConstants(table.dim, structure)
+    ok, triple = algebra.jacobi_check(mutated)
+    assert not ok
+    x, y, z = (mutated.basis_vector(i) for i in triple)
+    total = (
+        mutated.bracket(mutated.bracket(x, y), z)
+        + mutated.bracket(mutated.bracket(y, z), x)
+        + mutated.bracket(mutated.bracket(z, x), y)
+    )
+    assert not total.is_zero()
 
 
 def test_first_bianchi_p1():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import subprocess
@@ -11,17 +12,31 @@ from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 
 
+# SHA-256 of the full formal JSON report; any change to its bytes shows here
+GOLDEN_DIGESTS = {
+    1: "e4f3f187f2c15dee80b29d324b611fb1d2a05aef0f6efb69aadf88b3b1afa578",
+    2: "17e0d7ecfac26d20298203b0d8f2083a4a9d686e49220aa35e65f4e6d52841f7",
+    3: "9c8f81e40e6194c284748b6b6fb8b4262166ed7b17ea33110be582137b4145d4",
+}
+
+
+def _digest(rep) -> str:
+    return hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
 def test_full_report_passes_p1():
     rep = run(ReportConfig(p=1, suites=("all",), fmt="json"))
     assert rep.all_passed
     assert rep.summary["failed"] == 0
     assert rep.summary["skipped"] == 0
+    assert _digest(rep) == GOLDEN_DIGESTS[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_report_passes_larger_p(p):
     rep = run(ReportConfig(p=p, suites=("all",), fmt="json"))
     assert rep.summary["failed"] == 0
+    assert _digest(rep) == GOLDEN_DIGESTS[p]
 
 
 def test_specialized_parameter_report():
