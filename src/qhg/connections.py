@@ -24,7 +24,7 @@ from .exterior import (
     two_form_endo,
     wedge,
 )
-from .linalg import FractionSpan, solve_in_rational_span
+from .linalg import FractionSpan
 from .scalars import ZERO, Scalar
 
 
@@ -166,34 +166,39 @@ def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Ve
 
 def torsion_is_skew(alg: QHAlgebra, conn: Connection) -> bool:
     """Whether the lowered torsion is alternating in all three slots."""
-    tor = torsion_tensor(alg, conn)
-    for (i, j), v in tor.items():
-        for k in range(alg.dim):
-            c = v[k]
-            if c.is_zero():
-                continue
-            if k == i or k == j:
-                return False
-            # compare against the slot-swapped value T(e_i, e_k, e_j)
-            a, b = (i, k) if i < k else (k, i)
-            w = tor.get((a, b), Vector.zero(alg.dim))
-            swapped = w[j] if i < k else -w[j]
-            if not (c + swapped).is_zero():
-                return False
-    return True
+    return _skew_form(torsion_tensor(alg, conn), alg.dim) is not None
 
 
 def torsion_form(alg: QHAlgebra, conn: Connection) -> KForm:
     """Recover the torsion as a 3-form; raises if it is not totally skew."""
-    if not torsion_is_skew(alg, conn):
+    t3 = _skew_form(torsion_tensor(alg, conn), alg.dim)
+    if t3 is None:
         raise ValueError("torsion of this connection is not totally skew")
+    return t3
+
+
+def _skew_form(tor: dict[tuple[int, int], Vector], n: int) -> KForm | None:
+    """The torsion tensor as a 3-form, or None when it is not totally skew."""
+    for (i, j), v in tor.items():
+        for k in range(n):
+            c = v[k]
+            if c.is_zero():
+                continue
+            if k == i or k == j:
+                return None
+            # compare against the slot-swapped value T(e_i, e_k, e_j)
+            a, b = (i, k) if i < k else (k, i)
+            w = tor.get((a, b), Vector.zero(n))
+            swapped = w[j] if i < k else -w[j]
+            if not (c + swapped).is_zero():
+                return None
     comps = {}
-    for (i, j), v in torsion_tensor(alg, conn).items():
-        for k in range(j + 1, alg.dim):
+    for (i, j), v in tor.items():
+        for k in range(j + 1, n):
             c = v[k]
             if not c.is_zero():
                 comps[(i, j, k)] = c
-    return KForm(alg.dim, 3, comps)
+    return KForm(n, 3, comps)
 
 
 def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
@@ -430,9 +435,9 @@ def transvection_algebra(alg: QHAlgebra, conn: Connection):
     -T(e_i, e_j)).  Requires totally skew, parallel torsion and parallel
     curvature; returns (table, None), or (None, witness) otherwise.
     """
-    try:
-        t3 = torsion_form(alg, conn)
-    except ValueError:
+    tor = torsion_tensor(alg, conn)
+    t3 = _skew_form(tor, alg.dim)
+    if t3 is None:
         return None, ("torsion not totally skew",)
     if not is_parallel(conn, t3):
         return None, ("torsion not parallel",)
@@ -443,13 +448,7 @@ def transvection_algebra(alg: QHAlgebra, conn: Connection):
     hol = holonomy(alg, conn)
     h = len(hol)
     n = alg.dim
-    flat_hol = [_flatten(e, Fraction(1)) for e in hol]
-
-    def hol_coords(e: Endo) -> list[Scalar] | None:
-        target = [ZERO] * (n * n)
-        for (rr, cc), v in e.m.items():
-            target[rr * n + cc] = v
-        return solve_in_rational_span(flat_hol, target)
+    hol_coords = _coordinate_reader(hol, n)
 
     table: dict[tuple[int, int], Vector] = {}
 
@@ -466,13 +465,45 @@ def transvection_algebra(alg: QHAlgebra, conn: Connection):
     for a in range(h):
         for i in range(n):
             put(a, h + i, [ZERO] * h, hol[a].column(i))
-    tor = torsion_tensor(alg, conn)
     for i, j in combinations(range(n), 2):
         coords = hol_coords(-r.endo(i, j))
         if coords is None:
             return None, ("curvature outside holonomy span", i, j)
         put(h + i, h + j, coords, -tor.get((i, j), Vector.zero(n)))
     return StructureConstants(h + n, table), None
+
+
+def _coordinate_reader(basis: list[Endo], n: int):
+    """Exact coordinates in a basis of rational n x n endomorphisms.
+
+    The span of the flattened rows [b_a | e_a] is built once.  Reducing
+    [t | 0] leaves [r | -x] with t = r + sum_a x_a b_a, so t lies in the
+    span of the b_a iff r = 0, and then x are its coordinates.  A
+    formal-scalar Endo is read one parameter power at a time; the reader
+    returns its coordinates as scalars, or None when it is outside the span.
+    """
+    h = len(basis)
+    nn = n * n
+    span = FractionSpan(nn + h)
+    for a, b in enumerate(basis):
+        span.add(_flatten(b, Fraction(1)) + [Fraction(a == c) for c in range(h)])
+
+    def read(e: Endo) -> list[Scalar] | None:
+        by_power: dict[int, list[Fraction]] = {}
+        for (r, c), v in e.m.items():
+            for exp, q in v.terms():
+                by_power.setdefault(exp, [Fraction(0)] * (nn + h))[r * n + c] = q
+        coords: list[dict[int, Fraction]] = [{} for _ in range(h)]
+        for exp, t in sorted(by_power.items()):
+            res = span.reduce(t)
+            if any(res[:nn]):
+                return None
+            for a in range(h):
+                if res[nn + a]:
+                    coords[a][exp] = -res[nn + a]
+        return [Scalar(c) for c in coords]
+
+    return read
 
 
 def transvection_check(alg: QHAlgebra, conn: Connection):

@@ -24,7 +24,7 @@ from .exterior import (
     two_form_endo,
     wedge,
 )
-from .linalg import nullspace, rref, solve_affine
+from .linalg import rref, solve
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -364,17 +364,11 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     support = sorted(support)
 
     def functional_rows() -> list[list[Fraction]]:
-        seen: set[tuple] = set()
         rows: list[list[Fraction]] = []
 
         def emit(row: list[Fraction]):
-            lead = next((c for c in row if c), None)
-            if lead is None:
-                return
-            key = tuple(c / lead for c in row)
-            if key not in seen:
-                seen.add(key)
-                rows.append(list(key))
+            if any(row):
+                rows.append(row)
 
         if require_splitting:
             for v in alg.vertical_indices:
@@ -449,8 +443,7 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
 
-    kernel = nullspace(sys_rows, len(triples)) if sys_rows else []
-    particular = solve_affine(sys_rows, sys_rhs)
+    particular, kernel = solve(sys_rows, sys_rhs, len(triples))
     if particular is None:
         return 0, None
     # verify the particular solution exactly

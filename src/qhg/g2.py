@@ -88,37 +88,29 @@ def genericity_check(alg: QHAlgebra, omega: KForm) -> bool:
     values 1 and 2.
     """
     b = hitchin_form(alg, omega)
-    n = alg.dim
     for value in (Fraction(1), Fraction(2)):
         m = [[c.specialize(value) for c in row] for row in b]
-        if m[0][0] == 0:
-            return False
         if m[0][0] < 0:
             m = [[-x for x in row] for row in m]
-        for k in range(1, n + 1):
-            if _leading_minor(m, k) <= 0:
-                return False
+        if not _positive_definite(m):
+            return False
     return True
 
 
-def _leading_minor(m: list[list[Fraction]], k: int) -> Fraction:
-    sub = [row[:k] for row in m[:k]]
-    # fraction-free elimination is unnecessary at this size
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if sub[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            sub[col], sub[pivot] = sub[pivot], sub[col]
-            det = -det
-        det *= sub[col][col]
-        inv = 1 / sub[col][col]
-        for r in range(col + 1, k):
-            f = sub[r][col] * inv
-            if f:
-                sub[r] = [x - f * y for x, y in zip(sub[r], sub[col])]
-    return det
+def _positive_definite(m: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion from one pass of row insertions.
+
+    While the leading minors det(M_1), .., det(M_k) are positive, the
+    first k rows have their pivots at columns 0..k-1, and entry k of
+    row k reduced against them is det(M_{k+1}) / det(M_k), det(M_0) = 1.
+    """
+    span = FractionSpan(len(m))
+    for k, row in enumerate(m):
+        v = span.reduce(row)
+        if v[k] <= 0:
+            return False
+        span.add(v)
+    return True
 
 
 class SpinorSplitting:

@@ -3,17 +3,54 @@
 Rank, span and nullspace computations need a field, so they run over
 Fraction vectors; callers with formal scalars specialize first (and
 re-check at a second parameter value where that matters).
+
+There is one elimination, `_insert`: reduce a row against the stored
+reduced rows, normalise it, and clear its pivot column in the stored
+rows.  `FractionSpan` keeps those rows, `rref` is "insert every row,
+sort by pivot", and `solve` and `nullspace` read one `rref` of the
+augmented matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
-from .scalars import Scalar
+
+def _reduce(
+    rows: list[list[Fraction]], pivots: list[int], v: list[Fraction]
+) -> list[Fraction]:
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    v[j] -= c * x
+    return v
+
+
+def _insert(rows: list[list[Fraction]], pivots: list[int], v: list[Fraction]) -> bool:
+    """Add v to the reduced rows in place; True when it enlarged their span."""
+    v = _reduce(rows, pivots, v)
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return False
+    inv = 1 / v[p]
+    v = [x * inv for x in v]
+    support = [(j, x) for j, x in enumerate(v) if x]
+    for row in rows:
+        c = row[p]
+        if c:
+            for j, x in support:
+                row[j] -= c * x
+    rows.append(v)
+    pivots.append(p)
+    return True
 
 
 class FractionSpan:
-    """Incrementally built subspace of Q^n in row-echelon form."""
+    """Incrementally built subspace of Q^n in reduced row-echelon form."""
 
     def __init__(self, n: int):
         self.n = n
@@ -25,121 +62,52 @@ class FractionSpan:
         return len(self.rows)
 
     def reduce(self, v: list[Fraction]) -> list[Fraction]:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.n):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
+        return _reduce(self.rows, self.pivots, v)
 
     def add(self, v: list[Fraction]) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        v = self.reduce(v)
-        for p in range(self.n):
-            if v[p]:
-                inv = 1 / v[p]
-                v = [x * inv for x in v]
-                # keep echelon form: clear the new pivot in stored rows
-                for row in self.rows:
-                    c = row[p]
-                    if c:
-                        for j in range(self.n):
-                            if v[j]:
-                                row[j] -= c * v[j]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
+        return _insert(self.rows, self.pivots, v)
 
     def contains(self, v: list[Fraction]) -> bool:
         return not any(self.reduce(v))
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Iterable[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    piv_cols: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], piv_cols
+    red: list[list[Fraction]] = []
+    piv: list[int] = []
+    for row in rows:
+        _insert(red, piv, row)
+    order = sorted(range(len(piv)), key=piv.__getitem__)
+    return [red[i] for i in order], [piv[i] for i in order]
+
+
+def solve(
+    rows: list[list[Fraction]], rhs: list[Fraction], ncols: int
+) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
+    """Exact solution set of rows * x = rhs: (one solution, kernel basis).
+
+    The solution is None when the system is inconsistent; the kernel
+    basis of the homogeneous system is returned either way, one vector
+    per free column.
+    """
+    red, piv = rref(list(r) + [b] for r, b in zip(rows, rhs, strict=True))
+    x = None
+    if ncols not in piv:  # no pivot in the constant column
+        x = [Fraction(0)] * ncols
+        for row, p in zip(red, piv):
+            x[p] = row[ncols]
+    kernel = []
+    for f in sorted(set(range(ncols)) - set(piv)):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, piv):
+            if p < ncols:
+                v[p] = -row[f]
+        kernel.append(v)
+    return x, kernel
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the matrix given by `rows`."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    red, piv = rref(rows)
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(red, piv):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def solve_affine(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """One exact solution of rows * x = rhs, or None when inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    red, piv = rref(aug)
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, piv):
-        if p == ncols:
-            return None  # pivot in the constant column
-        x[p] = row[ncols]
-    return x
-
-
-def solve_in_rational_span(
-    basis: list[list[Fraction]], target: list[Scalar]
-) -> list[Scalar] | None:
-    """Write a formal-scalar vector in a rational basis, exactly.
-
-    Works one parameter power at a time: the coefficient of each power
-    must itself lie in the rational span, so the combined coefficients
-    are again exact scalars.
-    """
-    if not basis:
-        return [] if all(t.is_zero() for t in target) else None
-    m = len(target)
-    k = len(basis)
-    rows = [[basis[a][i] for a in range(k)] for i in range(m)]
-    exps = sorted({e for t in target for e, _ in t.terms()})
-    coeff_maps: list[dict[int, Fraction]] = [dict() for _ in range(k)]
-    for e in exps:
-        rhs = [t.coeff(e) for t in target]
-        x = solve_affine(rows, rhs)
-        if x is None:
-            return None
-        # verify exactly (solve_affine ignores free variables)
-        for i in range(m):
-            if sum(rows[i][a] * x[a] for a in range(k)) != rhs[i]:
-                return None
-        for a in range(k):
-            if x[a]:
-                coeff_maps[a][e] = x[a]
-    return [Scalar(c) for c in coeff_maps]
+    return solve(rows, [Fraction(0)] * len(rows), ncols)[1]

@@ -174,7 +174,7 @@ def _suite_algebra(alg: algebra.QHAlgebra) -> list[CheckResult]:
         )
     )
 
-    ok = algebra.center_dimension(alg) == 3
+    center_dim = algebra.center_dimension(alg)
     derived_in_center = all(
         all(v.is_zero() for k, v in enumerate(alg.bracket_basis(i, j)) if k >= 3)
         for i in range(alg.dim)
@@ -190,9 +190,9 @@ def _suite_algebra(alg: algebra.QHAlgebra) -> list[CheckResult]:
         _check(
             "algebra.center",
             "center is the 3-dim vertical space and brackets are 2-step nilpotent",
-            ok and derived_in_center and two_step,
+            center_dim == 3 and derived_in_center and two_step,
             ops=("qhg.algebra.QHAlgebra.bracket",),
-            values={"dim": str(alg.dim), "center_dim": str(algebra.center_dimension(alg))},
+            values={"dim": str(alg.dim), "center_dim": str(center_dim)},
         )
     )
 

@@ -324,3 +324,54 @@ def test_reductivity_is_total_skewness():
     for (i, j), v in tor.items():
         for k in range(alg.dim):
             assert v[k] == t3.coeff((i, j, k))
+
+
+def _skew_unit(n, r, c):
+    return Endo(n, {(r, c): 1, (c, r): -1})
+
+
+def test_coordinate_reader_exact_coordinates():
+    b0, b1 = _skew_unit(3, 0, 1), _skew_unit(3, 0, 2) + _skew_unit(3, 1, 2)
+    read = cn._coordinate_reader([b0, b1], 3)
+    x0 = LAM * 2
+    x1 = LAM * LAM * 3 - LAM * Fraction(1, 2)  # two parameter powers
+    assert read(b0.scale(x0) + b1.scale(x1)) == [x0, x1]
+    assert read(Endo.zero(3)) == [Scalar(0), Scalar(0)]
+    alg = algebra.build(1)
+    hol = cn.holonomy(alg, cn.canonical_connection(alg))
+    read = cn._coordinate_reader(hol, alg.dim)
+    for a, e in enumerate(hol):
+        assert read(e.scale(LAM)) == [LAM if b == a else Scalar(0) for b in range(3)]
+
+
+def test_coordinate_reader_outside_span():
+    b0, b1 = _skew_unit(3, 0, 1), _skew_unit(3, 0, 2) + _skew_unit(3, 1, 2)
+    read = cn._coordinate_reader([b0, b1], 3)
+    outside = _skew_unit(3, 1, 2)
+    assert read(outside) is None
+    # inside the span at lam^1, outside at lam^2
+    assert read(b0.scale(LAM) + outside.scale(LAM * LAM)) is None
+    assert cn._coordinate_reader([], 3)(outside) is None
+    assert cn._coordinate_reader([], 3)(Endo.zero(3)) == []
+
+
+def test_transvection_algebra_holonomy_witnesses(monkeypatch):
+    from qhg.linalg import FractionSpan
+
+    alg = algebra.build(1)
+    conn = cn.canonical_connection(alg)
+    hol = cn.holonomy(alg, conn)
+    # su(2) has no 2-dim subalgebra, so two of its three basis elements
+    # do not close under the bracket
+    monkeypatch.setattr(cn, "holonomy", lambda alg, conn: hol[:2])
+    assert cn.transvection_check(alg, conn) == (
+        False,
+        ("holonomy not closed under bracket", 0, 1),
+    )
+    monkeypatch.setattr(cn, "holonomy", lambda alg, conn: hol[:1])
+    table, witness = cn.transvection_algebra(alg, conn)
+    assert table is None and witness[0] == "curvature outside holonomy span"
+    span = FractionSpan(alg.dim * alg.dim)
+    span.add(cn._flatten(hol[0], Fraction(1)))
+    r = cn.curvature(alg, conn).endo(*witness[1:])
+    assert not span.contains(cn._flatten(r, Fraction(1)))

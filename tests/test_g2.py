@@ -13,6 +13,7 @@ from qhg.exterior import (
     interior,
     wedge,
 )
+from qhg.linalg import FractionSpan
 from qhg.scalars import LAM, ONE, Scalar
 
 
@@ -76,6 +77,55 @@ def test_genericity(alg, omega):
     assert g2.genericity_check(alg, omega)
     degenerate = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3))
     assert not g2.genericity_check(alg, degenerate)
+
+
+def _rat_matrix(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _det(m):
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def test_positive_definite_reads_the_leading_minors():
+    assert g2._positive_definite(_rat_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    # det(M_2) = 0, but row 1 reduced against row 0 is (0, 0, 1): its pivot
+    # is positive and sits in column 2, so a pivot-sign test would pass it
+    trap = _rat_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert _det([row[:2] for row in trap[:2]]) == 0
+    span = FractionSpan(3)
+    span.add(trap[0])
+    span.add(trap[1])
+    assert span.pivots == [0, 2] and span.rows[1] == [0, 0, 1]
+    assert not g2._positive_definite(trap)
+    assert not g2._positive_definite(_rat_matrix([[1, 2], [2, 1]]))  # indefinite
+    negative_definite = _rat_matrix([[-2, 1], [1, -3]])
+    assert not g2._positive_definite(negative_definite)
+
+
+def test_positive_definite_agrees_with_sylvester():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        gram = [
+            [sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+        ]
+        for i in range(n):
+            gram[i][i] -= rng.choice((0, 0, 1))
+        m = _rat_matrix(gram)
+        minors = [_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        expected = all(d > 0 for d in minors)
+        seen.add(expected)
+        assert g2._positive_definite(m) == expected
+    assert seen == {True, False}
 
 
 def test_hitchin_form_symmetric(alg, omega):
