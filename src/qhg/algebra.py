@@ -56,13 +56,11 @@ class StructureConstants:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension over the nonzero components of x."""
         out = Vector.zero(self.dim)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
+        for i, xi in x.comps.items():
             for j, v in self._rows[i].items():
-                c = xi * y[j]
-                if not c.is_zero():
-                    out = out + v.scale(c)
+                yj = y.comps.get(j)
+                if yj is not None:
+                    out = out + v.scale(xi * yj)
         return out
 
     def d_basis_one_form(self, index: int) -> KForm:

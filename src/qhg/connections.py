@@ -18,6 +18,7 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _kform,
     _sort_tuple,
     form_inner,
     interior,
@@ -45,9 +46,8 @@ class Connection:
 
     def form_of(self, x: Vector) -> Endo:
         out = Endo.zero(self.dim)
-        for i, c in enumerate(x):
-            if not c.is_zero():
-                out = out + self.omega[i].scale(c)
+        for i, c in x.comps.items():
+            out = out + self.omega[i].scale(c)
         return out
 
 
@@ -77,20 +77,26 @@ class CurvatureTensor:
 
 
 def levi_civita(alg: QHAlgebra) -> Connection:
-    """Koszul formula on left-invariant fields."""
+    """Koszul formula on left-invariant fields.
+
+    Omega(e_i)[k, j] = ([e_i, e_j]_k - [e_j, e_k]_i + [e_k, e_i]_j) / 2,
+    summed over the nonzero structure constants [e_a, e_b]_m only: each
+    lands in one entry of each of the three terms.
+    """
     n = alg.dim
+    sums: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
+
+    def put(i: int, key: tuple[int, int], c: Scalar):
+        sums[i][key] = sums[i].get(key, ZERO) + c
+
+    for a in range(n):
+        for b in range(n):
+            for m, c in alg.bracket_basis(a, b).comps.items():
+                put(a, (m, b), c)
+                put(m, (b, a), -c)
+                put(b, (a, m), c)
     half = Fraction(1, 2)
-    omega = []
-    for i in range(n):
-        entries = {}
-        for j in range(n):
-            bij = alg.bracket_basis(i, j)
-            for k in range(n):
-                val = bij[k] - alg.bracket_basis(j, k)[i] + alg.bracket_basis(k, i)[j]
-                if not val.is_zero():
-                    entries[(k, j)] = val * half
-        omega.append(Endo(n, entries))
-    return Connection(omega)
+    return Connection([Endo(n, {k: v * half for k, v in e.items()}) for e in sums])
 
 
 def with_torsion(alg: QHAlgebra, t: KForm) -> Connection:
@@ -219,13 +225,14 @@ def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
 
 def _act_on_form(a: Endo, f: KForm) -> KForm:
     """Natural so(n) action on a k-form: (A.f)(..Y..) = -sum f(..AY..)."""
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for (r, b), v in a.m.items():
+        rows.setdefault(r, []).append((b, v))
     comps: dict[tuple[int, ...], Scalar] = {}
     for idx, c in f.comps.items():
         for t, i in enumerate(idx):
             # A acts on the dual basis by A.e^i = -sum_b A[i,b] e^b
-            for (r, b), v in a.m.items():
-                if r != i:
-                    continue
+            for b, v in rows.get(i, ()):
                 sign, key = _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
                 if sign == 0:
                     continue
@@ -235,9 +242,7 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
                     comps.pop(key, None)
                 else:
                     comps[key] = cur
-    out = KForm.__new__(KForm)
-    out.dim, out.degree, out.comps = f.dim, f.degree, comps
-    return out
+    return _kform(f.dim, f.degree, comps)
 
 
 def nabla_tensor(conn: Connection, tensor):
@@ -263,16 +268,20 @@ def nabla_tensor(conn: Connection, tensor):
 
 def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> CurvatureTensor:
     n = r.dim
+    if a.is_zero():
+        return CurvatureTensor(n, {})
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for (row, col), v in a.m.items():
+        cols.setdefault(col, []).append((row, v))
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
             d = a.commutator(r.endo(i, j))
             # argument slots: -R(A e_i, e_j) - R(e_i, A e_j)
-            for (row, col), v in a.m.items():
-                if col == i:
-                    d = d - r.endo(row, j).scale(v)
-                if col == j:
-                    d = d - r.endo(i, row).scale(v)
+            for row, v in cols.get(i, ()):
+                d = d - r.endo(row, j).scale(v)
+            for row, v in cols.get(j, ()):
+                d = d - r.endo(i, row).scale(v)
             if not d.is_zero():
                 values[(i, j)] = d
     return CurvatureTensor(n, values)
@@ -292,18 +301,20 @@ def is_parallel(conn: Connection, tensor) -> bool:
 
 
 def ricci(alg: QHAlgebra, conn: Connection) -> Endo:
-    """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i)."""
-    n = alg.dim
-    r = curvature(alg, conn)
-    entries = {}
-    for a in range(n):
-        for b in range(n):
-            s = ZERO
-            for i in range(n):
-                s = s + r.lowered(i, a, b, i)
-            if not s.is_zero():
-                entries[(a, b)] = s
-    return Endo(n, entries)
+    """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i).
+
+    Contracted over the stored R(e_i, e_j), i < j: row i of R(e_i, e_j)
+    adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
+    subtracts from Ric(e_i, .).
+    """
+    entries: dict[tuple[int, int], Scalar] = {}
+    for (i, j), e in curvature(alg, conn).values.items():
+        for (row, b), v in e.m.items():
+            if row == i:
+                entries[(j, b)] = entries.get((j, b), ZERO) + v
+            elif row == j:
+                entries[(i, b)] = entries.get((i, b), ZERO) - v
+    return Endo(alg.dim, entries)
 
 
 def scalar_curvatures(alg: QHAlgebra, conn: Connection) -> tuple[Scalar, Scalar]:
@@ -519,19 +530,30 @@ def transvection_check(alg: QHAlgebra, conn: Connection):
     if not ok:
         return False, ("jacobi failure", *triple)
 
-    h = table.dim - alg.dim
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if i == j:
-                continue
-            vij = table.bracket_basis(h + i, h + j)
-            for k in range(alg.dim):
-                if k == i:
-                    continue
-                vik = table.bracket_basis(h + i, h + k)
-                if not (vij[h + k] + vik[h + j]).is_zero():
-                    return False, ("reductivity failure", i, j, k)
+    triple = _reductivity_failure(table, alg.dim)
+    if triple is not None:
+        return False, ("reductivity failure", *triple)
     return True, None
+
+
+def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, int] | None:
+    """First (i, j, k), j != i != k, with <[e_i, e_j]_m, e_k> + <[e_i, e_k]_m, e_j> != 0.
+
+    For fixed i the m-parts form a matrix M[j][k]; the sum is symmetric in
+    (j, k), so only the nonzero entries of M and their transposes can fail.
+    """
+    h = table.dim - n
+    for i in range(n):
+        m = [table.bracket_basis(h + i, h + j) for j in range(n)]
+        bad = [
+            (j, k)
+            for j in range(n)
+            for k in (c - h for c in m[j].comps if c >= h)
+            if k != i and not (m[j][h + k] + m[k][h + j]).is_zero()
+        ]
+        if bad:
+            return i, *min(min(bad), min((k, j) for j, k in bad))
+    return None
 
 
 # -- Bianchi identity ---------------------------------------------------------

@@ -10,7 +10,7 @@ identified by  A X = X . a  (interior product), i.e. a(X,Y) = g(AX,Y).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -20,60 +20,116 @@ def _coeff(x) -> Scalar:
 
 
 class Vector:
-    """Element of the frame space, components in the orthonormal frame."""
+    """Element of the frame space, components in the orthonormal frame.
 
-    __slots__ = ("dim", "_v")
+    `comps` maps index -> nonzero Scalar, like KForm.comps; indexing and
+    iteration still see all `dim` components, zeros included.
+    """
+
+    __slots__ = ("dim", "comps")
 
     def __init__(self, components):
-        self._v = tuple(_coeff(c) for c in components)
-        self.dim = len(self._v)
+        comps = [_coeff(c) for c in components]
+        self.dim = len(comps)
+        self.comps = {i: c for i, c in enumerate(comps) if not c.is_zero()}
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return Vector([ZERO] * dim)
+        return _vector(dim, {})
 
     @staticmethod
     def basis(dim: int, index: int) -> "Vector":
-        return Vector([ONE if i == index else ZERO for i in range(dim)])
+        return _vector(dim, {index: ONE} if 0 <= index < dim else {})
 
     def __getitem__(self, i: int) -> Scalar:
-        return self._v[i]
+        if not -self.dim <= i < self.dim:
+            raise IndexError("vector index out of range")
+        return self.comps.get(i % self.dim, ZERO)
 
     def __iter__(self):
-        return iter(self._v)
+        return map(self.comps.get, range(self.dim), repeat(ZERO))
+
+    def _check(self, other: "Vector"):
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector([a + b for a, b in zip(self._v, other._v, strict=True)])
+        self._check(other)
+        return _vector(self.dim, _merge(self.comps, other.comps, 1))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return Vector([a - b for a, b in zip(self._v, other._v, strict=True)])
+        self._check(other)
+        return _vector(self.dim, _merge(self.comps, other.comps, -1))
 
     def __neg__(self) -> "Vector":
-        return Vector([-a for a in self._v])
+        return _vector(self.dim, {i: -a for i, a in self.comps.items()})
 
     def scale(self, c) -> "Vector":
         c = _coeff(c)
-        return Vector([c * a for a in self._v])
+        if c.is_zero():
+            return Vector.zero(self.dim)
+        # no zero divisors: nonzero times nonzero stays nonzero
+        return _vector(self.dim, {i: c * a for i, a in self.comps.items()})
 
     def dot(self, other: "Vector") -> Scalar:
         """Inner product of the orthonormal frame."""
+        self._check(other)
         out = ZERO
-        for a, b in zip(self._v, other._v, strict=True):
-            out = out + a * b
+        for i, a in self.comps.items():
+            b = other.comps.get(i)
+            if b is not None:
+                out = out + a * b
         return out
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._v)
+        return not self.comps
 
     def dual(self) -> "KForm":
         """Metric-dual 1-form (trivial in an orthonormal frame)."""
-        return KForm(self.dim, 1, {(i,): c for i, c in enumerate(self._v)})
+        return KForm(self.dim, 1, {(i,): self.comps[i] for i in sorted(self.comps)})
 
     def __eq__(self, other):
-        return isinstance(other, Vector) and self._v == other._v
+        return isinstance(other, Vector) and self.dim == other.dim and self.comps == other.comps
 
     def __repr__(self):
-        return f"Vector({[str(c) for c in self._v]})"
+        return f"Vector({[str(c) for c in self]})"
+
+
+# Raw constructors over dicts that already hold only nonzero scalars.
+
+
+def _vector(dim: int, v: dict[int, Scalar]) -> Vector:
+    out = Vector.__new__(Vector)
+    out.dim, out.comps = dim, v
+    return out
+
+
+def _kform(dim: int, degree: int, comps: dict[tuple[int, ...], Scalar]) -> "KForm":
+    out = KForm.__new__(KForm)
+    out.dim, out.degree, out.comps = dim, degree, comps
+    return out
+
+
+def _endo(dim: int, m: dict[tuple[int, int], Scalar]) -> "Endo":
+    out = Endo.__new__(Endo)
+    out.dim, out.m = dim, m
+    return out
+
+
+def _merge(a: dict, b: dict, sign: int) -> dict:
+    """a + sign * b on sparse dicts of nonzero scalars, zeros dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = v if sign > 0 else -v
+            continue
+        w = w + v if sign > 0 else w - v
+        if w.is_zero():
+            del out[k]
+        else:
+            out[k] = w
+    return out
 
 
 def _sort_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -147,29 +203,18 @@ class KForm:
         self._check(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        c = dict(self.comps)
-        for k, v in other.comps.items():
-            s = c.get(k, ZERO) + v
-            if s.is_zero():
-                c.pop(k, None)
-            else:
-                c[k] = s
-        out = KForm.__new__(KForm)
-        out.dim, out.degree, out.comps = self.dim, self.degree, c
-        return out
+        return _kform(self.dim, self.degree, _merge(self.comps, other.comps, 1))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return self.scale(-1)
+        return _kform(self.dim, self.degree, {k: -v for k, v in self.comps.items()})
 
     def scale(self, c) -> "KForm":
         c = _coeff(c)
-        out = KForm.__new__(KForm)
-        out.dim, out.degree = self.dim, self.degree
-        out.comps = {} if c.is_zero() else {k: c * v for k, v in self.comps.items()}
-        return out
+        comps = {} if c.is_zero() else {k: c * v for k, v in self.comps.items()}
+        return _kform(self.dim, self.degree, comps)
 
     def __eq__(self, other):
         return (
@@ -236,9 +281,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
                 comps.pop(key, None)
             else:
                 comps[key] = cur
-    out = KForm.__new__(KForm)
-    out.dim, out.degree, out.comps = a.dim, k, comps
-    return out
+    return _kform(a.dim, k, comps)
 
 
 def interior(x: Vector, a: KForm) -> KForm:
@@ -260,9 +303,7 @@ def interior(x: Vector, a: KForm) -> KForm:
                 comps.pop(key, None)
             else:
                 comps[key] = cur
-    out = KForm.__new__(KForm)
-    out.dim, out.degree, out.comps = a.dim, a.degree - 1, comps
-    return out
+    return _kform(a.dim, a.degree - 1, comps)
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -323,44 +364,28 @@ class Endo:
         return True
 
     def apply(self, x: Vector) -> Vector:
-        out = [ZERO] * self.dim
+        out: dict[int, Scalar] = {}
         for (r, c), v in self.m.items():
-            xc = x[c]
-            if not xc.is_zero():
-                out[r] = out[r] + v * xc
-        return Vector(out)
+            xc = x.comps.get(c)
+            if xc is not None:
+                out[r] = out.get(r, ZERO) + v * xc
+        return _vector(self.dim, {r: v for r, v in out.items() if not v.is_zero()})
 
     def column(self, c: int) -> Vector:
-        out = [ZERO] * self.dim
-        for (r, cc), v in self.m.items():
-            if cc == c:
-                out[r] = v
-        return Vector(out)
+        return _vector(self.dim, {r: v for (r, cc), v in self.m.items() if cc == c})
 
     def __add__(self, other: "Endo") -> "Endo":
-        m = dict(self.m)
-        for k, v in other.m.items():
-            s = m.get(k, ZERO) + v
-            if s.is_zero():
-                m.pop(k, None)
-            else:
-                m[k] = s
-        out = Endo.__new__(Endo)
-        out.dim, out.m = self.dim, m
-        return out
+        return _endo(self.dim, _merge(self.m, other.m, 1))
 
     def __sub__(self, other: "Endo") -> "Endo":
-        return self + other.scale(-1)
+        return _endo(self.dim, _merge(self.m, other.m, -1))
 
     def __neg__(self) -> "Endo":
-        return self.scale(-1)
+        return _endo(self.dim, {k: -v for k, v in self.m.items()})
 
     def scale(self, c) -> "Endo":
         c = _coeff(c)
-        out = Endo.__new__(Endo)
-        out.dim = self.dim
-        out.m = {} if c.is_zero() else {k: c * v for k, v in self.m.items()}
-        return out
+        return _endo(self.dim, {} if c.is_zero() else {k: c * v for k, v in self.m.items()})
 
     def compose(self, other: "Endo") -> "Endo":
         """Matrix product self * other."""
@@ -378,9 +403,7 @@ class Endo:
                     m.pop(key, None)
                 else:
                     m[key] = s
-        out = Endo.__new__(Endo)
-        out.dim, out.m = self.dim, m
-        return out
+        return _endo(self.dim, m)
 
     def commutator(self, other: "Endo") -> "Endo":
         return self.compose(other) - other.compose(self)

@@ -75,9 +75,15 @@ class Scalar:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # scalars are immutable, so a zero summand can hand back the other
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         c = dict(self._c)
         for e, v in other._c.items():
             s = c.get(e, Fraction(0)) + v
@@ -105,9 +111,17 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self._c or not other._c:
+            return ZERO
+        if len(self._c) == 1 and len(other._c) == 1:
+            # monomials: the ring has no zero divisors, so one nonzero term
+            ((e1, v1),) = self._c.items()
+            ((e2, v2),) = other._c.items()
+            return _wrap({e1 + e2: v1 * v2})
         c: dict[int, Fraction] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -192,8 +206,9 @@ class Scalar:
 
 
 def _wrap(c: dict[int, Fraction]) -> Scalar:
+    """Scalar over a dict that already holds only nonzero coefficients."""
     s = object.__new__(Scalar)
-    s._c = {e: v for e, v in c.items() if v}
+    s._c = c
     return s
 
 

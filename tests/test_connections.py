@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from qhg.exterior import (
     ce_differential,
     form_inner,
     interior,
+    random_form,
     two_form_endo,
     wedge,
 )
@@ -42,8 +44,21 @@ def koszul_oracle(alg):
     return omegas
 
 
+def sl2():
+    e, f, h = (Vector.basis(3, i) for i in range(3))
+    return algebra.StructureConstants(3, {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): h})
+
+
 def test_levi_civita_against_koszul_oracle():
     alg = algebra.build(1)
+    lc = cn.levi_civita(alg)
+    for i, expected in enumerate(koszul_oracle(alg)):
+        assert lc.form(i) == expected
+
+
+@pytest.mark.parametrize("table", ["p2", "sl2"])
+def test_levi_civita_against_koszul_oracle_beyond_p1(table):
+    alg = algebra.build(2) if table == "p2" else sl2()
     lc = cn.levi_civita(alg)
     for i, expected in enumerate(koszul_oracle(alg)):
         assert lc.form(i) == expected
@@ -375,3 +390,105 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     span.add(cn._flatten(hol[0], Fraction(1)))
     r = cn.curvature(alg, conn).endo(*witness[1:])
     assert not span.contains(cn._flatten(r, Fraction(1)))
+
+
+def ricci_oracle(alg, conn):
+    """Definitional Ric(e_a, e_b) = sum_i g(R(e_i, e_a) e_b, e_i), all n^3 terms."""
+    r = cn.curvature(alg, conn)
+    n = alg.dim
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            s = Scalar(0)
+            for i in range(n):
+                s = s + r.lowered(i, a, b, i)
+            out[(a, b)] = s
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("which", ["canonical", "levi-civita", "perturbed", "random"])
+def test_ricci_matches_definitional_sum(p, which):
+    alg = algebra.build(p)
+    if which == "canonical":
+        conn = cn.canonical_connection(alg)
+    elif which == "levi-civita":
+        conn = cn.levi_civita(alg)
+    elif which == "perturbed":
+        bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
+        conn = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
+    else:
+        # a generic (not metric) connection form: every curvature row is nonzero
+        conn = random_connection(random.Random(p), alg.dim, alg.dim)
+    ric = cn.ricci(alg, conn)
+    expected = ricci_oracle(alg, conn)
+    for (a, b), value in expected.items():
+        assert ric.entry(a, b) == value, (a, b)
+    assert all(not v.is_zero() for v in ric.m.values())
+    if which in ("perturbed", "random"):
+        # off-diagonal and non-symmetric entries are covered, not only the diagonal
+        off = [(a, b) for (a, b), v in expected.items() if a != b and not v.is_zero()]
+        assert off and any(expected[(b, a)] != expected[(a, b)] for a, b in off)
+
+
+def random_connection(rng, n, entries):
+    def form():
+        keys = [(rng.randrange(n), rng.randrange(n)) for _ in range(entries)]
+        return Endo(n, {key: rng.randint(-2, 2) for key in keys})
+
+    return cn.Connection([form() for _ in range(n)])
+
+
+def test_nabla_matches_definitional_action():
+    """(nabla_A f)(Y..) = -sum_t f(.., A Y_t, ..) and
+    (nabla_A R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY), with generic A."""
+    alg = algebra.build(1)
+    n = alg.dim
+    rng = random.Random(5)
+    conn = random_connection(rng, n, 2 * n)
+    e = [alg.basis_vector(i) for i in range(n)]
+    f = random_form(rng, n, 3)
+    for a, d in zip(conn.omega, cn.nabla_tensor(conn, f)):
+        for idx in combinations(range(n), 3):
+            expected = Scalar(0)
+            for t in range(3):
+                args = [e[i] for i in idx]
+                args[t] = a.apply(args[t])
+                expected = expected - f.evaluate(*args)
+            assert d.coeff(idx) == expected, idx
+
+    def r_of(r, x, y):
+        out = Endo.zero(n)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if not (xi * yj).is_zero():
+                    out = out + r.endo(i, j).scale(xi * yj)
+        return out
+
+    for source in (cn.canonical_connection(alg), conn):
+        r = cn.curvature(alg, source)
+        for a, d in zip(conn.omega, cn.nabla_tensor(conn, r)):
+            for i, j in combinations(range(n), 2):
+                expected = (
+                    a.commutator(r.endo(i, j))
+                    - r_of(r, a.apply(e[i]), e[j])
+                    - r_of(r, e[i], a.apply(e[j]))
+                )
+                assert d.endo(i, j) == expected, (i, j)
+
+
+def test_transvection_reductivity_negative_control(monkeypatch):
+    alg = algebra.build(1)
+    n = alg.dim
+    # [e_0, e_1] = e_1 on m alone (h = 0) is a Lie algebra, but ad(e_0) is not skew
+    table = algebra.StructureConstants(n, {(0, 1): Vector.basis(n, 1)})
+    assert algebra.jacobi_check(table) == (True, None)
+    monkeypatch.setattr(cn, "transvection_algebra", lambda alg, conn: (table, None))
+    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
+    assert not ok and witness == ("reductivity failure", 0, 1, 1)
+    # off the diagonal: <[e_0, e_2], e_1> = -1 and <[e_0, e_1], e_2> = 0; the
+    # first failing triple has its nonzero entry in the transposed slot
+    table = algebra.StructureConstants(n, {(0, 2): Vector.basis(n, 1).scale(-1)})
+    assert algebra.jacobi_check(table) == (True, None)
+    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
+    assert not ok and witness == ("reductivity failure", 0, 1, 2)

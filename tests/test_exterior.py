@@ -228,3 +228,76 @@ def test_evaluation_is_alternating_determinant():
                 if lst[i] > lst[j]:
                     sign = -sign
         assert a.evaluate(*[vs[i] for i in perm]) == sign
+
+
+# -- the sparse Vector contract ----------------------------------------------
+
+
+def test_sparse_vector_iterates_densely():
+    v = Vector([0, LAM, 0, 0])
+    assert v.dim == 4
+    assert list(v) == [ZERO, LAM, ZERO, ZERO]  # trailing zeros included
+    assert Vector([0, 0, 0]) == Vector.zero(3)
+    assert Vector([0, 0, 0]) != Vector.zero(2)
+    assert Vector([]).dim == 0 and list(Vector([])) == []
+    assert Vector(c for c in (0, 1, 0)) == Vector.basis(3, 1)
+    for i in (0, 2, 3, -1, -4):
+        assert v[i] == ZERO and v[i].is_zero()
+    assert v[1] == LAM and v[-3] == LAM
+    with pytest.raises(IndexError):
+        v[4]
+    with pytest.raises(IndexError):
+        v[-5]
+
+
+def test_sparse_vector_matches_dense_definitions():
+    rng = random.Random(23)
+    n = 6
+    for _ in range(40):
+        x, y = (
+            Vector([rng.randint(-2, 2) * LAM ** rng.randint(0, 1) for _ in range(n)])
+            for _ in range(2)
+        )
+        dx, dy = list(x), list(y)
+        assert len(dx) == n
+        dot = ZERO
+        for a, b in zip(dx, dy):
+            dot = dot + a * b
+        assert x.dot(y) == dot
+        assert x.dual() == KForm(n, 1, {(i,): c for i, c in enumerate(dx)})
+        assert list(x + y) == [a + b for a, b in zip(dx, dy)]
+        assert list(x - y) == [a - b for a, b in zip(dx, dy)]
+        assert list(-x) == [-a for a in dx]
+        assert list(x.scale(LAM)) == [LAM * a for a in dx]
+        assert x.scale(0) == Vector.zero(n)
+        assert x.is_zero() == all(a.is_zero() for a in dx)
+        e = Endo(n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2) for _ in range(8)})
+        applied = [ZERO] * n
+        for r in range(n):
+            for c in range(n):
+                applied[r] = applied[r] + e.entry(r, c) * dx[c]
+        assert list(e.apply(x)) == applied
+        for c in range(n):
+            assert list(e.column(c)) == [e.entry(r, c) for r in range(n)]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.dot(y)],
+    ids=["add", "sub", "dot"],
+)
+def test_vector_dimension_mismatch_raises(op):
+    # equal supports, different dimensions
+    x, y = Vector([1, 0, 0]), Vector([1, 0])
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError):
+            op(a, b)
+
+
+def test_endo_negation_and_subtraction():
+    a = Endo(3, {(0, 1): LAM, (1, 0): -LAM, (2, 2): 3})
+    b = Endo(3, {(0, 1): LAM, (2, 0): 1})
+    assert -a == a.scale(-1)
+    assert a - b == a + b.scale(-1)
+    assert (a - a).is_zero() and (a - a).m == {}
+    assert (a - b).m == {(1, 0): -LAM, (2, 2): Scalar(3), (2, 0): Scalar(-1)}

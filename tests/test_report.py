@@ -163,9 +163,24 @@ def test_skips_reported_for_large_p():
     assert "qc.unique-skew-torsion" in skipped
 
 
+# SHA-256 of the formal JSON report of `--suite connection` at larger p
+CONNECTION_DIGESTS = {
+    5: "9f3b77df08bd8728818ceeae7e3b64d33beb75daffa32a49f39687a2a9c29cd3",
+    8: "e67b88e1df7bdc5aac38c9e293511eba08197daf61e006a6512436950a5890c7",
+}
+
+
 def test_connection_suite_p5():
     # dimension 23; exercises the exact pipeline well beyond the small cases
-    rep = run(ReportConfig(p=5, suites=("connection",)))
+    rep = run(ReportConfig(p=5, suites=("connection",), fmt="json"))
     assert rep.all_passed
     hol = next(c for c in rep.checks if c.name == "connection.holonomy")
     assert hol.values["holonomy_dim"] == "3"
+    assert _digest(rep) == CONNECTION_DIGESTS[5]
+
+
+def test_connection_suite_p8():
+    # dimension 35
+    rep = run(ReportConfig(p=8, suites=("connection",), fmt="json"))
+    assert rep.all_passed
+    assert _digest(rep) == CONNECTION_DIGESTS[8]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhg.scalars import LAM, ONE, ZERO, Scalar
 
@@ -73,3 +74,67 @@ def test_power_and_coercion():
     assert 2 * LAM == LAM + LAM
     assert LAM - Fraction(1, 2) == LAM + Fraction(-1, 2)
     assert Scalar({1: 2}) ** -2 == Scalar({-2: Fraction(1, 4)})
+
+
+# -- fast paths against a reference Laurent convolution ------------------------
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+laurent = st.one_of(
+    st.just({}),  # zero
+    st.dictionaries(st.integers(-3, 3), coeffs, min_size=1, max_size=1),  # monomial
+    st.dictionaries(st.integers(-3, 3), coeffs, min_size=2, max_size=4),  # multi-term
+)
+
+
+def assert_matches(result: Scalar, expected: dict):
+    assert dict(result.terms()) == expected
+    assert all(c != 0 for _, c in result.terms())  # no stored zero coefficient
+    assert result == Scalar(expected) and hash(result) == hash(Scalar(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent, laurent, st.integers(-2, 2))
+def test_fast_paths_match_laurent_convolution(a, b, k):
+    x, y = Scalar(a), Scalar(b)
+    a = {e: v for e, v in a.items() if v}
+    b = {e: v for e, v in b.items() if v}
+    neg_b = {e: -v for e, v in b.items()}
+    assert_matches(x + y, ref_add(a, b))
+    assert_matches(x - y, ref_add(a, neg_b))
+    assert_matches(-y, neg_b)
+    assert_matches(x * y, ref_mul(a, b))
+    assert hash(x * y) == hash(y * x) and hash(x + y) == hash(y + x)
+    # mixed with plain rationals, on either side
+    const = {0: Fraction(k)} if k else {}
+    assert_matches(x + k, ref_add(a, const))
+    assert_matches(k + x, ref_add(a, const))
+    assert_matches(k - x, ref_add(const, {e: -v for e, v in a.items()}))
+    assert_matches(x * k, ref_mul(a, const))
+    assert_matches(k * x, ref_mul(a, const))
+    power = {0: Fraction(1)}
+    for n in range(4):
+        assert_matches(x**n, power)
+        power = ref_mul(power, a)
+    if len(a) == 1:
+        ((e, v),) = a.items()
+        assert_matches(x**-2, {-2 * e: 1 / v**2})
+        assert_matches(x**-2 * x * x, {0: Fraction(1)})
+    else:
+        with pytest.raises(ValueError):
+            x**-1
