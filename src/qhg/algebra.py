@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import KForm, Vector
+from .exterior import KForm, Vector, wedge
 from .linalg import nullspace
 from .scalars import LAM, Scalar
 
@@ -94,17 +94,17 @@ class QHAlgebra(StructureConstants):
 
     def xi(self, i: int) -> Vector:
         """Vertical frame vector, i in 1..3."""
-        return Vector.basis(self.dim, i - 1)
+        return Vector.basis(self.dim, _frame_index("xi", i, 3) - 1)
 
     def tau(self, l: int) -> Vector:
         """Horizontal frame vector, l in 1..4p."""
-        return Vector.basis(self.dim, 2 + l)
+        return Vector.basis(self.dim, 2 + _frame_index("tau", l, 4 * self.p))
 
     def eta(self, i: int) -> KForm:
-        return KForm.basis(self.dim, (i - 1,))
+        return KForm.basis(self.dim, (_frame_index("eta", i, 3) - 1,))
 
     def theta(self, l: int) -> KForm:
-        return KForm.basis(self.dim, (2 + l,))
+        return KForm.basis(self.dim, (2 + _frame_index("theta", l, 4 * self.p),))
 
     @property
     def vertical_indices(self) -> tuple[int, ...]:
@@ -117,6 +117,7 @@ class QHAlgebra(StructureConstants):
     def quaternionic_plane(self, r: int) -> tuple[int, int, int, int]:
         """Frame indices of the r-th quaternion copy, r in 1..p."""
         p = self.p
+        _frame_index("quaternionic_plane", r, p)
         return (2 + r, 2 + p + r, 2 + 2 * p + r, 2 + 3 * p + r)
 
     def is_vertical(self, index: int) -> bool:
@@ -124,6 +125,14 @@ class QHAlgebra(StructureConstants):
 
     def metric(self, x: Vector, y: Vector) -> Scalar:
         return x.dot(y)
+
+
+def _frame_index(accessor: str, k: int, top: int) -> int:
+    """k, checked to lie in 1..top: an index outside it would silently name
+    another frame direction or the zero vector."""
+    if not 1 <= k <= top:
+        raise IndexError(f"{accessor}({k}): index must lie in 1..{top}")
+    return k
 
 
 def build(p: int, lam=None) -> QHAlgebra:
@@ -200,6 +209,40 @@ def center_dimension(sc: StructureConstants) -> int:
                 rows.setdefault((j, k, e), [Fraction(0)] * n)[i] += q
                 rows.setdefault((i, k, e), [Fraction(0)] * n)[j] -= q
     return len(nullspace(list(rows.values()), n))
+
+
+def two_step_nilpotent(sc: StructureConstants, center: tuple[int, ...]) -> bool:
+    """Whether every bracket lies in span(e_k : k in center) and every
+    bracket of a bracket vanishes."""
+    n = sc.dim
+    brackets = [sc.bracket_basis(i, j) for i in range(n) for j in range(n)]
+    return all(k in center for v in brackets for k in v.comps) and all(
+        sc.bracket(v, sc.basis_vector(k)).is_zero() for v in brackets for k in range(n)
+    )
+
+
+def d_eta_closed_form(alg: QHAlgebra, i: int) -> KForm:
+    """d eta_i = -lam sum_r (theta_r ^ theta_{ip+r} + theta_{jp+r} ^ theta_{kp+r})
+    for (i, j, k) a cyclic permutation of (1, 2, 3)."""
+    p = alg.p
+    j, k = (i % 3) + 1, ((i + 1) % 3) + 1
+    out = KForm.zero(alg.dim, 2)
+    for r in range(1, p + 1):
+        out = out + wedge(alg.theta(r), alg.theta(i * p + r))
+        out = out + wedge(alg.theta(j * p + r), alg.theta(k * p + r))
+    return out.scale(-alg.lam)
+
+
+def quaternion_brackets_check(alg: QHAlgebra) -> bool:
+    """[X, Y] = lam sum_a <I_a X, Y> xi_a on the frame, I_a = quaternion_action(alg, a)."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    actions = [quaternion_action(alg, a) for a in (1, 2, 3)]
+    return all(
+        alg.bracket(x, y)[a] == alg.lam * actions[a].apply(x).dot(y)
+        for a in range(3)
+        for x in e
+        for y in e
+    )
 
 
 def quaternion_action(alg: QHAlgebra, a: int):

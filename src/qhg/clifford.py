@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .algebra import quat_mul
 from .exterior import Endo, KForm, Vector, endo_two_form
-from .scalars import ONE, ZERO, Scalar
 
 SPIN_DIM = 8
 AMBIENT_DIM = 7
@@ -40,131 +39,52 @@ def _oct_mul(a: int, b: int) -> tuple[int, int]:
     return -s, c
 
 
-class SpinEndo:
-    """Dense 8x8 matrix of exact scalars acting on spinors."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, rows: list[list[Scalar]]):
-        self.m = rows
-
-    @staticmethod
-    def zero() -> "SpinEndo":
-        return SpinEndo([[ZERO] * SPIN_DIM for _ in range(SPIN_DIM)])
-
-    @staticmethod
-    def identity() -> "SpinEndo":
-        return SpinEndo(
-            [[ONE if i == j else ZERO for j in range(SPIN_DIM)] for i in range(SPIN_DIM)]
-        )
-
-    def __add__(self, other: "SpinEndo") -> "SpinEndo":
-        return SpinEndo(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.m, other.m)]
-        )
-
-    def __sub__(self, other: "SpinEndo") -> "SpinEndo":
-        return SpinEndo(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.m, other.m)]
-        )
-
-    def __neg__(self) -> "SpinEndo":
-        return self.scale(-1)
-
-    def scale(self, c) -> "SpinEndo":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        return SpinEndo([[c * a for a in row] for row in self.m])
-
-    def compose(self, other: "SpinEndo") -> "SpinEndo":
-        out = [[ZERO] * SPIN_DIM for _ in range(SPIN_DIM)]
-        for i in range(SPIN_DIM):
-            row = self.m[i]
-            for k in range(SPIN_DIM):
-                c = row[k]
-                if c.is_zero():
-                    continue
-                ok = other.m[k]
-                oi = out[i]
-                for j in range(SPIN_DIM):
-                    if not ok[j].is_zero():
-                        oi[j] = oi[j] + c * ok[j]
-        return SpinEndo(out)
-
-    def commutator(self, other: "SpinEndo") -> "SpinEndo":
-        return self.compose(other) - other.compose(self)
-
-    def apply(self, s: Vector) -> Vector:
-        out = []
-        for i in range(SPIN_DIM):
-            acc = ZERO
-            for j in range(SPIN_DIM):
-                c = self.m[i][j]
-                if not c.is_zero():
-                    acc = acc + c * s[j]
-            out.append(acc)
-        return Vector(out)
-
-    def trace(self) -> Scalar:
-        t = ZERO
-        for i in range(SPIN_DIM):
-            t = t + self.m[i][i]
-        return t
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.m for c in row)
-
-    def __eq__(self, other):
-        return isinstance(other, SpinEndo) and self.m == other.m
-
-    def __repr__(self):
-        return "SpinEndo(" + "; ".join(" ".join(str(c) for c in row) for row in self.m) + ")"
-
-
-def build_gamma() -> list[SpinEndo]:
+def build_gamma() -> list[Endo]:
     """The seven Clifford generators, indexed like the ambient frame.
 
     Generator i is minus the left multiplication by the i-th imaginary
     octonion unit; the minus sign selects the irreducible module with
-    volume element +Id.
+    volume element +Id.  Each is a signed permutation matrix, stored
+    sparsely as an Endo of dimension 8.
     """
     gammas = []
     for i in range(1, 8):
-        rows = [[ZERO] * SPIN_DIM for _ in range(SPIN_DIM)]
+        entries = {}
         for b in range(SPIN_DIM):
             s, c = _oct_mul(i, b)
-            rows[c][b] = Scalar(-s)
-        gammas.append(SpinEndo(rows))
+            entries[(c, b)] = -s
+        gammas.append(Endo(SPIN_DIM, entries))
     return gammas
 
 
-_GAMMA: list[SpinEndo] | None = None
-_PRODUCTS: dict[tuple[int, ...], SpinEndo] = {}
+_GAMMA: list[Endo] | None = None
+_PRODUCTS: dict[tuple[int, ...], Endo] = {}
 
 
-def gamma() -> list[SpinEndo]:
+def gamma() -> list[Endo]:
     global _GAMMA
     if _GAMMA is None:
         _GAMMA = build_gamma()
     return _GAMMA
 
 
-def gamma_product(indices: tuple[int, ...]) -> SpinEndo:
+def gamma_product(indices: tuple[int, ...]) -> Endo:
     """Ordered product of generators for an increasing index tuple."""
     if indices in _PRODUCTS:
         return _PRODUCTS[indices]
     g = gamma()
-    out = SpinEndo.identity()
+    out = Endo.identity(SPIN_DIM)
     for i in indices:
         out = out.compose(g[i])
     _PRODUCTS[indices] = out
     return out
 
 
-def clifford_matrix(a: KForm) -> SpinEndo:
+def clifford_matrix(a: KForm) -> Endo:
     """Clifford action of a form: basis tuples become ordered products."""
     if a.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
-    out = SpinEndo.zero()
+    out = Endo.zero(SPIN_DIM)
     for idx, c in a.comps.items():
         out = out + gamma_product(idx).scale(c)
     return out
@@ -186,23 +106,44 @@ def vector_action(x: Vector, s: Vector) -> Vector:
     return out
 
 
-def spin_lift(a: Endo) -> SpinEndo:
+def spin_lift(a: Endo) -> Endo:
     """Lift of a skew endomorphism, (1/2) sum_{i<j} a_ij g_i g_j.
 
     This is the unique normalization with [lift(A), g(X)] = g(AX).
     """
     two_form = endo_two_form(a)  # rejects non-skew input
-    out = SpinEndo.zero()
+    out = Endo.zero(SPIN_DIM)
     for (i, j), c in two_form.comps.items():
         out = out + gamma_product((i, j)).scale(c)
     return out.scale(Fraction(1, 2))
 
 
+def relations_check() -> bool:
+    """g_i g_j + g_j g_i = -2 delta_ij Id and the volume element is +Id."""
+    g, minus_two = gamma(), Endo.identity(SPIN_DIM).scale(-2)
+    return volume_sign() == 1 and all(
+        g[i].compose(g[j]) + g[j].compose(g[i]) == (minus_two if i == j else Endo.zero(SPIN_DIM))
+        for i in range(AMBIENT_DIM)
+        for j in range(AMBIENT_DIM)
+    )
+
+
+def lift_check(a: Endo) -> bool:
+    """[lift(A), X] = AX for every frame vector X, and the 2-form of A acts
+    as 2 lift(A)."""
+    lift = spin_lift(a)
+    for i in range(AMBIENT_DIM):
+        x = Vector.basis(AMBIENT_DIM, i)
+        if lift.commutator(clifford_matrix(x.dual())) != clifford_matrix(a.apply(x).dual()):
+            return False
+    return clifford_matrix(endo_two_form(a)) == lift.scale(2)
+
+
 def volume_sign() -> int:
     """Sign s with g_1 g_2 ... g_7 = s * Id (central, squares to +Id)."""
     prod = gamma_product(tuple(range(AMBIENT_DIM)))
-    if prod == SpinEndo.identity():
+    if prod == Endo.identity(SPIN_DIM):
         return 1
-    if prod == SpinEndo.identity().scale(-1):
+    if prod == Endo.identity(SPIN_DIM).scale(-1):
         return -1
     raise ArithmeticError("volume element is not proportional to the identity")

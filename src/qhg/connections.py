@@ -5,12 +5,16 @@ skew endomorphisms, nabla_X Y = Omega(X) Y on invariant fields.  The
 Levi-Civita map comes from the Koszul formula; adding half of a torsion
 3-form produces the metric connection with that skew torsion.  On
 frame-constant tensors nabla_X acts through the natural so(n) action of
-Omega(X), which is what all parallelism checks below use.
+Omega(X), which is what all parallelism checks below use.  `Geometry`
+bundles one connection with the tensors read from it (torsion,
+curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
+once, on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import QHAlgebra, StructureConstants, jacobi_check
@@ -20,7 +24,6 @@ from .exterior import (
     Vector,
     _kform,
     _sort_tuple,
-    form_inner,
     interior,
     two_form_endo,
     wedge,
@@ -154,6 +157,56 @@ def su2_generators(alg: QHAlgebra) -> list[KForm]:
     return out
 
 
+def killing_one_forms_check(alg: QHAlgebra, lc: Connection) -> bool:
+    """nabla^g_X eta_i = (1/2) X . d eta_i for the Levi-Civita connection lc:
+    the vertical 1-forms are Killing."""
+    from .exterior import ce_differential
+
+    for i in (1, 2, 3):
+        d_eta = ce_differential(alg.eta(i), alg)
+        for x in range(alg.dim):
+            lhs = lc.form(x).apply(alg.xi(i)).dual()
+            if lhs != interior(alg.basis_vector(x), d_eta).scale(Fraction(1, 2)):
+                return False
+    return True
+
+
+def su2_curvature(alg: QHAlgebra) -> CurvatureTensor:
+    """Closed form of the canonical curvature: R(e_i, e_j) = lam^2 sum_k
+    h_k(e_i, e_j) H_k, with h_k the su2_generators and H_k their endomorphisms."""
+    n = alg.dim
+    values: dict[tuple[int, int], Endo] = {}
+    for form in su2_generators(alg):
+        endo = two_form_endo(form).scale(alg.lam * alg.lam)
+        for key, c in form.comps.items():
+            values[key] = values.get(key, Endo.zero(n)) + endo.scale(c)
+    return CurvatureTensor(n, values)
+
+
+def ricci_closed_form(alg: QHAlgebra) -> Endo:
+    """Ricci of the canonical connection: diag(-8 lam^2 x3, -3 lam^2 x4p)."""
+    lam2 = alg.lam * alg.lam
+    return Endo(alg.dim, {(i, i): lam2 * (-8 if i < 3 else -3) for i in range(alg.dim)})
+
+
+def volumes_parallel(alg: QHAlgebra, conn: Connection) -> bool:
+    """Whether the vertical volume eta_123 and every plane volume are parallel."""
+    vertical = KForm.basis(alg.dim, alg.vertical_indices)
+    planes = [KForm.basis(alg.dim, alg.quaternionic_plane(q)) for q in range(1, alg.p + 1)]
+    return all(is_parallel(conn, f) for f in [vertical] + planes)
+
+
+def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
+    """hol is 3-dimensional, irreducible on the vertical space and
+    preserves each quaternionic plane."""
+    planes = [alg.quaternionic_plane(q) for q in range(1, alg.p + 1)]
+    return (
+        len(hol) == 3
+        and vertical_action_irreducible(alg, hol)
+        and all(invariant_subspace(hol, plane) for plane in planes)
+    )
+
+
 def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Vector]:
     """T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j], for i < j."""
     n = alg.dim
@@ -170,43 +223,6 @@ def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Ve
     return out
 
 
-def torsion_is_skew(alg: QHAlgebra, conn: Connection) -> bool:
-    """Whether the lowered torsion is alternating in all three slots."""
-    return _skew_form(torsion_tensor(alg, conn), alg.dim) is not None
-
-
-def torsion_form(alg: QHAlgebra, conn: Connection) -> KForm:
-    """Recover the torsion as a 3-form; raises if it is not totally skew."""
-    t3 = _skew_form(torsion_tensor(alg, conn), alg.dim)
-    if t3 is None:
-        raise ValueError("torsion of this connection is not totally skew")
-    return t3
-
-
-def _skew_form(tor: dict[tuple[int, int], Vector], n: int) -> KForm | None:
-    """The torsion tensor as a 3-form, or None when it is not totally skew."""
-    for (i, j), v in tor.items():
-        for k in range(n):
-            c = v[k]
-            if c.is_zero():
-                continue
-            if k == i or k == j:
-                return None
-            # compare against the slot-swapped value T(e_i, e_k, e_j)
-            a, b = (i, k) if i < k else (k, i)
-            w = tor.get((a, b), Vector.zero(n))
-            swapped = w[j] if i < k else -w[j]
-            if not (c + swapped).is_zero():
-                return None
-    comps = {}
-    for (i, j), v in tor.items():
-        for k in range(j + 1, n):
-            c = v[k]
-            if not c.is_zero():
-                comps[(i, j, k)] = c
-    return KForm(n, 3, comps)
-
-
 def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
     """R(X, Y) = [Omega(X), Omega(Y)] - Omega([X, Y])."""
     n = alg.dim
@@ -218,6 +234,241 @@ def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
             if not r.is_zero():
                 values[(i, j)] = r
     return CurvatureTensor(n, values)
+
+
+class Geometry:
+    """One connection on one algebra, with the tensors every check reads.
+
+    Each field is computed at most once, on first read, and a field reads
+    only the fields it needs: a transvection test that stops at torsion
+    which is not parallel never builds the holonomy.  The public
+    (alg, conn) functions below read one field of a fresh bundle.
+    """
+
+    def __init__(self, alg: QHAlgebra, conn: Connection):
+        self.alg = alg
+        self.conn = conn
+
+    @cached_property
+    def torsion_tensor(self) -> dict[tuple[int, int], Vector]:
+        return torsion_tensor(self.alg, self.conn)
+
+    @cached_property
+    def torsion_form(self) -> KForm | None:
+        """The torsion as a 3-form, or None when it is not totally skew."""
+        n = self.alg.dim
+        tor = self.torsion_tensor
+        for (i, j), v in tor.items():
+            for k, c in v.comps.items():
+                if k == i or k == j:
+                    return None
+                # compare against the slot-swapped value T(e_i, e_k, e_j)
+                a, b = (i, k) if i < k else (k, i)
+                w = tor.get((a, b), Vector.zero(n))
+                swapped = w[j] if i < k else -w[j]
+                if not (c + swapped).is_zero():
+                    return None
+        comps = {(i, j, k): v[k] for (i, j), v in tor.items() for k in sorted(v.comps) if k > j}
+        return KForm(n, 3, comps)
+
+    @cached_property
+    def curvature(self) -> CurvatureTensor:
+        return curvature(self.alg, self.conn)
+
+    @cached_property
+    def ricci(self) -> Endo:
+        """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i).
+
+        Contracted over the stored R(e_i, e_j), i < j: row i of R(e_i, e_j)
+        adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
+        subtracts from Ric(e_i, .).
+        """
+        entries: dict[tuple[int, int], Scalar] = {}
+        for (i, j), e in self.curvature.values.items():
+            for (row, b), v in e.m.items():
+                if row == i:
+                    entries[(j, b)] = entries.get((j, b), ZERO) + v
+                elif row == j:
+                    entries[(i, b)] = entries.get((i, b), ZERO) - v
+        return Endo(self.alg.dim, entries)
+
+    @cached_property
+    def holonomy(self) -> list[Endo]:
+        """Ambrose-Singer closure: curvature endomorphisms, closed under
+        bracketing with the connection forms and among themselves.
+
+        Rank bookkeeping runs over specialized rationals; for a formal
+        metric parameter the dimension is re-checked at a second value.
+        """
+        lam = self.alg.lam
+        values = [lam.rational_value()] if lam.is_rational() else [Fraction(1), Fraction(2)]
+        basis = _holonomy_at(self, values[0])
+        for v in values[1:]:
+            other = _holonomy_at(self, v)
+            if len(other) != len(basis):
+                raise ArithmeticError(
+                    "holonomy dimension depends on the metric parameter: "
+                    f"{len(basis)} at {values[0]} vs {len(other)} at {v}"
+                )
+        return basis
+
+    @cached_property
+    def torsion_parallel(self) -> bool:
+        """Whether the torsion is totally skew and parallel."""
+        t3 = self.torsion_form
+        return t3 is not None and is_parallel(self.conn, t3)
+
+    @cached_property
+    def curvature_parallel(self) -> bool:
+        return is_parallel(self.conn, self.curvature)
+
+    @cached_property
+    def transvection_algebra(self):
+        """The homogeneous algebra hol + m as one structure-constant table.
+
+        hol takes the indices 0..h-1 of the holonomy basis, m the indices
+        h..h+n-1 of the frame.  The brackets are [A, B] in holonomy
+        coordinates, [A, e_i] = A e_i and [e_i, e_j] = (-R(e_i, e_j),
+        -T(e_i, e_j)).  Requires totally skew, parallel torsion and parallel
+        curvature; (table, None), or (None, witness) otherwise.
+        """
+        if self.torsion_form is None:
+            return None, ("torsion not totally skew",)
+        if not self.torsion_parallel:
+            return None, ("torsion not parallel",)
+        if not self.curvature_parallel:
+            return None, ("curvature not parallel",)
+
+        hol = self.holonomy
+        h = len(hol)
+        n = self.alg.dim
+        hol_coords = _coordinate_reader(hol, n)
+        table: dict[tuple[int, int], Vector] = {}
+
+        def put(x: int, y: int, coords: list[Scalar], v: Vector):
+            w = Vector(list(coords) + list(v))
+            if not w.is_zero():
+                table[(x, y)] = w
+
+        for a, b in combinations(range(h), 2):
+            coords = hol_coords(hol[a].commutator(hol[b]))
+            if coords is None:
+                return None, ("holonomy not closed under bracket", a, b)
+            put(a, b, coords, Vector.zero(n))
+        for a in range(h):
+            for i in range(n):
+                put(a, h + i, [ZERO] * h, hol[a].column(i))
+        for i, j in combinations(range(n), 2):
+            coords = hol_coords(-self.curvature.endo(i, j))
+            if coords is None:
+                return None, ("curvature outside holonomy span", i, j)
+            put(h + i, h + j, coords, -self.torsion_tensor.get((i, j), Vector.zero(n)))
+        return StructureConstants(h + n, table), None
+
+    @cached_property
+    def transvection(self):
+        """Rebuild hol + m and test it exactly: (True, None) or (False, witness).
+
+        Checks the Jacobi identity of the rebuilt table and the reductivity
+        condition <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 on all frame triples.
+        """
+        table, witness = self.transvection_algebra
+        if table is None:
+            return False, witness
+        ok, triple = jacobi_check(table)
+        if not ok:
+            return False, ("jacobi failure", *triple)
+        triple = _reductivity_failure(table, self.alg.dim)
+        if triple is not None:
+            return False, ("reductivity failure", *triple)
+        return True, None
+
+    @cached_property
+    def first_bianchi(self) -> bool:
+        """Cyclic curvature sum against the skew-torsion Bianchi identity.
+
+        For a metric connection with totally skew torsion T:
+        cyclic R(X,Y,Z,V) = dT(X,Y,Z,V) - cyclic <T(X,Y), T(Z,V)> + (nabla_V T)(X,Y,Z).
+        """
+        from .exterior import ce_differential
+
+        alg, n = self.alg, self.alg.dim
+        t3 = self.torsion_form
+        if t3 is None:
+            raise ValueError("torsion of this connection is not totally skew")
+        r = self.curvature
+        dt = ce_differential(t3, alg)
+        nt = nabla_tensor(self.conn, t3)
+
+        def t_pair(x, y, z, v) -> Scalar:
+            out = ZERO
+            for k in range(n):
+                out = out + t3.coeff((x, y, k)) * t3.coeff((z, v, k))
+            return out
+
+        for x in range(n):
+            for y in range(x + 1, n):
+                for z in range(y + 1, n):
+                    for v in range(n):
+                        lhs = (
+                            r.lowered(x, y, z, v)
+                            + r.lowered(y, z, x, v)
+                            + r.lowered(z, x, y, v)
+                        )
+                        rhs = (
+                            dt.coeff((x, y, z, v))
+                            - (t_pair(x, y, z, v) + t_pair(y, z, x, v) + t_pair(z, x, y, v))
+                            + nt[v].coeff((x, y, z))
+                        )
+                        if not (lhs - rhs).is_zero():
+                            return False
+        return True
+
+
+# -- the public (alg, conn) readers of one bundle field ----------------------
+
+
+def torsion_is_skew(alg: QHAlgebra, conn: Connection) -> bool:
+    """Whether the lowered torsion is alternating in all three slots."""
+    return Geometry(alg, conn).torsion_form is not None
+
+
+def torsion_form(alg: QHAlgebra, conn: Connection) -> KForm:
+    """Recover the torsion as a 3-form; raises if it is not totally skew."""
+    t3 = Geometry(alg, conn).torsion_form
+    if t3 is None:
+        raise ValueError("torsion of this connection is not totally skew")
+    return t3
+
+
+def ricci(alg: QHAlgebra, conn: Connection) -> Endo:
+    """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i); see Geometry.ricci."""
+    return Geometry(alg, conn).ricci
+
+
+def scalar_curvatures(alg: QHAlgebra, conn: Connection) -> tuple[Scalar, Scalar]:
+    """(scalar curvature of conn, Riemannian scalar curvature)."""
+    return ricci(alg, conn).trace(), ricci(alg, levi_civita(alg)).trace()
+
+
+def holonomy(alg: QHAlgebra, conn: Connection) -> list[Endo]:
+    """A basis of the holonomy algebra; see Geometry.holonomy."""
+    return Geometry(alg, conn).holonomy
+
+
+def transvection_algebra(alg: QHAlgebra, conn: Connection):
+    """(hol + m as a table, None) or (None, witness); see Geometry.transvection_algebra."""
+    return Geometry(alg, conn).transvection_algebra
+
+
+def transvection_check(alg: QHAlgebra, conn: Connection):
+    """(True, None) or (False, witness); see Geometry.transvection."""
+    return Geometry(alg, conn).transvection
+
+
+def first_bianchi_check(alg: QHAlgebra, conn: Connection) -> bool:
+    """The skew-torsion first Bianchi identity; see Geometry.first_bianchi."""
+    return Geometry(alg, conn).first_bianchi
 
 
 # -- covariant derivatives of frame-constant tensors -----------------------
@@ -297,33 +548,6 @@ def is_parallel(conn: Connection, tensor) -> bool:
     return True
 
 
-# -- curvature contractions -------------------------------------------------
-
-
-def ricci(alg: QHAlgebra, conn: Connection) -> Endo:
-    """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i).
-
-    Contracted over the stored R(e_i, e_j), i < j: row i of R(e_i, e_j)
-    adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
-    subtracts from Ric(e_i, .).
-    """
-    entries: dict[tuple[int, int], Scalar] = {}
-    for (i, j), e in curvature(alg, conn).values.items():
-        for (row, b), v in e.m.items():
-            if row == i:
-                entries[(j, b)] = entries.get((j, b), ZERO) + v
-            elif row == j:
-                entries[(i, b)] = entries.get((i, b), ZERO) - v
-    return Endo(alg.dim, entries)
-
-
-def scalar_curvatures(alg: QHAlgebra, conn: Connection) -> tuple[Scalar, Scalar]:
-    """(scalar curvature of conn, Riemannian scalar curvature)."""
-    s_conn = ricci(alg, conn).trace()
-    s_g = ricci(alg, levi_civita(alg)).trace()
-    return s_conn, s_g
-
-
 # -- holonomy ----------------------------------------------------------------
 
 
@@ -338,31 +562,9 @@ def _specialize_endo(e: Endo, value: Fraction) -> Endo:
     return Endo(e.dim, {k: Scalar(v.specialize(value)) for k, v in e.m.items()})
 
 
-def holonomy(alg: QHAlgebra, conn: Connection) -> list[Endo]:
-    """Ambrose-Singer closure: curvature endomorphisms, closed under
-    bracketing with the connection forms and among themselves.
-
-    Rank bookkeeping runs over specialized rationals; for a formal
-    metric parameter the dimension is re-checked at a second value.
-    """
-    if alg.lam.is_rational():
-        values = [alg.lam.rational_value()]
-    else:
-        values = [Fraction(1), Fraction(2)]
-
-    basis = _holonomy_at(alg, conn, values[0])
-    for v in values[1:]:
-        other = _holonomy_at(alg, conn, v)
-        if len(other) != len(basis):
-            raise ArithmeticError(
-                "holonomy dimension depends on the metric parameter: "
-                f"{len(basis)} at {values[0]} vs {len(other)} at {v}"
-            )
-    return basis
-
-
-def _holonomy_at(alg: QHAlgebra, conn: Connection, value: Fraction) -> list[Endo]:
-    n = alg.dim
+def _holonomy_at(geo: Geometry, value: Fraction) -> list[Endo]:
+    """The holonomy closure with the metric parameter specialized to value."""
+    n = geo.alg.dim
     max_dim = n * (n - 1) // 2
     span = FractionSpan(n * n)
     members: list[Endo] = []
@@ -375,11 +577,10 @@ def _holonomy_at(alg: QHAlgebra, conn: Connection, value: Fraction) -> list[Endo
             return True
         return False
 
-    r = curvature(alg, conn)
-    for e in r.values.values():
+    for e in geo.curvature.values.values():
         push(e)
 
-    omegas = [_specialize_endo(conn.form(i), value) for i in range(n)]
+    omegas = [_specialize_endo(geo.conn.form(i), value) for i in range(n)]
     frontier = list(members)
     while frontier:
         if span.dim > max_dim:
@@ -437,53 +638,6 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
 # -- natural reductivity ------------------------------------------------------
 
 
-def transvection_algebra(alg: QHAlgebra, conn: Connection):
-    """The homogeneous algebra hol + m as one structure-constant table.
-
-    hol takes the indices 0..h-1 of the holonomy basis, m the indices
-    h..h+n-1 of the frame.  The brackets are [A, B] in holonomy
-    coordinates, [A, e_i] = A e_i and [e_i, e_j] = (-R(e_i, e_j),
-    -T(e_i, e_j)).  Requires totally skew, parallel torsion and parallel
-    curvature; returns (table, None), or (None, witness) otherwise.
-    """
-    tor = torsion_tensor(alg, conn)
-    t3 = _skew_form(tor, alg.dim)
-    if t3 is None:
-        return None, ("torsion not totally skew",)
-    if not is_parallel(conn, t3):
-        return None, ("torsion not parallel",)
-    r = curvature(alg, conn)
-    if not is_parallel(conn, r):
-        return None, ("curvature not parallel",)
-
-    hol = holonomy(alg, conn)
-    h = len(hol)
-    n = alg.dim
-    hol_coords = _coordinate_reader(hol, n)
-
-    table: dict[tuple[int, int], Vector] = {}
-
-    def put(x: int, y: int, coords: list[Scalar], v: Vector):
-        w = Vector(list(coords) + list(v))
-        if not w.is_zero():
-            table[(x, y)] = w
-
-    for a, b in combinations(range(h), 2):
-        coords = hol_coords(hol[a].commutator(hol[b]))
-        if coords is None:
-            return None, ("holonomy not closed under bracket", a, b)
-        put(a, b, coords, Vector.zero(n))
-    for a in range(h):
-        for i in range(n):
-            put(a, h + i, [ZERO] * h, hol[a].column(i))
-    for i, j in combinations(range(n), 2):
-        coords = hol_coords(-r.endo(i, j))
-        if coords is None:
-            return None, ("curvature outside holonomy span", i, j)
-        put(h + i, h + j, coords, -tor.get((i, j), Vector.zero(n)))
-    return StructureConstants(h + n, table), None
-
-
 def _coordinate_reader(basis: list[Endo], n: int):
     """Exact coordinates in a basis of rational n x n endomorphisms.
 
@@ -517,25 +671,6 @@ def _coordinate_reader(basis: list[Endo], n: int):
     return read
 
 
-def transvection_check(alg: QHAlgebra, conn: Connection):
-    """Rebuild hol + m and test it exactly.
-
-    Checks the Jacobi identity of the rebuilt table and the reductivity
-    condition <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 on all frame triples.
-    """
-    table, witness = transvection_algebra(alg, conn)
-    if table is None:
-        return False, witness
-    ok, triple = jacobi_check(table)
-    if not ok:
-        return False, ("jacobi failure", *triple)
-
-    triple = _reductivity_failure(table, alg.dim)
-    if triple is not None:
-        return False, ("reductivity failure", *triple)
-    return True, None
-
-
 def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, int] | None:
     """First (i, j, k), j != i != k, with <[e_i, e_j]_m, e_k> + <[e_i, e_k]_m, e_j> != 0.
 
@@ -554,49 +689,3 @@ def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, i
         if bad:
             return i, *min(min(bad), min((k, j) for j, k in bad))
     return None
-
-
-# -- Bianchi identity ---------------------------------------------------------
-
-
-def first_bianchi_check(alg: QHAlgebra, conn: Connection) -> bool:
-    """Cyclic curvature sum against the skew-torsion Bianchi identity.
-
-    For a metric connection with totally skew torsion T:
-    cyclic R(X,Y,Z,V) = dT(X,Y,Z,V) - cyclic <T(X,Y), T(Z,V)> + (nabla_V T)(X,Y,Z).
-    """
-    from .exterior import ce_differential
-
-    n = alg.dim
-    t3 = torsion_form(alg, conn)
-    r = curvature(alg, conn)
-    dt = ce_differential(t3, alg)
-    nt = nabla_tensor(conn, t3)
-
-    def t_pair(x, y, z, v) -> Scalar:
-        out = ZERO
-        for k in range(n):
-            out = out + t3.coeff((x, y, k)) * t3.coeff((z, v, k))
-        return out
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                for v in range(n):
-                    lhs = (
-                        r.lowered(x, y, z, v)
-                        + r.lowered(y, z, x, v)
-                        + r.lowered(z, x, y, v)
-                    )
-                    rhs = (
-                        dt.coeff((x, y, z, v))
-                        - (t_pair(x, y, z, v) + t_pair(y, z, x, v) + t_pair(z, x, y, v))
-                        + nt[v].coeff((x, y, z))
-                    )
-                    if not (lhs - rhs).is_zero():
-                        return False
-    return True
-
-
-def torsion_norm_squared(alg: QHAlgebra, t: KForm) -> Scalar:
-    return form_inner(t, t)

@@ -14,7 +14,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import QHAlgebra
-from .connections import Connection, levi_civita, with_torsion
+from .connections import (
+    Connection,
+    Geometry,
+    flat_connection,
+    is_parallel,
+    levi_civita,
+    with_torsion,
+)
 from .exterior import (
     Endo,
     KForm,
@@ -196,6 +203,20 @@ def characteristic_connection(alg: QHAlgebra, i: int) -> Connection:
     return with_torsion(alg, contact_characteristic_torsion(alg, i))
 
 
+def characteristic_connections_check(alg: QHAlgebra) -> bool:
+    """Each structure is parallel for its own characteristic connection,
+    the first two connections differ, and the first is not adapted to the
+    second structure (dimension 7 only)."""
+    phis = [build_phi(alg, i) for i in (1, 2, 3)]
+    conns = [characteristic_connection(alg, i) for i in (1, 2, 3)]
+    own = all(
+        is_parallel(c, ac.phi) and is_parallel(c, ac.eta) and is_parallel(c, ac.xi)
+        for c, ac in zip(conns, phis)
+    )
+    distinct = contact_characteristic_torsion(alg, 1) != contact_characteristic_torsion(alg, 2)
+    return own and distinct and not is_parallel(conns[0], phis[1].phi)
+
+
 # -- quaternionic contact structure -----------------------------------------
 
 
@@ -314,6 +335,18 @@ def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
                 if not total.is_zero():
                     return False
     return True
+
+
+def flat_connection_check(alg: QHAlgebra) -> bool:
+    """The flat connection preserves the qc structure, has zero curvature
+    and holonomy, and its torsion is not totally skew."""
+    flat = Geometry(alg, flat_connection(alg))
+    return (
+        qc_preservation_check(alg, flat.conn)
+        and flat.curvature.is_zero()
+        and len(flat.holonomy) == 0
+        and flat.torsion_form is None
+    )
 
 
 def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):

@@ -364,6 +364,8 @@ class Endo:
         return True
 
     def apply(self, x: Vector) -> Vector:
+        if x.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {x.dim}")
         out: dict[int, Scalar] = {}
         for (r, c), v in self.m.items():
             xc = x.comps.get(c)
@@ -463,6 +465,20 @@ def ce_differential(a: KForm, alg) -> KForm:
             term = wedge(wedge(front, di), back).scale(c)
             out = out + (term if t % 2 == 0 else term.scale(-1))
     return out
+
+
+def consistency_check(alg) -> bool:
+    """Hodge star, interior product, inner product and the 2-form/endomorphism
+    identification agree on sample forms of the frame of `alg`."""
+    sample = wedge(alg.eta(1), alg.theta(1))
+    rt = wedge(alg.eta(2), alg.theta(2)) + wedge(alg.theta(1), alg.theta(2)).scale(3)
+    return (
+        hodge_star(volume_form(alg.dim)) == KForm.unit(alg.dim)
+        and hodge_star(hodge_star(sample)) == sample
+        and form_inner(sample, sample) == ONE
+        and endo_two_form(two_form_endo(rt)) == rt
+        and interior(alg.tau(1), wedge(alg.theta(1), alg.theta(2))) == alg.theta(2)
+    )
 
 
 def volume_form(dim: int) -> KForm:

@@ -131,17 +131,17 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
     convention mismatch between the Clifford module and the connection.
     """
     _require_p1(alg)
+    values = [Fraction(1)] if alg.lam.is_rational() else [Fraction(1), Fraction(2)]
     rows = []
     for i in range(alg.dim):
         om = conn.form(i)
         if om.is_zero():
             continue
         lift = spin_lift(om)
-        for row in lift.m:
-            rows.append([c.specialize(Fraction(1)) for c in row])
-        if not alg.lam.is_rational():
-            for row in lift.m:
-                rows.append([c.specialize(Fraction(2)) for c in row])
+        for value in values:
+            rows.extend(
+                [lift.entry(r, c).specialize(value) for c in range(8)] for r in range(8)
+            )
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
         raise ArithmeticError(
@@ -257,13 +257,50 @@ def generalized_killing_check(alg: QHAlgebra, psi: Vector) -> list[Scalar | None
     not generalized Killing there).
     """
     _require_p1(alg)
-    lc = levi_civita(alg)
-    out: list[Scalar | None] = []
-    for i in range(alg.dim):
-        derivative = spin_lift(lc.form(i)).apply(psi)
-        clifford_image = gamma()[i].apply(psi)
-        out.append(_eigen_ratio(derivative, clifford_image))
-    return out
+    return _killing_eigenvalues(levi_civita(alg), psi)
+
+
+def _killing_eigenvalues(lc: Connection, psi: Vector) -> list[Scalar | None]:
+    """generalized_killing_check for a Levi-Civita connection already built."""
+    return [
+        _eigen_ratio(spin_lift(lc.form(i)).apply(psi), gamma()[i].apply(psi))
+        for i in range(lc.dim)
+    ]
+
+
+def invariant_killing_values(alg: QHAlgebra) -> list[Scalar]:
+    """Killing eigenvalues of the invariant spinor: lam/2 vertically, -3 lam/4 horizontally."""
+    return [alg.lam * Fraction(1, 2)] * 3 + [alg.lam * Fraction(-3, 4)] * (alg.dim - 3)
+
+
+def _translate_killing(alg: QHAlgebra, lc: Connection, psi0: Vector) -> tuple[bool, set[str]]:
+    """Killing eigenvalues of the translates xi_i . psi0: lam/2 along xi_i,
+    -lam/2 along the other vertical directions and one horizontal value,
+    three distinct values for each translate.  Returns the verdict and the
+    horizontal values met, as strings."""
+    half = alg.lam * Fraction(1, 2)
+    ok, horizontal = True, set()
+    for i in (1, 2, 3):
+        ki = _killing_eigenvalues(lc, vector_action(alg.xi(i), psi0))
+        horiz = {str(ki[idx]) for idx in alg.horizontal_indices}
+        ok = (
+            ok
+            and ki[:3] == [half if j == i else -half for j in (1, 2, 3)]
+            and len(horiz) == 1
+            and not any(k is None for k in ki)
+            and len({str(k) for k in ki}) == 3
+        )
+        horizontal |= horiz
+    return ok, horizontal
+
+
+def _killing_via_torsion(alg: QHAlgebra, lc: Connection, t: KForm, psi0: Vector) -> bool:
+    """nabla^g_X psi0 = -(1/4)(X . t) psi0 for every frame vector X."""
+    return all(
+        spin_lift(lc.form(i)).apply(psi0)
+        == clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
+        for i in range(alg.dim)
+    )
 
 
 def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
@@ -274,8 +311,12 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
     of nabla^g_X (xi_i . psi0) matches its direct evaluation.
     """
     _require_p1(alg)
+    return _proof_identities(alg, levi_civita(alg), split)
+
+
+def _proof_identities(alg: QHAlgebra, lc: Connection, split: SpinorSplitting) -> bool:
+    """proof_identities_check for a Levi-Civita connection already built."""
     psi0 = split.psi0
-    lc = levi_civita(alg)
     g = gamma()
     for i in (1, 2, 3):
         d_eta = ce_differential(alg.eta(i), alg)

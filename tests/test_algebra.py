@@ -177,3 +177,43 @@ def test_specialized_parameter():
     assert alg.bracket(alg.tau(1), alg.tau(2)) == alg.xi(1).scale(Fraction(3, 2))
     with pytest.raises(ValueError):
         algebra.build(1, Fraction(-1))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_frame_accessors_reject_out_of_range_indices(p):
+    alg = algebra.build(p)
+    accessors = [
+        (alg.xi, 3),
+        (alg.eta, 3),
+        (alg.tau, 4 * p),
+        (alg.theta, 4 * p),
+        (alg.quaternionic_plane, p),
+    ]
+    for accessor, top in accessors:
+        accessor(1), accessor(top)  # both ends of the range are accepted
+        for bad in (0, -1, top + 1):
+            message = rf"^{accessor.__name__}\({bad}\): .* 1\.\.{top}$"
+            with pytest.raises(IndexError, match=message):
+                accessor(bad)
+    # the ends still name the right frame positions
+    assert alg.xi(3) == Vector.basis(alg.dim, 2)
+    assert alg.tau(4 * p) == Vector.basis(alg.dim, alg.dim - 1)
+    assert alg.quaternionic_plane(p) == (2 + p, 2 + 2 * p, 2 + 3 * p, 2 + 4 * p)
+
+
+def test_algebra_verdicts_and_their_negative_controls():
+    alg = algebra.build(1)
+    assert algebra.two_step_nilpotent(alg, alg.vertical_indices)
+    assert not algebra.two_step_nilpotent(alg, (0, 1))  # [tau_1, tau_4] = lam xi_3
+    e = [Vector.basis(3, i) for i in range(3)]
+    sl2 = algebra.StructureConstants(
+        3, {(0, 1): e[0].scale(2), (0, 2): e[1].scale(-2), (1, 2): e[2]}
+    )
+    assert not algebra.two_step_nilpotent(sl2, (0, 1, 2))  # brackets of brackets survive
+    assert algebra.quaternion_brackets_check(alg)
+    structure = dict(alg._sc)
+    structure[(3, 4)] = -structure[(3, 4)]  # [tau_1, tau_2] = -lam xi_1
+    flipped = algebra.QHAlgebra(1, alg.lam, structure)
+    assert not algebra.quaternion_brackets_check(flipped)
+    assert ce_differential(flipped.eta(1), flipped) != algebra.d_eta_closed_form(flipped, 1)
+    assert ce_differential(alg.eta(1), alg) == algebra.d_eta_closed_form(alg, 1)

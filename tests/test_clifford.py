@@ -25,24 +25,23 @@ def rand_skew(rng, n=7):
 
 def test_clifford_relations():
     g = cl.gamma()
-    minus_two = cl.SpinEndo.identity().scale(-2)
+    minus_two = Endo.identity(8).scale(-2)
     for i in range(7):
         for j in range(7):
             anti = g[i].compose(g[j]) + g[j].compose(g[i])
-            assert anti == (minus_two if i == j else cl.SpinEndo.zero())
+            assert anti == (minus_two if i == j else Endo.zero(8))
 
 
 def test_entries_are_signs():
     for g in cl.build_gamma():
-        for row in g.m:
-            for c in row:
-                assert c.is_rational() and c.rational_value() in (-1, 0, 1)
+        for c in g.m.values():
+            assert c.is_rational() and c.rational_value() in (-1, 0, 1)
 
 
 def test_volume_element_is_plus_identity():
     assert cl.volume_sign() == 1
     prod = cl.gamma_product(tuple(range(7)))
-    assert prod.compose(prod) == cl.SpinEndo.identity()
+    assert prod.compose(prod) == Endo.identity(8)
 
 
 def test_one_form_squares_to_minus_norm():
@@ -75,7 +74,7 @@ def test_clifford_action_needs_dimension_7():
 
 
 def test_spin_lift_zero():
-    assert cl.spin_lift(Endo.zero(7)) == cl.SpinEndo.zero()
+    assert cl.spin_lift(Endo.zero(7)) == Endo.zero(8)
 
 
 def test_spin_lift_rejects_non_skew():
@@ -103,7 +102,7 @@ def test_spin_lift_commutes_with_vector_action():
             x = Vector.basis(7, i)
             lhs = lift.commutator(g[i])
             ax = a.apply(x)
-            rhs = cl.SpinEndo.zero()
+            rhs = Endo.zero(8)
             for k, c in enumerate(ax):
                 if not c.is_zero():
                     rhs = rhs + g[k].scale(c)
@@ -132,3 +131,16 @@ def test_action_is_skew_for_invariant_product():
         s = rand_spinor(rng)
         t = rand_spinor(rng)
         assert g[i].apply(s).dot(t) == -s.dot(g[i].apply(t))
+
+
+def test_relations_and_lift_checks_can_fail(monkeypatch):
+    a = rand_skew(random.Random(47))
+    assert cl.relations_check() and cl.lift_check(a)
+    lift = cl.spin_lift
+    monkeypatch.setattr(cl, "spin_lift", lambda e: lift(e).scale(2))
+    assert not cl.lift_check(a)
+    # flipping one generator keeps the anticommutation relations but not the volume sign
+    flipped = [g.scale(-1) if i == 0 else g for i, g in enumerate(cl.build_gamma())]
+    monkeypatch.setattr(cl, "gamma", lambda: flipped)
+    monkeypatch.setattr(cl, "_PRODUCTS", {})
+    assert cl.volume_sign() == -1 and not cl.relations_check()

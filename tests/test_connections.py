@@ -378,12 +378,12 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     hol = cn.holonomy(alg, conn)
     # su(2) has no 2-dim subalgebra, so two of its three basis elements
     # do not close under the bracket
-    monkeypatch.setattr(cn, "holonomy", lambda alg, conn: hol[:2])
+    monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:2]))
     assert cn.transvection_check(alg, conn) == (
         False,
         ("holonomy not closed under bracket", 0, 1),
     )
-    monkeypatch.setattr(cn, "holonomy", lambda alg, conn: hol[:1])
+    monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:1]))
     table, witness = cn.transvection_algebra(alg, conn)
     assert table is None and witness[0] == "curvature outside holonomy span"
     span = FractionSpan(alg.dim * alg.dim)
@@ -483,7 +483,7 @@ def test_transvection_reductivity_negative_control(monkeypatch):
     # [e_0, e_1] = e_1 on m alone (h = 0) is a Lie algebra, but ad(e_0) is not skew
     table = algebra.StructureConstants(n, {(0, 1): Vector.basis(n, 1)})
     assert algebra.jacobi_check(table) == (True, None)
-    monkeypatch.setattr(cn, "transvection_algebra", lambda alg, conn: (table, None))
+    monkeypatch.setattr(cn.Geometry, "transvection_algebra", property(lambda geo: (table, None)))
     ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
     assert not ok and witness == ("reductivity failure", 0, 1, 1)
     # off the diagonal: <[e_0, e_2], e_1> = -1 and <[e_0, e_1], e_2> = 0; the
@@ -492,3 +492,38 @@ def test_transvection_reductivity_negative_control(monkeypatch):
     assert algebra.jacobi_check(table) == (True, None)
     ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
     assert not ok and witness == ("reductivity failure", 0, 1, 2)
+
+
+def test_transvection_stops_before_curvature_and_holonomy(monkeypatch):
+    """Torsion that is not parallel is reported from the lazy bundle before the
+    curvature, its derivative or the holonomy closure is built."""
+    calls = []
+    for name in ("curvature", "_nabla_curvature", "_holonomy_at"):
+
+        def counted(*args, _name=name, _fn=getattr(cn, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cn, name, counted)
+    alg = algebra.build(1)
+    bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
+    conn = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
+    assert cn.transvection_check(alg, conn) == (False, ("torsion not parallel",))
+    assert calls == []
+    # control: the canonical connection reaches all three
+    assert cn.transvection_check(alg, cn.canonical_connection(alg)) == (True, None)
+    assert set(calls) == {"curvature", "_nabla_curvature", "_holonomy_at"}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_closed_forms_reject_the_levi_civita_connection(p):
+    """The closed forms the report compares against, and connections that fail them."""
+    alg = algebra.build(p)
+    can, lc = cn.Geometry(alg, cn.canonical_connection(alg)), cn.Geometry(alg, cn.levi_civita(alg))
+    assert cn.su2_curvature(alg).values == can.curvature.values != lc.curvature.values
+    assert cn.ricci_closed_form(alg) == can.ricci != lc.ricci
+    assert cn.volumes_parallel(alg, can.conn) and not cn.volumes_parallel(alg, lc.conn)
+    assert cn.killing_one_forms_check(alg, lc.conn)
+    assert not cn.killing_one_forms_check(alg, can.conn)
+    assert cn.su2_holonomy_check(alg, can.holonomy)
+    assert not cn.su2_holonomy_check(alg, can.holonomy[:2])

@@ -283,8 +283,13 @@ def test_sparse_vector_matches_dense_definitions():
 
 @pytest.mark.parametrize(
     "op",
-    [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x.dot(y)],
-    ids=["add", "sub", "dot"],
+    [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x.dot(y),
+        lambda x, y: Endo.identity(x.dim).apply(y),
+    ],
+    ids=["add", "sub", "dot", "endo-apply"],
 )
 def test_vector_dimension_mismatch_raises(op):
     # equal supports, different dimensions

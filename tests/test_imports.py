@@ -1,0 +1,35 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qhg"
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports in source whose top-level module is neither stdlib nor qhg."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [
+        name
+        for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "qhg"
+    ]
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        assert foreign_imports(path.read_text()) == [], path.name
+
+
+def test_import_guard_flags_a_foreign_module():
+    assert foreign_imports("import numpy\nfrom fractions import Fraction\n") == ["numpy"]
+    assert foreign_imports("def f():\n    from scipy.linalg import solve\n") == ["scipy.linalg"]
+    assert foreign_imports("from . import algebra\nimport qhg.cli\nimport json") == []

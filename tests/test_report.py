@@ -3,11 +3,12 @@ import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qhg import report
+from qhg import connections, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 
@@ -121,16 +122,10 @@ def test_cli_unknown_suite_is_argparse_error():
 
 
 def test_cli_failure_exit_code(monkeypatch, capsys):
-    def failing_suite(alg):
-        return [
-            report.CheckResult(
-                name="algebra.injected",
-                claim="injected failure for exit-code coverage",
-                status="fail",
-            )
-        ]
-
-    monkeypatch.setitem(report._SUITE_RUNNERS, "algebra", failing_suite)
+    failing = report.Check(
+        "algebra.injected", (), "injected failure for exit-code coverage", lambda r: False
+    )
+    monkeypatch.setattr(report, "CHECKS", (failing,))
     code = main(["verify", "--p", "1", "--suite", "algebra"])
     out = capsys.readouterr().out
     assert code == 1
@@ -184,3 +179,22 @@ def test_connection_suite_p8():
     rep = run(ReportConfig(p=8, suites=("connection",), fmt="json"))
     assert rep.all_passed
     assert _digest(rep) == CONNECTION_DIGESTS[8]
+
+
+def test_connection_suite_builds_each_tensor_once(monkeypatch):
+    """One report reads the curvature, holonomy and nabla R of each connection from its bundle."""
+    calls = Counter()
+    for name in ("curvature", "_holonomy_at", "_nabla_curvature"):
+
+        def counted(*args, _name=name, _fn=getattr(connections, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(connections, name, counted)
+    rep = run(ReportConfig(p=5, suites=("connection",), fmt="json"))
+    assert rep.all_passed and _digest(rep) == CONNECTION_DIGESTS[5]
+    # the canonical and the Levi-Civita curvature; one closure at each of the
+    # two parameter values; one nabla R per frame direction (n = 23)
+    assert 1 <= calls["curvature"] <= 2
+    assert 1 <= calls["_holonomy_at"] <= 2
+    assert 1 <= calls["_nabla_curvature"] <= 23
