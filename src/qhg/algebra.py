@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import KForm, Vector, wedge
+from .exterior import Endo, KForm, Vector, wedge
 from .linalg import nullspace
 from .scalars import LAM, Scalar
 
@@ -245,14 +245,12 @@ def quaternion_brackets_check(alg: QHAlgebra) -> bool:
     )
 
 
-def quaternion_action(alg: QHAlgebra, a: int):
+def quaternion_action(alg: QHAlgebra, a: int) -> Endo:
     """Left multiplication by the a-th imaginary unit on each quaternion copy.
 
-    Zero on the vertical directions; used to cross-check the structure
-    constants against quaternion algebra.
+    Zero on the vertical directions; the horizontal block of the almost
+    contact structures, and the cross-check of the structure constants.
     """
-    from .exterior import Endo
-
     entries = {}
     p = alg.p
     for r in range(1, p + 1):

@@ -75,8 +75,7 @@ def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCrit
     if candidate is None:
         raise ArithmeticError("coincidence system is degenerate (no constraint on a)")
     # full verification: every residual must vanish at the candidate
-    residuals = coincidence_residuals(alg, candidate, opposite_convention)
-    if any(not r.is_zero() for r in residuals):
+    if any(not r.is_zero() for r in _residuals(torsions, mixed, candidate)):
         raise ArithmeticError("candidate does not make the three tensors coincide")
     common = torsions[0] - mixed[0].scale(candidate * 2)
     return ConeCriterion(torsions, forms, candidate, common)
@@ -87,5 +86,9 @@ def coincidence_residuals(
 ) -> list[KForm]:
     """S_i - S_j at a given constant, for (i,j) = (1,2), (1,3), (2,3)."""
     torsions, _, mixed = _mixed_terms(alg, opposite_convention)
+    return _residuals(torsions, mixed, a)
+
+
+def _residuals(torsions: list[KForm], mixed: list[KForm], a: Scalar) -> list[KForm]:
     s = [t - m.scale(a * 2) for t, m in zip(torsions, mixed)]
     return [s[0] - s[1], s[0] - s[2], s[1] - s[2]]

@@ -24,6 +24,7 @@ from .exterior import (
     Vector,
     _kform,
     _sort_tuple,
+    ce_differential,
     interior,
     two_form_endo,
     wedge,
@@ -123,8 +124,6 @@ def flat_connection(alg: QHAlgebra) -> Connection:
 
 def canonical_torsion(alg: QHAlgebra) -> KForm:
     """sum_i eta_i ^ d eta_i - 4 lam eta_123."""
-    from .exterior import ce_differential
-
     t = KForm.zero(alg.dim, 3)
     for i in (1, 2, 3):
         t = t + wedge(alg.eta(i), ce_differential(alg.eta(i), alg))
@@ -142,8 +141,6 @@ def su2_generators(alg: QHAlgebra) -> list[KForm]:
     Generator i is -(d eta_i)/lam + 2 eta_j ^ eta_k with the sign pattern
     (+, -, +) on the vertical products for i = 1, 2, 3.
     """
-    from .exterior import ce_differential
-
     eta = [alg.eta(i) for i in (1, 2, 3)]
     vertical = [
         wedge(eta[1], eta[2]),
@@ -160,8 +157,6 @@ def su2_generators(alg: QHAlgebra) -> list[KForm]:
 def killing_one_forms_check(alg: QHAlgebra, lc: Connection) -> bool:
     """nabla^g_X eta_i = (1/2) X . d eta_i for the Levi-Civita connection lc:
     the vertical 1-forms are Killing."""
-    from .exterior import ce_differential
-
     for i in (1, 2, 3):
         d_eta = ce_differential(alg.eta(i), alg)
         for x in range(alg.dim):
@@ -390,8 +385,6 @@ class Geometry:
         For a metric connection with totally skew torsion T:
         cyclic R(X,Y,Z,V) = dT(X,Y,Z,V) - cyclic <T(X,Y), T(Z,V)> + (nabla_V T)(X,Y,Z).
         """
-        from .exterior import ce_differential
-
         alg, n = self.alg, self.alg.dim
         t3 = self.torsion_form
         if t3 is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import QHAlgebra
+from .algebra import QHAlgebra, quaternion_action
 from .connections import (
     Connection,
     Geometry,
@@ -58,17 +58,10 @@ def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> Alm
     """
     if i not in (1, 2, 3):
         raise ValueError(f"structure index must be 1, 2 or 3, got {i}")
-    entries: dict[tuple[int, int], int] = {}
+    entries = dict(quaternion_action(alg, i).m)
     j, k = ((i % 3) + 1, ((i + 1) % 3) + 1)
     entries[(k - 1, j - 1)] = 1  # eta_j (x) xi_k
     entries[(j - 1, k - 1)] = -1  # -eta_k (x) xi_j
-    for r in range(1, alg.p + 1):
-        plane = alg.quaternionic_plane(r)
-        for pos in range(4):
-            from .algebra import quat_mul
-
-            sign, out = quat_mul(i, pos)
-            entries[(plane[out], plane[pos])] = sign
     if inconsistent_variant:
         if i != 2:
             raise ValueError("the inconsistent variant is defined for i = 2 only")
@@ -270,7 +263,7 @@ def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
             for b in alg.horizontal_indices:
                 eb = alg.basis_vector(b)
                 lhs = d_form.evaluate(ea, eb)
-                rhs = qc.complex_structures[j].apply(ea).dot(eb).__mul__(2)
+                rhs = qc.complex_structures[j].apply(ea).dot(eb) * 2
                 if lhs != rhs:
                     return False
         for k in range(3):
@@ -292,6 +285,39 @@ def _preserves_splitting(alg: QHAlgebra, conn: Connection) -> bool:
     return True
 
 
+def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict[tuple, Scalar]:
+    """Nonzero components of the two tensors the connection form A must annihilate.
+
+    Keys ("I", a, b, c, d) hold sum_i [A, I_i] (x) I_i + I_i (x) [A, I_i];
+    keys ("xi", s, c, d) hold sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i], the
+    Reeb equation with the common factor -lam/2 of the Reeb fields dropped.
+    Only the nonzero entries of A, of the I_i and of the commutators are read.
+    """
+    out: dict[tuple, Scalar] = {}
+
+    def add(key: tuple, v: Scalar):
+        s = out.get(key, ZERO) + v
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+    for i, e in enumerate(qc.complex_structures, start=1):
+        br = a.commutator(e)
+        for ab, u in br.m.items():
+            for cd, w in e.m.items():
+                add(("I", *ab, *cd), u * w)
+                add(("I", *cd, *ab), w * u)
+        xi = alg.xi(i)
+        for s, u in a.apply(xi).comps.items():
+            for cd, w in e.m.items():
+                add(("xi", s, *cd), u * w)
+        for s, u in xi.comps.items():
+            for cd, w in br.m.items():
+                add(("xi", s, *cd), u * w)
+    return out
+
+
 def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
     """Whether the connection preserves the qc structure.
 
@@ -301,40 +327,7 @@ def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
     if not _preserves_splitting(alg, conn):
         return False
     qc = build_qc(alg)
-    n = alg.dim
-    supports = set()
-    for e in qc.complex_structures:
-        supports.update(e.m.keys())
-    for x in range(n):
-        a = conn.form(x)
-        if a.is_zero():
-            continue
-        brackets = [a.commutator(e) for e in qc.complex_structures]
-        # sum_i [A, I_i] (x) I_i + I_i (x) [A, I_i] = 0
-        pairs = set()
-        for e in qc.complex_structures + brackets:
-            pairs.update(e.m.keys())
-        for ab in pairs:
-            for cd in pairs:
-                total = ZERO
-                for e, br in zip(qc.complex_structures, brackets):
-                    total = total + br.entry(*ab) * e.entry(*cd)
-                    total = total + e.entry(*ab) * br.entry(*cd)
-                if not total.is_zero():
-                    return False
-        # sum_i (A reeb_i) (x) I_i + reeb_i (x) [A, I_i] = 0
-        images = [a.apply(v) for v in qc.reeb]
-        for slot in range(n):
-            for cd in pairs:
-                total = ZERO
-                for img, reeb_v, e, br in zip(
-                    images, qc.reeb, qc.complex_structures, brackets
-                ):
-                    total = total + img[slot] * e.entry(*cd)
-                    total = total + reeb_v[slot] * br.entry(*cd)
-                if not total.is_zero():
-                    return False
-    return True
+    return not any(_qc_defect(alg, qc, conn.form(x)) for x in range(alg.dim))
 
 
 def flat_connection_check(alg: QHAlgebra) -> bool:
@@ -349,6 +342,30 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
     )
 
 
+def _qc_functionals(
+    alg: QHAlgebra, qc: QcStructure, require_splitting: bool
+) -> list[list[Fraction]]:
+    """Linear functionals on the skew forms sum_k c_k B_k whose common kernel
+    is the qc-preserving forms, one distinct dense row per equation.
+
+    B_k runs over the 2-forms e_a ^ e_b, a < b; each row is the transpose of
+    `_qc_defect` at one key, and exact duplicate rows are dropped.
+    """
+    n = alg.dim
+    skew_basis = list(combinations(range(n), 2))
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    if require_splitting:
+        for v in alg.vertical_indices:
+            for h in alg.horizontal_indices:
+                rows[("split", v, h)] = {skew_basis.index((v, h)): Fraction(1)}
+    for k, ab in enumerate(skew_basis):
+        b_k = two_form_endo(KForm(n, 2, {ab: ONE}))
+        for key, v in _qc_defect(alg, qc, b_k).items():
+            rows.setdefault(key, {})[k] = v.rational_value()
+    distinct = {tuple(sorted(row.items())) for row in rows.values()}
+    return [_dense(items, len(skew_basis)) for items in sorted(distinct)]
+
+
 def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     """Solve for all 3-form torsions whose connection preserves the qc
     structure; returns (solution dimension, torsion or None).
@@ -361,127 +378,40 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     if alg.p > 2:
         raise ValueError("the torsion solve is restricted to p <= 2")
     n = alg.dim
-    qc = build_qc(alg)
-
     skew_basis = list(combinations(range(n), 2))
-    nb = len(skew_basis)
-    coords = {pair: idx for idx, pair in enumerate(skew_basis)}
+    reduced, _ = rref(_qc_functionals(alg, build_qc(alg), require_splitting))
 
-    # sparse data: structure entries and brackets [B_ab, I_i] per basis element
-    struct_entries = [
-        {k: _rat(v) for k, v in e.m.items()} for e in qc.complex_structures
-    ]
-    bracket_entries: list[list[dict]] = []
-    for a, b in skew_basis:
-        e = two_form_endo(KForm(n, 2, {(a, b): ONE}))
-        bracket_entries.append(
-            [
-                {k: _rat(v) for k, v in e.commutator(i_s).m.items()}
-                for i_s in qc.complex_structures
-            ]
-        )
-    # index: for structure i and matrix position pq, which basis elements
-    # have a nonzero bracket entry there
-    bracket_index: list[dict[tuple[int, int], list[tuple[int, Fraction]]]] = [
-        {}, {}, {},
-    ]
-    for k in range(nb):
-        for i in range(3):
-            for pq, v in bracket_entries[k][i].items():
-                bracket_index[i].setdefault(pq, []).append((k, v))
-
-    support = set()
-    for i in range(3):
-        support.update(struct_entries[i])
-        support.update(bracket_index[i])
-    support = sorted(support)
-
-    def functional_rows() -> list[list[Fraction]]:
-        rows: list[list[Fraction]] = []
-
-        def emit(row: list[Fraction]):
-            if any(row):
-                rows.append(row)
-
-        if require_splitting:
-            for v in alg.vertical_indices:
-                for h in alg.horizontal_indices:
-                    row = [Fraction(0)] * nb
-                    row[coords[(v, h)]] = Fraction(1)
-                    emit(row)
-
-        # sum_i [A,I_i] (x) I_i + I_i (x) [A,I_i] = 0, componentwise
-        all_pairs = [(r, c) for r in range(n) for c in range(n) if r != c]
-        eq_keys = {(ab, cd) for ab in all_pairs for cd in support}
-        eq_keys |= {(ab, cd) for ab in support for cd in all_pairs}
-        for ab, cd in sorted(eq_keys):
-            row = [Fraction(0)] * nb
-            for i in range(3):
-                s_cd = struct_entries[i].get(cd)
-                if s_cd:
-                    for k, v in bracket_index[i].get(ab, ()):
-                        row[k] += v * s_cd
-                s_ab = struct_entries[i].get(ab)
-                if s_ab:
-                    for k, v in bracket_index[i].get(cd, ()):
-                        row[k] += s_ab * v
-            emit(row)
-
-        # sum_i (A xi_i) (x) I_i + xi_i (x) [A,I_i] = 0 (common Reeb scale dropped)
-        for slot in range(n):
-            for cd in support:
-                row = [Fraction(0)] * nb
-                for i in range(3):
-                    s_cd = struct_entries[i].get(cd)
-                    if s_cd:
-                        # (B_ab xi_i)[slot]: +1 when ab = (i-1, slot), -1 when (slot, i-1)
-                        vert = i  # xi_{i+1} sits at frame index i
-                        if vert < slot:
-                            row[coords[(vert, slot)]] += s_cd
-                        elif slot < vert:
-                            row[coords[(slot, vert)]] -= s_cd
-                    if slot == i:  # xi_i[slot] = 1 exactly at its own index
-                        for k, v in bracket_index[i].get(cd, ()):
-                            row[k] += v
-                emit(row)
-        return rows
-
-    reduced, _ = rref(functional_rows())
-
-    # unknowns: components of the torsion 3-form
+    # unknowns: components of the torsion 3-form; the form at x is the
+    # Levi-Civita form plus (1/2) x . T, whose (a, b) coordinate is T_xab / 2
     triples = list(combinations(range(n), 3))
     t_index = {t: i for i, t in enumerate(triples)}
     lc = levi_civita(alg)
 
-    sys_rows: list[list[Fraction]] = []
+    sys_rows: list[dict[int, Fraction]] = []
     sys_rhs: list[Fraction] = []
     for x in range(n):
         omega_x = lc.form(x)
-        base = []
-        for a, b in skew_basis:
-            entry = omega_x.entry(b, a)  # coordinate of the skew part
-            base.append(_rat_linear(entry, alg))
         for functional in reduced:
             rhs = Fraction(0)
-            row = [Fraction(0)] * len(triples)
-            for coeff, (a, b), const in zip(functional, skew_basis, base):
+            row: dict[int, Fraction] = {}
+            for coeff, (a, b) in zip(functional, skew_basis):
                 if not coeff:
                     continue
-                rhs -= coeff * const
+                rhs -= coeff * _rat_linear(omega_x.entry(b, a), alg)
                 sign, key = _sort_tuple((x, a, b))
-                if sign == 0:
-                    continue
-                row[t_index[key]] += coeff * Fraction(1, 2) * sign
-            if any(row) or rhs:
+                if sign:  # distinct (a, b) name distinct triples (x, a, b)
+                    row[t_index[key]] = coeff * Fraction(sign, 2)
+            if row or rhs:
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
 
-    particular, kernel = solve(sys_rows, sys_rhs, len(triples))
+    dense = [_dense(row.items(), len(triples)) for row in sys_rows]
+    particular, kernel = solve(dense, sys_rhs, len(triples))
     if particular is None:
         return 0, None
     # verify the particular solution exactly
     for row, rhs in zip(sys_rows, sys_rhs):
-        if sum(r * p for r, p in zip(row, particular)) != rhs:
+        if sum(v * particular[t] for t, v in row.items()) != rhs:
             return 0, None
     comps = {
         t: Scalar(v) * alg.lam for t, v in zip(triples, particular) if v
@@ -489,8 +419,11 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     return 1 + len(kernel), KForm(n, 3, comps)
 
 
-def _rat(s: Scalar) -> Fraction:
-    return s.rational_value()
+def _dense(items, size: int) -> list[Fraction]:
+    row = [Fraction(0)] * size
+    for k, v in items:
+        row[k] = v
+    return row
 
 
 def _rat_linear(s: Scalar, alg: QHAlgebra) -> Fraction:

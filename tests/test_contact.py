@@ -1,9 +1,14 @@
-import pytest
+import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+import pytest
 
 from qhg import algebra, connections as cn, contact as ct
-from qhg.exterior import Endo, ce_differential
-from qhg.scalars import LAM, Scalar
+from qhg.exterior import Endo, KForm, ce_differential, two_form_endo
+from qhg.linalg import nullspace, rref
+from qhg.scalars import LAM, ONE, ZERO, Scalar
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -183,3 +188,172 @@ def test_qc_unique_skew_specialized_parameter():
     dim, torsion = ct.qc_unique_skew(alg)
     assert dim == 1
     assert torsion == cn.canonical_torsion(alg)
+
+
+# -- the qc-defect map: negative controls and a dense reference ---------------
+
+
+def _rotation(alg, a: int, b: int) -> Endo:
+    return two_form_endo(KForm(alg.dim, 2, {(a, b): ONE}))
+
+
+def _connection_with_form(alg, x: int, form: Endo) -> cn.Connection:
+    omega = [Endo.zero(alg.dim) for _ in range(alg.dim)]
+    omega[x] = form
+    return cn.Connection(omega)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_qc_vertical_rotation_breaks_only_the_reeb_equation(p):
+    alg = algebra.build(p)
+    rot = _rotation(alg, 1, 2)  # xi_2 -> xi_3; commutes with every I_i
+    conn = _connection_with_form(alg, 0, rot)
+    assert ct._preserves_splitting(alg, conn)
+    assert not ct.qc_preservation_check(alg, conn)
+    defect = ct._qc_defect(alg, ct.build_qc(alg), rot)
+    assert defect and {key[0] for key in defect} == {"xi"}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_qc_horizontal_rotation_off_the_commutant_is_rejected(p):
+    alg = algebra.build(p)
+    qc = ct.build_qc(alg)
+    rot = _rotation(alg, 3, 4)  # tau_1 -> tau_2
+    assert any(not rot.commutator(e).is_zero() for e in qc.complex_structures)
+    conn = _connection_with_form(alg, 3, rot)
+    assert ct._preserves_splitting(alg, conn)
+    assert not ct.qc_preservation_check(alg, conn)
+    halves = {key[0] for key in ct._qc_defect(alg, qc, rot)}
+    # at p = 1 every horizontal rotation lies in so(4) = sp(1) + sp(1), which
+    # keeps sum_i I_i (x) I_i, so there only the Reeb equation can break
+    assert halves == ({"xi"} if p == 1 else {"I", "xi"})
+
+
+def _reference_form_preserves(qc, a: Endo, n: int) -> bool:
+    """The qc equations for one connection form as dense pair loops."""
+    brackets = [a.commutator(e) for e in qc.complex_structures]
+    pairs = set()
+    for e in qc.complex_structures + brackets:
+        pairs.update(e.m.keys())
+    for ab in pairs:
+        for cd in pairs:
+            total = ZERO
+            for e, br in zip(qc.complex_structures, brackets):
+                total = total + br.entry(*ab) * e.entry(*cd) + e.entry(*ab) * br.entry(*cd)
+            if not total.is_zero():
+                return False
+    images = [a.apply(v) for v in qc.reeb]
+    for slot in range(n):
+        for cd in pairs:
+            total = ZERO
+            for img, reeb_v, e, br in zip(images, qc.reeb, qc.complex_structures, brackets):
+                total = total + img[slot] * e.entry(*cd) + reeb_v[slot] * br.entry(*cd)
+            if not total.is_zero():
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fraction]]:
+    """The qc equations as dense rows over the skew basis e_a ^ e_b, a < b,
+    written out over every (ab, cd) pair touching a structure entry."""
+    alg = algebra.build(p)
+    qc = ct.build_qc(alg)
+    n = alg.dim
+    skew_basis = list(combinations(range(n), 2))
+    nb = len(skew_basis)
+    coords = {pair: idx for idx, pair in enumerate(skew_basis)}
+    struct_entries = [
+        {k: v.rational_value() for k, v in e.m.items()} for e in qc.complex_structures
+    ]
+    bracket_index = [{}, {}, {}]
+    for k, ab in enumerate(skew_basis):
+        b_k = _rotation(alg, *ab)
+        for i, i_s in enumerate(qc.complex_structures):
+            for pq, v in b_k.commutator(i_s).m.items():
+                bracket_index[i].setdefault(pq, []).append((k, v.rational_value()))
+    support = set()
+    for i in range(3):
+        support.update(struct_entries[i])
+        support.update(bracket_index[i])
+    support = sorted(support)
+
+    rows = []
+    if require_splitting:
+        for v in alg.vertical_indices:
+            for h in alg.horizontal_indices:
+                row = [Fraction(0)] * nb
+                row[coords[(v, h)]] = Fraction(1)
+                rows.append(row)
+    all_pairs = [(r, c) for r in range(n) for c in range(n) if r != c]
+    eq_keys = {(ab, cd) for ab in all_pairs for cd in support}
+    eq_keys |= {(ab, cd) for ab in support for cd in all_pairs}
+    for ab, cd in sorted(eq_keys):
+        row = [Fraction(0)] * nb
+        for i in range(3):
+            s_cd = struct_entries[i].get(cd)
+            if s_cd:
+                for k, v in bracket_index[i].get(ab, ()):
+                    row[k] += v * s_cd
+            s_ab = struct_entries[i].get(ab)
+            if s_ab:
+                for k, v in bracket_index[i].get(cd, ()):
+                    row[k] += s_ab * v
+        rows.append(row)
+    for slot in range(n):
+        for cd in support:
+            row = [Fraction(0)] * nb
+            for i in range(3):
+                s_cd = struct_entries[i].get(cd)
+                if s_cd:
+                    # (B_ab xi_{i+1})[slot]: +1 when ab = (i, slot), -1 when (slot, i)
+                    if i < slot:
+                        row[coords[(i, slot)]] += s_cd
+                    elif slot < i:
+                        row[coords[(slot, i)]] -= s_cd
+                if slot == i:
+                    for k, v in bracket_index[i].get(cd, ()):
+                        row[k] += v
+            rows.append(row)
+    return [row for row in rows if any(row)]
+
+
+@pytest.mark.parametrize("p, require_splitting", [(1, True), (1, False), (2, True)])
+def test_qc_functionals_match_the_dense_reference(p, require_splitting):
+    alg = algebra.build(p)
+    new = ct._qc_functionals(alg, ct.build_qc(alg), require_splitting)
+    reduced = rref(new)
+    assert reduced == rref(_reference_functionals(p, require_splitting))
+    assert len(new) == len({tuple(row) for row in new})  # exact duplicates dropped
+    if (p, require_splitting) == (2, True):
+        assert len(reduced[0]) == 42
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_qc_defect_vanishes_exactly_when_the_reference_preserves(p):
+    alg = algebra.build(p)
+    qc = ct.build_qc(alg)
+    n = alg.dim
+    skew_basis = list(combinations(range(n), 2))
+    kernel = nullspace(_reference_functionals(p, True), len(skew_basis))
+    blocks = [
+        ab for ab in skew_basis if alg.is_vertical(ab[0]) == alg.is_vertical(ab[1])
+    ]
+    rng = random.Random(7 + p)
+    verdicts = []
+    for _ in range(30):
+        comps = {}
+        for vec in rng.sample(kernel, 3):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for k, v in enumerate(vec):
+                if v:
+                    comps[skew_basis[k]] = comps.get(skew_basis[k], 0) + c * v
+        if rng.random() < 0.5:  # leave the qc-preserving forms
+            ab = rng.choice(blocks)
+            comps[ab] = comps.get(ab, 0) + rng.randint(1, 2)
+        form = two_form_endo(KForm(n, 2, comps))
+        defect = ct._qc_defect(alg, qc, form)
+        assert ct._preserves_splitting(alg, _connection_with_form(alg, 0, form))
+        assert (not defect) == _reference_form_preserves(qc, form, n)
+        verdicts.append(not defect)
+    assert True in verdicts and False in verdicts

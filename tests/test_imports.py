@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and only at
+module level."""
 
 import ast
 import sys
@@ -22,6 +23,17 @@ def foreign_imports(source: str) -> list[str]:
     ]
 
 
+def local_imports(source: str) -> list[str]:
+    """`function:line` of every import statement inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{node.name}:{inner.lineno}")
+    return sorted(set(found))
+
+
 def test_package_imports_only_the_standard_library():
     files = sorted(SRC.glob("*.py"))
     assert len(files) > 10
@@ -33,3 +45,15 @@ def test_import_guard_flags_a_foreign_module():
     assert foreign_imports("import numpy\nfrom fractions import Fraction\n") == ["numpy"]
     assert foreign_imports("def f():\n    from scipy.linalg import solve\n") == ["scipy.linalg"]
     assert foreign_imports("from . import algebra\nimport qhg.cli\nimport json") == []
+
+
+def test_package_imports_only_at_module_level():
+    for path in sorted(SRC.glob("*.py")):
+        assert local_imports(path.read_text()) == [], path.name
+
+
+def test_local_import_guard_flags_an_import_in_a_function():
+    assert local_imports("def f():\n    from .exterior import Endo\n") == ["f:2"]
+    nested = "class A:\n    def m(self):\n        if True:\n            import json\n"
+    assert local_imports(nested) == ["m:4"]
+    assert local_imports("from .exterior import Endo\nimport json\ndef f():\n    return json\n") == []

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhg import connections, report
+from qhg import cone, connections, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 
@@ -198,3 +198,19 @@ def test_connection_suite_builds_each_tensor_once(monkeypatch):
     assert 1 <= calls["curvature"] <= 2
     assert 1 <= calls["_holonomy_at"] <= 2
     assert 1 <= calls["_nabla_curvature"] <= 23
+
+
+def test_cone_suite_builds_the_mixed_terms_once_per_solve(monkeypatch):
+    """cone_constant re-checks its candidate on the terms it already holds."""
+    calls = Counter()
+    original = cone._mixed_terms
+
+    def counted(*args, **kwargs):
+        calls["_mixed_terms"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "_mixed_terms", counted)
+    rep = run(ReportConfig(p=1, suites=("cone",)))
+    assert rep.all_passed
+    # two cone_constant solves (both conventions) and one forced-constant residual
+    assert calls["_mixed_terms"] <= 3
