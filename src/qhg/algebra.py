@@ -10,6 +10,7 @@ for the metric; its parameter enters through the brackets
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -202,12 +203,12 @@ def center_dimension(sc: StructureConstants) -> int:
     coefficient of lam^e in [x, e_j]_k vanish.
     """
     n = sc.dim
-    rows: dict[tuple[int, int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for (i, j), v in sc._sc.items():
-        for k, c in enumerate(v):
+        for k, c in v.comps.items():
             for e, q in c.terms():
-                rows.setdefault((j, k, e), [Fraction(0)] * n)[i] += q
-                rows.setdefault((i, k, e), [Fraction(0)] * n)[j] -= q
+                rows.setdefault((j, k, e), defaultdict(Fraction))[i] += q
+                rows.setdefault((i, k, e), defaultdict(Fraction))[j] -= q
     return len(nullspace(list(rows.values()), n))
 
 

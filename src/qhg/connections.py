@@ -384,38 +384,43 @@ class Geometry:
 
         For a metric connection with totally skew torsion T:
         cyclic R(X,Y,Z,V) = dT(X,Y,Z,V) - cyclic <T(X,Y), T(Z,V)> + (nabla_V T)(X,Y,Z).
+
+        The defect lhs - rhs is collected per (x < y < z, v) in one pass
+        over the nonzero entries of the stored R(e_i, e_j), dT, nabla T and
+        the torsion slices T(., ., e_m): an entry at slots (i, j, k; v) lands
+        at the sorted triple (i, j, k) with the sign of the sort.
         """
-        alg, n = self.alg, self.alg.dim
         t3 = self.torsion_form
         if t3 is None:
             raise ValueError("torsion of this connection is not totally skew")
-        r = self.curvature
-        dt = ce_differential(t3, alg)
-        nt = nabla_tensor(self.conn, t3)
+        defect: dict[tuple[int, ...], Scalar] = {}
 
-        def t_pair(x, y, z, v) -> Scalar:
-            out = ZERO
-            for k in range(n):
-                out = out + t3.coeff((x, y, k)) * t3.coeff((z, v, k))
-            return out
+        def put(triple: tuple[int, int, int], v: int, c: Scalar):
+            sign, key = _sort_tuple(triple)
+            if sign:
+                key += (v,)
+                defect[key] = defect.get(key, ZERO) + (c if sign > 0 else -c)
 
-        for x in range(n):
-            for y in range(x + 1, n):
-                for z in range(y + 1, n):
-                    for v in range(n):
-                        lhs = (
-                            r.lowered(x, y, z, v)
-                            + r.lowered(y, z, x, v)
-                            + r.lowered(z, x, y, v)
-                        )
-                        rhs = (
-                            dt.coeff((x, y, z, v))
-                            - (t_pair(x, y, z, v) + t_pair(y, z, x, v) + t_pair(z, x, y, v))
-                            + nt[v].coeff((x, y, z))
-                        )
-                        if not (lhs - rhs).is_zero():
-                            return False
-        return True
+        for (i, j), e in self.curvature.values.items():
+            for (v, k), c in e.m.items():  # g(R(e_i, e_j) e_k, e_v) = c
+                put((i, j, k), v, c)
+        for idx, c in ce_differential(t3, self.alg).comps.items():
+            for s in range(4):  # dT(the other three slots, idx[s]) = (-1)^(3-s) c
+                put(idx[:s] + idx[s + 1 :], idx[s], -c if s % 2 else c)
+        for v, d in enumerate(nabla_tensor(self.conn, t3)):
+            for idx, c in d.comps.items():
+                put(idx, v, -c)
+        slices: dict[int, list[tuple[int, int, Scalar]]] = {}
+        for (a, b, c), w in t3.comps.items():
+            slices.setdefault(c, []).append((a, b, w))
+            slices.setdefault(b, []).append((a, c, -w))
+            slices.setdefault(a, []).append((b, c, w))
+        for pairs in slices.values():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
+            for i, j, s in pairs:
+                for k, v, t in pairs:
+                    put((i, j, k), v, s * t)
+                    put((i, j, v), k, -(s * t))
+        return all(d.is_zero() for d in defect.values())
 
 
 # -- the public (alg, conn) readers of one bundle field ----------------------
@@ -544,11 +549,8 @@ def is_parallel(conn: Connection, tensor) -> bool:
 # -- holonomy ----------------------------------------------------------------
 
 
-def _flatten(e: Endo, value: Fraction) -> list[Fraction]:
-    flat = [Fraction(0)] * (e.dim * e.dim)
-    for (r, c), v in e.m.items():
-        flat[r * e.dim + c] = v.specialize(value)
-    return flat
+def _flatten(e: Endo, value: Fraction) -> dict[int, Fraction]:
+    return {r * e.dim + c: v.specialize(value) for (r, c), v in e.m.items()}
 
 
 def _specialize_endo(e: Endo, value: Fraction) -> Endo:
@@ -615,16 +617,11 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
     """
     if not invariant_subspace(basis, alg.vertical_indices):
         return False
-    rows = []
-    for e in basis:
-        for r in alg.vertical_indices:
-            row = []
-            for c in alg.vertical_indices:
-                row.append(e.entry(r, c).specialize(Fraction(1)))
-            rows.append(row)
+    vertical = alg.vertical_indices
     span = FractionSpan(3)
-    for row in rows:
-        span.add(row)
+    for e in basis:
+        for r in vertical:
+            span.add({k: e.entry(r, c).specialize(Fraction(1)) for k, c in enumerate(vertical)})
     return span.dim == 3  # zero joint kernel
 
 
@@ -644,21 +641,20 @@ def _coordinate_reader(basis: list[Endo], n: int):
     nn = n * n
     span = FractionSpan(nn + h)
     for a, b in enumerate(basis):
-        span.add(_flatten(b, Fraction(1)) + [Fraction(a == c) for c in range(h)])
+        span.add({**_flatten(b, Fraction(1)), nn + a: Fraction(1)})
 
     def read(e: Endo) -> list[Scalar] | None:
-        by_power: dict[int, list[Fraction]] = {}
+        by_power: dict[int, dict[int, Fraction]] = {}
         for (r, c), v in e.m.items():
             for exp, q in v.terms():
-                by_power.setdefault(exp, [Fraction(0)] * (nn + h))[r * n + c] = q
+                by_power.setdefault(exp, {})[r * n + c] = q
         coords: list[dict[int, Fraction]] = [{} for _ in range(h)]
         for exp, t in sorted(by_power.items()):
             res = span.reduce(t)
-            if any(res[:nn]):
+            if min(res, default=nn) < nn:
                 return None
-            for a in range(h):
-                if res[nn + a]:
-                    coords[a][exp] = -res[nn + a]
+            for j, x in res.items():
+                coords[j - nn][exp] = -x
         return [Scalar(c) for c in coords]
 
     return read

@@ -344,9 +344,9 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
 
 def _qc_functionals(
     alg: QHAlgebra, qc: QcStructure, require_splitting: bool
-) -> list[list[Fraction]]:
+) -> list[dict[int, Fraction]]:
     """Linear functionals on the skew forms sum_k c_k B_k whose common kernel
-    is the qc-preserving forms, one distinct dense row per equation.
+    is the qc-preserving forms, one distinct sparse row per equation.
 
     B_k runs over the 2-forms e_a ^ e_b, a < b; each row is the transpose of
     `_qc_defect` at one key, and exact duplicate rows are dropped.
@@ -363,7 +363,7 @@ def _qc_functionals(
         for key, v in _qc_defect(alg, qc, b_k).items():
             rows.setdefault(key, {})[k] = v.rational_value()
     distinct = {tuple(sorted(row.items())) for row in rows.values()}
-    return [_dense(items, len(skew_basis)) for items in sorted(distinct)]
+    return [dict(items) for items in sorted(distinct)]
 
 
 def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
@@ -379,7 +379,8 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
         raise ValueError("the torsion solve is restricted to p <= 2")
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
-    reduced, _ = rref(_qc_functionals(alg, build_qc(alg), require_splitting))
+    functionals = _qc_functionals(alg, build_qc(alg), require_splitting)
+    reduced, _ = rref(functionals, len(skew_basis))
 
     # unknowns: components of the torsion 3-form; the form at x is the
     # Levi-Civita form plus (1/2) x . T, whose (a, b) coordinate is T_xab / 2
@@ -394,9 +395,8 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
         for functional in reduced:
             rhs = Fraction(0)
             row: dict[int, Fraction] = {}
-            for coeff, (a, b) in zip(functional, skew_basis):
-                if not coeff:
-                    continue
+            for k, coeff in functional.items():
+                a, b = skew_basis[k]
                 rhs -= coeff * _rat_linear(omega_x.entry(b, a), alg)
                 sign, key = _sort_tuple((x, a, b))
                 if sign:  # distinct (a, b) name distinct triples (x, a, b)
@@ -405,8 +405,7 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
 
-    dense = [_dense(row.items(), len(triples)) for row in sys_rows]
-    particular, kernel = solve(dense, sys_rhs, len(triples))
+    particular, kernel = solve(sys_rows, sys_rhs, len(triples))
     if particular is None:
         return 0, None
     # verify the particular solution exactly
@@ -417,13 +416,6 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
         t: Scalar(v) * alg.lam for t, v in zip(triples, particular) if v
     }
     return 1 + len(kernel), KForm(n, 3, comps)
-
-
-def _dense(items, size: int) -> list[Fraction]:
-    row = [Fraction(0)] * size
-    for k, v in items:
-        row[k] = v
-    return row
 
 
 def _rat_linear(s: Scalar, alg: QHAlgebra) -> Fraction:

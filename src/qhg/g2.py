@@ -106,8 +106,8 @@ def _positive_definite(m: list[list[Fraction]]) -> bool:
     """
     span = FractionSpan(len(m))
     for k, row in enumerate(m):
-        v = span.reduce(row)
-        if v[k] <= 0:
+        v = span.reduce(dict(enumerate(row)))
+        if v.get(k, 0) <= 0:
             return False
         span.add(v)
     return True
@@ -140,7 +140,8 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
         lift = spin_lift(om)
         for value in values:
             rows.extend(
-                [lift.entry(r, c).specialize(value) for c in range(8)] for r in range(8)
+                {c: v.specialize(value) for (r, c), v in lift.m.items() if r == row}
+                for row in range(8)
             )
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
@@ -184,15 +185,13 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 def splitting_dimensions(split: SpinorSplitting) -> tuple[int, int, int]:
     """Dimensions of the three summands (checked to be a direct sum)."""
     span = FractionSpan(8)
-    span.add([c.specialize(Fraction(1)) for c in split.psi0])
-    d0 = span.dim
-    for v in split.vertical:
-        span.add([c.specialize(Fraction(1)) for c in v])
-    dv = span.dim - d0
-    for v in split.horizontal:
-        span.add([c.specialize(Fraction(1)) for c in v])
-    dh = span.dim - d0 - dv
-    return d0, dv, dh
+    dims = []
+    for group in ([split.psi0], split.vertical, split.horizontal):
+        before = span.dim
+        for v in group:
+            span.add({i: c.specialize(Fraction(1)) for i, c in v.comps.items()})
+        dims.append(span.dim - before)
+    return tuple(dims)
 
 
 def splitting_orthogonal(split: SpinorSplitting) -> bool:

@@ -16,7 +16,7 @@ from qhg.exterior import (
     two_form_endo,
     wedge,
 )
-from qhg.scalars import LAM, Scalar
+from qhg.scalars import LAM, ZERO, Scalar
 
 
 def koszul_oracle(alg):
@@ -257,16 +257,11 @@ def test_holonomy_su2(p):
 
     span = FractionSpan(alg.dim * alg.dim)
     for e in hol:
-        flat = [Fraction(0)] * (alg.dim * alg.dim)
-        for (r, c), v in e.m.items():
-            flat[r * alg.dim + c] = v.rational_value()
-        span.add(flat)
+        span.add({r * alg.dim + c: v.rational_value() for (r, c), v in e.m.items()})
     for a in hol:
         for b in hol:
             c = a.commutator(b)
-            flat = [Fraction(0)] * (alg.dim * alg.dim)
-            for (r, cc), v in c.m.items():
-                flat[r * alg.dim + cc] = v.rational_value()
+            flat = {r * alg.dim + cc: v.rational_value() for (r, cc), v in c.m.items()}
             assert span.contains(flat)
     assert cn.vertical_action_irreducible(alg, hol)
     for r in range(1, p + 1):
@@ -321,6 +316,57 @@ def test_first_bianchi_p1():
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
     assert cn.first_bianchi_check(alg, conn)
+
+
+def first_bianchi_oracle(geo):
+    """The identity at every (x < y < z, v), each side summed term by term."""
+    n = geo.alg.dim
+    t3 = geo.torsion_form
+    r = geo.curvature
+    dt = ce_differential(t3, geo.alg)
+    nt = cn.nabla_tensor(geo.conn, t3)
+
+    def t_pair(x, y, z, v):
+        out = ZERO
+        for k in range(n):
+            out = out + t3.coeff((x, y, k)) * t3.coeff((z, v, k))
+        return out
+
+    for x, y, z in combinations(range(n), 3):
+        for v in range(n):
+            lhs = r.lowered(x, y, z, v) + r.lowered(y, z, x, v) + r.lowered(z, x, y, v)
+            rhs = (
+                dt.coeff((x, y, z, v))
+                - (t_pair(x, y, z, v) + t_pair(y, z, x, v) + t_pair(z, x, y, v))
+                + nt[v].coeff((x, y, z))
+            )
+            if not (lhs - rhs).is_zero():
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_first_bianchi_matches_the_dense_oracle(p):
+    alg = algebra.build(p)
+    connections = [
+        cn.canonical_connection(alg),
+        cn.levi_civita(alg),
+        # torsion that is not parallel, so dT and nabla T enter
+        cn.with_torsion(alg, cn.canonical_torsion(alg).scale(Fraction(1, 2))),
+        cn.with_torsion(alg, random_form(random.Random(p), alg.dim, 3, 0.3)),
+    ]
+    for conn in connections:
+        geo = cn.Geometry(alg, conn)
+        assert geo.first_bianchi and first_bianchi_oracle(geo)
+    # negative control: one perturbed curvature entry breaks the identity
+    geo = cn.Geometry(alg, cn.canonical_connection(alg))
+    values = dict(geo.curvature.values)
+    (i, j), e = next(iter(values.items()))
+    a, b = [k for k in range(alg.dim) if k not in (i, j)][:2]
+    values[(i, j)] = e + Endo(alg.dim, {(a, b): LAM * LAM, (b, a): -LAM * LAM})
+    geo.curvature = cn.CurvatureTensor(alg.dim, values)
+    assert not first_bianchi_oracle(geo)
+    assert not geo.first_bianchi
 
 
 def test_first_bianchi_levi_civita():

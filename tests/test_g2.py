@@ -100,9 +100,9 @@ def test_positive_definite_reads_the_leading_minors():
     trap = _rat_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert _det([row[:2] for row in trap[:2]]) == 0
     span = FractionSpan(3)
-    span.add(trap[0])
-    span.add(trap[1])
-    assert span.pivots == [0, 2] and span.rows[1] == [0, 0, 1]
+    span.add(dict(enumerate(trap[0])))
+    span.add(dict(enumerate(trap[1])))
+    assert list(span.rows) == [0, 2] and span.rows[2] == {2: 1}
     assert not g2._positive_definite(trap)
     assert not g2._positive_definite(_rat_matrix([[1, 2], [2, 1]]))  # indefinite
     negative_definite = _rat_matrix([[-2, 1], [1, -3]])

@@ -32,6 +32,15 @@ def dense_rref(rows):
     return mat[:r], piv_cols
 
 
+def sparse(rows):
+    """The kernel's row type: column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def dense(rows, ncols):
+    return [[r.get(j, Fraction(0)) for j in range(ncols)] for r in rows]
+
+
 def dot(row, x):
     return sum(a * b for a, b in zip(row, x))
 
@@ -64,21 +73,65 @@ def matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rref_matches_dense_gauss_jordan(case):
-    _, rows = case
-    assert rref(rows) == dense_rref(rows)
+    ncols, rows = case
+    red, piv = dense_rref(rows)
+    assert rref(sparse(rows), ncols) == (sparse(red), piv)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Low-density rows over up to 30 columns, with zero, repeated and
+    dependent rows mixed in; combinations may keep explicit zero entries."""
+    ncols = draw(st.integers(1, 30))
+    nonzero = entries.filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), nonzero, max_size=4)
+    base = draw(st.lists(row, max_size=12))
+    rows = list(base)
+    extras = st.lists(st.sampled_from(["zero", "repeat", "combo"]), max_size=6)
+    for kind in draw(extras):
+        if kind == "zero" or not base:
+            rows.append({})
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(base))))
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            s, t = draw(entries), draw(entries)
+            rows.append(
+                {j: s * a.get(j, 0) + t * b.get(j, 0) for j in sorted(a.keys() | b.keys())}
+            )
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_matches_dense_gauss_jordan(case):
+    ncols, rows = case
+    red, piv = rref(rows, ncols)
+    ref_red, ref_piv = dense_rref(dense(rows, ncols))
+    assert (red, piv) == (sparse(ref_red), ref_piv)
+    for row, p in zip(red, piv):
+        assert all(row.values())  # no stored zero
+        assert min(row) == p and row[p] == 1  # the pivot is the lowest column
+        assert not set(row) & (set(piv) - {p})  # no entry at another pivot
+    span = FractionSpan(ncols)
+    for r in rows:
+        span.add(r)
+        assert all(all(row.values()) and min(row) == p for p, row in span.rows.items())
+    assert dict(sorted(span.rows.items())) == dict(zip(piv, red))
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_fraction_span_holds_the_rref(case):
-    _, rows = case
-    span = FractionSpan(len(rows[0]) if rows else 0)
-    grew = [span.add(r) for r in rows]
+    ncols, rows = case
+    span = FractionSpan(ncols)
+    grew = [span.add(r) for r in sparse(rows)]
     red, piv = dense_rref(rows)
     assert span.dim == len(red) == sum(grew)
-    order = sorted(range(span.dim), key=span.pivots.__getitem__)
-    assert [span.rows[i] for i in order] == red
-    assert all(span.contains(r) for r in rows)
+    assert sorted(span.rows) == piv
+    assert [span.rows[p] for p in sorted(span.rows)] == sparse(red)
+    assert all(span.contains(r) for r in sparse(rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,7 +143,7 @@ def test_solve_is_exact(data):
         rhs = [dot(r, x0) for r in rows]
     else:
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    x, kernel = solve(rows, rhs, ncols)
+    x, kernel = solve(sparse(rows), rhs, ncols)
     rank = len(dense_rref(rows)[0])
     consistent = len(dense_rref([r + [b] for r, b in zip(rows, rhs)])[0]) == rank
     assert (x is not None) == consistent
@@ -99,12 +152,12 @@ def test_solve_is_exact(data):
     assert len(kernel) == ncols - rank
     assert len(dense_rref(kernel)[0]) == len(kernel)
     assert all(dot(r, k) == 0 for r in rows for k in kernel)
-    assert nullspace(rows, ncols) == kernel
+    assert nullspace(sparse(rows), ncols) == kernel
 
 
 def test_solve_inconsistent_system():
     one, two = Fraction(1), Fraction(2)
-    x, kernel = solve([[one, two], [two, 2 * two]], [one, one], 2)
+    x, kernel = solve(sparse([[one, two], [two, 2 * two]]), [one, one], 2)
     assert x is None
     assert kernel == [[-two, one]]
 
@@ -117,4 +170,27 @@ def test_solve_without_equations():
 
 def test_solve_rejects_mismatched_rhs():
     with pytest.raises(ValueError):
-        solve([[Fraction(1)]], [], 1)
+        solve([{0: Fraction(1)}], [], 1)
+
+
+def test_span_rejects_a_column_outside_its_range():
+    span = FractionSpan(3)
+    with pytest.raises(ValueError, match="column 3 outside"):
+        span.add({0: Fraction(1), 3: Fraction(1)})
+    with pytest.raises(ValueError, match="column -1 outside"):
+        span.reduce({-1: Fraction(1)})
+    assert span.dim == 0
+
+
+def test_solve_rejects_a_column_outside_its_range():
+    # the column past ncols is the augmented one: accepting it would
+    # return x = [1] with an empty kernel for x0 + x1 + x2 = 1
+    with pytest.raises(ValueError, match="row 0 has column 2 outside"):
+        solve([{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}], [Fraction(1)], 1)
+
+
+def test_rref_rejects_a_column_outside_its_range():
+    ragged = [{0: Fraction(1)}, {0: Fraction(1), 4: Fraction(2)}]
+    with pytest.raises(ValueError, match="row 1 has column 4 outside"):
+        rref(ragged, 3)
+    assert rref(ragged, 5) == ([{0: 1}, {4: 1}], [0, 4])
