@@ -55,12 +55,13 @@ class StructureConstants:
         return v if v is not None else Vector.zero(self.dim)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension over the nonzero components of x."""
+        """Bilinear extension over the nonzero components of x and y."""
         out = Vector.zero(self.dim)
         for i, xi in x.comps.items():
-            for j, v in self._rows[i].items():
-                yj = y.comps.get(j)
-                if yj is not None:
+            row = self._rows[i]
+            for j, yj in y.comps.items():
+                v = row.get(j)
+                if v is not None:
                     out = out + v.scale(xi * yj)
         return out
 

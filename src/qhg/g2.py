@@ -16,6 +16,7 @@ from .algebra import QHAlgebra
 from .clifford import clifford_matrix, gamma, spin_lift, vector_action
 from .connections import Connection, levi_civita
 from .exterior import (
+    Endo,
     KForm,
     Vector,
     ce_differential,
@@ -256,15 +257,17 @@ def generalized_killing_check(alg: QHAlgebra, psi: Vector) -> list[Scalar | None
     not generalized Killing there).
     """
     _require_p1(alg)
-    return _killing_eigenvalues(levi_civita(alg), psi)
+    return _killing_eigenvalues(_spin_lifts(levi_civita(alg)), psi)
 
 
-def _killing_eigenvalues(lc: Connection, psi: Vector) -> list[Scalar | None]:
-    """generalized_killing_check for a Levi-Civita connection already built."""
-    return [
-        _eigen_ratio(spin_lift(lc.form(i)).apply(psi), gamma()[i].apply(psi))
-        for i in range(lc.dim)
-    ]
+def _spin_lifts(conn: Connection) -> list[Endo]:
+    """The spinor lifts of the connection forms, one per frame direction."""
+    return [spin_lift(conn.form(i)) for i in range(conn.dim)]
+
+
+def _killing_eigenvalues(lifts: list[Endo], psi: Vector) -> list[Scalar | None]:
+    """generalized_killing_check for the Levi-Civita lifts already built."""
+    return [_eigen_ratio(lift.apply(psi), g.apply(psi)) for lift, g in zip(lifts, gamma())]
 
 
 def invariant_killing_values(alg: QHAlgebra) -> list[Scalar]:
@@ -272,7 +275,7 @@ def invariant_killing_values(alg: QHAlgebra) -> list[Scalar]:
     return [alg.lam * Fraction(1, 2)] * 3 + [alg.lam * Fraction(-3, 4)] * (alg.dim - 3)
 
 
-def _translate_killing(alg: QHAlgebra, lc: Connection, psi0: Vector) -> tuple[bool, set[str]]:
+def _translate_killing(alg: QHAlgebra, lifts: list[Endo], psi0: Vector) -> tuple[bool, set[str]]:
     """Killing eigenvalues of the translates xi_i . psi0: lam/2 along xi_i,
     -lam/2 along the other vertical directions and one horizontal value,
     three distinct values for each translate.  Returns the verdict and the
@@ -280,7 +283,7 @@ def _translate_killing(alg: QHAlgebra, lc: Connection, psi0: Vector) -> tuple[bo
     half = alg.lam * Fraction(1, 2)
     ok, horizontal = True, set()
     for i in (1, 2, 3):
-        ki = _killing_eigenvalues(lc, vector_action(alg.xi(i), psi0))
+        ki = _killing_eigenvalues(lifts, vector_action(alg.xi(i), psi0))
         horiz = {str(ki[idx]) for idx in alg.horizontal_indices}
         ok = (
             ok
@@ -293,10 +296,10 @@ def _translate_killing(alg: QHAlgebra, lc: Connection, psi0: Vector) -> tuple[bo
     return ok, horizontal
 
 
-def _killing_via_torsion(alg: QHAlgebra, lc: Connection, t: KForm, psi0: Vector) -> bool:
+def _killing_via_torsion(alg: QHAlgebra, lifts: list[Endo], t: KForm, psi0: Vector) -> bool:
     """nabla^g_X psi0 = -(1/4)(X . t) psi0 for every frame vector X."""
     return all(
-        spin_lift(lc.form(i)).apply(psi0)
+        lifts[i].apply(psi0)
         == clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
         for i in range(alg.dim)
     )
@@ -310,11 +313,14 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
     of nabla^g_X (xi_i . psi0) matches its direct evaluation.
     """
     _require_p1(alg)
-    return _proof_identities(alg, levi_civita(alg), split)
+    lc = levi_civita(alg)
+    return _proof_identities(alg, lc, _spin_lifts(lc), split)
 
 
-def _proof_identities(alg: QHAlgebra, lc: Connection, split: SpinorSplitting) -> bool:
-    """proof_identities_check for a Levi-Civita connection already built."""
+def _proof_identities(
+    alg: QHAlgebra, lc: Connection, lifts: list[Endo], split: SpinorSplitting
+) -> bool:
+    """proof_identities_check for a Levi-Civita connection and its lifts."""
     psi0 = split.psi0
     g = gamma()
     for i in (1, 2, 3):
@@ -332,10 +338,9 @@ def _proof_identities(alg: QHAlgebra, lc: Connection, split: SpinorSplitting) ->
                 return False
         # product rule: nabla^g_X(xi_i psi0) = (nabla^g_X xi_i) psi0 + xi_i nabla^g_X psi0
         for idx in range(alg.dim):
-            om = lc.form(idx)
-            direct = spin_lift(om).apply(xi_psi)
-            term1 = vector_action(om.apply(alg.xi(i)), psi0)
-            term2 = vector_action(alg.xi(i), spin_lift(om).apply(psi0))
+            direct = lifts[idx].apply(xi_psi)
+            term1 = vector_action(lc.form(idx).apply(alg.xi(i)), psi0)
+            term2 = vector_action(alg.xi(i), lifts[idx].apply(psi0))
             if direct != term1 + term2:
                 return False
     return True

@@ -5,6 +5,7 @@ Fraction rows; callers with formal scalars specialize first (and
 re-check at a second parameter value where that matters).  A row is a
 `dict[int, Fraction]`, column -> entry, every column in [0, ncols).
 Zero entries of an input row are dropped; a stored row holds none.
+An entry is an `int` or a `Fraction`; stored rows hold `Fraction`s.
 
 There is one elimination, `_insert`.  The stored rows are fully reduced:
 each has entry 1 at its pivot and none at any other pivot, so a row is
@@ -27,11 +28,16 @@ Row = dict[int, Fraction]
 
 
 def _check(v: Row, ncols: int, index: int | None = None) -> None:
-    """Raise if a column of v lies outside [0, ncols), naming the row."""
+    """Raise if a column of v lies outside [0, ncols) or an entry is not an
+    int or a Fraction, naming the row and the column."""
+    name = v if index is None else index
     cols = v.keys()
     if cols and not 0 <= min(cols) <= max(cols) < ncols:
         j = min(cols) if min(cols) < 0 else max(cols)
-        raise ValueError(f"row {v if index is None else index} has column {j} outside [0, {ncols})")
+        raise ValueError(f"row {name} has column {j} outside [0, {ncols})")
+    for j, x in v.items():
+        if not isinstance(x, (int, Fraction)):
+            raise ValueError(f"row {name} has entry {x!r} at column {j}, not an int or a Fraction")
 
 
 def _subtract(dst: Row, c: Fraction, src: Row) -> None:
@@ -58,7 +64,7 @@ def _insert(red: dict[int, Row], v: Row) -> bool:
     if not v:
         return False
     p = min(v)
-    inv = 1 / v[p]
+    inv = Fraction(1) / v[p]
     v = {j: x * inv for j, x in v.items()}
     for row in red.values():
         if p in row:

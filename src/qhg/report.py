@@ -150,6 +150,10 @@ class _Run:
         return g2.parallel_spinor(self.alg, self.can.conn)
 
     @cached_property
+    def lifts(self) -> list[exterior.Endo]:
+        return g2._spin_lifts(self.lc.conn)
+
+    @cached_property
     def crit(self) -> cone.ConeCriterion:
         return cone.cone_constant(self.alg)
 
@@ -195,12 +199,12 @@ def _torsion_spectrum(r: _Run):
 
 
 def _killing_invariant(r: _Run):
-    ki = g2._killing_eigenvalues(r.lc.conn, r.split.psi0)
+    ki = g2._killing_eigenvalues(r.lifts, r.split.psi0)
     return ki == g2.invariant_killing_values(r.alg), {"vertical": ki[0], "horizontal": ki[3]}
 
 
 def _killing_translates(r: _Run):
-    ok, horizontal = g2._translate_killing(r.alg, r.lc.conn, r.split.psi0)
+    ok, horizontal = g2._translate_killing(r.alg, r.lifts, r.split.psi0)
     return ok, {"horizontal": ", ".join(sorted(horizontal))}
 
 
@@ -352,11 +356,11 @@ CHECKS = (
           "three distinct eigenvalues (lam/2, -lam/2 and a horizontal value)", _killing_translates),
     Check("spinors.proof-identities", ("g2.proof_identities_check",),
           "the interior-product identities behind the Killing equations hold",
-          lambda r: g2._proof_identities(r.alg, r.lc.conn, r.split)),
+          lambda r: g2._proof_identities(r.alg, r.lc.conn, r.lifts, r.split)),
     Check("spinors.killing-via-torsion", ("clifford.clifford_action",),
           "the Riemannian derivative of the invariant spinor equals "
           "-(1/4)(X . T) acting on it",
-          lambda r: g2._killing_via_torsion(r.alg, r.lc.conn, r.t, r.split.psi0)),
+          lambda r: g2._killing_via_torsion(r.alg, r.lifts, r.t, r.split.psi0)),
     Check("cone.constant", ("cone.cone_constant",),
           "the unique cone constant equals the metric parameter",
           lambda r: (r.crit.constant == r.alg.lam, {"constant": r.crit.constant,

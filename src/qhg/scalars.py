@@ -6,6 +6,12 @@ All geometric identities we verify are polynomial identities in that
 parameter, so keeping it formal proves them for every positive value at
 once.  Specializing the parameter to a rational is supported for report
 output.
+
+A stored coefficient is an ``int`` when integral and a ``Fraction`` only
+when not (`_norm`), so integral sums and products are plain ``int``
+operations; division and negative powers go through ``Fraction``.  No
+``int`` leaves this module: `coeff`, `rational_value`, `terms` and
+`specialize` return ``Fraction``; printing, ``==`` and hashing agree.
 """
 
 from __future__ import annotations
@@ -15,12 +21,11 @@ from fractions import Fraction
 Rat = Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+def _norm(q):
+    """The stored form of a rational: int when integral, else Fraction."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"cannot coerce {type(q).__name__} to a rational")
+    return q.numerator if q.denominator == 1 else q
 
 
 class Scalar:
@@ -37,14 +42,14 @@ class Scalar:
         if isinstance(value, Scalar):
             self._c = value._c
         elif isinstance(value, dict):
-            self._c = {e: _as_fraction(c) for e, c in value.items() if c != 0}
+            self._c = {e: _norm(c) for e, c in value.items() if c != 0}
         else:
-            q = _as_fraction(value)
+            q = _norm(value)
             self._c = {0: q} if q != 0 else {}
 
     @staticmethod
     def monomial(coeff, exp: int) -> "Scalar":
-        return Scalar({exp: _as_fraction(coeff)})
+        return Scalar({exp: coeff})
 
     # -- predicates ------------------------------------------------------
 
@@ -63,14 +68,14 @@ class Scalar:
             return Fraction(0)
         if set(self._c) != {0}:
             raise ValueError(f"{self} is not parameter-free")
-        return self._c[0]
+        return Fraction(self._c[0])
 
     def coeff(self, exp: int) -> Fraction:
-        return self._c.get(exp, Fraction(0))
+        return Fraction(self._c.get(exp, 0))
 
     def terms(self):
         """(exponent, coefficient) pairs, descending exponent."""
-        return sorted(self._c.items(), reverse=True)
+        return [(e, Fraction(c)) for e, c in sorted(self._c.items(), reverse=True)]
 
     # -- ring operations -------------------------------------------------
 
@@ -86,7 +91,9 @@ class Scalar:
             return other
         c = dict(self._c)
         for e, v in other._c.items():
-            s = c.get(e, Fraction(0)) + v
+            s = c.get(e, 0) + v
+            if type(s) is not int:
+                s = _norm(s)
             if s:
                 c[e] = s
             else:
@@ -121,12 +128,13 @@ class Scalar:
             # monomials: the ring has no zero divisors, so one nonzero term
             ((e1, v1),) = self._c.items()
             ((e2, v2),) = other._c.items()
-            return _wrap({e1 + e2: v1 * v2})
-        c: dict[int, Fraction] = {}
+            v = v1 * v2
+            return _wrap({e1 + e2: v if type(v) is int else _norm(v)})
+        c: dict[int, int | Fraction] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
-                s = c.get(e, Fraction(0)) + v1 * v2
+                s = _norm(c.get(e, 0) + v1 * v2)
                 if s:
                     c[e] = s
                 else:
@@ -144,14 +152,14 @@ class Scalar:
         if not other.is_monomial():
             raise ValueError(f"division only by monomials, got divisor {other}")
         ((de, dv),) = other._c.items()
-        return _wrap({e - de: v / dv for e, v in self._c.items()})
+        return _wrap({e - de: _norm(Fraction(v) / dv) for e, v in self._c.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative powers only of monomials")
             ((e, v),) = self._c.items()
-            return Scalar({e * n: v**n})
+            return _wrap({e * n: _norm(Fraction(v) ** n)})
         out = ONE
         for _ in range(n):
             out = out * self
@@ -173,16 +181,19 @@ class Scalar:
 
     def specialize(self, value) -> Fraction:
         """Evaluate at a concrete rational parameter value."""
-        v = _as_fraction(value)
+        v = Fraction(_norm(value))
         if v == 0 and any(e < 0 for e in self._c):
             raise ZeroDivisionError("negative exponent at parameter 0")
+        if len(self._c) == 1:
+            ((e, c),) = self._c.items()
+            return Fraction(c) if v == 1 else c * v**e
         return sum((c * v**e for e, c in self._c.items()), Fraction(0))
 
     def __str__(self):
         if not self._c:
             return "0"
         parts = []
-        for e, c in self.terms():
+        for e, c in sorted(self._c.items(), reverse=True):
             if e == 0:
                 body = str(c)
             else:
@@ -205,8 +216,8 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _wrap(c: dict[int, Fraction]) -> Scalar:
-    """Scalar over a dict that already holds only nonzero coefficients."""
+def _wrap(c: dict[int, int | Fraction]) -> Scalar:
+    """Scalar over a dict of nonzero coefficients already in `_norm` form."""
     s = object.__new__(Scalar)
     s._c = c
     return s
@@ -222,4 +233,4 @@ def _coerce(x):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-LAM = Scalar({1: Fraction(1)})  # the formal metric parameter
+LAM = Scalar({1: 1})  # the formal metric parameter

@@ -194,3 +194,43 @@ def test_rref_rejects_a_column_outside_its_range():
     with pytest.raises(ValueError, match="row 1 has column 4 outside"):
         rref(ragged, 3)
     assert rref(ragged, 5) == ([{0: 1}, {4: 1}], [0, 4])
+
+
+def _exact(rows):
+    """Every entry of every row is a Fraction, never an int or a float."""
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_span_is_exact_for_int_entries_and_rejects_a_float():
+    span = FractionSpan(3)
+    assert span.add({0: 3, 1: 1})
+    assert span.rows == {0: {0: Fraction(1), 1: Fraction(1, 3)}}
+    assert _exact(r.values() for r in span.rows.values())
+    with pytest.raises(ValueError, match="row .* has entry 0.5 at column 2"):
+        span.add({2: 0.5})
+    with pytest.raises(ValueError, match="at column 1, not an int or a Fraction"):
+        span.reduce({1: 1.0})
+    assert span.dim == 1
+
+
+def test_rref_is_exact_for_int_entries_and_rejects_a_float():
+    red, piv = rref([{0: 2, 1: 4}, {0: 3, 1: 1}], 2)
+    assert (red, piv) == ([{0: 1}, {1: 1}], [0, 1])
+    assert _exact(r.values() for r in red)
+    red, piv = rref([{0: 3, 2: 1}], 3)
+    assert red == [{0: Fraction(1), 2: Fraction(1, 3)}] and _exact(r.values() for r in red)
+    with pytest.raises(ValueError, match="row 1 has entry 2.0 at column 0"):
+        rref([{0: 1}, {0: 2.0}], 1)
+
+
+def test_solve_and_nullspace_are_exact_for_int_entries_and_reject_a_float():
+    x, kernel = solve([{0: 3}], [1], 1)
+    assert x == [Fraction(1, 3)] and kernel == [] and _exact([x])
+    basis = nullspace([{0: 3, 1: 1}], 2)
+    assert basis == [[Fraction(-1, 3), Fraction(1)]] and _exact(basis)
+    with pytest.raises(ValueError, match="row 0 has entry 1.5 at column 0"):
+        solve([{0: 1.5}], [1], 1)
+    with pytest.raises(ValueError, match="row 0 has entry 0.25 at column 1"):
+        solve([{0: 1}], [0.25], 1)
+    with pytest.raises(ValueError, match="row 0 has entry 3.0 at column 0"):
+        nullspace([{0: 3.0, 1: 1}], 2)

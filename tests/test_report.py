@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhg import cone, connections, report
+from qhg import cone, connections, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 
@@ -198,6 +198,22 @@ def test_connection_suite_builds_each_tensor_once(monkeypatch):
     assert 1 <= calls["curvature"] <= 2
     assert 1 <= calls["_holonomy_at"] <= 2
     assert 1 <= calls["_nabla_curvature"] <= 23
+
+
+def test_spinor_checks_lift_the_levi_civita_forms_once(monkeypatch):
+    """The spinor checks share one lift of the 7 Levi-Civita forms."""
+    calls = Counter()
+    original = g2.spin_lift
+
+    def counted(*args):
+        calls["spin_lift"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(g2, "spin_lift", counted)
+    rep = run(ReportConfig(p=1, fmt="json"))
+    assert rep.all_passed and _digest(rep) == GOLDEN_DIGESTS[1]
+    # 7 Levi-Civita lifts and the 3 nonzero canonical forms of parallel_spinor
+    assert 7 <= calls["spin_lift"] <= 10
 
 
 def test_cone_suite_builds_the_mixed_terms_once_per_solve(monkeypatch):

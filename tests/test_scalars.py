@@ -76,7 +76,7 @@ def test_power_and_coercion():
     assert Scalar({1: 2}) ** -2 == Scalar({-2: Fraction(1, 4)})
 
 
-# -- fast paths against a reference Laurent convolution ------------------------
+# -- fast paths and int coefficients against a reference over Fraction dicts ---
 
 
 def ref_add(a: dict, b: dict) -> dict:
@@ -94,7 +94,14 @@ def ref_mul(a: dict, b: dict) -> dict:
     return {e: v for e, v in out.items() if v}
 
 
-coeffs = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+def ref_specialize(a: dict, q: Fraction) -> Fraction:
+    return sum((c * q**e for e, c in a.items()), Fraction(0))
+
+
+# int and Fraction coefficients, integral Fractions among them
+coeffs = st.one_of(
+    st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4]))
+)
 laurent = st.one_of(
     st.just({}),  # zero
     st.dictionaries(st.integers(-3, 3), coeffs, min_size=1, max_size=1),  # monomial
@@ -103,38 +110,70 @@ laurent = st.one_of(
 
 
 def assert_matches(result: Scalar, expected: dict):
-    assert dict(result.terms()) == expected
-    assert all(c != 0 for _, c in result.terms())  # no stored zero coefficient
-    assert result == Scalar(expected) and hash(result) == hash(Scalar(expected))
+    """result equals the Fraction dict `expected`; its stored coefficients are
+    nonzero, int exactly when integral and never float; and only Fractions
+    leave through terms, coeff and rational_value."""
+    for c in result._c.values():
+        assert type(c) in (int, Fraction) and c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+    terms = result.terms()
+    assert dict(terms) == expected and all(type(c) is Fraction for _, c in terms)
+    for e in range(-8, 9):
+        c = result.coeff(e)
+        assert type(c) is Fraction and c == expected.get(e, 0)
+    assert result == Scalar(expected)
+    assert hash(result) == hash(Scalar(expected)) == hash(frozenset(expected.items()))
+    if set(expected) <= {0}:
+        value = result.rational_value()
+        assert type(value) is Fraction and value == expected.get(0, 0)
+        assert result == value and hash(result) == hash(Scalar(value))
 
 
-@settings(max_examples=300, deadline=None)
-@given(laurent, laurent, st.integers(-2, 2))
-def test_fast_paths_match_laurent_convolution(a, b, k):
+@settings(max_examples=400, deadline=None)
+@given(laurent, laurent, st.integers(-2, 2), st.integers(-2, 2), coeffs.filter(bool),
+       st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+def test_fast_paths_match_laurent_convolution(a, b, k, de, dv, q):
     x, y = Scalar(a), Scalar(b)
-    a = {e: v for e, v in a.items() if v}
-    b = {e: v for e, v in b.items() if v}
-    neg_b = {e: -v for e, v in b.items()}
+    a = {e: Fraction(v) for e, v in a.items() if v}
+    b = {e: Fraction(v) for e, v in b.items() if v}
+    neg = lambda d: {e: -v for e, v in d.items()}
+    assert_matches(x, a)
     assert_matches(x + y, ref_add(a, b))
-    assert_matches(x - y, ref_add(a, neg_b))
-    assert_matches(-y, neg_b)
+    assert_matches(x - y, ref_add(a, neg(b)))
+    assert_matches(-y, neg(b))
     assert_matches(x * y, ref_mul(a, b))
     assert hash(x * y) == hash(y * x) and hash(x + y) == hash(y + x)
-    # mixed with plain rationals, on either side
+    assert (x == y) == (a == b)
+    # mixed with plain ints, on either side
     const = {0: Fraction(k)} if k else {}
     assert_matches(x + k, ref_add(a, const))
     assert_matches(k + x, ref_add(a, const))
-    assert_matches(k - x, ref_add(const, {e: -v for e, v in a.items()}))
+    assert_matches(x - k, ref_add(a, neg(const)))
+    assert_matches(k - x, ref_add(const, neg(a)))
     assert_matches(x * k, ref_mul(a, const))
     assert_matches(k * x, ref_mul(a, const))
+    assert (x == k) == (a == const)
+    # division by a monomial and by a plain nonzero int
+    assert_matches(x / Scalar.monomial(dv, de), {e - de: v / dv for e, v in a.items()})
+    if k:
+        assert_matches(x / k, {e: v / k for e, v in a.items()})
     power = {0: Fraction(1)}
     for n in range(4):
         assert_matches(x**n, power)
         power = ref_mul(power, a)
     if len(a) == 1:
         ((e, v),) = a.items()
+        assert_matches(x**-1, {-e: 1 / v})
         assert_matches(x**-2, {-2 * e: 1 / v**2})
         assert_matches(x**-2 * x * x, {0: Fraction(1)})
     else:
         with pytest.raises(ValueError):
             x**-1
+    # specialize at 1 (as Fraction and as int), at q and at 0
+    for point in (Fraction(1), 1, q, 0):
+        if point == 0 and any(e < 0 for e in a):
+            with pytest.raises(ZeroDivisionError):
+                x.specialize(point)
+            continue
+        value = x.specialize(point)
+        assert type(value) is Fraction and value == ref_specialize(a, Fraction(point))
