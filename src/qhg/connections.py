@@ -30,7 +30,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import FractionSpan
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, homogeneous_at_one
 
 
 class Connection:
@@ -290,22 +290,9 @@ class Geometry:
     @cached_property
     def holonomy(self) -> list[Endo]:
         """Ambrose-Singer closure: curvature endomorphisms, closed under
-        bracketing with the connection forms and among themselves.
-
-        Rank bookkeeping runs over specialized rationals; for a formal
-        metric parameter the dimension is re-checked at a second value.
-        """
-        lam = self.alg.lam
-        values = [lam.rational_value()] if lam.is_rational() else [Fraction(1), Fraction(2)]
-        basis = _holonomy_at(self, values[0])
-        for v in values[1:]:
-            other = _holonomy_at(self, v)
-            if len(other) != len(basis):
-                raise ArithmeticError(
-                    "holonomy dimension depends on the metric parameter: "
-                    f"{len(basis)} at {values[0]} vs {len(other)} at {v}"
-                )
-        return basis
+        bracketing with the connection forms and among themselves; a basis
+        of rational endomorphisms, valid for every l > 0 (see `_holonomy_at`)."""
+        return _holonomy_at(self)
 
     @cached_property
     def torsion_parallel(self) -> bool:
@@ -537,45 +524,43 @@ def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> Curvature
 
 
 def is_parallel(conn: Connection, tensor) -> bool:
-    for d in nabla_tensor(conn, tensor):
-        if isinstance(d, CurvatureTensor):
-            if not d.is_zero():
-                return False
-        elif not d.is_zero():
-            return False
-    return True
+    return all(d.is_zero() for d in nabla_tensor(conn, tensor))
 
 
 # -- holonomy ----------------------------------------------------------------
 
 
-def _flatten(e: Endo, value: Fraction) -> dict[int, Fraction]:
-    return {r * e.dim + c: v.specialize(value) for (r, c), v in e.m.items()}
+def _flatten(e: Endo, label="endomorphism", degree=None) -> dict[int, Fraction]:
+    """The row-major entries of e at l = 1, certified homogeneous in l."""
+    _, values = homogeneous_at_one(e.m, label, degree)
+    return {r * e.dim + c: v for (r, c), v in values.items()}
 
 
-def _specialize_endo(e: Endo, value: Fraction) -> Endo:
-    return Endo(e.dim, {k: Scalar(v.specialize(value)) for k, v in e.m.items()})
+def _at_one(e: Endo, label: str) -> Endo:
+    """e at l = 1, certified homogeneous in l."""
+    return Endo(e.dim, homogeneous_at_one(e.m, label)[1])
 
 
-def _holonomy_at(geo: Geometry, value: Fraction) -> list[Endo]:
-    """The holonomy closure with the metric parameter specialized to value."""
+def _holonomy_at(geo: Geometry) -> list[Endo]:
+    """The holonomy closure at l = 1.  Each connection form and each R(e_i, e_j)
+    is certified homogeneous in l, so at any l > 0 it is a positive multiple
+    of its value at 1, and the closure spans the same subspace."""
     n = geo.alg.dim
     max_dim = n * (n - 1) // 2
     span = FractionSpan(n * n)
     members: list[Endo] = []
 
     def push(e: Endo) -> bool:
-        if e.is_zero():
-            return False
-        if span.add(_flatten(e, value)):
-            members.append(_specialize_endo(e, value))
+        if span.add(_flatten(e)):  # a zero e adds nothing
+            members.append(e)
             return True
         return False
 
-    for e in geo.curvature.values.values():
-        push(e)
+    forms = (_at_one(geo.conn.form(i), f"connection form {i}") for i in range(n))
+    omegas = [o for o in forms if not o.is_zero()]
+    for (i, j), e in geo.curvature.values.items():
+        push(_at_one(e, f"R(e_{i}, e_{j})"))
 
-    omegas = [_specialize_endo(geo.conn.form(i), value) for i in range(n)]
     frontier = list(members)
     while frontier:
         if span.dim > max_dim:
@@ -583,14 +568,10 @@ def _holonomy_at(geo: Geometry, value: Fraction) -> list[Endo]:
         fresh: list[Endo] = []
         for h in frontier:
             for o in omegas:
-                if o.is_zero():
-                    continue
-                c = o.commutator(h)
-                if push(c):
+                if push(o.commutator(h)):
                     fresh.append(members[-1])
             for other in members:
-                c = other.commutator(h)
-                if push(c):
+                if push(other.commutator(h)):
                     fresh.append(members[-1])
         frontier = fresh
     return members
@@ -619,9 +600,10 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
         return False
     vertical = alg.vertical_indices
     span = FractionSpan(3)
-    for e in basis:
+    for a, e in enumerate(basis):
         for r in vertical:
-            span.add({k: e.entry(r, c).specialize(Fraction(1)) for k, c in enumerate(vertical)})
+            row = {k: e.entry(r, c) for k, c in enumerate(vertical)}
+            span.add(homogeneous_at_one(row, f"row {r} of holonomy element {a}")[1])
     return span.dim == 3  # zero joint kernel
 
 
@@ -641,7 +623,8 @@ def _coordinate_reader(basis: list[Endo], n: int):
     nn = n * n
     span = FractionSpan(nn + h)
     for a, b in enumerate(basis):
-        span.add({**_flatten(b, Fraction(1)), nn + a: Fraction(1)})
+        # degree 0: at degree d the coordinates would be off by l^-d
+        span.add({**_flatten(b, f"basis element {a}", 0), nn + a: Fraction(1)})
 
     def read(e: Endo) -> list[Scalar] | None:
         by_power: dict[int, dict[int, Fraction]] = {}

@@ -32,7 +32,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import rref, solve
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, homogeneous_at_one
 
 
 class AlmostContact:
@@ -375,29 +375,30 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     `require_splitting` off the splitting constraint is dropped, which
     strictly enlarges the solution space.
     """
-    if alg.p > 2:
-        raise ValueError("the torsion solve is restricted to p <= 2")
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
     functionals = _qc_functionals(alg, build_qc(alg), require_splitting)
     reduced, _ = rref(functionals, len(skew_basis))
 
     # unknowns: components of the torsion 3-form; the form at x is the
-    # Levi-Civita form plus (1/2) x . T, whose (a, b) coordinate is T_xab / 2
+    # Levi-Civita form plus (1/2) x . T, whose (a, b) coordinate is T_xab / 2.
+    # The Koszul coefficients are l^d times rationals, so T = l^d T_1 with
+    # T_1 solving the system at l = 1.
     triples = list(combinations(range(n), 3))
     t_index = {t: i for i, t in enumerate(triples)}
     lc = levi_civita(alg)
+    entries = {(x, *rc): v for x in range(n) for rc, v in lc.form(x).m.items()}
+    d, koszul = homogeneous_at_one(entries, "Levi-Civita forms")
 
     sys_rows: list[dict[int, Fraction]] = []
     sys_rhs: list[Fraction] = []
     for x in range(n):
-        omega_x = lc.form(x)
         for functional in reduced:
             rhs = Fraction(0)
             row: dict[int, Fraction] = {}
             for k, coeff in functional.items():
                 a, b = skew_basis[k]
-                rhs -= coeff * _rat_linear(omega_x.entry(b, a), alg)
+                rhs -= coeff * koszul.get((x, b, a), 0)
                 sign, key = _sort_tuple((x, a, b))
                 if sign:  # distinct (a, b) name distinct triples (x, a, b)
                     row[t_index[key]] = coeff * Fraction(sign, 2)
@@ -412,12 +413,5 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     for row, rhs in zip(sys_rows, sys_rhs):
         if sum(v * particular[t] for t, v in row.items()) != rhs:
             return 0, None
-    comps = {
-        t: Scalar(v) * alg.lam for t, v in zip(triples, particular) if v
-    }
+    comps = {t: Scalar.monomial(v, d) for t, v in zip(triples, particular) if v}
     return 1 + len(kernel), KForm(n, 3, comps)
-
-
-def _rat_linear(s: Scalar, alg: QHAlgebra) -> Fraction:
-    """Strip the parameter factor shared by all Koszul coefficients."""
-    return (s / alg.lam).rational_value()

@@ -19,6 +19,12 @@ def _coeff(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
+def _check_dims(a, b):
+    """Raise unless the two operands live in the same dimension."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
 class Vector:
     """Element of the frame space, components in the orthonormal frame.
 
@@ -39,7 +45,9 @@ class Vector:
 
     @staticmethod
     def basis(dim: int, index: int) -> "Vector":
-        return _vector(dim, {index: ONE} if 0 <= index < dim else {})
+        if not 0 <= index < dim:
+            raise IndexError(f"basis index {index} outside [0, {dim})")
+        return _vector(dim, {index: ONE})
 
     def __getitem__(self, i: int) -> Scalar:
         if not -self.dim <= i < self.dim:
@@ -49,9 +57,7 @@ class Vector:
     def __iter__(self):
         return map(self.comps.get, range(self.dim), repeat(ZERO))
 
-    def _check(self, other: "Vector"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+    _check = _check_dims
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
@@ -195,9 +201,7 @@ class KForm:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def _check(self, other: "KForm"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+    _check = _check_dims
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check(other)
@@ -363,9 +367,10 @@ class Endo:
                 return False
         return True
 
+    _check = _check_dims
+
     def apply(self, x: Vector) -> Vector:
-        if x.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {x.dim}")
+        self._check(x)
         out: dict[int, Scalar] = {}
         for (r, c), v in self.m.items():
             xc = x.comps.get(c)
@@ -377,9 +382,11 @@ class Endo:
         return _vector(self.dim, {r: v for (r, cc), v in self.m.items() if cc == c})
 
     def __add__(self, other: "Endo") -> "Endo":
+        self._check(other)
         return _endo(self.dim, _merge(self.m, other.m, 1))
 
     def __sub__(self, other: "Endo") -> "Endo":
+        self._check(other)
         return _endo(self.dim, _merge(self.m, other.m, -1))
 
     def __neg__(self) -> "Endo":
@@ -391,6 +398,7 @@ class Endo:
 
     def compose(self, other: "Endo") -> "Endo":
         """Matrix product self * other."""
+        self._check(other)
         if self.is_zero() or other.is_zero():
             return Endo.zero(self.dim)
         rows: dict[int, list[tuple[int, Scalar]]] = {}

@@ -26,7 +26,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import FractionSpan, nullspace
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Scalar, homogeneous_at_one
 
 
 def _require_p1(alg: QHAlgebra):
@@ -85,17 +85,15 @@ def hitchin_form(alg: QHAlgebra, omega: KForm) -> list[list[Scalar]]:
 def genericity_check(alg: QHAlgebra, omega: KForm) -> bool:
     """Definiteness (up to overall sign) of the Hitchin form.
 
-    Checked by Sylvester's criterion over exact rationals at parameter
-    values 1 and 2.
+    The matrix is certified to be l^d times a rational matrix; l^d > 0
+    keeps definiteness, so one Sylvester test at l = 1 decides it for
+    every l > 0.
     """
     b = hitchin_form(alg, omega)
-    for value in (Fraction(1), Fraction(2)):
-        m = [[c.specialize(value) for c in row] for row in b]
-        if m[0][0] < 0:
-            m = [[-x for x in row] for row in m]
-        if not _positive_definite(m):
-            return False
-    return True
+    entries = {(i, j): c for i, row in enumerate(b) for j, c in enumerate(row)}
+    _, m = homogeneous_at_one(entries, "Hitchin form")
+    sign, n = (-1 if m[0, 0] < 0 else 1), len(b)
+    return _positive_definite([[sign * m[i, j] for j in range(n)] for i in range(n)])
 
 
 def _positive_definite(m: list[list[Fraction]]) -> bool:
@@ -132,18 +130,14 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
     convention mismatch between the Clifford module and the connection.
     """
     _require_p1(alg)
-    values = [Fraction(1)] if alg.lam.is_rational() else [Fraction(1), Fraction(2)]
     rows = []
     for i in range(alg.dim):
         om = conn.form(i)
         if om.is_zero():
             continue
-        lift = spin_lift(om)
-        for value in values:
-            rows.extend(
-                {c: v.specialize(value) for (r, c), v in lift.m.items() if r == row}
-                for row in range(8)
-            )
+        # homogeneous in l: its kernel at l = 1 is its kernel at every l > 0
+        _, lift = homogeneous_at_one(spin_lift(om).m, f"lifted connection form {i}")
+        rows.extend({c: v for (r, c), v in lift.items() if r == row} for row in range(8))
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
         raise ArithmeticError(
@@ -190,7 +184,7 @@ def splitting_dimensions(split: SpinorSplitting) -> tuple[int, int, int]:
     for group in ([split.psi0], split.vertical, split.horizontal):
         before = span.dim
         for v in group:
-            span.add({i: c.specialize(Fraction(1)) for i, c in v.comps.items()})
+            span.add(homogeneous_at_one(v.comps, "spinor")[1])
         dims.append(span.dim - before)
     return tuple(dims)
 

@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
 Rank, span and nullspace computations need a field, so they run over
-Fraction rows; callers with formal scalars specialize first (and
-re-check at a second parameter value where that matters).  A row is a
+Fraction rows; callers with formal scalars read them at l = 1 through
+`scalars.homogeneous_at_one`, which first certifies that one point
+decides the question for every l > 0.  A row is a
 `dict[int, Fraction]`, column -> entry, every column in [0, ncols).
 Zero entries of an input row are dropped; a stored row holds none.
 An entry is an `int` or a `Fraction`; stored rows hold `Fraction`s.

@@ -316,9 +316,7 @@ CHECKS = (
           "and its torsion is not totally skew",
           lambda r: contact.flat_connection_check(r.alg)),
     Check("qc.unique-skew-torsion", ("contact.qc_unique_skew",),
-          "exactly one totally skew torsion yields a qc-preserving connection", _qc_unique, p_max=2,
-          skip=("uniqueness of the skew torsion preserving the qc structure",
-                "linear solve restricted to p <= 2")),
+          "exactly one totally skew torsion yields a qc-preserving connection", _qc_unique),
     Check("g2.three-form", ("g2.build_omega",),
           "the generic 3-form has the stated frame components",
           lambda r: [r.omega.coeff(idx) for idx in ((0, 3, 4), (0, 1, 2), (1, 4, 6))]

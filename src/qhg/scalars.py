@@ -4,8 +4,9 @@ Every number in this package is a Laurent polynomial in the metric
 parameter (printed ``l``) with arbitrary-precision rational coefficients.
 All geometric identities we verify are polynomial identities in that
 parameter, so keeping it formal proves them for every positive value at
-once.  Specializing the parameter to a rational is supported for report
-output.
+once.  Rank, span and sign questions need rationals: `homogeneous_at_one`
+certifies that some scalars share one parameter degree and reads them at
+l = 1, which then decides the question for every positive value.
 
 A stored coefficient is an ``int`` when integral and a ``Fraction`` only
 when not (`_norm`), so integral sums and products are plain ``int``
@@ -58,10 +59,6 @@ class Scalar:
 
     def is_monomial(self) -> bool:
         return len(self._c) == 1
-
-    def is_rational(self) -> bool:
-        """True when the scalar is a plain rational (no parameter)."""
-        return not self._c or set(self._c) == {0}
 
     def rational_value(self) -> Fraction:
         if not self._c:
@@ -214,6 +211,30 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def homogeneous_at_one(entries, label: str = "entries", degree: int | None = None):
+    """(d, values): the common l-degree d of the scalars in the mapping
+    `entries` and their values at l = 1, under the same keys.
+
+    Every nonzero entry must be a monomial c*l^d of one degree d (`degree`,
+    when given).  Then at any l > 0 the entries are l^d > 0 times the values,
+    so a rank, span, kernel or definiteness read at l = 1 holds for every
+    l > 0.  Zeros are allowed; d is None when all entries are zero.  Raises
+    ArithmeticError naming the first index that fails.
+    """
+    values = {}
+    for index, s in entries.items():
+        if len(s._c) > 1:
+            raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
+        for e in s._c:
+            if degree is not None and e != degree:
+                raise ArithmeticError(
+                    f"{label} at index {index}: {s} has degree {e} in l, expected {degree}"
+                )
+            degree = e
+        values[index] = Fraction(s._c.get(degree, 0))
+    return degree, values
 
 
 def _wrap(c: dict[int, int | Fraction]) -> Scalar:

@@ -416,6 +416,42 @@ def test_coordinate_reader_outside_span():
     assert cn._coordinate_reader([], 3)(Endo.zero(3)) == []
 
 
+def test_holonomy_is_read_at_one_only_for_homogeneous_input():
+    """One closure at l = 1 is a proof only when every connection form and every
+    R(e_i, e_j) is homogeneous in l; otherwise the closure raises at the index."""
+    alg = algebra.build(1)
+    bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3))
+    # l = 1 and l = 2 both give a 9-dimensional closure here: sampling cannot tell
+    mixed = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
+    with pytest.raises(ArithmeticError, match=r"^R\(e_\d, e_\d\) at index \(\d, \d\): .* not a monomial"):
+        cn.holonomy(alg, mixed)
+    scaled = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump.scale(LAM))
+    assert len(cn.holonomy(alg, scaled)) == 9
+    can = cn.canonical_connection(alg)
+    tilt = two_form_endo(wedge(alg.theta(1), alg.theta(2)))
+    tilted = cn.Connection([can.form(0) + tilt] + can.omega[1:])
+    with pytest.raises(ArithmeticError, match=r"^connection form 0 at index \(\d, \d\): "):
+        cn.holonomy(alg, tilted)
+
+
+def test_vertical_irreducibility_certifies_each_row():
+    alg = algebra.build(1)
+    rot = [_skew_unit(alg.dim, 0, 1), _skew_unit(alg.dim, 1, 2), _skew_unit(alg.dim, 0, 2)]
+    # each element has its own degree: every row is homogeneous, the verdict holds for all l
+    assert cn.vertical_action_irreducible(alg, [rot[0].scale(LAM), rot[1], rot[2].scale(LAM * LAM)])
+    assert not cn.vertical_action_irreducible(alg, [rot[0].scale(LAM)])
+    mixed = rot[0].scale(LAM) + rot[1]  # row 1 is (-l, 0, 1)
+    with pytest.raises(ArithmeticError, match=r"^row 1 of holonomy element 0 at index 2: 1 has degree 0"):
+        cn.vertical_action_irreducible(alg, [mixed])
+
+
+def test_coordinate_reader_requires_a_degree_zero_basis():
+    b0 = _skew_unit(3, 0, 1)
+    # a basis l * b0 would read l * b0 as coordinate l, not 1
+    with pytest.raises(ArithmeticError, match=r"^basis element 0 at index \(0, 1\): l has degree 1"):
+        cn._coordinate_reader([b0.scale(LAM)], 3)
+
+
 def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     from qhg.linalg import FractionSpan
 
@@ -433,9 +469,9 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     table, witness = cn.transvection_algebra(alg, conn)
     assert table is None and witness[0] == "curvature outside holonomy span"
     span = FractionSpan(alg.dim * alg.dim)
-    span.add(cn._flatten(hol[0], Fraction(1)))
+    span.add(cn._flatten(hol[0]))
     r = cn.curvature(alg, conn).endo(*witness[1:])
-    assert not span.contains(cn._flatten(r, Fraction(1)))
+    assert not span.contains(cn._flatten(r))
 
 
 def ricci_oracle(alg, conn):

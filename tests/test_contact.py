@@ -161,7 +161,7 @@ def test_flat_connection_biquard_properties():
     assert not cn.torsion_is_skew(alg, flat)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_qc_unique_skew(p):
     alg = algebra.build(p)
     dim, torsion = ct.qc_unique_skew(alg)
@@ -178,9 +178,13 @@ def test_qc_unique_skew_without_splitting_constraint():
     assert torsion == cn.canonical_torsion(alg)
 
 
-def test_qc_unique_skew_p_gate():
-    with pytest.raises(ValueError):
-        ct.qc_unique_skew(algebra.build(3))
+def test_qc_unique_skew_rejects_koszul_coefficients_of_mixed_degree(monkeypatch):
+    # the solve runs at l = 1 and scales the torsion back by l^d, which needs one degree d
+    alg = algebra.build(1)
+    bump = KForm(alg.dim, 3, {(3, 4, 5): ONE})
+    monkeypatch.setattr(ct, "levi_civita", lambda a: cn.with_torsion(a, bump))
+    with pytest.raises(ArithmeticError, match=r"^Levi-Civita forms at index \(\d+, \d, \d\): "):
+        ct.qc_unique_skew(alg)
 
 
 def test_qc_unique_skew_specialized_parameter():

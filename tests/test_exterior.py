@@ -299,6 +299,29 @@ def test_vector_dimension_mismatch_raises(op):
             op(a, b)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.compose(b), lambda a, b: a.commutator(b)],
+    ids=["add", "sub", "compose", "commutator"],
+)
+def test_endo_dimension_mismatch_raises(op):
+    # unchecked, identity(3) + identity(5) is a dim-3 Endo with entries at (3, 3) and (4, 4)
+    small, large = Endo.identity(3), Endo.identity(5)
+    for a, b in ((small, large), (large, small), (Endo.zero(3), large)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(a, b)
+    assert op(small, Endo.identity(3)).dim == 3
+
+
+def test_basis_vector_rejects_an_out_of_range_index():
+    for bad in (-1, 7, 12):
+        with pytest.raises(IndexError, match=rf"basis index {bad} outside \[0, 7\)"):
+            Vector.basis(7, bad)
+    with pytest.raises(IndexError):
+        algebra.build(1).basis_vector(12)
+    assert Vector.basis(7, 0)[0] == ONE and Vector.basis(7, 6)[6] == ONE
+
+
 def test_endo_negation_and_subtraction():
     a = Endo(3, {(0, 1): LAM, (1, 0): -LAM, (2, 2): 3})
     b = Endo(3, {(0, 1): LAM, (2, 0): 1})

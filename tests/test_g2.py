@@ -11,6 +11,7 @@ from qhg.exterior import (
     form_inner,
     hodge_star,
     interior,
+    two_form_endo,
     wedge,
 )
 from qhg.linalg import FractionSpan
@@ -77,6 +78,23 @@ def test_genericity(alg, omega):
     assert g2.genericity_check(alg, omega)
     degenerate = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3))
     assert not g2.genericity_check(alg, degenerate)
+
+
+def test_readings_at_one_reject_a_mixed_degree_input(alg, omega, split):
+    """genericity, parallel_spinor and splitting_dimensions read l = 1 only after
+    certifying that their input is homogeneous in l; a mixed degree raises at its index."""
+    bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3))
+    with pytest.raises(ArithmeticError, match=r"^Hitchin form at index \(\d, \d\): "):
+        g2.genericity_check(alg, omega + bump.scale(LAM))
+    assert g2.genericity_check(alg, omega.scale(LAM))  # degree 3, definite at every l
+    can = cn.canonical_connection(alg)
+    tilt = two_form_endo(wedge(alg.theta(1), alg.theta(2)))
+    mixed = cn.Connection([can.form(0) + tilt] + can.omega[1:])
+    with pytest.raises(ArithmeticError, match=r"^lifted connection form 0 at index \(\d, \d\): "):
+        g2.parallel_spinor(alg, mixed)
+    bad = g2.SpinorSplitting(split.psi0, [split.vertical[0].scale(LAM + 1)], split.horizontal)
+    with pytest.raises(ArithmeticError, match=r"^spinor at index \d: .* is not a monomial"):
+        g2.splitting_dimensions(bad)
 
 
 def _rat_matrix(rows):

@@ -1,23 +1,26 @@
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from qhg import cone, connections, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
+from qhg.scalars import Scalar
 
 
 # SHA-256 of the full formal JSON report; any change to its bytes shows here
 GOLDEN_DIGESTS = {
     1: "e4f3f187f2c15dee80b29d324b611fb1d2a05aef0f6efb69aadf88b3b1afa578",
     2: "17e0d7ecfac26d20298203b0d8f2083a4a9d686e49220aa35e65f4e6d52841f7",
-    3: "9c8f81e40e6194c284748b6b6fb8b4262166ed7b17ea33110be582137b4145d4",
+    3: "c0f68f2e41f2c8fba925ec0af16e21af7745f5b4fc09f7dff529d77eb61c4689",
 }
 
 
@@ -46,6 +49,44 @@ def test_specialized_parameter_report():
     ricci = next(c for c in rep.checks if c.name == "connection.ricci")
     assert ricci.values["s_connection"] == "-240"
     assert ricci.values["s_riemannian"] == "-36"
+
+
+# a monomial as Scalar prints it: l, -l, c*l, l^k, -l^k, c*l^k
+_MONOMIAL = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*|(-))?l(?:\^(-?\d+))?$")
+
+
+def _read_at(value: str, q: Fraction) -> str:
+    """A formal value string at l = q: c*l^k prints as c*q^k, a rational as itself."""
+    m = _MONOMIAL.match(value)
+    if m is None:
+        assert "l" not in value, value
+        return value
+    coeff = Fraction(m[1]) if m[1] else Fraction(-1 if m[2] else 1)
+    return str(Scalar(coeff * q ** int(m[3] or 1)))
+
+
+@lru_cache(maxsize=None)
+def _formal_checks(p: int):
+    return json.loads(run(ReportConfig(p=p, suites=("all",), fmt="json")).to_json())["checks"]
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(2, 7), Fraction(5)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_lambda_q_is_the_formal_report_at_q(p, q):
+    """`--lambda q` decides every check as the formal report does, and each
+    formal value c*l^k prints as c*q^k: reading l at 1 proves for every q > 0."""
+    formal = _formal_checks(p)
+    at_q = json.loads(run(ReportConfig(p=p, lam=q, suites=("all",), fmt="json")).to_json())["checks"]
+    assert [c["name"] for c in at_q] == [c["name"] for c in formal]
+    read = 0
+    for f, c in zip(formal, at_q):
+        assert (c["status"], c.get("witness")) == (f["status"], f.get("witness")), f["name"]
+        values = f.get("values", {})
+        assert c.get("values", {}).keys() == values.keys(), f["name"]
+        for key, v in values.items():
+            assert c["values"][key] == _read_at(v, q), (f["name"], key)
+            read += "l" in v
+    assert read == {1: 13, 2: 5}[p]  # the values that carry l
 
 
 def test_json_deterministic():
@@ -154,8 +195,9 @@ def test_cli_subprocess_byte_identical():
 def test_skips_reported_for_large_p():
     rep = run(ReportConfig(p=3, suites=("contact", "qc")))
     skipped = {c.name for c in rep.checks if c.status == "skipped"}
-    assert "contact.characteristic-connections" in skipped
-    assert "qc.unique-skew-torsion" in skipped
+    assert skipped == {"contact.characteristic-connections"}
+    unique = next(c for c in rep.checks if c.name == "qc.unique-skew-torsion")
+    assert unique.status == "pass" and unique.values == {"solution_dim": "1"}
 
 
 # SHA-256 of the formal JSON report of `--suite connection` at larger p
@@ -193,10 +235,10 @@ def test_connection_suite_builds_each_tensor_once(monkeypatch):
         monkeypatch.setattr(connections, name, counted)
     rep = run(ReportConfig(p=5, suites=("connection",), fmt="json"))
     assert rep.all_passed and _digest(rep) == CONNECTION_DIGESTS[5]
-    # the canonical and the Levi-Civita curvature; one closure at each of the
-    # two parameter values; one nabla R per frame direction (n = 23)
+    # the canonical and the Levi-Civita curvature; one closure, at l = 1;
+    # one nabla R per frame direction (n = 23)
     assert 1 <= calls["curvature"] <= 2
-    assert 1 <= calls["_holonomy_at"] <= 2
+    assert calls["_holonomy_at"] == 1
     assert 1 <= calls["_nabla_curvature"] <= 23
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhg.scalars import LAM, ONE, ZERO, Scalar
+from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_at_one
 
 
 def rand_scalar(rng):
@@ -52,6 +52,28 @@ def test_specialize():
     assert Scalar({-2: 1}).specialize(Fraction(1, 3)) == 9
     with pytest.raises(ZeroDivisionError):
         Scalar({-1: 1}).specialize(0)
+
+
+def test_homogeneous_at_one_reads_a_common_degree():
+    row = {0: LAM * 3, 1: ZERO, 2: LAM * Fraction(-1, 2)}
+    assert homogeneous_at_one(row) == (1, {0: 3, 1: 0, 2: Fraction(-1, 2)})
+    assert homogeneous_at_one({(0, 1): LAM**-2, (2, 2): LAM**-2 * 5}) == (-2, {(0, 1): 1, (2, 2): 5})
+    assert homogeneous_at_one({0: ZERO, 1: ZERO}) == (None, {0: 0, 1: 0})
+    assert homogeneous_at_one({}) == (None, {})
+    assert homogeneous_at_one({"a": Scalar(Fraction(3, 2))}, degree=0) == (0, {"a": Fraction(3, 2)})
+    _, values = homogeneous_at_one({0: LAM * 2, 1: ZERO})
+    assert all(type(v) is Fraction for v in values.values())
+
+
+def test_homogeneous_at_one_rejects_rows_that_change_rank_with_the_parameter():
+    # [[l, 1], [1, l]] is singular at l = 1 only: no single point decides it
+    for row in ([LAM, ONE], [ONE, LAM]):
+        with pytest.raises(ArithmeticError, match=r"^row at index 1: .* has degree \d in l, expected \d$"):
+            homogeneous_at_one(dict(enumerate(row)), "row")
+    with pytest.raises(ArithmeticError, match=r"at index \(2, 0\): l \+ 1 is not a monomial"):
+        homogeneous_at_one({(0, 0): ZERO, (2, 0): LAM + 1})
+    with pytest.raises(ArithmeticError, match=r"at index 0: 2\*l has degree 1 in l, expected 0"):
+        homogeneous_at_one({0: LAM * 2}, degree=0)
 
 
 def test_rational_value():
