@@ -10,13 +10,11 @@ for the metric; its parameter enters through the brackets
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
 
-from .exterior import Endo, KForm, Vector, wedge
+from .exterior import Endo, KForm, Vector, _vector, wedge
 from .linalg import nullspace
-from .scalars import LAM, Scalar
+from .scalars import LAM, Scalar, accumulate, graded, part, rational
 
 # quaternion unit table (1, i, j, k): _QUAT[a][b] = (sign, index of a*b)
 _QUAT = [
@@ -40,30 +38,44 @@ class StructureConstants:
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
         self.dim = dim
         self._sc = structure
-        # _rows[i][j] = [e_i, e_j] for every nonzero bracket, both orders
-        self._rows: list[dict[int, Vector]] = [{} for _ in range(dim)]
+        # _parts[i][j] = [(d, den, {k: int})], the parts of [e_i, e_j] in both
+        # orders; a negative den negates (see scalars.graded)
+        self._parts: list[dict[int, list]] = [{} for _ in range(dim)]
         for (i, j), v in structure.items():
-            self._rows[i][j] = v
-            self._rows[j][i] = -v
+            self._parts[i][j] = [(d, den, e) for d, (den, e) in v.parts.items()]
+            self._parts[j][i] = [(d, -den, e) for d, (den, e) in v.parts.items()]
         self._d1: list[KForm | None] = [None] * dim
 
     def basis_vector(self, index: int) -> Vector:
         return Vector.basis(self.dim, index)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        v = self._rows[i].get(j)
-        return v if v is not None else Vector.zero(self.dim)
+        v = self._sc.get((i, j))
+        if v is not None:
+            return v
+        v = self._sc.get((j, i))
+        return -v if v is not None else Vector.zero(self.dim)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension over the nonzero components of x and y."""
-        out = Vector.zero(self.dim)
-        for i, xi in x.comps.items():
-            row = self._rows[i]
-            for j, yj in y.comps.items():
-                v = row.get(j)
-                if v is not None:
-                    out = out + v.scale(xi * yj)
-        return out
+        acc: dict[tuple[int, int], dict[int, int]] = {}  # (degree, den) -> sums
+        table = self._parts
+        for dx, (nx, ex) in x.parts.items():
+            for i, a in ex.items():
+                row = table[i]
+                if not row:
+                    continue
+                for dy, (ny, ey) in y.parts.items():
+                    for j, b in ey.items():
+                        for d, den, v in row.get(j, ()):
+                            sums = acc.setdefault((dx + dy + d, nx * ny * den), {})
+                            ab = a * b
+                            for k, c in v.items():
+                                accumulate(sums, k, ab * c)
+        if len(acc) == 1:  # one (degree, den): the usual case
+            (((d, den), e),) = acc.items()
+            return _vector(self.dim, part(d, den, e))
+        return _vector(self.dim, graded((d, den, e) for (d, den), e in acc.items()) if acc else {})
 
     def d_basis_one_form(self, index: int) -> KForm:
         """Chevalley-Eilenberg differential of the index-th basis 1-form."""
@@ -183,17 +195,26 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
     """Exact Jacobi identity over all basis triples i < j < k.
 
     Returns the lexicographically first triple with a nonzero cyclic sum.
-    A sum runs only over the nonzero brackets among its three vectors.
+    A sum runs only over the nonzero brackets among its three vectors; the
+    table holds [e_i, e_k] for i < k, so [[e_k, e_i], e_j] is read as its
+    negative.
     """
-    for i, j, k in combinations(range(sc.dim), 3):
-        total = None
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            v = sc._rows[a].get(b)
-            if v is not None:
-                term = sc.bracket(v, sc.basis_vector(c))
-                total = term if total is None else total + term
-        if total is not None and not total.is_zero():
-            return False, (i, j, k)
+    n, get = sc.dim, sc._sc.get
+    basis = [sc.basis_vector(c) for c in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = get((i, j))
+            for k in range(j + 1, n):
+                jk, ik = get((j, k)), get((i, k))
+                if ij is None and jk is None and ik is None:
+                    continue
+                raw = []  # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j]
+                for v, c, sign in ((ij, k, 1), (jk, i, 1), (ik, j, -1)):
+                    if v is not None:
+                        for d, (den, e) in sc.bracket(v, basis[c]).parts.items():
+                            raw.append((d, sign * den, e))
+                if raw and graded(raw):
+                    return False, (i, j, k)
     return True, None
 
 
@@ -206,10 +227,11 @@ def center_dimension(sc: StructureConstants) -> int:
     n = sc.dim
     rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
     for (i, j), v in sc._sc.items():
-        for k, c in v.comps.items():
-            for e, q in c.terms():
-                rows.setdefault((j, k, e), defaultdict(Fraction))[i] += q
-                rows.setdefault((i, k, e), defaultdict(Fraction))[j] -= q
+        for e, (den, entries) in v.parts.items():
+            for k, c in entries.items():
+                q = rational(c, den)
+                accumulate(rows.setdefault((j, k, e), {}), i, q)
+                accumulate(rows.setdefault((i, k, e), {}), j, -q)
     return len(nullspace(list(rows.values()), n))
 
 
@@ -218,7 +240,7 @@ def two_step_nilpotent(sc: StructureConstants, center: tuple[int, ...]) -> bool:
     bracket of a bracket vanishes."""
     n = sc.dim
     brackets = [sc.bracket_basis(i, j) for i in range(n) for j in range(n)]
-    return all(k in center for v in brackets for k in v.comps) and all(
+    return all(k in center for v in brackets for _, e in v.parts.values() for k in e) and all(
         sc.bracket(v, sc.basis_vector(k)).is_zero() for v in brackets for k in range(n)
     )
 

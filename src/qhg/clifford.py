@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import quat_mul
-from .exterior import Endo, KForm, Vector, endo_two_form
+from .exterior import Endo, KForm, Vector, _combination, _endo, _vector, endo_two_form
 
 SPIN_DIM = 8
 AMBIENT_DIM = 7
@@ -84,10 +84,11 @@ def clifford_matrix(a: KForm) -> Endo:
     """Clifford action of a form: basis tuples become ordered products."""
     if a.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
-    out = Endo.zero(SPIN_DIM)
-    for idx, c in a.comps.items():
-        out = out + gamma_product(idx).scale(c)
-    return out
+    return _endo(SPIN_DIM, _combination(
+        (d, den, c, gamma_product(idx).parts)
+        for d, (den, e) in a.parts.items()
+        for idx, c in e.items()
+    ))
 
 
 def clifford_action(a: KForm, s: Vector) -> Vector:
@@ -99,11 +100,11 @@ def vector_action(x: Vector, s: Vector) -> Vector:
     if x.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {x.dim}")
     g = gamma()
-    out = Vector.zero(SPIN_DIM)
-    for i, c in enumerate(x):
-        if not c.is_zero():
-            out = out + g[i].apply(s).scale(c)
-    return out
+    return _vector(SPIN_DIM, _combination(
+        (d, den, c, g[i].apply(s).parts)
+        for d, (den, e) in x.parts.items()
+        for i, c in e.items()
+    ))
 
 
 def spin_lift(a: Endo) -> Endo:
@@ -112,10 +113,7 @@ def spin_lift(a: Endo) -> Endo:
     This is the unique normalization with [lift(A), g(X)] = g(AX).
     """
     two_form = endo_two_form(a)  # rejects non-skew input
-    out = Endo.zero(SPIN_DIM)
-    for (i, j), c in two_form.comps.items():
-        out = out + gamma_product((i, j)).scale(c)
-    return out.scale(Fraction(1, 2))
+    return clifford_matrix(two_form).scale(Fraction(1, 2))
 
 
 def relations_check() -> bool:

@@ -22,15 +22,21 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _combination,
+    _commutator,
+    _product,
+    _endo,
     _kform,
+    _rows,
     _sort_tuple,
+    _vector,
     ce_differential,
     interior,
     two_form_endo,
     wedge,
 )
 from .linalg import FractionSpan
-from .scalars import ZERO, Scalar, homogeneous_at_one
+from .scalars import ZERO, Scalar, accumulate, graded, homogeneous_at_one, parts_of, rational
 
 
 class Connection:
@@ -49,10 +55,11 @@ class Connection:
         return self.omega[index]
 
     def form_of(self, x: Vector) -> Endo:
-        out = Endo.zero(self.dim)
-        for i, c in x.comps.items():
-            out = out + self.omega[i].scale(c)
-        return out
+        return _endo(self.dim, _combination(
+            (dx, nx, c, self.omega[i].parts)
+            for dx, (nx, ex) in x.parts.items()
+            for i, c in ex.items()
+        ))
 
 
 class CurvatureTensor:
@@ -88,19 +95,18 @@ def levi_civita(alg: QHAlgebra) -> Connection:
     lands in one entry of each of the three terms.
     """
     n = alg.dim
-    sums: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
-
-    def put(i: int, key: tuple[int, int], c: Scalar):
-        sums[i][key] = sums[i].get(key, ZERO) + c
-
+    # per direction: (degree, den) -> integer sums, halved through the den
+    sums: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            for m, c in alg.bracket_basis(a, b).comps.items():
-                put(a, (m, b), c)
-                put(m, (b, a), -c)
-                put(b, (a, m), c)
-    half = Fraction(1, 2)
-    return Connection([Endo(n, {k: v * half for k, v in e.items()}) for e in sums])
+            for d, (den, e) in alg.bracket_basis(a, b).parts.items():
+                for m, c in e.items():
+                    accumulate(sums[a].setdefault((d, den), {}), (m, b), c)
+                    accumulate(sums[m].setdefault((d, den), {}), (b, a), -c)
+                    accumulate(sums[b].setdefault((d, den), {}), (a, m), c)
+    return Connection([
+        _endo(n, graded((d, 2 * den, acc) for (d, den), acc in s.items())) for s in sums
+    ])
 
 
 def with_torsion(alg: QHAlgebra, t: KForm) -> Connection:
@@ -254,17 +260,19 @@ class Geometry:
         n = self.alg.dim
         tor = self.torsion_tensor
         for (i, j), v in tor.items():
-            for k, c in v.comps.items():
+            for k in {k for _, e in v.parts.values() for k in e}:
                 if k == i or k == j:
                     return None
                 # compare against the slot-swapped value T(e_i, e_k, e_j)
-                a, b = (i, k) if i < k else (k, i)
-                w = tor.get((a, b), Vector.zero(n))
-                swapped = w[j] if i < k else -w[j]
-                if not (c + swapped).is_zero():
+                w = tor.get((i, k) if i < k else (k, i), Vector.zero(n))
+                if not _cancels(v.parts, k, w.parts, j, 1 if i < k else -1):
                     return None
-        comps = {(i, j, k): v[k] for (i, j), v in tor.items() for k in sorted(v.comps) if k > j}
-        return KForm(n, 3, comps)
+        raw = (
+            (d, den, {(i, j, k): c for k, c in e.items() if k > j})
+            for (i, j), v in tor.items()
+            for d, (den, e) in v.parts.items()
+        )
+        return _kform(n, 3, graded(raw))
 
     @cached_property
     def curvature(self) -> CurvatureTensor:
@@ -278,14 +286,17 @@ class Geometry:
         adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
         subtracts from Ric(e_i, .).
         """
-        entries: dict[tuple[int, int], Scalar] = {}
-        for (i, j), e in self.curvature.values.items():
-            for (row, b), v in e.m.items():
-                if row == i:
-                    entries[(j, b)] = entries.get((j, b), ZERO) + v
-                elif row == j:
-                    entries[(i, b)] = entries.get((i, b), ZERO) - v
-        return Endo(self.alg.dim, entries)
+        raw = []
+        for (i, j), r in self.curvature.values.items():
+            for d, (den, e) in r.parts.items():
+                acc: dict[tuple[int, int], int] = {}
+                for (row, b), v in e.items():
+                    if row == i:
+                        accumulate(acc, (j, b), v)
+                    elif row == j:
+                        accumulate(acc, (i, b), -v)
+                raw.append((d, den, acc))
+        return _endo(self.alg.dim, graded(raw))
 
     @cached_property
     def holonomy(self) -> list[Endo]:
@@ -328,9 +339,11 @@ class Geometry:
         table: dict[tuple[int, int], Vector] = {}
 
         def put(x: int, y: int, coords: list[Scalar], v: Vector):
-            w = Vector(list(coords) + list(v))
-            if not w.is_zero():
-                table[(x, y)] = w
+            raw = [(d, den, e) for d, (den, e) in parts_of(dict(enumerate(coords))).items()]
+            raw += [(d, den, {h + k: c for k, c in e.items()}) for d, (den, e) in v.parts.items()]
+            parts = graded(raw)
+            if parts:
+                table[(x, y)] = _vector(h + n, parts)
 
         for a, b in combinations(range(h), 2):
             coords = hol_coords(hol[a].commutator(hol[b]))
@@ -380,34 +393,49 @@ class Geometry:
         t3 = self.torsion_form
         if t3 is None:
             raise ValueError("torsion of this connection is not totally skew")
-        defect: dict[tuple[int, ...], Scalar] = {}
+        # the defect per (degree, den) of its terms; `graded` sums them at the end
+        buckets: dict[tuple[int, int], dict] = {}
 
-        def put(triple: tuple[int, int, int], v: int, c: Scalar):
+        def put(acc: dict, triple: tuple[int, int, int], v: int, c: int):
             sign, key = _sort_tuple(triple)
             if sign:
-                key += (v,)
-                defect[key] = defect.get(key, ZERO) + (c if sign > 0 else -c)
+                accumulate(acc, key + (v,), c if sign > 0 else -c)
 
-        for (i, j), e in self.curvature.values.items():
-            for (v, k), c in e.m.items():  # g(R(e_i, e_j) e_k, e_v) = c
-                put((i, j, k), v, c)
-        for idx, c in ce_differential(t3, self.alg).comps.items():
-            for s in range(4):  # dT(the other three slots, idx[s]) = (-1)^(3-s) c
-                put(idx[:s] + idx[s + 1 :], idx[s], -c if s % 2 else c)
-        for v, d in enumerate(nabla_tensor(self.conn, t3)):
-            for idx, c in d.comps.items():
-                put(idx, v, -c)
-        slices: dict[int, list[tuple[int, int, Scalar]]] = {}
-        for (a, b, c), w in t3.comps.items():
-            slices.setdefault(c, []).append((a, b, w))
-            slices.setdefault(b, []).append((a, c, -w))
-            slices.setdefault(a, []).append((b, c, w))
-        for pairs in slices.values():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
-            for i, j, s in pairs:
-                for k, v, t in pairs:
-                    put((i, j, k), v, s * t)
-                    put((i, j, v), k, -(s * t))
-        return all(d.is_zero() for d in defect.values())
+        for (i, j), r in self.curvature.values.items():
+            for d, (den, e) in r.parts.items():
+                acc = buckets.setdefault((d, den), {})
+                for (v, k), c in e.items():  # g(R(e_i, e_j) e_k, e_v) = c
+                    put(acc, (i, j, k), v, c)
+        for d, (den, e) in ce_differential(t3, self.alg).parts.items():
+            acc = buckets.setdefault((d, den), {})
+            for idx, c in e.items():
+                for s in range(4):  # dT(the other three slots, idx[s]) = (-1)^(3-s) c
+                    put(acc, idx[:s] + idx[s + 1 :], idx[s], -c if s % 2 else c)
+        for v, nt in enumerate(nabla_tensor(self.conn, t3)):
+            for d, (den, e) in nt.parts.items():
+                acc = buckets.setdefault((d, den), {})
+                for idx, c in e.items():
+                    put(acc, idx, v, -c)
+        slices = {d: (den, _torsion_slices(e)) for d, (den, e) in t3.parts.items()}
+        for d1, (n1, s1) in slices.items():
+            for d2, (n2, s2) in slices.items():
+                acc = buckets.setdefault((d1 + d2, n1 * n2), {})
+                for m, pairs in s1.items():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
+                    for i, j, s in pairs:
+                        for k, v, t in s2.get(m, ()):
+                            put(acc, (i, j, k), v, s * t)
+                            put(acc, (i, j, v), k, -(s * t))
+        return not graded((d, den, acc) for (d, den), acc in buckets.items())
+
+
+def _torsion_slices(e: dict) -> dict[int, list[tuple[int, int, int]]]:
+    """m -> [(a, b, T_abm)] with a < b, from the integer entries of a 3-form part."""
+    slices: dict[int, list[tuple[int, int, int]]] = {}
+    for (a, b, c), w in e.items():
+        slices.setdefault(c, []).append((a, b, w))
+        slices.setdefault(b, []).append((a, c, -w))
+        slices.setdefault(a, []).append((b, c, w))
+    return slices
 
 
 # -- the public (alg, conn) readers of one bundle field ----------------------
@@ -461,24 +489,20 @@ def first_bianchi_check(alg: QHAlgebra, conn: Connection) -> bool:
 
 def _act_on_form(a: Endo, f: KForm) -> KForm:
     """Natural so(n) action on a k-form: (A.f)(..Y..) = -sum f(..AY..)."""
-    rows: dict[int, list[tuple[int, Scalar]]] = {}
-    for (r, b), v in a.m.items():
-        rows.setdefault(r, []).append((b, v))
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in f.comps.items():
-        for t, i in enumerate(idx):
-            # A acts on the dual basis by A.e^i = -sum_b A[i,b] e^b
-            for b, v in rows.get(i, ()):
-                sign, key = _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
-                if sign == 0:
-                    continue
-                term = c * v
-                cur = comps.get(key, ZERO) - (term if sign > 0 else -term)
-                if cur.is_zero():
-                    comps.pop(key, None)
-                else:
-                    comps[key] = cur
-    return _kform(f.dim, f.degree, comps)
+
+    def act(ea: dict, ef: dict) -> dict:
+        rows = _rows(ea)
+        acc: dict = {}
+        for idx, c in ef.items():
+            for t, i in enumerate(idx):
+                # A acts on the dual basis by A.e^i = -sum_b A[i,b] e^b
+                for b, v in rows.get(i, ()):
+                    sign, key = _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
+                    if sign:
+                        accumulate(acc, key, -c * v if sign > 0 else c * v)
+        return acc
+
+    return _kform(f.dim, f.degree, _product(a.parts, f.parts, act))
 
 
 def nabla_tensor(conn: Connection, tensor):
@@ -503,23 +527,47 @@ def nabla_tensor(conn: Connection, tensor):
 
 
 def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> CurvatureTensor:
+    """(nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j),
+    summed for each (i, j) in one pass over the parts."""
     n = r.dim
     if a.is_zero():
         return CurvatureTensor(n, {})
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for (row, col), v in a.m.items():
-        cols.setdefault(col, []).append((row, v))
+    # column c of A: [(row, degree, den, entry)]
+    cols: dict[int, list[tuple[int, int, int, int]]] = {}
+    for d, (den, e) in a.parts.items():
+        for (row, col), v in e.items():
+            cols.setdefault(col, []).append((row, d, den, v))
+
+    def minus_r(pair: tuple[int, int], da: int, na: int, v: int) -> list:
+        """Raw parts of -(v l^da / na) R(e_a, e_b) for pair = (a, b)."""
+        sign, key = _sort_tuple(pair)
+        term = r.values.get(key) if sign else None
+        if term is None:
+            return []
+        return [
+            (da + d, -sign * na * den, {k: v * w for k, w in e.items()})
+            for d, (den, e) in term.parts.items()
+        ]
+
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
-            d = a.commutator(r.endo(i, j))
+            raw = []
+            rij = r.values.get((i, j))
+            if rij is not None:
+                raw += [
+                    (da + d, na * den, _commutator(ea, e))
+                    for da, (na, ea) in a.parts.items()
+                    for d, (den, e) in rij.parts.items()
+                ]
             # argument slots: -R(A e_i, e_j) - R(e_i, A e_j)
-            for row, v in cols.get(i, ()):
-                d = d - r.endo(row, j).scale(v)
-            for row, v in cols.get(j, ()):
-                d = d - r.endo(i, row).scale(v)
-            if not d.is_zero():
-                values[(i, j)] = d
+            for row, da, na, v in cols.get(i, ()):
+                raw += minus_r((row, j), da, na, v)
+            for row, da, na, v in cols.get(j, ()):
+                raw += minus_r((i, row), da, na, v)
+            parts = graded(raw)
+            if parts:
+                values[(i, j)] = _endo(n, parts)
     return CurvatureTensor(n, values)
 
 
@@ -532,13 +580,14 @@ def is_parallel(conn: Connection, tensor) -> bool:
 
 def _flatten(e: Endo, label="endomorphism", degree=None) -> dict[int, Fraction]:
     """The row-major entries of e at l = 1, certified homogeneous in l."""
-    _, values = homogeneous_at_one(e.m, label, degree)
+    _, values = homogeneous_at_one(e, label, degree)
     return {r * e.dim + c: v for (r, c), v in values.items()}
 
 
 def _at_one(e: Endo, label: str) -> Endo:
-    """e at l = 1, certified homogeneous in l."""
-    return Endo(e.dim, homogeneous_at_one(e.m, label)[1])
+    """e at l = 1, certified homogeneous in l: its one part, moved to degree 0."""
+    d, _ = homogeneous_at_one(e, label)
+    return _endo(e.dim, {0: e.parts[d]} if e.parts else {})
 
 
 def _holonomy_at(geo: Geometry) -> list[Endo]:
@@ -580,11 +629,12 @@ def _holonomy_at(geo: Geometry) -> list[Endo]:
 def invariant_subspace(basis: list[Endo], indices: tuple[int, ...]) -> bool:
     """Whether span(e_i : i in indices) is preserved by every endo."""
     inside = set(indices)
-    for e in basis:
-        for (r, c), v in e.m.items():
-            if c in inside and r not in inside and not v.is_zero():
-                return False
-    return True
+    return not any(
+        c in inside and r not in inside
+        for e in basis
+        for _, entries in e.parts.values()
+        for r, c in entries
+    )
 
 
 def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
@@ -627,13 +677,9 @@ def _coordinate_reader(basis: list[Endo], n: int):
         span.add({**_flatten(b, f"basis element {a}", 0), nn + a: Fraction(1)})
 
     def read(e: Endo) -> list[Scalar] | None:
-        by_power: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in e.m.items():
-            for exp, q in v.terms():
-                by_power.setdefault(exp, {})[r * n + c] = q
         coords: list[dict[int, Fraction]] = [{} for _ in range(h)]
-        for exp, t in sorted(by_power.items()):
-            res = span.reduce(t)
+        for exp, (den, entries) in sorted(e.parts.items()):
+            res = span.reduce({r * n + c: rational(v, den) for (r, c), v in entries.items()})
             if min(res, default=nn) < nn:
                 return None
             for j, x in res.items():
@@ -651,13 +697,23 @@ def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, i
     """
     h = table.dim - n
     for i in range(n):
-        m = [table.bracket_basis(h + i, h + j) for j in range(n)]
+        m = [table.bracket_basis(h + i, h + j).parts for j in range(n)]
         bad = [
             (j, k)
             for j in range(n)
-            for k in (c - h for c in m[j].comps if c >= h)
-            if k != i and not (m[j][h + k] + m[k][h + j]).is_zero()
+            for k in {c - h for _, e in m[j].values() for c in e if c >= h}
+            if k != i and not _cancels(m[j], h + k, m[k], h + j)
         ]
         if bad:
             return i, *min(min(bad), min((k, j) for j, k in bad))
     return None
+
+
+def _cancels(a: dict, ka, b: dict, kb, sign: int = 1) -> bool:
+    """Whether entry ka of the parts a plus sign times entry kb of the parts b
+    is zero, degree by degree."""
+    x = {d: (den, e[ka]) for d, (den, e) in a.items() if ka in e}
+    y = {d: (den, e[kb]) for d, (den, e) in b.items() if kb in e}
+    return x.keys() == y.keys() and all(
+        c * y[d][0] + sign * y[d][1] * den == 0 for d, (den, c) in x.items()
+    )

@@ -26,13 +26,14 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _product,
     _sort_tuple,
     ce_differential,
     two_form_endo,
     wedge,
 )
 from .linalg import rref, solve
-from .scalars import ONE, ZERO, Scalar, homogeneous_at_one
+from .scalars import ONE, Scalar, accumulate, graded, homogeneous_at_one
 
 
 class AlmostContact:
@@ -69,7 +70,7 @@ def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> Alm
             plane = alg.quaternionic_plane(r)
             # replace -theta_{p+r} (x) tau_{3p+r} by -theta_r (x) tau_{3p+r}
             del entries[(plane[3], plane[1])]
-            entries[(plane[3], plane[0])] = entries.get((plane[3], plane[0]), 0) - 1
+            accumulate(entries, (plane[3], plane[0]), -1)
     return AlmostContact(Endo(alg.dim, entries), alg.xi(i), alg.eta(i), i)
 
 
@@ -278,44 +279,47 @@ def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
 
 
 def _preserves_splitting(alg: QHAlgebra, conn: Connection) -> bool:
-    for i in range(alg.dim):
-        for (r, c), v in conn.form(i).m.items():
-            if alg.is_vertical(r) != alg.is_vertical(c) and not v.is_zero():
-                return False
-    return True
+    return not any(
+        alg.is_vertical(r) != alg.is_vertical(c)
+        for i in range(alg.dim)
+        for _, e in conn.form(i).parts.values()
+        for r, c in e
+    )
 
 
-def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict[tuple, Scalar]:
-    """Nonzero components of the two tensors the connection form A must annihilate.
+def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
+    """Graded parts of the two tensors the connection form A must annihilate.
 
     Keys ("I", a, b, c, d) hold sum_i [A, I_i] (x) I_i + I_i (x) [A, I_i];
     keys ("xi", s, c, d) hold sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i], the
     Reeb equation with the common factor -lam/2 of the Reeb fields dropped.
-    Only the nonzero entries of A, of the I_i and of the commutators are read.
+    Only the nonzero entries of A, of the I_i and of the commutators are read;
+    the result has no part when A preserves the structure.
     """
-    out: dict[tuple, Scalar] = {}
 
-    def add(key: tuple, v: Scalar):
-        s = out.get(key, ZERO) + v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+    def both_orders(br: dict, e: dict) -> dict:
+        acc: dict = {}
+        for ab, u in br.items():
+            for cd, w in e.items():
+                accumulate(acc, ("I", *ab, *cd), u * w)
+                accumulate(acc, ("I", *cd, *ab), w * u)
+        return acc
 
+    def reeb_first(v: dict, e: dict) -> dict:
+        acc: dict = {}
+        for s, u in v.items():
+            for cd, w in e.items():
+                accumulate(acc, ("xi", s, *cd), u * w)
+        return acc
+
+    raw = []
     for i, e in enumerate(qc.complex_structures, start=1):
         br = a.commutator(e)
-        for ab, u in br.m.items():
-            for cd, w in e.m.items():
-                add(("I", *ab, *cd), u * w)
-                add(("I", *cd, *ab), w * u)
         xi = alg.xi(i)
-        for s, u in a.apply(xi).comps.items():
-            for cd, w in e.m.items():
-                add(("xi", s, *cd), u * w)
-        for s, u in xi.comps.items():
-            for cd, w in br.m.items():
-                add(("xi", s, *cd), u * w)
-    return out
+        terms = ((br, e, both_orders), (a.apply(xi), e, reeb_first), (xi, br, reeb_first))
+        for x, y, kernel in terms:
+            raw += [(d, den, t) for d, (den, t) in _product(x.parts, y.parts, kernel).items()]
+    return graded(raw)
 
 
 def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
@@ -349,7 +353,7 @@ def _qc_functionals(
     is the qc-preserving forms, one distinct sparse row per equation.
 
     B_k runs over the 2-forms e_a ^ e_b, a < b; each row is the transpose of
-    `_qc_defect` at one key, and exact duplicate rows are dropped.
+    `_qc_defect` at one key and degree, and exact duplicate rows are dropped.
     """
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
@@ -357,11 +361,13 @@ def _qc_functionals(
     if require_splitting:
         for v in alg.vertical_indices:
             for h in alg.horizontal_indices:
-                rows[("split", v, h)] = {skew_basis.index((v, h)): Fraction(1)}
+                rows[("split", v, h)] = {skew_basis.index((v, h)): 1}
     for k, ab in enumerate(skew_basis):
-        b_k = two_form_endo(KForm(n, 2, {ab: ONE}))
-        for key, v in _qc_defect(alg, qc, b_k).items():
-            rows.setdefault(key, {})[k] = v.rational_value()
+        b_k = two_form_endo(KForm.basis(n, ab))
+        for d, (den, entries) in _qc_defect(alg, qc, b_k).items():
+            # exact for any den; b_k and the I_i are integral, so here den is 1
+            for key, v in entries.items():
+                rows.setdefault((d, key), {})[k] = v if den == 1 else Fraction(v, den)
     distinct = {tuple(sorted(row.items())) for row in rows.values()}
     return [dict(items) for items in sorted(distinct)]
 

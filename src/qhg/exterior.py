@@ -5,6 +5,11 @@ tuples over the frame 0..n-1.  The basis k-forms are orthonormal (no
 1/k! weights) and the evaluation convention is the determinant one,
 (a^b)(X,Y) = a(X)b(Y) - a(Y)b(X).  Skew endomorphisms and 2-forms are
 identified by  A X = X . a  (interior product), i.e. a(X,Y) = g(AX,Y).
+
+Vectors, forms and endomorphisms keep their entries as graded parts
+{degree: (den, {index: int})} (see `scalars`), and every kernel below
+loops over plain ints; `comps`, `m`, `coeff`, `entry` and indexing build
+Scalars on demand.
 """
 
 from __future__ import annotations
@@ -12,7 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, repeat
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import (
+    ONE,
+    ZERO,
+    Scalar,
+    accumulate,
+    graded,
+    part,
+    parts_of,
+    scalar_at,
+    scalar_sum,
+    scalars_of,
+)
 
 
 def _coeff(x) -> Scalar:
@@ -25,19 +41,121 @@ def _check_dims(a, b):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_indices(dim: int, indices):
+    """Raise IndexError naming the first index outside [0, dim)."""
+    for i in indices:
+        if not 0 <= i < dim:
+            raise IndexError(f"index {i} outside [0, {dim})")
+
+
+# -- graded kernels over the parts {degree: (den, {index: int})} ----------------
+
+
+def _merge(a: dict, b: dict, sign: int) -> dict:
+    """Parts of a + sign * b."""
+    if not b:
+        return a
+    if not a and sign > 0:
+        return b
+    raw = [(d, den, e) for d, (den, e) in a.items()]
+    raw += [(d, sign * den, e) for d, (den, e) in b.items()]
+    return graded(raw)
+
+
+def _negate(a: dict) -> dict:
+    return {d: (den, {k: -v for k, v in e.items()}) for d, (den, e) in a.items()}
+
+
+def _scale(a: dict, c) -> dict:
+    """Parts of c * a for a scalar c."""
+    return _combination(
+        (d, den, v, a) for d, (den, e) in parts_of({0: c}).items() for v in e.values()
+    )
+
+
+def _product(a: dict, b: dict, kernel) -> dict:
+    """Parts of a bilinear product given on integer entries by kernel(ea, eb)."""
+    if len(a) == 1 and len(b) == 1:  # homogeneous operands: one product part
+        ((da, (na, ea)),) = a.items()
+        ((db, (nb, eb)),) = b.items()
+        return part(da + db, na * nb, kernel(ea, eb))
+    return graded(
+        (da + db, na * nb, kernel(ea, eb))
+        for da, (na, ea) in a.items()
+        for db, (nb, eb) in b.items()
+    )
+
+
+def _combination(terms) -> dict:
+    """Parts of sum c l^d / den * T over the terms (d, den, c, parts of T)."""
+    return graded(
+        (d + dt, den * nt, {k: c * v for k, v in et.items()})
+        for d, den, c, parts in terms
+        for dt, (nt, et) in parts.items()
+    )
+
+
+def _inner(a: dict, b: dict) -> Scalar:
+    """Sum over the common indices of the products of the entries of a and b."""
+    return scalar_sum(
+        (da + db, na * nb, sum(v * eb[k] for k, v in ea.items() if k in eb))
+        for da, (na, ea) in a.items()
+        for db, (nb, eb) in b.items()
+    )
+
+
+def _rows(e: dict) -> dict[int, list[tuple[int, int]]]:
+    """Row index -> [(column, entry)] of the integer entries of one part."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (r, c), v in e.items():
+        rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _compose(ea: dict, eb: dict, acc: dict | None = None, sign: int = 1) -> dict:
+    """Integer matrix product ea * eb, added with `sign` into acc."""
+    acc = {} if acc is None else acc
+    rows = _rows(eb)
+    for (r, k), v in ea.items():
+        row = rows.get(k)
+        if row:
+            v *= sign
+            for c, w in row:
+                accumulate(acc, (r, c), v * w)
+    return acc
+
+
+def _commutator(ea: dict, eb: dict) -> dict:
+    return _compose(eb, ea, _compose(ea, eb), -1)
+
+
+def _apply(ea: dict, ex: dict) -> dict:
+    acc: dict = {}
+    for (r, c), v in ea.items():
+        xc = ex.get(c)
+        if xc:
+            accumulate(acc, r, v * xc)
+    return acc
+
+
 class Vector:
     """Element of the frame space, components in the orthonormal frame.
 
-    `comps` maps index -> nonzero Scalar, like KForm.comps; indexing and
-    iteration still see all `dim` components, zeros included.
+    `parts` holds the nonzero components; `comps` maps index -> nonzero
+    Scalar, like KForm.comps, and indexing and iteration see all `dim`
+    components, zeros included.
     """
 
-    __slots__ = ("dim", "comps")
+    __slots__ = ("dim", "parts")
 
     def __init__(self, components):
-        comps = [_coeff(c) for c in components]
-        self.dim = len(comps)
-        self.comps = {i: c for i, c in enumerate(comps) if not c.is_zero()}
+        components = list(components)
+        self.dim = len(components)
+        self.parts = parts_of(dict(enumerate(components)))
+
+    @property
+    def comps(self) -> dict[int, Scalar]:
+        return scalars_of(self.parts)
 
     @staticmethod
     def zero(dim: int) -> "Vector":
@@ -47,12 +165,12 @@ class Vector:
     def basis(dim: int, index: int) -> "Vector":
         if not 0 <= index < dim:
             raise IndexError(f"basis index {index} outside [0, {dim})")
-        return _vector(dim, {index: ONE})
+        return _vector(dim, {0: (1, {index: 1})})
 
     def __getitem__(self, i: int) -> Scalar:
         if not -self.dim <= i < self.dim:
             raise IndexError("vector index out of range")
-        return self.comps.get(i % self.dim, ZERO)
+        return scalar_at(self.parts, i % self.dim)
 
     def __iter__(self):
         return map(self.comps.get, range(self.dim), repeat(ZERO))
@@ -61,80 +179,56 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return _vector(self.dim, _merge(self.comps, other.comps, 1))
+        return _vector(self.dim, _merge(self.parts, other.parts, 1))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return _vector(self.dim, _merge(self.comps, other.comps, -1))
+        return _vector(self.dim, _merge(self.parts, other.parts, -1))
 
     def __neg__(self) -> "Vector":
-        return _vector(self.dim, {i: -a for i, a in self.comps.items()})
+        return _vector(self.dim, _negate(self.parts))
 
     def scale(self, c) -> "Vector":
-        c = _coeff(c)
-        if c.is_zero():
-            return Vector.zero(self.dim)
-        # no zero divisors: nonzero times nonzero stays nonzero
-        return _vector(self.dim, {i: c * a for i, a in self.comps.items()})
+        return _vector(self.dim, _scale(self.parts, c))
 
     def dot(self, other: "Vector") -> Scalar:
         """Inner product of the orthonormal frame."""
         self._check(other)
-        out = ZERO
-        for i, a in self.comps.items():
-            b = other.comps.get(i)
-            if b is not None:
-                out = out + a * b
-        return out
+        return _inner(self.parts, other.parts)
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.parts
 
     def dual(self) -> "KForm":
         """Metric-dual 1-form (trivial in an orthonormal frame)."""
-        return KForm(self.dim, 1, {(i,): self.comps[i] for i in sorted(self.comps)})
+        parts = {d: (den, {(i,): v for i, v in e.items()}) for d, (den, e) in self.parts.items()}
+        return _kform(self.dim, 1, parts)
 
     def __eq__(self, other):
-        return isinstance(other, Vector) and self.dim == other.dim and self.comps == other.comps
+        return isinstance(other, Vector) and self.dim == other.dim and self.parts == other.parts
 
     def __repr__(self):
         return f"Vector({[str(c) for c in self]})"
 
 
-# Raw constructors over dicts that already hold only nonzero scalars.
+# Raw constructors over parts already in normal form; no index check.
 
 
-def _vector(dim: int, v: dict[int, Scalar]) -> Vector:
+def _vector(dim: int, parts: dict) -> Vector:
     out = Vector.__new__(Vector)
-    out.dim, out.comps = dim, v
+    out.dim, out.parts = dim, parts
     return out
 
 
-def _kform(dim: int, degree: int, comps: dict[tuple[int, ...], Scalar]) -> "KForm":
+def _kform(dim: int, degree: int, parts: dict) -> "KForm":
     out = KForm.__new__(KForm)
-    out.dim, out.degree, out.comps = dim, degree, comps
+    out.dim, out.degree, out.parts = dim, degree, parts
     return out
 
 
-def _endo(dim: int, m: dict[tuple[int, int], Scalar]) -> "Endo":
+def _endo(dim: int, parts: dict) -> "Endo":
     out = Endo.__new__(Endo)
-    out.dim, out.m = dim, m
-    return out
-
-
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    """a + sign * b on sparse dicts of nonzero scalars, zeros dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v if sign > 0 else -v
-            continue
-        w = w + v if sign > 0 else w - v
-        if w.is_zero():
-            del out[k]
-        else:
-            out[k] = w
+    out.dim, out.parts = dim, parts
     return out
 
 
@@ -153,9 +247,12 @@ def _sort_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class KForm:
-    """Alternating k-tensor, sparse map from increasing index tuples."""
+    """Alternating k-tensor, sparse over increasing index tuples.
 
-    __slots__ = ("dim", "degree", "comps")
+    `comps` maps each index tuple with a nonzero coefficient to its Scalar.
+    """
+
+    __slots__ = ("dim", "degree", "parts")
 
     def __init__(self, dim: int, degree: int, comps: dict | None = None):
         if not 0 <= degree <= dim:
@@ -164,20 +261,20 @@ class KForm:
         self.degree = degree
         clean: dict[tuple[int, ...], Scalar] = {}
         for idx, c in (comps or {}).items():
+            _check_indices(dim, idx)
             c = _coeff(c)
             if c.is_zero():
                 continue
             if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
             sign, key = _sort_tuple(tuple(idx))
-            if sign == 0:
-                continue
-            cur = clean.get(key, ZERO) + (c if sign > 0 else -c)
-            if cur.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = cur
-        self.comps = clean
+            if sign:
+                accumulate(clean, key, c if sign > 0 else -c)
+        self.parts = parts_of(clean)
+
+    @property
+    def comps(self) -> dict[tuple[int, ...], Scalar]:
+        return scalars_of(self.parts)
 
     @staticmethod
     def zero(dim: int, degree: int) -> "KForm":
@@ -195,11 +292,11 @@ class KForm:
         sign, key = _sort_tuple(tuple(idx))
         if sign == 0:
             return ZERO
-        c = self.comps.get(key, ZERO)
+        c = scalar_at(self.parts, key)
         return c if sign > 0 else -c
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self.parts
 
     _check = _check_dims
 
@@ -207,62 +304,56 @@ class KForm:
         self._check(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        return _kform(self.dim, self.degree, _merge(self.comps, other.comps, 1))
+        return _kform(self.dim, self.degree, _merge(self.parts, other.parts, 1))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return _kform(self.dim, self.degree, {k: -v for k, v in self.comps.items()})
+        return _kform(self.dim, self.degree, _negate(self.parts))
 
     def scale(self, c) -> "KForm":
-        c = _coeff(c)
-        comps = {} if c.is_zero() else {k: c * v for k, v in self.comps.items()}
-        return _kform(self.dim, self.degree, comps)
+        return _kform(self.dim, self.degree, _scale(self.parts, c))
 
     def __eq__(self, other):
         return (
             isinstance(other, KForm)
             and self.dim == other.dim
             and self.degree == other.degree
-            and self.comps == other.comps
+            and self.parts == other.parts
         )
 
     def evaluate(self, *vectors: Vector) -> Scalar:
-        """Evaluate on vectors via the determinant convention."""
+        """Evaluate on vectors via the determinant convention:
+        f(v_1, .., v_k) = v_k . ( .. (v_1 . f))."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
-        out = ZERO
-        for idx, c in self.comps.items():
-            out = out + c * _det([[v[i] for i in idx] for v in vectors])
-        return out
+        parts = self.parts
+        for v in vectors:
+            _check_dims(v, self)
+            parts = _product(v.parts, parts, _interior)
+        return scalar_at(parts, ())
 
     def __str__(self):
-        if not self.comps:
+        if not self.parts:
             return "0"
-        parts = [f"({c})e{list(k)}" for k, c in sorted(self.comps.items())]
-        return " + ".join(parts)
+        return " + ".join(f"({c})e{list(k)}" for k, c in self.comps.items())
 
     __repr__ = __str__
 
 
-def _det(rows: list[list[Scalar]]) -> Scalar:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    out = ZERO
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
 # -- core operations -------------------------------------------------------
+
+
+def _wedge(ea: dict, eb: dict) -> dict:
+    acc: dict = {}
+    for ia, va in ea.items():
+        sa = set(ia)
+        for ib, vb in eb.items():
+            if sa.isdisjoint(ib):
+                sign, key = _sort_tuple(ia + ib)
+                accumulate(acc, key, va * vb if sign > 0 else -va * vb)
+    return acc
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -272,20 +363,17 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k > a.dim:
         # everything above top degree vanishes
         return KForm.zero(a.dim, a.dim)
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for ia, ca in a.comps.items():
-        sa = set(ia)
-        for ib, cb in b.comps.items():
-            if sa & set(ib):
-                continue
-            sign, key = _sort_tuple(ia + ib)
-            c = ca * cb
-            cur = comps.get(key, ZERO) + (c if sign > 0 else -c)
-            if cur.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = cur
-    return _kform(a.dim, k, comps)
+    return _kform(a.dim, k, _product(a.parts, b.parts, _wedge))
+
+
+def _interior(ex: dict, ea: dict) -> dict:
+    acc: dict = {}
+    for idx, c in ea.items():
+        for t, i in enumerate(idx):
+            xi = ex.get(i)
+            if xi:
+                accumulate(acc, idx[:t] + idx[t + 1 :], xi * c if t % 2 == 0 else -xi * c)
+    return acc
 
 
 def interior(x: Vector, a: KForm) -> KForm:
@@ -294,30 +382,21 @@ def interior(x: Vector, a: KForm) -> KForm:
         raise ValueError(f"dimension mismatch: {x.dim} vs {a.dim}")
     if a.degree == 0:
         raise ValueError("interior product needs degree >= 1")
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in a.comps.items():
-        for t, i in enumerate(idx):
-            xi = x[i]
-            if xi.is_zero():
-                continue
-            key = idx[:t] + idx[t + 1 :]
-            term = xi * c
-            cur = comps.get(key, ZERO) + (term if t % 2 == 0 else -term)
-            if cur.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = cur
-    return _kform(a.dim, a.degree - 1, comps)
+    return _kform(a.dim, a.degree - 1, _product(x.parts, a.parts, _interior))
 
 
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the orthonormal frame, e_0^...^e_{n-1} positive."""
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for idx, c in a.comps.items():
-        comp = tuple(i for i in range(a.dim) if i not in idx)
-        sign, _ = _sort_tuple(idx + comp)
-        comps[comp] = c if sign > 0 else -c
-    return KForm(a.dim, a.dim - a.degree, comps)
+    frame = range(a.dim)
+    parts = {}
+    for d, (den, e) in a.parts.items():
+        starred = {}
+        for idx, c in e.items():
+            comp = tuple(i for i in frame if i not in idx)
+            sign, _ = _sort_tuple(idx + comp)
+            starred[comp] = c if sign > 0 else -c
+        parts[d] = (den, starred)
+    return _kform(a.dim, a.dim - a.degree, parts)
 
 
 def form_inner(a: KForm, b: KForm) -> Scalar:
@@ -325,130 +404,119 @@ def form_inner(a: KForm, b: KForm) -> Scalar:
     a._check(b)
     if a.degree != b.degree:
         raise ValueError("degree mismatch in form inner product")
-    small, large = (a.comps, b.comps) if len(a.comps) <= len(b.comps) else (b.comps, a.comps)
-    out = ZERO
-    for k, v in small.items():
-        w = large.get(k)
-        if w is not None:
-            out = out + v * w
-    return out
+    return _inner(a.parts, b.parts)
 
 
 class Endo:
-    """Linear endomorphism of the frame space, sparse matrix of scalars."""
+    """Linear endomorphism of the frame space, a sparse matrix.
 
-    __slots__ = ("dim", "m")
+    `m` maps each (row, column) with a nonzero entry to its Scalar.
+    """
+
+    __slots__ = ("dim", "parts")
 
     def __init__(self, dim: int, entries: dict | None = None):
+        entries = entries or {}
+        for key in entries:
+            _check_indices(dim, key)
         self.dim = dim
-        self.m: dict[tuple[int, int], Scalar] = {}
-        for (r, c), v in (entries or {}).items():
-            v = _coeff(v)
-            if not v.is_zero():
-                self.m[(r, c)] = v
+        self.parts = parts_of(entries)
+
+    @property
+    def m(self) -> dict[tuple[int, int], Scalar]:
+        return scalars_of(self.parts)
 
     @staticmethod
     def zero(dim: int) -> "Endo":
-        return Endo(dim)
+        return _endo(dim, {})
 
     @staticmethod
     def identity(dim: int) -> "Endo":
-        return Endo(dim, {(i, i): ONE for i in range(dim)})
+        return _endo(dim, {0: (1, {(i, i): 1 for i in range(dim)})} if dim else {})
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.m.get((r, c), ZERO)
+        return scalar_at(self.parts, (r, c))
 
     def is_zero(self) -> bool:
-        return not self.m
+        return not self.parts
 
     def is_skew(self) -> bool:
-        for (r, c), v in self.m.items():
-            if not (self.m.get((c, r), ZERO) + v).is_zero():
-                return False
-        return True
+        return all(
+            e.get((c, r), 0) == -v for _, e in self.parts.values() for (r, c), v in e.items()
+        )
 
     _check = _check_dims
 
     def apply(self, x: Vector) -> Vector:
         self._check(x)
-        out: dict[int, Scalar] = {}
-        for (r, c), v in self.m.items():
-            xc = x.comps.get(c)
-            if xc is not None:
-                out[r] = out.get(r, ZERO) + v * xc
-        return _vector(self.dim, {r: v for r, v in out.items() if not v.is_zero()})
+        return _vector(self.dim, _product(self.parts, x.parts, _apply))
 
     def column(self, c: int) -> Vector:
-        return _vector(self.dim, {r: v for (r, cc), v in self.m.items() if cc == c})
+        return _vector(self.dim, graded(
+            (d, den, {r: v for (r, cc), v in e.items() if cc == c})
+            for d, (den, e) in self.parts.items()
+        ))
 
     def __add__(self, other: "Endo") -> "Endo":
         self._check(other)
-        return _endo(self.dim, _merge(self.m, other.m, 1))
+        return _endo(self.dim, _merge(self.parts, other.parts, 1))
 
     def __sub__(self, other: "Endo") -> "Endo":
         self._check(other)
-        return _endo(self.dim, _merge(self.m, other.m, -1))
+        return _endo(self.dim, _merge(self.parts, other.parts, -1))
 
     def __neg__(self) -> "Endo":
-        return _endo(self.dim, {k: -v for k, v in self.m.items()})
+        return _endo(self.dim, _negate(self.parts))
 
     def scale(self, c) -> "Endo":
-        c = _coeff(c)
-        return _endo(self.dim, {} if c.is_zero() else {k: c * v for k, v in self.m.items()})
+        return _endo(self.dim, _scale(self.parts, c))
 
     def compose(self, other: "Endo") -> "Endo":
         """Matrix product self * other."""
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Endo.zero(self.dim)
-        rows: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, c), v in other.m.items():
-            rows.setdefault(r, []).append((c, v))
-        m: dict[tuple[int, int], Scalar] = {}
-        for (r, k), v in self.m.items():
-            for c, w in rows.get(k, ()):
-                key = (r, c)
-                s = m.get(key, ZERO) + v * w
-                if s.is_zero():
-                    m.pop(key, None)
-                else:
-                    m[key] = s
-        return _endo(self.dim, m)
+        return _endo(self.dim, _product(self.parts, other.parts, _compose))
 
     def commutator(self, other: "Endo") -> "Endo":
-        return self.compose(other) - other.compose(self)
+        self._check(other)
+        return _endo(self.dim, _product(self.parts, other.parts, _commutator))
 
     def trace(self) -> Scalar:
-        out = ZERO
-        for (r, c), v in self.m.items():
-            if r == c:
-                out = out + v
-        return out
+        return scalar_sum(
+            (d, den, sum(v for (r, c), v in e.items() if r == c))
+            for d, (den, e) in self.parts.items()
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Endo) and self.dim == other.dim and self.m == other.m
+        return isinstance(other, Endo) and self.dim == other.dim and self.parts == other.parts
 
     def __repr__(self):
-        return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in sorted(self.m.items()))}}})"
+        return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in self.m.items())}}})"
 
 
 def two_form_endo(a: KForm) -> Endo:
     """Skew endomorphism of a 2-form: A X = X . a."""
     if a.degree != 2:
         raise ValueError("expected a 2-form")
-    entries: dict[tuple[int, int], Scalar] = {}
-    for (i, j), c in a.comps.items():
-        entries[(j, i)] = c
-        entries[(i, j)] = -c
-    return Endo(a.dim, entries)
+    parts = {}
+    for d, (den, e) in a.parts.items():
+        entries = {}
+        for (i, j), c in e.items():
+            entries[(j, i)] = c
+            entries[(i, j)] = -c
+        parts[d] = (den, entries)
+    return _endo(a.dim, parts)
 
 
 def endo_two_form(a: Endo) -> KForm:
     """Inverse of two_form_endo; rejects non-skew input."""
     if not a.is_skew():
         raise ValueError("endomorphism is not skew")
-    comps = {(i, j): a.entry(j, i) for (j, i) in a.m if i < j}
-    return KForm(a.dim, 2, comps)
+    # the entries below the diagonal carry every value of a skew matrix up to sign
+    parts = {
+        d: (den, {(i, j): v for (j, i), v in e.items() if i < j})
+        for d, (den, e) in a.parts.items()
+    }
+    return _kform(a.dim, 2, parts)
 
 
 def ce_differential(a: KForm, alg) -> KForm:
@@ -462,17 +530,20 @@ def ce_differential(a: KForm, alg) -> KForm:
         raise ValueError("form does not live on this algebra")
     if a.degree == 0 or a.degree == a.dim:
         return KForm.zero(a.dim, min(a.degree + 1, a.dim))
-    out = KForm.zero(a.dim, a.degree + 1)
-    for idx, c in a.comps.items():
-        for t, i in enumerate(idx):
-            di = alg.d_basis_one_form(i)
-            if di.is_zero():
-                continue
-            front = KForm.basis(a.dim, idx[:t])
-            back = KForm.basis(a.dim, idx[t + 1 :])
-            term = wedge(wedge(front, di), back).scale(c)
-            out = out + (term if t % 2 == 0 else term.scale(-1))
-    return out
+    # d e^I = sum_t (-1)^t e^{I[:t]} ^ d e^{I[t]} ^ e^{I[t+1:]}, one sort per term
+    d1 = [alg.d_basis_one_form(i).parts for i in range(a.dim)]
+    buckets: dict[tuple[int, int], dict] = {}
+    for d, (den, e) in a.parts.items():
+        for idx, c in e.items():
+            for t, i in enumerate(idx):
+                for dd, (dden, de) in d1[i].items():
+                    acc = buckets.setdefault((d + dd, den * dden), {})
+                    for pq, w in de.items():
+                        sign, key = _sort_tuple(idx[:t] + pq + idx[t + 1 :])
+                        if sign:
+                            accumulate(acc, key, c * w if (sign > 0) == (t % 2 == 0) else -c * w)
+    parts = graded((d, den, acc) for (d, den), acc in buckets.items())
+    return _kform(a.dim, a.degree + 1, parts)
 
 
 def consistency_check(alg) -> bool:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
+from .scalars import accumulate
+
 Row = dict[int, Fraction]
 
 
@@ -43,12 +45,9 @@ def _check(v: Row, ncols: int, index: int | None = None) -> None:
 
 def _subtract(dst: Row, c: Fraction, src: Row) -> None:
     """dst -= c * src in place, dropping the entries that cancel."""
+    c = -c
     for j, x in src.items():
-        y = dst.get(j, 0) - c * x
-        if y:
-            dst[j] = y
-        else:
-            del dst[j]
+        accumulate(dst, j, c * x)
 
 
 def _reduce(red: dict[int, Row], v: Row) -> Row:

@@ -11,13 +11,24 @@ l = 1, which then decides the question for every positive value.
 A stored coefficient is an ``int`` when integral and a ``Fraction`` only
 when not (`_norm`), so integral sums and products are plain ``int``
 operations; division and negative powers go through ``Fraction``.  No
-``int`` leaves this module: `coeff`, `rational_value`, `terms` and
+``int`` leaves a `Scalar`: `coeff`, `rational_value`, `terms` and
 `specialize` return ``Fraction``; printing, ``==`` and hashing agree.
+
+Tensors do not hold a `Scalar` per entry.  They hold graded parts
+``{degree: (den, {index: int})}``: the entry at an index is
+``sum_d entries_d[index] / den_d * l^d``.  A part in normal form has
+``den > 0``, ``gcd(den, *entries) == 1`` and no zero entry, and no part is
+empty, so equal tensors have equal parts.  A product of parts adds the
+degrees and multiplies the denominators; `graded` brings parts of one
+degree to the lcm of their denominators and restores the normal form.
+A report's tensors have one part each, except the vectors of the hol + m
+table, whose curvature coordinates and torsion sit at two degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -214,27 +225,177 @@ class Scalar:
 
 
 def homogeneous_at_one(entries, label: str = "entries", degree: int | None = None):
-    """(d, values): the common l-degree d of the scalars in the mapping
-    `entries` and their values at l = 1, under the same keys.
+    """(d, values): the common l-degree d of the entries and their values at
+    l = 1, under the same keys.
 
+    `entries` is a mapping of scalars, or a tensor with graded `parts`.
     Every nonzero entry must be a monomial c*l^d of one degree d (`degree`,
     when given).  Then at any l > 0 the entries are l^d > 0 times the values,
     so a rank, span, kernel or definiteness read at l = 1 holds for every
-    l > 0.  Zeros are allowed; d is None when all entries are zero.  Raises
+    l > 0.  A mapping keeps its zeros (value 0) and gives d = None when all
+    entries are zero; a tensor lists its nonzero entries only.  Raises
     ArithmeticError naming the first index that fails.
     """
+    parts = getattr(entries, "parts", None)
+    if parts is not None:
+        return _homogeneous_parts(parts, label, degree)
     values = {}
     for index, s in entries.items():
         if len(s._c) > 1:
             raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
         for e in s._c:
             if degree is not None and e != degree:
-                raise ArithmeticError(
-                    f"{label} at index {index}: {s} has degree {e} in l, expected {degree}"
-                )
+                raise _degree_error(label, index, s, e, degree)
             degree = e
         values[index] = Fraction(s._c.get(degree, 0))
     return degree, values
+
+
+def _homogeneous_parts(parts: dict, label: str, degree: int | None):
+    """homogeneous_at_one for graded parts: the single part, read at l = 1.
+
+    A failure names the first index held by two parts (not a monomial),
+    else the first index of the part at a second degree.
+    """
+    if not parts:
+        return degree, {}
+    degrees = sorted(parts)
+    if degree is None:
+        degree = degrees[0]
+    if len(degrees) > 1 or degree not in parts:
+        seen: set = set()
+        shared: set = set()
+        for d in degrees:
+            keys = parts[d][1].keys()
+            shared |= seen & keys
+            seen |= keys
+        if shared:
+            index = min(shared)
+            s = scalar_at(parts, index)
+            raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
+        d = next(d for d in degrees if d != degree)
+        index = min(parts[d][1])
+        raise _degree_error(label, index, scalar_at(parts, index), d, degree)
+    den, entries = parts[degree]
+    if den == 1:
+        return degree, dict(entries)
+    return degree, {k: Fraction(v, den) for k, v in entries.items()}
+
+
+def _degree_error(label, index, s, e, degree) -> ArithmeticError:
+    return ArithmeticError(f"{label} at index {index}: {s} has degree {e} in l, expected {degree}")
+
+
+# -- graded parts ---------------------------------------------------------------
+
+
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value in place, dropping the entry when it cancels.
+
+    The one sparse accumulation of the package: every kernel that sums
+    terms into a dict goes through here.
+    """
+    s = acc.get(key, 0) + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def graded(raw) -> dict:
+    """Normal-form parts of the sum of raw parts (degree, den, entries).
+
+    A raw den is a nonzero int, negative to negate its part; entries are
+    nonzero ints, which may share a factor with den.  Parts of one degree
+    are brought to the lcm of their denominators.  No input dict is
+    changed, and an input dict may be shared by the result.
+    """
+    by_degree: dict[int, list] = {}
+    for d, den, entries in raw:
+        if not entries:
+            continue
+        cur = by_degree.get(d)
+        if cur is None:
+            by_degree[d] = [den, entries, False]
+            continue
+        den0, acc, owned = cur
+        common = lcm(den0, den)
+        f0 = common // den0
+        if f0 != 1 or not owned:
+            acc = {k: v * f0 for k, v in acc.items()} if f0 != 1 else dict(acc)
+        f = common // den
+        for k, v in entries.items():
+            accumulate(acc, k, v * f)
+        cur[:] = common, acc, True
+    out = {}
+    for d, (den, entries, _) in by_degree.items():
+        if entries:
+            out[d] = _normal(den, entries)
+    return out
+
+
+def part(d: int, den: int, entries: dict) -> dict:
+    """graded([(d, den, entries)]): the parts of one raw part."""
+    return {d: _normal(den, entries)} if entries else {}
+
+
+def _normal(den: int, entries: dict) -> tuple[int, dict]:
+    """(den, entries) with den > 0 and the content divided out."""
+    if den == 1:
+        return 1, entries
+    g = gcd(den, *entries.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, entries
+    return den // g, {k: v // g for k, v in entries.items()}
+
+
+def parts_of(mapping) -> dict:
+    """Normal-form parts of a mapping index -> Scalar (or int or Fraction)."""
+    by_degree: dict[int, dict] = {}
+    for key, s in mapping.items():
+        if not isinstance(s, Scalar):
+            s = Scalar(s)
+        for e, q in s._c.items():
+            by_degree.setdefault(e, {})[key] = q
+    out = {}
+    for e, coeffs in by_degree.items():
+        # the lcm of the reduced denominators shares no factor with every numerator
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        out[e] = (den, {k: q.numerator * (den // q.denominator) for k, q in coeffs.items()})
+    return out
+
+
+def rational(v: int, den: int):
+    """v / den in the stored form of a Scalar coefficient."""
+    if den == 1:
+        return v
+    q = Fraction(v, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def scalars_of(parts: dict) -> dict:
+    """index -> nonzero Scalar, in sorted index order, built from the parts."""
+    coeffs: dict = {}
+    for d, (den, entries) in parts.items():
+        for k, v in entries.items():
+            coeffs.setdefault(k, {})[d] = rational(v, den)
+    return {k: _wrap(coeffs[k]) for k in sorted(coeffs)}
+
+
+def scalar_at(parts: dict, key) -> Scalar:
+    """The entry at one index, as a Scalar."""
+    return _wrap({d: rational(e[key], den) for d, (den, e) in parts.items() if key in e})
+
+
+def scalar_sum(raw) -> Scalar:
+    """The Scalar sum of raw terms (degree, den, int)."""
+    raw = [(d, den, {0: v}) for d, den, v in raw if v]
+    if len(raw) == 1:
+        ((d, den, e),) = raw
+        return _wrap({d: rational(e[0], den)})
+    return scalar_at(graded(raw), 0)
 
 
 def _wrap(c: dict[int, int | Fraction]) -> Scalar:

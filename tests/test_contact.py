@@ -169,6 +169,35 @@ def test_qc_unique_skew(p):
     assert torsion == cn.canonical_torsion(alg)
 
 
+@pytest.mark.parametrize("p, dim", [(1, 6), (2, 13), (3, 24)])
+def test_qc_functionals_cut_out_sp_p_plus_sp_1(p, dim):
+    """The skew forms preserving the qc structure are sp(p) + sp(1), of
+    dimension 2p^2 + p + 3, with or without the splitting rows."""
+    alg = algebra.build(p)
+    nb = alg.dim * (alg.dim - 1) // 2
+    assert dim == 2 * p * p + p + 3
+    for require_splitting in (True, False):
+        rows = ct._qc_functionals(alg, ct.build_qc(alg), require_splitting)
+        assert all(type(v) is int for row in rows for v in row.values())
+        assert nb - len(rref(rows, nb)[0]) == dim
+
+
+@pytest.mark.parametrize("p, dim", [(1, 9), (2, 16)])
+def test_qc_kernel_grows_without_the_reeb_rows(p, dim):
+    # negative control: the "I" rows alone leave the kernel larger than sp(p) + sp(1)
+    alg = algebra.build(p)
+    qc = ct.build_qc(alg)
+    n = alg.dim
+    rows = {}
+    for k, ab in enumerate(combinations(range(n), 2)):
+        for d, (den, e) in ct._qc_defect(alg, qc, _rotation(alg, *ab)).items():
+            for key, v in e.items():
+                if key[0] == "I":
+                    rows.setdefault((d, key), {})[k] = Fraction(v, den)
+    nb = n * (n - 1) // 2
+    assert nb - len(rref(list(rows.values()), nb)[0]) == dim != 2 * p * p + p + 3
+
+
 def test_qc_unique_skew_without_splitting_constraint():
     # the Reeb-tensor condition forces the splitting for skew forms, so
     # dropping the explicit splitting rows does not enlarge the space
@@ -215,7 +244,7 @@ def test_qc_vertical_rotation_breaks_only_the_reeb_equation(p):
     assert ct._preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
     defect = ct._qc_defect(alg, ct.build_qc(alg), rot)
-    assert defect and {key[0] for key in defect} == {"xi"}
+    assert defect and {key[0] for _, e in defect.values() for key in e} == {"xi"}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -227,7 +256,7 @@ def test_qc_horizontal_rotation_off_the_commutant_is_rejected(p):
     conn = _connection_with_form(alg, 3, rot)
     assert ct._preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
-    halves = {key[0] for key in ct._qc_defect(alg, qc, rot)}
+    halves = {key[0] for _, e in ct._qc_defect(alg, qc, rot).values() for key in e}
     # at p = 1 every horizontal rotation lies in so(4) = sp(1) + sp(1), which
     # keeps sum_i I_i (x) I_i, so there only the Reeb equation can break
     assert halves == ({"xi"} if p == 1 else {"I", "xi"})

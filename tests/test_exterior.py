@@ -322,6 +322,20 @@ def test_basis_vector_rejects_an_out_of_range_index():
     assert Vector.basis(7, 0)[0] == ONE and Vector.basis(7, 6)[6] == ONE
 
 
+def test_constructors_reject_indices_outside_the_frame():
+    for bad, entries in ((5, {(5, 0): 1}), (-1, {(0, -1): 1}), (3, {(1, 3): ZERO})):
+        with pytest.raises(IndexError, match=rf"^index {bad} outside \[0, 3\)$"):
+            Endo(3, entries)
+    # unchecked, KForm(3, 1, {(7,): 1}) wedged with e[9] gave e[7, 9] in dimension 3
+    for bad, comps in ((7, {(7,): 1}), (9, {(9,): LAM}), (-2, {(-2,): 1})):
+        with pytest.raises(IndexError, match=rf"^index {bad} outside \[0, 3\)$"):
+            KForm(3, 1, comps)
+    with pytest.raises(IndexError, match=r"^index 3 outside \[0, 3\)$"):
+        KForm.basis(3, (0, 3))
+    assert Endo(3, {(2, 0): 1, (0, 2): 0}).m == {(2, 0): ONE}
+    assert KForm(3, 2, {(2, 0): 1}) == KForm.basis(3, (0, 2)).scale(-1)
+
+
 def test_endo_negation_and_subtraction():
     a = Endo(3, {(0, 1): LAM, (1, 0): -LAM, (2, 2): 3})
     b = Endo(3, {(0, 1): LAM, (2, 0): 1})

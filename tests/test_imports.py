@@ -95,3 +95,74 @@ def test_specialize_guard_flags_a_sampled_parameter():
     assert specialize_calls(nested) == ["f:3"]
     assert specialize_calls("x = s.specialize(1)\n") == ["<module>:1"]
     assert specialize_calls("def f(s):\n    return homogeneous_at_one([s]), specialize(s)\n") == []
+
+
+def hand_accumulations(source: str) -> list[str]:
+    """`scope:line` of every sparse accumulation written out by hand: a
+    `<dict>.get(<key>, ZERO)` or `<dict>.get(<key>, 0)` added or subtracted,
+    and a `<dict>.pop(<key>, None)` under an `if`.  A method is scoped
+    `Class.method`."""
+    tree = ast.parse(source)
+    scope, in_if, owner = {}, set(), {}
+    for node in ast.walk(tree):  # outer scopes first, so the innermost name wins
+        if isinstance(node, ast.ClassDef):
+            owner.update(dict.fromkeys(node.body, node.name + "."))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope.update(dict.fromkeys(ast.walk(node), owner.get(node, "") + node.name))
+        elif isinstance(node, ast.If):
+            in_if.update(n for branch in node.body + node.orelse for n in ast.walk(branch))
+
+    def call(node, attr, default):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr
+            and len(node.args) == 2
+            and default(node.args[1])
+        )
+
+    def zero(arg):
+        return (isinstance(arg, ast.Name) and arg.id == "ZERO") or (
+            isinstance(arg, ast.Constant) and arg.value == 0 and arg.value is not None
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            if call(node.left, "get", zero) or call(node.right, "get", zero):
+                found.append(node)
+        elif node in in_if and call(node, "pop", lambda a: isinstance(a, ast.Constant)):
+            found.append(node)
+    return [f"{scope.get(n, '<module>')}:{n.lineno}" for n in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_only_the_accumulation_helper_sums_into_a_sparse_dict():
+    """Every kernel sums through `scalars.accumulate`; the Scalar ring operations
+    keep their own Laurent-coefficient arithmetic."""
+    for path in sorted(SRC.glob("*.py")):
+        found = hand_accumulations(path.read_text())
+        if path.name == "scalars.py":
+            found = [f for f in found if not f.startswith(("accumulate:", "Scalar."))]
+        assert found == [], path.name
+
+
+def test_accumulation_guard_flags_a_hand_written_sum():
+    # the wedge kernel as it read before the one accumulation helper
+    wedge = (
+        "def wedge(a, b):\n"
+        "    comps = {}\n"
+        "    for ia, ca in a.comps.items():\n"
+        "        for ib, cb in b.comps.items():\n"
+        "            cur = comps.get(ia + ib, ZERO) + ca * cb\n"
+        "            if cur.is_zero():\n"
+        "                comps.pop(ia + ib, None)\n"
+        "            else:\n"
+        "                comps[ia + ib] = cur\n"
+    )
+    assert hand_accumulations(wedge) == ["wedge:5", "wedge:7"]
+    ricci = "class G:\n    def ricci(self, e, k, v):\n        e[k] = e.get(k, 0) - v\n"
+    assert hand_accumulations(ricci) == ["G.ricci:3"]
+    assert hand_accumulations("x = d.get(k, ZERO) + 1\n") == ["<module>:1"]
+    # the helper, a comparison and an unconditional pop are not hand-written sums
+    helper = "def f(d, k, v):\n    accumulate(d, k, v)\n    return d.get(k, 0) < 0, d.pop(k, None)\n"
+    assert hand_accumulations(helper) == []
