@@ -233,57 +233,30 @@ def homogeneous_at_one(entries, label: str = "entries", degree: int | None = Non
     when given).  Then at any l > 0 the entries are l^d > 0 times the values,
     so a rank, span, kernel or definiteness read at l = 1 holds for every
     l > 0.  A mapping keeps its zeros (value 0) and gives d = None when all
-    entries are zero; a tensor lists its nonzero entries only.  Raises
-    ArithmeticError naming the first index that fails.
+    entries are zero; a tensor lists its nonzero entries only, read from its
+    single part.  Raises ArithmeticError naming the first index that fails,
+    in sorted order for a tensor.
     """
     parts = getattr(entries, "parts", None)
     if parts is not None:
-        return _homogeneous_parts(parts, label, degree)
+        if not parts:
+            return degree, {}
+        if len(parts) == 1 and (degree is None or degree in parts):  # the single part
+            ((degree, (den, e)),) = parts.items()
+            return degree, dict(e) if den == 1 else {k: Fraction(v, den) for k, v in e.items()}
+        entries = scalars_of(parts)  # fails below, at the first index in sorted order
     values = {}
     for index, s in entries.items():
         if len(s._c) > 1:
             raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
         for e in s._c:
             if degree is not None and e != degree:
-                raise _degree_error(label, index, s, e, degree)
+                raise ArithmeticError(
+                    f"{label} at index {index}: {s} has degree {e} in l, expected {degree}"
+                )
             degree = e
         values[index] = Fraction(s._c.get(degree, 0))
     return degree, values
-
-
-def _homogeneous_parts(parts: dict, label: str, degree: int | None):
-    """homogeneous_at_one for graded parts: the single part, read at l = 1.
-
-    A failure names the first index held by two parts (not a monomial),
-    else the first index of the part at a second degree.
-    """
-    if not parts:
-        return degree, {}
-    degrees = sorted(parts)
-    if degree is None:
-        degree = degrees[0]
-    if len(degrees) > 1 or degree not in parts:
-        seen: set = set()
-        shared: set = set()
-        for d in degrees:
-            keys = parts[d][1].keys()
-            shared |= seen & keys
-            seen |= keys
-        if shared:
-            index = min(shared)
-            s = scalar_at(parts, index)
-            raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
-        d = next(d for d in degrees if d != degree)
-        index = min(parts[d][1])
-        raise _degree_error(label, index, scalar_at(parts, index), d, degree)
-    den, entries = parts[degree]
-    if den == 1:
-        return degree, dict(entries)
-    return degree, {k: Fraction(v, den) for k, v in entries.items()}
-
-
-def _degree_error(label, index, s, e, degree) -> ArithmeticError:
-    return ArithmeticError(f"{label} at index {index}: {s} has degree {e} in l, expected {degree}")
 
 
 # -- graded parts ---------------------------------------------------------------

@@ -157,8 +157,9 @@ def test_equal_tensors_have_equal_parts():
 
 
 def test_homogeneous_at_one_rejects_a_second_part():
+    # the first index in sorted order sets the degree; the first other one fails
     two_degrees = Endo(3, {(0, 1): LAM, (2, 0): ONE})
-    message = r"^endo at index \(0, 1\): l has degree 1 in l, expected 0$"
+    message = r"^endo at index \(2, 0\): 1 has degree 0 in l, expected 1$"
     with pytest.raises(ArithmeticError, match=message):
         homogeneous_at_one(two_degrees, "endo")
     shared = Endo(3, {(1, 2): LAM + 1, (0, 0): ONE})
