@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exterior import Endo, KForm, Vector, _vector, wedge
 from .linalg import nullspace
-from .scalars import LAM, Scalar, accumulate, graded, part, rational
+from .scalars import LAM, Scalar, accumulate, graded, part
 
 # quaternion unit table (1, i, j, k): _QUAT[a][b] = (sign, index of a*b)
 _QUAT = [
@@ -222,17 +222,17 @@ def center_dimension(sc: StructureConstants) -> int:
     """Dimension of the center, the exact nullspace of x -> ad(x).
 
     One row per (e_j, output index k, parameter power e) asks that the
-    coefficient of lam^e in [x, e_j]_k vanish.
+    coefficient of lam^e in [x, e_j]_k vanish; the terms of (e_j, k) are
+    raw parts over x, and `graded` brings each power to one denominator.
     """
-    n = sc.dim
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    raw: dict[tuple[int, int], list] = {}
     for (i, j), v in sc._sc.items():
         for e, (den, entries) in v.parts.items():
             for k, c in entries.items():
-                q = rational(c, den)
-                accumulate(rows.setdefault((j, k, e), {}), i, q)
-                accumulate(rows.setdefault((i, k, e), {}), j, -q)
-    return len(nullspace(list(rows.values()), n))
+                raw.setdefault((j, k), []).append((e, den, {i: c}))
+                raw.setdefault((i, k), []).append((e, -den, {j: c}))
+    rows = [row for terms in raw.values() for _, row in graded(terms).values()]
+    return len(nullspace(rows, sc.dim))
 
 
 def two_step_nilpotent(sc: StructureConstants, center: tuple[int, ...]) -> bool:

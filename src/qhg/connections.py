@@ -36,7 +36,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import FractionSpan
-from .scalars import ZERO, Scalar, accumulate, graded, homogeneous_at_one, parts_of, rational
+from .scalars import ZERO, Scalar, accumulate, graded, homogeneous_part, parts_of
 
 
 class Connection:
@@ -578,16 +578,17 @@ def is_parallel(conn: Connection, tensor) -> bool:
 # -- holonomy ----------------------------------------------------------------
 
 
-def _flatten(e: Endo, label="endomorphism", degree=None) -> dict[int, Fraction]:
-    """The row-major entries of e at l = 1, certified homogeneous in l."""
-    _, values = homogeneous_at_one(e, label, degree)
-    return {r * e.dim + c: v for (r, c), v in values.items()}
+def _flatten(e: Endo, label="endomorphism", degree=None) -> dict[int, int]:
+    """The row-major integer entries of e's one part, certified homogeneous
+    in l: e at l = 1 is a positive multiple of them."""
+    _, _, entries = homogeneous_part(e, label, degree)
+    return {r * e.dim + c: v for (r, c), v in entries.items()}
 
 
 def _at_one(e: Endo, label: str) -> Endo:
     """e at l = 1, certified homogeneous in l: its one part, moved to degree 0."""
-    d, _ = homogeneous_at_one(e, label)
-    return _endo(e.dim, {0: e.parts[d]} if e.parts else {})
+    _, den, entries = homogeneous_part(e, label)
+    return _endo(e.dim, {0: (den, entries)} if entries else {})
 
 
 def _holonomy_at(geo: Geometry) -> list[Endo]:
@@ -651,9 +652,11 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
     vertical = alg.vertical_indices
     span = FractionSpan(3)
     for a, e in enumerate(basis):
-        for r in vertical:
-            row = {k: e.entry(r, c) for k, c in enumerate(vertical)}
-            span.add(homogeneous_at_one(row, f"row {r} of holonomy element {a}")[1])
+        for r in vertical:  # each row certified on its own: elements may differ in degree
+            raw = [(d, den, {k: x[r, c] for k, c in enumerate(vertical) if (r, c) in x})
+                   for d, (den, x) in e.parts.items()]
+            row = _vector(3, graded(raw))
+            span.add(homogeneous_part(row, f"row {r} of holonomy element {a}")[2])
     return span.dim == 3  # zero joint kernel
 
 
@@ -674,16 +677,18 @@ def _coordinate_reader(basis: list[Endo], n: int):
     span = FractionSpan(nn + h)
     for a, b in enumerate(basis):
         # degree 0: at degree d the coordinates would be off by l^-d
-        span.add({**_flatten(b, f"basis element {a}", 0), nn + a: Fraction(1)})
+        row = _flatten(b, f"basis element {a}", 0)  # den times b
+        span.add({**row, nn + a: b.parts[0][0] if row else 1})
 
     def read(e: Endo) -> list[Scalar] | None:
         coords: list[dict[int, Fraction]] = [{} for _ in range(h)]
         for exp, (den, entries) in sorted(e.parts.items()):
-            res = span.reduce({r * n + c: rational(v, den) for (r, c), v in entries.items()})
+            # den times the part: its coordinates come back den times too
+            res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
             if min(res, default=nn) < nn:
                 return None
             for j, x in res.items():
-                coords[j - nn][exp] = -x
+                coords[j - nn][exp] = -x / den
         return [Scalar(c) for c in coords]
 
     return read

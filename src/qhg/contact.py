@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .algebra import QHAlgebra, quaternion_action
 from .connections import (
@@ -348,26 +349,32 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
 
 def _qc_functionals(
     alg: QHAlgebra, qc: QcStructure, require_splitting: bool
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int]]:
     """Linear functionals on the skew forms sum_k c_k B_k whose common kernel
-    is the qc-preserving forms, one distinct sparse row per equation.
+    is the qc-preserving forms, one distinct sparse integer row per equation.
 
     B_k runs over the 2-forms e_a ^ e_b, a < b; each row is the transpose of
-    `_qc_defect` at one key and degree, and exact duplicate rows are dropped.
+    `_qc_defect` at one key and degree, times the lcm of the defects'
+    denominators (1 here), and exact duplicate rows are dropped.
     """
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     if require_splitting:
         for v in alg.vertical_indices:
             for h in alg.horizontal_indices:
                 rows[("split", v, h)] = {skew_basis.index((v, h)): 1}
+    common = 1
     for k, ab in enumerate(skew_basis):
         b_k = two_form_endo(KForm.basis(n, ab))
         for d, (den, entries) in _qc_defect(alg, qc, b_k).items():
-            # exact for any den; b_k and the I_i are integral, so here den is 1
+            if common % den:  # exact for any den; b_k and the I_i are integral, so here den is 1
+                f = lcm(common, den) // common
+                common *= f
+                rows = {key: {j: v * f for j, v in row.items()} for key, row in rows.items()}
+            f = common // den
             for key, v in entries.items():
-                rows.setdefault((d, key), {})[k] = v if den == 1 else Fraction(v, den)
+                rows.setdefault((d, key), {})[k] = v * f
     distinct = {tuple(sorted(row.items())) for row in rows.values()}
     return [dict(items) for items in sorted(distinct)]
 
@@ -393,21 +400,30 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     triples = list(combinations(range(n), 3))
     t_index = {t: i for i, t in enumerate(triples)}
     lc = levi_civita(alg)
-    entries = {(x, *rc): v for x in range(n) for rc, v in lc.form(x).m.items()}
-    d, koszul = homogeneous_at_one(entries, "Levi-Civita forms")
+    forms = [lc.form(x).parts for x in range(n)]
+    if len({d for parts in forms for d in parts}) > 1:  # names the first index of another degree
+        entries = {(x, *rc): v for x in range(n) for rc, v in lc.form(x).m.items()}
+        homogeneous_at_one(entries, "Levi-Civita forms")
+    d = next((d for parts in forms for d in parts), None)
 
-    sys_rows: list[dict[int, Fraction]] = []
-    sys_rhs: list[Fraction] = []
+    # the row of form x and functional f, times 2 den_x:
+    # sum_k f_k sign den_x T_(x a b) = -2 sum_k f_k koszul_x(b, a)
+    dens = [lcm(*(c.denominator for c in f.values())) for f in reduced]  # f * den is primitive
+    primitive = [{k: c.numerator * (m // c.denominator) for k, c in f.items()}
+                 for f, m in zip(reduced, dens)]
+    sys_rows: list[dict[int, int]] = []
+    sys_rhs: list[int] = []
     for x in range(n):
-        for functional in reduced:
-            rhs = Fraction(0)
-            row: dict[int, Fraction] = {}
+        den_x, koszul = forms[x].get(d, (1, {}))
+        for functional in primitive:
+            rhs = 0
+            row: dict[int, int] = {}
             for k, coeff in functional.items():
                 a, b = skew_basis[k]
-                rhs -= coeff * koszul.get((x, b, a), 0)
+                rhs -= 2 * coeff * koszul.get((b, a), 0)
                 sign, key = _sort_tuple((x, a, b))
                 if sign:  # distinct (a, b) name distinct triples (x, a, b)
-                    row[t_index[key]] = coeff * Fraction(sign, 2)
+                    row[t_index[key]] = coeff * sign * den_x
             if row or rhs:
                 sys_rows.append(row)
                 sys_rhs.append(rhs)
@@ -415,9 +431,11 @@ def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
     particular, kernel = solve(sys_rows, sys_rhs, len(triples))
     if particular is None:
         return 0, None
-    # verify the particular solution exactly
+    # verify the particular solution exactly, on its integer multiple den * x
+    den = lcm(*(v.denominator for v in particular))
+    xs = [v.numerator * (den // v.denominator) for v in particular]
     for row, rhs in zip(sys_rows, sys_rhs):
-        if sum(v * particular[t] for t, v in row.items()) != rhs:
+        if sum(v * xs[t] for t, v in row.items()) != rhs * den:
             return 0, None
     comps = {t: Scalar.monomial(v, d) for t, v in zip(triples, particular) if v}
     return 1 + len(kernel), KForm(n, 3, comps)

@@ -26,7 +26,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import FractionSpan, nullspace
-from .scalars import ZERO, Scalar, homogeneous_at_one
+from .scalars import ZERO, Scalar, homogeneous_at_one, homogeneous_part
 
 
 def _require_p1(alg: QHAlgebra):
@@ -136,7 +136,7 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
         if om.is_zero():
             continue
         # homogeneous in l: its kernel at l = 1 is its kernel at every l > 0
-        _, lift = homogeneous_at_one(spin_lift(om), f"lifted connection form {i}")
+        _, _, lift = homogeneous_part(spin_lift(om), f"lifted connection form {i}")
         rows.extend({c: v for (r, c), v in lift.items() if r == row} for row in range(8))
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
@@ -184,7 +184,7 @@ def splitting_dimensions(split: SpinorSplitting) -> tuple[int, int, int]:
     for group in ([split.psi0], split.vertical, split.horizontal):
         before = span.dim
         for v in group:
-            span.add(homogeneous_at_one(v, "spinor")[1])
+            span.add(homogeneous_part(v, "spinor")[2])
         dims.append(span.dim - before)
     return tuple(dims)
 

@@ -237,14 +237,9 @@ def homogeneous_at_one(entries, label: str = "entries", degree: int | None = Non
     single part.  Raises ArithmeticError naming the first index that fails,
     in sorted order for a tensor.
     """
-    parts = getattr(entries, "parts", None)
-    if parts is not None:
-        if not parts:
-            return degree, {}
-        if len(parts) == 1 and (degree is None or degree in parts):  # the single part
-            ((degree, (den, e)),) = parts.items()
-            return degree, dict(e) if den == 1 else {k: Fraction(v, den) for k, v in e.items()}
-        entries = scalars_of(parts)  # fails below, at the first index in sorted order
+    if getattr(entries, "parts", None) is not None:
+        degree, den, e = homogeneous_part(entries, label, degree)
+        return degree, dict(e) if den == 1 else {k: Fraction(v, den) for k, v in e.items()}
     values = {}
     for index, s in entries.items():
         if len(s._c) > 1:
@@ -257,6 +252,18 @@ def homogeneous_at_one(entries, label: str = "entries", degree: int | None = Non
             degree = e
         values[index] = Fraction(s._c.get(degree, 0))
     return degree, values
+
+
+def homogeneous_part(tensor, label: str = "entries", degree: int | None = None):
+    """(d, den, entries): the one graded part of a tensor, certified as by
+    `homogeneous_at_one`, so the tensor at l = 1 is entries / den."""
+    parts = tensor.parts
+    if not parts:
+        return degree, 1, {}
+    if len(parts) != 1 or (degree is not None and degree not in parts):
+        homogeneous_at_one(scalars_of(parts), label, degree)  # raises, in sorted index order
+    ((degree, (den, e)),) = parts.items()
+    return degree, den, e
 
 
 # -- graded parts ---------------------------------------------------------------

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from qhg import algebra, connections as cn, contact as ct
 from qhg.exterior import Endo, KForm, ce_differential, two_form_endo
-from qhg.linalg import nullspace, rref
+from qhg.linalg import nullspace, rref, solve
 from qhg.scalars import LAM, ONE, ZERO, Scalar
 
 
@@ -182,6 +183,29 @@ def test_qc_functionals_cut_out_sp_p_plus_sp_1(p, dim):
         assert nb - len(rref(rows, nb)[0]) == dim
 
 
+def test_qc_functionals_are_exact_for_any_defect_denominator(monkeypatch):
+    # the defects are integral here: divide the defect of B_k by k + 2, then undo it on column k
+    alg = algebra.build(1)
+    qc = ct.build_qc(alg)
+    plain = ct._qc_functionals(alg, qc, True)
+    defect, calls = ct._qc_defect, []
+
+    def divided(alg, qc, a):
+        calls.append(a)
+        return {d: (den * (len(calls) + 1), e) for d, (den, e) in defect(alg, qc, a).items()}
+
+    monkeypatch.setattr(ct, "_qc_defect", divided)
+    rows = ct._qc_functionals(alg, qc, True)
+    assert all(type(v) is int for row in rows for v in row.values())
+
+    def primitive(row):
+        g = gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
+        return tuple(sorted((k, v // g) for k, v in row.items()))
+
+    undone = {primitive({k: v * (k + 2) for k, v in row.items()}) for row in rows}
+    assert undone == {primitive(row) for row in plain}
+
+
 @pytest.mark.parametrize("p, dim", [(1, 9), (2, 16)])
 def test_qc_kernel_grows_without_the_reeb_rows(p, dim):
     # negative control: the "I" rows alone leave the kernel larger than sp(p) + sp(1)
@@ -221,6 +245,38 @@ def test_qc_unique_skew_specialized_parameter():
     dim, torsion = ct.qc_unique_skew(alg)
     assert dim == 1
     assert torsion == cn.canonical_torsion(alg)
+
+
+@pytest.mark.parametrize(
+    "p, lam", [(1, Fraction(3, 2)), (1, Fraction(2, 7)), (2, Fraction(5))], ids=["1-3/2", "1-2/7", "2-5"]
+)
+def test_qc_unique_skew_at_a_non_integral_parameter(p, lam):
+    # the Levi-Civita forms carry denominators here, so each form's rows are scaled by its own
+    alg = algebra.build(p, lam)
+    assert any(den != 1 for x in range(alg.dim) for den, _ in cn.levi_civita(alg).form(x).parts.values())
+    assert ct.qc_unique_skew(alg) == (1, cn.canonical_torsion(alg))
+
+
+def _off_by_one(where):
+    """solve, with one unit added to the first rhs or to the first unknown."""
+
+    def perturbed(rows, rhs, ncols):
+        if where == "rhs":
+            rhs = [rhs[0] + 1, *rhs[1:]]
+        x, kernel = solve(rows, rhs, ncols)
+        if where == "solution" and x is not None:
+            x = [x[0] + 1, *x[1:]]
+        return x, kernel
+
+    return perturbed
+
+
+@pytest.mark.parametrize("where", ["rhs", "solution"])
+def test_qc_unique_skew_rejects_a_solution_off_by_one(monkeypatch, where):
+    # negative control: a rhs or a particular solution off by one unit gives no torsion
+    alg = algebra.build(1, Fraction(3, 2))
+    monkeypatch.setattr(ct, "solve", _off_by_one(where))
+    assert ct.qc_unique_skew(alg) == (0, None)
 
 
 # -- the qc-defect map: negative controls and a dense reference ---------------

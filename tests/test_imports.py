@@ -166,3 +166,70 @@ def test_accumulation_guard_flags_a_hand_written_sum():
     # the helper, a comparison and an unconditional pop are not hand-written sums
     helper = "def f(d, k, v):\n    accumulate(d, k, v)\n    return d.get(k, 0) < 0, d.pop(k, None)\n"
     assert hand_accumulations(helper) == []
+
+
+def rational_calls(source: str, callees=("Fraction", "rational")) -> list[str]:
+    """`scope:line` of every call to one of `callees`, by name or attribute.
+    A scope is a top-level function or `Class.method`; a nested function
+    counts in the function around it."""
+    tree = ast.parse(source)
+    scope = {}
+    for top in tree.body:
+        members = [(top, "")]
+        if isinstance(top, ast.ClassDef):
+            members = [(m, top.name + ".") for m in top.body]
+        for node, owner in members:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(node), owner + node.name))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in callees or getattr(node.func, "attr", None) in callees)
+    ]
+    return [f"{scope.get(c, '<module>')}:{c.lineno}" for c in sorted(calls, key=lambda c: c.lineno)]
+
+
+def _functions(source: str) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+
+
+# the linalg functions that read a stored integer row out as Fractions
+LINALG_OUTPUT_READERS = {"_fractions", "solve"}
+# the functions that feed a span the integer parts they hold
+SPAN_FEEDERS = {
+    "algebra.py": {"center_dimension"},
+    "connections.py": {"_flatten", "_coordinate_reader"},
+    "contact.py": {"_qc_functionals"},
+}
+
+
+def test_linalg_builds_fractions_only_in_its_output_readers():
+    source = (SRC / "linalg.py").read_text()
+    assert LINALG_OUTPUT_READERS <= _functions(source)
+    found = rational_calls(source, ("Fraction",))
+    assert [f for f in found if f.split(":")[0] not in LINALG_OUTPUT_READERS] == []
+    assert found  # the readers do build the outputs
+
+
+def test_span_feeders_pass_integer_parts():
+    for name, feeders in SPAN_FEEDERS.items():
+        source = (SRC / name).read_text()
+        assert feeders <= _functions(source), name
+        assert [f for f in rational_calls(source) if f.split(":")[0] in feeders] == [], name
+
+
+def test_rational_call_guard_flags_a_fraction_fed_to_a_span():
+    # the coordinate reader as it read before the integer rows
+    reader = (
+        "def _coordinate_reader(basis, n):\n"
+        "    span.add({**_flatten(b), nn + a: Fraction(1)})\n"
+        "    def read(e):\n"
+        "        return span.reduce({k: rational(v, den) for k, v in e.items()})\n"
+        "    return read\n"
+    )
+    assert rational_calls(reader) == ["_coordinate_reader:2", "_coordinate_reader:4"]
+    method = "class FractionSpan:\n    def add(self, v):\n        return fractions.Fraction(1) / v[0]\n"
+    assert rational_calls(method) == ["FractionSpan.add:3"]
+    assert rational_calls("x = Fraction(1, 2)\n") == ["<module>:1"]
+    assert rational_calls("def f(x):\n    return isinstance(x, Fraction), x.numerator\n") == []

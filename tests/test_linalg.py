@@ -1,6 +1,7 @@
 """The exact elimination kernel: rref, solve, nullspace and FractionSpan."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,3 +235,96 @@ def test_solve_and_nullspace_are_exact_for_int_entries_and_reject_a_float():
         solve([{0: 1}], [0.25], 1)
     with pytest.raises(ValueError, match="row 0 has entry 3.0 at column 0"):
         nullspace([{0: 3.0, 1: 1}], 2)
+
+
+def test_every_output_holds_fractions():
+    # a row that meets no pivot, or only columns past them, is still read out as Fractions
+    span = FractionSpan(3)
+    assert span.reduce({0: 3}) == {0: 3} and _exact([span.reduce({0: 3}).values()])
+    span.add({1: 2})
+    assert span.reduce({0: 3, 1: 4}) == {0: 3}
+    assert _exact([span.reduce({0: 3, 1: 4}).values(), span.reduce({2: 5}).values()])
+    assert _exact(r.values() for r in span.rows.values())
+    red, _ = rref([{0: 4}, {1: 6, 2: 3}], 3)
+    assert red == [{0: 1}, {1: 1, 2: Fraction(1, 2)}] and _exact(r.values() for r in red)
+    x, kernel = solve([{0: 2}, {1: 1, 2: 1}], [4, 1], 3)
+    assert (x, kernel) == ([2, 1, 0], [[0, -1, 1]]) and _exact([x, *kernel])
+    assert _exact(nullspace([{0: 1, 1: 1}], 2))
+
+
+# -- the integer eliminator: stored normal form, column index, Fraction oracle --
+
+big = st.integers(-(10**12), 10**12)
+mixed_entries = st.one_of(
+    st.integers(-3, 3),
+    big,
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    st.builds(Fraction, big, st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    """Sparse rows of int and Fraction entries, some huge, with explicit zeros,
+    zero rows, repeated rows and dependent rows mixed in."""
+    ncols = draw(st.integers(1, 10))
+    row = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=5)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combo"]), max_size=5)):
+        if kind == "zero":
+            rows.append({})
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(mixed_entries), draw(mixed_entries)
+            rows.append({j: s * a.get(j, 0) + t * b.get(j, 0) for j in a.keys() | b.keys()})
+    return ncols, draw(st.permutations(rows))
+
+
+def oracle_reduce(red, v):
+    """v less its combination of the fully reduced Fraction rows red that
+    clears every pivot."""
+    out = {j: Fraction(x) for j, x in v.items() if x}
+    for p in [p for p in out if p in red]:
+        c = out[p]
+        for j, y in red[p].items():
+            out[j] = out.get(j, 0) - c * y
+            if not out[j]:
+                del out[j]
+    return out
+
+
+def oracle_insert(red, v):
+    """Textbook Gauss-Jordan on Fraction rows, pivot at the lowest column."""
+    v = oracle_reduce(red, v)
+    if v:
+        p = min(v)
+        v = {j: x / v[p] for j, x in v.items()}
+        for q, row in red.items():
+            if p in row:
+                red[q] = oracle_reduce({p: v}, row)
+        red[p] = v
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_rows())
+def test_integer_eliminator_keeps_normal_form_index_and_oracle(case):
+    ncols, rows = case
+    span, red = FractionSpan(ncols), {}
+    for v in rows:
+        span.add(v)
+        oracle_insert(red, v)
+        pivots = set(span._rows)
+        for p, (den, e) in span._rows.items():
+            assert den > 0 and gcd(den, *e.values()) == 1
+            assert all(type(x) is int and x for x in e.values())
+            assert min(e) == p and e[p] == den and not set(e) & (pivots - {p})
+        index = {}
+        for p, (_, e) in span._rows.items():
+            for j in e.keys() - {p}:
+                index.setdefault(j, set()).add(p)
+        assert span._cols == index
+        assert span.rows == red
+        for w in rows:
+            assert span.reduce(w) == oracle_reduce(red, w)
