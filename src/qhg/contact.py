@@ -5,7 +5,9 @@ multiplication with the imaginary units and rotate the two complementary
 vertical directions.  Their restrictions to the horizontal space give
 the complex structures of the qc structure; the canonical connection
 preserves all of it, and among metric connections with totally skew
-torsion it is the only one that does.
+torsion it is the only one that does.  Preservation is decided by one
+tensor equation per connection form, the Reeb equation of `_qc_defect`,
+which implies the splitting and the I (x) I equation.
 """
 
 from __future__ import annotations
@@ -279,58 +281,57 @@ def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
     return True
 
 
-def _preserves_splitting(alg: QHAlgebra, conn: Connection) -> bool:
-    return not any(
-        alg.is_vertical(r) != alg.is_vertical(c)
-        for i in range(alg.dim)
-        for _, e in conn.form(i).parts.values()
-        for r, c in e
-    )
-
-
 def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
-    """Graded parts of the two tensors the connection form A must annihilate.
+    """Graded parts of the Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i]
+    at keys (s, c, d), with the common factor -lam/2 of the Reeb fields dropped.
 
-    Keys ("I", a, b, c, d) hold sum_i [A, I_i] (x) I_i + I_i (x) [A, I_i];
-    keys ("xi", s, c, d) hold sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i], the
-    Reeb equation with the common factor -lam/2 of the Reeb fields dropped.
-    Only the nonzero entries of A, of the I_i and of the commutators are read;
-    the result has no part when A preserves the structure.
+    The result has no part exactly when the connection form A preserves the
+    qc structure: the V + H splitting, sum_i I_i (x) I_i and this tensor.
+    The one equation implies the other two for every A, skew or not:
+
+    1. Its entries with s horizontal read sum_i (A xi_i)_s I_i = 0, since
+       each xi_i is vertical.  The I_i are linearly independent, so A maps
+       V into V.
+    2. With s = xi_j they read [A, I_j] = -sum_i (A xi_i)_j I_i, a
+       combination of the I_i.  Each I_i vanishes on V and keeps H, so the
+       block of [A, I_j] mapping H to V is A_VH I_j, with A_VH that block
+       of A, while that of every I_i is 0.  I_j is invertible on H, hence
+       A_VH = 0 and A maps H into H.
+    3. ad_A therefore maps span(I_1, I_2, I_3), a Lie algebra isomorphic to
+       sp(1), into itself, as a derivation (the Jacobi identity).  Every
+       derivation of sp(1) is inner, so [A, I_j] = sum_i c_ij I_i with c
+       skew, and sum_j [A, I_j] (x) I_j + I_j (x) [A, I_j]
+       = sum_ij (c_ij + c_ji) I_i (x) I_j = 0.
+
+    The premises are the quaternion relations I_i^2 = -1 and
+    I_i I_j = I_k = -I_j I_i on H for (i, j, k) cyclic, certified by
+    `almost_contact_axioms`, `compatibility_check` and `qc_axioms_check`
+    (the contact.axioms, contact.compatibility and qc.axioms rows of the
+    report); and, by construction, that each I_i is phi_i cut to H x H and
+    that xi_1, xi_2, xi_3 are the vertical basis vectors.  Only the nonzero
+    entries of A, of the I_i and of the commutators are read.
     """
-
-    def both_orders(br: dict, e: dict) -> dict:
-        acc: dict = {}
-        for ab, u in br.items():
-            for cd, w in e.items():
-                accumulate(acc, ("I", *ab, *cd), u * w)
-                accumulate(acc, ("I", *cd, *ab), w * u)
-        return acc
 
     def reeb_first(v: dict, e: dict) -> dict:
         acc: dict = {}
         for s, u in v.items():
             for cd, w in e.items():
-                accumulate(acc, ("xi", s, *cd), u * w)
+                accumulate(acc, (s, *cd), u * w)
         return acc
 
     raw = []
     for i, e in enumerate(qc.complex_structures, start=1):
-        br = a.commutator(e)
         xi = alg.xi(i)
-        terms = ((br, e, both_orders), (a.apply(xi), e, reeb_first), (xi, br, reeb_first))
-        for x, y, kernel in terms:
-            raw += [(d, den, t) for d, (den, t) in _product(x.parts, y.parts, kernel).items()]
+        for x, y in ((a.apply(xi), e), (xi, a.commutator(e))):
+            raw += [(d, den, t) for d, (den, t) in _product(x.parts, y.parts, reeb_first).items()]
     return graded(raw)
 
 
 def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
-    """Whether the connection preserves the qc structure.
-
-    Requires the vertical/horizontal splitting to be preserved and the
-    two sums I_i (x) I_i and reeb_i (x) I_i to be parallel.
-    """
-    if not _preserves_splitting(alg, conn):
-        return False
+    """Whether the connection preserves the qc structure: the V + H
+    splitting, sum_i I_i (x) I_i and sum_i reeb_i (x) I_i.  Each form
+    A = conn.form(x) is tested by the Reeb equation alone, which implies
+    the other two (see `_qc_defect`)."""
     qc = build_qc(alg)
     return not any(_qc_defect(alg, qc, conn.form(x)) for x in range(alg.dim))
 
@@ -347,9 +348,7 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
     )
 
 
-def _qc_functionals(
-    alg: QHAlgebra, qc: QcStructure, require_splitting: bool
-) -> list[dict[int, int]]:
+def _qc_functionals(alg: QHAlgebra, qc: QcStructure) -> list[dict[int, int]]:
     """Linear functionals on the skew forms sum_k c_k B_k whose common kernel
     is the qc-preserving forms, one distinct sparse integer row per equation.
 
@@ -360,10 +359,6 @@ def _qc_functionals(
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
     rows: dict[tuple, dict[int, int]] = {}
-    if require_splitting:
-        for v in alg.vertical_indices:
-            for h in alg.horizontal_indices:
-                rows[("split", v, h)] = {skew_basis.index((v, h)): 1}
     common = 1
     for k, ab in enumerate(skew_basis):
         b_k = two_form_endo(KForm.basis(n, ab))
@@ -379,18 +374,19 @@ def _qc_functionals(
     return [dict(items) for items in sorted(distinct)]
 
 
-def qc_unique_skew(alg: QHAlgebra, require_splitting: bool = True):
+def qc_unique_skew(alg: QHAlgebra):
     """Solve for all 3-form torsions whose connection preserves the qc
     structure; returns (solution dimension, torsion or None).
 
-    The solution dimension is 1 + (kernel dimension) when the affine
-    system is solvable, so 1 means unique; 0 means no solution.  With
-    `require_splitting` off the splitting constraint is dropped, which
-    strictly enlarges the solution space.
+    Each connection form, the Levi-Civita form plus half the torsion's
+    contraction, must satisfy the Reeb equation of `_qc_defect`, which
+    also forces the splitting and the I (x) I equation.  The solution
+    dimension is 1 + (kernel dimension) when the affine system is
+    solvable, so 1 means unique; 0 means no solution.
     """
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
-    functionals = _qc_functionals(alg, build_qc(alg), require_splitting)
+    functionals = _qc_functionals(alg, build_qc(alg))
     reduced, _ = rref(functionals, len(skew_basis))
 
     # unknowns: components of the torsion 3-form; the form at x is the

@@ -225,21 +225,15 @@ class Scalar:
 
 
 def homogeneous_at_one(entries, label: str = "entries", degree: int | None = None):
-    """(d, values): the common l-degree d of the entries and their values at
-    l = 1, under the same keys.
+    """(d, values): the common l-degree d of a mapping of scalars and their
+    values at l = 1, under the same keys.
 
-    `entries` is a mapping of scalars, or a tensor with graded `parts`.
     Every nonzero entry must be a monomial c*l^d of one degree d (`degree`,
     when given).  Then at any l > 0 the entries are l^d > 0 times the values,
     so a rank, span, kernel or definiteness read at l = 1 holds for every
-    l > 0.  A mapping keeps its zeros (value 0) and gives d = None when all
-    entries are zero; a tensor lists its nonzero entries only, read from its
-    single part.  Raises ArithmeticError naming the first index that fails,
-    in sorted order for a tensor.
+    l > 0.  Zeros are kept (value 0), and d is None when all entries are
+    zero.  Raises ArithmeticError naming the first index that fails.
     """
-    if getattr(entries, "parts", None) is not None:
-        degree, den, e = homogeneous_part(entries, label, degree)
-        return degree, dict(e) if den == 1 else {k: Fraction(v, den) for k, v in e.items()}
     values = {}
     for index, s in entries.items():
         if len(s._c) > 1:
@@ -256,7 +250,9 @@ def homogeneous_at_one(entries, label: str = "entries", degree: int | None = Non
 
 def homogeneous_part(tensor, label: str = "entries", degree: int | None = None):
     """(d, den, entries): the one graded part of a tensor, certified as by
-    `homogeneous_at_one`, so the tensor at l = 1 is entries / den."""
+    `homogeneous_at_one`, so the tensor at l = 1 is entries / den.  A second
+    part raises ArithmeticError naming the first index, in sorted order,
+    that fails."""
     parts = tensor.parts
     if not parts:
         return degree, 1, {}

@@ -164,6 +164,7 @@ def test_flat_connection_biquard_properties():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_qc_unique_skew(p):
+    # no splitting rows are imposed: the Reeb equation forces the splitting
     alg = algebra.build(p)
     dim, torsion = ct.qc_unique_skew(alg)
     assert dim == 1
@@ -173,21 +174,20 @@ def test_qc_unique_skew(p):
 @pytest.mark.parametrize("p, dim", [(1, 6), (2, 13), (3, 24)])
 def test_qc_functionals_cut_out_sp_p_plus_sp_1(p, dim):
     """The skew forms preserving the qc structure are sp(p) + sp(1), of
-    dimension 2p^2 + p + 3, with or without the splitting rows."""
+    dimension 2p^2 + p + 3."""
     alg = algebra.build(p)
     nb = alg.dim * (alg.dim - 1) // 2
     assert dim == 2 * p * p + p + 3
-    for require_splitting in (True, False):
-        rows = ct._qc_functionals(alg, ct.build_qc(alg), require_splitting)
-        assert all(type(v) is int for row in rows for v in row.values())
-        assert nb - len(rref(rows, nb)[0]) == dim
+    rows = ct._qc_functionals(alg, ct.build_qc(alg))
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert nb - len(rref(rows, nb)[0]) == dim
 
 
 def test_qc_functionals_are_exact_for_any_defect_denominator(monkeypatch):
     # the defects are integral here: divide the defect of B_k by k + 2, then undo it on column k
     alg = algebra.build(1)
     qc = ct.build_qc(alg)
-    plain = ct._qc_functionals(alg, qc, True)
+    plain = ct._qc_functionals(alg, qc)
     defect, calls = ct._qc_defect, []
 
     def divided(alg, qc, a):
@@ -195,7 +195,7 @@ def test_qc_functionals_are_exact_for_any_defect_denominator(monkeypatch):
         return {d: (den * (len(calls) + 1), e) for d, (den, e) in defect(alg, qc, a).items()}
 
     monkeypatch.setattr(ct, "_qc_defect", divided)
-    rows = ct._qc_functionals(alg, qc, True)
+    rows = ct._qc_functionals(alg, qc)
     assert all(type(v) is int for row in rows for v in row.values())
 
     def primitive(row):
@@ -208,27 +208,11 @@ def test_qc_functionals_are_exact_for_any_defect_denominator(monkeypatch):
 
 @pytest.mark.parametrize("p, dim", [(1, 9), (2, 16)])
 def test_qc_kernel_grows_without_the_reeb_rows(p, dim):
-    # negative control: the "I" rows alone leave the kernel larger than sp(p) + sp(1)
-    alg = algebra.build(p)
-    qc = ct.build_qc(alg)
-    n = alg.dim
-    rows = {}
-    for k, ab in enumerate(combinations(range(n), 2)):
-        for d, (den, e) in ct._qc_defect(alg, qc, _rotation(alg, *ab)).items():
-            for key, v in e.items():
-                if key[0] == "I":
-                    rows.setdefault((d, key), {})[k] = Fraction(v, den)
+    # negative control: the I (x) I rows alone leave the kernel larger than sp(p) + sp(1)
+    n = algebra.build(p).dim
     nb = n * (n - 1) // 2
-    assert nb - len(rref(list(rows.values()), nb)[0]) == dim != 2 * p * p + p + 3
-
-
-def test_qc_unique_skew_without_splitting_constraint():
-    # the Reeb-tensor condition forces the splitting for skew forms, so
-    # dropping the explicit splitting rows does not enlarge the space
-    alg = algebra.build(1)
-    dim, torsion = ct.qc_unique_skew(alg, require_splitting=False)
-    assert dim == 1
-    assert torsion == cn.canonical_torsion(alg)
+    rows = _sparse(_reference_rows(p)["I"])
+    assert nb - len(rref(rows, nb)[0]) == dim != 2 * p * p + p + 3
 
 
 def test_qc_unique_skew_rejects_koszul_coefficients_of_mixed_degree(monkeypatch):
@@ -295,12 +279,13 @@ def _connection_with_form(alg, x: int, form: Endo) -> cn.Connection:
 @pytest.mark.parametrize("p", [1, 2])
 def test_qc_vertical_rotation_breaks_only_the_reeb_equation(p):
     alg = algebra.build(p)
+    qc = ct.build_qc(alg)
     rot = _rotation(alg, 1, 2)  # xi_2 -> xi_3; commutes with every I_i
     conn = _connection_with_form(alg, 0, rot)
-    assert ct._preserves_splitting(alg, conn)
+    assert _preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
-    defect = ct._qc_defect(alg, ct.build_qc(alg), rot)
-    assert defect and {key[0] for _, e in defect.values() for key in e} == {"xi"}
+    assert ct._qc_defect(alg, qc, rot)
+    assert _reference_broken_halves(qc, rot, alg.dim) == {"xi"}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -310,27 +295,40 @@ def test_qc_horizontal_rotation_off_the_commutant_is_rejected(p):
     rot = _rotation(alg, 3, 4)  # tau_1 -> tau_2
     assert any(not rot.commutator(e).is_zero() for e in qc.complex_structures)
     conn = _connection_with_form(alg, 3, rot)
-    assert ct._preserves_splitting(alg, conn)
+    assert _preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
-    halves = {key[0] for _, e in ct._qc_defect(alg, qc, rot).values() for key in e}
+    assert ct._qc_defect(alg, qc, rot)
     # at p = 1 every horizontal rotation lies in so(4) = sp(1) + sp(1), which
     # keeps sum_i I_i (x) I_i, so there only the Reeb equation can break
-    assert halves == ({"xi"} if p == 1 else {"I", "xi"})
+    assert _reference_broken_halves(qc, rot, alg.dim) == ({"xi"} if p == 1 else {"I", "xi"})
 
 
-def _reference_form_preserves(qc, a: Endo, n: int) -> bool:
-    """The qc equations for one connection form as dense pair loops."""
+def _preserves_splitting(alg, conn: cn.Connection) -> bool:
+    """No connection form joins a vertical and a horizontal index."""
+    return not any(
+        alg.is_vertical(r) != alg.is_vertical(c)
+        for i in range(alg.dim)
+        for _, e in conn.form(i).parts.values()
+        for r, c in e
+    )
+
+
+def _reference_broken_halves(qc, a: Endo, n: int) -> set[str]:
+    """Which of the two qc equations, "I" for sum_i [A, I_i] (x) I_i + I_i (x) [A, I_i]
+    and "xi" for sum_i (A reeb_i) (x) I_i + reeb_i (x) [A, I_i], fail for one
+    connection form, as dense pair loops."""
     brackets = [a.commutator(e) for e in qc.complex_structures]
     pairs = set()
     for e in qc.complex_structures + brackets:
         pairs.update(e.m.keys())
+    broken = set()
     for ab in pairs:
         for cd in pairs:
             total = ZERO
             for e, br in zip(qc.complex_structures, brackets):
                 total = total + br.entry(*ab) * e.entry(*cd) + e.entry(*ab) * br.entry(*cd)
             if not total.is_zero():
-                return False
+                broken.add("I")
     images = [a.apply(v) for v in qc.reeb]
     for slot in range(n):
         for cd in pairs:
@@ -338,14 +336,29 @@ def _reference_form_preserves(qc, a: Endo, n: int) -> bool:
             for img, reeb_v, e, br in zip(images, qc.reeb, qc.complex_structures, brackets):
                 total = total + img[slot] * e.entry(*cd) + reeb_v[slot] * br.entry(*cd)
             if not total.is_zero():
-                return False
-    return True
+                broken.add("xi")
+    return broken
+
+
+def _reference_form_preserves(alg, qc, a: Endo) -> bool:
+    """The full qc test of one connection form: the splitting and both equations."""
+    return _preserves_splitting(alg, _connection_with_form(alg, 0, a)) and not (
+        _reference_broken_halves(qc, a, alg.dim)
+    )
+
+
+def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fraction]]:
+    """The qc equations as dense rows over the skew basis e_a ^ e_b, a < b:
+    both halves, and the splitting when `require_splitting` is set."""
+    rows = _reference_rows(p)
+    return (rows["split"] if require_splitting else []) + rows["I"] + rows["xi"]
 
 
 @lru_cache(maxsize=None)
-def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fraction]]:
-    """The qc equations as dense rows over the skew basis e_a ^ e_b, a < b,
-    written out over every (ab, cd) pair touching a structure entry."""
+def _reference_rows(p: int) -> dict[str, list[list[Fraction]]]:
+    """The nonzero dense rows of the splitting ("split") and of the two qc
+    equations ("I", "xi"), written out over every (ab, cd) pair touching a
+    structure entry."""
     alg = algebra.build(p)
     qc = ct.build_qc(alg)
     n = alg.dim
@@ -367,13 +380,12 @@ def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fractio
         support.update(bracket_index[i])
     support = sorted(support)
 
-    rows = []
-    if require_splitting:
-        for v in alg.vertical_indices:
-            for h in alg.horizontal_indices:
-                row = [Fraction(0)] * nb
-                row[coords[(v, h)]] = Fraction(1)
-                rows.append(row)
+    rows = {"split": [], "I": [], "xi": []}
+    for v in alg.vertical_indices:
+        for h in alg.horizontal_indices:
+            row = [Fraction(0)] * nb
+            row[coords[(v, h)]] = Fraction(1)
+            rows["split"].append(row)
     all_pairs = [(r, c) for r in range(n) for c in range(n) if r != c]
     eq_keys = {(ab, cd) for ab in all_pairs for cd in support}
     eq_keys |= {(ab, cd) for ab in support for cd in all_pairs}
@@ -388,7 +400,7 @@ def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fractio
             if s_ab:
                 for k, v in bracket_index[i].get(cd, ()):
                     row[k] += s_ab * v
-        rows.append(row)
+        rows["I"].append(row)
     for slot in range(n):
         for cd in support:
             row = [Fraction(0)] * nb
@@ -403,24 +415,27 @@ def _reference_functionals(p: int, require_splitting: bool) -> list[list[Fractio
                 if slot == i:
                     for k, v in bracket_index[i].get(cd, ()):
                         row[k] += v
-            rows.append(row)
-    return [row for row in rows if any(row)]
+            rows["xi"].append(row)
+    return {group: [row for row in group_rows if any(row)] for group, group_rows in rows.items()}
 
 
 def _sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-@pytest.mark.parametrize("p, require_splitting", [(1, True), (1, False), (2, True)])
+@pytest.mark.parametrize(
+    "p, require_splitting", [(1, True), (1, False), (2, True), (2, False)]
+)
 def test_qc_functionals_match_the_dense_reference(p, require_splitting):
+    # on skew forms the Reeb rows alone span the splitting and both halves
     alg = algebra.build(p)
     nb = alg.dim * (alg.dim - 1) // 2
-    new = ct._qc_functionals(alg, ct.build_qc(alg), require_splitting)
+    new = ct._qc_functionals(alg, ct.build_qc(alg))
     reduced = rref(new, nb)
     assert reduced == rref(_sparse(_reference_functionals(p, require_splitting)), nb)
     # exact duplicates dropped
     assert len(new) == len({tuple(sorted(row.items())) for row in new})
-    if (p, require_splitting) == (2, True):
+    if p == 2:
         assert len(reduced[0]) == 42
 
 
@@ -434,8 +449,9 @@ def test_qc_defect_vanishes_exactly_when_the_reference_preserves(p):
     blocks = [
         ab for ab in skew_basis if alg.is_vertical(ab[0]) == alg.is_vertical(ab[1])
     ]
+    mixed = [ab for ab in skew_basis if ab not in blocks]
     rng = random.Random(7 + p)
-    verdicts = []
+    verdicts, kinds = [], set()
     for _ in range(30):
         comps = {}
         for vec in rng.sample(kernel, 3):
@@ -443,12 +459,36 @@ def test_qc_defect_vanishes_exactly_when_the_reference_preserves(p):
             for k, v in enumerate(vec):
                 if v:
                     comps[skew_basis[k]] = comps.get(skew_basis[k], 0) + c * v
-        if rng.random() < 0.5:  # leave the qc-preserving forms
-            ab = rng.choice(blocks)
+        if rng.random() < 0.5:  # leave the qc-preserving forms, inside the blocks or across
+            kind = rng.choice(("block", "mixed"))
+            ab = rng.choice(blocks if kind == "block" else mixed)
             comps[ab] = comps.get(ab, 0) + rng.randint(1, 2)
+            kinds.add(kind)
         form = two_form_endo(KForm(n, 2, comps))
         defect = ct._qc_defect(alg, qc, form)
-        assert ct._preserves_splitting(alg, _connection_with_form(alg, 0, form))
-        assert (not defect) == _reference_form_preserves(qc, form, n)
+        assert (not defect) == _reference_form_preserves(alg, qc, form)
         verdicts.append(not defect)
     assert True in verdicts and False in verdicts
+    assert kinds == {"block", "mixed"}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reeb_equation_alone_decides_qc_preservation_on_gl_n(p):
+    """Over all n^2 matrix units, skew or not, the Reeb rows of `_qc_defect`
+    cut out gl(p, H) + sp(1), of dimension 4p^2 + 3: the splitting and the
+    I (x) I equation follow, which the dense oracle confirms at p = 1 and 2."""
+    alg = algebra.build(p)
+    qc = ct.build_qc(alg)
+    n = alg.dim
+    units = [(r, c) for r in range(n) for c in range(n)]
+    rows = {}
+    for k, rc in enumerate(units):
+        for d, (den, e) in ct._qc_defect(alg, qc, Endo(n, {rc: 1})).items():
+            for key, v in e.items():
+                rows.setdefault((d, key), {})[k] = Fraction(v, den)
+    kernel = nullspace(list(rows.values()), len(units))
+    assert len(kernel) == 4 * p * p + 3
+    if p <= 2:
+        for vec in kernel:
+            form = Endo(n, {units[k]: v for k, v in enumerate(vec) if v})
+            assert _reference_form_preserves(alg, qc, form)

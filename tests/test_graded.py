@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhg.connections import _act_on_form
 from qhg.exterior import Endo, KForm, Vector, form_inner, hodge_star, interior, wedge
-from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_at_one
+from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part
 
 DIM = 4
 
@@ -156,17 +156,17 @@ def test_equal_tensors_have_equal_parts():
     assert (a - a).parts == {}
 
 
-def test_homogeneous_at_one_rejects_a_second_part():
+def test_homogeneous_part_rejects_a_second_part():
     # the first index in sorted order sets the degree; the first other one fails
     two_degrees = Endo(3, {(0, 1): LAM, (2, 0): ONE})
     message = r"^endo at index \(2, 0\): 1 has degree 0 in l, expected 1$"
     with pytest.raises(ArithmeticError, match=message):
-        homogeneous_at_one(two_degrees, "endo")
+        homogeneous_part(two_degrees, "endo")
     shared = Endo(3, {(1, 2): LAM + 1, (0, 0): ONE})
     with pytest.raises(ArithmeticError, match=r"^endo at index \(1, 2\): l \+ 1 is not a monomial"):
-        homogeneous_at_one(shared, "endo")
+        homogeneous_part(shared, "endo")
     with pytest.raises(ArithmeticError, match=r"\(0, 1\): l has degree 1 in l, expected 2"):
-        homogeneous_at_one(Endo(3, {(0, 1): LAM}), "endo", 2)
+        homogeneous_part(Endo(3, {(0, 1): LAM}), "endo", 2)
     one = Endo(3, {(0, 1): LAM * Fraction(2, 3), (1, 0): LAM})
-    assert homogeneous_at_one(one) == (1, {(0, 1): Fraction(2, 3), (1, 0): 1})
-    assert homogeneous_at_one(Endo.zero(3)) == (None, {})
+    assert homogeneous_part(one) == (1, 3, {(0, 1): 2, (1, 0): 3})
+    assert homogeneous_part(Endo.zero(3)) == (None, 1, {})

@@ -21,6 +21,7 @@ GOLDEN_DIGESTS = {
     1: "e4f3f187f2c15dee80b29d324b611fb1d2a05aef0f6efb69aadf88b3b1afa578",
     2: "17e0d7ecfac26d20298203b0d8f2083a4a9d686e49220aa35e65f4e6d52841f7",
     3: "c0f68f2e41f2c8fba925ec0af16e21af7745f5b4fc09f7dff529d77eb61c4689",
+    4: "6d7ec2a53c71d4332a58a6064cd87046e2333b71a2c26f21d690aaf6fab6428c",
 }
 
 
@@ -36,7 +37,7 @@ def test_full_report_passes_p1():
     assert _digest(rep) == GOLDEN_DIGESTS[1]
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
 def test_full_report_passes_larger_p(p):
     rep = run(ReportConfig(p=p, suites=("all",), fmt="json"))
     assert rep.summary["failed"] == 0
