@@ -231,6 +231,19 @@ def test_qc_unique_skew_specialized_parameter():
     assert torsion == cn.canonical_torsion(alg)
 
 
+def test_qc_unique_skew_without_splitting_constraint():
+    # the Reeb-tensor condition forces the splitting for skew forms, so the
+    # rows the solve uses span the explicit splitting rows as well, and
+    # leaving those out does not enlarge the space
+    alg = algebra.build(1)
+    nb = alg.dim * (alg.dim - 1) // 2
+    used = rref(ct._qc_functionals(alg, ct.build_qc(alg)), nb)
+    assert used == rref(_sparse(_reference_functionals(1, True)), nb)
+    dim, torsion = ct.qc_unique_skew(alg)
+    assert dim == 1
+    assert torsion == cn.canonical_torsion(alg)
+
+
 @pytest.mark.parametrize(
     "p, lam", [(1, Fraction(3, 2)), (1, Fraction(2, 7)), (2, Fraction(5))], ids=["1-3/2", "1-2/7", "2-5"]
 )
