@@ -10,6 +10,7 @@ for the metric; its parameter enters through the brackets
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exterior import Endo, KForm, Vector, _vector, wedge
@@ -29,10 +30,34 @@ def quat_mul(a: int, b: int) -> tuple[int, int]:
     return _QUAT[a][b]
 
 
+def derived(fn):
+    """Memoize fn(alg, *args, **kwargs) on the algebra `alg`.
+
+    The value is built on the first request and shared by every later one
+    with the same arguments, passed the same way (positionally or by
+    keyword); a call that raises caches nothing.  The memo
+    is a dict on `alg`, so it dies with its algebra, and two algebras, even
+    equal ones, never share a value.
+    """
+
+    @functools.wraps(fn)
+    def memo(alg, *args, **kwargs):
+        key = (fn, args, frozenset(kwargs.items())) if kwargs else (fn, args)
+        try:
+            return alg._derived[key]
+        except KeyError:
+            pass
+        value = alg._derived[key] = fn(alg, *args, **kwargs)
+        return value
+
+    return memo
+
+
 class StructureConstants:
     """Sparse Lie bracket table on the basis e_0..e_{dim-1}.
 
     `structure` maps (i, j) with i < j to the nonzero brackets [e_i, e_j].
+    `_derived` is the memo of the `derived` functions of the table.
     """
 
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
@@ -44,7 +69,7 @@ class StructureConstants:
         for (i, j), v in structure.items():
             self._parts[i][j] = [(d, den, e) for d, (den, e) in v.parts.items()]
             self._parts[j][i] = [(d, -den, e) for d, (den, e) in v.parts.items()]
-        self._d1: list[KForm | None] = [None] * dim
+        self._derived: dict = {}
 
     def basis_vector(self, index: int) -> Vector:
         return Vector.basis(self.dim, index)
@@ -77,18 +102,17 @@ class StructureConstants:
             return _vector(self.dim, part(d, den, e))
         return _vector(self.dim, graded((d, den, e) for (d, den), e in acc.items()) if acc else {})
 
+    @derived
     def d_basis_one_form(self, index: int) -> KForm:
         """Chevalley-Eilenberg differential of the index-th basis 1-form."""
-        cached = self._d1[index]
-        if cached is None:
-            comps = {}
-            for (i, j), v in self._sc.items():
-                c = v[index]
-                if not c.is_zero():
-                    comps[(i, j)] = -c
-            cached = KForm(self.dim, 2, comps)
-            self._d1[index] = cached
-        return cached
+        if not 0 <= index < self.dim:
+            raise IndexError(f"basis index {index} outside [0, {self.dim})")
+        comps = {}
+        for (i, j), v in self._sc.items():
+            c = v[index]
+            if not c.is_zero():
+                comps[(i, j)] = -c
+        return KForm(self.dim, 2, comps)
 
 
 class QHAlgebra(StructureConstants):
@@ -139,6 +163,12 @@ class QHAlgebra(StructureConstants):
 
     def metric(self, x: Vector, y: Vector) -> Scalar:
         return x.dot(y)
+
+
+def _unit_index(what: str, i: int):
+    """Reject an index that names none of the three imaginary units or structures."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"{what} index must be 1, 2 or 3, got {i}")
 
 
 def _frame_index(accessor: str, k: int, top: int) -> int:
@@ -269,12 +299,15 @@ def quaternion_brackets_check(alg: QHAlgebra) -> bool:
     )
 
 
+@derived
 def quaternion_action(alg: QHAlgebra, a: int) -> Endo:
-    """Left multiplication by the a-th imaginary unit on each quaternion copy.
+    """Left multiplication by the a-th imaginary unit on each quaternion copy,
+    a in 1..3.
 
     Zero on the vertical directions; the horizontal block of the almost
     contact structures, and the cross-check of the structure constants.
     """
+    _unit_index("imaginary unit", a)
     entries = {}
     p = alg.p
     for r in range(1, p + 1):

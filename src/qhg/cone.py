@@ -8,7 +8,7 @@ is verified here, not the cone metric itself.
 
 from __future__ import annotations
 
-from .algebra import QHAlgebra
+from .algebra import QHAlgebra, derived
 from .connections import torsion_form
 from .contact import build_phi, characteristic_connection, fundamental_form
 from .exterior import KForm, wedge
@@ -27,19 +27,23 @@ class ConeCriterion:
         self.common = common
 
 
+@derived
+def _characteristic_terms(alg: QHAlgebra):
+    """(T_i, F_i, eta_i ^ F_i) for i = 1, 2, 3, with T_i recomputed from its
+    connection."""
+    torsions = tuple(torsion_form(alg, characteristic_connection(alg, i)) for i in (1, 2, 3))
+    forms = tuple(fundamental_form(alg, build_phi(alg, i)) for i in (1, 2, 3))
+    mixed = tuple(wedge(alg.eta(i), f) for i, f in zip((1, 2, 3), forms))
+    return torsions, forms, mixed
+
+
 def _mixed_terms(alg: QHAlgebra, opposite_convention: bool = False):
-    """(T_i, eta_i ^ F_i) with T_i recomputed from its connection."""
-    torsions = []
-    mixed = []
-    forms = []
-    for i in (1, 2, 3):
-        conn = characteristic_connection(alg, i)
-        torsions.append(torsion_form(alg, conn))
-        f = fundamental_form(alg, build_phi(alg, i))
-        if opposite_convention:
-            f = f.scale(-1)
-        forms.append(f)
-        mixed.append(wedge(alg.eta(i), f))
+    """(T_i, F_i, eta_i ^ F_i); the opposite 2-form convention negates F_i
+    and eta_i ^ F_i, and leaves the torsions as they are."""
+    torsions, forms, mixed = _characteristic_terms(alg)
+    if opposite_convention:
+        forms = tuple(f.scale(-1) for f in forms)
+        mixed = tuple(m.scale(-1) for m in mixed)
     return torsions, forms, mixed
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import QHAlgebra, StructureConstants, jacobi_check
+from .algebra import QHAlgebra, StructureConstants, derived, jacobi_check
 from .exterior import (
     Endo,
     KForm,
@@ -87,6 +87,7 @@ class CurvatureTensor:
         return not self.values
 
 
+@derived
 def levi_civita(alg: QHAlgebra) -> Connection:
     """Koszul formula on left-invariant fields.
 
@@ -128,6 +129,7 @@ def flat_connection(alg: QHAlgebra) -> Connection:
     return Connection([Endo.zero(alg.dim) for _ in range(alg.dim)])
 
 
+@derived
 def canonical_torsion(alg: QHAlgebra) -> KForm:
     """sum_i eta_i ^ d eta_i - 4 lam eta_123."""
     t = KForm.zero(alg.dim, 3)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .algebra import QHAlgebra, quaternion_action
+from .algebra import QHAlgebra, _unit_index, derived, quaternion_action
 from .connections import (
     Connection,
     Geometry,
@@ -51,6 +51,7 @@ class AlmostContact:
         self.index = index
 
 
+@derived
 def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> AlmostContact:
     """The i-th almost contact structure, i in {1, 2, 3}.
 
@@ -60,8 +61,7 @@ def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> Alm
     coefficient to the quaternionically wrong slot; the compatibility
     equations reject it, which pins the consistent tensor.
     """
-    if i not in (1, 2, 3):
-        raise ValueError(f"structure index must be 1, 2 or 3, got {i}")
+    _unit_index("structure", i)
     entries = dict(quaternion_action(alg, i).m)
     j, k = ((i % 3) + 1, ((i + 1) % 3) + 1)
     entries[(k - 1, j - 1)] = 1  # eta_j (x) xi_k
@@ -177,17 +177,20 @@ def fundamental_form(alg: QHAlgebra, ac: AlmostContact) -> KForm:
 
 
 def quasi_sasaki_check(alg: QHAlgebra, i: int) -> bool:
-    """Normality together with a closed fundamental 2-form."""
+    """A closed fundamental 2-form together with normality; the closedness
+    test is the cheaper one, so it runs first."""
     ac = build_phi(alg, i)
-    if not normality_check(alg, i, ac):
+    if not ce_differential(fundamental_form(alg, ac), alg).is_zero():
         return False
-    return ce_differential(fundamental_form(alg, ac), alg).is_zero()
+    return normality_check(alg, i, ac)
 
 
+@derived
 def contact_characteristic_torsion(alg: QHAlgebra, i: int) -> KForm:
     """eta_i ^ d eta_i - sum_{j != i} eta_j ^ d eta_j (dimension 7 only)."""
     if alg.p != 1:
         raise ValueError("characteristic torsion is implemented for p = 1 only")
+    _unit_index("structure", i)
     out = KForm.zero(alg.dim, 3)
     for j in (1, 2, 3):
         term = wedge(alg.eta(j), ce_differential(alg.eta(j), alg))
@@ -195,6 +198,7 @@ def contact_characteristic_torsion(alg: QHAlgebra, i: int) -> KForm:
     return out
 
 
+@derived
 def characteristic_connection(alg: QHAlgebra, i: int) -> Connection:
     """The connection making the i-th structure parallel, via its torsion."""
     return with_torsion(alg, contact_characteristic_torsion(alg, i))
@@ -226,6 +230,7 @@ class QcStructure:
         self.reeb = reeb
 
 
+@derived
 def build_qc(alg: QHAlgebra) -> QcStructure:
     """Complex structures I_i = phi_i restricted to the horizontal space,
     1-forms -(2/lam) eta_i and Reeb fields -(lam/2) xi_i."""

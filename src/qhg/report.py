@@ -128,7 +128,8 @@ class VerificationReport:
 class _Run:
     """What the checks of one report read: the algebra, its canonical
     torsion, the canonical and Levi-Civita bundles, and the inputs several
-    checks share, each built at most once, on first read."""
+    checks share, each built at most once, on first read.  What the algebra
+    alone determines (the phi_i, the qc structure, ...) its own memo keeps."""
 
     def __init__(self, alg: algebra.QHAlgebra, t: KForm, can: Geometry, lc: Geometry):
         self.alg, self.t, self.can, self.lc = alg, t, can, lc
@@ -136,10 +137,6 @@ class _Run:
     @cached_property
     def h(self) -> list[exterior.Endo]:
         return [exterior.two_form_endo(f) for f in connections.su2_generators(self.alg)]
-
-    @cached_property
-    def phis(self) -> list[contact.AlmostContact]:
-        return [contact.build_phi(self.alg, i) for i in (1, 2, 3)]
 
     @cached_property
     def omega(self) -> KForm:
@@ -283,14 +280,15 @@ CHECKS = (
           lambda r: r.can.transvection),
     Check("contact.axioms", ("contact.build_phi", "contact.almost_contact_axioms"),
           "all three structures satisfy the almost contact metric axioms",
-          lambda r: all(contact.almost_contact_axioms(r.alg, ac) for ac in r.phis)),
+          lambda r: all(contact.almost_contact_axioms(r.alg, contact.build_phi(r.alg, i))
+                        for i in (1, 2, 3))),
     Check("contact.compatibility", ("contact.compatibility_check",),
           "the triple satisfies the quaternionic compatibility equations",
-          lambda r: contact.compatibility_check(r.alg, r.phis)),
+          lambda r: contact.compatibility_check(r.alg)),
     Check("contact.variant-discriminator", ("contact.compatibility_check",),
           "the misindexed second structure fails the compatibility equations",
-          lambda r: not contact.compatibility_check(r.alg, [
-              r.phis[0], contact.build_phi(r.alg, 2, inconsistent_variant=True), r.phis[2]])[0]),
+          lambda r: not contact.compatibility_check(r.alg, [contact.build_phi(r.alg, 1),
+              contact.build_phi(r.alg, 2, inconsistent_variant=True), contact.build_phi(r.alg, 3)])[0]),
     Check("contact.normality", ("contact.normality_check",), "all three structures are normal",
           lambda r: all(contact.normality_check(r.alg, i) for i in (1, 2, 3))),
     Check("contact.not-quasi-sasaki", ("contact.quasi_sasaki_check",),

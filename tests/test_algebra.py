@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhg import algebra
+from qhg import algebra, connections
 from qhg.exterior import KForm, Vector, ce_differential, wedge
 from qhg.scalars import LAM, Scalar
 
@@ -199,6 +199,43 @@ def test_frame_accessors_reject_out_of_range_indices(p):
     assert alg.xi(3) == Vector.basis(alg.dim, 2)
     assert alg.tau(4 * p) == Vector.basis(alg.dim, alg.dim - 1)
     assert alg.quaternionic_plane(p) == (2 + p, 2 + 2 * p, 2 + 3 * p, 2 + 4 * p)
+
+
+@pytest.mark.parametrize("a", [0, 4])
+def test_quaternion_action_rejects_an_index_outside_1_to_3(a):
+    # 0 would give the identity on H, 4 a bare list error
+    alg = algebra.build(1)
+    with pytest.raises(ValueError, match=rf"^imaginary unit index must be 1, 2 or 3, got {a}$"):
+        algebra.quaternion_action(alg, a)
+    assert alg._derived == {}  # the rejected call cached nothing
+    assert algebra.quaternion_action(alg, 3).apply(alg.tau(1)) == alg.tau(4)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_d_basis_one_form_rejects_an_index_outside_the_basis(p):
+    alg = algebra.build(p)
+    for bad in (-1, alg.dim):  # -1 would wrap to the last basis 1-form
+        with pytest.raises(IndexError, match=rf"^basis index {bad} outside \[0, {alg.dim}\)$"):
+            alg.d_basis_one_form(bad)
+    assert alg._derived == {}  # the rejected calls cached nothing
+    assert alg.d_basis_one_form(alg.dim - 1).is_zero()  # d theta_4p = 0
+    assert alg.d_basis_one_form(0) == algebra.d_eta_closed_form(alg, 1)
+
+
+def test_derived_values_are_built_once_per_algebra():
+    alg = algebra.build(1)
+    lc = connections.levi_civita(alg)
+    assert connections.levi_civita(alg) is lc
+    assert alg.d_basis_one_form(0) is alg.d_basis_one_form(0)
+    assert algebra.quaternion_action(alg, 1) is not algebra.quaternion_action(alg, 2)
+    # a second algebra, equal to the first, builds its own values
+    other = algebra.build(1)
+    assert other._derived == {}
+    assert connections.levi_civita(other) is not lc
+    assert connections.levi_civita(other).omega == lc.omega
+    # the memo keeps the name and module the span tracer labels it by
+    assert connections.levi_civita.__name__ == "levi_civita"
+    assert connections.levi_civita.__module__ == "qhg.connections"
 
 
 def test_algebra_verdicts_and_their_negative_controls():

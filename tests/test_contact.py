@@ -126,6 +126,17 @@ def test_characteristic_connection_needs_p1():
         ct.characteristic_connection(algebra.build(2), 1)
 
 
+@pytest.mark.parametrize("i", [0, 4])
+@pytest.mark.parametrize("build", [ct.contact_characteristic_torsion, ct.characteristic_connection])
+def test_characteristic_structures_reject_an_index_outside_1_to_3(build, i):
+    # without the check, i = 0 or 4 gives the torsion with every term negated
+    alg = algebra.build(1)
+    with pytest.raises(ValueError, match=rf"^structure index must be 1, 2 or 3, got {i}$"):
+        build(alg, i)
+    assert alg._derived == {}  # the rejected call cached nothing
+    assert build(alg, 3) is build(alg, 3)
+
+
 # -- qc structure ---------------------------------------------------------------
 
 

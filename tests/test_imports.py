@@ -233,3 +233,69 @@ def test_rational_call_guard_flags_a_fraction_fed_to_a_span():
     assert rational_calls(method) == ["FractionSpan.add:3"]
     assert rational_calls("x = Fraction(1, 2)\n") == ["<module>:1"]
     assert rational_calls("def f(x):\n    return isinstance(x, Fraction), x.numerator\n") == []
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def functools_caches(source: str) -> list[int]:
+    """Lines that reach for functools.cache or functools.lru_cache, by an
+    import from functools or as an attribute of the imported module."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in CACHES]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def decorators(source: str, name: str) -> list[str]:
+    """The decorators of the module-level function `name`, as source text."""
+    (fn,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return [ast.unparse(d) for d in fn.decorator_list]
+
+
+def test_only_the_algebra_memo_caches_derived_values():
+    """A derived value lives in the memo of its algebra (`algebra.derived`) and
+    dies with it: no module-level cache, and no memo on `algebra.build`, so two
+    builds never share a value."""
+    for path in sorted(SRC.glob("*.py")):
+        assert functools_caches(path.read_text()) == [], path.name
+    assert decorators((SRC / "algebra.py").read_text(), "build") == []
+
+
+def test_cache_guard_flags_a_module_level_cache():
+    memoized_build = (
+        "import functools\n"
+        "from functools import lru_cache, wraps\n"
+        "@functools.cache\n"
+        "def build(p, lam=None):\n"
+        "    return p\n"
+        "@lru_cache(maxsize=None)\n"
+        "def levi_civita(alg):\n"
+        "    return alg\n"
+    )
+    assert functools_caches(memoized_build) == [2, 3]
+    assert decorators(memoized_build, "build") == ["functools.cache"]
+    aliased = "import functools as ft\nf = ft.lru_cache(None)(len)\n"
+    assert functools_caches(aliased) == [2]
+    # the memo, cached_property and an unrelated .cache attribute are not caches
+    allowed = (
+        "import functools\n"
+        "from functools import cached_property\n"
+        "@derived\n"
+        "def levi_civita(alg):\n"
+        "    return alg.cache, functools.wraps\n"
+    )
+    assert functools_caches(allowed) == []
+    assert decorators(allowed, "levi_civita") == ["derived"]

@@ -1,6 +1,9 @@
+import cProfile
 import hashlib
 import importlib
+import inspect
 import json
+import pstats
 import re
 import subprocess
 import sys
@@ -10,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from qhg import cone, connections, g2, report
+from qhg import algebra, cone, connections, contact, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 from qhg.scalars import Scalar
@@ -273,3 +276,56 @@ def test_cone_suite_builds_the_mixed_terms_once_per_solve(monkeypatch):
     assert rep.all_passed
     # two cone_constant solves (both conventions) and one forced-constant residual
     assert calls["_mixed_terms"] <= 3
+
+
+# the builders an algebra memoizes, and the functions they call
+BODIES = {
+    "levi_civita": connections.levi_civita,
+    "with_torsion": connections.with_torsion,
+    "build_phi": contact.build_phi,
+    "build_qc": contact.build_qc,
+    "contact_characteristic_torsion": contact.contact_characteristic_torsion,
+    "quaternion_action": algebra.quaternion_action,
+    "normality_check": contact.normality_check,
+    "torsion_form": connections.torsion_form,
+}
+
+
+def _body_calls(action) -> dict[str, int]:
+    """How often `action()` runs the body of each function of BODIES, from cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(action)
+    stats = pstats.Stats(profile).stats
+    calls = {}
+    for name, fn in BODIES.items():
+        code = inspect.unwrap(fn).__code__
+        calls[name] = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+    return calls
+
+
+def test_one_report_builds_each_derived_structure_once():
+    """The algebra of a report memoizes what it derives: the Levi-Civita
+    connection, the three phi_i and the variant, their characteristic
+    torsions, the qc structure and the quaternion units."""
+    reports = []
+    calls = _body_calls(lambda: reports.append(run(ReportConfig(p=1, fmt="json"))))
+    assert _digest(reports[0]) == GOLDEN_DIGESTS[1]
+    # with_torsion: the canonical and three characteristic connections; normality
+    # only in contact.normality (quasi-Sasaki fails on dF_i first); torsion_form
+    # for the three cone torsions
+    assert calls == {
+        "levi_civita": 1,
+        "with_torsion": 4,
+        "build_phi": 4,
+        "build_qc": 1,
+        "contact_characteristic_torsion": 3,
+        "quaternion_action": 3,
+        "normality_check": 3,
+        "torsion_form": 3,
+    }
+
+
+def test_no_memo_outlives_its_report():
+    # negative control: each report builds its own algebra, so nothing is shared
+    calls = _body_calls(lambda: [run(ReportConfig(p=1, suites=("connection",))) for _ in range(2)])
+    assert calls["levi_civita"] == 2
