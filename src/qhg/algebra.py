@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exterior import Endo, KForm, Vector, _vector, wedge
+from .exterior import Endo, KForm, Vector, _endo, _vector, wedge
 from .linalg import nullspace
 from .scalars import LAM, Scalar, accumulate, graded, part
 
@@ -101,6 +101,14 @@ class StructureConstants:
             (((d, den), e),) = acc.items()
             return _vector(self.dim, part(d, den, e))
         return _vector(self.dim, graded((d, den, e) for (d, den), e in acc.items()) if acc else {})
+
+    def ad(self, x: Vector) -> Endo:
+        """ad_x = [x, -] read from the table: entry (k, j) is [x, e_j]_k."""
+        return _endo(self.dim, graded(
+            (dx + d, nx * den, {(k, j): a * c for k, c in e.items()})
+            for dx, (nx, ex) in x.parts.items()
+            for i, a in ex.items() for j, terms in self._parts[i].items() for d, den, e in terms
+        ))
 
     @derived
     def d_basis_one_form(self, index: int) -> KForm:

@@ -5,38 +5,32 @@ multiplication with the imaginary units and rotate the two complementary
 vertical directions.  Their restrictions to the horizontal space give
 the complex structures of the qc structure; the canonical connection
 preserves all of it, and among metric connections with totally skew
-torsion it is the only one that does.  Preservation is decided by one
-tensor equation per connection form, the Reeb equation of `_qc_defect`,
-which implies the splitting and the I (x) I equation.
+torsion it is the only one that does.  Each axiom is one equation
+between tensors built by the integer kernels of `exterior` (Blair 2002
+for almost contact structures, Biquard 2000 for the qc structure):
+
+* almost contact metric: phi^2 = -1 + xi (x) eta, phi xi = 0,
+  phi^T eta = 0, eta(xi) = 1, phi^T phi = 1 - eta (x) eta;
+* normality: M_a = phi [phi, ad_a] - [phi, ad_{phi e_a}] + xi (x) (e_a _| d eta)
+  = (N_phi + d eta (x) xi)(e_a, -) vanishes for each basis index a;
+* qc: I_1 I_2 I_3 = -P_H, eta_j = 0 on H with eta_j(xi_i) invertible,
+  d eta_j = 2 g(I_j -, -) on H ^ H, and xi_k _| d eta_j + xi_j _| d eta_k = 0 on H;
+* qc preservation: the Reeb equation, one sparse integer matrix over gl(n)
+  (`_reeb_matrix`), which implies the splitting and the I (x) I equation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 
 from .algebra import QHAlgebra, _unit_index, derived, quaternion_action
-from .connections import (
-    Connection,
-    Geometry,
-    flat_connection,
-    is_parallel,
-    levi_civita,
-    with_torsion,
-)
-from .exterior import (
-    Endo,
-    KForm,
-    Vector,
-    _product,
-    _sort_tuple,
-    ce_differential,
-    two_form_endo,
-    wedge,
-)
+from .connections import Connection, Geometry, flat_connection, is_parallel, levi_civita, with_torsion
+from .exterior import (Endo, KForm, Vector, _endo, _kform, _product, _sort_tuple, _vector,
+                       ce_differential, endo_two_form, interior, wedge)
 from .linalg import rref, solve
-from .scalars import ONE, Scalar, accumulate, graded, homogeneous_at_one
+from .scalars import ONE, ZERO, Scalar, accumulate, graded, homogeneous_at_one
 
 
 class AlmostContact:
@@ -45,10 +39,7 @@ class AlmostContact:
     __slots__ = ("phi", "xi", "eta", "index")
 
     def __init__(self, phi: Endo, xi: Vector, eta: KForm, index: int):
-        self.phi = phi
-        self.xi = xi
-        self.eta = eta
-        self.index = index
+        self.phi, self.xi, self.eta, self.index = phi, xi, eta, index
 
 
 @derived
@@ -77,45 +68,54 @@ def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> Alm
     return AlmostContact(Endo(alg.dim, entries), alg.xi(i), alg.eta(i), i)
 
 
+# -- tensors from parts ---------------------------------------------------------
+
+
+def _outer(v: Vector, form: KForm) -> Endo:
+    """v (x) form, the endomorphism X -> form(X) v."""
+
+    def outer(ev: dict, ef: dict) -> dict:
+        return {(a, b): x * y for a, x in ev.items() for (b,), y in ef.items()}
+
+    return _endo(v.dim, _product(v.parts, form.parts, outer))
+
+
+def _where(parts: dict, keep) -> dict:
+    """The parts of the entries whose index satisfies `keep`."""
+    return graded((d, den, {k: v for k, v in e.items() if keep(k)}) for d, (den, e) in parts.items())
+
+
+def _on_h(alg: QHAlgebra, parts: dict) -> dict:
+    """The parts of the entries whose indices are all horizontal: a form
+    restricted to H, an endomorphism cut to H x H."""
+    return _where(parts, lambda idx: not any(map(alg.is_vertical, idx)))
+
+
+# -- almost contact metric structures -------------------------------------------
+
+
+def _almost_contact_equations(alg: QHAlgebra, ac: AlmostContact) -> dict:
+    """Each defining equation of an almost contact metric structure, by name,
+    as a thunk that decides it."""
+    n, phi, xi, eta = alg.dim, ac.phi, ac.xi, ac.eta
+    # phi^T, and the metric dual of eta: the same components, the frame being orthonormal
+    phi_t = _endo(n, {d: (den, {(c, r): v for (r, c), v in e.items()})
+                      for d, (den, e) in phi.parts.items()})
+    eta_v = _vector(n, {d: (den, {i: v for (i,), v in e.items()}) for d, (den, e) in eta.parts.items()})
+    one = Endo.identity(n)
+    return {
+        "phi^2 = -1 + xi (x) eta": lambda: phi.compose(phi) == _outer(xi, eta) - one,
+        "phi xi = 0": lambda: phi.apply(xi).is_zero(),
+        "phi^T eta = 0": lambda: phi_t.apply(eta_v).is_zero(),
+        "eta(xi) = 1": lambda: eta.evaluate(xi) == ONE,
+        "phi^T phi = 1 - eta (x) eta": lambda: phi_t.compose(phi) == one - _outer(eta_v, eta),
+    }
+
+
 def almost_contact_axioms(alg: QHAlgebra, ac: AlmostContact) -> bool:
-    """phi^2 = -Id + eta (x) xi, phi xi = 0, eta o phi = 0, eta(xi) = 1,
-    and metric compatibility g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y)."""
-    n = alg.dim
-    phi2 = ac.phi.compose(ac.phi)
-    expected = Endo.identity(n).scale(-1) + _outer(ac.xi, ac.eta, n)
-    if phi2 != expected:
-        return False
-    if not ac.phi.apply(ac.xi).is_zero():
-        return False
-    for idx in range(n):
-        col = ac.phi.column(idx)
-        if not ac.eta.evaluate(col).is_zero():
-            return False
-    if ac.eta.evaluate(ac.xi) != ONE:
-        return False
-    for a in range(n):
-        pa = ac.phi.column(a)
-        ea = alg.basis_vector(a)
-        for b in range(a, n):
-            pb = ac.phi.column(b)
-            eb = alg.basis_vector(b)
-            lhs = pa.dot(pb)
-            rhs = ea.dot(eb) - ac.eta.evaluate(ea) * ac.eta.evaluate(eb)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _outer(v: Vector, form: KForm, n: int) -> Endo:
-    entries = {}
-    for b in range(n):
-        c = form.coeff((b,))
-        if c.is_zero():
-            continue
-        for a in range(n):
-            if not v[a].is_zero():
-                entries[(a, b)] = v[a] * c
-    return Endo(n, entries)
+    """phi^2 = -1 + xi (x) eta, phi xi = 0, phi^T eta = 0, eta(xi) = 1, and
+    metric compatibility phi^T phi = 1 - eta (x) eta."""
+    return all(holds() for holds in _almost_contact_equations(alg, ac).values())
 
 
 def compatibility_check(alg: QHAlgebra, phis: list[AlmostContact] | None = None):
@@ -126,54 +126,34 @@ def compatibility_check(alg: QHAlgebra, phis: list[AlmostContact] | None = None)
     """
     if phis is None:
         phis = [build_phi(alg, i) for i in (1, 2, 3)]
-    n = alg.dim
     by_index = {ac.index: ac for ac in phis}
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         pi, pj, pk = by_index[i], by_index[j], by_index[k]
-        first = pj.phi.compose(pk.phi) - _outer(pj.xi, pk.eta, n)
-        if first != pi.phi:
+        if pj.phi.compose(pk.phi) - _outer(pj.xi, pk.eta) != pi.phi:
             return False, ("first identity", i)
-        second = pk.phi.compose(pj.phi).scale(-1) + _outer(pk.xi, pj.eta, n)
-        if second != pi.phi:
+        if _outer(pk.xi, pj.eta) - pk.phi.compose(pj.phi) != pi.phi:
             return False, ("second identity", i)
     return True, None
 
 
-def nijenhuis_defect(alg: QHAlgebra, ac: AlmostContact, x: Vector, y: Vector) -> Vector:
-    """N(X,Y) = phi^2[X,Y] + [phiX,phiY] - phi[phiX,Y] - phi[X,phiY] + d eta(X,Y) xi."""
-    phi = ac.phi
-    px, py = phi.apply(x), phi.apply(y)
-    out = (
-        phi.apply(phi.apply(alg.bracket(x, y)))
-        + alg.bracket(px, py)
-        - phi.apply(alg.bracket(px, y))
-        - phi.apply(alg.bracket(x, py))
-    )
-    d_eta = ce_differential(ac.eta, alg)
-    return out + ac.xi.scale(d_eta.evaluate(x, y))
-
-
 def normality_check(alg: QHAlgebra, i: int, ac: AlmostContact | None = None) -> bool:
+    """N_phi + d eta (x) xi = 0, where N(X,Y) = phi^2[X,Y] + [phiX,phiY]
+    - phi[phiX,Y] - phi[X,phiY]: for each basis index a the endomorphism
+    M_a = phi [phi, ad_a] - [phi, ad_{phi e_a}] + xi (x) (e_a _| d eta),
+    which is Y -> N(e_a, Y) + d eta(e_a, Y) xi, vanishes."""
     if ac is None:
         ac = build_phi(alg, i)
-    n = alg.dim
-    for a in range(n):
-        ea = alg.basis_vector(a)
-        for b in range(a + 1, n):
-            if not nijenhuis_defect(alg, ac, ea, alg.basis_vector(b)).is_zero():
-                return False
+    phi, d_eta = ac.phi, ce_differential(ac.eta, alg)
+    for e_a in map(alg.basis_vector, range(alg.dim)):
+        m_a = phi.compose(phi.commutator(alg.ad(e_a))) - phi.commutator(alg.ad(phi.apply(e_a)))
+        if not (m_a + _outer(ac.xi, interior(e_a, d_eta))).is_zero():
+            return False
     return True
 
 
 def fundamental_form(alg: QHAlgebra, ac: AlmostContact) -> KForm:
     """F(X, Y) = g(X, phi Y)."""
-    comps = {}
-    for a in range(alg.dim):
-        for b in range(a + 1, alg.dim):
-            c = ac.phi.entry(a, b)
-            if not c.is_zero():
-                comps[(a, b)] = c
-    return KForm(alg.dim, 2, comps)
+    return _kform(alg.dim, 2, _where(ac.phi.parts, lambda rc: rc[0] < rc[1]))
 
 
 def quasi_sasaki_check(alg: QHAlgebra, i: int) -> bool:
@@ -225,74 +205,62 @@ class QcStructure:
     __slots__ = ("complex_structures", "one_forms", "reeb")
 
     def __init__(self, complex_structures: list[Endo], one_forms: list[KForm], reeb: list[Vector]):
-        self.complex_structures = complex_structures
-        self.one_forms = one_forms
-        self.reeb = reeb
+        self.complex_structures, self.one_forms, self.reeb = complex_structures, one_forms, reeb
 
 
 @derived
 def build_qc(alg: QHAlgebra) -> QcStructure:
     """Complex structures I_i = phi_i restricted to the horizontal space,
     1-forms -(2/lam) eta_i and Reeb fields -(lam/2) xi_i."""
-    complex_structures = []
-    for i in (1, 2, 3):
-        phi = build_phi(alg, i).phi
-        entries = {
-            (r, c): v
-            for (r, c), v in phi.m.items()
-            if not alg.is_vertical(r) and not alg.is_vertical(c)
-        }
-        complex_structures.append(Endo(alg.dim, entries))
+    complex_structures = [_endo(alg.dim, _on_h(alg, build_phi(alg, i).phi.parts)) for i in (1, 2, 3)]
     scale = Scalar(-2) / alg.lam
     one_forms = [alg.eta(i).scale(scale) for i in (1, 2, 3)]
     reeb = [alg.xi(i).scale(alg.lam * Fraction(-1, 2)) for i in (1, 2, 3)]
     return QcStructure(complex_structures, one_forms, reeb)
 
 
-def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
-    """Quaternion relations on the horizontal space, kernel property of
-    the 1-forms, and the two differential identities of the 1-forms."""
-    n = alg.dim
+def _qc_equations(alg: QHAlgebra, qc: QcStructure) -> dict:
+    """Each qc axiom, by name, as a thunk that decides it.  The joint kernel
+    of the 1-forms is exactly H when they vanish on H and their block on the
+    vertical basis is invertible over the Laurent ring, i.e. its determinant
+    is a monomial, nonzero at every lam > 0."""
     i1, i2, i3 = qc.complex_structures
-    prod = i1.compose(i2).compose(i3)
-    for idx in alg.horizontal_indices:
-        e = alg.basis_vector(idx)
-        if prod.apply(e) != -e:
-            return False
-        for f in qc.one_forms:
-            if not f.evaluate(e).is_zero():
-                return False
-    for idx in alg.vertical_indices:
-        if all(qc.one_forms[j].evaluate(alg.basis_vector(idx)).is_zero() for j in range(3)):
-            return False  # the joint kernel must be exactly horizontal
-    for j in range(3):
-        d_form = ce_differential(qc.one_forms[j], alg)
-        for a in alg.horizontal_indices:
-            ea = alg.basis_vector(a)
-            for b in alg.horizontal_indices:
-                eb = alg.basis_vector(b)
-                lhs = d_form.evaluate(ea, eb)
-                rhs = qc.complex_structures[j].apply(ea).dot(eb) * 2
-                if lhs != rhs:
-                    return False
-        for k in range(3):
-            d_other = ce_differential(qc.one_forms[k], alg)
-            for a in alg.horizontal_indices:
-                ea = alg.basis_vector(a)
-                lhs = d_form.evaluate(qc.reeb[k], ea)
-                rhs = d_other.evaluate(qc.reeb[j], ea)
-                if not (lhs + rhs).is_zero():
-                    return False
-    return True
+    d_eta = [ce_differential(f, alg) for f in qc.one_forms]
+    p_h = Endo(alg.dim, {(h, h): 1 for h in alg.horizontal_indices})
+    block = [[f.coeff((v,)) for v in alg.vertical_indices] for f in qc.one_forms]
+    det = sum((_sort_tuple(s)[0] * block[0][s[0]] * block[1][s[1]] * block[2][s[2]]
+               for s in permutations(range(3))), ZERO)
+    return {
+        "I_1 I_2 I_3 = -P_H": lambda: i1.compose(i2).compose(i3) == -p_h,
+        "eta_j = 0 on H": lambda: not any(_on_h(alg, f.parts) for f in qc.one_forms),
+        "eta_j(xi_i) invertible": lambda: det.is_monomial(),
+        "d eta_j = 2 g(I_j -, -) on H": lambda: all(
+            i.is_skew() and _on_h(alg, d.parts) == endo_two_form(i).scale(2).parts
+            for i, d in zip(qc.complex_structures, d_eta)
+        ),
+        "xi_k _| d eta_j + xi_j _| d eta_k = 0 on H": lambda: not any(
+            _on_h(alg, (interior(qc.reeb[k], d_eta[j]) + interior(qc.reeb[j], d_eta[k])).parts)
+            for j, k in combinations_with_replacement(range(3), 2)
+        ),
+    }
 
 
-def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
-    """Graded parts of the Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i]
-    at keys (s, c, d), with the common factor -lam/2 of the Reeb fields dropped.
+def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
+    """Quaternion relations on the horizontal space, the joint kernel of the
+    1-forms, and the two differential identities of the 1-forms."""
+    return all(holds() for holds in _qc_equations(alg, qc).values())
 
-    The result has no part exactly when the connection form A preserves the
-    qc structure: the V + H splitting, sum_i I_i (x) I_i and this tensor.
-    The one equation implies the other two for every A, skew or not:
+
+@derived
+def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> dict:
+    """The Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i] as a linear
+    map of A, with xi_i the i-th vertical basis vector: graded parts
+    {degree: (den, {(r, c): {(s, c', d'): int}})}, the column of the matrix
+    unit (r, c) of gl(n) at each key (s, c', d') of the tensor.
+
+    The tensor vanishes exactly when the connection form A preserves the qc
+    structure: the V + H splitting, sum_i I_i (x) I_i and this tensor.  The
+    one equation implies the other two for every A, skew or not:
 
     1. Its entries with s horizontal read sum_i (A xi_i)_s I_i = 0, since
        each xi_i is vertical.  The I_i are linearly independent, so A maps
@@ -313,30 +281,55 @@ def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
     `almost_contact_axioms`, `compatibility_check` and `qc_axioms_check`
     (the contact.axioms, contact.compatibility and qc.axioms rows of the
     report); and, by construction, that each I_i is phi_i cut to H x H and
-    that xi_1, xi_2, xi_3 are the vertical basis vectors.  Only the nonzero
-    entries of A, of the I_i and of the commutators are read.
+    that xi_1, xi_2, xi_3 are the vertical basis vectors.
+
+    One pass over the nonzero entries I_i[c, d] builds the matrix: each adds,
+    for every x, (A xi_i)_x I_i[c, d] at (x, c, d), A[x, c] I_i[c, d] at
+    (i, x, d) and -I_i[c, d] A[d, x] at (i, c, x).  The memo keys on the qc
+    structure itself, which is never changed after it is built.
     """
-
-    def reeb_first(v: dict, e: dict) -> dict:
-        acc: dict = {}
-        for s, u in v.items():
-            for cd, w in e.items():
-                accumulate(acc, (s, *cd), u * w)
-        return acc
-
     raw = []
-    for i, e in enumerate(qc.complex_structures, start=1):
-        xi = alg.xi(i)
-        for x, y in ((a.apply(xi), e), (xi, a.commutator(e))):
-            raw += [(d, den, t) for d, (den, t) in _product(x.parts, y.parts, reeb_first).items()]
-    return graded(raw)
+    for i, structure in enumerate(qc.complex_structures):
+        for deg, (den, e) in structure.parts.items():
+            flat: dict = {}
+            for (c, d), v in e.items():
+                for x in range(alg.dim):
+                    accumulate(flat, ((x, i), (x, c, d)), v)
+                    accumulate(flat, ((x, c), (i, x, d)), v)
+                    accumulate(flat, ((d, x), (i, c, x)), -v)
+            raw.append((deg, den, flat))
+    matrix = {}
+    for deg, (den, flat) in graded(raw).items():
+        columns: dict = {}
+        for (unit, key), v in flat.items():
+            columns.setdefault(unit, {})[key] = v
+        matrix[deg] = (den, columns)
+    return matrix
+
+
+def _apply_columns(ea: dict, columns: dict) -> dict:
+    acc: dict = {}
+    for unit, v in ea.items():
+        column = columns.get(unit)
+        if column:
+            for key, w in column.items():
+                accumulate(acc, key, v * w)
+    return acc
+
+
+def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
+    """Graded parts of the Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i]
+    at keys (s, c, d), with the common factor -lam/2 of the Reeb fields
+    dropped: the matrix of `_reeb_matrix` applied to the parts of A.  It has
+    no part exactly when A preserves the qc structure."""
+    return _product(a.parts, _reeb_matrix(alg, qc), _apply_columns)
 
 
 def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
     """Whether the connection preserves the qc structure: the V + H
     splitting, sum_i I_i (x) I_i and sum_i reeb_i (x) I_i.  Each form
     A = conn.form(x) is tested by the Reeb equation alone, which implies
-    the other two (see `_qc_defect`)."""
+    the other two (see `_reeb_matrix`)."""
     qc = build_qc(alg)
     return not any(_qc_defect(alg, qc, conn.form(x)) for x in range(alg.dim))
 
@@ -357,25 +350,21 @@ def _qc_functionals(alg: QHAlgebra, qc: QcStructure) -> list[dict[int, int]]:
     """Linear functionals on the skew forms sum_k c_k B_k whose common kernel
     is the qc-preserving forms, one distinct sparse integer row per equation.
 
-    B_k runs over the 2-forms e_a ^ e_b, a < b; each row is the transpose of
-    `_qc_defect` at one key and degree, times the lcm of the defects'
-    denominators (1 here), and exact duplicate rows are dropped.
+    B_k runs over the 2-forms e_a ^ e_b, a < b, whose matrix has +1 at
+    (b, a) and -1 at (a, b).  Row (degree, key) reads the Reeb matrix at
+    that key on the two columns of each B_k: the integer entries of one
+    degree, den times the rational ones, so the row is exact.  Exact
+    duplicate rows are dropped.
     """
-    n = alg.dim
-    skew_basis = list(combinations(range(n), 2))
+    k_of = {ab: k for k, ab in enumerate(combinations(range(alg.dim), 2))}
     rows: dict[tuple, dict[int, int]] = {}
-    common = 1
-    for k, ab in enumerate(skew_basis):
-        b_k = two_form_endo(KForm.basis(n, ab))
-        for d, (den, entries) in _qc_defect(alg, qc, b_k).items():
-            if common % den:  # exact for any den; b_k and the I_i are integral, so here den is 1
-                f = lcm(common, den) // common
-                common *= f
-                rows = {key: {j: v * f for j, v in row.items()} for key, row in rows.items()}
-            f = common // den
-            for key, v in entries.items():
-                rows.setdefault((d, key), {})[k] = v * f
-    distinct = {tuple(sorted(row.items())) for row in rows.values()}
+    for d, (_, columns) in _reeb_matrix(alg, qc).items():
+        for (r, c), column in columns.items():
+            if r != c:
+                k, sign = (k_of[(c, r)], 1) if c < r else (k_of[(r, c)], -1)
+                for key, v in column.items():
+                    accumulate(rows.setdefault((d, key), {}), k, sign * v)
+    distinct = {tuple(sorted(row.items())) for row in rows.values() if row}
     return [dict(items) for items in sorted(distinct)]
 
 

@@ -531,7 +531,8 @@ def ce_differential(a: KForm, alg) -> KForm:
     if a.degree == 0 or a.degree == a.dim:
         return KForm.zero(a.dim, min(a.degree + 1, a.dim))
     # d e^I = sum_t (-1)^t e^{I[:t]} ^ d e^{I[t]} ^ e^{I[t+1:]}, one sort per term
-    d1 = [alg.d_basis_one_form(i).parts for i in range(a.dim)]
+    held = {i for _, e in a.parts.values() for idx in e for i in idx}
+    d1 = {i: alg.d_basis_one_form(i).parts for i in held}
     buckets: dict[tuple[int, int], dict] = {}
     for d, (den, e) in a.parts.items():
         for idx, c in e.items():

@@ -172,6 +172,37 @@ def test_d_squared_zero(p):
             assert ce_differential(ce_differential(two, alg), alg).is_zero()
 
 
+def test_ce_differential_reads_only_the_indices_the_form_holds():
+    # a form on e^0 and e^5 asks for d e^0 and d e^5, not for all 35 basis differentials
+    alg = algebra.build(8)
+    asked = []
+    table = alg.d_basis_one_form
+    alg.d_basis_one_form = lambda i: asked.append(i) or table(i)
+    eta, theta = alg.eta(1), alg.theta(3)
+    d = ce_differential(wedge(eta, theta) + wedge(eta, theta).scale(LAM), alg)
+    assert sorted(set(asked)) == [0, 5] and len(asked) == 2
+    # d(eta ^ theta) = d eta ^ theta - eta ^ d theta, and d theta = 0
+    assert d == wedge(ce_differential(eta, alg), theta).scale(LAM + 1)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_ad_is_the_bracket_read_from_the_table(p):
+    alg = algebra.build(p)
+    e = [alg.basis_vector(a) for a in range(alg.dim)]
+    for x in e:
+        ad = alg.ad(x)
+        assert all(ad.apply(y) == alg.bracket(x, y) for y in e)
+    rng = random.Random(p)
+    for _ in range(5):
+        x, y = (
+            Vector([Scalar({rng.randint(-1, 1): Fraction(rng.randint(-3, 3), rng.randint(1, 3))})
+                    for _ in range(alg.dim)])
+            for _ in range(2)
+        )
+        assert alg.ad(x).apply(y) == alg.bracket(x, y)
+    assert alg.ad(alg.xi(1)).is_zero()
+
+
 def test_specialized_parameter():
     alg = algebra.build(1, Fraction(3, 2))
     assert alg.bracket(alg.tau(1), alg.tau(2)) == alg.xi(1).scale(Fraction(3, 2))

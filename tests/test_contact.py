@@ -1,15 +1,16 @@
+import inspect
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from qhg import algebra, connections as cn, contact as ct
 from qhg.exterior import Endo, KForm, ce_differential, two_form_endo
 from qhg.linalg import nullspace, rref, solve
-from qhg.scalars import LAM, ONE, ZERO, Scalar
+from qhg.scalars import LAM, ONE, ZERO, Scalar, scalars_of
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -137,6 +138,124 @@ def test_characteristic_structures_reject_an_index_outside_1_to_3(build, i):
     assert build(alg, 3) is build(alg, 3)
 
 
+# -- dense oracles: the almost contact axioms and normality, pair by pair -------
+
+
+def _dense_almost_contact(alg, ac) -> dict[str, bool]:
+    """The five almost contact metric equations, read entry by entry on the
+    basis vectors with Scalar arithmetic."""
+    n, phi, xi, eta = alg.dim, ac.phi, ac.xi, ac.eta
+    e = [alg.basis_vector(a) for a in range(n)]
+    return {
+        "phi^2 = -1 + xi (x) eta": all(
+            phi.apply(phi.apply(x)) == xi.scale(eta.evaluate(x)) - x for x in e
+        ),
+        "phi xi = 0": all(phi.apply(xi)[a].is_zero() for a in range(n)),
+        "phi^T eta = 0": all(eta.evaluate(phi.column(a)).is_zero() for a in range(n)),
+        "eta(xi) = 1": eta.evaluate(xi) == ONE,
+        "phi^T phi = 1 - eta (x) eta": all(
+            phi.column(a).dot(phi.column(b))
+            == e[a].dot(e[b]) - eta.evaluate(e[a]) * eta.evaluate(e[b])
+            for a in range(n)
+            for b in range(a, n)
+        ),
+    }
+
+
+def _dense_nijenhuis_defect(alg, ac, x, y):
+    """N(X,Y) = phi^2[X,Y] + [phiX,phiY] - phi[phiX,Y] - phi[X,phiY] + d eta(X,Y) xi."""
+    phi = ac.phi
+    px, py = phi.apply(x), phi.apply(y)
+    out = (
+        phi.apply(phi.apply(alg.bracket(x, y)))
+        + alg.bracket(px, py)
+        - phi.apply(alg.bracket(px, y))
+        - phi.apply(alg.bracket(x, py))
+    )
+    return out + ac.xi.scale(ce_differential(ac.eta, alg).evaluate(x, y))
+
+
+def _dense_normality(alg, ac) -> bool:
+    e = [alg.basis_vector(a) for a in range(alg.dim)]
+    return all(
+        _dense_nijenhuis_defect(alg, ac, e[a], e[b]).is_zero()
+        for a in range(alg.dim)
+        for b in range(a + 1, alg.dim)
+    )
+
+
+def _changed(endo: Endo, rc, delta=1) -> Endo:
+    """The endomorphism with `delta` added to its entry at rc."""
+    return endo + Endo(endo.dim, {rc: delta})
+
+
+def _phi_changes(i: int) -> dict[str, tuple]:
+    """One-entry changes of phi_i, by what they touch: (row, column, delta)."""
+    j, k = i % 3 + 1, (i + 1) % 3 + 1
+    return {
+        "horizontal": (3, 3, 1),  # the diagonal of the H block
+        "xi column": (3, i - 1, 1),  # phi xi_i gains tau_1
+        "eta row": (i - 1, 3, 1),  # eta_i o phi gains theta_1
+        "vertical": (k - 1, j - 1, -1),  # drops eta_j (x) xi_k
+    }
+
+
+# which equations read each changed entry, and so fail
+PHI_BREAKS = {
+    "horizontal": {"phi^2 = -1 + xi (x) eta", "phi^T phi = 1 - eta (x) eta"},
+    "xi column": {"phi^2 = -1 + xi (x) eta", "phi xi = 0", "phi^T phi = 1 - eta (x) eta"},
+    "eta row": {"phi^2 = -1 + xi (x) eta", "phi^T eta = 0", "phi^T phi = 1 - eta (x) eta"},
+    "vertical": {"phi^2 = -1 + xi (x) eta", "phi^T phi = 1 - eta (x) eta"},
+}
+
+
+def _failing(equations: dict) -> set[str]:
+    return {name for name, holds in equations.items() if not holds()}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_almost_contact_equations_match_the_dense_oracle(p):
+    alg = algebra.build(p)
+    for i in (1, 2, 3):
+        ac = ct.build_phi(alg, i)
+        cases = {"phi": ac, "variant": ct.build_phi(alg, 2, inconsistent_variant=True)}
+        for what, (r, c, delta) in _phi_changes(i).items():
+            cases[what] = ct.AlmostContact(_changed(ac.phi, (r, c), delta), ac.xi, ac.eta, i)
+        for what, case in cases.items():
+            equations = ct._almost_contact_equations(alg, case)
+            assert {name: holds() for name, holds in equations.items()} == (
+                _dense_almost_contact(alg, case)
+            ), (i, what)
+            assert ct.almost_contact_axioms(alg, case) == (what == "phi"), (i, what)
+            assert ct.normality_check(alg, i, case) == _dense_normality(alg, case), (i, what)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("what", sorted(PHI_BREAKS))
+def test_a_one_entry_change_of_phi_fails_exactly_the_equations_that_read_it(p, what):
+    alg = algebra.build(p)
+    for i in (1, 2, 3):
+        ac = ct.build_phi(alg, i)
+        r, c, delta = _phi_changes(i)[what]
+        bad = ct.AlmostContact(_changed(ac.phi, (r, c), delta), ac.xi, ac.eta, i)
+        assert _failing(ct._almost_contact_equations(alg, bad)) == PHI_BREAKS[what], i
+    assert _failing(ct._almost_contact_equations(alg, ct.build_phi(alg, 1))) == set()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_normality_reads_every_structure_constant(p):
+    # a one-entry change of the bracket table breaks the normality of some phi_i
+    alg = algebra.build(p)
+    assert all(ct.normality_check(alg, i) for i in (1, 2, 3))
+    structure = dict(alg._sc)
+    a, b = alg.quaternionic_plane(1)[:2]
+    structure[(a, b)] = structure[(a, b)] + alg.xi(2).scale(LAM)  # [tau_1, tau_{p+1}] gains xi_2
+    bent = algebra.QHAlgebra(p, LAM, structure)
+    verdicts = [ct.normality_check(bent, i) for i in (1, 2, 3)]
+    assert verdicts == [_dense_normality(bent, ct.build_phi(bent, i)) for i in (1, 2, 3)]
+    assert not all(verdicts)
+
+
 # -- qc structure ---------------------------------------------------------------
 
 
@@ -194,27 +313,38 @@ def test_qc_functionals_cut_out_sp_p_plus_sp_1(p, dim):
     assert nb - len(rref(rows, nb)[0]) == dim
 
 
-def test_qc_functionals_are_exact_for_any_defect_denominator(monkeypatch):
-    # the defects are integral here: divide the defect of B_k by k + 2, then undo it on column k
-    alg = algebra.build(1)
+def _primitive(row: dict) -> tuple:
+    """The row scaled to coprime integers with a positive first entry."""
+    m = lcm(*(Fraction(v).denominator for v in row.values()))
+    ints = {k: int(v * m) for k, v in row.items()}
+    g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+    return tuple(sorted((k, v // g) for k, v in ints.items()))
+
+
+def _odd_qc(alg) -> ct.QcStructure:
+    """The qc structure with I_1, I_2, I_3 scaled by l / 2, 1 / 3 and 1 / 5: the
+    Reeb matrix gets denominators and two degrees."""
     qc = ct.build_qc(alg)
-    plain = ct._qc_functionals(alg, qc)
-    defect, calls = ct._qc_defect, []
+    factors = (LAM * Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    scaled = [e.scale(f) for e, f in zip(qc.complex_structures, factors)]
+    return ct.QcStructure(scaled, qc.one_forms, qc.reeb)
 
-    def divided(alg, qc, a):
-        calls.append(a)
-        return {d: (den * (len(calls) + 1), e) for d, (den, e) in defect(alg, qc, a).items()}
 
-    monkeypatch.setattr(ct, "_qc_defect", divided)
-    rows = ct._qc_functionals(alg, qc)
+def test_qc_functionals_are_exact_for_any_defect_denominator():
+    # denominators enter through the I_i parts; each functional is then an integer
+    # multiple of the rational row the defects of the B_k give at one key and degree
+    alg = algebra.build(1)
+    odd = _odd_qc(alg)
+    assert {den for e in odd.complex_structures for den, _ in e.parts.values()} == {2, 3, 5}
+    rows = ct._qc_functionals(alg, odd)
     assert all(type(v) is int for row in rows for v in row.values())
-
-    def primitive(row):
-        g = gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
-        return tuple(sorted((k, v // g) for k, v in row.items()))
-
-    undone = {primitive({k: v * (k + 2) for k, v in row.items()}) for row in rows}
-    assert undone == {primitive(row) for row in plain}
+    exact = {}
+    for k, ab in enumerate(combinations(range(alg.dim), 2)):
+        for d, (den, e) in ct._qc_defect(alg, odd, _rotation(alg, *ab)).items():
+            for key, v in e.items():
+                exact.setdefault((d, key), {})[k] = Fraction(v, den)
+    assert {d for d, _ in exact} == {0, 1}
+    assert {_primitive(row) for row in rows} == {_primitive(row) for row in exact.values()}
 
 
 @pytest.mark.parametrize("p, dim", [(1, 9), (2, 16)])
@@ -516,3 +646,148 @@ def test_reeb_equation_alone_decides_qc_preservation_on_gl_n(p):
         for vec in kernel:
             form = Endo(n, {units[k]: v for k, v in enumerate(vec) if v})
             assert _reference_form_preserves(alg, qc, form)
+
+
+# -- dense oracle: the qc axioms, pair by pair ------------------------------------
+
+
+def _dense_qc(alg, qc) -> dict[str, bool]:
+    """The qc axioms as the check read them before it stated them as tensor
+    equations: on basis vectors, with Scalar arithmetic.  Those loops read
+    the product I_1 I_2 I_3 and d eta_j only on H, and the joint kernel
+    only on the vertical basis vectors."""
+    n, horizontal = alg.dim, alg.horizontal_indices
+    e = [alg.basis_vector(a) for a in range(n)]
+    i1, i2, i3 = qc.complex_structures
+    prod = i1.compose(i2).compose(i3)
+    d = [ce_differential(f, alg) for f in qc.one_forms]
+    return {
+        "I_1 I_2 I_3 = -P_H": all(prod.apply(e[h]) == -e[h] for h in horizontal),
+        "eta_j = 0 on H": all(f.evaluate(e[h]).is_zero() for f in qc.one_forms for h in horizontal),
+        "eta_j(xi_i) invertible": all(
+            any(not f.evaluate(e[v]).is_zero() for f in qc.one_forms) for v in alg.vertical_indices
+        ),
+        "d eta_j = 2 g(I_j -, -) on H": all(
+            dj.evaluate(e[a], e[b]) == ij.apply(e[a]).dot(e[b]) * 2
+            for ij, dj in zip(qc.complex_structures, d)
+            for a in horizontal
+            for b in horizontal
+        ),
+        "xi_k _| d eta_j + xi_j _| d eta_k = 0 on H": all(
+            (d[j].evaluate(qc.reeb[k], e[a]) + d[k].evaluate(qc.reeb[j], e[a])).is_zero()
+            for j in range(3)
+            for k in range(3)
+            for a in horizontal
+        ),
+    }
+
+
+def _qc_changes(alg) -> dict[str, ct.QcStructure]:
+    """One-entry changes of the qc structure of `alg`, by what they touch."""
+    qc = ct.build_qc(alg)
+    structures, forms, reeb = qc.complex_structures, qc.one_forms, qc.reeb
+    h = alg.horizontal_indices[0]
+    return {
+        "I_2 on H": ct.QcStructure(
+            [structures[0], _changed(structures[1], (h, h)), structures[2]], forms, reeb
+        ),
+        "I_1 off H x H": ct.QcStructure(  # I_1 xi_1 = tau_1
+            [_changed(structures[0], (h, 0)), *structures[1:]], forms, reeb
+        ),
+        "eta_3 off V": ct.QcStructure(structures, [*forms[:2], forms[2] + alg.theta(1)], reeb),
+        "xi_2 off V": ct.QcStructure(structures, forms, [reeb[0], reeb[1] + alg.tau(1), reeb[2]]),
+    }
+
+
+# which qc equations read each changed entry, and so fail
+QC_BREAKS = {
+    "I_2 on H": {"I_1 I_2 I_3 = -P_H", "d eta_j = 2 g(I_j -, -) on H"},
+    "I_1 off H x H": {"d eta_j = 2 g(I_j -, -) on H"},
+    "eta_3 off V": {"eta_j = 0 on H"},
+    "xi_2 off V": {"xi_k _| d eta_j + xi_j _| d eta_k = 0 on H"},
+}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("what", sorted(QC_BREAKS))
+def test_a_one_entry_change_fails_exactly_the_qc_equations_that_read_it(p, what):
+    alg = algebra.build(p)
+    assert _failing(ct._qc_equations(alg, ct.build_qc(alg))) == set()
+    bad = _qc_changes(alg)[what]
+    assert _failing(ct._qc_equations(alg, bad)) == QC_BREAKS[what]
+    assert not ct.qc_axioms_check(alg, bad)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_qc_equations_match_the_dense_oracle(p):
+    alg = algebra.build(p)
+    cases = {"qc": ct.build_qc(alg), **_qc_changes(alg)}
+    for what, qc in cases.items():
+        verdicts = {name: holds() for name, holds in ct._qc_equations(alg, qc).items()}
+        dense = _dense_qc(alg, qc)
+        if what == "I_1 off H x H":
+            # the pair loops read I_1 only on H x H, and miss that it maps xi_1 into H
+            assert dense == dict.fromkeys(dense, True)
+            dense["d eta_j = 2 g(I_j -, -) on H"] = False
+        assert verdicts == dense, what
+
+
+def test_the_joint_kernel_of_the_one_forms_is_exactly_h():
+    alg = algebra.build(1)
+    qc = ct.build_qc(alg)
+    eta = [alg.eta(i) for i in (1, 2, 3)]
+    kernel = "eta_j(xi_i) invertible"
+
+    def verdicts(forms):
+        return ct._qc_equations(alg, ct.QcStructure(qc.complex_structures, forms, qc.reeb))
+
+    # xi_1 + xi_2 + xi_3 lies in the joint kernel of these three, though each
+    # vertical basis vector is seen by one of them: the basis shortcut passes them
+    differences = [eta[0] - eta[1], eta[1] - eta[2], eta[0] - eta[2]]
+    assert not verdicts(differences)[kernel]()
+    assert _dense_qc(alg, ct.QcStructure(qc.complex_structures, differences, qc.reeb))[kernel]
+    # an invertible block need not be diagonal; one whose determinant 1 - l
+    # vanishes at l = 1 is not invertible for every l > 0
+    assert verdicts([eta[0] + eta[1], eta[1], eta[2]])[kernel]()
+    assert not verdicts([eta[0] + eta[1].scale(LAM), eta[1] + eta[0], eta[2]])[kernel]()
+    assert verdicts(qc.one_forms)[kernel]()
+
+
+def _direct_reeb_tensor(alg, qc, a: Endo) -> dict:
+    """sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i] entry by entry, with Scalars."""
+    out = {}
+    for i, structure in enumerate(qc.complex_structures, start=1):
+        xi = alg.xi(i)
+        for x, y in ((a.apply(xi), structure), (xi, a.commutator(structure))):
+            for s in range(alg.dim):
+                for cd, w in y.m.items():
+                    out[(s, *cd)] = out.get((s, *cd), ZERO) + x[s] * w
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_qc_defect_is_the_reeb_tensor(p):
+    # the matrix applied to A's parts is the tensor built from A by Endo
+    # products, for the algebra's own structure and for one with denominators
+    alg = algebra.build(p)
+    rng = random.Random(p)
+    n = alg.dim
+    for qc in (ct.build_qc(alg), _odd_qc(alg)):
+        for _ in range(12):
+            entries = {
+                (rng.randrange(n), rng.randrange(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 6))
+            }
+            form = Endo(n, entries)
+            defect = ct._qc_defect(alg, qc, form)
+            assert scalars_of(defect) == _direct_reeb_tensor(alg, qc, form)
+
+
+def test_the_reeb_matrix_is_built_once_per_qc_structure():
+    alg = algebra.build(2)
+    qc = ct.build_qc(alg)
+    assert ct._reeb_matrix(alg, qc) is ct._reeb_matrix(alg, ct.build_qc(alg))
+    assert ct.qc_preservation_check(alg, cn.canonical_connection(alg))
+    assert sum(key[0] is inspect.unwrap(ct._reeb_matrix) for key in alg._derived) == 1
+    other = algebra.build(2)
+    assert ct._reeb_matrix(other, ct.build_qc(other)) is not ct._reeb_matrix(alg, qc)

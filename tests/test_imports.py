@@ -200,7 +200,7 @@ LINALG_OUTPUT_READERS = {"_fractions", "solve"}
 SPAN_FEEDERS = {
     "algebra.py": {"center_dimension"},
     "connections.py": {"_flatten", "_coordinate_reader"},
-    "contact.py": {"_qc_functionals"},
+    "contact.py": {"_qc_functionals", "_reeb_matrix"},
 }
 
 

@@ -227,6 +227,21 @@ def test_connection_suite_p8():
     assert _digest(rep) == CONNECTION_DIGESTS[8]
 
 
+# the contact and qc suites at dimension 35, where the contact and qc checks
+# run on their largest inputs of the suite
+SUITE_DIGESTS_P8 = {
+    "contact": "cbf09e180d6d603f0417cff37144f4af76849461ab1740b3851592137e1239df",
+    "qc": "3ccd2a4fec27d587852a066a2978185a0c2a992b00874fe29783148cb68dd884",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS_P8))
+def test_contact_and_qc_suites_p8(suite):
+    rep = run(ReportConfig(p=8, suites=(suite,), fmt="json"))
+    assert rep.summary["failed"] == 0
+    assert _digest(rep) == SUITE_DIGESTS_P8[suite]
+
+
 def test_connection_suite_builds_each_tensor_once(monkeypatch):
     """One report reads the curvature, holonomy and nabla R of each connection from its bundle."""
     calls = Counter()
