@@ -254,9 +254,11 @@ def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
 @derived
 def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> dict:
     """The Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i] as a linear
-    map of A, with xi_i the i-th vertical basis vector: graded parts
+    map of A, with xi_i the i-th vertical basis vector:
     {degree: (den, {(r, c): {(s, c', d'): int}})}, the column of the matrix
-    unit (r, c) of gl(n) at each key (s, c', d') of the tensor.
+    unit (r, c) of gl(n) at each key (s, c', d') of the tensor, den times
+    the entries of that degree.  Unlike tensor parts, the integers and den
+    may share a factor; the readers reduce what they return.
 
     The tensor vanishes exactly when the connection form A preserves the qc
     structure: the V + H splitting, sum_i I_i (x) I_i and this tensor.  The
@@ -288,22 +290,20 @@ def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> dict:
     (i, x, d) and -I_i[c, d] A[d, x] at (i, c, x).  The memo keys on the qc
     structure itself, which is never changed after it is built.
     """
-    raw = []
+    dens: dict[int, int] = {}
+    for structure in qc.complex_structures:
+        for deg, (den, _) in structure.parts.items():
+            dens[deg] = lcm(dens.get(deg, 1), den)
+    matrix = {deg: (den, {}) for deg, den in dens.items()}
     for i, structure in enumerate(qc.complex_structures):
         for deg, (den, e) in structure.parts.items():
-            flat: dict = {}
+            f, columns = dens[deg] // den, matrix[deg][1]
             for (c, d), v in e.items():
+                v *= f
                 for x in range(alg.dim):
-                    accumulate(flat, ((x, i), (x, c, d)), v)
-                    accumulate(flat, ((x, c), (i, x, d)), v)
-                    accumulate(flat, ((d, x), (i, c, x)), -v)
-            raw.append((deg, den, flat))
-    matrix = {}
-    for deg, (den, flat) in graded(raw).items():
-        columns: dict = {}
-        for (unit, key), v in flat.items():
-            columns.setdefault(unit, {})[key] = v
-        matrix[deg] = (den, columns)
+                    accumulate(columns.setdefault((x, i), {}), (x, c, d), v)
+                    accumulate(columns.setdefault((x, c), {}), (i, x, d), v)
+                    accumulate(columns.setdefault((d, x), {}), (i, c, x), -v)
     return matrix
 
 

@@ -243,7 +243,7 @@ def test_a_one_entry_change_of_phi_fails_exactly_the_equations_that_read_it(p, w
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_normality_reads_every_structure_constant(p):
+def test_normality_reads_the_structure_constants(p):
     # a one-entry change of the bracket table breaks the normality of some phi_i
     alg = algebra.build(p)
     assert all(ct.normality_check(alg, i) for i in (1, 2, 3))
