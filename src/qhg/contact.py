@@ -235,8 +235,8 @@ def _qc_equations(alg: QHAlgebra, qc: QcStructure) -> dict:
         "eta_j = 0 on H": lambda: not any(_on_h(alg, f.parts) for f in qc.one_forms),
         "eta_j(xi_i) invertible": lambda: det.is_monomial(),
         "d eta_j = 2 g(I_j -, -) on H": lambda: all(
-            i.is_skew() and _on_h(alg, d.parts) == endo_two_form(i).scale(2).parts
-            for i, d in zip(qc.complex_structures, d_eta)
+            ij.is_skew() and _on_h(alg, dj.parts) == endo_two_form(ij).scale(2).parts
+            for ij, dj in zip(qc.complex_structures, d_eta)
         ),
         "xi_k _| d eta_j + xi_j _| d eta_k = 0 on H": lambda: not any(
             _on_h(alg, (interior(qc.reeb[k], d_eta[j]) + interior(qc.reeb[j], d_eta[k])).parts)
