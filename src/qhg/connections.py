@@ -111,17 +111,28 @@ def levi_civita(alg: QHAlgebra) -> Connection:
 
 
 def with_torsion(alg: QHAlgebra, t: KForm) -> Connection:
-    """Metric connection whose totally skew torsion is the 3-form t."""
+    """Metric connection whose totally skew torsion is the 3-form t.
+
+    Omega(e_x) = Omega^g(e_x) + (1/2) e_x . t, in one pass over the nonzero
+    entries of t: v e^{abc} adds v/2 at (c, b) of Omega(e_a), (a, c) of
+    Omega(e_b) and (b, a) of Omega(e_c), and -v/2 at the transposed entries;
+    each direction then sums its Levi-Civita and torsion parts in one `graded`.
+    """
     if t.degree != 3:
         raise ValueError("torsion must be a 3-form")
     if t.dim != alg.dim:
         raise ValueError("torsion does not live on this algebra")
-    lc = levi_civita(alg)
-    omega = []
-    for i in range(alg.dim):
-        correction = two_form_endo(interior(alg.basis_vector(i), t)).scale(Fraction(1, 2))
-        omega.append(lc.form(i) + correction)
-    return Connection(omega)
+    raw = [[(d, den, e) for d, (den, e) in form.parts.items()] for form in levi_civita(alg).omega]
+    for d, (den, e) in t.parts.items():
+        # direction -> integer entries; a 3-form reaches each key at most once
+        half: dict[int, dict] = {}
+        for (a, b, c), v in e.items():
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):  # e_x . e^{xyz} = e^{yz}
+                acc = half.setdefault(x, {})
+                acc[(z, y)], acc[(y, z)] = v, -v
+        for x, acc in half.items():
+            raw[x].append((d, 2 * den, acc))
+    return Connection([_endo(alg.dim, graded(r)) for r in raw])
 
 
 def flat_connection(alg: QHAlgebra) -> Connection:
@@ -210,24 +221,14 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
     )
 
 
-def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Vector]:
-    """T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j], for i < j."""
-    n = alg.dim
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = (
-                conn.form(i).apply(alg.basis_vector(j))
-                - conn.form(j).apply(alg.basis_vector(i))
-                - alg.bracket_basis(i, j)
-            )
-            if not v.is_zero():
-                out[(i, j)] = v
-    return out
+def _check_dim(alg: StructureConstants, conn: Connection):
+    if conn.dim != alg.dim:
+        raise ValueError(f"connection of dimension {conn.dim} on an algebra of dimension {alg.dim}")
 
 
 def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
     """R(X, Y) = [Omega(X), Omega(Y)] - Omega([X, Y])."""
+    _check_dim(alg, conn)
     n = alg.dim
     values = {}
     for i in range(n):
@@ -249,32 +250,56 @@ class Geometry:
     """
 
     def __init__(self, alg: QHAlgebra, conn: Connection):
+        _check_dim(alg, conn)
         self.alg = alg
         self.conn = conn
 
     @cached_property
+    def torsion_parts(self) -> dict:
+        """T(e_i, e_j)_k, i < j, as parts {degree: (den, {(i, j, k): int})}.
+
+        T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j] in one pass
+        over the nonzero entries: entry (k, j) = v of Omega(e_i) lands at the
+        sorted pair, v at (i, j, k) for i < j and -v at (j, i, k) for i > j;
+        then the stored brackets [e_i, e_j]_k, i < j, are subtracted.
+        """
+        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (i, j, k) -> sum
+        for i, form in enumerate(self.conn.omega):
+            for d, (den, e) in form.parts.items():
+                acc = buckets.setdefault((d, den), {})
+                for (k, j), v in e.items():
+                    if i != j:
+                        accumulate(acc, (i, j, k) if i < j else (j, i, k), v if i < j else -v)
+        for (i, j), bracket in self.alg._sc.items():
+            for d, (den, e) in bracket.parts.items():
+                acc = buckets.setdefault((d, den), {})
+                for k, v in e.items():
+                    accumulate(acc, (i, j, k), -v)
+        return graded((d, den, acc) for (d, den), acc in buckets.items())
+
+    @cached_property
     def torsion_tensor(self) -> dict[tuple[int, int], Vector]:
-        return torsion_tensor(self.alg, self.conn)
+        """The nonzero T(e_i, e_j), i < j, in sorted pair order."""
+        pairs: dict[tuple[int, int], list] = {}
+        for d, (den, e) in self.torsion_parts.items():
+            for (i, j, k), v in e.items():
+                pairs.setdefault((i, j), []).append((d, den, {k: v}))
+        return {key: _vector(self.alg.dim, graded(pairs[key])) for key in sorted(pairs)}
 
     @cached_property
     def torsion_form(self) -> KForm | None:
-        """The torsion as a 3-form, or None when it is not totally skew."""
-        n = self.alg.dim
-        tor = self.torsion_tensor
-        for (i, j), v in tor.items():
-            for k in {k for _, e in v.parts.values() for k in e}:
-                if k == i or k == j:
-                    return None
-                # compare against the slot-swapped value T(e_i, e_k, e_j)
-                w = tor.get((i, k) if i < k else (k, i), Vector.zero(n))
-                if not _cancels(v.parts, k, w.parts, j, 1 if i < k else -1):
-                    return None
-        raw = (
-            (d, den, {(i, j, k): c for k, c in e.items() if k > j})
-            for (i, j), v in tor.items()
-            for d, (den, e) in v.parts.items()
-        )
-        return _kform(n, 3, graded(raw))
+        """The torsion as a 3-form, or None when it is not totally skew, that is
+        when a part of T is not the alternating extension of its i < j < k entries."""
+        raw = []
+        for d, (den, e) in self.torsion_parts.items():
+            t = {(i, j, k): v for (i, j, k), v in e.items() if j < k}
+            skew = {}
+            for (a, b, c), v in t.items():
+                skew[(a, b, c)], skew[(a, c, b)], skew[(b, c, a)] = v, -v, v
+            if skew != e:
+                return None
+            raw.append((d, den, t))
+        return _kform(self.alg.dim, 3, graded(raw))
 
     @cached_property
     def curvature(self) -> CurvatureTensor:
@@ -443,6 +468,12 @@ def _torsion_slices(e: dict) -> dict[int, list[tuple[int, int, int]]]:
 # -- the public (alg, conn) readers of one bundle field ----------------------
 
 
+def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Vector]:
+    """T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j] for i < j; see
+    Geometry.torsion_parts for the one-pass contraction."""
+    return Geometry(alg, conn).torsion_tensor
+
+
 def torsion_is_skew(alg: QHAlgebra, conn: Connection) -> bool:
     """Whether the lowered torsion is alternating in all three slots."""
     return Geometry(alg, conn).torsion_form is not None
@@ -507,25 +538,23 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
     return _kform(f.dim, f.degree, _product(a.parts, f.parts, act))
 
 
-def nabla_tensor(conn: Connection, tensor):
-    """Covariant derivative per frame direction of a frame-constant tensor.
+def _nabla_kernel(conn: Connection, tensor):
+    """A -> nabla_A tensor, for a KForm, Endo, Vector or CurvatureTensor."""
+    if isinstance(tensor, KForm):
+        return lambda a: _act_on_form(a, tensor)
+    if isinstance(tensor, Endo):
+        return lambda a: a.commutator(tensor)
+    if isinstance(tensor, Vector):
+        return lambda a: a.apply(tensor)
+    if isinstance(tensor, CurvatureTensor):
+        return lambda a: _nabla_curvature(conn, tensor, a)
+    raise TypeError(f"cannot differentiate {type(tensor).__name__}")
 
-    Supports KForm, Endo, Vector and CurvatureTensor values.
-    """
-    out = []
-    for i in range(conn.dim):
-        a = conn.form(i)
-        if isinstance(tensor, KForm):
-            out.append(_act_on_form(a, tensor))
-        elif isinstance(tensor, Endo):
-            out.append(a.commutator(tensor))
-        elif isinstance(tensor, Vector):
-            out.append(a.apply(tensor))
-        elif isinstance(tensor, CurvatureTensor):
-            out.append(_nabla_curvature(conn, tensor, a))
-        else:
-            raise TypeError(f"cannot differentiate {type(tensor).__name__}")
-    return out
+
+def nabla_tensor(conn: Connection, tensor):
+    """Covariant derivative per frame direction of a frame-constant tensor."""
+    kernel = _nabla_kernel(conn, tensor)
+    return [kernel(a) for a in conn.omega]
 
 
 def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> CurvatureTensor:
@@ -574,7 +603,10 @@ def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> Curvature
 
 
 def is_parallel(conn: Connection, tensor) -> bool:
-    return all(d.is_zero() for d in nabla_tensor(conn, tensor))
+    """Whether nabla_{e_i} tensor = 0 for every i: the kernel of `nabla_tensor`,
+    run direction by direction up to the first derivative that is nonzero."""
+    kernel = _nabla_kernel(conn, tensor)
+    return all(kernel(a).is_zero() for a in conn.omega)
 
 
 # -- holonomy ----------------------------------------------------------------
@@ -716,11 +748,11 @@ def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, i
     return None
 
 
-def _cancels(a: dict, ka, b: dict, kb, sign: int = 1) -> bool:
-    """Whether entry ka of the parts a plus sign times entry kb of the parts b
-    is zero, degree by degree."""
+def _cancels(a: dict, ka, b: dict, kb) -> bool:
+    """Whether entry ka of the parts a plus entry kb of the parts b is zero,
+    degree by degree."""
     x = {d: (den, e[ka]) for d, (den, e) in a.items() if ka in e}
     y = {d: (den, e[kb]) for d, (den, e) in b.items() if kb in e}
     return x.keys() == y.keys() and all(
-        c * y[d][0] + sign * y[d][1] * den == 0 for d, (den, c) in x.items()
+        c * y[d][0] + y[d][1] * den == 0 for d, (den, c) in x.items()
     )

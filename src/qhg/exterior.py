@@ -14,8 +14,7 @@ Scalars on demand.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 
 from .scalars import (
     ONE,
@@ -563,12 +562,3 @@ def consistency_check(alg) -> bool:
 
 def volume_form(dim: int) -> KForm:
     return KForm.basis(dim, tuple(range(dim)))
-
-
-def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:
-    """Small random form with rational coefficients (test helper)."""
-    comps = {}
-    for idx in combinations(range(dim), degree):
-        if rng.random() < density:
-            comps[idx] = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return KForm(dim, degree, comps)

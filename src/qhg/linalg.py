@@ -114,9 +114,6 @@ class FractionSpan:
         """Insert v; returns True when it enlarged the span."""
         return _insert(self._rows, self._cols, _part(v, self.n))
 
-    def contains(self, v: Row) -> bool:
-        return not self.reduce(v)
-
 
 def rref(rows: Iterable[Row], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qhg import algebra, clifford as cl, connections as cn
-from qhg.exterior import Endo, KForm, Vector, random_form, two_form_endo
+from qhg.exterior import Endo, KForm, Vector, two_form_endo
 from qhg.scalars import Scalar
+from support import random_form
 
 
 def rand_spinor(rng):

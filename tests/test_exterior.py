@@ -14,12 +14,12 @@ from qhg.exterior import (
     form_inner,
     hodge_star,
     interior,
-    random_form,
     two_form_endo,
     volume_form,
     wedge,
 )
 from qhg.scalars import LAM, ONE, ZERO, Scalar
+from support import random_form
 
 
 def basis_vectors(n):
