@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exterior import Endo, KForm, Vector, _endo, _vector, wedge
+from .exterior import Endo, KForm, Vector, _endo, _kform, _vector, wedge
 from .linalg import nullspace
 from .scalars import LAM, Scalar, accumulate, graded, part
 
@@ -115,12 +115,11 @@ class StructureConstants:
         """Chevalley-Eilenberg differential of the index-th basis 1-form."""
         if not 0 <= index < self.dim:
             raise IndexError(f"basis index {index} outside [0, {self.dim})")
-        comps = {}
-        for (i, j), v in self._sc.items():
-            c = v[index]
-            if not c.is_zero():
-                comps[(i, j)] = -c
-        return KForm(self.dim, 2, comps)
+        # d e^k (e_i, e_j) = -[e_i, e_j]_k
+        return _kform(self.dim, 2, graded(
+            (d, -den, {(i, j): e[index]})
+            for (i, j), v in self._sc.items() for d, (den, e) in v.parts.items() if index in e
+        ))
 
 
 class QHAlgebra(StructureConstants):
@@ -210,7 +209,7 @@ def build(p: int, lam=None) -> QHAlgebra:
     structure: dict[tuple[int, int], Vector] = {}
 
     def put(a: int, b: int, center: int):
-        val = Vector([lam_scalar if k == center - 1 else 0 for k in range(dim)])
+        val = Vector.basis(dim, center - 1).scale(lam_scalar)
         if a < b:
             structure[(a, b)] = val
         else:

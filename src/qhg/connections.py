@@ -22,9 +22,9 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _check_indices,
     _combination,
     _commutator,
-    _product,
     _endo,
     _kform,
     _rows,
@@ -36,7 +36,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import FractionSpan
-from .scalars import ZERO, Scalar, accumulate, graded, homogeneous_part, parts_of
+from .scalars import Scalar, _product, accumulate, graded, homogeneous_part
 
 
 class Connection:
@@ -72,6 +72,7 @@ class CurvatureTensor:
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
     def endo(self, i: int, j: int) -> Endo:
+        _check_indices(self.dim, (i, j))
         if i == j:
             return Endo.zero(self.dim)
         if i < j:
@@ -199,8 +200,8 @@ def su2_curvature(alg: QHAlgebra) -> CurvatureTensor:
 
 def ricci_closed_form(alg: QHAlgebra) -> Endo:
     """Ricci of the canonical connection: diag(-8 lam^2 x3, -3 lam^2 x4p)."""
-    lam2 = alg.lam * alg.lam
-    return Endo(alg.dim, {(i, i): lam2 * (-8 if i < 3 else -3) for i in range(alg.dim)})
+    diagonal = {(i, i): -8 if i < 3 else -3 for i in range(alg.dim)}
+    return Endo(alg.dim, diagonal).scale(alg.lam * alg.lam)
 
 
 def volumes_parallel(alg: QHAlgebra, conn: Connection) -> bool:
@@ -365,8 +366,8 @@ class Geometry:
         hol_coords = _coordinate_reader(hol, n)
         table: dict[tuple[int, int], Vector] = {}
 
-        def put(x: int, y: int, coords: list[Scalar], v: Vector):
-            raw = [(d, den, e) for d, (den, e) in parts_of(dict(enumerate(coords))).items()]
+        def put(x: int, y: int, coords: Vector, v: Vector):
+            raw = [(d, den, e) for d, (den, e) in coords.parts.items()]
             raw += [(d, den, {h + k: c for k, c in e.items()}) for d, (den, e) in v.parts.items()]
             parts = graded(raw)
             if parts:
@@ -379,7 +380,7 @@ class Geometry:
             put(a, b, coords, Vector.zero(n))
         for a in range(h):
             for i in range(n):
-                put(a, h + i, [ZERO] * h, hol[a].column(i))
+                put(a, h + i, Vector.zero(h), hol[a].column(i))
         for i, j in combinations(range(n), 2):
             coords = hol_coords(-self.curvature.endo(i, j))
             if coords is None:
@@ -704,7 +705,8 @@ def _coordinate_reader(basis: list[Endo], n: int):
     [t | 0] leaves [r | -x] with t = r + sum_a x_a b_a, so t lies in the
     span of the b_a iff r = 0, and then x are its coordinates.  A
     formal-scalar Endo is read one parameter power at a time; the reader
-    returns its coordinates as scalars, or None when it is outside the span.
+    returns its coordinates as a vector of dimension len(basis), or None
+    when it is outside the span.
     """
     h = len(basis)
     nn = n * n
@@ -714,16 +716,15 @@ def _coordinate_reader(basis: list[Endo], n: int):
         row = _flatten(b, f"basis element {a}", 0)  # den times b
         span.add({**row, nn + a: b.parts[0][0] if row else 1})
 
-    def read(e: Endo) -> list[Scalar] | None:
-        coords: list[dict[int, Fraction]] = [{} for _ in range(h)]
-        for exp, (den, entries) in sorted(e.parts.items()):
+    def read(e: Endo) -> Vector | None:
+        raw = []
+        for exp, (den, entries) in e.parts.items():
             # den times the part: its coordinates come back den times too
             res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
             if min(res, default=nn) < nn:
                 return None
-            for j, x in res.items():
-                coords[j - nn][exp] = -x / den
-        return [Scalar(c) for c in coords]
+            raw += [(exp, den * x.denominator, {j - nn: -x.numerator}) for j, x in res.items()]
+        return _vector(h, graded(raw))
 
     return read
 

@@ -27,10 +27,10 @@ from math import lcm
 
 from .algebra import QHAlgebra, _unit_index, derived, quaternion_action
 from .connections import Connection, Geometry, flat_connection, is_parallel, levi_civita, with_torsion
-from .exterior import (Endo, KForm, Vector, _endo, _kform, _product, _sort_tuple, _vector,
-                       ce_differential, endo_two_form, interior, wedge)
+from .exterior import (Endo, KForm, Vector, _endo, _kform, _sort_tuple, _vector, ce_differential,
+                       endo_two_form, interior, wedge)
 from .linalg import rref, solve
-from .scalars import ONE, ZERO, Scalar, accumulate, graded, homogeneous_at_one
+from .scalars import LAM, ONE, ZERO, Scalar, _product, accumulate, graded, homogeneous_at_one
 
 
 class AlmostContact:
@@ -53,19 +53,18 @@ def build_phi(alg: QHAlgebra, i: int, inconsistent_variant: bool = False) -> Alm
     equations reject it, which pins the consistent tensor.
     """
     _unit_index("structure", i)
-    entries = dict(quaternion_action(alg, i).m)
     j, k = ((i % 3) + 1, ((i + 1) % 3) + 1)
-    entries[(k - 1, j - 1)] = 1  # eta_j (x) xi_k
-    entries[(j - 1, k - 1)] = -1  # -eta_k (x) xi_j
+    entries = {(k - 1, j - 1): 1, (j - 1, k - 1): -1}  # eta_j (x) xi_k - eta_k (x) xi_j
     if inconsistent_variant:
         if i != 2:
             raise ValueError("the inconsistent variant is defined for i = 2 only")
         for r in range(1, alg.p + 1):
             plane = alg.quaternionic_plane(r)
             # replace -theta_{p+r} (x) tau_{3p+r} by -theta_r (x) tau_{3p+r}
-            del entries[(plane[3], plane[1])]
-            accumulate(entries, (plane[3], plane[0]), -1)
-    return AlmostContact(Endo(alg.dim, entries), alg.xi(i), alg.eta(i), i)
+            entries[(plane[3], plane[1])] = 1
+            entries[(plane[3], plane[0])] = -1
+    phi = quaternion_action(alg, i) + Endo(alg.dim, entries)
+    return AlmostContact(phi, alg.xi(i), alg.eta(i), i)
 
 
 # -- tensors from parts ---------------------------------------------------------
@@ -427,5 +426,5 @@ def qc_unique_skew(alg: QHAlgebra):
     for row, rhs in zip(sys_rows, sys_rhs):
         if sum(v * xs[t] for t, v in row.items()) != rhs * den:
             return 0, None
-    comps = {t: Scalar.monomial(v, d) for t, v in zip(triples, particular) if v}
-    return 1 + len(kernel), KForm(n, 3, comps)
+    torsion = KForm(n, 3, {t: v for t, v in zip(triples, particular) if v})
+    return 1 + len(kernel), torsion.scale(LAM**d)

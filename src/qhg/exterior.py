@@ -1,4 +1,4 @@
-"""Exterior algebra on an orthonormal frame, with exact scalars.
+"""Exterior algebra on an orthonormal frame, with exact values.
 
 Alternating k-tensors are stored sparsely on strictly increasing index
 tuples over the frame 0..n-1.  The basis k-forms are orthonormal (no
@@ -6,10 +6,12 @@ tuples over the frame 0..n-1.  The basis k-forms are orthonormal (no
 (a^b)(X,Y) = a(X)b(Y) - a(Y)b(X).  Skew endomorphisms and 2-forms are
 identified by  A X = X . a  (interior product), i.e. a(X,Y) = g(AX,Y).
 
-Vectors, forms and endomorphisms keep their entries as graded parts
-{degree: (den, {index: int})} (see `scalars`), and every kernel below
-loops over plain ints; `comps`, `m`, `coeff`, `entry` and indexing build
-Scalars on demand.
+Vectors, forms and endomorphisms hold the one exact value type of
+`scalars`: graded parts {degree: (den, {index: int})}, indexed by frame
+indices, index tuples and (row, column) pairs; a `Scalar` is the same
+thing indexed by the empty tuple.  Their linear operations live once, in
+`Tensor`, and every kernel below loops over plain ints; `comps`, `m`,
+`coeff`, `entry` and indexing read entries out as Scalars on demand.
 """
 
 from __future__ import annotations
@@ -20,18 +22,18 @@ from .scalars import (
     ONE,
     ZERO,
     Scalar,
+    _merge,
+    _negate,
+    _parts,
+    _product,
+    _scaled,
     accumulate,
     graded,
-    part,
     parts_of,
     scalar_at,
     scalar_sum,
     scalars_of,
 )
-
-
-def _coeff(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 def _check_dims(a, b):
@@ -48,41 +50,6 @@ def _check_indices(dim: int, indices):
 
 
 # -- graded kernels over the parts {degree: (den, {index: int})} ----------------
-
-
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    """Parts of a + sign * b."""
-    if not b:
-        return a
-    if not a and sign > 0:
-        return b
-    raw = [(d, den, e) for d, (den, e) in a.items()]
-    raw += [(d, sign * den, e) for d, (den, e) in b.items()]
-    return graded(raw)
-
-
-def _negate(a: dict) -> dict:
-    return {d: (den, {k: -v for k, v in e.items()}) for d, (den, e) in a.items()}
-
-
-def _scale(a: dict, c) -> dict:
-    """Parts of c * a for a scalar c."""
-    return _combination(
-        (d, den, v, a) for d, (den, e) in parts_of({0: c}).items() for v in e.values()
-    )
-
-
-def _product(a: dict, b: dict, kernel) -> dict:
-    """Parts of a bilinear product given on integer entries by kernel(ea, eb)."""
-    if len(a) == 1 and len(b) == 1:  # homogeneous operands: one product part
-        ((da, (na, ea)),) = a.items()
-        ((db, (nb, eb)),) = b.items()
-        return part(da + db, na * nb, kernel(ea, eb))
-    return graded(
-        (da + db, na * nb, kernel(ea, eb))
-        for da, (na, ea) in a.items()
-        for db, (nb, eb) in b.items()
-    )
 
 
 def _combination(terms) -> dict:
@@ -137,24 +104,74 @@ def _apply(ea: dict, ex: dict) -> dict:
     return acc
 
 
-class Vector:
-    """Element of the frame space, components in the orthonormal frame.
+class Tensor:
+    """Graded parts over a frame of dimension `dim`: the base of Vector,
+    KForm and Endo.
 
-    `parts` holds the nonzero components; `comps` maps index -> nonzero
-    Scalar, like KForm.comps, and indexing and iteration see all `dim`
-    components, zeros included.
+    The linear operations live here, built over each class's `_like(parts)`,
+    a tensor of the same class, dimension and degree.  `degree` is that of
+    a KForm; the other tensors have none.
     """
 
     __slots__ = ("dim", "parts")
+    degree = None
+
+    def _check(self, other):
+        """Raise unless other has the class, dimension and degree of self."""
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        _check_dims(self, other)
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(_merge(self.parts, other.parts, 1))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(_merge(self.parts, other.parts, -1))
+
+    def __neg__(self):
+        return self._like(_negate(self.parts))
+
+    def scale(self, c):
+        """c times the tensor, for a Scalar, an int or a Fraction c."""
+        return self._like(_product(_parts(c), self.parts, _scaled))
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    @property
+    def comps(self) -> dict:
+        """index -> nonzero Scalar, in sorted index order."""
+        return scalars_of(self.parts)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dim == other.dim
+            and self.degree == other.degree
+            and self.parts == other.parts
+        )
+
+
+class Vector(Tensor):
+    """Element of the frame space, components in the orthonormal frame.
+
+    `comps` holds the nonzero components; indexing and iteration see all
+    `dim` components, zeros included.
+    """
+
+    __slots__ = ()
 
     def __init__(self, components):
         components = list(components)
         self.dim = len(components)
         self.parts = parts_of(dict(enumerate(components)))
 
-    @property
-    def comps(self) -> dict[int, Scalar]:
-        return scalars_of(self.parts)
+    def _like(self, parts: dict) -> "Vector":
+        return _vector(self.dim, parts)
 
     @staticmethod
     def zero(dim: int) -> "Vector":
@@ -174,37 +191,15 @@ class Vector:
     def __iter__(self):
         return map(self.comps.get, range(self.dim), repeat(ZERO))
 
-    _check = _check_dims
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return _vector(self.dim, _merge(self.parts, other.parts, 1))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return _vector(self.dim, _merge(self.parts, other.parts, -1))
-
-    def __neg__(self) -> "Vector":
-        return _vector(self.dim, _negate(self.parts))
-
-    def scale(self, c) -> "Vector":
-        return _vector(self.dim, _scale(self.parts, c))
-
     def dot(self, other: "Vector") -> Scalar:
         """Inner product of the orthonormal frame."""
         self._check(other)
         return _inner(self.parts, other.parts)
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
     def dual(self) -> "KForm":
         """Metric-dual 1-form (trivial in an orthonormal frame)."""
         parts = {d: (den, {(i,): v for i, v in e.items()}) for d, (den, e) in self.parts.items()}
         return _kform(self.dim, 1, parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.dim == other.dim and self.parts == other.parts
 
     def __repr__(self):
         return f"Vector({[str(c) for c in self]})"
@@ -245,35 +240,31 @@ def _sort_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(idx)
 
 
-class KForm:
+class KForm(Tensor):
     """Alternating k-tensor, sparse over increasing index tuples.
 
     `comps` maps each index tuple with a nonzero coefficient to its Scalar.
     """
 
-    __slots__ = ("dim", "degree", "parts")
+    __slots__ = ("degree",)
 
     def __init__(self, dim: int, degree: int, comps: dict | None = None):
         if not 0 <= degree <= dim:
             raise ValueError(f"degree {degree} out of range for dimension {dim}")
         self.dim = dim
         self.degree = degree
-        clean: dict[tuple[int, ...], Scalar] = {}
+        raw = []
         for idx, c in (comps or {}).items():
             _check_indices(dim, idx)
-            c = _coeff(c)
-            if c.is_zero():
-                continue
-            if len(idx) != degree:
+            parts = _parts(c)
+            if parts and len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
             sign, key = _sort_tuple(tuple(idx))
-            if sign:
-                accumulate(clean, key, c if sign > 0 else -c)
-        self.parts = parts_of(clean)
+            raw += [(d, sign * den, {key: e[()]}) for d, (den, e) in parts.items() if sign]
+        self.parts = graded(raw)
 
-    @property
-    def comps(self) -> dict[tuple[int, ...], Scalar]:
-        return scalars_of(self.parts)
+    def _like(self, parts: dict) -> "KForm":
+        return _kform(self.dim, self.degree, parts)
 
     @staticmethod
     def zero(dim: int, degree: int) -> "KForm":
@@ -288,39 +279,14 @@ class KForm:
         return KForm(dim, len(idx), {tuple(idx): ONE})
 
     def coeff(self, idx: tuple[int, ...]) -> Scalar:
+        _check_indices(self.dim, idx)
+        if len(idx) != self.degree:
+            raise ValueError(f"index tuple {idx} has wrong length for degree {self.degree}")
         sign, key = _sort_tuple(tuple(idx))
         if sign == 0:
             return ZERO
         c = scalar_at(self.parts, key)
         return c if sign > 0 else -c
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    _check = _check_dims
-
-    def __add__(self, other: "KForm") -> "KForm":
-        self._check(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in form addition")
-        return _kform(self.dim, self.degree, _merge(self.parts, other.parts, 1))
-
-    def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
-
-    def __neg__(self) -> "KForm":
-        return _kform(self.dim, self.degree, _negate(self.parts))
-
-    def scale(self, c) -> "KForm":
-        return _kform(self.dim, self.degree, _scale(self.parts, c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KForm)
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and self.parts == other.parts
-        )
 
     def evaluate(self, *vectors: Vector) -> Scalar:
         """Evaluate on vectors via the determinant convention:
@@ -357,7 +323,7 @@ def _wedge(ea: dict, eb: dict) -> dict:
 
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product; graded-commutative and associative."""
-    a._check(b)
+    _check_dims(a, b)
     k = a.degree + b.degree
     if k > a.dim:
         # everything above top degree vanishes
@@ -377,8 +343,7 @@ def _interior(ex: dict, ea: dict) -> dict:
 
 def interior(x: Vector, a: KForm) -> KForm:
     """Interior product x . a, an antiderivation of degree -1."""
-    if x.dim != a.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {a.dim}")
+    _check_dims(x, a)
     if a.degree == 0:
         raise ValueError("interior product needs degree >= 1")
     return _kform(a.dim, a.degree - 1, _product(x.parts, a.parts, _interior))
@@ -401,18 +366,16 @@ def hodge_star(a: KForm) -> KForm:
 def form_inner(a: KForm, b: KForm) -> Scalar:
     """Inner product for which the basis k-forms are orthonormal."""
     a._check(b)
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch in form inner product")
     return _inner(a.parts, b.parts)
 
 
-class Endo:
+class Endo(Tensor):
     """Linear endomorphism of the frame space, a sparse matrix.
 
     `m` maps each (row, column) with a nonzero entry to its Scalar.
     """
 
-    __slots__ = ("dim", "parts")
+    __slots__ = ()
 
     def __init__(self, dim: int, entries: dict | None = None):
         entries = entries or {}
@@ -421,9 +384,10 @@ class Endo:
         self.dim = dim
         self.parts = parts_of(entries)
 
-    @property
-    def m(self) -> dict[tuple[int, int], Scalar]:
-        return scalars_of(self.parts)
+    m = Tensor.comps
+
+    def _like(self, parts: dict) -> "Endo":
+        return _endo(self.dim, parts)
 
     @staticmethod
     def zero(dim: int) -> "Endo":
@@ -434,41 +398,24 @@ class Endo:
         return _endo(dim, {0: (1, {(i, i): 1 for i in range(dim)})} if dim else {})
 
     def entry(self, r: int, c: int) -> Scalar:
+        _check_indices(self.dim, (r, c))
         return scalar_at(self.parts, (r, c))
-
-    def is_zero(self) -> bool:
-        return not self.parts
 
     def is_skew(self) -> bool:
         return all(
             e.get((c, r), 0) == -v for _, e in self.parts.values() for (r, c), v in e.items()
         )
 
-    _check = _check_dims
-
     def apply(self, x: Vector) -> Vector:
-        self._check(x)
+        _check_dims(self, x)
         return _vector(self.dim, _product(self.parts, x.parts, _apply))
 
     def column(self, c: int) -> Vector:
+        _check_indices(self.dim, (c,))
         return _vector(self.dim, graded(
             (d, den, {r: v for (r, cc), v in e.items() if cc == c})
             for d, (den, e) in self.parts.items()
         ))
-
-    def __add__(self, other: "Endo") -> "Endo":
-        self._check(other)
-        return _endo(self.dim, _merge(self.parts, other.parts, 1))
-
-    def __sub__(self, other: "Endo") -> "Endo":
-        self._check(other)
-        return _endo(self.dim, _merge(self.parts, other.parts, -1))
-
-    def __neg__(self) -> "Endo":
-        return _endo(self.dim, _negate(self.parts))
-
-    def scale(self, c) -> "Endo":
-        return _endo(self.dim, _scale(self.parts, c))
 
     def compose(self, other: "Endo") -> "Endo":
         """Matrix product self * other."""
@@ -484,9 +431,6 @@ class Endo:
             (d, den, sum(v for (r, c), v in e.items() if r == c))
             for d, (den, e) in self.parts.items()
         )
-
-    def __eq__(self, other):
-        return isinstance(other, Endo) and self.dim == other.dim and self.parts == other.parts
 
     def __repr__(self):
         return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in self.m.items())}}})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import QHAlgebra
+from .algebra import QHAlgebra, derived
 from .clifford import clifford_matrix, gamma, spin_lift, vector_action
 from .connections import Connection, levi_civita
 from .exterior import (
@@ -166,7 +166,7 @@ def _normalize_spinor(comps: list[Fraction]) -> Vector:
     root = _rational_sqrt(norm2)
     if root is not None:
         ints = [c / root for c in ints]
-    return Vector([Scalar(c) for c in ints])
+    return Vector(ints)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -244,23 +244,20 @@ def _eigen_ratio(image: Vector, v: Vector) -> Scalar | None:
     return s
 
 
+@derived
+def levi_civita_lifts(alg: QHAlgebra) -> list[Endo]:
+    """The spinor lifts of the Levi-Civita connection forms, one per frame direction."""
+    _require_p1(alg)
+    return [spin_lift(form) for form in levi_civita(alg).omega]
+
+
 def generalized_killing_check(alg: QHAlgebra, psi: Vector) -> list[Scalar | None]:
     """Eigenvalue s(e_i) with nabla^g_{e_i} psi = s(e_i) e_i . psi, per direction.
 
     A None entry means no scalar works in that direction (the spinor is
     not generalized Killing there).
     """
-    _require_p1(alg)
-    return _killing_eigenvalues(_spin_lifts(levi_civita(alg)), psi)
-
-
-def _spin_lifts(conn: Connection) -> list[Endo]:
-    """The spinor lifts of the connection forms, one per frame direction."""
-    return [spin_lift(conn.form(i)) for i in range(conn.dim)]
-
-
-def _killing_eigenvalues(lifts: list[Endo], psi: Vector) -> list[Scalar | None]:
-    """generalized_killing_check for the Levi-Civita lifts already built."""
+    lifts = levi_civita_lifts(alg)
     return [_eigen_ratio(lift.apply(psi), g.apply(psi)) for lift, g in zip(lifts, gamma())]
 
 
@@ -269,7 +266,7 @@ def invariant_killing_values(alg: QHAlgebra) -> list[Scalar]:
     return [alg.lam * Fraction(1, 2)] * 3 + [alg.lam * Fraction(-3, 4)] * (alg.dim - 3)
 
 
-def _translate_killing(alg: QHAlgebra, lifts: list[Endo], psi0: Vector) -> tuple[bool, set[str]]:
+def translate_killing_check(alg: QHAlgebra, psi0: Vector) -> tuple[bool, set[str]]:
     """Killing eigenvalues of the translates xi_i . psi0: lam/2 along xi_i,
     -lam/2 along the other vertical directions and one horizontal value,
     three distinct values for each translate.  Returns the verdict and the
@@ -277,7 +274,7 @@ def _translate_killing(alg: QHAlgebra, lifts: list[Endo], psi0: Vector) -> tuple
     half = alg.lam * Fraction(1, 2)
     ok, horizontal = True, set()
     for i in (1, 2, 3):
-        ki = _killing_eigenvalues(lifts, vector_action(alg.xi(i), psi0))
+        ki = generalized_killing_check(alg, vector_action(alg.xi(i), psi0))
         horiz = {str(ki[idx]) for idx in alg.horizontal_indices}
         ok = (
             ok
@@ -290,8 +287,9 @@ def _translate_killing(alg: QHAlgebra, lifts: list[Endo], psi0: Vector) -> tuple
     return ok, horizontal
 
 
-def _killing_via_torsion(alg: QHAlgebra, lifts: list[Endo], t: KForm, psi0: Vector) -> bool:
+def killing_via_torsion_check(alg: QHAlgebra, t: KForm, psi0: Vector) -> bool:
     """nabla^g_X psi0 = -(1/4)(X . t) psi0 for every frame vector X."""
+    lifts = levi_civita_lifts(alg)
     return all(
         lifts[i].apply(psi0)
         == clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
@@ -306,15 +304,7 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
     horizontal X and as zero for vertical X; and the Leibniz expansion
     of nabla^g_X (xi_i . psi0) matches its direct evaluation.
     """
-    _require_p1(alg)
-    lc = levi_civita(alg)
-    return _proof_identities(alg, lc, _spin_lifts(lc), split)
-
-
-def _proof_identities(
-    alg: QHAlgebra, lc: Connection, lifts: list[Endo], split: SpinorSplitting
-) -> bool:
-    """proof_identities_check for a Levi-Civita connection and its lifts."""
+    lc, lifts = levi_civita(alg), levi_civita_lifts(alg)
     psi0 = split.psi0
     g = gamma()
     for i in (1, 2, 3):

@@ -147,10 +147,6 @@ class _Run:
         return g2.parallel_spinor(self.alg, self.can.conn)
 
     @cached_property
-    def lifts(self) -> list[exterior.Endo]:
-        return g2._spin_lifts(self.lc.conn)
-
-    @cached_property
     def crit(self) -> cone.ConeCriterion:
         return cone.cone_constant(self.alg)
 
@@ -196,12 +192,12 @@ def _torsion_spectrum(r: _Run):
 
 
 def _killing_invariant(r: _Run):
-    ki = g2._killing_eigenvalues(r.lifts, r.split.psi0)
+    ki = g2.generalized_killing_check(r.alg, r.split.psi0)
     return ki == g2.invariant_killing_values(r.alg), {"vertical": ki[0], "horizontal": ki[3]}
 
 
 def _killing_translates(r: _Run):
-    ok, horizontal = g2._translate_killing(r.alg, r.lifts, r.split.psi0)
+    ok, horizontal = g2.translate_killing_check(r.alg, r.split.psi0)
     return ok, {"horizontal": ", ".join(sorted(horizontal))}
 
 
@@ -254,7 +250,7 @@ CHECKS = (
           "the three rotation generators close into su(2)",
           lambda r: all(r.h[i].commutator(r.h[(i + 1) % 3]) == r.h[(i + 2) % 3].scale(2)
                         for i in range(3))),
-    Check("connection.torsion-roundtrip", ("connections.torsion_form",),
+    Check("connection.torsion-roundtrip", ("connections.Geometry.torsion_form",),
           "the torsion recovered from the connection equals the input 3-form",
           lambda r: r.can.torsion_form == r.t),
     Check("connection.torsion-norm", ("exterior.form_inner",),
@@ -266,16 +262,18 @@ CHECKS = (
     Check("connection.curvature-closed-form", ("connections.curvature",),
           "curvature equals lam^2 x (sum of rotation generators squared)",
           lambda r: r.can.curvature.values == connections.su2_curvature(r.alg).values),
-    Check("connection.ricci", ("connections.ricci", "connections.scalar_curvatures"),
+    Check("connection.ricci",
+          ("connections.Geometry.ricci", "connections.ricci_closed_form", "exterior.Endo.trace"),
           "Ricci is diag(-8 lam^2 x3, -3 lam^2 x4p) with the stated scalar curvatures", _ricci),
-    Check("connection.holonomy", ("connections.holonomy",),
+    Check("connection.holonomy",
+          ("connections.Geometry.holonomy", "connections.su2_holonomy_check"),
           "holonomy is 3-dimensional, irreducible vertically, preserving each plane",
           lambda r: (connections.su2_holonomy_check(r.alg, r.can.holonomy),
                      {"holonomy_dim": len(r.can.holonomy)})),
-    Check("connection.first-bianchi", ("connections.first_bianchi_check",),
+    Check("connection.first-bianchi", ("connections.Geometry.first_bianchi",),
           "cyclic curvature sum satisfies the skew-torsion Bianchi identity",
           lambda r: r.can.first_bianchi, p_max=1),
-    Check("connection.transvection", ("connections.transvection_check",),
+    Check("connection.transvection", ("connections.Geometry.transvection",),
           "the rebuilt homogeneous algebra satisfies Jacobi and reductivity",
           lambda r: r.can.transvection),
     Check("contact.axioms", ("contact.build_phi", "contact.almost_contact_axioms"),
@@ -309,7 +307,9 @@ CHECKS = (
     Check("qc.levi-civita-does-not", ("contact.qc_preservation_check",),
           "the Levi-Civita connection does not preserve the splitting",
           lambda r: not contact.qc_preservation_check(r.alg, r.lc.conn)),
-    Check("qc.flat-connection", ("connections.flat_connection", "connections.torsion_is_skew"),
+    Check("qc.flat-connection",
+          ("contact.flat_connection_check", "connections.flat_connection",
+           "connections.Geometry.torsion_form"),
           "the flat connection preserves the qc structure, has zero holonomy "
           "and its torsion is not totally skew",
           lambda r: contact.flat_connection_check(r.alg)),
@@ -333,7 +333,8 @@ CHECKS = (
     Check("spinors.clifford-relations", ("clifford.build_gamma",),
           "generators anticommute, square to -Id, volume element is +Id",
           lambda r: (clifford.relations_check(), {"volume_sign": clifford.volume_sign()})),
-    Check("spinors.spin-lift", ("clifford.spin_lift", "clifford.clifford_action"),
+    Check("spinors.spin-lift",
+          ("clifford.lift_check", "clifford.spin_lift", "clifford.clifford_matrix"),
           "the lift satisfies [lift(A), X] = AX and doubles the 2-form action",
           lambda r: all(clifford.lift_check(a) for a in r.h)),
     Check("spinors.parallel-spinor", ("g2.parallel_spinor",),
@@ -347,16 +348,18 @@ CHECKS = (
     Check("spinors.killing-invariant-spinor", ("g2.generalized_killing_check",),
           "the invariant spinor is generalized Killing with eigenvalues "
           "lam/2 vertically and -3 lam/4 horizontally", _killing_invariant),
-    Check("spinors.killing-translates", ("g2.generalized_killing_check",),
+    Check("spinors.killing-translates",
+          ("g2.translate_killing_check", "g2.generalized_killing_check"),
           "the three translate spinors are generalized Killing with exactly "
           "three distinct eigenvalues (lam/2, -lam/2 and a horizontal value)", _killing_translates),
     Check("spinors.proof-identities", ("g2.proof_identities_check",),
           "the interior-product identities behind the Killing equations hold",
-          lambda r: g2._proof_identities(r.alg, r.lc.conn, r.lifts, r.split)),
-    Check("spinors.killing-via-torsion", ("clifford.clifford_action",),
+          lambda r: g2.proof_identities_check(r.alg, r.split)),
+    Check("spinors.killing-via-torsion",
+          ("g2.killing_via_torsion_check", "clifford.clifford_matrix"),
           "the Riemannian derivative of the invariant spinor equals "
           "-(1/4)(X . T) acting on it",
-          lambda r: g2._killing_via_torsion(r.alg, r.lifts, r.t, r.split.psi0)),
+          lambda r: g2.killing_via_torsion_check(r.alg, r.t, r.split.psi0)),
     Check("cone.constant", ("cone.cone_constant",),
           "the unique cone constant equals the metric parameter",
           lambda r: (r.crit.constant == r.alg.lam, {"constant": r.crit.constant,
@@ -391,12 +394,12 @@ REQUIRED_OPS = (
     "qhg.connections.curvature",
     "qhg.connections.nabla_tensor",
     "qhg.connections.is_parallel",
-    "qhg.connections.ricci",
-    "qhg.connections.scalar_curvatures",
-    "qhg.connections.holonomy",
-    "qhg.connections.transvection_check",
+    "qhg.connections.Geometry.ricci",
+    "qhg.exterior.Endo.trace",
+    "qhg.connections.Geometry.holonomy",
+    "qhg.connections.Geometry.transvection",
     "qhg.clifford.build_gamma",
-    "qhg.clifford.clifford_action",
+    "qhg.clifford.clifford_matrix",
     "qhg.clifford.spin_lift",
     "qhg.contact.build_phi",
     "qhg.contact.compatibility_check",

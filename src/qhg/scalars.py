@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Laurent polynomials in the metric parameter.
+"""Exact values: graded parts of Laurent polynomials in the metric parameter.
 
 Every number in this package is a Laurent polynomial in the metric
 parameter (printed ``l``) with arbitrary-precision rational coefficients.
@@ -8,21 +8,21 @@ once.  Rank, span and sign questions need rationals: `homogeneous_at_one`
 certifies that some scalars share one parameter degree and reads them at
 l = 1, which then decides the question for every positive value.
 
-A stored coefficient is an ``int`` when integral and a ``Fraction`` only
-when not (`_norm`), so integral sums and products are plain ``int``
-operations; division and negative powers go through ``Fraction``.  No
-``int`` leaves a `Scalar`: `coeff`, `rational_value`, `terms` and
-`specialize` return ``Fraction``; printing, ``==`` and hashing agree.
-
-Tensors do not hold a `Scalar` per entry.  They hold graded parts
+A value is held in one representation, graded parts
 ``{degree: (den, {index: int})}``: the entry at an index is
 ``sum_d entries_d[index] / den_d * l^d``.  A part in normal form has
 ``den > 0``, ``gcd(den, *entries) == 1`` and no zero entry, and no part is
-empty, so equal tensors have equal parts.  A product of parts adds the
+empty, so equal values have equal parts.  A product of parts adds the
 degrees and multiplies the denominators; `graded` brings parts of one
-degree to the lcm of their denominators and restores the normal form.
-A report's tensors have one part each, except the vectors of the hol + m
-table, whose curvature coordinates and torsion sit at two degrees.
+degree to the lcm of their denominators and restores the normal form, and
+`_merge`, `_negate` and `_product` are the kernels of sums and products.
+The tensors of `exterior` index their parts by frame indices; a `Scalar`
+is the rank-0 case, indexed by the empty tuple, and its ring operations
+run through the same kernels.  Only ints and Fractions enter a `Scalar`,
+and only Fractions leave it: `coeff`, `rational_value`, `terms` and
+`specialize` return ``Fraction``.  A report's tensors have one part each,
+except the vectors of the hol + m table, whose curvature coordinates and
+torsion sit at two degrees.
 """
 
 from __future__ import annotations
@@ -30,34 +30,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
-
-
-def _norm(q):
-    """The stored form of a rational: int when integral, else Fraction."""
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"cannot coerce {type(q).__name__} to a rational")
-    return q.numerator if q.denominator == 1 else q
-
 
 class Scalar:
-    """Sparse Laurent polynomial, exponent -> nonzero rational coefficient.
+    """Sparse Laurent polynomial: parts {exponent: (den, {(): num})}.
 
     Instances are immutable.  Division is defined only by monomials
     ``c*l^k`` (the units of the Laurent ring); anything else raises
     ValueError rather than silently leaving the ring.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("parts",)
 
     def __init__(self, value=0):
+        """A Scalar, an int or a Fraction, or a dict exponent -> coefficient."""
         if isinstance(value, Scalar):
-            self._c = value._c
-        elif isinstance(value, dict):
-            self._c = {e: _norm(c) for e, c in value.items() if c != 0}
-        else:
-            q = _norm(value)
-            self._c = {0: q} if q != 0 else {}
+            self.parts = value.parts
+            return
+        coeffs = value if isinstance(value, dict) else {0: value}
+        for q in coeffs.values():
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(q).__name__} to a rational")
+        # a reduced fraction is a part in normal form
+        self.parts = {e: (q.denominator, {(): q.numerator}) for e, q in coeffs.items() if q}
 
     @staticmethod
     def monomial(coeff, exp: int) -> "Scalar":
@@ -66,142 +60,93 @@ class Scalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.parts
 
     def is_monomial(self) -> bool:
-        return len(self._c) == 1
+        return len(self.parts) == 1
 
     def rational_value(self) -> Fraction:
-        if not self._c:
-            return Fraction(0)
-        if set(self._c) != {0}:
+        if self.parts and self.parts.keys() != {0}:
             raise ValueError(f"{self} is not parameter-free")
-        return Fraction(self._c[0])
+        return self.coeff(0)
 
     def coeff(self, exp: int) -> Fraction:
-        return Fraction(self._c.get(exp, 0))
+        den, e = self.parts.get(exp, (1, {(): 0}))
+        return Fraction(e[()], den)
 
     def terms(self):
         """(exponent, coefficient) pairs, descending exponent."""
-        return [(e, Fraction(c)) for e, c in sorted(self._c.items(), reverse=True)]
+        return [(e, self.coeff(e)) for e in sorted(self.parts, reverse=True)]
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        # scalars are immutable, so a zero summand can hand back the other
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + v
-            if type(s) is not int:
-                s = _norm(s)
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return _wrap(c)
+        return _scalar(_merge(self.parts, _parts(other), 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({e: -v for e, v in self._c.items()})
+        return _scalar(_negate(self.parts))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _scalar(_merge(self.parts, _parts(other), -1))
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return _scalar(_merge(_parts(other), self.parts, -1))
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not self._c or not other._c:
-            return ZERO
-        if len(self._c) == 1 and len(other._c) == 1:
-            # monomials: the ring has no zero divisors, so one nonzero term
-            ((e1, v1),) = self._c.items()
-            ((e2, v2),) = other._c.items()
-            v = v1 * v2
-            return _wrap({e1 + e2: v if type(v) is int else _norm(v)})
-        c: dict[int, int | Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = _norm(c.get(e, 0) + v1 * v2)
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        return _wrap(c)
+        return _scalar(_product(self.parts, _parts(other), _scaled))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
+        divisor = _parts(other)
+        if not divisor:
             raise ZeroDivisionError("scalar division by zero")
-        if not other.is_monomial():
-            raise ValueError(f"division only by monomials, got divisor {other}")
-        ((de, dv),) = other._c.items()
-        return _wrap({e - de: _norm(Fraction(v) / dv) for e, v in self._c.items()})
+        if len(divisor) != 1:
+            raise ValueError(f"division only by monomials, got divisor {Scalar(other)}")
+        ((d, (den, e)),) = divisor.items()
+        num = e[()]
+        inverse = {-d: (abs(num), {(): den if num > 0 else -den})}
+        return _scalar(_product(self.parts, inverse, _scaled))
 
     def __pow__(self, n: int):
         if n < 0:
             if not self.is_monomial():
                 raise ValueError("negative powers only of monomials")
-            ((e, v),) = self._c.items()
-            return _wrap({e * n: _norm(Fraction(v) ** n)})
+            return (ONE / self) ** -n
         out = ONE
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._c == other._c
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.parts == _parts(other)
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(frozenset((d, den, e[()]) for d, (den, e) in self.parts.items()))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self.parts)
 
     # -- evaluation and printing -----------------------------------------
 
     def specialize(self, value) -> Fraction:
         """Evaluate at a concrete rational parameter value."""
-        v = Fraction(_norm(value))
-        if v == 0 and any(e < 0 for e in self._c):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
+        v = Fraction(value)
+        if v == 0 and any(e < 0 for e in self.parts):
             raise ZeroDivisionError("negative exponent at parameter 0")
-        if len(self._c) == 1:
-            ((e, c),) = self._c.items()
-            return Fraction(c) if v == 1 else c * v**e
-        return sum((c * v**e for e, c in self._c.items()), Fraction(0))
+        return sum((c * v**e for e, c in self.terms()), Fraction(0))
 
     def __str__(self):
-        if not self._c:
+        if not self.parts:
             return "0"
         parts = []
-        for e, c in sorted(self._c.items(), reverse=True):
+        for e, c in self.terms():
             if e == 0:
                 body = str(c)
             else:
@@ -224,6 +169,24 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _scalar(parts: dict) -> Scalar:
+    """The Scalar of parts {degree: (den, {(): num})} already in normal form."""
+    s = object.__new__(Scalar)
+    s.parts = parts
+    return s
+
+
+def _parts(x) -> dict:
+    """The parts of a Scalar, an int or a Fraction; TypeError for any other x."""
+    return x.parts if isinstance(x, Scalar) else Scalar({0: x}).parts
+
+
+def _scaled(ec: dict, et: dict) -> dict:
+    """The entries of any part times the entry of a scalar part."""
+    c = ec[()]
+    return {k: c * v for k, v in et.items()}
+
+
 def homogeneous_at_one(entries, label: str = "entries", degree: int | None = None):
     """(d, values): the common l-degree d of a mapping of scalars and their
     values at l = 1, under the same keys.
@@ -236,15 +199,15 @@ def homogeneous_at_one(entries, label: str = "entries", degree: int | None = Non
     """
     values = {}
     for index, s in entries.items():
-        if len(s._c) > 1:
+        if len(s.parts) > 1:
             raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
-        for e in s._c:
+        for e in s.parts:
             if degree is not None and e != degree:
                 raise ArithmeticError(
                     f"{label} at index {index}: {s} has degree {e} in l, expected {degree}"
                 )
             degree = e
-        values[index] = Fraction(s._c.get(degree, 0))
+        values[index] = s.coeff(degree)
     return degree, values
 
 
@@ -327,66 +290,61 @@ def _normal(den: int, entries: dict) -> tuple[int, dict]:
     return den // g, {k: v // g for k, v in entries.items()}
 
 
+def _merge(a: dict, b: dict, sign: int) -> dict:
+    """Parts of a + sign * b."""
+    if not b:
+        return a
+    if not a and sign > 0:
+        return b
+    raw = [(d, den, e) for d, (den, e) in a.items()]
+    raw += [(d, sign * den, e) for d, (den, e) in b.items()]
+    return graded(raw)
+
+
+def _negate(a: dict) -> dict:
+    return {d: (den, {k: -v for k, v in e.items()}) for d, (den, e) in a.items()}
+
+
+def _product(a: dict, b: dict, kernel) -> dict:
+    """Parts of a bilinear product given on integer entries by kernel(ea, eb)."""
+    if len(a) == 1 and len(b) == 1:  # homogeneous operands: one product part
+        ((da, (na, ea)),) = a.items()
+        ((db, (nb, eb)),) = b.items()
+        return part(da + db, na * nb, kernel(ea, eb))
+    return graded(
+        (da + db, na * nb, kernel(ea, eb))
+        for da, (na, ea) in a.items()
+        for db, (nb, eb) in b.items()
+    )
+
+
+# -- tensor entries as Scalars ----------------------------------------------------
+
+
 def parts_of(mapping) -> dict:
     """Normal-form parts of a mapping index -> Scalar (or int or Fraction)."""
-    by_degree: dict[int, dict] = {}
-    for key, s in mapping.items():
-        if not isinstance(s, Scalar):
-            s = Scalar(s)
-        for e, q in s._c.items():
-            by_degree.setdefault(e, {})[key] = q
-    out = {}
-    for e, coeffs in by_degree.items():
-        # the lcm of the reduced denominators shares no factor with every numerator
-        den = lcm(*(q.denominator for q in coeffs.values()))
-        out[e] = (den, {k: q.numerator * (den // q.denominator) for k, q in coeffs.items()})
-    return out
-
-
-def rational(v: int, den: int):
-    """v / den in the stored form of a Scalar coefficient."""
-    if den == 1:
-        return v
-    q = Fraction(v, den)
-    return q.numerator if q.denominator == 1 else q
-
-
-def scalars_of(parts: dict) -> dict:
-    """index -> nonzero Scalar, in sorted index order, built from the parts."""
-    coeffs: dict = {}
-    for d, (den, entries) in parts.items():
-        for k, v in entries.items():
-            coeffs.setdefault(k, {})[d] = rational(v, den)
-    return {k: _wrap(coeffs[k]) for k in sorted(coeffs)}
+    return graded(
+        (d, den, {key: num})
+        for key, s in mapping.items()
+        for d, (den, e) in _parts(s).items()
+        for num in e.values()
+    )
 
 
 def scalar_at(parts: dict, key) -> Scalar:
     """The entry at one index, as a Scalar."""
-    return _wrap({d: rational(e[key], den) for d, (den, e) in parts.items() if key in e})
+    return _scalar({d: _normal(den, {(): e[key]}) for d, (den, e) in parts.items() if key in e})
+
+
+def scalars_of(parts: dict) -> dict:
+    """index -> nonzero Scalar, in sorted index order, built from the parts."""
+    keys = {k for _, e in parts.values() for k in e}
+    return {k: scalar_at(parts, k) for k in sorted(keys)}
 
 
 def scalar_sum(raw) -> Scalar:
     """The Scalar sum of raw terms (degree, den, int)."""
-    raw = [(d, den, {0: v}) for d, den, v in raw if v]
-    if len(raw) == 1:
-        ((d, den, e),) = raw
-        return _wrap({d: rational(e[0], den)})
-    return scalar_at(graded(raw), 0)
-
-
-def _wrap(c: dict[int, int | Fraction]) -> Scalar:
-    """Scalar over a dict of nonzero coefficients already in `_norm` form."""
-    s = object.__new__(Scalar)
-    s._c = c
-    return s
-
-
-def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    return NotImplemented
+    return _scalar(graded((d, den, {(): v}) for d, den, v in raw if v))
 
 
 ZERO = Scalar(0)

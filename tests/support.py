@@ -1,8 +1,13 @@
 """Helpers that only the tests use."""
 
+import importlib
+import inspect
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from qhg import clifford, report
 from qhg.exterior import KForm
 from qhg.scalars import Scalar
 
@@ -19,3 +24,50 @@ def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:
 def span_contains(span, v) -> bool:
     """Whether the row v lies in the FractionSpan span."""
     return not span.reduce(v)
+
+
+def executed_code(fn) -> Counter:
+    """How often the code object of each Python function ran during fn(),
+    counted by the call events of `sys.setprofile`."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def code_of(dotted: str):
+    """The code object that runs for 'qhg.<module>.<name>[.<attr>]': the
+    function under the `algebra.derived` memo (`__wrapped__`) or under a
+    `cached_property` (`.func`)."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(".".join(parts[:2]))
+    for attr in parts[2:]:
+        obj = getattr(obj, attr)
+    return inspect.unwrap(getattr(obj, "func", obj)).__code__
+
+
+def profiled_report(config):
+    """(report, code objects run) of one report, as in a fresh interpreter:
+    the Clifford generators, which `clifford.gamma` keeps for the process,
+    are built again."""
+    saved = clifford._GAMMA, clifford._PRODUCTS
+    clifford._GAMMA, clifford._PRODUCTS = None, {}
+    out = []
+    try:
+        ran = executed_code(lambda: out.append(report.run(config)))
+    finally:
+        clifford._GAMMA, clifford._PRODUCTS = saved
+    return out[0], ran
+
+
+def unexecuted(ops, ran) -> list[str]:
+    """The dotted operations, in sorted order, whose code is not in ran."""
+    return sorted(op for op in set(ops) if code_of(op) not in ran)

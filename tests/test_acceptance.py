@@ -27,8 +27,9 @@ from qhg.exterior import (
     two_form_endo,
     wedge,
 )
-from qhg.report import REQUIRED_OPS, ReportConfig, run
+from qhg.report import REQUIRED_OPS, ReportConfig
 from qhg.scalars import LAM, Scalar
+from support import profiled_report, unexecuted
 
 
 @contextmanager
@@ -375,9 +376,9 @@ def test_criterion_12_cli():
         assert main(["verify", "--p", "2", "--suite", "spinors"]) == 2
         assert main(["verify", "--p", "1", "--lambda", "-1"]) == 2
 
-        rep = run(ReportConfig(p=1, suites=("all",)))
+        # every declared and every required operation really runs
+        rep, ran = profiled_report(ReportConfig(p=1, suites=("all",)))
         assert rep.all_passed
-        exercised = set()
-        for check in rep.checks:
-            exercised.update(check.ops)
-        assert set(REQUIRED_OPS) <= exercised
+        declared = {op for check in rep.checks for op in check.ops}
+        assert set(REQUIRED_OPS) <= declared
+        assert unexecuted(declared, ran) == []

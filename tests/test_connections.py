@@ -395,13 +395,13 @@ def test_coordinate_reader_exact_coordinates():
     read = cn._coordinate_reader([b0, b1], 3)
     x0 = LAM * 2
     x1 = LAM * LAM * 3 - LAM * Fraction(1, 2)  # two parameter powers
-    assert read(b0.scale(x0) + b1.scale(x1)) == [x0, x1]
-    assert read(Endo.zero(3)) == [Scalar(0), Scalar(0)]
+    assert read(b0.scale(x0) + b1.scale(x1)) == Vector([x0, x1])
+    assert read(Endo.zero(3)) == Vector.zero(2)
     alg = algebra.build(1)
     hol = cn.holonomy(alg, cn.canonical_connection(alg))
     read = cn._coordinate_reader(hol, alg.dim)
     for a, e in enumerate(hol):
-        assert read(e.scale(LAM)) == [LAM if b == a else Scalar(0) for b in range(3)]
+        assert read(e.scale(LAM)) == Vector.basis(3, a).scale(LAM)
 
 
 def test_coordinate_reader_outside_span():
@@ -412,7 +412,7 @@ def test_coordinate_reader_outside_span():
     # inside the span at lam^1, outside at lam^2
     assert read(b0.scale(LAM) + outside.scale(LAM * LAM)) is None
     assert cn._coordinate_reader([], 3)(outside) is None
-    assert cn._coordinate_reader([], 3)(Endo.zero(3)) == []
+    assert cn._coordinate_reader([], 3)(Endo.zero(3)) == Vector.zero(0)
 
 
 def test_holonomy_is_read_at_one_only_for_homogeneous_input():

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from qhg import algebra
+from qhg.connections import CurvatureTensor
 from qhg.exterior import (
     Endo,
     KForm,
@@ -334,6 +335,53 @@ def test_constructors_reject_indices_outside_the_frame():
         KForm.basis(3, (0, 3))
     assert Endo(3, {(2, 0): 1, (0, 2): 0}).m == {(2, 0): ONE}
     assert KForm(3, 2, {(2, 0): 1}) == KForm.basis(3, (0, 2)).scale(-1)
+
+
+_E7 = Endo.identity(7)
+_F2 = KForm.basis(7, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "read, error, message",
+    [
+        (lambda: _E7.entry(7, 0), IndexError, r"^index 7 outside \[0, 7\)$"),
+        (lambda: _E7.entry(-1, 0), IndexError, r"^index -1 outside \[0, 7\)$"),
+        (lambda: _E7.entry(0, 9), IndexError, r"^index 9 outside \[0, 7\)$"),
+        (lambda: _E7.column(9), IndexError, r"^index 9 outside \[0, 7\)$"),
+        (lambda: _F2.coeff((0, 9)), IndexError, r"^index 9 outside \[0, 7\)$"),
+        (lambda: _F2.coeff((0,)), ValueError, r"wrong length for degree 2"),
+        (lambda: _F2.coeff((0, 1, 2)), ValueError, r"wrong length for degree 2"),
+        (lambda: CurvatureTensor(7, {}).endo(0, 9), IndexError, r"^index 9 outside \[0, 7\)$"),
+    ],
+    ids=["entry-row", "entry-negative", "entry-column", "column", "coeff-index", "coeff-short",
+         "coeff-long", "curvature-endo"],
+)
+def test_readers_reject_unchecked_indices(read, error, message):
+    # unchecked, each of these read as zero
+    with pytest.raises(error, match=message):
+        read()
+    # in range, the same readers still answer
+    assert _E7.entry(6, 6) == ONE and _E7.column(6) == Vector.basis(7, 6)
+    assert _F2.coeff((1, 0)) == -ONE and _F2.coeff((1, 1)) == ZERO
+    assert CurvatureTensor(7, {}).endo(6, 6).is_zero()
+
+
+def test_linear_operations_need_one_class_dimension_and_degree():
+    """The shared linear operations of Vector, KForm and Endo."""
+    one, two = KForm.basis(3, (0,)), KForm.basis(3, (0, 1))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match=r"^degree mismatch: 1 vs 2$"):
+            op(one, two)
+        with pytest.raises(TypeError, match=r"^expected a Vector, got Endo$"):
+            op(Vector.zero(3), Endo.zero(3))
+    with pytest.raises(ValueError, match="degree mismatch"):
+        form_inner(one, two)
+    # equal dimension and equal (empty) parts, yet never equal across classes or degrees
+    zeros = [Vector.zero(3), Endo.zero(3), KForm.zero(3, 1), KForm.zero(3, 2)]
+    for a in zeros:
+        assert [a == b for b in zeros] == [a is b for b in zeros]
+    assert Vector.basis(3, 0) != Endo.identity(3) and Vector.basis(3, 0).dual() == one
+    assert one.scale(LAM) + one.scale(-LAM) == KForm.zero(3, 1) and -two == two.scale(-1)
 
 
 def test_endo_negation_and_subtraction():

@@ -269,13 +269,13 @@ def test_vertical_vectors_anticommute_as_clifford_elements(alg, split):
 
 def test_report_spinor_verdicts_and_their_negative_controls(alg, split):
     """The verdicts the report reads, with inputs that must make each one fail."""
-    lifts, t = g2._spin_lifts(cn.levi_civita(alg)), cn.canonical_torsion(alg)
-    assert g2._killing_eigenvalues(lifts, split.psi0) == g2.invariant_killing_values(alg)
-    assert g2._killing_eigenvalues(lifts, split.vertical[0]) != g2.invariant_killing_values(alg)
-    ok, horizontal = g2._translate_killing(alg, lifts, split.psi0)
+    t = cn.canonical_torsion(alg)
+    assert g2.generalized_killing_check(alg, split.psi0) == g2.invariant_killing_values(alg)
+    assert g2.generalized_killing_check(alg, split.vertical[0]) != g2.invariant_killing_values(alg)
+    ok, horizontal = g2.translate_killing_check(alg, split.psi0)
     assert ok and horizontal == {str(LAM * Fraction(1, 4))}
     rng = random.Random(72)
     s = Vector([Scalar(Fraction(rng.randint(1, 9))) for _ in range(8)])
-    assert not g2._translate_killing(alg, lifts, s)[0]
-    assert g2._killing_via_torsion(alg, lifts, t, split.psi0)
-    assert not g2._killing_via_torsion(alg, lifts, t.scale(2), split.psi0)
+    assert not g2.translate_killing_check(alg, s)[0]
+    assert g2.killing_via_torsion_check(alg, t, split.psi0)
+    assert not g2.killing_via_torsion_check(alg, t.scale(2), split.psi0)

@@ -137,12 +137,12 @@ def hand_accumulations(source: str) -> list[str]:
 
 
 def test_only_the_accumulation_helper_sums_into_a_sparse_dict():
-    """Every kernel sums through `scalars.accumulate`; the Scalar ring operations
-    keep their own Laurent-coefficient arithmetic."""
+    """Every kernel, the Scalar ring operations among them, sums through
+    `scalars.accumulate`."""
     for path in sorted(SRC.glob("*.py")):
         found = hand_accumulations(path.read_text())
         if path.name == "scalars.py":
-            found = [f for f in found if not f.startswith(("accumulate:", "Scalar."))]
+            found = [f for f in found if not f.startswith("accumulate:")]
         assert found == [], path.name
 
 
@@ -166,6 +166,48 @@ def test_accumulation_guard_flags_a_hand_written_sum():
     # the helper, a comparison and an unconditional pop are not hand-written sums
     helper = "def f(d, k, v):\n    accumulate(d, k, v)\n    return d.get(k, 0) < 0, d.pop(k, None)\n"
     assert hand_accumulations(helper) == []
+
+
+# the linear operations that Vector, KForm and Endo take from exterior.Tensor
+BASE_METHODS = {"__add__", "__sub__", "__neg__", "scale", "__eq__", "is_zero", "_check"}
+
+
+def class_members(source: str, name: str) -> set[str]:
+    """The names the class `name` binds in its own body: its functions and
+    the targets of its assignments."""
+    (cls,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == name]
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_tensor_classes_share_the_linear_operations():
+    source = (SRC / "exterior.py").read_text()
+    assert BASE_METHODS <= class_members(source, "Tensor")
+    for name in ("Vector", "KForm", "Endo"):
+        assert class_members(source, name) & BASE_METHODS == set(), name
+        assert "_like" in class_members(source, name), name
+
+
+def test_linear_operation_guard_flags_a_copy_in_a_tensor_class():
+    # Endo as it read before the shared base: its own sum, scale and check
+    endo = (
+        "class Endo:\n"
+        "    _check = _check_dims\n"
+        "    def __add__(self, other):\n"
+        "        return _endo(self.dim, _merge(self.parts, other.parts, 1))\n"
+        "    def scale(self, c):\n"
+        "        return _endo(self.dim, _scale(self.parts, c))\n"
+        "    def compose(self, other):\n"
+        "        return other\n"
+    )
+    assert class_members(endo, "Endo") & BASE_METHODS == {"_check", "__add__", "scale"}
+    assert class_members("class Vector(Tensor):\n    __slots__ = ()\n", "Vector") == {"__slots__"}
 
 
 def rational_calls(source: str, callees=("Fraction", "rational")) -> list[str]:

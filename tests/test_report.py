@@ -1,9 +1,6 @@
-import cProfile
 import hashlib
-import importlib
 import inspect
 import json
-import pstats
 import re
 import subprocess
 import sys
@@ -17,6 +14,7 @@ from qhg import algebra, cone, connections, contact, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 from qhg.scalars import Scalar
+from support import executed_code, profiled_report, unexecuted
 
 
 # SHA-256 of the full formal JSON report; any change to its bytes shows here
@@ -121,20 +119,24 @@ def test_config_errors():
 
 
 def test_operation_coverage_of_full_suite():
-    """Every public operation of the library is exercised by the full report at p = 1."""
-    rep = run(ReportConfig(p=1, suites=("all",)))
-    exercised = set()
-    for check in rep.checks:
-        exercised.update(check.ops)
-    missing = set(REQUIRED_OPS) - exercised
-    assert not missing, f"operations not exercised: {sorted(missing)}"
-    # and each declared operation resolves to a real callable
-    for dotted in REQUIRED_OPS:
-        parts = dotted.split(".")
-        obj = importlib.import_module(".".join(parts[:2]))
-        for attr in parts[2:]:
-            obj = getattr(obj, attr)
-        assert callable(obj), dotted
+    """Every operation a row declares, and every operation in REQUIRED_OPS,
+    runs in the full report at p = 1, compared by code object."""
+    rep, ran = profiled_report(ReportConfig(p=1, suites=("all",)))
+    declared = {op for check in rep.checks for op in check.ops}
+    assert set(REQUIRED_OPS) <= declared
+    assert unexecuted(declared, ran) == []
+
+
+def test_operation_coverage_fails_for_a_declaration_that_never_runs():
+    _, ran = profiled_report(ReportConfig(p=2, suites=("algebra", "contact")))
+    assert unexecuted(["qhg.algebra.jacobi_check", "qhg.contact.build_phi"], ran) == []
+    # a module-level reader no row calls, a bundle field the suites never read,
+    # and a memoized builder whose row is skipped at p = 2
+    never = ["qhg.connections.ricci", "qhg.connections.Geometry.ricci",
+             "qhg.contact.characteristic_connection"]
+    assert unexecuted(never, ran) == sorted(never)
+    # the memo wrapper itself runs, so only its unwrapped body tells the two apart
+    assert contact.characteristic_connection.__code__ in ran
 
 
 def test_cli_exit_zero_and_text_format(capsys):
@@ -307,15 +309,9 @@ BODIES = {
 
 
 def _body_calls(action) -> dict[str, int]:
-    """How often `action()` runs the body of each function of BODIES, from cProfile."""
-    profile = cProfile.Profile()
-    profile.runcall(action)
-    stats = pstats.Stats(profile).stats
-    calls = {}
-    for name, fn in BODIES.items():
-        code = inspect.unwrap(fn).__code__
-        calls[name] = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
-    return calls
+    """How often `action()` runs the body of each function of BODIES."""
+    calls = executed_code(action)
+    return {name: calls[inspect.unwrap(fn).__code__] for name, fn in BODIES.items()}
 
 
 def test_one_report_builds_each_derived_structure_once():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_at_one
+from qhg.scalars import LAM, ONE, ZERO, Scalar, _scalar, homogeneous_at_one
 
 
 def rand_scalar(rng):
@@ -98,7 +99,26 @@ def test_power_and_coercion():
     assert Scalar({1: 2}) ** -2 == Scalar({-2: Fraction(1, 4)})
 
 
-# -- fast paths and int coefficients against a reference over Fraction dicts ---
+def test_parts_outside_the_normal_form_compare_unequal():
+    """Equality and hashing read the parts, so they hold only for parts in
+    normal form; 2/2 stored without its content divided out is not 1."""
+    unreduced = _scalar({0: (2, {(): 2})})
+    assert unreduced.rational_value() == 1 and str(unreduced) == "1"
+    assert unreduced != ONE and unreduced != 1
+    assert Scalar(Fraction(2, 2)) == ONE and hash(Scalar(Fraction(2, 2))) == hash(ONE)
+    assert _scalar({0: (1, {(): 1})}) == ONE
+
+
+def test_floats_are_rejected():
+    for bad in (lambda: Scalar(0.5), lambda: Scalar({1: 0.5}), lambda: ONE + 0.5,
+                lambda: 0.5 + ONE, lambda: LAM * 0.5, lambda: 0.5 - LAM, lambda: ONE / 2.0,
+                lambda: LAM.specialize(0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    assert ONE != 1.0 and not (LAM == 0.5)
+
+
+# -- the ring operations on parts against a reference over Fraction dicts -------
 
 
 def ref_add(a: dict, b: dict) -> dict:
@@ -132,19 +152,22 @@ laurent = st.one_of(
 
 
 def assert_matches(result: Scalar, expected: dict):
-    """result equals the Fraction dict `expected`; its stored coefficients are
-    nonzero, int exactly when integral and never float; and only Fractions
-    leave through terms, coeff and rational_value."""
-    for c in result._c.values():
-        assert type(c) in (int, Fraction) and c != 0
-        assert (type(c) is int) == (Fraction(c).denominator == 1)
+    """result equals the Fraction dict `expected`; its parts are in normal
+    form, {exponent: (den, {(): num})} with den > 0, num a nonzero int and
+    gcd(num, den) = 1; and only Fractions leave through terms, coeff and
+    rational_value."""
+    for e, (den, entries) in result.parts.items():
+        assert type(e) is int and type(den) is int and den > 0 and list(entries) == [()]
+        num = entries[()]
+        assert type(num) is int and num != 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == expected[e]
     terms = result.terms()
     assert dict(terms) == expected and all(type(c) is Fraction for _, c in terms)
     for e in range(-8, 9):
         c = result.coeff(e)
         assert type(c) is Fraction and c == expected.get(e, 0)
     assert result == Scalar(expected)
-    assert hash(result) == hash(Scalar(expected)) == hash(frozenset(expected.items()))
+    assert hash(result) == hash(Scalar(expected))
     if set(expected) <= {0}:
         value = result.rational_value()
         assert type(value) is Fraction and value == expected.get(0, 0)
@@ -154,7 +177,7 @@ def assert_matches(result: Scalar, expected: dict):
 @settings(max_examples=400, deadline=None)
 @given(laurent, laurent, st.integers(-2, 2), st.integers(-2, 2), coeffs.filter(bool),
        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
-def test_fast_paths_match_laurent_convolution(a, b, k, de, dv, q):
+def test_ring_operations_match_laurent_convolution(a, b, k, de, dv, q):
     x, y = Scalar(a), Scalar(b)
     a = {e: Fraction(v) for e, v in a.items() if v}
     b = {e: Fraction(v) for e, v in b.items() if v}
