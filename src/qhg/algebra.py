@@ -168,9 +168,6 @@ class QHAlgebra(StructureConstants):
     def is_vertical(self, index: int) -> bool:
         return index < 3
 
-    def metric(self, x: Vector, y: Vector) -> Scalar:
-        return x.dot(y)
-
 
 def _unit_index(what: str, i: int):
     """Reject an index that names none of the three imaginary units or structures."""

@@ -91,10 +91,6 @@ def clifford_matrix(a: KForm) -> Endo:
     ))
 
 
-def clifford_action(a: KForm, s: Vector) -> Vector:
-    return clifford_matrix(a).apply(s)
-
-
 def vector_action(x: Vector, s: Vector) -> Vector:
     """Clifford product of an ambient vector with a spinor."""
     if x.dim != AMBIENT_DIM:

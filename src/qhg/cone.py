@@ -9,7 +9,7 @@ is verified here, not the cone metric itself.
 from __future__ import annotations
 
 from .algebra import QHAlgebra, derived
-from .connections import torsion_form
+from .connections import Geometry
 from .contact import build_phi, characteristic_connection, fundamental_form
 from .exterior import KForm, wedge
 from .scalars import Scalar
@@ -31,7 +31,10 @@ class ConeCriterion:
 def _characteristic_terms(alg: QHAlgebra):
     """(T_i, F_i, eta_i ^ F_i) for i = 1, 2, 3, with T_i recomputed from its
     connection."""
-    torsions = tuple(torsion_form(alg, characteristic_connection(alg, i)) for i in (1, 2, 3))
+    torsions = tuple(Geometry(alg, characteristic_connection(alg, i)).torsion_form for i in (1, 2, 3))
+    for i, t in zip((1, 2, 3), torsions):
+        if t is None:
+            raise ValueError(f"torsion of characteristic connection {i} is not totally skew")
     forms = tuple(fundamental_form(alg, build_phi(alg, i)) for i in (1, 2, 3))
     mixed = tuple(wedge(alg.eta(i), f) for i, f in zip((1, 2, 3), forms))
     return torsions, forms, mixed

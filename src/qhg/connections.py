@@ -13,6 +13,7 @@ once, on first read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -246,8 +247,7 @@ class Geometry:
 
     Each field is computed at most once, on first read, and a field reads
     only the fields it needs: a transvection test that stops at torsion
-    which is not parallel never builds the holonomy.  The public
-    (alg, conn) functions below read one field of a fresh bundle.
+    which is not parallel never builds the holonomy.
     """
 
     def __init__(self, alg: QHAlgebra, conn: Connection):
@@ -466,59 +466,22 @@ def _torsion_slices(e: dict) -> dict[int, list[tuple[int, int, int]]]:
     return slices
 
 
-# -- the public (alg, conn) readers of one bundle field ----------------------
-
-
-def torsion_tensor(alg: QHAlgebra, conn: Connection) -> dict[tuple[int, int], Vector]:
-    """T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j] for i < j; see
-    Geometry.torsion_parts for the one-pass contraction."""
-    return Geometry(alg, conn).torsion_tensor
-
-
-def torsion_is_skew(alg: QHAlgebra, conn: Connection) -> bool:
-    """Whether the lowered torsion is alternating in all three slots."""
-    return Geometry(alg, conn).torsion_form is not None
-
-
-def torsion_form(alg: QHAlgebra, conn: Connection) -> KForm:
-    """Recover the torsion as a 3-form; raises if it is not totally skew."""
-    t3 = Geometry(alg, conn).torsion_form
-    if t3 is None:
-        raise ValueError("torsion of this connection is not totally skew")
-    return t3
-
-
-def ricci(alg: QHAlgebra, conn: Connection) -> Endo:
-    """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i); see Geometry.ricci."""
-    return Geometry(alg, conn).ricci
-
-
-def scalar_curvatures(alg: QHAlgebra, conn: Connection) -> tuple[Scalar, Scalar]:
-    """(scalar curvature of conn, Riemannian scalar curvature)."""
-    return ricci(alg, conn).trace(), ricci(alg, levi_civita(alg)).trace()
-
-
-def holonomy(alg: QHAlgebra, conn: Connection) -> list[Endo]:
-    """A basis of the holonomy algebra; see Geometry.holonomy."""
-    return Geometry(alg, conn).holonomy
-
-
-def transvection_algebra(alg: QHAlgebra, conn: Connection):
-    """(hol + m as a table, None) or (None, witness); see Geometry.transvection_algebra."""
-    return Geometry(alg, conn).transvection_algebra
-
-
 def transvection_check(alg: QHAlgebra, conn: Connection):
     """(True, None) or (False, witness); see Geometry.transvection."""
     return Geometry(alg, conn).transvection
 
 
-def first_bianchi_check(alg: QHAlgebra, conn: Connection) -> bool:
-    """The skew-torsion first Bianchi identity; see Geometry.first_bianchi."""
-    return Geometry(alg, conn).first_bianchi
-
-
 # -- covariant derivatives of frame-constant tensors -----------------------
+
+
+def _replace_sorted(idx: tuple[int, ...], t: int, b: int) -> tuple[int, tuple[int, ...]]:
+    """`_sort_tuple` of the increasing idx with slot t replaced by b: b moves
+    from slot t to its place pos among the other entries, |pos - t| swaps."""
+    rest = idx[:t] + idx[t + 1 :]
+    pos = bisect_left(rest, b)
+    if pos < len(rest) and rest[pos] == b:
+        return 0, ()
+    return -1 if (pos - t) % 2 else 1, rest[:pos] + (b,) + rest[pos:]
 
 
 def _act_on_form(a: Endo, f: KForm) -> KForm:
@@ -531,7 +494,7 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
             for t, i in enumerate(idx):
                 # A acts on the dual basis by A.e^i = -sum_b A[i,b] e^b
                 for b, v in rows.get(i, ()):
-                    sign, key = _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
+                    sign, key = _replace_sorted(idx, t, b)
                     if sign:
                         accumulate(acc, key, -c * v if sign > 0 else c * v)
         return acc

@@ -370,7 +370,7 @@ CHECKS = (
     Check("cone.convention-discriminator", ("cone.cone_constant",),
           "the opposite 2-form convention flips the constant's sign",
           lambda r: cone.cone_constant(r.alg, opposite_convention=True).constant == -r.alg.lam),
-    Check("cone.torsion-recomputed", ("connections.torsion_form",),
+    Check("cone.torsion-recomputed", ("connections.Geometry.torsion_form",),
           "the three torsions recovered from their connections match the formula",
           lambda r: all(r.crit.torsions[i - 1] == contact.contact_characteristic_torsion(r.alg, i)
                         for i in (1, 2, 3))),

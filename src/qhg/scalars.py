@@ -53,10 +53,6 @@ class Scalar:
         # a reduced fraction is a part in normal form
         self.parts = {e: (q.denominator, {(): q.numerator}) for e, q in coeffs.items() if q}
 
-    @staticmethod
-    def monomial(coeff, exp: int) -> "Scalar":
-        return Scalar({exp: coeff})
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -81,7 +81,7 @@ def test_criterion_2_canonical_connection():
                 assert conn.form(i - 1) == h[i - 1].scale(-LAM)
             assert cn.is_parallel(conn, t)
             assert cn.is_parallel(conn, cn.curvature(alg, conn))
-            hol = cn.holonomy(alg, conn)
+            hol = cn.Geometry(alg, conn).holonomy
             assert len(hol) == 3
             assert h[0].commutator(h[1]) == h[2].scale(2)
             assert h[2].commutator(h[0]) == h[1].scale(2)
@@ -115,7 +115,7 @@ def test_criterion_4_ricci_and_scalar_curvatures():
         for p in (1, 2, 3):
             alg = algebra.build(p)
             conn = cn.canonical_connection(alg)
-            ric = cn.ricci(alg, conn)
+            ric = cn.Geometry(alg, conn).ricci
             lam2 = LAM * LAM
             for i in range(alg.dim):
                 for j in range(alg.dim):
@@ -125,7 +125,7 @@ def test_criterion_4_ricci_and_scalar_curvatures():
                 assert ric.entry(i, i) == lam2 * -8
             for i in alg.horizontal_indices:
                 assert ric.entry(i, i) == lam2 * -3
-            s_conn, s_g = cn.scalar_curvatures(alg, conn)
+            s_conn, s_g = ric.trace(), cn.Geometry(alg, cn.levi_civita(alg)).ricci.trace()
             assert s_conn == lam2 * (-12 * (p + 2))
             assert s_g == lam2 * (-3 * p)
             t = cn.canonical_torsion(alg)
@@ -177,8 +177,9 @@ def test_criterion_7_qc_suite():
             flat = cn.flat_connection(alg)
             assert ct.qc_preservation_check(alg, flat)
             assert cn.curvature(alg, flat).is_zero()
-            assert cn.holonomy(alg, flat) == []
-            assert not cn.torsion_is_skew(alg, flat)
+            geo = cn.Geometry(alg, flat)
+            assert geo.holonomy == []
+            assert geo.torsion_form is None
             dim, torsion = ct.qc_unique_skew(alg)
             assert dim == 1
             assert torsion == cn.canonical_torsion(alg)
@@ -307,7 +308,7 @@ def test_criterion_9_translate_horizontal_eigenvalue_as_stated():
                 x_xi_psi0 = g[idx].apply(psi_i)
                 x_d_eta = interior(alg.basis_vector(idx), d_eta)
                 assert lc.form(idx).apply(xi).dual() == x_d_eta.scale(Fraction(1, 2))
-                bridge = cl.clifford_action(x_d_eta, psi0)
+                bridge = cl.clifford_matrix(x_d_eta).apply(psi0)
                 assert bridge == x_xi_psi0.scale(-LAM)
                 assert bridge != x_xi_psi0.scale(LAM)
 

@@ -65,13 +65,14 @@ def test_vertical_volume_action_is_triple_product():
     triple = g[0].compose(g[1]).compose(g[2])
     for _ in range(5):
         s = rand_spinor(rng)
-        assert cl.clifford_action(eta123, s) == triple.apply(s)
+        assert cl.clifford_matrix(eta123).apply(s) == triple.apply(s)
 
 
-def test_clifford_action_needs_dimension_7():
-    a = KForm.basis(11, (0, 1))
-    with pytest.raises(ValueError):
-        cl.clifford_matrix(a)
+def test_clifford_matrix_and_vector_action_need_dimension_7():
+    with pytest.raises(ValueError, match="needs ambient dimension 7, got 11"):
+        cl.clifford_matrix(KForm.basis(11, (0, 1)))
+    with pytest.raises(ValueError, match="needs ambient dimension 7, got 11"):
+        cl.vector_action(Vector.basis(11, 0), Vector.zero(8))
 
 
 def test_spin_lift_zero():

@@ -44,9 +44,20 @@ def test_torsions_recomputed_from_connections(alg):
     crit = cone.cone_constant(alg)
     for i in (1, 2, 3):
         assert crit.torsions[i - 1] == ct.contact_characteristic_torsion(alg, i)
-        assert crit.torsions[i - 1] == cn.torsion_form(
+        assert crit.torsions[i - 1] == cn.Geometry(
             alg, ct.characteristic_connection(alg, i)
-        )
+        ).torsion_form
+
+
+def test_a_characteristic_torsion_that_is_not_skew_is_named(monkeypatch):
+    characteristic = ct.characteristic_connection
+    monkeypatch.setattr(
+        cone, "characteristic_connection",
+        lambda alg, i: cn.flat_connection(alg) if i == 2 else characteristic(alg, i),
+    )
+    # a fresh algebra: the terms are memoized per algebra
+    with pytest.raises(ValueError, match=r"^torsion of characteristic connection 2 is not totally skew$"):
+        cone.cone_constant(algebra.build(1))
 
 
 def test_requires_p1():

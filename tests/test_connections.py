@@ -10,6 +10,7 @@ from qhg.exterior import (
     Endo,
     KForm,
     Vector,
+    _sort_tuple,
     ce_differential,
     form_inner,
     interior,
@@ -160,8 +161,7 @@ def test_torsion_round_trip():
     for _ in range(5):
         t = random_form(rng, alg.dim, 3, density=0.3)
         conn = cn.with_torsion(alg, t)
-        assert cn.torsion_is_skew(alg, conn)
-        assert cn.torsion_form(alg, conn) == t
+        assert cn.Geometry(alg, conn).torsion_form == t
 
 
 def test_curvature_values():
@@ -227,7 +227,7 @@ def test_perturbed_torsion_not_parallel():
 def test_ricci_and_scalars(p):
     alg = algebra.build(p)
     conn = cn.canonical_connection(alg)
-    ric = cn.ricci(alg, conn)
+    ric = cn.Geometry(alg, conn).ricci
     lam2 = LAM * LAM
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -237,10 +237,9 @@ def test_ricci_and_scalars(p):
         assert ric.entry(i, i) == lam2 * -8
     for i in alg.horizontal_indices:
         assert ric.entry(i, i) == lam2 * -3
-    s_conn, s_g = cn.scalar_curvatures(alg, conn)
+    s_conn, s_g = ric.trace(), cn.Geometry(alg, cn.levi_civita(alg)).ricci.trace()
     assert s_conn == lam2 * (-12 * (p + 2))
     assert s_g == lam2 * (-3 * p)
-    assert s_conn == ric.trace()
     t = cn.canonical_torsion(alg)
     assert s_g - s_conn == form_inner(t, t) * Fraction(3, 2)
 
@@ -249,7 +248,7 @@ def test_ricci_and_scalars(p):
 def test_holonomy_su2(p):
     alg = algebra.build(p)
     conn = cn.canonical_connection(alg)
-    hol = cn.holonomy(alg, conn)
+    hol = cn.Geometry(alg, conn).holonomy
     assert len(hol) == 3
     # closes into su(2): brackets stay inside the span
     from qhg.linalg import FractionSpan
@@ -270,7 +269,7 @@ def test_holonomy_su2(p):
 def test_flat_connection_holonomy_empty():
     alg = algebra.build(1)
     flat = cn.flat_connection(alg)
-    assert cn.holonomy(alg, flat) == []
+    assert cn.Geometry(alg, flat).holonomy == []
     assert cn.curvature(alg, flat).is_zero()
 
 
@@ -290,7 +289,7 @@ def test_transvection_rejects_non_skew_torsion():
 
 def test_transvection_algebra_jacobi_negative_control():
     alg = algebra.build(1)
-    table, witness = cn.transvection_algebra(alg, cn.canonical_connection(alg))
+    table, witness = cn.Geometry(alg, cn.canonical_connection(alg)).transvection_algebra
     assert witness is None and table.dim == 3 + alg.dim
     assert algebra.jacobi_check(table) == (True, None)
     # flip the sign of the hol component of [xi_1, xi_2]
@@ -314,7 +313,7 @@ def test_transvection_algebra_jacobi_negative_control():
 def test_first_bianchi_p1():
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
-    assert cn.first_bianchi_check(alg, conn)
+    assert cn.Geometry(alg, conn).first_bianchi
 
 
 def first_bianchi_oracle(geo):
@@ -371,7 +370,7 @@ def test_first_bianchi_matches_the_dense_oracle(p):
 def test_first_bianchi_levi_civita():
     # torsion-free case: the identity degenerates to the cyclic sum vanishing
     alg = algebra.build(1)
-    assert cn.first_bianchi_check(alg, cn.levi_civita(alg))
+    assert cn.Geometry(alg, cn.levi_civita(alg)).first_bianchi
 
 
 def test_reductivity_is_total_skewness():
@@ -379,8 +378,8 @@ def test_reductivity_is_total_skewness():
     # reductivity condition is exactly total skewness of the torsion
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
-    tor = cn.torsion_tensor(alg, conn)
-    t3 = cn.torsion_form(alg, conn)
+    geo = cn.Geometry(alg, conn)
+    tor, t3 = geo.torsion_tensor, geo.torsion_form
     for (i, j), v in tor.items():
         for k in range(alg.dim):
             assert v[k] == t3.coeff((i, j, k))
@@ -398,7 +397,7 @@ def test_coordinate_reader_exact_coordinates():
     assert read(b0.scale(x0) + b1.scale(x1)) == Vector([x0, x1])
     assert read(Endo.zero(3)) == Vector.zero(2)
     alg = algebra.build(1)
-    hol = cn.holonomy(alg, cn.canonical_connection(alg))
+    hol = cn.Geometry(alg, cn.canonical_connection(alg)).holonomy
     read = cn._coordinate_reader(hol, alg.dim)
     for a, e in enumerate(hol):
         assert read(e.scale(LAM)) == Vector.basis(3, a).scale(LAM)
@@ -423,14 +422,14 @@ def test_holonomy_is_read_at_one_only_for_homogeneous_input():
     # l = 1 and l = 2 both give a 9-dimensional closure here: sampling cannot tell
     mixed = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
     with pytest.raises(ArithmeticError, match=r"^R\(e_\d, e_\d\) at index \(\d, \d\): .* not a monomial"):
-        cn.holonomy(alg, mixed)
+        cn.Geometry(alg, mixed).holonomy
     scaled = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump.scale(LAM))
-    assert len(cn.holonomy(alg, scaled)) == 9
+    assert len(cn.Geometry(alg, scaled).holonomy) == 9
     can = cn.canonical_connection(alg)
     tilt = two_form_endo(wedge(alg.theta(1), alg.theta(2)))
     tilted = cn.Connection([can.form(0) + tilt] + can.omega[1:])
     with pytest.raises(ArithmeticError, match=r"^connection form 0 at index \(\d, \d\): "):
-        cn.holonomy(alg, tilted)
+        cn.Geometry(alg, tilted).holonomy
 
 
 def test_vertical_irreducibility_certifies_each_row():
@@ -456,7 +455,7 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
 
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
-    hol = cn.holonomy(alg, conn)
+    hol = cn.Geometry(alg, conn).holonomy
     # su(2) has no 2-dim subalgebra, so two of its three basis elements
     # do not close under the bracket
     monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:2]))
@@ -465,7 +464,7 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
         ("holonomy not closed under bracket", 0, 1),
     )
     monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:1]))
-    table, witness = cn.transvection_algebra(alg, conn)
+    table, witness = cn.Geometry(alg, conn).transvection_algebra
     assert table is None and witness[0] == "curvature outside holonomy span"
     span = FractionSpan(alg.dim * alg.dim)
     span.add(cn._flatten(hol[0]))
@@ -501,7 +500,7 @@ def test_ricci_matches_definitional_sum(p, which):
     else:
         # a generic (not metric) connection form: every curvature row is nonzero
         conn = random_connection(random.Random(p), alg.dim, alg.dim)
-    ric = cn.ricci(alg, conn)
+    ric = cn.Geometry(alg, conn).ricci
     expected = ricci_oracle(alg, conn)
     for (a, b), value in expected.items():
         assert ric.entry(a, b) == value, (a, b)
@@ -556,6 +555,32 @@ def test_nabla_matches_definitional_action():
                     - r_of(r, e[i], a.apply(e[j]))
                 )
                 assert d.endo(i, j) == expected, (i, j)
+
+
+def replacement_disagreements(replace, n=7) -> list[tuple]:
+    """The (idx, t, b), idx increasing over range(n), for which replace(idx, t, b)
+    differs from `_sort_tuple` of idx with slot t replaced by b."""
+    return [
+        (idx, t, b)
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+        for t in range(k)
+        for b in range(n)
+        if replace(idx, t, b) != _sort_tuple(idx[:t] + (b,) + idx[t + 1 :])
+    ]
+
+
+def test_one_slot_replacement_agrees_with_the_full_sort():
+    """Exhaustive at n = 7: every increasing tuple, every slot, every new index."""
+    assert replacement_disagreements(cn._replace_sorted) == []
+
+
+def test_one_slot_replacement_comparison_negative_control():
+    def unsigned(idx, t, b):  # without the sign flip of an odd move
+        sign, key = cn._replace_sorted(idx, t, b)
+        return abs(sign), key
+
+    assert ((0, 1), 0, 2) in replacement_disagreements(unsigned)
 
 
 def test_transvection_reductivity_negative_control(monkeypatch):
@@ -613,7 +638,7 @@ def test_closed_forms_reject_the_levi_civita_connection(p):
 def test_a_connection_of_another_dimension_is_rejected():
     alg = algebra.build(1)
     conn = cn.levi_civita(algebra.build(2))
-    for reader in (cn.Geometry, cn.torsion_tensor, cn.curvature):
+    for reader in (cn.Geometry, cn.curvature):
         with pytest.raises(ValueError, match=r"^connection of dimension 11 on an algebra of dimension 7$"):
             reader(alg, conn)
 
@@ -698,13 +723,13 @@ def test_torsion_kernels_match_the_per_direction_definitions(p):
     for t in torsions:
         conn = cn.with_torsion(alg, t)
         assert omega_parts(conn) == omega_parts(with_torsion_oracle(alg, t))
-        tor = cn.torsion_tensor(alg, conn)
+        tor = cn.Geometry(alg, conn).torsion_tensor
         assert torsion_parts(tor) == torsion_parts(torsion_tensor_oracle(alg, conn))
         assert list(tor) == sorted(tor)
         assert cn.Geometry(alg, conn).torsion_form == torsion_form_oracle(alg, tor) == t
     # connections that are not metric with skew torsion: T is not totally skew
     for conn in (cn.flat_connection(alg), random_connection(random.Random(p), alg.dim, 2 * alg.dim)):
-        tor = cn.torsion_tensor(alg, conn)
+        tor = cn.Geometry(alg, conn).torsion_tensor
         assert tor and torsion_parts(tor) == torsion_parts(torsion_tensor_oracle(alg, conn))
         assert cn.Geometry(alg, conn).torsion_form is None is torsion_form_oracle(alg, tor)
 
@@ -729,7 +754,7 @@ def test_torsion_kernel_comparison_negative_control():
         )
         if not v.is_zero():
             unsigned[(i, j)] = v
-    assert torsion_parts(cn.torsion_tensor(alg, conn)) != torsion_parts(unsigned)
+    assert torsion_parts(cn.Geometry(alg, conn).torsion_tensor) != torsion_parts(unsigned)
 
 
 def test_is_parallel_stops_at_the_first_direction_that_moves(monkeypatch):

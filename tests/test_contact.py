@@ -288,8 +288,9 @@ def test_flat_connection_biquard_properties():
     alg = algebra.build(1)
     flat = cn.flat_connection(alg)
     assert cn.curvature(alg, flat).is_zero()
-    assert cn.holonomy(alg, flat) == []
-    assert not cn.torsion_is_skew(alg, flat)
+    geo = cn.Geometry(alg, flat)
+    assert geo.holonomy == []
+    assert geo.torsion_form is None
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -341,3 +341,75 @@ def test_cache_guard_flags_a_module_level_cache():
     )
     assert functools_caches(allowed) == []
     assert decorators(allowed, "levi_civita") == ["derived"]
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """`module.function` and `module.Class.method` of every public definition
+    that no module of `sources` (module name -> text) refers to.  A function
+    counts as referenced by its name in its own module, by
+    `from .module import function`, or as `module.function`; a method by an
+    attribute of its name."""
+    trees = {m: ast.parse(source) for m, source in sources.items()}
+    names = {m: {n.id for n in ast.walk(t) if isinstance(n, ast.Name)} for m, t in trees.items()}
+    qualified, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                qualified |= {(node.module.split(".")[-1], a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add((node.value.id, node.attr))
+    found = []
+    for m, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                if top.name not in names[m] and (m, top.name) not in qualified:
+                    found.append(f"{m}.{top.name}")
+            elif isinstance(top, ast.ClassDef):
+                found += [
+                    f"{m}.{top.name}.{f.name}"
+                    for f in top.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("_")
+                    and f.name not in attributes
+                ]
+    return sorted(found)
+
+
+# public definitions that nothing in the package reads, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    "connections.canonical_connection": "an entry point of the benchmark workloads",
+    "connections.transvection_check": "an entry point of the benchmark workloads",
+    "connections.CurvatureTensor.lowered": "the dense curvature oracles of the tests read it",
+    "linalg.FractionSpan.rows": "the linalg tests read the reduced echelon rows",
+    "scalars.Scalar.specialize": "the dense evaluation oracles of the tests read it",
+    "scalars.Scalar.rational_value": "the dense rational oracles of the tests read it",
+}
+
+
+def test_every_public_definition_has_a_reader_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced(sources) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_reader_guard_flags_an_uncalled_definition():
+    # a module-level reader of one bundle field that only tests call
+    wrappers = (
+        "def ricci(alg, conn):\n"
+        "    return Geometry(alg, conn).ricci\n"
+        "def curvature(alg, conn):\n"
+        "    return conn\n"
+        "class Geometry:\n"
+        "    def ricci(self):\n"
+        "        return curvature(self.alg, self.conn)\n"
+        "    def lowered(self, i):\n"
+        "        return i\n"
+    )
+    assert unreferenced({"connections": wrappers}) == [
+        "connections.Geometry.lowered", "connections.ricci"
+    ]
+    # imported by name, or read as module.name, from another module
+    report = "from .connections import ricci\nfrom . import connections\nx = connections.curvature\n"
+    both = "def ricci(alg):\n    return alg\ndef curvature(alg):\n    return alg\n"
+    assert unreferenced({"connections": both, "report": report}) == []

@@ -132,7 +132,7 @@ def test_operation_coverage_fails_for_a_declaration_that_never_runs():
     assert unexecuted(["qhg.algebra.jacobi_check", "qhg.contact.build_phi"], ran) == []
     # a module-level reader no row calls, a bundle field the suites never read,
     # and a memoized builder whose row is skipped at p = 2
-    never = ["qhg.connections.ricci", "qhg.connections.Geometry.ricci",
+    never = ["qhg.connections.transvection_check", "qhg.connections.Geometry.ricci",
              "qhg.contact.characteristic_connection"]
     assert unexecuted(never, ran) == sorted(never)
     # the memo wrapper itself runs, so only its unwrapped body tells the two apart
@@ -304,7 +304,7 @@ BODIES = {
     "contact_characteristic_torsion": contact.contact_characteristic_torsion,
     "quaternion_action": algebra.quaternion_action,
     "normality_check": contact.normality_check,
-    "torsion_form": connections.torsion_form,
+    "Geometry.torsion_form": connections.Geometry.torsion_form.func,
 }
 
 
@@ -322,8 +322,8 @@ def test_one_report_builds_each_derived_structure_once():
     calls = _body_calls(lambda: reports.append(run(ReportConfig(p=1, fmt="json"))))
     assert _digest(reports[0]) == GOLDEN_DIGESTS[1]
     # with_torsion: the canonical and three characteristic connections; normality
-    # only in contact.normality (quasi-Sasaki fails on dF_i first); torsion_form
-    # for the three cone torsions
+    # only in contact.normality (quasi-Sasaki fails on dF_i first); the torsion
+    # form of the canonical bundle, the flat connection and the three cone torsions
     assert calls == {
         "levi_civita": 1,
         "with_torsion": 4,
@@ -332,7 +332,7 @@ def test_one_report_builds_each_derived_structure_once():
         "contact_characteristic_torsion": 3,
         "quaternion_action": 3,
         "normality_check": 3,
-        "torsion_form": 3,
+        "Geometry.torsion_form": 5,
     }
 
 
