@@ -183,24 +183,19 @@ def _frame_index(accessor: str, k: int, top: int) -> int:
     return k
 
 
-def build(p: int, lam=None) -> QHAlgebra:
+def build(p: int, lam: int | Fraction | None = None) -> QHAlgebra:
     """Construct the algebra; `lam` is the formal parameter by default.
 
-    Passing a positive rational specializes the metric parameter.
+    Passing a positive int or Fraction specializes the metric parameter.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    if lam is None:
-        lam_scalar = LAM
-    elif isinstance(lam, Scalar):
-        if not lam.is_monomial():
-            raise ValueError("metric parameter must be a monomial")
-        lam_scalar = lam
-    else:
-        q = Fraction(lam)
-        if q <= 0:
-            raise ValueError("metric parameter must be positive")
-        lam_scalar = Scalar(q)
+    if lam is not None:
+        if not isinstance(lam, (int, Fraction)):
+            raise TypeError(f"metric parameter must be an int or a Fraction, got {type(lam).__name__}")
+        if lam <= 0:
+            raise ValueError(f"metric parameter must be positive, got {lam}")
+    lam_scalar = LAM if lam is None else Scalar(lam)
 
     dim = 4 * p + 3
     structure: dict[tuple[int, int], Vector] = {}

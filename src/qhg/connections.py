@@ -36,7 +36,7 @@ from .exterior import (
     two_form_endo,
     wedge,
 )
-from .linalg import FractionSpan
+from .linalg import Span
 from .scalars import Scalar, _product, accumulate, graded, homogeneous_part
 
 
@@ -595,7 +595,7 @@ def _holonomy_at(geo: Geometry) -> list[Endo]:
     of its value at 1, and the closure spans the same subspace."""
     n = geo.alg.dim
     max_dim = n * (n - 1) // 2
-    span = FractionSpan(n * n)
+    span = Span(n * n)
     members: list[Endo] = []
 
     def push(e: Endo) -> bool:
@@ -648,7 +648,7 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
     if not invariant_subspace(basis, alg.vertical_indices):
         return False
     vertical = alg.vertical_indices
-    span = FractionSpan(3)
+    span = Span(3)
     for a, e in enumerate(basis):
         for r in vertical:  # each row certified on its own: elements may differ in degree
             raw = [(d, den, {k: x[r, c] for k, c in enumerate(vertical) if (r, c) in x})
@@ -673,7 +673,7 @@ def _coordinate_reader(basis: list[Endo], n: int):
     """
     h = len(basis)
     nn = n * n
-    span = FractionSpan(nn + h)
+    span = Span(nn + h)
     for a, b in enumerate(basis):
         # degree 0: at degree d the coordinates would be off by l^-d
         row = _flatten(b, f"basis element {a}", 0)  # den times b
@@ -683,10 +683,10 @@ def _coordinate_reader(basis: list[Endo], n: int):
         raw = []
         for exp, (den, entries) in e.parts.items():
             # den times the part: its coordinates come back den times too
-            res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
+            res_den, res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
             if min(res, default=nn) < nn:
                 return None
-            raw += [(exp, den * x.denominator, {j - nn: -x.numerator}) for j, x in res.items()]
+            raw.append((exp, den * res_den, {j - nn: -x for j, x in res.items()}))
         return _vector(h, graded(raw))
 
     return read

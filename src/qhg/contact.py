@@ -30,7 +30,7 @@ from .connections import Connection, Geometry, flat_connection, is_parallel, lev
 from .exterior import (Endo, KForm, Vector, _endo, _kform, _sort_tuple, _vector, ce_differential,
                        endo_two_form, interior, wedge)
 from .linalg import rref, solve
-from .scalars import LAM, ONE, ZERO, Scalar, _product, accumulate, graded, homogeneous_at_one
+from .scalars import ONE, ZERO, Scalar, _product, accumulate, graded, homogeneous_part
 
 
 class AlmostContact:
@@ -389,22 +389,18 @@ def qc_unique_skew(alg: QHAlgebra):
     triples = list(combinations(range(n), 3))
     t_index = {t: i for i, t in enumerate(triples)}
     lc = levi_civita(alg)
-    forms = [lc.form(x).parts for x in range(n)]
-    if len({d for parts in forms for d in parts}) > 1:  # names the first index of another degree
-        entries = {(x, *rc): v for x in range(n) for rc, v in lc.form(x).m.items()}
-        homogeneous_at_one(entries, "Levi-Civita forms")
-    d = next((d for parts in forms for d in parts), None)
+    d, forms = None, []
+    for x in range(n):  # one degree d; a form of another raises, naming the index
+        d, den_x, koszul = homogeneous_part(lc.form(x), f"Levi-Civita form {x}", d)
+        forms.append((den_x, koszul))
 
-    # the row of form x and functional f, times 2 den_x:
+    # the row of form x and a reduced functional f, whose entries are
+    # coprime integers, times 2 den_x:
     # sum_k f_k sign den_x T_(x a b) = -2 sum_k f_k koszul_x(b, a)
-    dens = [lcm(*(c.denominator for c in f.values())) for f in reduced]  # f * den is primitive
-    primitive = [{k: c.numerator * (m // c.denominator) for k, c in f.items()}
-                 for f, m in zip(reduced, dens)]
     sys_rows: list[dict[int, int]] = []
     sys_rhs: list[int] = []
-    for x in range(n):
-        den_x, koszul = forms[x].get(d, (1, {}))
-        for functional in primitive:
+    for x, (den_x, koszul) in enumerate(forms):
+        for _, functional in reduced:
             rhs = 0
             row: dict[int, int] = {}
             for k, coeff in functional.items():
@@ -420,11 +416,9 @@ def qc_unique_skew(alg: QHAlgebra):
     particular, kernel = solve(sys_rows, sys_rhs, len(triples))
     if particular is None:
         return 0, None
-    # verify the particular solution exactly, on its integer multiple den * x
-    den = lcm(*(v.denominator for v in particular))
-    xs = [v.numerator * (den // v.denominator) for v in particular]
+    den, xs = particular  # verify it exactly, on its integer multiple den * x
     for row, rhs in zip(sys_rows, sys_rhs):
-        if sum(v * xs[t] for t, v in row.items()) != rhs * den:
+        if sum(v * xs.get(t, 0) for t, v in row.items()) != rhs * den:
             return 0, None
-    torsion = KForm(n, 3, {t: v for t, v in zip(triples, particular) if v})
-    return 1 + len(kernel), torsion.scale(LAM**d)
+    torsion = {d: (den, {triples[t]: v for t, v in xs.items()})} if xs else {}
+    return 1 + len(kernel), _kform(n, 3, torsion)

@@ -19,14 +19,15 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
+    _vector,
     ce_differential,
     form_inner,
     hodge_star,
     interior,
     wedge,
 )
-from .linalg import FractionSpan, nullspace
-from .scalars import ZERO, Scalar, homogeneous_at_one, homogeneous_part
+from .linalg import Part, Row, Span, nullspace
+from .scalars import ZERO, Scalar, homogeneous_part, part
 
 
 def _require_p1(alg: QHAlgebra):
@@ -90,22 +91,24 @@ def genericity_check(alg: QHAlgebra, omega: KForm) -> bool:
     every l > 0.
     """
     b = hitchin_form(alg, omega)
-    entries = {(i, j): c for i, row in enumerate(b) for j, c in enumerate(row)}
-    _, m = homogeneous_at_one(entries, "Hitchin form")
-    sign, n = (-1 if m[0, 0] < 0 else 1), len(b)
-    return _positive_definite([[sign * m[i, j] for j in range(n)] for i in range(n)])
+    n = len(b)
+    matrix = Endo(n, {(i, j): c for i, row in enumerate(b) for j, c in enumerate(row)})
+    _, _, m = homogeneous_part(matrix, "Hitchin form")
+    sign = -1 if m.get((0, 0), 0) < 0 else 1
+    return _positive_definite([{j: sign * v for (r, j), v in m.items() if r == i} for i in range(n)])
 
 
-def _positive_definite(m: list[list[Fraction]]) -> bool:
+def _positive_definite(rows: list[Row]) -> bool:
     """Sylvester's criterion from one pass of row insertions.
 
     While the leading minors det(M_1), .., det(M_k) are positive, the
     first k rows have their pivots at columns 0..k-1, and entry k of
-    row k reduced against them is det(M_{k+1}) / det(M_k), det(M_0) = 1.
+    row k reduced against them is det(M_{k+1}) / det(M_k), det(M_0) = 1,
+    times the positive den of the reduced part.
     """
-    span = FractionSpan(len(m))
-    for k, row in enumerate(m):
-        v = span.reduce(dict(enumerate(row)))
+    span = Span(len(rows))
+    for k, row in enumerate(rows):
+        _, v = span.reduce(row)
         if v.get(k, 0) <= 0:
             return False
         span.add(v)
@@ -150,36 +153,20 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
     return SpinorSplitting(psi0, vertical, horizontal)
 
 
-def _normalize_spinor(comps: list[Fraction]) -> Vector:
-    """Primitive integer components, first nonzero positive, unit norm
-    whenever the norm is rational."""
-    den = math.lcm(*(c.denominator for c in comps))
-    ints = [c * den for c in comps]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, int(c))
-    ints = [c / g for c in ints]
-    lead = next(c for c in ints if c)
-    if lead < 0:
-        ints = [-c for c in ints]
-    norm2 = sum(c * c for c in ints)
-    root = _rational_sqrt(norm2)
-    if root is not None:
-        ints = [c / root for c in ints]
-    return Vector(ints)
-
-
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
+def _normalize_spinor(v: Part) -> Vector:
+    """The kernel vector as primitive integer components, first nonzero
+    positive, divided by its norm whenever that norm is rational."""
+    _, e = v
+    g = math.gcd(*e.values()) * (1 if e[min(e)] > 0 else -1)
+    ints = {k: e[k] // g for k in sorted(e)}
+    norm2 = sum(c * c for c in ints.values())
+    root = math.isqrt(norm2)
+    return _vector(8, part(0, root if root * root == norm2 else 1, ints))
 
 
 def splitting_dimensions(split: SpinorSplitting) -> tuple[int, int, int]:
     """Dimensions of the three summands (checked to be a direct sum)."""
-    span = FractionSpan(8)
+    span = Span(8)
     dims = []
     for group in ([split.psi0], split.vertical, split.horizontal):
         before = span.dim

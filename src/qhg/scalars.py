@@ -4,9 +4,11 @@ Every number in this package is a Laurent polynomial in the metric
 parameter (printed ``l``) with arbitrary-precision rational coefficients.
 All geometric identities we verify are polynomial identities in that
 parameter, so keeping it formal proves them for every positive value at
-once.  Rank, span and sign questions need rationals: `homogeneous_at_one`
-certifies that some scalars share one parameter degree and reads them at
-l = 1, which then decides the question for every positive value.
+once.  Rank, span and sign questions are read at l = 1: `homogeneous_part`
+certifies that a tensor's entries share one parameter degree and gives
+its one integer part, whose rank, span or sign then decides the question
+for every positive value.  That part, `(den, {index: int})`, is also the
+row format that `linalg` takes and returns.
 
 A value is held in one representation, graded parts
 ``{degree: (den, {index: int})}``: the entry at an index is
@@ -183,42 +185,29 @@ def _scaled(ec: dict, et: dict) -> dict:
     return {k: c * v for k, v in et.items()}
 
 
-def homogeneous_at_one(entries, label: str = "entries", degree: int | None = None):
-    """(d, values): the common l-degree d of a mapping of scalars and their
-    values at l = 1, under the same keys.
-
-    Every nonzero entry must be a monomial c*l^d of one degree d (`degree`,
-    when given).  Then at any l > 0 the entries are l^d > 0 times the values,
-    so a rank, span, kernel or definiteness read at l = 1 holds for every
-    l > 0.  Zeros are kept (value 0), and d is None when all entries are
-    zero.  Raises ArithmeticError naming the first index that fails.
-    """
-    values = {}
-    for index, s in entries.items():
-        if len(s.parts) > 1:
-            raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
-        for e in s.parts:
-            if degree is not None and e != degree:
-                raise ArithmeticError(
-                    f"{label} at index {index}: {s} has degree {e} in l, expected {degree}"
-                )
-            degree = e
-        values[index] = s.coeff(degree)
-    return degree, values
-
-
 def homogeneous_part(tensor, label: str = "entries", degree: int | None = None):
-    """(d, den, entries): the one graded part of a tensor, certified as by
-    `homogeneous_at_one`, so the tensor at l = 1 is entries / den.  A second
-    part raises ArithmeticError naming the first index, in sorted order,
-    that fails."""
+    """(d, den, entries): the one graded part of a tensor, at degree d
+    (`degree`, when given), so the tensor at l = 1 is entries / den.
+
+    Every nonzero entry is then c*l^d with one d, and at any l > 0 the
+    tensor is l^d > 0 times its value at 1, so a rank, span, kernel or
+    definiteness read at l = 1 holds for every l > 0.  A zero tensor gives
+    (degree, 1, {}).  Anything else raises ArithmeticError naming the first
+    index, in sorted order, that fails.
+    """
     parts = tensor.parts
     if not parts:
         return degree, 1, {}
-    if len(parts) != 1 or (degree is not None and degree not in parts):
-        homogeneous_at_one(scalars_of(parts), label, degree)  # raises, in sorted index order
-    ((degree, (den, e)),) = parts.items()
-    return degree, den, e
+    if len(parts) == 1 and degree in (None, *parts):
+        ((degree, (den, e)),) = parts.items()
+        return degree, den, e
+    for index, s in scalars_of(parts).items():  # some index fails
+        if len(s.parts) > 1:
+            raise ArithmeticError(f"{label} at index {index}: {s} is not a monomial in l")
+        (d,) = s.parts
+        if degree is not None and d != degree:
+            raise ArithmeticError(f"{label} at index {index}: {s} has degree {d} in l, expected {degree}")
+        degree = d
 
 
 # -- graded parts ---------------------------------------------------------------

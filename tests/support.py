@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from qhg import clifford, report
 from qhg.exterior import KForm
@@ -21,9 +22,18 @@ def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:
     return KForm(dim, degree, comps)
 
 
+def integer_part(row: dict) -> tuple[int, dict]:
+    """A rational row {column: value} as the normal-form part (den, entries)
+    worth it: den is the lcm of the denominators, and the entries, the row
+    scaled to integers, hold no zero."""
+    row = {j: x for j, x in row.items() if x}
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
 def span_contains(span, v) -> bool:
-    """Whether the row v lies in the FractionSpan span."""
-    return not span.reduce(v)
+    """Whether the row v lies in the linalg Span span."""
+    return not span.reduce(v)[1]
 
 
 def executed_code(fn) -> Counter:

@@ -210,6 +210,17 @@ def test_specialized_parameter():
         algebra.build(1, Fraction(-1))
 
 
+def test_build_accepts_only_a_positive_int_or_fraction():
+    # a Scalar, even a negative one, and a float once slipped past the checks
+    for bad in (-LAM, Scalar(-1), 0.1):
+        with pytest.raises(TypeError, match=f"must be an int or a Fraction, got {type(bad).__name__}$"):
+            algebra.build(1, bad)
+    for bad in (0, -2, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=f"must be positive, got {bad}$"):
+            algebra.build(1, bad)
+    assert algebra.build(1, 2).lam == Scalar(2)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_frame_accessors_reject_out_of_range_indices(p):
     alg = algebra.build(p)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -11,6 +11,7 @@ from qhg import algebra, connections as cn, contact as ct
 from qhg.exterior import Endo, KForm, ce_differential, two_form_endo
 from qhg.linalg import nullspace, rref, solve
 from qhg.scalars import LAM, ONE, ZERO, Scalar, scalars_of
+from support import integer_part
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -316,8 +317,7 @@ def test_qc_functionals_cut_out_sp_p_plus_sp_1(p, dim):
 
 def _primitive(row: dict) -> tuple:
     """The row scaled to coprime integers with a positive first entry."""
-    m = lcm(*(Fraction(v).denominator for v in row.values()))
-    ints = {k: int(v * m) for k, v in row.items()}
+    _, ints = integer_part(row)
     g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
     return tuple(sorted((k, v // g) for k, v in ints.items()))
 
@@ -362,7 +362,7 @@ def test_qc_unique_skew_rejects_koszul_coefficients_of_mixed_degree(monkeypatch)
     alg = algebra.build(1)
     bump = KForm(alg.dim, 3, {(3, 4, 5): ONE})
     monkeypatch.setattr(ct, "levi_civita", lambda a: cn.with_torsion(a, bump))
-    with pytest.raises(ArithmeticError, match=r"^Levi-Civita forms at index \(\d+, \d, \d\): "):
+    with pytest.raises(ArithmeticError, match=r"^Levi-Civita form \d+ at index \(\d, \d\): "):
         ct.qc_unique_skew(alg)
 
 
@@ -404,7 +404,8 @@ def _off_by_one(where):
             rhs = [rhs[0] + 1, *rhs[1:]]
         x, kernel = solve(rows, rhs, ncols)
         if where == "solution" and x is not None:
-            x = [x[0] + 1, *x[1:]]
+            den, e = x  # worth e / den: one unit at column 0 is den more there
+            x = den, {**e, 0: e.get(0, 0) + den}
         return x, kernel
 
     return perturbed
@@ -575,7 +576,8 @@ def _reference_rows(p: int) -> dict[str, list[list[Fraction]]]:
 
 
 def _sparse(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    """The dense rational rows as sparse rows scaled to integers: the same span."""
+    return [integer_part(dict(enumerate(row)))[1] for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -609,11 +611,10 @@ def test_qc_defect_vanishes_exactly_when_the_reference_preserves(p):
     verdicts, kinds = [], set()
     for _ in range(30):
         comps = {}
-        for vec in rng.sample(kernel, 3):
+        for den, vec in rng.sample(kernel, 3):
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            for k, v in enumerate(vec):
-                if v:
-                    comps[skew_basis[k]] = comps.get(skew_basis[k], 0) + c * v
+            for k, v in vec.items():
+                comps[skew_basis[k]] = comps.get(skew_basis[k], 0) + c * Fraction(v, den)
         if rng.random() < 0.5:  # leave the qc-preserving forms, inside the blocks or across
             kind = rng.choice(("block", "mixed"))
             ab = rng.choice(blocks if kind == "block" else mixed)
@@ -641,11 +642,11 @@ def test_reeb_equation_alone_decides_qc_preservation_on_gl_n(p):
         for d, (den, e) in ct._qc_defect(alg, qc, Endo(n, {rc: 1})).items():
             for key, v in e.items():
                 rows.setdefault((d, key), {})[k] = Fraction(v, den)
-    kernel = nullspace(list(rows.values()), len(units))
+    kernel = nullspace([integer_part(row)[1] for row in rows.values()], len(units))
     assert len(kernel) == 4 * p * p + 3
     if p <= 2:
-        for vec in kernel:
-            form = Endo(n, {units[k]: v for k, v in enumerate(vec) if v})
+        for den, vec in kernel:
+            form = Endo(n, {units[k]: Fraction(v, den) for k, v in vec.items()})
             assert _reference_form_preserves(alg, qc, form)
 
 

@@ -14,8 +14,9 @@ from qhg.exterior import (
     two_form_endo,
     wedge,
 )
-from qhg.linalg import FractionSpan
+from qhg.linalg import rref
 from qhg.scalars import LAM, ONE, Scalar
+from support import integer_part
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,12 @@ def _rat_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _int_rows(m):
+    """The rows of a rational matrix scaled to integers, which keeps the
+    sign of every leading minor."""
+    return [integer_part(dict(enumerate(row)))[1] for row in m]
+
+
 def _det(m):
     if not m:
         return Fraction(1)
@@ -112,19 +119,18 @@ def _det(m):
 
 
 def test_positive_definite_reads_the_leading_minors():
-    assert g2._positive_definite(_rat_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    assert g2._positive_definite(_int_rows(_rat_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])))
     # det(M_2) = 0, but row 1 reduced against row 0 is (0, 0, 1): its pivot
     # is positive and sits in column 2, so a pivot-sign test would pass it
     trap = _rat_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert _det([row[:2] for row in trap[:2]]) == 0
-    span = FractionSpan(3)
-    span.add(dict(enumerate(trap[0])))
-    span.add(dict(enumerate(trap[1])))
-    assert list(span.rows) == [0, 2] and span.rows[2] == {2: 1}
-    assert not g2._positive_definite(trap)
-    assert not g2._positive_definite(_rat_matrix([[1, 2], [2, 1]]))  # indefinite
+    assert rref(_int_rows(trap[:2]), 3) == ([(1, {0: 1, 1: 1}), (1, {2: 1})], [0, 2])
+    assert not g2._positive_definite(_int_rows(trap))
+    assert not g2._positive_definite(_int_rows(_rat_matrix([[1, 2], [2, 1]])))  # indefinite
     negative_definite = _rat_matrix([[-2, 1], [1, -3]])
-    assert not g2._positive_definite(negative_definite)
+    assert not g2._positive_definite(_int_rows(negative_definite))
+    # rational entries: [[1/2, 1/3], [1/3, 1/4]] has minors 1/2 and 1/72
+    assert g2._positive_definite(_int_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]))
 
 
 def test_positive_definite_agrees_with_sylvester():
@@ -142,7 +148,7 @@ def test_positive_definite_agrees_with_sylvester():
         minors = [_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
         expected = all(d > 0 for d in minors)
         seen.add(expected)
-        assert g2._positive_definite(m) == expected
+        assert g2._positive_definite(_int_rows(m)) == expected
     assert seen == {True, False}
 
 

@@ -78,7 +78,7 @@ def specialize_calls(source: str) -> list[str]:
 
 def test_only_scalars_specializes_the_metric_parameter():
     """Every other module reads the parameter at l = 1 through
-    `scalars.homogeneous_at_one`, which certifies that one point suffices."""
+    `scalars.homogeneous_part`, which certifies that one point suffices."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "scalars.py":
             assert specialize_calls(path.read_text()) == [], path.name
@@ -94,7 +94,7 @@ def test_specialize_guard_flags_a_sampled_parameter():
     nested = "class G:\n    def f(self, b):\n        return [[c.specialize(2) for c in r] for r in b]\n"
     assert specialize_calls(nested) == ["f:3"]
     assert specialize_calls("x = s.specialize(1)\n") == ["<module>:1"]
-    assert specialize_calls("def f(s):\n    return homogeneous_at_one([s]), specialize(s)\n") == []
+    assert specialize_calls("def f(s):\n    return homogeneous_part(s), specialize(s)\n") == []
 
 
 def hand_accumulations(source: str) -> list[str]:
@@ -236,22 +236,42 @@ def _functions(source: str) -> set[str]:
     return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
 
 
-# the linalg functions that read a stored integer row out as Fractions
-LINALG_OUTPUT_READERS = {"_fractions", "solve"}
-# the functions that feed a span the integer parts they hold
+# the functions that feed a span the integer parts they hold, or read its parts
 SPAN_FEEDERS = {
     "algebra.py": {"center_dimension"},
     "connections.py": {"_flatten", "_coordinate_reader"},
-    "contact.py": {"_qc_functionals", "_reeb_matrix"},
+    "contact.py": {"_qc_functionals", "_reeb_matrix", "qc_unique_skew"},
+    "g2.py": {"_positive_definite", "genericity_check"},
 }
 
 
-def test_linalg_builds_fractions_only_in_its_output_readers():
-    source = (SRC / "linalg.py").read_text()
-    assert LINALG_OUTPUT_READERS <= _functions(source)
-    found = rational_calls(source, ("Fraction",))
-    assert [f for f in found if f.split(":")[0] not in LINALG_OUTPUT_READERS] == []
-    assert found  # the readers do build the outputs
+def fraction_uses(source: str) -> list[str]:
+    """`import:line` of every import of the fractions module or from it, and
+    `scope:line` of every `Fraction(...)` call."""
+    imports = [
+        f"import:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    return imports + rational_calls(source, ("Fraction",))
+
+
+def test_linalg_builds_no_fractions():
+    """Rows enter and leave linalg as integer parts (den, {column: int})."""
+    assert fraction_uses((SRC / "linalg.py").read_text()) == []
+
+
+def test_fraction_guard_flags_a_reintroduced_fraction():
+    # the output reader of linalg before its outputs were integer parts
+    reader = (
+        "from fractions import Fraction\n"
+        "def _fractions(den, e):\n"
+        "    return {j: Fraction(x, den) for j, x in e.items()}\n"
+    )
+    assert fraction_uses(reader) == ["import:1", "_fractions:3"]
+    assert fraction_uses("import fractions\nx = fractions.Fraction(1)\n") == ["import:1", "<module>:2"]
+    assert fraction_uses("def f(x):\n    return isinstance(x, int)\n") == []
 
 
 def test_span_feeders_pass_integer_parts():
@@ -271,8 +291,8 @@ def test_rational_call_guard_flags_a_fraction_fed_to_a_span():
         "    return read\n"
     )
     assert rational_calls(reader) == ["_coordinate_reader:2", "_coordinate_reader:4"]
-    method = "class FractionSpan:\n    def add(self, v):\n        return fractions.Fraction(1) / v[0]\n"
-    assert rational_calls(method) == ["FractionSpan.add:3"]
+    method = "class Span:\n    def add(self, v):\n        return fractions.Fraction(1) / v[0]\n"
+    assert rational_calls(method) == ["Span.add:3"]
     assert rational_calls("x = Fraction(1, 2)\n") == ["<module>:1"]
     assert rational_calls("def f(x):\n    return isinstance(x, Fraction), x.numerator\n") == []
 
@@ -382,7 +402,6 @@ UNREFERENCED_ALLOWED = {
     "connections.canonical_connection": "an entry point of the benchmark workloads",
     "connections.transvection_check": "an entry point of the benchmark workloads",
     "connections.CurvatureTensor.lowered": "the dense curvature oracles of the tests read it",
-    "linalg.FractionSpan.rows": "the linalg tests read the reduced echelon rows",
     "scalars.Scalar.specialize": "the dense evaluation oracles of the tests read it",
     "scalars.Scalar.rational_value": "the dense rational oracles of the tests read it",
 }

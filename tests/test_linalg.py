@@ -1,4 +1,8 @@
-"""The exact elimination kernel: rref, solve, nullspace and FractionSpan."""
+"""The exact elimination kernel: rref, solve, nullspace and Span.
+
+The dense oracles run on Fractions; the kernel takes each rational row
+scaled to integers and returns normal-form parts (den, {column: int}),
+which `integer_part` gives for an oracle row too."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,8 +10,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhg.linalg import FractionSpan, nullspace, rref, solve
-from support import span_contains
+from qhg.linalg import Span, nullspace, rref, solve
+from support import integer_part, span_contains
 
 
 def dense_rref(rows):
@@ -41,6 +45,28 @@ def sparse(rows):
 
 def dense(rows, ncols):
     return [[r.get(j, Fraction(0)) for j in range(ncols)] for r in rows]
+
+
+def parts(rows):
+    """The normal-form parts worth the rational rows, dense or sparse."""
+    return [integer_part(dict(enumerate(r)) if isinstance(r, list) else r) for r in rows]
+
+
+def integer_rows(rows):
+    """Each rational row scaled to integers: the same span."""
+    return [e for _, e in parts(rows)]
+
+
+def values(part, ncols):
+    """A part (den, entries) as a dense row of Fractions."""
+    den, e = part
+    return [Fraction(e.get(j, 0), den) for j in range(ncols)]
+
+
+def is_normal(part):
+    """den > 0, no zero entry and gcd(den, *entries) == 1."""
+    den, e = part
+    return den > 0 and all(type(x) is int and x for x in e.values()) and gcd(den, *e.values()) == 1
 
 
 def dot(row, x):
@@ -77,7 +103,7 @@ def matrices(draw):
 def test_rref_matches_dense_gauss_jordan(case):
     ncols, rows = case
     red, piv = dense_rref(rows)
-    assert rref(sparse(rows), ncols) == (sparse(red), piv)
+    assert rref(integer_rows(rows), ncols) == (parts(red), piv)
 
 
 @st.composite
@@ -109,31 +135,33 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_rref_matches_dense_gauss_jordan(case):
     ncols, rows = case
-    red, piv = rref(rows, ncols)
+    red, piv = rref(integer_rows(rows), ncols)
     ref_red, ref_piv = dense_rref(dense(rows, ncols))
-    assert (red, piv) == (sparse(ref_red), ref_piv)
-    for row, p in zip(red, piv):
+    assert (red, piv) == (parts(ref_red), ref_piv)
+    for (den, row), p in zip(red, piv):
         assert all(row.values())  # no stored zero
-        assert min(row) == p and row[p] == 1  # the pivot is the lowest column
+        assert min(row) == p and row[p] == den  # the pivot is the lowest column, worth 1
         assert not set(row) & (set(piv) - {p})  # no entry at another pivot
-    span = FractionSpan(ncols)
-    for r in rows:
+    span = Span(ncols)
+    for r in integer_rows(rows):
         span.add(r)
-        assert all(all(row.values()) and min(row) == p for p, row in span.rows.items())
-    assert dict(sorted(span.rows.items())) == dict(zip(piv, red))
+        assert all(all(row.values()) and min(row) == p for p, (_, row) in span._rows.items())
+    assert dict(sorted(span._rows.items())) == dict(zip(piv, red))
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_fraction_span_holds_the_rref(case):
     ncols, rows = case
-    span = FractionSpan(ncols)
-    grew = [span.add(r) for r in sparse(rows)]
+    span = Span(ncols)
+    grew = [span.add(r) for r in integer_rows(rows)]
     red, piv = dense_rref(rows)
     assert span.dim == len(red) == sum(grew)
-    assert sorted(span.rows) == piv
-    assert [span.rows[p] for p in sorted(span.rows)] == sparse(red)
-    assert all(span_contains(span, r) for r in sparse(rows))
+    assert rref(integer_rows(rows), ncols) == (parts(red), piv)
+    # e_p reduced against the span is e_p less the rref row of pivot p
+    for row, p in zip(sparse(red), piv):
+        assert span.reduce({p: 1}) == integer_part({j: -x for j, x in row.items() if j != p})
+    assert all(span_contains(span, r) for r in integer_rows(rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,42 +173,46 @@ def test_solve_is_exact(data):
         rhs = [dot(r, x0) for r in rows]
     else:
         rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    x, kernel = solve(sparse(rows), rhs, ncols)
+    # each equation scaled to integers, its rhs with it
+    augmented = integer_rows([r + [b] for r, b in zip(rows, rhs)])
+    int_rows = [{j: v for j, v in a.items() if j < ncols} for a in augmented]
+    x, kernel = solve(int_rows, [a.get(ncols, 0) for a in augmented], ncols)
     rank = len(dense_rref(rows)[0])
     consistent = len(dense_rref([r + [b] for r, b in zip(rows, rhs)])[0]) == rank
     assert (x is not None) == consistent
     if x is not None:
-        assert [dot(r, x) for r in rows] == rhs
+        assert is_normal(x) and [dot(r, values(x, ncols)) for r in rows] == rhs
+    assert all(is_normal(k) for k in kernel)
+    dense_kernel = [values(k, ncols) for k in kernel]
     assert len(kernel) == ncols - rank
-    assert len(dense_rref(kernel)[0]) == len(kernel)
-    assert all(dot(r, k) == 0 for r in rows for k in kernel)
-    assert nullspace(sparse(rows), ncols) == kernel
+    assert len(dense_rref(dense_kernel)[0]) == len(kernel)
+    assert all(dot(r, k) == 0 for r in rows for k in dense_kernel)
+    assert nullspace(int_rows, ncols) == kernel
 
 
 def test_solve_inconsistent_system():
-    one, two = Fraction(1), Fraction(2)
-    x, kernel = solve(sparse([[one, two], [two, 2 * two]]), [one, one], 2)
+    x, kernel = solve([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 1], 2)
     assert x is None
-    assert kernel == [[-two, one]]
+    assert kernel == [(1, {0: -2, 1: 1})]
 
 
 def test_solve_without_equations():
     x, kernel = solve([], [], 3)
-    assert x == [0, 0, 0]
-    assert kernel == [[Fraction(i == j) for j in range(3)] for i in range(3)]
+    assert x == (1, {})
+    assert kernel == [(1, {i: 1}) for i in range(3)]
 
 
 def test_solve_rejects_mismatched_rhs():
     with pytest.raises(ValueError):
-        solve([{0: Fraction(1)}], [], 1)
+        solve([{0: 1}], [], 1)
 
 
 def test_span_rejects_a_column_outside_its_range():
-    span = FractionSpan(3)
+    span = Span(3)
     with pytest.raises(ValueError, match="column 3 outside"):
-        span.add({0: Fraction(1), 3: Fraction(1)})
+        span.add({0: 1, 3: 1})
     with pytest.raises(ValueError, match="column -1 outside"):
-        span.reduce({-1: Fraction(1)})
+        span.reduce({-1: 1})
     assert span.dim == 0
 
 
@@ -188,69 +220,75 @@ def test_solve_rejects_a_column_outside_its_range():
     # the column past ncols is the augmented one: accepting it would
     # return x = [1] with an empty kernel for x0 + x1 + x2 = 1
     with pytest.raises(ValueError, match="row 0 has column 2 outside"):
-        solve([{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}], [Fraction(1)], 1)
+        solve([{0: 1, 1: 1, 2: 1}], [1], 1)
 
 
 def test_rref_rejects_a_column_outside_its_range():
-    ragged = [{0: Fraction(1)}, {0: Fraction(1), 4: Fraction(2)}]
+    ragged = [{0: 1}, {0: 1, 4: 2}]
     with pytest.raises(ValueError, match="row 1 has column 4 outside"):
         rref(ragged, 3)
-    assert rref(ragged, 5) == ([{0: 1}, {4: 1}], [0, 4])
-
-
-def _exact(rows):
-    """Every entry of every row is a Fraction, never an int or a float."""
-    return all(type(x) is Fraction for row in rows for x in row)
+    assert rref(ragged, 5) == ([(1, {0: 1}), (1, {4: 1})], [0, 4])
 
 
 def test_span_is_exact_for_int_entries_and_rejects_a_float():
-    span = FractionSpan(3)
+    span = Span(3)
     assert span.add({0: 3, 1: 1})
-    assert span.rows == {0: {0: Fraction(1), 1: Fraction(1, 3)}}
-    assert _exact(r.values() for r in span.rows.values())
+    assert span.reduce({0: 1}) == (3, {1: -1})  # e_0 less the row (1, 1/3)
     with pytest.raises(ValueError, match="row .* has entry 0.5 at column 2"):
         span.add({2: 0.5})
-    with pytest.raises(ValueError, match="at column 1, not an int or a Fraction"):
+    with pytest.raises(ValueError, match="at column 1, not an int"):
         span.reduce({1: 1.0})
+    with pytest.raises(ValueError, match=r"has entry Fraction\(1, 2\) at column 1, not an int$"):
+        span.add({1: Fraction(1, 2)})
     assert span.dim == 1
 
 
 def test_rref_is_exact_for_int_entries_and_rejects_a_float():
     red, piv = rref([{0: 2, 1: 4}, {0: 3, 1: 1}], 2)
-    assert (red, piv) == ([{0: 1}, {1: 1}], [0, 1])
-    assert _exact(r.values() for r in red)
+    assert (red, piv) == ([(1, {0: 1}), (1, {1: 1})], [0, 1])
     red, piv = rref([{0: 3, 2: 1}], 3)
-    assert red == [{0: Fraction(1), 2: Fraction(1, 3)}] and _exact(r.values() for r in red)
+    assert red == [(3, {0: 3, 2: 1})]  # the row (1, 0, 1/3)
     with pytest.raises(ValueError, match="row 1 has entry 2.0 at column 0"):
         rref([{0: 1}, {0: 2.0}], 1)
+    with pytest.raises(ValueError, match=r"row 0 has entry Fraction\(2, 1\) at column 0"):
+        rref([{0: Fraction(2)}], 1)
 
 
 def test_solve_and_nullspace_are_exact_for_int_entries_and_reject_a_float():
     x, kernel = solve([{0: 3}], [1], 1)
-    assert x == [Fraction(1, 3)] and kernel == [] and _exact([x])
-    basis = nullspace([{0: 3, 1: 1}], 2)
-    assert basis == [[Fraction(-1, 3), Fraction(1)]] and _exact(basis)
+    assert x == (3, {0: 1}) and kernel == []
+    assert nullspace([{0: 3, 1: 1}], 2) == [(3, {0: -1, 1: 3})]  # (-1/3, 1)
     with pytest.raises(ValueError, match="row 0 has entry 1.5 at column 0"):
         solve([{0: 1.5}], [1], 1)
     with pytest.raises(ValueError, match="row 0 has entry 0.25 at column 1"):
         solve([{0: 1}], [0.25], 1)
+    with pytest.raises(ValueError, match=r"row 0 has entry Fraction\(1, 4\) at column 1"):
+        solve([{0: 1}], [Fraction(1, 4)], 1)
     with pytest.raises(ValueError, match="row 0 has entry 3.0 at column 0"):
         nullspace([{0: 3.0, 1: 1}], 2)
 
 
-def test_every_output_holds_fractions():
-    # a row that meets no pivot, or only columns past them, is still read out as Fractions
-    span = FractionSpan(3)
-    assert span.reduce({0: 3}) == {0: 3} and _exact([span.reduce({0: 3}).values()])
+def test_every_output_is_a_normal_form_part():
+    # a row that meets no pivot, or only columns past them, is still read out in normal form
+    span = Span(3)
+    outputs = [span.reduce({0: 3})]
+    assert outputs[-1] == (1, {0: 3})
     span.add({1: 2})
-    assert span.reduce({0: 3, 1: 4}) == {0: 3}
-    assert _exact([span.reduce({0: 3, 1: 4}).values(), span.reduce({2: 5}).values()])
-    assert _exact(r.values() for r in span.rows.values())
+    outputs += [span.reduce({0: 3, 1: 4}), span.reduce({2: 5})]
+    assert outputs[-2:] == [(1, {0: 3}), (1, {2: 5})]
+    span.add({0: 2, 2: 4})
+    outputs += [span.reduce({2: 6}), span.reduce({0: 1}), span.reduce({0: 4, 2: 8})]
+    assert outputs[-3:] == [(1, {2: 6}), (1, {2: -2}), (1, {})]
     red, _ = rref([{0: 4}, {1: 6, 2: 3}], 3)
-    assert red == [{0: 1}, {1: 1, 2: Fraction(1, 2)}] and _exact(r.values() for r in red)
+    assert red == [(1, {0: 1}), (2, {1: 2, 2: 1})]
     x, kernel = solve([{0: 2}, {1: 1, 2: 1}], [4, 1], 3)
-    assert (x, kernel) == ([2, 1, 0], [[0, -1, 1]]) and _exact([x, *kernel])
-    assert _exact(nullspace([{0: 1, 1: 1}], 2))
+    assert (x, kernel) == ((1, {0: 2, 1: 1}), [(1, {2: 1, 1: -1})])
+    y, more = solve([{0: 4, 1: 6}], [2], 2)  # y = (1/2, 0), kernel (-3/2, 1)
+    assert (y, more) == ((2, {0: 1}), [(2, {1: 2, 0: -3})])
+    basis = nullspace([{0: 6, 1: 4}], 2)  # (-2/3, 1)
+    assert basis == [(3, {1: 3, 0: -2})]
+    outputs += [*red, x, *kernel, y, *more, *basis]
+    assert all(is_normal(part) for part in outputs)
 
 
 # -- the integer eliminator: stored normal form, column index, Fraction oracle --
@@ -267,7 +305,8 @@ mixed_entries = st.one_of(
 @st.composite
 def mixed_rows(draw):
     """Sparse rows of int and Fraction entries, some huge, with explicit zeros,
-    zero rows, repeated rows and dependent rows mixed in."""
+    zero rows, repeated rows and dependent rows mixed in; the test scales
+    each row to integers."""
     ncols = draw(st.integers(1, 10))
     row = st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=5)
     rows = draw(st.lists(row, min_size=1, max_size=10))
@@ -312,7 +351,8 @@ def oracle_insert(red, v):
 @given(mixed_rows())
 def test_integer_eliminator_keeps_normal_form_index_and_oracle(case):
     ncols, rows = case
-    span, red = FractionSpan(ncols), {}
+    rows = integer_rows(rows)
+    span, red = Span(ncols), {}
     for v in rows:
         span.add(v)
         oracle_insert(red, v)
@@ -326,6 +366,6 @@ def test_integer_eliminator_keeps_normal_form_index_and_oracle(case):
             for j in e.keys() - {p}:
                 index.setdefault(j, set()).add(p)
         assert span._cols == index
-        assert span.rows == red
+        assert span._rows == {p: integer_part(row) for p, row in red.items()}
         for w in rows:
-            assert span.reduce(w) == oracle_reduce(red, w)
+            assert span.reduce(w) == integer_part(oracle_reduce(red, w))

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhg.scalars import LAM, ONE, ZERO, Scalar, _scalar, homogeneous_at_one
+from qhg.exterior import Endo, Vector
+from qhg.scalars import LAM, ONE, ZERO, Scalar, _scalar, homogeneous_part
 
 
 def rand_scalar(rng):
@@ -55,26 +56,30 @@ def test_specialize():
         Scalar({-1: 1}).specialize(0)
 
 
-def test_homogeneous_at_one_reads_a_common_degree():
-    row = {0: LAM * 3, 1: ZERO, 2: LAM * Fraction(-1, 2)}
-    assert homogeneous_at_one(row) == (1, {0: 3, 1: 0, 2: Fraction(-1, 2)})
-    assert homogeneous_at_one({(0, 1): LAM**-2, (2, 2): LAM**-2 * 5}) == (-2, {(0, 1): 1, (2, 2): 5})
-    assert homogeneous_at_one({0: ZERO, 1: ZERO}) == (None, {0: 0, 1: 0})
-    assert homogeneous_at_one({}) == (None, {})
-    assert homogeneous_at_one({"a": Scalar(Fraction(3, 2))}, degree=0) == (0, {"a": Fraction(3, 2)})
-    _, values = homogeneous_at_one({0: LAM * 2, 1: ZERO})
-    assert all(type(v) is Fraction for v in values.values())
+def test_homogeneous_part_reads_a_common_degree():
+    row = Vector([LAM * 3, ZERO, LAM * Fraction(-1, 2)])
+    assert homogeneous_part(row) == (1, 2, {0: 6, 2: -1})
+    assert homogeneous_part(Endo(3, {(0, 1): LAM**-2, (2, 2): LAM**-2 * 5})) == (-2, 1, {(0, 1): 1, (2, 2): 5})
+    assert homogeneous_part(Vector([ZERO, ZERO])) == (None, 1, {})
+    assert homogeneous_part(Vector([])) == (None, 1, {})
+    assert homogeneous_part(Vector([Scalar(Fraction(3, 2))]), degree=0) == (0, 2, {0: 3})
+    assert homogeneous_part(Vector([ZERO]), degree=4) == (4, 1, {})
+    _, _, entries = homogeneous_part(Vector([LAM * 2, ZERO]))
+    assert all(type(v) is int for v in entries.values())
 
 
-def test_homogeneous_at_one_rejects_rows_that_change_rank_with_the_parameter():
+def test_homogeneous_part_rejects_rows_that_change_rank_with_the_parameter():
     # [[l, 1], [1, l]] is singular at l = 1 only: no single point decides it
     for row in ([LAM, ONE], [ONE, LAM]):
         with pytest.raises(ArithmeticError, match=r"^row at index 1: .* has degree \d in l, expected \d$"):
-            homogeneous_at_one(dict(enumerate(row)), "row")
+            homogeneous_part(Vector(row), "row")
+    matrix = Endo(2, {(0, 0): LAM, (0, 1): ONE, (1, 0): ONE, (1, 1): LAM})
+    with pytest.raises(ArithmeticError, match=r"^matrix at index \(0, 1\): 1 has degree 0 in l, expected 1$"):
+        homogeneous_part(matrix, "matrix")
     with pytest.raises(ArithmeticError, match=r"at index \(2, 0\): l \+ 1 is not a monomial"):
-        homogeneous_at_one({(0, 0): ZERO, (2, 0): LAM + 1})
+        homogeneous_part(Endo(3, {(0, 0): ZERO, (2, 0): LAM + 1}))
     with pytest.raises(ArithmeticError, match=r"at index 0: 2\*l has degree 1 in l, expected 0"):
-        homogeneous_at_one({0: LAM * 2}, degree=0)
+        homogeneous_part(Vector([LAM * 2]), degree=0)
 
 
 def test_rational_value():
