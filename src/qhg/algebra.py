@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exterior import Endo, KForm, Vector, _endo, _kform, _vector, wedge
+from .exterior import Endo, KForm, Vector, _endo, _kform, _vector, two_form_endo, wedge
 from .linalg import nullspace
 from .scalars import LAM, Scalar, accumulate, graded, part
 
@@ -266,11 +266,10 @@ def center_dimension(sc: StructureConstants) -> int:
 
 def two_step_nilpotent(sc: StructureConstants, center: tuple[int, ...]) -> bool:
     """Whether every bracket lies in span(e_k : k in center) and every
-    bracket of a bracket vanishes."""
-    n = sc.dim
-    brackets = [sc.bracket_basis(i, j) for i in range(n) for j in range(n)]
-    return all(k in center for v in brackets for _, e in v.parts.values() for k in e) and all(
-        sc.bracket(v, sc.basis_vector(k)).is_zero() for v in brackets for k in range(n)
+    bracket of a bracket vanishes: ad v = 0 for each stored bracket v."""
+    brackets = sc._sc.values()
+    return all(k in center for v in brackets for _, e in v.parts.values() for k in e) and not any(
+        sc.ad(v).parts for v in brackets
     )
 
 
@@ -287,14 +286,13 @@ def d_eta_closed_form(alg: QHAlgebra, i: int) -> KForm:
 
 
 def quaternion_brackets_check(alg: QHAlgebra) -> bool:
-    """[X, Y] = lam sum_a <I_a X, Y> xi_a on the frame, I_a = quaternion_action(alg, a)."""
-    e = [alg.basis_vector(i) for i in range(alg.dim)]
-    actions = [quaternion_action(alg, a) for a in (1, 2, 3)]
+    """[X, Y] = lam sum_a <I_a X, Y> xi_a on the frame, I_a = quaternion_action(alg, a):
+    as d e^k(X, Y) = -[X, Y]_k, the (skew) endomorphism of d e^k is -lam I_{k+1}
+    for k < 3 and zero otherwise, so an I_a that is not skew fails."""
     return all(
-        alg.bracket(x, y)[a] == alg.lam * actions[a].apply(x).dot(y)
-        for a in range(3)
-        for x in e
-        for y in e
+        two_form_endo(alg.d_basis_one_form(k))
+        == (quaternion_action(alg, k + 1).scale(-alg.lam) if k < 3 else Endo.zero(alg.dim))
+        for k in range(alg.dim)
     )
 
 

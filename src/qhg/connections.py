@@ -8,7 +8,9 @@ frame-constant tensors nabla_X acts through the natural so(n) action of
 Omega(X), which is what all parallelism checks below use.  `Geometry`
 bundles one connection with the tensors read from it (torsion,
 curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
-once, on first read.
+once, on first read.  Torsion and curvature are each one pass over the
+stored entries of the connection forms into integer parts keyed by index
+tuples; Ricci, the first Bianchi identity and nabla R read those parts.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .exterior import (
     Endo,
     KForm,
     Vector,
-    _check_indices,
-    _combination,
-    _commutator,
     _endo,
     _kform,
     _rows,
@@ -37,7 +36,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import Span
-from .scalars import Scalar, _product, accumulate, graded, homogeneous_part
+from .scalars import Scalar, _normal, _product, accumulate, graded, homogeneous_part
 
 
 class Connection:
@@ -54,39 +53,6 @@ class Connection:
 
     def form(self, index: int) -> Endo:
         return self.omega[index]
-
-    def form_of(self, x: Vector) -> Endo:
-        return _endo(self.dim, _combination(
-            (dx, nx, c, self.omega[i].parts)
-            for dx, (nx, ex) in x.parts.items()
-            for i, c in ex.items()
-        ))
-
-
-class CurvatureTensor:
-    """R(e_i, e_j) for i < j; antisymmetric in the two arguments."""
-
-    __slots__ = ("dim", "values")
-
-    def __init__(self, dim: int, values: dict[tuple[int, int], Endo]):
-        self.dim = dim
-        self.values = {k: v for k, v in values.items() if not v.is_zero()}
-
-    def endo(self, i: int, j: int) -> Endo:
-        _check_indices(self.dim, (i, j))
-        if i == j:
-            return Endo.zero(self.dim)
-        if i < j:
-            return self.values.get((i, j), Endo.zero(self.dim))
-        v = self.values.get((j, i))
-        return -v if v is not None else Endo.zero(self.dim)
-
-    def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
-        """g(R(e_i, e_j) e_k, e_l)."""
-        return self.endo(i, j).entry(l, k)
-
-    def is_zero(self) -> bool:
-        return not self.values
 
 
 @derived
@@ -187,16 +153,16 @@ def killing_one_forms_check(alg: QHAlgebra, lc: Connection) -> bool:
     return True
 
 
-def su2_curvature(alg: QHAlgebra) -> CurvatureTensor:
-    """Closed form of the canonical curvature: R(e_i, e_j) = lam^2 sum_k
-    h_k(e_i, e_j) H_k, with h_k the su2_generators and H_k their endomorphisms."""
-    n = alg.dim
-    values: dict[tuple[int, int], Endo] = {}
+def su2_curvature(alg: QHAlgebra) -> dict:
+    """Closed form of the canonical `Geometry.curvature_parts`: R(e_i, e_j) =
+    lam^2 sum_k h_k(e_i, e_j) H_k, with h_k the su2_generators and H_k their
+    endomorphisms, an entry (i, j) of h_k times an entry (k, l) of H_k."""
+    raw = []
     for form in su2_generators(alg):
-        endo = two_form_endo(form).scale(alg.lam * alg.lam)
-        for key, c in form.comps.items():
-            values[key] = values.get(key, Endo.zero(n)) + endo.scale(c)
-    return CurvatureTensor(n, values)
+        h = two_form_endo(form).scale(alg.lam * alg.lam)
+        raw += [(df + dh, nf * nh, {ij + kl: c * w for ij, c in ef.items() for kl, w in eh.items()})
+                for df, (nf, ef) in form.parts.items() for dh, (nh, eh) in h.parts.items()]
+    return graded(raw)
 
 
 def ricci_closed_form(alg: QHAlgebra) -> Endo:
@@ -223,25 +189,6 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
     )
 
 
-def _check_dim(alg: StructureConstants, conn: Connection):
-    if conn.dim != alg.dim:
-        raise ValueError(f"connection of dimension {conn.dim} on an algebra of dimension {alg.dim}")
-
-
-def curvature(alg: QHAlgebra, conn: Connection) -> CurvatureTensor:
-    """R(X, Y) = [Omega(X), Omega(Y)] - Omega([X, Y])."""
-    _check_dim(alg, conn)
-    n = alg.dim
-    values = {}
-    for i in range(n):
-        oi = conn.form(i)
-        for j in range(i + 1, n):
-            r = oi.commutator(conn.form(j)) - conn.form_of(alg.bracket_basis(i, j))
-            if not r.is_zero():
-                values[(i, j)] = r
-    return CurvatureTensor(n, values)
-
-
 class Geometry:
     """One connection on one algebra, with the tensors every check reads.
 
@@ -251,7 +198,8 @@ class Geometry:
     """
 
     def __init__(self, alg: QHAlgebra, conn: Connection):
-        _check_dim(alg, conn)
+        if conn.dim != alg.dim:
+            raise ValueError(f"connection of dimension {conn.dim} on an algebra of dimension {alg.dim}")
         self.alg = alg
         self.conn = conn
 
@@ -303,27 +251,61 @@ class Geometry:
         return _kform(self.alg.dim, 3, graded(raw))
 
     @cached_property
-    def curvature(self) -> CurvatureTensor:
-        return curvature(self.alg, self.conn)
+    def curvature_parts(self) -> dict:
+        """R(e_i, e_j)[k, l], i < j, as parts {degree: (den, {(i, j, k, l): int})}.
+
+        R(e_i, e_j) = [Omega_i, Omega_j] - sum_c [e_i, e_j]_c Omega_c in one
+        pass over the stored entries: each pair of parts of Omega_i and Omega_j,
+        i < j, adds its integer commutator at (i, j, ., .), and each stored
+        bracket entry [e_i, e_j]_c = v subtracts v Omega_c there.
+        """
+        forms = [(i, d, den, e, _rows(e))
+                 for i, f in enumerate(self.conn.omega) for d, (den, e) in f.parts.items()]
+        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (i, j, k, l) -> sum
+        for i, di, ni, ei, ri in forms:
+            for j, dj, nj, ej, rj in forms:
+                if i < j:
+                    acc = buckets.setdefault((di + dj, ni * nj), {})
+                    for ea, rows, sign in ((ei, rj, 1), (ej, ri, -1)):
+                        for (k, m), v in ea.items():
+                            for l, w in rows.get(m, ()):
+                                accumulate(acc, (i, j, k, l), sign * v * w)
+        for (i, j), bracket in self.alg._sc.items():
+            for d, (den, e) in bracket.parts.items():
+                for c, v in e.items():
+                    for dc, (nc, ec) in self.conn.omega[c].parts.items():
+                        acc = buckets.setdefault((d + dc, den * nc), {})
+                        for (k, l), w in ec.items():
+                            accumulate(acc, (i, j, k, l), -v * w)
+        return graded((d, den, acc) for (d, den), acc in buckets.items())
+
+    @cached_property
+    def curvature(self) -> dict[tuple[int, int], Endo]:
+        """The nonzero R(e_i, e_j), i < j, in sorted pair order."""
+        parts, pairs = self.curvature_parts, {}
+        for d, (_, e) in parts.items():
+            for (i, j, k, l), v in e.items():
+                pairs.setdefault((i, j), {}).setdefault(d, {})[(k, l)] = v
+        return {key: _endo(self.alg.dim, {d: _normal(parts[d][0], e) for d, e in pairs[key].items()})
+                for key in sorted(pairs)}
 
     @cached_property
     def ricci(self) -> Endo:
         """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i).
 
-        Contracted over the stored R(e_i, e_j), i < j: row i of R(e_i, e_j)
+        Contracted over the stored entries R(e_i, e_j)[row, b], i < j: row i
         adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
         subtracts from Ric(e_i, .).
         """
         raw = []
-        for (i, j), r in self.curvature.values.items():
-            for d, (den, e) in r.parts.items():
-                acc: dict[tuple[int, int], int] = {}
-                for (row, b), v in e.items():
-                    if row == i:
-                        accumulate(acc, (j, b), v)
-                    elif row == j:
-                        accumulate(acc, (i, b), -v)
-                raw.append((d, den, acc))
+        for d, (den, e) in self.curvature_parts.items():
+            acc: dict[tuple[int, int], int] = {}
+            for (i, j, row, b), v in e.items():
+                if row == i:
+                    accumulate(acc, (j, b), v)
+                elif row == j:
+                    accumulate(acc, (i, b), -v)
+            raw.append((d, den, acc))
         return _endo(self.alg.dim, graded(raw))
 
     @cached_property
@@ -339,9 +321,39 @@ class Geometry:
         t3 = self.torsion_form
         return t3 is not None and is_parallel(self.conn, t3)
 
+    def _curvature_derivative(self, a: Endo) -> dict:
+        """The parts of nabla_A R at the keys (i, j, k, l) of `curvature_parts`:
+        (nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j).
+
+        From each stored entry c = R(e_i, e_j)[k, l]: the endomorphism slots
+        add A[r, k] c at (i, j, r, l) and -c A[l, r] at (i, j, k, r).  The form
+        slots are one pair, read in both orders, (s, t) = (i, j) with f = c and
+        (j, i) with f = -c: an index x, A[s, x] = w, that replaces s adds -f w
+        at (x, t) for x < t and f w at (t, x) for x > t.
+        """
+        buckets: dict[tuple[int, int], dict] = {}
+        for da, (na, ea) in a.parts.items():
+            rows, cols = _rows(ea), _rows({(c, r): w for (r, c), w in ea.items()})
+            for d, (den, e) in self.curvature_parts.items():
+                acc = buckets.setdefault((da + d, na * den), {})
+                for (i, j, k, l), c in e.items():
+                    for r, w in cols.get(k, ()):
+                        accumulate(acc, (i, j, r, l), w * c)
+                    for r, w in rows.get(l, ()):
+                        accumulate(acc, (i, j, k, r), -c * w)
+                    for s, t, f in ((i, j, c), (j, i, -c)):
+                        for x, w in rows.get(s, ()):
+                            if x < t:
+                                accumulate(acc, (x, t, k, l), -f * w)
+                            elif x > t:
+                                accumulate(acc, (t, x, k, l), f * w)
+        return graded((d, den, acc) for (d, den), acc in buckets.items())
+
     @cached_property
     def curvature_parallel(self) -> bool:
-        return is_parallel(self.conn, self.curvature)
+        """Whether nabla_{e_x} R = 0 for every x, direction by direction up to
+        the first derivative that is nonzero."""
+        return not any(self._curvature_derivative(a) for a in self.conn.omega)
 
     @cached_property
     def transvection_algebra(self):
@@ -381,8 +393,8 @@ class Geometry:
         for a in range(h):
             for i in range(n):
                 put(a, h + i, Vector.zero(h), hol[a].column(i))
-        for i, j in combinations(range(n), 2):
-            coords = hol_coords(-self.curvature.endo(i, j))
+        for i, j in sorted(self.curvature.keys() | self.torsion_tensor.keys()):
+            coords = hol_coords(-self.curvature.get((i, j), Endo.zero(n)))
             if coords is None:
                 return None, ("curvature outside holonomy span", i, j)
             put(h + i, h + j, coords, -self.torsion_tensor.get((i, j), Vector.zero(n)))
@@ -429,11 +441,10 @@ class Geometry:
             if sign:
                 accumulate(acc, key + (v,), c if sign > 0 else -c)
 
-        for (i, j), r in self.curvature.values.items():
-            for d, (den, e) in r.parts.items():
-                acc = buckets.setdefault((d, den), {})
-                for (v, k), c in e.items():  # g(R(e_i, e_j) e_k, e_v) = c
-                    put(acc, (i, j, k), v, c)
+        for d, (den, e) in self.curvature_parts.items():
+            acc = buckets.setdefault((d, den), {})
+            for (i, j, v, k), c in e.items():  # g(R(e_i, e_j) e_k, e_v) = c
+                put(acc, (i, j, k), v, c)
         for d, (den, e) in ce_differential(t3, self.alg).parts.items():
             acc = buckets.setdefault((d, den), {})
             for idx, c in e.items():
@@ -502,74 +513,27 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
     return _kform(f.dim, f.degree, _product(a.parts, f.parts, act))
 
 
-def _nabla_kernel(conn: Connection, tensor):
-    """A -> nabla_A tensor, for a KForm, Endo, Vector or CurvatureTensor."""
+def _nabla_kernel(tensor):
+    """A -> nabla_A tensor, for a KForm, Endo or Vector."""
     if isinstance(tensor, KForm):
         return lambda a: _act_on_form(a, tensor)
     if isinstance(tensor, Endo):
         return lambda a: a.commutator(tensor)
     if isinstance(tensor, Vector):
         return lambda a: a.apply(tensor)
-    if isinstance(tensor, CurvatureTensor):
-        return lambda a: _nabla_curvature(conn, tensor, a)
     raise TypeError(f"cannot differentiate {type(tensor).__name__}")
 
 
 def nabla_tensor(conn: Connection, tensor):
     """Covariant derivative per frame direction of a frame-constant tensor."""
-    kernel = _nabla_kernel(conn, tensor)
+    kernel = _nabla_kernel(tensor)
     return [kernel(a) for a in conn.omega]
-
-
-def _nabla_curvature(conn: Connection, r: CurvatureTensor, a: Endo) -> CurvatureTensor:
-    """(nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j),
-    summed for each (i, j) in one pass over the parts."""
-    n = r.dim
-    if a.is_zero():
-        return CurvatureTensor(n, {})
-    # column c of A: [(row, degree, den, entry)]
-    cols: dict[int, list[tuple[int, int, int, int]]] = {}
-    for d, (den, e) in a.parts.items():
-        for (row, col), v in e.items():
-            cols.setdefault(col, []).append((row, d, den, v))
-
-    def minus_r(pair: tuple[int, int], da: int, na: int, v: int) -> list:
-        """Raw parts of -(v l^da / na) R(e_a, e_b) for pair = (a, b)."""
-        sign, key = _sort_tuple(pair)
-        term = r.values.get(key) if sign else None
-        if term is None:
-            return []
-        return [
-            (da + d, -sign * na * den, {k: v * w for k, w in e.items()})
-            for d, (den, e) in term.parts.items()
-        ]
-
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            raw = []
-            rij = r.values.get((i, j))
-            if rij is not None:
-                raw += [
-                    (da + d, na * den, _commutator(ea, e))
-                    for da, (na, ea) in a.parts.items()
-                    for d, (den, e) in rij.parts.items()
-                ]
-            # argument slots: -R(A e_i, e_j) - R(e_i, A e_j)
-            for row, da, na, v in cols.get(i, ()):
-                raw += minus_r((row, j), da, na, v)
-            for row, da, na, v in cols.get(j, ()):
-                raw += minus_r((i, row), da, na, v)
-            parts = graded(raw)
-            if parts:
-                values[(i, j)] = _endo(n, parts)
-    return CurvatureTensor(n, values)
 
 
 def is_parallel(conn: Connection, tensor) -> bool:
     """Whether nabla_{e_i} tensor = 0 for every i: the kernel of `nabla_tensor`,
     run direction by direction up to the first derivative that is nonzero."""
-    kernel = _nabla_kernel(conn, tensor)
+    kernel = _nabla_kernel(tensor)
     return all(kernel(a).is_zero() for a in conn.omega)
 
 
@@ -606,7 +570,7 @@ def _holonomy_at(geo: Geometry) -> list[Endo]:
 
     forms = (_at_one(geo.conn.form(i), f"connection form {i}") for i in range(n))
     omegas = [o for o in forms if not o.is_zero()]
-    for (i, j), e in geo.curvature.values.items():
+    for (i, j), e in geo.curvature.items():
         push(_at_one(e, f"R(e_{i}, e_{j})"))
 
     frontier = list(members)
@@ -693,30 +657,20 @@ def _coordinate_reader(basis: list[Endo], n: int):
 
 
 def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, int] | None:
-    """First (i, j, k), j != i != k, with <[e_i, e_j]_m, e_k> + <[e_i, e_k]_m, e_j> != 0.
+    """First (i, j, k) with <[e_i, e_j]_m, e_k> + <[e_i, e_k]_m, e_j> != 0.
 
-    For fixed i the m-parts form a matrix M[j][k]; the sum is symmetric in
-    (j, k), so only the nonzero entries of M and their transposes can fail.
+    For fixed i the sum is entry (k, j) of A + A^T, A the m-block of
+    ad(e_i).  It is symmetric in (j, k), so the first failing pair is the
+    least key of A + A^T: of the bad entries of A and their transposes.
     """
     h = table.dim - n
     for i in range(n):
-        m = [table.bracket_basis(h + i, h + j).parts for j in range(n)]
-        bad = [
-            (j, k)
-            for j in range(n)
-            for k in {c - h for _, e in m[j].values() for c in e if c >= h}
-            if k != i and not _cancels(m[j], h + k, m[k], h + j)
+        raw = [
+            (d, den, {(k - h, j - h): v for (k, j), v in e.items() if k >= h and j >= h})
+            for d, (den, e) in table.ad(Vector.basis(table.dim, h + i)).parts.items()
         ]
+        raw += [(d, den, {(j, k): v for (k, j), v in e.items()}) for d, den, e in raw]
+        bad = [key for _, e in graded(raw).values() for key in e]
         if bad:
-            return i, *min(min(bad), min((k, j) for j, k in bad))
+            return i, *min(bad)
     return None
-
-
-def _cancels(a: dict, ka, b: dict, kb) -> bool:
-    """Whether entry ka of the parts a plus entry kb of the parts b is zero,
-    degree by degree."""
-    x = {d: (den, e[ka]) for d, (den, e) in a.items() if ka in e}
-    y = {d: (den, e[kb]) for d, (den, e) in b.items() if kb in e}
-    return x.keys() == y.keys() and all(
-        c * y[d][0] + y[d][1] * den == 0 for d, (den, c) in x.items()
-    )

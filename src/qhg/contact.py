@@ -339,7 +339,7 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
     flat = Geometry(alg, flat_connection(alg))
     return (
         qc_preservation_check(alg, flat.conn)
-        and flat.curvature.is_zero()
+        and not flat.curvature_parts
         and len(flat.holonomy) == 0
         and flat.torsion_form is None
     )

@@ -215,11 +215,11 @@ class Check(NamedTuple):
 
 
 CHECKS = (
-    Check("algebra.jacobi", ("algebra.build", "algebra.jacobi_check"),
+    Check("algebra.jacobi", ("algebra.build", "algebra.jacobi_check", "algebra.QHAlgebra.bracket"),
           "Jacobi identity holds on all frame triples", lambda r: algebra.jacobi_check(r.alg)),
-    Check("algebra.center", ("algebra.QHAlgebra.bracket",),
+    Check("algebra.center", ("algebra.center_dimension", "algebra.two_step_nilpotent"),
           "center is the 3-dim vertical space and brackets are 2-step nilpotent", _center),
-    Check("algebra.quaternion-brackets", ("algebra.quaternion_action",),
+    Check("algebra.quaternion-brackets", ("algebra.quaternion_action", "exterior.two_form_endo"),
           "bracket table equals quaternion left multiplication paired with the center",
           lambda r: algebra.quaternion_brackets_check(r.alg)),
     Check("algebra.d-eta", ("exterior.ce_differential",),
@@ -255,13 +255,14 @@ CHECKS = (
           lambda r: r.can.torsion_form == r.t),
     Check("connection.torsion-norm", ("exterior.form_inner",),
           "squared torsion norm equals (6p + 16) lam^2", _torsion_norm),
-    Check("connection.parallel", ("connections.nabla_tensor", "connections.is_parallel"),
+    Check("connection.parallel", ("connections.is_parallel", "connections.Geometry.curvature_parallel"),
           "torsion, curvature, vertical volume and plane volumes are all parallel",
           lambda r: r.can.torsion_parallel and r.can.curvature_parallel
           and connections.volumes_parallel(r.alg, r.can.conn)),
-    Check("connection.curvature-closed-form", ("connections.curvature",),
+    Check("connection.curvature-closed-form",
+          ("connections.Geometry.curvature_parts", "connections.su2_curvature"),
           "curvature equals lam^2 x (sum of rotation generators squared)",
-          lambda r: r.can.curvature.values == connections.su2_curvature(r.alg).values),
+          lambda r: r.can.curvature_parts == connections.su2_curvature(r.alg)),
     Check("connection.ricci",
           ("connections.Geometry.ricci", "connections.ricci_closed_form", "exterior.Endo.trace"),
           "Ricci is diag(-8 lam^2 x3, -3 lam^2 x4p) with the stated scalar curvatures", _ricci),
@@ -270,7 +271,7 @@ CHECKS = (
           "holonomy is 3-dimensional, irreducible vertically, preserving each plane",
           lambda r: (connections.su2_holonomy_check(r.alg, r.can.holonomy),
                      {"holonomy_dim": len(r.can.holonomy)})),
-    Check("connection.first-bianchi", ("connections.Geometry.first_bianchi",),
+    Check("connection.first-bianchi", ("connections.Geometry.first_bianchi", "connections.nabla_tensor"),
           "cyclic curvature sum satisfies the skew-torsion Bianchi identity",
           lambda r: r.can.first_bianchi, p_max=1),
     Check("connection.transvection", ("connections.Geometry.transvection",),
@@ -391,7 +392,7 @@ REQUIRED_OPS = (
     "qhg.connections.levi_civita",
     "qhg.connections.with_torsion",
     "qhg.connections.canonical_torsion",
-    "qhg.connections.curvature",
+    "qhg.connections.Geometry.curvature_parts",
     "qhg.connections.nabla_tensor",
     "qhg.connections.is_parallel",
     "qhg.connections.Geometry.ricci",

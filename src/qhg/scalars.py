@@ -21,10 +21,9 @@ degree to the lcm of their denominators and restores the normal form, and
 The tensors of `exterior` index their parts by frame indices; a `Scalar`
 is the rank-0 case, indexed by the empty tuple, and its ring operations
 run through the same kernels.  Only ints and Fractions enter a `Scalar`,
-and only Fractions leave it: `coeff`, `rational_value`, `terms` and
-`specialize` return ``Fraction``.  A report's tensors have one part each,
-except the vectors of the hol + m table, whose curvature coordinates and
-torsion sit at two degrees.
+and only Fractions leave it: `coeff` and `terms` return ``Fraction``.  A
+report's tensors have one part each, except the vectors of the hol + m
+table, whose curvature coordinates and torsion sit at two degrees.
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ class Scalar:
 
     def is_monomial(self) -> bool:
         return len(self.parts) == 1
-
-    def rational_value(self) -> Fraction:
-        if self.parts and self.parts.keys() != {0}:
-            raise ValueError(f"{self} is not parameter-free")
-        return self.coeff(0)
 
     def coeff(self, exp: int) -> Fraction:
         den, e = self.parts.get(exp, (1, {(): 0}))
@@ -129,16 +123,7 @@ class Scalar:
     def __bool__(self):
         return bool(self.parts)
 
-    # -- evaluation and printing -----------------------------------------
-
-    def specialize(self, value) -> Fraction:
-        """Evaluate at a concrete rational parameter value."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
-        v = Fraction(value)
-        if v == 0 and any(e < 0 for e in self.parts):
-            raise ZeroDivisionError("negative exponent at parameter 0")
-        return sum((c * v**e for e, c in self.terms()), Fraction(0))
+    # -- printing --------------------------------------------------------
 
     def __str__(self):
         if not self.parts:

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import lcm
 
 from qhg import clifford, report
-from qhg.exterior import KForm
+from qhg.exterior import Endo, KForm, Vector
 from qhg.scalars import Scalar
 
 
@@ -20,6 +20,31 @@ def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:
         if rng.random() < density:
             comps[idx] = Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return KForm(dim, degree, comps)
+
+
+def rational_value(s: Scalar) -> Fraction:
+    """The value of a Scalar that does not depend on the parameter."""
+    if s.parts and s.parts.keys() != {0}:
+        raise ValueError(f"{s} is not parameter-free")
+    return s.coeff(0)
+
+
+def specialize(s: Scalar, value) -> Fraction:
+    """The Scalar evaluated at a concrete rational parameter value."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
+    v = Fraction(value)
+    if v == 0 and any(e < 0 for e in s.parts):
+        raise ZeroDivisionError("negative exponent at parameter 0")
+    return sum((c * v**e for e, c in s.terms()), Fraction(0))
+
+
+def form_of(conn, x: Vector) -> Endo:
+    """Omega(x) = sum_i x_i Omega(e_i), the connection form at a vector."""
+    out = Endo.zero(conn.dim)
+    for i, c in x.comps.items():
+        out = out + conn.form(i).scale(c)
+    return out
 
 
 def integer_part(row: dict) -> tuple[int, dict]:

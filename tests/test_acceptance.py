@@ -80,8 +80,9 @@ def test_criterion_2_canonical_connection():
             for i in (1, 2, 3):
                 assert conn.form(i - 1) == h[i - 1].scale(-LAM)
             assert cn.is_parallel(conn, t)
-            assert cn.is_parallel(conn, cn.curvature(alg, conn))
-            hol = cn.Geometry(alg, conn).holonomy
+            geo = cn.Geometry(alg, conn)
+            assert geo.curvature_parallel
+            hol = geo.holonomy
             assert len(hol) == 3
             assert h[0].commutator(h[1]) == h[2].scale(2)
             assert h[2].commutator(h[0]) == h[1].scale(2)
@@ -97,7 +98,7 @@ def test_criterion_3_curvature_closed_form():
         for p in (1, 2, 3):
             alg = algebra.build(p)
             conn = cn.canonical_connection(alg)
-            r = cn.curvature(alg, conn)
+            r = cn.Geometry(alg, conn).curvature
             h_forms = cn.su2_generators(alg)
             h = [two_form_endo(f) for f in h_forms]
             for i in range(alg.dim):
@@ -107,7 +108,7 @@ def test_criterion_3_curvature_closed_form():
                         c = h_forms[k].coeff((i, j))
                         if not c.is_zero():
                             expect = expect + h[k].scale(c)
-                    assert r.endo(i, j) == expect.scale(LAM * LAM)
+                    assert r.get((i, j), Endo.zero(alg.dim)) == expect.scale(LAM * LAM)
 
 
 def test_criterion_4_ricci_and_scalar_curvatures():
@@ -176,8 +177,8 @@ def test_criterion_7_qc_suite():
             assert ct.qc_preservation_check(alg, cn.canonical_connection(alg))
             flat = cn.flat_connection(alg)
             assert ct.qc_preservation_check(alg, flat)
-            assert cn.curvature(alg, flat).is_zero()
             geo = cn.Geometry(alg, flat)
+            assert geo.curvature_parts == {}
             assert geo.holonomy == []
             assert geo.torsion_form is None
             dim, torsion = ct.qc_unique_skew(alg)

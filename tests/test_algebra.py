@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qhg import algebra, connections
-from qhg.exterior import KForm, Vector, ce_differential, wedge
+from qhg.exterior import Endo, KForm, Vector, ce_differential, wedge
 from qhg.scalars import LAM, Scalar
 
 
@@ -296,3 +296,20 @@ def test_algebra_verdicts_and_their_negative_controls():
     assert not algebra.quaternion_brackets_check(flipped)
     assert ce_differential(flipped.eta(1), flipped) != algebra.d_eta_closed_form(flipped, 1)
     assert ce_differential(alg.eta(1), alg) == algebra.d_eta_closed_form(alg, 1)
+
+
+def test_quaternion_brackets_check_fails_for_a_non_skew_unit(monkeypatch):
+    """A unit whose skew part is I_1 but which is not skew fails the check
+    without raising, and so does a bracket with a horizontal component."""
+    alg = algebra.build(1)
+    units = {a: algebra.quaternion_action(alg, a) for a in (1, 2, 3)}
+    symmetric = Endo(alg.dim, {(3, 4): 1, (4, 3): 1})
+    assert not (units[1] + symmetric).is_skew()
+    monkeypatch.setattr(algebra, "quaternion_action",
+                        lambda alg, a: units[a] + symmetric if a == 1 else units[a])
+    assert not algebra.quaternion_brackets_check(alg)
+    monkeypatch.undo()
+    assert algebra.quaternion_brackets_check(alg)
+    structure = dict(alg._sc)
+    structure[(3, 4)] = structure[(3, 4)] + Vector.basis(alg.dim, 5).scale(alg.lam)
+    assert not algebra.quaternion_brackets_check(algebra.QHAlgebra(1, alg.lam, structure))

@@ -17,8 +17,17 @@ from qhg.exterior import (
     two_form_endo,
     wedge,
 )
-from qhg.scalars import LAM, ZERO, Scalar
-from support import integer_part, random_form, span_contains
+from qhg.scalars import LAM, ZERO, Scalar, graded
+from support import (
+    code_of,
+    executed_code,
+    form_of,
+    integer_part,
+    random_form,
+    rational_value,
+    span_contains,
+    unexecuted,
+)
 
 
 def koszul_oracle(alg):
@@ -70,8 +79,8 @@ def test_levi_civita_frozen_values():
     alg = algebra.build(1)
     lc = cn.levi_civita(alg)
     half = LAM * Fraction(1, 2)
-    assert lc.form_of(alg.tau(1)).apply(alg.tau(2)) == alg.xi(1).scale(half)
-    assert lc.form_of(alg.xi(1)).apply(alg.tau(1)) == alg.tau(2).scale(-half)
+    assert form_of(lc, alg.tau(1)).apply(alg.tau(2)) == alg.xi(1).scale(half)
+    assert form_of(lc, alg.xi(1)).apply(alg.tau(1)) == alg.tau(2).scale(-half)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -167,25 +176,26 @@ def test_torsion_round_trip():
 def test_curvature_values():
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
-    r = cn.curvature(alg, conn)
+    r = cn.Geometry(alg, conn).curvature
     h = [two_form_endo(f) for f in cn.su2_generators(alg)]
     lam2 = LAM * LAM
-    assert r.endo(3, 4) == h[0].scale(lam2)  # R(tau_1, tau_2)
-    assert r.endo(0, 1) == h[2].scale(lam2 * 2)  # R(xi_1, xi_2)
+    assert r[(3, 4)] == h[0].scale(lam2)  # R(tau_1, tau_2)
+    assert r[(0, 1)] == h[2].scale(lam2 * 2)  # R(xi_1, xi_2)
 
 
 def test_abelian_curvature_vanishes():
     alg = algebra.QHAlgebra(1, LAM, {})  # all brackets zero
     lc = cn.levi_civita(alg)
     assert all(lc.form(i).is_zero() for i in range(alg.dim))
-    assert cn.curvature(alg, lc).is_zero()
+    geo = cn.Geometry(alg, lc)
+    assert geo.curvature_parts == {} and geo.curvature == {}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_curvature_closed_form(p):
     alg = algebra.build(p)
     conn = cn.canonical_connection(alg)
-    r = cn.curvature(alg, conn)
+    r = cn.Geometry(alg, conn).curvature
     h_forms = cn.su2_generators(alg)
     h = [two_form_endo(f) for f in h_forms]
     lam2 = LAM * LAM
@@ -196,7 +206,7 @@ def test_curvature_closed_form(p):
                 c = h_forms[k].coeff((i, j))
                 if not c.is_zero():
                     expect = expect + h[k].scale(c)
-            assert r.endo(i, j) == expect.scale(lam2)
+            assert r.get((i, j), Endo.zero(alg.dim)) == expect.scale(lam2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -205,7 +215,7 @@ def test_parallel_tensors(p):
     conn = cn.canonical_connection(alg)
     t = cn.canonical_torsion(alg)
     assert cn.is_parallel(conn, t)
-    assert cn.is_parallel(conn, cn.curvature(alg, conn))
+    assert cn.Geometry(alg, conn).curvature_parallel
     eta123 = wedge(wedge(alg.eta(1), alg.eta(2)), alg.eta(3))
     assert cn.is_parallel(conn, eta123)
     for r in range(1, p + 1):
@@ -254,7 +264,7 @@ def test_holonomy_su2(p):
     from qhg.linalg import Span
 
     def flat(e):
-        return integer_part({r * alg.dim + c: v.rational_value() for (r, c), v in e.m.items()})[1]
+        return integer_part({r * alg.dim + c: rational_value(v) for (r, c), v in e.m.items()})[1]
 
     span = Span(alg.dim * alg.dim)
     for e in hol:
@@ -270,8 +280,8 @@ def test_holonomy_su2(p):
 def test_flat_connection_holonomy_empty():
     alg = algebra.build(1)
     flat = cn.flat_connection(alg)
-    assert cn.Geometry(alg, flat).holonomy == []
-    assert cn.curvature(alg, flat).is_zero()
+    geo = cn.Geometry(alg, flat)
+    assert geo.holonomy == [] and geo.curvature_parts == {}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -322,6 +332,7 @@ def first_bianchi_oracle(geo):
     n = geo.alg.dim
     t3 = geo.torsion_form
     r = geo.curvature
+    R = lambda i, j, k, l: curvature_endo(r, i, j, n).entry(l, k)  # g(R(e_i, e_j) e_k, e_l)
     dt = ce_differential(t3, geo.alg)
     nt = cn.nabla_tensor(geo.conn, t3)
 
@@ -333,7 +344,7 @@ def first_bianchi_oracle(geo):
 
     for x, y, z in combinations(range(n), 3):
         for v in range(n):
-            lhs = r.lowered(x, y, z, v) + r.lowered(y, z, x, v) + r.lowered(z, x, y, v)
+            lhs = R(x, y, z, v) + R(y, z, x, v) + R(z, x, y, v)
             rhs = (
                 dt.coeff((x, y, z, v))
                 - (t_pair(x, y, z, v) + t_pair(y, z, x, v) + t_pair(z, x, y, v))
@@ -359,11 +370,12 @@ def test_first_bianchi_matches_the_dense_oracle(p):
         assert geo.first_bianchi and first_bianchi_oracle(geo)
     # negative control: one perturbed curvature entry breaks the identity
     geo = cn.Geometry(alg, cn.canonical_connection(alg))
-    values = dict(geo.curvature.values)
-    (i, j), e = next(iter(values.items()))
+    ((d, (den, e)),) = geo.curvature_parts.items()
+    assert d == 2
+    i, j, _, _ = min(e)
     a, b = [k for k in range(alg.dim) if k not in (i, j)][:2]
-    values[(i, j)] = e + Endo(alg.dim, {(a, b): LAM * LAM, (b, a): -LAM * LAM})
-    geo.curvature = cn.CurvatureTensor(alg.dim, values)
+    # l^2 added at (a, b) of R(e_i, e_j), and -l^2 at (b, a)
+    geo.curvature_parts = graded([(d, den, e), (2, 1, {(i, j, a, b): 1, (i, j, b, a): -1})])
     assert not first_bianchi_oracle(geo)
     assert not geo.first_bianchi
 
@@ -469,20 +481,21 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     assert table is None and witness[0] == "curvature outside holonomy span"
     span = Span(alg.dim * alg.dim)
     span.add(cn._flatten(hol[0]))
-    r = cn.curvature(alg, conn).endo(*witness[1:])
+    r = cn.Geometry(alg, conn).curvature[witness[1:]]
     assert not span_contains(span, cn._flatten(r))
 
 
 def ricci_oracle(alg, conn):
-    """Definitional Ric(e_a, e_b) = sum_i g(R(e_i, e_a) e_b, e_i), all n^3 terms."""
-    r = cn.curvature(alg, conn)
+    """Definitional Ric(e_a, e_b) = sum_i g(R(e_i, e_a) e_b, e_i), all n^3 terms,
+    with R from the dense commutator oracle."""
+    r = curvature_oracle(alg, conn)
     n = alg.dim
     out = {}
     for a in range(n):
         for b in range(n):
             s = Scalar(0)
             for i in range(n):
-                s = s + r.lowered(i, a, b, i)
+                s = s + curvature_endo(r, i, a, n).entry(i, b)
             out[(a, b)] = s
     return out
 
@@ -522,7 +535,8 @@ def random_connection(rng, n, entries):
 
 def test_nabla_matches_definitional_action():
     """(nabla_A f)(Y..) = -sum_t f(.., A Y_t, ..) and
-    (nabla_A R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY), with generic A."""
+    (nabla_A R)(X, Y) = [A, R(X, Y)] - R(AX, Y) - R(X, AY), with generic A
+    and the curvature of a metric and of a generic connection."""
     alg = algebra.build(1)
     n = alg.dim
     rng = random.Random(5)
@@ -538,24 +552,11 @@ def test_nabla_matches_definitional_action():
                 expected = expected - f.evaluate(*args)
             assert d.coeff(idx) == expected, idx
 
-    def r_of(r, x, y):
-        out = Endo.zero(n)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                if not (xi * yj).is_zero():
-                    out = out + r.endo(i, j).scale(xi * yj)
-        return out
-
     for source in (cn.canonical_connection(alg), conn):
-        r = cn.curvature(alg, source)
-        for a, d in zip(conn.omega, cn.nabla_tensor(conn, r)):
-            for i, j in combinations(range(n), 2):
-                expected = (
-                    a.commutator(r.endo(i, j))
-                    - r_of(r, a.apply(e[i]), e[j])
-                    - r_of(r, e[i], a.apply(e[j]))
-                )
-                assert d.endo(i, j) == expected, (i, j)
+        geo = cn.Geometry(alg, source)
+        r = curvature_oracle(alg, source)
+        for a in conn.omega:
+            assert geo._curvature_derivative(a) == pair_parts(nabla_curvature_oracle(r, a, n))
 
 
 def replacement_disagreements(replace, n=7) -> list[tuple]:
@@ -599,27 +600,29 @@ def test_transvection_reductivity_negative_control(monkeypatch):
     assert algebra.jacobi_check(table) == (True, None)
     ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
     assert not ok and witness == ("reductivity failure", 0, 1, 2)
+    # k = i: <[e_0, e_1]_m, e_0> = 1 fails at i = 0 already
+    table = algebra.StructureConstants(n, {(0, 1): Vector.basis(n, 0)})
+    assert algebra.jacobi_check(table) == (True, None)
+    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
+    assert not ok and witness == ("reductivity failure", 0, 0, 1)
 
 
-def test_transvection_stops_before_curvature_and_holonomy(monkeypatch):
+def test_transvection_stops_before_curvature_and_holonomy():
     """Torsion that is not parallel is reported from the lazy bundle before the
     curvature, its derivative or the holonomy closure is built."""
-    calls = []
-    for name in ("curvature", "_nabla_curvature", "_holonomy_at"):
-
-        def counted(*args, _name=name, _fn=getattr(cn, name)):
-            calls.append(_name)
-            return _fn(*args)
-
-        monkeypatch.setattr(cn, name, counted)
+    kernels = ["qhg.connections.Geometry.curvature_parts",
+               "qhg.connections.Geometry._curvature_derivative", "qhg.connections._holonomy_at"]
     alg = algebra.build(1)
     bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
     conn = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
-    assert cn.transvection_check(alg, conn) == (False, ("torsion not parallel",))
-    assert calls == []
+    out = []
+    ran = executed_code(lambda: out.append(cn.transvection_check(alg, conn)))
+    assert out == [(False, ("torsion not parallel",))]
+    assert unexecuted(kernels, ran) == sorted(kernels)
     # control: the canonical connection reaches all three
-    assert cn.transvection_check(alg, cn.canonical_connection(alg)) == (True, None)
-    assert set(calls) == {"curvature", "_nabla_curvature", "_holonomy_at"}
+    ran = executed_code(lambda: out.append(cn.transvection_check(alg, cn.canonical_connection(alg))))
+    assert out[1] == (True, None)
+    assert unexecuted(kernels, ran) == []
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -627,7 +630,7 @@ def test_closed_forms_reject_the_levi_civita_connection(p):
     """The closed forms the report compares against, and connections that fail them."""
     alg = algebra.build(p)
     can, lc = cn.Geometry(alg, cn.canonical_connection(alg)), cn.Geometry(alg, cn.levi_civita(alg))
-    assert cn.su2_curvature(alg).values == can.curvature.values != lc.curvature.values
+    assert cn.su2_curvature(alg) == can.curvature_parts != lc.curvature_parts
     assert cn.ricci_closed_form(alg) == can.ricci != lc.ricci
     assert cn.volumes_parallel(alg, can.conn) and not cn.volumes_parallel(alg, lc.conn)
     assert cn.killing_one_forms_check(alg, lc.conn)
@@ -639,7 +642,7 @@ def test_closed_forms_reject_the_levi_civita_connection(p):
 def test_a_connection_of_another_dimension_is_rejected():
     alg = algebra.build(1)
     conn = cn.levi_civita(algebra.build(2))
-    for reader in (cn.Geometry, cn.curvature):
+    for reader in (cn.Geometry, cn.transvection_check):
         with pytest.raises(ValueError, match=r"^connection of dimension 11 on an algebra of dimension 7$"):
             reader(alg, conn)
 
@@ -758,6 +761,119 @@ def test_torsion_kernel_comparison_negative_control():
     assert torsion_parts(cn.Geometry(alg, conn).torsion_tensor) != torsion_parts(unsigned)
 
 
+# -- the one-pass curvature kernels against their dense definitions ----------
+
+
+def curvature_oracle(alg, conn, bracket_term=True):
+    """R(e_i, e_j) = [Omega(e_i), Omega(e_j)] - Omega([e_i, e_j]), i < j, pair by
+    pair; without the Omega([e_i, e_j]) term when bracket_term is false."""
+    out = {}
+    for i, j in combinations(range(alg.dim), 2):
+        r = conn.form(i).commutator(conn.form(j))
+        if bracket_term:
+            r = r - form_of(conn, alg.bracket_basis(i, j))
+        if not r.is_zero():
+            out[(i, j)] = r
+    return out
+
+
+def curvature_endo(r, i, j, n):
+    """R(e_i, e_j) from the pairs i < j of r, antisymmetric in (i, j)."""
+    return r.get((i, j), Endo.zero(n)) if i <= j else -r.get((j, i), Endo.zero(n))
+
+
+def nabla_curvature_oracle(r, a, n, slot_sign=-1):
+    """(nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j),
+    i < j, with R extended bilinearly; slot_sign = 1 flips the sign of the
+    R(A e_i, e_j) term."""
+    e = [Vector.basis(n, i) for i in range(n)]
+
+    def r_of(x, y):
+        out = Endo.zero(n)
+        for i, xi in x.comps.items():
+            for j, yj in y.comps.items():
+                out = out + curvature_endo(r, i, j, n).scale(xi * yj)
+        return out
+
+    out = {}
+    for i, j in combinations(range(n), 2):
+        d = (
+            a.commutator(curvature_endo(r, i, j, n))
+            + r_of(a.apply(e[i]), e[j]).scale(slot_sign)
+            - r_of(e[i], a.apply(e[j]))
+        )
+        if not d.is_zero():
+            out[(i, j)] = d
+    return out
+
+
+def pair_parts(r):
+    """The parts {degree: (den, {(i, j, k, l): int})} of a dict (i, j) -> Endo."""
+    return graded(
+        (d, den, {(i, j) + kl: v for kl, v in e.items()})
+        for (i, j), endo in r.items()
+        for d, (den, e) in endo.parts.items()
+    )
+
+
+def oracle_connections(alg):
+    """Canonical, Levi-Civita, flat, and three random skew torsions."""
+    rng = random.Random(alg.p)
+    return [
+        cn.canonical_connection(alg),
+        cn.levi_civita(alg),
+        cn.flat_connection(alg),
+        *(cn.with_torsion(alg, random_form(rng, alg.dim, 3, 0.3)) for _ in range(3)),
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_curvature_kernels_match_the_dense_oracles(p):
+    alg = algebra.build(p)
+    n = alg.dim
+    for conn in oracle_connections(alg):
+        geo = cn.Geometry(alg, conn)
+        r = curvature_oracle(alg, conn)
+        assert geo.curvature_parts == pair_parts(r)
+        assert geo.curvature == r and list(geo.curvature) == sorted(r)
+        derivatives = [geo._curvature_derivative(a) for a in conn.omega]
+        for a, d in zip(conn.omega, derivatives):
+            assert d == pair_parts(nabla_curvature_oracle(r, a, n))
+        assert geo.curvature_parallel == all(not d for d in derivatives)
+    # the comparison reads every kind of entry: nonzero R and nonzero nabla R
+    lc = cn.Geometry(alg, cn.levi_civita(alg))
+    assert lc.curvature and not lc.curvature_parallel
+
+
+def test_curvature_kernel_comparison_negative_control():
+    """Dropping the Omega([X, Y]) term of R, or flipping the sign of one
+    form-slot term of nabla R, changes the parts the comparison reads."""
+    alg = algebra.build(1)
+    n = alg.dim
+    can = cn.Geometry(alg, cn.canonical_connection(alg))
+    assert can.curvature_parts != pair_parts(curvature_oracle(alg, can.conn, bracket_term=False))
+    lc = cn.Geometry(alg, cn.levi_civita(alg))
+    r = curvature_oracle(alg, lc.conn)
+    assert any(
+        lc._curvature_derivative(a) != pair_parts(nabla_curvature_oracle(r, a, n, slot_sign=1))
+        for a in lc.conn.omega
+    )
+
+
+def test_curvature_parallel_stops_at_the_first_direction_that_moves(monkeypatch):
+    alg = algebra.build(1)
+    calls = []
+    derivative = cn.Geometry._curvature_derivative
+    monkeypatch.setattr(cn.Geometry, "_curvature_derivative",
+                        lambda geo, a: calls.append(a) or derivative(geo, a))
+    assert not cn.Geometry(alg, cn.levi_civita(alg)).curvature_parallel
+    assert 0 < len(calls) < alg.dim
+    # control: a parallel curvature is differentiated in every direction
+    calls.clear()
+    assert cn.Geometry(alg, cn.canonical_connection(alg)).curvature_parallel
+    assert len(calls) == alg.dim
+
+
 def test_is_parallel_stops_at_the_first_direction_that_moves(monkeypatch):
     alg = algebra.build(2)
     n = alg.dim
@@ -789,12 +905,14 @@ def test_is_parallel_agrees_with_every_derivative(which):
         KForm.basis(alg.dim, alg.vertical_indices),
         two_form_endo(wedge(alg.eta(1), alg.eta(2))),
         Vector.basis(alg.dim, 0),
-        cn.curvature(alg, cn.canonical_connection(alg)),
     ]
     for tensor in tensors:
         derivatives = cn.nabla_tensor(conn, tensor)
         assert len(derivatives) == alg.dim
         assert cn.is_parallel(conn, tensor) == all(d.is_zero() for d in derivatives)
+    geo = cn.Geometry(alg, conn)
+    derivatives = [geo._curvature_derivative(a) for a in conn.omega]
+    assert geo.curvature_parallel == all(not d for d in derivatives) == (which == "canonical")
     with pytest.raises(TypeError, match="cannot differentiate int"):
         cn.is_parallel(conn, 0)
 

@@ -5,7 +5,6 @@ from itertools import combinations, permutations
 import pytest
 
 from qhg import algebra
-from qhg.connections import CurvatureTensor
 from qhg.exterior import (
     Endo,
     KForm,
@@ -351,10 +350,9 @@ _F2 = KForm.basis(7, (0, 1))
         (lambda: _F2.coeff((0, 9)), IndexError, r"^index 9 outside \[0, 7\)$"),
         (lambda: _F2.coeff((0,)), ValueError, r"wrong length for degree 2"),
         (lambda: _F2.coeff((0, 1, 2)), ValueError, r"wrong length for degree 2"),
-        (lambda: CurvatureTensor(7, {}).endo(0, 9), IndexError, r"^index 9 outside \[0, 7\)$"),
     ],
     ids=["entry-row", "entry-negative", "entry-column", "column", "coeff-index", "coeff-short",
-         "coeff-long", "curvature-endo"],
+         "coeff-long"],
 )
 def test_readers_reject_unchecked_indices(read, error, message):
     # unchecked, each of these read as zero
@@ -363,7 +361,6 @@ def test_readers_reject_unchecked_indices(read, error, message):
     # in range, the same readers still answer
     assert _E7.entry(6, 6) == ONE and _E7.column(6) == Vector.basis(7, 6)
     assert _F2.coeff((1, 0)) == -ONE and _F2.coeff((1, 1)) == ZERO
-    assert CurvatureTensor(7, {}).endo(6, 6).is_zero()
 
 
 def test_linear_operations_need_one_class_dimension_and_degree():

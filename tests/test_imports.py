@@ -401,9 +401,6 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
 UNREFERENCED_ALLOWED = {
     "connections.canonical_connection": "an entry point of the benchmark workloads",
     "connections.transvection_check": "an entry point of the benchmark workloads",
-    "connections.CurvatureTensor.lowered": "the dense curvature oracles of the tests read it",
-    "scalars.Scalar.specialize": "the dense evaluation oracles of the tests read it",
-    "scalars.Scalar.rational_value": "the dense rational oracles of the tests read it",
 }
 
 

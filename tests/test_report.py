@@ -14,7 +14,7 @@ from qhg import algebra, cone, connections, contact, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 from qhg.scalars import Scalar
-from support import executed_code, profiled_report, unexecuted
+from support import code_of, executed_code, profiled_report, unexecuted
 
 
 # SHA-256 of the full formal JSON report; any change to its bytes shows here
@@ -244,23 +244,17 @@ def test_contact_and_qc_suites_p8(suite):
     assert _digest(rep) == SUITE_DIGESTS_P8[suite]
 
 
-def test_connection_suite_builds_each_tensor_once(monkeypatch):
+def test_connection_suite_builds_each_tensor_once():
     """One report reads the curvature, holonomy and nabla R of each connection from its bundle."""
-    calls = Counter()
-    for name in ("curvature", "_holonomy_at", "_nabla_curvature"):
-
-        def counted(*args, _name=name, _fn=getattr(connections, name)):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(connections, name, counted)
-    rep = run(ReportConfig(p=5, suites=("connection",), fmt="json"))
+    rep, ran = profiled_report(ReportConfig(p=5, suites=("connection",), fmt="json"))
     assert rep.all_passed and _digest(rep) == CONNECTION_DIGESTS[5]
+    calls = {name: ran[code_of(f"qhg.connections.{name}")]
+             for name in ("Geometry.curvature_parts", "_holonomy_at", "Geometry._curvature_derivative")}
     # the canonical and the Levi-Civita curvature; one closure, at l = 1;
     # one nabla R per frame direction (n = 23)
-    assert 1 <= calls["curvature"] <= 2
+    assert 1 <= calls["Geometry.curvature_parts"] <= 2
     assert calls["_holonomy_at"] == 1
-    assert 1 <= calls["_nabla_curvature"] <= 23
+    assert 1 <= calls["Geometry._curvature_derivative"] <= 23
 
 
 def test_spinor_checks_lift_the_levi_civita_forms_once(monkeypatch):
