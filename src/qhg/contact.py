@@ -367,6 +367,13 @@ def _qc_functionals(alg: QHAlgebra, qc: QcStructure) -> list[dict[int, int]]:
     return [dict(items) for items in sorted(distinct)]
 
 
+def _qc_slots(x: int, den_x: int, koszul: dict, skew_basis: list, t_index: dict) -> list[tuple]:
+    """Entry k, for (a, b) = skew_basis[k]: the index of the sorted triple (x, a, b),
+    its sign (-1 iff a < x < b) times den_x or None when x is a or b, and koszul_x(b, a)."""
+    return [(t_index.get((x, a, b) if x < a else (a, x, b) if x < b else (a, b, x)),
+             None if x in (a, b) else -den_x if a < x < b else den_x, koszul.get((b, a), 0)) for a, b in skew_basis]
+
+
 def qc_unique_skew(alg: QHAlgebra):
     """Solve for all 3-form torsions whose connection preserves the qc
     structure; returns (solution dimension, torsion or None).
@@ -375,7 +382,9 @@ def qc_unique_skew(alg: QHAlgebra):
     contraction, must satisfy the Reeb equation of `_qc_defect`, which
     also forces the splitting and the I (x) I equation.  The solution
     dimension is 1 + (kernel dimension) when the affine system is
-    solvable, so 1 means unique; 0 means no solution.
+    solvable, so 1 means unique; 0 means no solution.  Each row is read
+    from the slot table `_qc_slots` of its form, so no triple is sorted
+    per entry; the solution is checked on every row by substitution.
     """
     n = alg.dim
     skew_basis = list(combinations(range(n), 2))
@@ -388,27 +397,22 @@ def qc_unique_skew(alg: QHAlgebra):
     # T_1 solving the system at l = 1.
     triples = list(combinations(range(n), 3))
     t_index = {t: i for i, t in enumerate(triples)}
-    lc = levi_civita(alg)
-    d, forms = None, []
-    for x in range(n):  # one degree d; a form of another raises, naming the index
-        d, den_x, koszul = homogeneous_part(lc.form(x), f"Levi-Civita form {x}", d)
-        forms.append((den_x, koszul))
-
     # the row of form x and a reduced functional f, whose entries are
     # coprime integers, times 2 den_x:
     # sum_k f_k sign den_x T_(x a b) = -2 sum_k f_k koszul_x(b, a)
-    sys_rows: list[dict[int, int]] = []
-    sys_rhs: list[int] = []
-    for x, (den_x, koszul) in enumerate(forms):
+    lc = levi_civita(alg)
+    d, sys_rows, sys_rhs = None, [], []
+    for x in range(n):  # one degree d; a form of another raises, naming the index
+        d, den_x, koszul = homogeneous_part(lc.form(x), f"Levi-Civita form {x}", d)
+        slots = _qc_slots(x, den_x, koszul, skew_basis, t_index)
         for _, functional in reduced:
             rhs = 0
             row: dict[int, int] = {}
             for k, coeff in functional.items():
-                a, b = skew_basis[k]
-                rhs -= 2 * coeff * koszul.get((b, a), 0)
-                sign, key = _sort_tuple((x, a, b))
-                if sign:  # distinct (a, b) name distinct triples (x, a, b)
-                    row[t_index[key]] = coeff * sign * den_x
+                t, v, kz = slots[k]
+                rhs -= 2 * coeff * kz
+                if v is not None:  # distinct (a, b) name distinct triples (x, a, b)
+                    row[t] = coeff * v
             if row or rhs:
                 sys_rows.append(row)
                 sys_rhs.append(rhs)

@@ -15,7 +15,9 @@ non-pivot column -> pivots whose row holds it, lets an insert visit only
 the rows that hold its new pivot.  `_insert` is the one elimination.  A
 new row's pivot is its lowest column: that keeps `rref` canonical, and the
 first k rows of a matrix with nonzero leading minors pivot at 0..k-1,
-which `g2._positive_definite` reads.
+which `g2._positive_definite` reads.  `solve` stops inserting once every
+unknown holds a pivot and the rhs none: the solution is then unique, so
+exact integer substitution decides each later row.
 """
 
 from __future__ import annotations
@@ -28,17 +30,21 @@ Row = dict[int, int]
 Part = tuple[int, dict[int, int]]
 
 
-def _part(v: Row, ncols: int, index: int | None = None) -> Part:
-    """The row as a part (1, entries).  Raises if a column lies outside
-    [0, ncols) or an entry is not an int, naming the row."""
+def _part(v: Row, ncols: int, index: int | None = None, rhs: int = 0) -> Part:
+    """The row, a nonzero rhs appended at column ncols, as a part (1, entries).
+    Raises if a column lies outside [0, ncols) or an entry is not an int,
+    naming the row."""
     name = v if index is None else index
     if v and not 0 <= min(v) <= max(v) < ncols:
         j = min(v) if min(v) < 0 else max(v)
         raise ValueError(f"row {name} has column {j} outside [0, {ncols})")
-    for j, x in v.items():
-        if type(x) is not int:
-            raise ValueError(f"row {name} has entry {x!r} at column {j}, not an int")
-    return 1, {j: x for j, x in v.items() if x}
+    if {type(rhs), *map(type, v.values())} != {int}:
+        j, x = next((j, x) for j, x in [*v.items(), (ncols, rhs)] if type(x) is not int)
+        raise ValueError(f"row {name} has entry {x!r} at column {j}, not an int")
+    e = {j: x for j, x in v.items() if x}
+    if rhs:
+        e[ncols] = rhs
+    return 1, e
 
 
 def _combine(terms: list[Part]) -> Part:
@@ -119,17 +125,27 @@ def solve(rows: list[Row], rhs: list[int], ncols: int) -> tuple[Part | None, lis
 
     The solution is None when the system is inconsistent; the kernel
     basis of the homogeneous system is returned either way, one vector
-    per free column, worth 1 there.
+    per free column, worth 1 there.  Elimination stops once every unknown
+    holds a pivot and the rhs column none: the solution x = xs / den is
+    then unique, and each later row is validated and decided by the exact
+    integer substitution sum v * xs[j] == b * den.
     """
-    for i, r in enumerate(rows):
-        if r and not 0 <= min(r) <= max(r) < ncols:  # a column at ncols would read as the constant
-            _part(r, ncols, i)  # raises
-    red, piv = rref(({**r, ncols: b} for r, b in zip(rows, rhs, strict=True)), ncols + 1)
+    red: dict[int, Part] = {}
+    cols: dict[int, set[int]] = {}
+    augmented = (_part(r, ncols, i, b) for i, (r, b) in enumerate(zip(rows, rhs, strict=True)))
+    for v in augmented:
+        _insert(red, cols, v)
+        if len(red) == ncols and ncols not in red:
+            break  # every unknown holds a pivot
+    stored = sorted(red.items())
     x = None
-    if ncols not in piv:  # no pivot in the constant column
-        x = _combine([(den, {p: e[ncols]}) for (den, e), p in zip(red, piv) if ncols in e])
-    kernel = {f: [(1, {f: 1})] for f in sorted(set(range(ncols)) - set(piv))}
-    for (den, e), p in zip(red, piv):
+    if ncols not in red:  # no pivot in the constant column
+        x = _combine([(den, {p: e[ncols]}) for p, (den, e) in stored if ncols in e])
+    for _, e in augmented:  # the rows after a break, each decided by substitution
+        if x and sum(v * x[1].get(j, 0) for j, v in e.items()) != e.get(ncols, 0) * x[0]:
+            x = None
+    kernel = {f: [(1, {f: 1})] for f in sorted(set(range(ncols)) - red.keys())}
+    for p, (den, e) in stored:
         for j, c in e.items():
             if j in kernel:
                 kernel[j].append((den, {p: -c}))

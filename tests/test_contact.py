@@ -8,10 +8,10 @@ from math import gcd
 import pytest
 
 from qhg import algebra, connections as cn, contact as ct
-from qhg.exterior import Endo, KForm, ce_differential, two_form_endo
+from qhg.exterior import Endo, KForm, _sort_tuple, ce_differential, two_form_endo
 from qhg.linalg import nullspace, rref, solve
-from qhg.scalars import LAM, ONE, ZERO, Scalar, scalars_of
-from support import integer_part, rational_value
+from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part, scalars_of
+from support import executed_code, integer_part, rational_value
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -394,6 +394,69 @@ def test_qc_unique_skew_at_a_non_integral_parameter(p, lam):
     alg = algebra.build(p, lam)
     assert any(den != 1 for x in range(alg.dim) for den, _ in cn.levi_civita(alg).form(x).parts.values())
     assert ct.qc_unique_skew(alg) == (1, cn.canonical_torsion(alg))
+
+
+def _sort_tuple_system(alg) -> tuple[list, list]:
+    """The qc system (rows, rhs) as `qc_unique_skew` built it before its slot
+    table: one `_sort_tuple` and one Koszul lookup per functional entry."""
+    n = alg.dim
+    skew_basis = list(combinations(range(n), 2))
+    reduced, _ = rref(ct._qc_functionals(alg, ct.build_qc(alg)), len(skew_basis))
+    t_index = {t: i for i, t in enumerate(combinations(range(n), 3))}
+    lc, d, rows, rhss = cn.levi_civita(alg), None, [], []
+    for x in range(n):
+        d, den_x, koszul = homogeneous_part(lc.form(x), "Levi-Civita form", d)
+        for _, functional in reduced:
+            rhs, row = 0, {}
+            for k, coeff in functional.items():
+                a, b = skew_basis[k]
+                rhs -= 2 * coeff * koszul.get((b, a), 0)
+                sign, key = _sort_tuple((x, a, b))
+                if sign:
+                    row[t_index[key]] = coeff * sign * den_x
+            if row or rhs:
+                rows.append(row)
+                rhss.append(rhs)
+    return rows, rhss
+
+
+def _solved_system(monkeypatch, alg) -> tuple[tuple, tuple]:
+    """(the (rows, rhs) that qc_unique_skew hands to solve, its answer)."""
+    seen = []
+    monkeypatch.setattr(ct, "solve", lambda rows, rhs, ncols: seen.append((rows, rhs)) or solve(rows, rhs, ncols))
+    answer = ct.qc_unique_skew(alg)
+    (system,) = seen
+    return system, answer
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_qc_slot_table_builds_the_sort_tuple_system(monkeypatch, p):
+    alg = algebra.build(p)
+    system, answer = _solved_system(monkeypatch, alg)
+    assert system == _sort_tuple_system(alg)
+    assert answer == (1, cn.canonical_torsion(alg))
+    # the table sorts no triple: a warm algebra runs qc_unique_skew without _sort_tuple
+    assert executed_code(lambda: ct.qc_unique_skew(alg))[_sort_tuple.__code__] == 0
+
+
+def test_qc_slot_table_with_a_flipped_sign_fails_the_oracle(monkeypatch):
+    # negative control: one sign flipped in the table of form 0 changes the system,
+    # and the solve finds no torsion
+    alg = algebra.build(1)
+    slots = ct._qc_slots
+
+    def flipped(x, *args):
+        table = slots(x, *args)
+        if x == 0:
+            k = next(k for k, (_, v, _) in enumerate(table) if v is not None)
+            t, v, kz = table[k]
+            table[k] = t, -v, kz
+        return table
+
+    monkeypatch.setattr(ct, "_qc_slots", flipped)
+    system, answer = _solved_system(monkeypatch, alg)
+    assert system != _sort_tuple_system(alg)
+    assert answer == (0, None)
 
 
 def _off_by_one(where):

@@ -240,7 +240,7 @@ def _functions(source: str) -> set[str]:
 SPAN_FEEDERS = {
     "algebra.py": {"center_dimension"},
     "connections.py": {"_flatten", "_coordinate_reader"},
-    "contact.py": {"_qc_functionals", "_reeb_matrix", "qc_unique_skew"},
+    "contact.py": {"_qc_functionals", "_qc_slots", "_reeb_matrix", "qc_unique_skew"},
     "g2.py": {"_positive_definite", "genericity_check"},
 }
 

@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhg import linalg
 from qhg.linalg import Span, nullspace, rref, solve
 from support import integer_part, span_contains
 
@@ -164,10 +165,32 @@ def test_fraction_span_holds_the_rref(case):
     assert all(span_contains(span, r) for r in integer_rows(rows))
 
 
+@st.composite
+def tall_full_rank(draw):
+    """A square block of full rank (upper triangular with a nonzero diagonal,
+    rows shuffled), then more rows than it needs: the solve reaches full
+    column rank and substitutes every row after it."""
+    ncols = draw(st.integers(1, 5))
+    nonzero = entries.filter(bool)
+    block = [
+        [draw(nonzero) if j == i else draw(entries) if j > i else Fraction(0) for j in range(ncols)]
+        for i in range(ncols)
+    ]
+    block = [block[i] for i in draw(st.permutations(range(ncols)))]
+    extra = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["combo", "row"]), min_size=len(extra), max_size=len(extra)))
+    for i, kind in enumerate(kinds):
+        if kind == "combo":
+            a, b = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+            s, t = draw(entries), draw(entries)
+            extra[i] = [s * x + t * y for x, y in zip(a, b)]
+    return ncols, block + extra
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_solve_is_exact(data):
-    ncols, rows = data.draw(matrices())
+    ncols, rows = data.draw(st.one_of(matrices(), tall_full_rank()))
     if data.draw(st.booleans()):
         x0 = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
         rhs = [dot(r, x0) for r in rows]
@@ -188,6 +211,58 @@ def test_solve_is_exact(data):
     assert len(dense_rref(dense_kernel)[0]) == len(kernel)
     assert all(dot(r, k) == 0 for r in rows for k in dense_kernel)
     assert nullspace(int_rows, ncols) == kernel
+
+
+def _counting_inserts(monkeypatch) -> list:
+    """Patch linalg._insert to record each row it inserts."""
+    inserted, insert = [], linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda rows, cols, v: inserted.append(v) or insert(rows, cols, v))
+    return inserted
+
+
+def test_solve_substitutes_the_rows_after_full_column_rank(monkeypatch):
+    # x = (1, 2): rows 0 and 1 give every unknown a pivot, rows 2 and 3 are only substituted
+    inserted = _counting_inserts(monkeypatch)
+    assert solve([{0: 1}, {0: 1, 1: 1}, {0: 2, 1: 1}, {1: 3}], [1, 3, 4, 6], 2) == ((1, {0: 1, 1: 2}), [])
+    assert len(inserted) == 2
+    inserted.clear()
+    assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 3], 2) == ((6, {0: 3, 1: 2}), [])  # (1/2, 1/3)
+    assert len(inserted) == 2
+    inserted.clear()
+    # a system that never reaches full column rank inserts every row
+    assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 3, 1: 3}], [1, 2, 3], 2) == ((1, {0: 1}), [(1, {1: 1, 0: -1})])
+    assert len(inserted) == 3
+
+
+def test_solve_rejects_an_inconsistent_row_after_full_column_rank(monkeypatch):
+    inserted = _counting_inserts(monkeypatch)
+    assert solve([{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 1}], [1, 2, 3, 2], 2) == (None, [])
+    assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 4], 2) == (None, [])  # off by one unit at the end
+    assert len(inserted) == 4
+    # an inconsistency before full rank is a pivot in the rhs column: every row is inserted
+    inserted.clear()
+    assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}], [1, 3, 0], 2) == (None, [])
+    assert len(inserted) == 3
+
+
+@pytest.mark.parametrize(
+    "row, b, message",
+    [
+        ({0: 1.5}, 3, "row 2 has entry 1.5 at column 0, not an int"),
+        ({1: Fraction(1, 2)}, 3, r"row 2 has entry Fraction\(1, 2\) at column 1, not an int"),
+        ({0: 1}, 0.5, "row 2 has entry 0.5 at column 2, not an int"),
+        ({0: 1, 2: 1}, 3, r"row 2 has column 2 outside \[0, 2\)"),
+        ({-1: 1}, 3, r"row 2 has column -1 outside \[0, 2\)"),
+    ],
+    ids=["float", "fraction", "float-rhs", "rhs-column", "negative-column"],
+)
+def test_solve_validates_the_rows_after_full_column_rank(row, b, message):
+    # rows 0 and 1 reach full column rank; row 2 is only substituted, and still validated
+    with pytest.raises(ValueError, match=message):
+        solve([{0: 1}, {1: 1}, row], [1, 2, b], 2)
+    # also after an inconsistent row has decided the answer
+    with pytest.raises(ValueError, match=message.replace("row 2", "row 3")):
+        solve([{0: 1}, {1: 1}, {0: 1}, row], [1, 2, 5, b], 2)
 
 
 def test_solve_inconsistent_system():
