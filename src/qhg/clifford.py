@@ -113,24 +113,27 @@ def spin_lift(a: Endo) -> Endo:
 
 
 def relations_check() -> bool:
-    """g_i g_j + g_j g_i = -2 delta_ij Id and the volume element is +Id."""
+    """g_i g_j + g_j g_i = -2 delta_ij Id and the volume element is +Id;
+    the anticommutator is symmetric in (i, j), so only i <= j is checked."""
     g, minus_two = gamma(), Endo.identity(SPIN_DIM).scale(-2)
     return volume_sign() == 1 and all(
         g[i].compose(g[j]) + g[j].compose(g[i]) == (minus_two if i == j else Endo.zero(SPIN_DIM))
         for i in range(AMBIENT_DIM)
-        for j in range(AMBIENT_DIM)
+        for j in range(i, AMBIENT_DIM)
     )
 
 
 def lift_check(a: Endo) -> bool:
-    """[lift(A), X] = AX for every frame vector X, and the 2-form of A acts
-    as 2 lift(A)."""
-    lift = spin_lift(a)
-    for i in range(AMBIENT_DIM):
-        x = Vector.basis(AMBIENT_DIM, i)
-        if lift.commutator(clifford_matrix(x.dual())) != clifford_matrix(a.apply(x).dual()):
-            return False
-    return clifford_matrix(endo_two_form(a)) == lift.scale(2)
+    """[lift(A), g_i] = sum_k A[k, i] g_k, the Clifford image of A e_i, for
+    every frame index i, with the coefficients read from column i of A in
+    one pass over its entries; and the 2-form of A acts as 2 lift(A)."""
+    lift, g = spin_lift(a), gamma()
+    images = [[] for _ in range(AMBIENT_DIM)]  # column i -> terms of sum_k A[k, i] g_k
+    for d, (den, e) in a.parts.items():
+        for (k, i), c in e.items():
+            images[i].append((d, den, c, g[k].parts))
+    return clifford_matrix(endo_two_form(a)) == lift.scale(2) and all(
+        lift.commutator(g[i]) == _endo(SPIN_DIM, _combination(terms)) for i, terms in enumerate(images))
 
 
 def volume_sign() -> int:

@@ -16,7 +16,6 @@ tuples; Ricci, the first Bianchi identity and nabla R read those parts.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -31,7 +30,6 @@ from .exterior import (
     _sort_tuple,
     _vector,
     ce_differential,
-    interior,
     two_form_endo,
     wedge,
 )
@@ -143,14 +141,16 @@ def su2_generators(alg: QHAlgebra) -> list[KForm]:
 
 def killing_one_forms_check(alg: QHAlgebra, lc: Connection) -> bool:
     """nabla^g_X eta_i = (1/2) X . d eta_i for the Levi-Civita connection lc:
-    the vertical 1-forms are Killing."""
-    for i in (1, 2, 3):
-        d_eta = ce_differential(alg.eta(i), alg)
-        for x in range(alg.dim):
-            lhs = lc.form(x).apply(alg.xi(i)).dual()
-            if lhs != interior(alg.basis_vector(x), d_eta).scale(Fraction(1, 2)):
-                return False
-    return True
+    the vertical 1-forms are Killing.  One equation between integer parts
+    keyed (i, x, k), each side read in one pass over its parts: column xi_i
+    of every form, Omega(e_x)[k, i], against (1/2) d eta_i(e_x, e_k), entry
+    (k, x) of the skew endomorphism of d eta_i."""
+    vertical = alg.vertical_indices
+    lhs = graded((d, den, {(i, x, k): v for (k, i), v in e.items() if i in vertical})
+                 for x, form in enumerate(lc.omega) for d, (den, e) in form.parts.items())
+    rhs = graded((d, 2 * den, {(i, x, k): v for (k, x), v in e.items()}) for i in vertical
+                 for d, (den, e) in two_form_endo(ce_differential(alg.eta(i + 1), alg)).parts.items())
+    return lhs == rhs
 
 
 def su2_curvature(alg: QHAlgebra) -> dict:

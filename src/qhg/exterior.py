@@ -196,11 +196,6 @@ class Vector(Tensor):
         self._check(other)
         return _inner(self.parts, other.parts)
 
-    def dual(self) -> "KForm":
-        """Metric-dual 1-form (trivial in an orthonormal frame)."""
-        parts = {d: (den, {(i,): v for i, v in e.items()}) for d, (den, e) in self.parts.items()}
-        return _kform(self.dim, 1, parts)
-
     def __repr__(self):
         return f"Vector({[str(c) for c in self]})"
 

@@ -13,17 +13,19 @@ import math
 from fractions import Fraction
 
 from .algebra import QHAlgebra, derived
-from .clifford import clifford_matrix, gamma, spin_lift, vector_action
+from .clifford import SPIN_DIM, clifford_matrix, gamma, gamma_product, spin_lift, vector_action
 from .connections import Connection, levi_civita
 from .exterior import (
     Endo,
     KForm,
     Vector,
+    _combination,
     _vector,
     ce_differential,
     form_inner,
     hodge_star,
     interior,
+    two_form_endo,
     wedge,
 )
 from .linalg import Part, Row, Span, nullspace
@@ -69,18 +71,20 @@ def characteristic_torsion(alg: QHAlgebra, omega: KForm) -> KForm:
 
 
 def hitchin_form(alg: QHAlgebra, omega: KForm) -> list[list[Scalar]]:
-    """Matrix B with B(X,Y) vol = (X . omega)^(Y . omega)^omega."""
-    n = alg.dim
-    top = tuple(range(n))
-    rows = []
+    """Matrix B with B(X,Y) vol = (X . omega)^(Y . omega)^omega, for a 3-form.
+
+    Each e_i . omega is built once and each entry for i <= j only: B is
+    symmetric because 2-forms commute, a^b = (-1)^(2*2) b^a.  An entry is
+    <a^b, star omega>, as a^star c = <a, c> vol and star star = 1 in odd n."""
+    if omega.degree != 3:
+        raise ValueError("the Hitchin form needs a 3-form")
+    n, star = alg.dim, hodge_star(omega)
+    x = [interior(alg.basis_vector(i), omega) for i in range(n)]
+    b = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        xi = interior(alg.basis_vector(i), omega)
-        row = []
-        for j in range(n):
-            yj = interior(alg.basis_vector(j), omega)
-            row.append(wedge(wedge(xi, yj), omega).coeff(top))
-        rows.append(row)
-    return rows
+        for j in range(i, n):
+            b[i][j] = b[j][i] = form_inner(wedge(x[i], x[j]), star)
+    return b
 
 
 def genericity_check(alg: QHAlgebra, omega: KForm) -> bool:
@@ -214,21 +218,18 @@ def torsion_spectrum(alg: QHAlgebra, t: KForm, split: SpinorSplitting) -> dict:
 
 
 def _eigen_ratio(image: Vector, v: Vector) -> Scalar | None:
-    """Scalar s with image = s*v, or None."""
-    s = None
-    for a, b in zip(image, v):
-        if not b.is_zero():
-            try:
-                s = a / b
-            except ValueError:
-                return None
-            break
-    if s is None:
-        return None if not image.is_zero() else ZERO
-    for a, b in zip(image, v):
-        if not (a - s * b).is_zero():
-            return None
-    return s
+    """Scalar s with image = s*v, or None: s = image[k] / v[k] at the least
+    index k of v, and one equation between integer parts, s v = image,
+    decides every entry.  None also when v[k] is not a monomial (no inverse
+    among Scalars); a zero v gives ZERO for a zero image, else None."""
+    if v.is_zero():
+        return ZERO if image.is_zero() else None
+    k = min(i for _, e in v.parts.values() for i in e)
+    try:
+        s = image[k] / v[k]
+    except ValueError:
+        return None
+    return s if v.scale(s) == image else None
 
 
 @derived
@@ -275,12 +276,22 @@ def translate_killing_check(alg: QHAlgebra, psi0: Vector) -> tuple[bool, set[str
 
 
 def killing_via_torsion_check(alg: QHAlgebra, t: KForm, psi0: Vector) -> bool:
-    """nabla^g_X psi0 = -(1/4)(X . t) psi0 for every frame vector X."""
-    lifts = levi_civita_lifts(alg)
+    """nabla^g_X psi0 = -(1/4)(X . t) psi0 for every frame vector X.
+
+    One pass over the entries of the 3-form t gives every (X . t) psi0: as
+    e_a . e^{abc} = e^{bc}, e_b . e^{abc} = -e^{ac} and e_c . e^{abc} = e^{ab},
+    v e^{abc} adds v g_b g_c psi0 to direction a, -v g_a g_c psi0 to b and
+    v g_a g_b psi0 to c."""
+    if t.degree != 3:
+        raise ValueError("torsion must be a 3-form")
+    terms = [[] for _ in range(alg.dim)]  # direction -> terms of (X . t) psi0
+    for d, (den, e) in t.parts.items():
+        for (a, b, c), v in e.items():
+            for x, pair, w in ((a, (b, c), v), (b, (a, c), -v), (c, (a, b), v)):
+                terms[x].append((d, den, w, gamma_product(pair).apply(psi0).parts))
     return all(
-        lifts[i].apply(psi0)
-        == clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
-        for i in range(alg.dim)
+        lift.apply(psi0).scale(-4) == _vector(SPIN_DIM, _combination(x_terms))
+        for lift, x_terms in zip(levi_civita_lifts(alg), terms)
     )
 
 
@@ -289,29 +300,20 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
 
     (X . d eta_i) acts on the invariant spinor as -lam X xi_i for
     horizontal X and as zero for vertical X; and the Leibniz expansion
-    of nabla^g_X (xi_i . psi0) matches its direct evaluation.
+    of nabla^g_X (xi_i . psi0) matches its direct evaluation.  The vector
+    of e_x . d eta_i is column x of the skew endomorphism of d eta_i, that
+    of nabla^g_X xi_i column xi_i of Omega^g(X); each acts by `vector_action`.
     """
-    lc, lifts = levi_civita(alg), levi_civita_lifts(alg)
-    psi0 = split.psi0
-    g = gamma()
-    for i in (1, 2, 3):
-        d_eta = ce_differential(alg.eta(i), alg)
-        xi_psi = vector_action(alg.xi(i), psi0)
-        for idx in alg.horizontal_indices:
-            x = alg.basis_vector(idx)
-            lhs = clifford_matrix(interior(x, d_eta)).apply(psi0)
-            rhs = g[idx].apply(xi_psi).scale(-alg.lam)
-            if lhs != rhs:
-                return False
-        for idx in alg.vertical_indices:
-            x = alg.basis_vector(idx)
-            if not clifford_matrix(interior(x, d_eta)).apply(psi0).is_zero():
-                return False
-        # product rule: nabla^g_X(xi_i psi0) = (nabla^g_X xi_i) psi0 + xi_i nabla^g_X psi0
-        for idx in range(alg.dim):
-            direct = lifts[idx].apply(xi_psi)
-            term1 = vector_action(lc.form(idx).apply(alg.xi(i)), psi0)
-            term2 = vector_action(alg.xi(i), lifts[idx].apply(psi0))
-            if direct != term1 + term2:
+    lc, lifts, g, psi0 = levi_civita(alg), levi_civita_lifts(alg), gamma(), split.psi0
+    lifted = [lift.apply(psi0) for lift in lifts]  # nabla^g_X psi0
+    for i in alg.vertical_indices:
+        d_eta = two_form_endo(ce_differential(alg.eta(i + 1), alg))
+        xi_psi = g[i].apply(psi0)
+        bridge = xi_psi.scale(-alg.lam)
+        for x in range(alg.dim):
+            bridge_x = g[x].apply(bridge) if x in alg.horizontal_indices else Vector.zero(SPIN_DIM)
+            # product rule: nabla^g_X(xi_i psi0) = (nabla^g_X xi_i) psi0 + xi_i nabla^g_X psi0
+            leibniz = vector_action(lc.form(x).column(i), psi0) + g[i].apply(lifted[x])
+            if vector_action(d_eta.column(x), psi0) != bridge_x or lifts[x].apply(xi_psi) != leibniz:
                 return False
     return True

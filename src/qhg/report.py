@@ -239,7 +239,7 @@ CHECKS = (
            "exterior.two_form_endo", "exterior.endo_two_form"),
           "Hodge star, interior product and the 2-form identification are consistent",
           lambda r: exterior.consistency_check(r.alg)),
-    Check("connection.killing-one-forms", ("connections.levi_civita",),
+    Check("connection.killing-one-forms", ("connections.levi_civita", "exterior.ce_differential"),
           "vertical 1-forms are Killing: nabla^g eta = (1/2) X . d eta",
           lambda r: connections.killing_one_forms_check(r.alg, r.lc.conn)),
     Check("connection.omega-map", ("connections.with_torsion", "connections.canonical_torsion"),
@@ -353,11 +353,11 @@ CHECKS = (
           ("g2.translate_killing_check", "g2.generalized_killing_check"),
           "the three translate spinors are generalized Killing with exactly "
           "three distinct eigenvalues (lam/2, -lam/2 and a horizontal value)", _killing_translates),
-    Check("spinors.proof-identities", ("g2.proof_identities_check",),
+    Check("spinors.proof-identities", ("g2.proof_identities_check", "clifford.vector_action"),
           "the interior-product identities behind the Killing equations hold",
           lambda r: g2.proof_identities_check(r.alg, r.split)),
     Check("spinors.killing-via-torsion",
-          ("g2.killing_via_torsion_check", "clifford.clifford_matrix"),
+          ("g2.killing_via_torsion_check", "clifford.gamma_product"),
           "the Riemannian derivative of the invariant spinor equals "
           "-(1/4)(X . T) acting on it",
           lambda r: g2.killing_via_torsion_check(r.alg, r.t, r.split.psi0)),

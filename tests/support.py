@@ -9,7 +9,7 @@ from itertools import combinations
 from math import lcm
 
 from qhg import clifford, report
-from qhg.exterior import Endo, KForm, Vector
+from qhg.exterior import Endo, KForm, Vector, _kform
 from qhg.scalars import Scalar
 
 
@@ -37,6 +37,12 @@ def specialize(s: Scalar, value) -> Fraction:
     if v == 0 and any(e < 0 for e in s.parts):
         raise ZeroDivisionError("negative exponent at parameter 0")
     return sum((c * v**e for e, c in s.terms()), Fraction(0))
+
+
+def dual(v: Vector) -> KForm:
+    """The metric-dual 1-form of a vector (trivial in an orthonormal frame)."""
+    parts = {d: (den, {(i,): x for i, x in e.items()}) for d, (den, e) in v.parts.items()}
+    return _kform(v.dim, 1, parts)
 
 
 def form_of(conn, x: Vector) -> Endo:

@@ -29,7 +29,7 @@ from qhg.exterior import (
 )
 from qhg.report import REQUIRED_OPS, ReportConfig
 from qhg.scalars import LAM, Scalar
-from support import profiled_report, unexecuted
+from support import dual, profiled_report, unexecuted
 
 
 @contextmanager
@@ -308,7 +308,7 @@ def test_criterion_9_translate_horizontal_eigenvalue_as_stated():
             for idx in alg.horizontal_indices:
                 x_xi_psi0 = g[idx].apply(psi_i)
                 x_d_eta = interior(alg.basis_vector(idx), d_eta)
-                assert lc.form(idx).apply(xi).dual() == x_d_eta.scale(Fraction(1, 2))
+                assert dual(lc.form(idx).apply(xi)) == x_d_eta.scale(Fraction(1, 2))
                 bridge = cl.clifford_matrix(x_d_eta).apply(psi0)
                 assert bridge == x_xi_psi0.scale(-LAM)
                 assert bridge != x_xi_psi0.scale(LAM)

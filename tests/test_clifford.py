@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qhg import algebra, clifford as cl, connections as cn
-from qhg.exterior import Endo, KForm, Vector, two_form_endo
+from qhg.exterior import Endo, KForm, Vector, endo_two_form, two_form_endo
 from qhg.scalars import Scalar
-from support import random_form, rational_value
+from support import dual, random_form, rational_value
 
 
 def rand_spinor(rng):
@@ -146,3 +146,80 @@ def test_relations_and_lift_checks_can_fail(monkeypatch):
     monkeypatch.setattr(cl, "gamma", lambda: flipped)
     monkeypatch.setattr(cl, "_PRODUCTS", {})
     assert cl.volume_sign() == -1 and not cl.relations_check()
+
+
+# -- dense oracles: the definitions the checks replaced -------------------------
+
+
+def relations_oracle():
+    """All 7 x 7 anticommutators, and the volume sign."""
+    g, minus_two = cl.gamma(), Endo.identity(8).scale(-2)
+    return cl.volume_sign() == 1 and all(
+        g[i].compose(g[j]) + g[j].compose(g[i]) == (minus_two if i == j else Endo.zero(8))
+        for i in range(7)
+        for j in range(7)
+    )
+
+
+def lift_oracle(a):
+    """[lift(A), X] = AX with a Clifford matrix per basis 1-form."""
+    lift = cl.spin_lift(a)
+    for i in range(7):
+        x = Vector.basis(7, i)
+        if lift.commutator(cl.clifford_matrix(dual(x))) != cl.clifford_matrix(dual(a.apply(x))):
+            return False
+    return cl.clifford_matrix(endo_two_form(a)) == lift.scale(2)
+
+
+def _lift_inputs():
+    alg = algebra.build(1)
+    rng = random.Random(48)
+    return (
+        [two_form_endo(f) for f in cn.su2_generators(alg)]
+        + cn.levi_civita(alg).omega
+        + [rand_skew(rng) for _ in range(5)]
+    )
+
+
+def test_relations_and_lift_checks_match_the_oracles(monkeypatch):
+    inputs = _lift_inputs()
+    assert cl.relations_check() and relations_oracle()
+    assert all(cl.lift_check(a) and lift_oracle(a) for a in inputs)
+    # g_1 doubled and g_2 halved: the volume element and every anticommutator
+    # of distinct generators hold, only the squares fail
+    g = cl.build_gamma()
+    rescaled = [g[0], g[1].scale(2), g[2].scale(Fraction(1, 2)), *g[3:]]
+    monkeypatch.setattr(cl, "gamma", lambda: rescaled)
+    monkeypatch.setattr(cl, "_PRODUCTS", {})
+    assert cl.volume_sign() == 1
+    assert not cl.relations_check() and not relations_oracle()
+    for a in inputs:
+        assert cl.lift_check(a) == lift_oracle(a)
+
+
+def _outcome(check, *args):
+    """The verdict of check(*args), or the type of the ArithmeticError it
+    raises (`volume_sign` raises when the volume element is no multiple of Id)."""
+    try:
+        return check(*args)
+    except ArithmeticError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("generator", range(7))
+def test_relations_and_lift_checks_match_the_oracles_with_a_negated_generator_entry(
+    generator, monkeypatch
+):
+    """Each of the 8 entries of the generator negated in turn, and the whole
+    generator negated."""
+    inputs, g = _lift_inputs(), cl.build_gamma()
+    entries = [{key} for key in sorted(g[generator].m)] + [set(g[generator].m)]
+    for keys in entries:
+        flipped = Endo(8, {k: -v if k in keys else v for k, v in g[generator].m.items()})
+        mutated = [flipped if i == generator else x for i, x in enumerate(g)]
+        monkeypatch.setattr(cl, "gamma", lambda: mutated)
+        monkeypatch.setattr(cl, "_PRODUCTS", {})
+        verdict = _outcome(cl.relations_check)
+        assert verdict == _outcome(relations_oracle) and verdict in (False, ArithmeticError)
+        for a in inputs:
+            assert cl.lift_check(a) == lift_oracle(a)

@@ -5,6 +5,7 @@ import pytest
 
 from qhg import algebra, clifford as cl, connections as cn, g2
 from qhg.exterior import (
+    Endo,
     KForm,
     Vector,
     ce_differential,
@@ -15,8 +16,9 @@ from qhg.exterior import (
     wedge,
 )
 from qhg.linalg import rref
-from qhg.scalars import LAM, ONE, Scalar
-from support import integer_part
+from qhg.report import ReportConfig, run
+from qhg.scalars import LAM, ONE, ZERO, Scalar
+from support import executed_code, integer_part
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +155,18 @@ def test_positive_definite_agrees_with_sylvester():
 
 
 def test_hitchin_form_symmetric(alg, omega):
-    b = g2.hitchin_form(alg, omega)
-    for i in range(7):
-        for j in range(7):
-            assert b[i][j] == b[j][i]
+    """B is symmetric by construction (2-forms commute); every entry matches
+    the 49-entry oracle, on the generic 3-form, on one with a bumped entry
+    and on a degenerate one."""
+    bumped = omega + KForm.basis(7, (0, 1, 2))
+    degenerate = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3))
+    for form in (omega, bumped, degenerate):
+        b = g2.hitchin_form(alg, form)
+        assert b == hitchin_form_oracle(alg, form)
+        assert all(b[i][j] == b[j][i] for i in range(7) for j in range(7))
+    assert g2.hitchin_form(alg, bumped) != g2.hitchin_form(alg, omega)
+    with pytest.raises(ValueError, match="needs a 3-form"):
+        g2.hitchin_form(alg, KForm.basis(7, (0, 1)))
 
 
 # -- parallel spinor ------------------------------------------------------------
@@ -285,3 +295,179 @@ def test_report_spinor_verdicts_and_their_negative_controls(alg, split):
     assert not g2.translate_killing_check(alg, s)[0]
     assert g2.killing_via_torsion_check(alg, t, split.psi0)
     assert not g2.killing_via_torsion_check(alg, t.scale(2), split.psi0)
+
+
+# -- dense oracles: the entry-by-entry definitions the integer checks replaced ----
+
+
+def eigen_ratio_oracle(image, v):
+    """Scalar s with image = s*v, or None, read entry by entry."""
+    s = None
+    for a, b in zip(image, v):
+        if not b.is_zero():
+            try:
+                s = a / b
+            except ValueError:
+                return None
+            break
+    if s is None:
+        return None if not image.is_zero() else ZERO
+    for a, b in zip(image, v):
+        if not (a - s * b).is_zero():
+            return None
+    return s
+
+
+def hitchin_form_oracle(alg, omega):
+    """All 49 entries of B(X,Y) vol = (X . omega)^(Y . omega)^omega."""
+    n = alg.dim
+    top = tuple(range(n))
+    rows = []
+    for i in range(n):
+        xi = interior(alg.basis_vector(i), omega)
+        row = []
+        for j in range(n):
+            yj = interior(alg.basis_vector(j), omega)
+            row.append(wedge(wedge(xi, yj), omega).coeff(top))
+        rows.append(row)
+    return rows
+
+
+def proof_identities_oracle(alg, split):
+    """The identities of `g2.proof_identities_check`, with a Clifford matrix
+    per interior product."""
+    lc, lifts = g2.levi_civita(alg), g2.levi_civita_lifts(alg)
+    psi0 = split.psi0
+    g = cl.gamma()
+    for i in (1, 2, 3):
+        d_eta = ce_differential(alg.eta(i), alg)
+        xi_psi = cl.vector_action(alg.xi(i), psi0)
+        for idx in alg.horizontal_indices:
+            x = alg.basis_vector(idx)
+            lhs = cl.clifford_matrix(interior(x, d_eta)).apply(psi0)
+            rhs = g[idx].apply(xi_psi).scale(-alg.lam)
+            if lhs != rhs:
+                return False
+        for idx in alg.vertical_indices:
+            x = alg.basis_vector(idx)
+            if not cl.clifford_matrix(interior(x, d_eta)).apply(psi0).is_zero():
+                return False
+        for idx in range(alg.dim):
+            direct = lifts[idx].apply(xi_psi)
+            term1 = cl.vector_action(lc.form(idx).apply(alg.xi(i)), psi0)
+            term2 = cl.vector_action(alg.xi(i), lifts[idx].apply(psi0))
+            if direct != term1 + term2:
+                return False
+    return True
+
+
+def killing_via_torsion_oracle(alg, t, psi0):
+    """nabla^g_X psi0 = -(1/4)(X . t) psi0 with a Clifford matrix per direction."""
+    lifts = g2.levi_civita_lifts(alg)
+    return all(
+        lifts[i].apply(psi0)
+        == cl.clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
+        for i in range(alg.dim)
+    )
+
+
+def _random_spinor(seed):
+    rng = random.Random(seed)
+    return Vector([Scalar(Fraction(rng.randint(-9, 9))) for _ in range(8)])
+
+
+def test_eigen_ratio_matches_the_oracle(alg, split):
+    """Every (image, v) pair the p = 1 report forms, and mutated pairs: a
+    spinor that is not an eigenvector, a divisor that is not a monomial and
+    a zero v with a zero and with a nonzero image."""
+    tm = cl.clifford_matrix(cn.canonical_torsion(alg))
+    lifts = g2.levi_civita_lifts(alg)
+    spinors = [split.psi0, *split.vertical, *split.horizontal]
+    pairs = [(tm.apply(v), v) for v in spinors]
+    for psi in [split.psi0, *split.vertical]:
+        pairs += [(lift.apply(psi), g.apply(psi)) for lift, g in zip(lifts, cl.gamma())]
+    assert all(g2._eigen_ratio(*pair) is not None for pair in pairs[:8])
+    s, not_monomial, zero = _random_spinor(73), split.psi0.scale(LAM + 1), Vector.zero(8)
+    mutants = [
+        (tm.apply(s), s),
+        (lifts[3].apply(s), cl.gamma()[3].apply(s)),
+        (not_monomial.scale(LAM), not_monomial),
+        (zero, zero),
+        (split.psi0, zero),
+        (zero, split.psi0),
+    ]
+    for image, v in pairs + mutants:
+        assert g2._eigen_ratio(image, v) == eigen_ratio_oracle(image, v)
+    assert [g2._eigen_ratio(*pair) for pair in mutants] == [None, None, None, ZERO, None, ZERO]
+
+
+def test_p1_report_iterates_no_vector(monkeypatch):
+    """The checks of a p = 1 report read no Vector entry by entry:
+    `Vector.__iter__` never runs.  Negative control: the entry-by-entry
+    oracle of `_eigen_ratio` iterates again."""
+
+    def iterations():
+        return executed_code(lambda: run(ReportConfig(p=1)))[Vector.__iter__.__code__]
+
+    assert iterations() == 0
+    monkeypatch.setattr(g2, "_eigen_ratio", eigen_ratio_oracle)
+    assert iterations() > 0
+
+
+def _seeded(lc, lifts):
+    """A fresh p = 1 algebra whose memo holds the given Levi-Civita
+    connection and spinor lifts."""
+    alg = algebra.build(1)
+    alg._derived[(cn.levi_civita.__wrapped__, ())] = lc
+    alg._derived[(g2.levi_civita_lifts.__wrapped__, ())] = lifts
+    return alg
+
+
+def _negated_entry(g, key):
+    """The generator g with its entry at key negated."""
+    return Endo(8, {k: -v if k == key else v for k, v in g.m.items()})
+
+
+def _spinor_verdicts(alg, split, t):
+    """(integer check, oracle) of the proof identities and of the Killing
+    equation via torsion."""
+    return [
+        (g2.proof_identities_check(alg, split), proof_identities_oracle(alg, split)),
+        (g2.killing_via_torsion_check(alg, t, split.psi0),
+         killing_via_torsion_oracle(alg, t, split.psi0)),
+    ]
+
+
+def test_spinor_identities_match_the_oracles(alg, split):
+    t = cn.canonical_torsion(alg)
+    assert _spinor_verdicts(alg, split, t) == [(True, True), (True, True)]
+    # a spinor that is not an eigenvector, and a doubled torsion
+    moved = g2.SpinorSplitting(_random_spinor(74), split.vertical, split.horizontal)
+    assert _spinor_verdicts(alg, moved, t) == [(False, False), (False, False)]
+    assert _spinor_verdicts(alg, split, t.scale(2))[1] == (False, False)
+    # one bumped skew pair, in column xi_1, of one Levi-Civita form: with its own
+    # lift the Leibniz rule still holds, with the old lift it fails
+    lc = cn.levi_civita(alg)
+    bump = Endo(7, {(3, 0): ONE, (0, 3): Scalar(-1)})
+    bumped = cn.Connection([f + bump if x == 4 else f for x, f in enumerate(lc.omega)])
+    own = _seeded(bumped, [cl.spin_lift(f) for f in bumped.omega])
+    assert _spinor_verdicts(own, split, t)[0] == (True, True)
+    assert _spinor_verdicts(own, split, t)[1] == (False, False)
+    old_lifts = _seeded(bumped, g2.levi_civita_lifts(alg))
+    assert _spinor_verdicts(old_lifts, split, t)[0] == (False, False)
+
+
+@pytest.mark.parametrize("generator", range(7))
+def test_spinor_identities_match_the_oracles_with_a_negated_generator_entry(
+    alg, split, generator, monkeypatch
+):
+    """Each of the 8 entries of the generator negated in turn; the lifts of
+    a fresh algebra are built with the mutated generators."""
+    t, g = cn.canonical_torsion(alg), cl.build_gamma()
+    for key in sorted(g[generator].m):
+        mutated = [_negated_entry(x, key) if i == generator else x for i, x in enumerate(g)]
+        monkeypatch.setattr(cl, "gamma", lambda: mutated)
+        monkeypatch.setattr(g2, "gamma", lambda: mutated)
+        monkeypatch.setattr(cl, "_PRODUCTS", {})
+        for new, oracle in _spinor_verdicts(algebra.build(1), split, t):
+            assert new == oracle
