@@ -10,14 +10,15 @@ bundles one connection with the tensors read from it (torsion,
 curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
 once, on first read.  Torsion and curvature are each one pass over the
 stored entries of the connection forms into integer parts keyed by index
-tuples; Ricci, the first Bianchi identity and nabla R read those parts.
+tuples; Ricci, the first Bianchi identity, nabla R and hol + m read those
+parts.  The holonomy basis and the coordinates in it share one span.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebra import QHAlgebra, StructureConstants, derived, jacobi_check
 from .exterior import (
@@ -190,7 +191,10 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
 
 
 class Geometry:
-    """One connection on one algebra, with the tensors every check reads.
+    """One connection on one algebra, with the tensors every check reads:
+    torsion and curvature as integer parts and their 3-form and per-pair
+    views, Ricci, the holonomy basis with the span that reads coordinates
+    in it, the parallelism verdicts and the table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
     only the fields it needs: a transvection test that stops at torsion
@@ -225,15 +229,6 @@ class Geometry:
                 for k, v in e.items():
                     accumulate(acc, (i, j, k), -v)
         return graded((d, den, acc) for (d, den), acc in buckets.items())
-
-    @cached_property
-    def torsion_tensor(self) -> dict[tuple[int, int], Vector]:
-        """The nonzero T(e_i, e_j), i < j, in sorted pair order."""
-        pairs: dict[tuple[int, int], list] = {}
-        for d, (den, e) in self.torsion_parts.items():
-            for (i, j, k), v in e.items():
-                pairs.setdefault((i, j), []).append((d, den, {k: v}))
-        return {key: _vector(self.alg.dim, graded(pairs[key])) for key in sorted(pairs)}
 
     @cached_property
     def torsion_form(self) -> KForm | None:
@@ -313,6 +308,11 @@ class Geometry:
         """Ambrose-Singer closure: curvature endomorphisms, closed under
         bracketing with the connection forms and among themselves; a basis
         of rational endomorphisms, valid for every l > 0 (see `_holonomy_at`)."""
+        return self._holonomy_span[0]
+
+    @cached_property
+    def _holonomy_span(self) -> tuple[list[Endo], Span]:
+        """The holonomy basis and the span it is built on (see `_push`)."""
         return _holonomy_at(self)
 
     @cached_property
@@ -360,10 +360,12 @@ class Geometry:
         """The homogeneous algebra hol + m as one structure-constant table.
 
         hol takes the indices 0..h-1 of the holonomy basis, m the indices
-        h..h+n-1 of the frame.  The brackets are [A, B] in holonomy
-        coordinates, [A, e_i] = A e_i and [e_i, e_j] = (-R(e_i, e_j),
-        -T(e_i, e_j)).  Requires totally skew, parallel torsion and parallel
-        curvature; (table, None), or (None, witness) otherwise.
+        h..h+n-1 of the frame.  The brackets are [A, B] and -R(e_i, e_j) in
+        holonomy coordinates, read on the span of the closure, [A, e_i] =
+        A e_i from the entries of A and -T(e_i, e_j) from `torsion_parts`,
+        each bracket summed from its raw parts in one `graded`.  Requires
+        totally skew, parallel torsion and parallel curvature; (table,
+        None), or (None, witness) otherwise.
         """
         if self.torsion_form is None:
             return None, ("torsion not totally skew",)
@@ -372,33 +374,28 @@ class Geometry:
         if not self.curvature_parallel:
             return None, ("curvature not parallel",)
 
-        hol = self.holonomy
-        h = len(hol)
-        n = self.alg.dim
-        hol_coords = _coordinate_reader(hol, n)
-        table: dict[tuple[int, int], Vector] = {}
-
-        def put(x: int, y: int, coords: Vector, v: Vector):
-            raw = [(d, den, e) for d, (den, e) in coords.parts.items()]
-            raw += [(d, den, {h + k: c for k, c in e.items()}) for d, (den, e) in v.parts.items()]
-            parts = graded(raw)
-            if parts:
-                table[(x, y)] = _vector(h + n, parts)
-
+        hol, span = self._holonomy_span
+        h, n = len(hol), self.alg.dim
+        raw: dict[tuple[int, int], list] = {}  # (x, y) -> raw parts of [x, y]
         for a, b in combinations(range(h), 2):
-            coords = hol_coords(hol[a].commutator(hol[b]))
+            coords = _coordinates(span, hol[b].commutator(hol[a]))  # -[B, A] = [A, B]
             if coords is None:
                 return None, ("holonomy not closed under bracket", a, b)
-            put(a, b, coords, Vector.zero(n))
-        for a in range(h):
-            for i in range(n):
-                put(a, h + i, Vector.zero(h), hol[a].column(i))
-        for i, j in sorted(self.curvature.keys() | self.torsion_tensor.keys()):
-            coords = hol_coords(-self.curvature.get((i, j), Endo.zero(n)))
+            raw[(a, b)] = coords
+        for a, form in enumerate(hol):
+            for d, (den, e) in form.parts.items():
+                for (k, i), v in e.items():  # A e_i is column i of A
+                    raw.setdefault((a, h + i), []).append((d, den, {h + k: v}))
+        for (i, j), r in self.curvature.items():
+            coords = _coordinates(span, r)  # the coordinates of -R(e_i, e_j)
             if coords is None:
                 return None, ("curvature outside holonomy span", i, j)
-            put(h + i, h + j, coords, -self.torsion_tensor.get((i, j), Vector.zero(n)))
-        return StructureConstants(h + n, table), None
+            raw[(h + i, h + j)] = coords
+        for d, (den, e) in self.torsion_parts.items():
+            for (i, j, k), v in e.items():  # -T(e_i, e_j)
+                raw.setdefault((h + i, h + j), []).append((d, -den, {h + k: v}))
+        table = {key: graded(raw[key]) for key in sorted(raw)}
+        return StructureConstants(h + n, {key: _vector(h + n, v) for key, v in table.items() if v}), None
 
     @cached_property
     def transvection(self):
@@ -540,53 +537,62 @@ def is_parallel(conn: Connection, tensor) -> bool:
 # -- holonomy ----------------------------------------------------------------
 
 
-def _flatten(e: Endo, label="endomorphism", degree=None) -> dict[int, int]:
-    """The row-major integer entries of e's one part, certified homogeneous
-    in l: e at l = 1 is a positive multiple of them."""
-    _, _, entries = homogeneous_part(e, label, degree)
-    return {r * e.dim + c: v for (r, c), v in entries.items()}
-
-
 def _at_one(e: Endo, label: str) -> Endo:
     """e at l = 1, certified homogeneous in l: its one part, moved to degree 0."""
     _, den, entries = homogeneous_part(e, label)
     return _endo(e.dim, {0: (den, entries)} if entries else {})
 
 
-def _holonomy_at(geo: Geometry) -> list[Endo]:
+def _holonomy_at(geo: Geometry) -> tuple[list[Endo], Span]:
     """The holonomy closure at l = 1.  Each connection form and each R(e_i, e_j)
     is certified homogeneous in l, so at any l > 0 it is a positive multiple
     of its value at 1, and the closure spans the same subspace."""
     n = geo.alg.dim
-    max_dim = n * (n - 1) // 2
-    span = Span(n * n)
+    span = Span(n * n + n * (n - 1) // 2)  # so(n) bounds the basis
     members: list[Endo] = []
-
-    def push(e: Endo) -> bool:
-        if span.add(_flatten(e)):  # a zero e adds nothing
-            members.append(e)
-            return True
-        return False
-
     forms = (_at_one(geo.conn.form(i), f"connection form {i}") for i in range(n))
     omegas = [o for o in forms if not o.is_zero()]
     for (i, j), e in geo.curvature.items():
-        push(_at_one(e, f"R(e_{i}, e_{j})"))
+        _push(span, members, _at_one(e, f"R(e_{i}, e_{j})"))
+    for h in members:  # members grows as it is read: a breadth-first closure
+        for o in chain(omegas, members):
+            _push(span, members, o.commutator(h))
+    return members, span
 
-    frontier = list(members)
-    while frontier:
-        if span.dim > max_dim:
-            raise ArithmeticError("holonomy closure exceeded so(n)")
-        fresh: list[Endo] = []
-        for h in frontier:
-            for o in omegas:
-                if push(o.commutator(h)):
-                    fresh.append(members[-1])
-            for other in members:
-                if push(other.commutator(h)):
-                    fresh.append(members[-1])
-        frontier = fresh
-    return members
+
+def _push(span: Span, members: list[Endo], e: Endo) -> None:
+    """Append e, of degree 0, to the basis when it lies outside its span.
+
+    Element b_a, of part (d_a, t_a), is the one row [t_a | d_a e_a] =
+    d_a [b_a | e_a].  A candidate e of part (den, t) reduces [t | 0] to res / res_den =
+    den [e - s | -x], s = sum_a x_a b_a, so it is outside the span iff res has
+    an entry below column n^2; then res with den res_den at column n^2 + a is
+    res_den den [e | e_a] modulo the span.  An element past so(n) raises.
+    """
+    nn = e.dim * e.dim
+    for den, entries in e.parts.values():  # none or one
+        res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
+        if min(res, default=nn) < nn:
+            if nn + len(members) == span.n:
+                raise ArithmeticError("holonomy closure exceeded so(n)")
+            span.add({**res, nn + len(members): den * res_den})
+            members.append(e)
+
+
+def _coordinates(span: Span, e: Endo) -> list | None:
+    """Raw parts (degree, den, {a: int}) of the coordinates of -e in the basis
+    b_a of `_push`, or None when e is outside its span.  A part (den, t) of e
+    reduces [t | 0] to res / res_den = [r | -x], t = r + sum_a x_a b_a: it is
+    in the span iff r = 0, and then res over den res_den is -x / den.
+    """
+    nn = e.dim * e.dim
+    raw = []
+    for d, (den, entries) in e.parts.items():
+        res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
+        if min(res, default=nn) < nn:
+            return None
+        raw.append((d, den * res_den, {j - nn: x for j, x in res.items()}))
+    return raw
 
 
 def invariant_subspace(basis: list[Endo], indices: tuple[int, ...]) -> bool:
@@ -623,37 +629,6 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
 
 
 # -- natural reductivity ------------------------------------------------------
-
-
-def _coordinate_reader(basis: list[Endo], n: int):
-    """Exact coordinates in a basis of rational n x n endomorphisms.
-
-    The span of the flattened rows [b_a | e_a] is built once.  Reducing
-    [t | 0] leaves [r | -x] with t = r + sum_a x_a b_a, so t lies in the
-    span of the b_a iff r = 0, and then x are its coordinates.  A
-    formal-scalar Endo is read one parameter power at a time; the reader
-    returns its coordinates as a vector of dimension len(basis), or None
-    when it is outside the span.
-    """
-    h = len(basis)
-    nn = n * n
-    span = Span(nn + h)
-    for a, b in enumerate(basis):
-        # degree 0: at degree d the coordinates would be off by l^-d
-        row = _flatten(b, f"basis element {a}", 0)  # den times b
-        span.add({**row, nn + a: b.parts[0][0] if row else 1})
-
-    def read(e: Endo) -> Vector | None:
-        raw = []
-        for exp, (den, entries) in e.parts.items():
-            # den times the part: its coordinates come back den times too
-            res_den, res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
-            if min(res, default=nn) < nn:
-                return None
-            raw.append((exp, den * res_den, {j - nn: -x for j, x in res.items()}))
-        return _vector(h, graded(raw))
-
-    return read
 
 
 def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, int] | None:

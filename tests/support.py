@@ -2,15 +2,25 @@
 
 import importlib
 import inspect
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 from qhg import clifford, report
 from qhg.exterior import Endo, KForm, Vector, _kform
 from qhg.scalars import Scalar
+
+
+def cli_env() -> dict[str, str]:
+    """The environment with the source tree first on PYTHONPATH, so that a
+    `python -m qhg` child imports the package under test without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:

@@ -29,7 +29,7 @@ from qhg.exterior import (
 )
 from qhg.report import REQUIRED_OPS, ReportConfig
 from qhg.scalars import LAM, Scalar
-from support import dual, profiled_report, unexecuted
+from support import cli_env, dual, profiled_report, unexecuted
 
 
 @contextmanager
@@ -370,8 +370,8 @@ def test_criterion_12_cli():
             "--format",
             "json",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
+        second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
         assert first.stdout == second.stdout
         json.loads(first.stdout)
 

@@ -6,18 +6,21 @@ from itertools import combinations
 import pytest
 
 from qhg import algebra, connections as cn
+from qhg.algebra import StructureConstants
 from qhg.exterior import (
     Endo,
     KForm,
     Vector,
     _sort_tuple,
+    _vector,
     ce_differential,
     form_inner,
     interior,
     two_form_endo,
     wedge,
 )
-from qhg.scalars import LAM, ZERO, Scalar, graded
+from qhg.linalg import Span
+from qhg.scalars import LAM, ZERO, Scalar, graded, homogeneous_part
 from support import (
     code_of,
     dual,
@@ -278,6 +281,11 @@ def test_ricci_and_scalars(p):
     assert s_g - s_conn == form_inner(t, t) * Fraction(3, 2)
 
 
+def flat(e):
+    """The row-major entries of a rational endomorphism, scaled to integers."""
+    return integer_part({r * e.dim + c: rational_value(v) for (r, c), v in e.m.items()})[1]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_holonomy_su2(p):
     alg = algebra.build(p)
@@ -285,11 +293,6 @@ def test_holonomy_su2(p):
     hol = cn.Geometry(alg, conn).holonomy
     assert len(hol) == 3
     # closes into su(2): brackets stay inside the span
-    from qhg.linalg import Span
-
-    def flat(e):
-        return integer_part({r * alg.dim + c: rational_value(v) for (r, c), v in e.m.items()})[1]
-
     span = Span(alg.dim * alg.dim)
     for e in hol:
         span.add(flat(e))
@@ -411,44 +414,80 @@ def test_first_bianchi_levi_civita():
 
 
 def test_reductivity_is_total_skewness():
-    # the m-part of the rebuilt bracket is minus the torsion, so the
+    # the m-part of the rebuilt bracket [e_i, e_j] is -T(e_i, e_j), so the
     # reductivity condition is exactly total skewness of the torsion
     alg = algebra.build(1)
-    conn = cn.canonical_connection(alg)
-    geo = cn.Geometry(alg, conn)
-    tor, t3 = geo.torsion_tensor, geo.torsion_form
-    for (i, j), v in tor.items():
-        for k in range(alg.dim):
-            assert v[k] == t3.coeff((i, j, k))
+    geo = cn.Geometry(alg, cn.canonical_connection(alg))
+    table, _ = geo.transvection_algebra
+    h, n, t3 = len(geo.holonomy), alg.dim, geo.torsion_form
+    assert t3.parts
+    for i, j in combinations(range(n), 2):
+        v = table.bracket_basis(h + i, h + j)
+        for k in range(n):
+            assert v[h + k] == -t3.coeff((i, j, k))
 
 
 def _skew_unit(n, r, c):
     return Endo(n, {(r, c): 1, (c, r): -1})
 
 
-def test_coordinate_reader_exact_coordinates():
-    b0, b1 = _skew_unit(3, 0, 1), _skew_unit(3, 0, 2) + _skew_unit(3, 1, 2)
-    read = cn._coordinate_reader([b0, b1], 3)
+def holonomy_span(basis, n):
+    """`Geometry._holonomy_span` holding exactly the given basis of degree 0."""
+    span, members = Span(n * n + n * (n - 1) // 2), []
+    for e in basis:
+        cn._push(span, members, e)
+    assert members == basis
+    return members, span
+
+
+def coordinates(span, e, h):
+    """The coordinates of e that `_coordinates` reads, as a Vector, or None."""
+    raw = cn._coordinates(span, e)
+    return None if raw is None else -_vector(h, graded(raw))
+
+
+def test_coordinates_are_exact():
+    # b1 reduces against b0 over res_den 2: the row of b1 carries that factor
+    b0, b1 = _skew_unit(3, 0, 1).scale(2) + _skew_unit(3, 0, 2), _skew_unit(3, 0, 1) + _skew_unit(3, 1, 2)
+    _, span = holonomy_span([b0, b1], 3)
     x0 = LAM * 2
     x1 = LAM * LAM * 3 - LAM * Fraction(1, 2)  # two parameter powers
-    assert read(b0.scale(x0) + b1.scale(x1)) == Vector([x0, x1])
-    assert read(Endo.zero(3)) == Vector.zero(2)
+    assert coordinates(span, b0.scale(x0) + b1.scale(x1), 2) == Vector([x0, x1])
+    assert coordinates(span, b1.scale(Fraction(1, 3)), 2) == Vector([0, Fraction(1, 3)])
+    assert coordinates(span, Endo.zero(3), 2) == Vector.zero(2)
     alg = algebra.build(1)
-    hol = cn.Geometry(alg, cn.canonical_connection(alg)).holonomy
-    read = cn._coordinate_reader(hol, alg.dim)
+    hol, span = cn.Geometry(alg, cn.canonical_connection(alg))._holonomy_span
     for a, e in enumerate(hol):
-        assert read(e.scale(LAM)) == Vector.basis(3, a).scale(LAM)
+        assert coordinates(span, e.scale(LAM), 3) == Vector.basis(3, a).scale(LAM)
 
 
-def test_coordinate_reader_outside_span():
+def test_coordinates_outside_span():
     b0, b1 = _skew_unit(3, 0, 1), _skew_unit(3, 0, 2) + _skew_unit(3, 1, 2)
-    read = cn._coordinate_reader([b0, b1], 3)
+    _, span = holonomy_span([b0, b1], 3)
     outside = _skew_unit(3, 1, 2)
-    assert read(outside) is None
+    assert coordinates(span, outside, 2) is None
     # inside the span at lam^1, outside at lam^2
-    assert read(b0.scale(LAM) + outside.scale(LAM * LAM)) is None
-    assert cn._coordinate_reader([], 3)(outside) is None
-    assert cn._coordinate_reader([], 3)(Endo.zero(3)) == Vector.zero(0)
+    assert coordinates(span, b0.scale(LAM) + outside.scale(LAM * LAM), 2) is None
+    _, empty = holonomy_span([], 3)
+    assert coordinates(empty, outside, 0) is None
+    assert coordinates(empty, Endo.zero(3), 0) == Vector.zero(0)
+
+
+def test_coordinates_rebuild_the_curvature_at_its_degree():
+    """The basis is read at l = 1, so it has degree 0, and R(e_i, e_j), of
+    degree 2, comes back as coordinates of degree 2 that rebuild it."""
+    alg = algebra.build(1)
+    geo = cn.Geometry(alg, cn.canonical_connection(alg))
+    hol, span = geo._holonomy_span
+    assert all(e.parts.keys() == {0} for e in hol)
+    assert geo.curvature
+    for r in geo.curvature.values():
+        x = coordinates(span, r, len(hol))
+        assert x.parts.keys() == {2}
+        rebuilt = Endo.zero(alg.dim)
+        for a, e in enumerate(hol):
+            rebuilt = rebuilt + e.scale(x[a])
+        assert rebuilt == r
 
 
 def test_holonomy_is_read_at_one_only_for_homogeneous_input():
@@ -480,33 +519,122 @@ def test_vertical_irreducibility_certifies_each_row():
         cn.vertical_action_irreducible(alg, [mixed])
 
 
-def test_coordinate_reader_requires_a_degree_zero_basis():
-    b0 = _skew_unit(3, 0, 1)
-    # a basis l * b0 would read l * b0 as coordinate l, not 1
-    with pytest.raises(ArithmeticError, match=r"^basis element 0 at index \(0, 1\): l has degree 1"):
-        cn._coordinate_reader([b0.scale(LAM)], 3)
+def transvection_table_oracle(geo, hol):
+    """`Geometry.transvection_algebra` built pair by pair on the basis hol:
+    the torsion T(e_i, e_j) of each pair from its definition, the hol
+    coordinates from a second span of the rows [b_a | e_a], and every
+    bracket padded to dimension h + n by zero vectors."""
+    alg = geo.alg
+    h, n = len(hol), alg.dim
+    tor = torsion_tensor_oracle(alg, geo.conn)
+    nn = n * n
+    span = Span(nn + h)
+    for a, b in enumerate(hol):
+        _, den, entries = homogeneous_part(b, f"basis element {a}", 0)
+        span.add({**{r * n + c: v for (r, c), v in entries.items()}, nn + a: den})
+
+    def hol_coords(e):
+        raw = []
+        for exp, (den, entries) in e.parts.items():
+            res_den, res = span.reduce({r * n + c: v for (r, c), v in entries.items()})
+            if min(res, default=nn) < nn:
+                return None
+            raw.append((exp, den * res_den, {j - nn: -x for j, x in res.items()}))
+        return _vector(h, graded(raw))
+
+    table = {}
+
+    def put(x, y, coords, v):
+        raw = [(d, den, e) for d, (den, e) in coords.parts.items()]
+        raw += [(d, den, {h + k: c for k, c in e.items()}) for d, (den, e) in v.parts.items()]
+        parts = graded(raw)
+        if parts:
+            table[(x, y)] = _vector(h + n, parts)
+
+    for a, b in combinations(range(h), 2):
+        coords = hol_coords(hol[a].commutator(hol[b]))
+        if coords is None:
+            return None, ("holonomy not closed under bracket", a, b)
+        put(a, b, coords, Vector.zero(n))
+    for a in range(h):
+        for i in range(n):
+            put(a, h + i, Vector.zero(h), hol[a].column(i))
+    for i, j in sorted(geo.curvature.keys() | tor.keys()):
+        coords = hol_coords(-geo.curvature.get((i, j), Endo.zero(n)))
+        if coords is None:
+            return None, ("curvature outside holonomy span", i, j)
+        put(h + i, h + j, coords, -tor.get((i, j), Vector.zero(n)))
+    return StructureConstants(h + n, table), None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_transvection_table_matches_the_pairwise_oracle(p):
+    alg = algebra.build(p)
+    geo = cn.Geometry(alg, cn.canonical_connection(alg))
+    table, witness = geo.transvection_algebra
+    oracle, _ = transvection_table_oracle(geo, geo.holonomy)
+    assert witness is None and table.dim == oracle.dim == alg.dim + 3
+    assert table._sc == oracle._sc
+    assert list(table._sc) == sorted(table._sc)
 
 
 def test_transvection_algebra_holonomy_witnesses(monkeypatch):
-    from qhg.linalg import Span
-
     alg = algebra.build(1)
     conn = cn.canonical_connection(alg)
-    hol = cn.Geometry(alg, conn).holonomy
+    geo = cn.Geometry(alg, conn)
+    hol = geo.holonomy
+    got = {}
+    for k in (2, 1):
+        basis = holonomy_span(hol[:k], alg.dim)
+        monkeypatch.setattr(cn.Geometry, "_holonomy_span", property(lambda _, basis=basis: basis))
+        got[k] = cn.Geometry(alg, conn).transvection_algebra
+        assert got[k] == transvection_table_oracle(geo, hol[:k])
+        assert cn.transvection_check(alg, conn) == (False, got[k][1])
     # su(2) has no 2-dim subalgebra, so two of its three basis elements
     # do not close under the bracket
-    monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:2]))
-    assert cn.transvection_check(alg, conn) == (
-        False,
-        ("holonomy not closed under bracket", 0, 1),
-    )
-    monkeypatch.setattr(cn.Geometry, "holonomy", property(lambda geo: hol[:1]))
-    table, witness = cn.Geometry(alg, conn).transvection_algebra
-    assert table is None and witness[0] == "curvature outside holonomy span"
+    assert got[2] == (None, ("holonomy not closed under bracket", 0, 1))
+    table, (name, *pair) = got[1]
+    assert table is None and name == "curvature outside holonomy span"
     span = Span(alg.dim * alg.dim)
-    span.add(cn._flatten(hol[0]))
-    r = cn.Geometry(alg, conn).curvature[witness[1:]]
-    assert not span_contains(span, cn._flatten(r))
+    span.add(flat(hol[0]))
+    assert not span_contains(span, flat(cn._at_one(geo.curvature[tuple(pair)], "R")))
+
+
+def counted_spans(monkeypatch) -> list:
+    """The `linalg.Span` objects that `connections` builds from now on."""
+    built = []
+
+    class Counted(Span):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(cn, "Span", Counted)
+    return built
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_transvection_builds_one_span(monkeypatch, p):
+    """The holonomy closure and the hol coordinates share one elimination."""
+    alg = algebra.build(p)
+    built = counted_spans(monkeypatch)
+    assert cn.Geometry(alg, cn.with_torsion(alg, cn.canonical_torsion(alg))).transvection == (True, None)
+    assert len(built) == 1
+
+
+def test_holonomy_closure_stops_at_so_n(monkeypatch):
+    """Non-skew forms generate more than so(n): the bound raises when the
+    basis is full, before an element would need a column past the span."""
+    alg = algebra.QHAlgebra(1, LAM, {})  # all brackets zero
+    n = alg.dim
+    rng = random.Random(3)
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    forms = [Endo(n, {key: rng.randint(1, 3) for key in rng.sample(cells, 3)}) for _ in range(n)]
+    built = counted_spans(monkeypatch)
+    with pytest.raises(ArithmeticError, match=r"^holonomy closure exceeded so\(n\)$"):
+        cn.Geometry(alg, cn.Connection(forms)).holonomy
+    (span,) = built
+    assert span.dim == n * (n - 1) // 2 and span.n == n * n + span.dim
 
 
 def ricci_oracle(alg, conn):
@@ -738,7 +866,10 @@ def omega_parts(conn):
 
 
 def torsion_parts(tor):
-    return {key: v.parts for key, v in tor.items()}
+    """The per-pair vectors T(e_i, e_j) as parts keyed (i, j, k), the form of
+    `Geometry.torsion_parts`."""
+    return graded((d, den, {(i, j, k): v for k, v in e.items()})
+                  for (i, j), vec in tor.items() for d, (den, e) in vec.parts.items())
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -751,14 +882,13 @@ def test_torsion_kernels_match_the_per_direction_definitions(p):
     for t in torsions:
         conn = cn.with_torsion(alg, t)
         assert omega_parts(conn) == omega_parts(with_torsion_oracle(alg, t))
-        tor = cn.Geometry(alg, conn).torsion_tensor
-        assert torsion_parts(tor) == torsion_parts(torsion_tensor_oracle(alg, conn))
-        assert list(tor) == sorted(tor)
+        tor = torsion_tensor_oracle(alg, conn)
+        assert cn.Geometry(alg, conn).torsion_parts == torsion_parts(tor)
         assert cn.Geometry(alg, conn).torsion_form == torsion_form_oracle(alg, tor) == t
     # connections that are not metric with skew torsion: T is not totally skew
     for conn in (cn.flat_connection(alg), random_connection(random.Random(p), alg.dim, 2 * alg.dim)):
-        tor = cn.Geometry(alg, conn).torsion_tensor
-        assert tor and torsion_parts(tor) == torsion_parts(torsion_tensor_oracle(alg, conn))
+        tor = torsion_tensor_oracle(alg, conn)
+        assert tor and cn.Geometry(alg, conn).torsion_parts == torsion_parts(tor)
         assert cn.Geometry(alg, conn).torsion_form is None is torsion_form_oracle(alg, tor)
 
 
@@ -782,7 +912,7 @@ def test_torsion_kernel_comparison_negative_control():
         )
         if not v.is_zero():
             unsigned[(i, j)] = v
-    assert torsion_parts(cn.Geometry(alg, conn).torsion_tensor) != torsion_parts(unsigned)
+    assert cn.Geometry(alg, conn).torsion_parts != torsion_parts(unsigned)
 
 
 # -- the one-pass curvature kernels against their dense definitions ----------
@@ -946,8 +1076,9 @@ def transvection_oracle(alg, t):
     and the covariant derivative of the torsion in every direction."""
     conn = with_torsion_oracle(alg, t)
     geo = cn.Geometry(alg, conn)
-    geo.torsion_tensor = torsion_tensor_oracle(alg, conn)
-    geo.torsion_form = t3 = torsion_form_oracle(alg, geo.torsion_tensor)
+    tor = torsion_tensor_oracle(alg, conn)
+    geo.torsion_parts = torsion_parts(tor)
+    geo.torsion_form = t3 = torsion_form_oracle(alg, tor)
     geo.torsion_parallel = t3 is not None and all(d.is_zero() for d in cn.nabla_tensor(conn, t3))
     return geo.transvection
 

@@ -59,42 +59,24 @@ def test_local_import_guard_flags_an_import_in_a_function():
     assert local_imports("from .exterior import Endo\nimport json\ndef f():\n    return json\n") == []
 
 
-def specialize_calls(source: str) -> list[str]:
-    """`function:line` of every `.specialize(` call, `<module>` outside functions."""
-    tree = ast.parse(source)
-    scope = {}
-    for node in ast.walk(tree):  # outer functions first, so the innermost name wins
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope.update(dict.fromkeys(ast.walk(node), node.name))
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "specialize"
-    ]
-    return [f"{scope.get(c, '<module>')}:{c.lineno}" for c in sorted(calls, key=lambda c: c.lineno)]
-
-
 def test_only_scalars_specializes_the_metric_parameter():
-    """Every other module reads the parameter at l = 1 through
-    `scalars.homogeneous_part`, which certifies that one point suffices."""
+    """`Scalar.terms()` is the one public reader of a Scalar's coefficients by
+    exponent, and so the way to evaluate one at a sampled l.  Every other
+    module reads the parameter at l = 1 through `scalars.homogeneous_part`,
+    which certifies that one point suffices."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "scalars.py":
-            assert specialize_calls(path.read_text()) == [], path.name
+            assert rational_calls(path.read_text(), ("terms",)) == [], path.name
 
 
-def test_specialize_guard_flags_a_sampled_parameter():
-    # the holonomy flattening as it read before the one specialisation point
-    sampled = (
-        "def _flatten(e, value):\n"
-        "    return {r * e.dim + c: v.specialize(value) for (r, c), v in e.m.items()}\n"
-    )
-    assert specialize_calls(sampled) == ["_flatten:2"]
-    nested = "class G:\n    def f(self, b):\n        return [[c.specialize(2) for c in r] for r in b]\n"
-    assert specialize_calls(nested) == ["f:3"]
-    assert specialize_calls("x = s.specialize(1)\n") == ["<module>:1"]
-    assert specialize_calls("def f(s):\n    return homogeneous_part(s), specialize(s)\n") == []
+def test_terms_guard_flags_a_sampled_parameter():
+    # the evaluation of tests/support.specialize, moved into a module
+    sampled = "def _at(s, v):\n    return sum(c * v**e for e, c in s.terms())\n"
+    assert rational_calls(sampled, ("terms",)) == ["_at:2"]
+    method = "class G:\n    def f(self, b):\n        return [dict(c.terms()) for c in b]\n"
+    assert rational_calls(method, ("terms",)) == ["G.f:3"]
+    assert rational_calls("x = s.terms()\n", ("terms",)) == ["<module>:1"]
+    assert rational_calls("def f(s):\n    return homogeneous_part(s), s.terms\n", ("terms",)) == []
 
 
 def hand_accumulations(source: str) -> list[str]:
@@ -239,7 +221,7 @@ def _functions(source: str) -> set[str]:
 # the functions that feed a span the integer parts they hold, or read its parts
 SPAN_FEEDERS = {
     "algebra.py": {"center_dimension"},
-    "connections.py": {"_flatten", "_coordinate_reader"},
+    "connections.py": {"_push", "_coordinates", "vertical_action_irreducible"},
     "contact.py": {"_qc_functionals", "_qc_slots", "_reeb_matrix", "qc_unique_skew"},
     "g2.py": {"_positive_definite", "genericity_check"},
 }

@@ -14,7 +14,7 @@ from qhg import algebra, cone, connections, contact, g2, report
 from qhg.cli import main
 from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
 from qhg.scalars import Scalar
-from support import code_of, executed_code, profiled_report, unexecuted
+from support import cli_env, code_of, executed_code, profiled_report, unexecuted
 
 
 # SHA-256 of the full formal JSON report; any change to its bytes shows here
@@ -192,8 +192,8 @@ def test_cli_subprocess_byte_identical():
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env())
     assert first.stdout == second.stdout
     assert first.returncode == 0
 
