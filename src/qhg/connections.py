@@ -569,14 +569,16 @@ def _push(span: Span, members: list[Endo], e: Endo) -> None:
     an entry below column n^2; then res with den res_den at column n^2 + a is
     res_den den [e | e_a] modulo the span.  An element past so(n) raises.
     """
+    if not e.parts:
+        return
+    ((den, entries),) = e.parts.values()  # of degree 0: one part
     nn = e.dim * e.dim
-    for den, entries in e.parts.values():  # none or one
-        res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
-        if min(res, default=nn) < nn:
-            if nn + len(members) == span.n:
-                raise ArithmeticError("holonomy closure exceeded so(n)")
-            span.add({**res, nn + len(members): den * res_den})
-            members.append(e)
+    res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
+    if min(res, default=nn) < nn:
+        if nn + len(members) == span.n:
+            raise ArithmeticError("holonomy closure exceeded so(n)")
+        span.add({**res, nn + len(members): den * res_den})
+        members.append(e)
 
 
 def _coordinates(span: Span, e: Endo) -> list | None:

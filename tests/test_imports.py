@@ -60,10 +60,12 @@ def test_local_import_guard_flags_an_import_in_a_function():
 
 
 def test_only_scalars_specializes_the_metric_parameter():
-    """`Scalar.terms()` is the one public reader of a Scalar's coefficients by
-    exponent, and so the way to evaluate one at a sampled l.  Every other
-    module reads the parameter at l = 1 through `scalars.homogeneous_part`,
-    which certifies that one point suffices."""
+    """No `.terms()` call outside `scalars.py`: `terms()` is how
+    `tests/support.specialize` evaluates a Scalar at a sampled l, and every
+    other module reads the parameter at l = 1 through
+    `scalars.homogeneous_part`, which certifies that one point suffices.
+    Only `.terms()` calls are caught: `Scalar.coeff` and `Scalar.parts` read
+    coefficients too, but `KForm.coeff` and `Endo.parts` share those names."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "scalars.py":
             assert rational_calls(path.read_text(), ("terms",)) == [], path.name
