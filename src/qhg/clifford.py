@@ -12,8 +12,6 @@ come out with the signs of the 7-dimensional verification suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import quat_mul
 from .exterior import Endo, KForm, Vector, _combination, _endo, _vector, endo_two_form
 
@@ -69,7 +67,7 @@ def gamma() -> list[Endo]:
 
 
 def gamma_product(indices: tuple[int, ...]) -> Endo:
-    """Ordered product of generators for an increasing index tuple."""
+    """Product of the generators in the order of the index tuple."""
     if indices in _PRODUCTS:
         return _PRODUCTS[indices]
     g = gamma()
@@ -104,12 +102,13 @@ def vector_action(x: Vector, s: Vector) -> Vector:
 
 
 def spin_lift(a: Endo) -> Endo:
-    """Lift of a skew endomorphism, (1/2) sum_{i<j} a_ij g_i g_j.
-
-    This is the unique normalization with [lift(A), g(X)] = g(AX).
-    """
-    two_form = endo_two_form(a)  # rejects non-skew input
-    return clifford_matrix(two_form).scale(Fraction(1, 2))
+    """Lift of a skew endomorphism, (1/4) sum of A[k, l] g_l g_k over the
+    stored entries, each pair in both orders, the products taken in that
+    order: the unique normalization with [lift(A), g(X)] = g(AX)."""
+    if not a.is_skew():
+        raise ValueError("endomorphism is not skew")
+    return _endo(SPIN_DIM, _combination(
+        (d, 4 * den, c, gamma_product((l, k)).parts) for d, (den, e) in a.parts.items() for (k, l), c in e.items()))
 
 
 def relations_check() -> bool:
@@ -126,7 +125,8 @@ def relations_check() -> bool:
 def lift_check(a: Endo) -> bool:
     """[lift(A), g_i] = sum_k A[k, i] g_k, the Clifford image of A e_i, for
     every frame index i, with the coefficients read from column i of A in
-    one pass over its entries; and the 2-form of A acts as 2 lift(A)."""
+    one pass over its entries; and the 2-form of A acts as 2 lift(A): the
+    products i < j of `clifford_matrix` against both orders in `spin_lift`."""
     lift, g = spin_lift(a), gamma()
     images = [[] for _ in range(AMBIENT_DIM)]  # column i -> terms of sum_k A[k, i] g_k
     for d, (den, e) in a.parts.items():

@@ -8,10 +8,10 @@ frame-constant tensors nabla_X acts through the natural so(n) action of
 Omega(X), which is what all parallelism checks below use.  `Geometry`
 bundles one connection with the tensors read from it (torsion,
 curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
-once, on first read.  Torsion and curvature are each one pass over the
-stored entries of the connection forms into integer parts keyed by index
-tuples; Ricci, the first Bianchi identity, nabla R and hol + m read those
-parts.  The holonomy basis and the coordinates in it share one span.
+once, on first read.  Torsion, curvature and Ricci are each one pass over
+the stored entries of the connection forms into integer parts keyed by
+index tuples.  The holonomy basis and the coordinates in it share one
+span; nabla R and hol + m read the curvature in those coordinates.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ def levi_civita(alg: QHAlgebra) -> Connection:
     """Koszul formula on left-invariant fields.
 
     Omega(e_i)[k, j] = ([e_i, e_j]_k - [e_j, e_k]_i + [e_k, e_i]_j) / 2,
-    summed over the nonzero structure constants [e_a, e_b]_m only: each
-    lands in one entry of each of the three terms.
+    summed over the stored structure constants [e_a, e_b]_m, read in both
+    orders: each lands in one entry of each of the three terms.
     """
     n = alg.dim
     # per direction: (degree, den) -> integer sums, halved through the den
     sums: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for d, (den, e) in alg.bracket_basis(a, b).parts.items():
+    for a, row in enumerate(alg._parts):
+        for b, terms in row.items():
+            for d, den, e in terms:
                 for m, c in e.items():
                     accumulate(sums[a].setdefault((d, den), {}), (m, b), c)
                     accumulate(sums[m].setdefault((d, den), {}), (b, a), -c)
@@ -193,8 +193,8 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
 class Geometry:
     """One connection on one algebra, with the tensors every check reads:
     torsion and curvature as integer parts and their 3-form and per-pair
-    views, Ricci, the holonomy basis with the span that reads coordinates
-    in it, the parallelism verdicts and the table of hol + m.
+    views, Ricci, the holonomy basis with its span and the curvature's
+    coordinates on it, the parallelism verdicts and the table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
     only the fields it needs: a transvection test that stops at torsion
@@ -286,22 +286,29 @@ class Geometry:
 
     @cached_property
     def ricci(self) -> Endo:
-        """Ric(X, Y) = sum_i g(R(e_i, X) Y, e_i).
+        """Ric(e_j, e_l) = sum_i g(R(e_i, e_j) e_l, e_i) = sum_i R(e_i, e_j)[i, l].
 
-        Contracted over the stored entries R(e_i, e_j)[row, b], i < j: row i
-        adds into Ric(e_j, .) and, as R(e_j, e_i) = -R(e_i, e_j), row j
-        subtracts from Ric(e_i, .).
+        Each ordered pair (i, j) adds row i of R(e_i, e_j) = [Omega_i, Omega_j] -
+        sum_c [e_i, e_j]_c Omega_c alone.  A term (t, s, c, v) adds v times row s of
+        Omega_c into Ric(e_t, .): row i of Omega_i meets every Omega_j, Omega_j[i, m]
+        meets -Omega_i, and [e_a, e_b]_c = v gives -v at (t, s) = (b, a), v at (a, b).
         """
-        raw = []
-        for d, (den, e) in self.curvature_parts.items():
-            acc: dict[tuple[int, int], int] = {}
-            for (i, j, row, b), v in e.items():
-                if row == i:
-                    accumulate(acc, (j, b), v)
-                elif row == j:
-                    accumulate(acc, (i, b), -v)
-            raw.append((d, den, acc))
-        return _endo(self.alg.dim, graded(raw))
+        omega, n = self.conn.omega, self.alg.dim
+        rows = [[(d, den, _rows(e)) for d, (den, e) in f.parts.items()] for f in omega]
+        terms = [(d, den, j, m, j, v) for i, parts in enumerate(rows) for d, den, r in parts
+                 for m, v in r.get(i, ()) for j in range(n)]
+        terms += [(d, den, j, m, i, -v) for j, f in enumerate(omega)
+                  for d, (den, e) in f.parts.items() for (i, m), v in e.items()]
+        terms += [(d, den, t, s, c, f) for (a, b), bracket in self.alg._sc.items()
+                  for d, (den, e) in bracket.parts.items() for c, v in e.items()
+                  for t, s, f in ((b, a, -v), (a, b, v))]
+        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (t, l) -> sum
+        for d, den, t, s, c, v in terms:
+            for dc, nc, rc in rows[c]:
+                acc = buckets.setdefault((d + dc, den * nc), {})
+                for l, w in rc.get(s, ()):
+                    accumulate(acc, (t, l), v * w)
+        return _endo(n, graded((d, den, acc) for (d, den), acc in buckets.items()))
 
     @cached_property
     def holonomy(self) -> list[Endo]:
@@ -321,39 +328,49 @@ class Geometry:
         t3 = self.torsion_form
         return t3 is not None and is_parallel(self.conn, t3)
 
-    def _curvature_derivative(self, a: Endo) -> dict:
-        """The parts of nabla_A R at the keys (i, j, k, l) of `curvature_parts`:
-        (nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j).
+    @cached_property
+    def curvature_coordinates(self) -> dict:
+        """(i, j) -> the raw coordinates of -R(e_i, e_j), i < j, in the holonomy
+        basis B_c, read once on its span, or None outside it (`_coordinates`)."""
+        span = self._holonomy_span[1]
+        return {key: _coordinates(span, r) for key, r in self.curvature.items()}
 
-        From each stored entry c = R(e_i, e_j)[k, l]: the endomorphism slots
-        add A[r, k] c at (i, j, r, l) and -c A[l, r] at (i, j, k, r).  The form
-        slots are one pair, read in both orders, (s, t) = (i, j) with f = c and
-        (j, i) with f = -c: an index x, A[s, x] = w, that replaces s adds -f w
-        at (x, t) for x < t and f w at (t, x) for x > t.
+    @cached_property
+    def _coefficient_forms(self) -> list[KForm]:
+        """The 2-forms s^c of -R = sum_c s^c B_c; ArithmeticError for a pair outside the span."""
+        raw: list[list] = [[] for _ in self.holonomy]
+        for (i, j), coords in self.curvature_coordinates.items():
+            if coords is None:
+                raise ArithmeticError(f"R(e_{i}, e_{j}) outside the holonomy span")
+            for d, den, e in coords:
+                for c, v in e.items():
+                    raw[c].append((d, den, {(i, j): v}))
+        return [_kform(self.alg.dim, 2, graded(r)) for r in raw]
+
+    def _nabla_curvature(self, x: int) -> dict:
+        """nabla_{e_x} (-R) = sum_c D^c B_c as parts {(c, i, j): int} of the 2-forms
+        D^c = Omega_x . s^c + sum_b C^c_b s^b, C^c_b coordinate c of [Omega_x, B_b].
+        As the B_c are independent, nabla_{e_x} R = 0 iff every D^c is; the other
+        premises are reads that are not None: R(e_i, e_j) in hol, and [Omega_x,
+        hol] in hol (the closure brackets with every form), else ArithmeticError.
         """
-        buckets: dict[tuple[int, int], dict] = {}
-        for da, (na, ea) in a.parts.items():
-            rows, cols = _rows(ea), _rows({(c, r): w for (r, c), w in ea.items()})
-            for d, (den, e) in self.curvature_parts.items():
-                acc = buckets.setdefault((da + d, na * den), {})
-                for (i, j, k, l), c in e.items():
-                    for r, w in cols.get(k, ()):
-                        accumulate(acc, (i, j, r, l), w * c)
-                    for r, w in rows.get(l, ()):
-                        accumulate(acc, (i, j, k, r), -c * w)
-                    for s, t, f in ((i, j, c), (j, i, -c)):
-                        for x, w in rows.get(s, ()):
-                            if x < t:
-                                accumulate(acc, (x, t, k, l), -f * w)
-                            elif x > t:
-                                accumulate(acc, (t, x, k, l), f * w)
-        return graded((d, den, acc) for (d, den), acc in buckets.items())
+        hol, span = self._holonomy_span
+        a, forms = self.conn.omega[x], self._coefficient_forms
+        raw = [(d, den, {(c, *ij): v for ij, v in e.items()})
+               for c, f in enumerate(forms) for d, (den, e) in _act_on_form(a, f).parts.items()]
+        for b, basis in enumerate(hol):
+            coords = _coordinates(span, basis.commutator(a))  # -[B_b, A] = [A, B_b]
+            if coords is None:
+                raise ArithmeticError(f"[Omega_{x}, B_{b}] outside the holonomy span")
+            raw += [(d + dc, den * nc, {(c, *ij): w * v for ij, v in e.items()})
+                    for dc, nc, ec in coords for c, w in ec.items()
+                    for d, (den, e) in forms[b].parts.items()]
+        return graded(raw)
 
     @cached_property
     def curvature_parallel(self) -> bool:
-        """Whether nabla_{e_x} R = 0 for every x, direction by direction up to
-        the first derivative that is nonzero."""
-        return not any(self._curvature_derivative(a) for a in self.conn.omega)
+        """Whether nabla_{e_x} R = 0 for every x with Omega_x != 0, up to the first that moves."""
+        return not any(self._nabla_curvature(x) for x, a in enumerate(self.conn.omega) if a.parts)
 
     @cached_property
     def transvection_algebra(self):
@@ -363,16 +380,14 @@ class Geometry:
         h..h+n-1 of the frame.  The brackets are [A, B] and -R(e_i, e_j) in
         holonomy coordinates, read on the span of the closure, [A, e_i] =
         A e_i from the entries of A and -T(e_i, e_j) from `torsion_parts`,
-        each bracket summed from its raw parts in one `graded`.  Requires
-        totally skew, parallel torsion and parallel curvature; (table,
-        None), or (None, witness) otherwise.
+        each bracket summed from its raw parts in one `graded`.  Requires, in
+        this order, totally skew and parallel torsion, a closure closed under
+        its bracket that holds R, and parallel R: (table, None), else (None, witness).
         """
         if self.torsion_form is None:
             return None, ("torsion not totally skew",)
         if not self.torsion_parallel:
             return None, ("torsion not parallel",)
-        if not self.curvature_parallel:
-            return None, ("curvature not parallel",)
 
         hol, span = self._holonomy_span
         h, n = len(hol), self.alg.dim
@@ -382,15 +397,16 @@ class Geometry:
             if coords is None:
                 return None, ("holonomy not closed under bracket", a, b)
             raw[(a, b)] = coords
+        for (i, j), coords in self.curvature_coordinates.items():  # of -R(e_i, e_j)
+            if coords is None:
+                return None, ("curvature outside holonomy span", i, j)
+            raw[(h + i, h + j)] = list(coords)  # a copy: the torsion is appended below
+        if not self.curvature_parallel:
+            return None, ("curvature not parallel",)
         for a, form in enumerate(hol):
             for d, (den, e) in form.parts.items():
                 for (k, i), v in e.items():  # A e_i is column i of A
                     raw.setdefault((a, h + i), []).append((d, den, {h + k: v}))
-        for (i, j), r in self.curvature.items():
-            coords = _coordinates(span, r)  # the coordinates of -R(e_i, e_j)
-            if coords is None:
-                return None, ("curvature outside holonomy span", i, j)
-            raw[(h + i, h + j)] = coords
         for d, (den, e) in self.torsion_parts.items():
             for (i, j, k), v in e.items():  # -T(e_i, e_j)
                 raw.setdefault((h + i, h + j), []).append((d, -den, {h + k: v}))

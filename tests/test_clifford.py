@@ -148,6 +148,25 @@ def test_relations_and_lift_checks_can_fail(monkeypatch):
     assert cl.volume_sign() == -1 and not cl.relations_check()
 
 
+def test_lift_clause_compares_two_constructions(monkeypatch):
+    """The 2-form clause of `lift_check` sets the products i < j of
+    `clifford_matrix` against `spin_lift`, which takes each pair in both
+    orders.  One product i < j shifted by the identity, which commutes with
+    every generator, fails that clause alone: the commutator clause holds."""
+    a = rand_skew(random.Random(47))
+    i, j = next((i, j) for (j, i) in sorted(a.m) if i < j)  # A[j, i] != 0
+    assert cl.lift_check(a)
+    g, shifted = cl.gamma(), cl.gamma_product((i, j)) + Endo.identity(8)
+    monkeypatch.setitem(cl._PRODUCTS, (i, j), shifted)
+    assert not cl.lift_check(a)
+    lift = cl.spin_lift(a)
+    for x in range(7):
+        image = Endo.zero(8)
+        for k, c in enumerate(a.apply(Vector.basis(7, x))):
+            image = image + g[k].scale(c)
+        assert lift.commutator(g[x]) == image
+
+
 # -- dense oracles: the definitions the checks replaced -------------------------
 
 

@@ -11,6 +11,8 @@ from qhg.exterior import (
     Endo,
     KForm,
     Vector,
+    _endo,
+    _rows,
     _sort_tuple,
     _vector,
     ce_differential,
@@ -20,7 +22,7 @@ from qhg.exterior import (
     wedge,
 )
 from qhg.linalg import Span
-from qhg.scalars import LAM, ZERO, Scalar, graded, homogeneous_part
+from qhg.scalars import LAM, ZERO, Scalar, accumulate, graded, homogeneous_part
 from support import (
     code_of,
     dual,
@@ -708,7 +710,7 @@ def test_nabla_matches_definitional_action():
         geo = cn.Geometry(alg, source)
         r = curvature_oracle(alg, source)
         for a in conn.omega:
-            assert geo._curvature_derivative(a) == pair_parts(nabla_curvature_oracle(r, a, n))
+            assert curvature_derivative_oracle(geo, a) == pair_parts(nabla_curvature_oracle(r, a, n))
 
 
 def replacement_disagreements(replace, n=7) -> list[tuple]:
@@ -761,9 +763,9 @@ def test_transvection_reductivity_negative_control(monkeypatch):
 
 def test_transvection_stops_before_curvature_and_holonomy():
     """Torsion that is not parallel is reported from the lazy bundle before the
-    curvature, its derivative or the holonomy closure is built."""
-    kernels = ["qhg.connections.Geometry.curvature_parts",
-               "qhg.connections.Geometry._curvature_derivative", "qhg.connections._holonomy_at"]
+    curvature, its coordinates, its derivative or the holonomy closure is built."""
+    kernels = ["qhg.connections.Geometry.curvature_parts", "qhg.connections.Geometry.curvature_coordinates",
+               "qhg.connections.Geometry._nabla_curvature", "qhg.connections._holonomy_at"]
     alg = algebra.build(1)
     bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
     conn = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
@@ -771,7 +773,7 @@ def test_transvection_stops_before_curvature_and_holonomy():
     ran = executed_code(lambda: out.append(cn.transvection_check(alg, conn)))
     assert out == [(False, ("torsion not parallel",))]
     assert unexecuted(kernels, ran) == sorted(kernels)
-    # control: the canonical connection reaches all three
+    # control: the canonical connection reaches all four
     ran = executed_code(lambda: out.append(cn.transvection_check(alg, cn.canonical_connection(alg))))
     assert out[1] == (True, None)
     assert unexecuted(kernels, ran) == []
@@ -990,10 +992,8 @@ def test_curvature_kernels_match_the_dense_oracles(p):
         r = curvature_oracle(alg, conn)
         assert geo.curvature_parts == pair_parts(r)
         assert geo.curvature == r and list(geo.curvature) == sorted(r)
-        derivatives = [geo._curvature_derivative(a) for a in conn.omega]
-        for a, d in zip(conn.omega, derivatives):
-            assert d == pair_parts(nabla_curvature_oracle(r, a, n))
-        assert geo.curvature_parallel == all(not d for d in derivatives)
+        for a in conn.omega:
+            assert curvature_derivative_oracle(geo, a) == pair_parts(nabla_curvature_oracle(r, a, n))
     # the comparison reads every kind of entry: nonzero R and nonzero nabla R
     lc = cn.Geometry(alg, cn.levi_civita(alg))
     assert lc.curvature and not lc.curvature_parallel
@@ -1009,23 +1009,117 @@ def test_curvature_kernel_comparison_negative_control():
     lc = cn.Geometry(alg, cn.levi_civita(alg))
     r = curvature_oracle(alg, lc.conn)
     assert any(
-        lc._curvature_derivative(a) != pair_parts(nabla_curvature_oracle(r, a, n, slot_sign=1))
+        curvature_derivative_oracle(lc, a) != pair_parts(nabla_curvature_oracle(r, a, n, slot_sign=1))
         for a in lc.conn.omega
     )
+
+
+# -- nabla R and Ricci in holonomy coordinates against the curvature parts ----
+
+
+def curvature_derivative_oracle(geo, a):
+    """The parts of nabla_A R at the keys (i, j, k, l) of `curvature_parts`:
+    (nabla_A R)(e_i, e_j) = [A, R(e_i, e_j)] - R(A e_i, e_j) - R(e_i, A e_j).
+
+    From each stored entry c = R(e_i, e_j)[k, l]: the endomorphism slots
+    add A[r, k] c at (i, j, r, l) and -c A[l, r] at (i, j, k, r).  The form
+    slots are one pair, read in both orders, (s, t) = (i, j) with f = c and
+    (j, i) with f = -c: an index x, A[s, x] = w, that replaces s adds -f w
+    at (x, t) for x < t and f w at (t, x) for x > t.
+    """
+    buckets = {}
+    for da, (na, ea) in a.parts.items():
+        rows, cols = _rows(ea), _rows({(c, r): w for (r, c), w in ea.items()})
+        for d, (den, e) in geo.curvature_parts.items():
+            acc = buckets.setdefault((da + d, na * den), {})
+            for (i, j, k, l), c in e.items():
+                for r, w in cols.get(k, ()):
+                    accumulate(acc, (i, j, r, l), w * c)
+                for r, w in rows.get(l, ()):
+                    accumulate(acc, (i, j, k, r), -c * w)
+                for s, t, f in ((i, j, c), (j, i, -c)):
+                    for x, w in rows.get(s, ()):
+                        if x < t:
+                            accumulate(acc, (x, t, k, l), -f * w)
+                        elif x > t:
+                            accumulate(acc, (t, x, k, l), f * w)
+    return graded((d, den, acc) for (d, den), acc in buckets.items())
+
+
+def ricci_parts_oracle(geo):
+    """Ric contracted over the stored entries R(e_i, e_j)[row, b], i < j, of
+    `curvature_parts`: row i adds into Ric(e_j, .) and, as R(e_j, e_i) =
+    -R(e_i, e_j), row j subtracts from Ric(e_i, .)."""
+    raw = []
+    for d, (den, e) in geo.curvature_parts.items():
+        acc = {}
+        for (i, j, row, b), v in e.items():
+            if row == i:
+                accumulate(acc, (j, b), v)
+            elif row == j:
+                accumulate(acc, (i, b), -v)
+        raw.append((d, den, acc))
+    return _endo(geo.alg.dim, graded(raw))
+
+
+def nabla_curvature_parts(geo, x):
+    """nabla_{e_x} R at the keys (i, j, k, l), rebuilt from the coefficient
+    2-forms D^c of nabla_{e_x} (-R) and the holonomy basis: -sum_c D^c B_c."""
+    return graded(
+        (d + db, -den * nb, {(i, j, k, l): v * w for (k, l), w in eb.items()})
+        for d, (den, e) in geo._nabla_curvature(x).items()
+        for (c, i, j), v in e.items()
+        for db, (nb, eb) in geo.holonomy[c].parts.items()
+    )
+
+
+def skew_connections(alg):
+    """Canonical, Levi-Civita, perturbed and a random skew torsion.  The random
+    torsion is scaled by lam, so that every form and every R(e_i, e_j) is
+    homogeneous and the holonomy is read at l = 1; it is sparse at p = 2,
+    where the closure of a dense one spans so(11) only after tens of seconds."""
+    rng = random.Random(alg.p)
+    bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
+    t = random_form(rng, alg.dim, 3, 0.3 if alg.p == 1 else 0.03).scale(LAM)
+    return [
+        cn.canonical_connection(alg),
+        cn.levi_civita(alg),
+        cn.with_torsion(alg, cn.canonical_torsion(alg) + bump),
+        cn.with_torsion(alg, t),
+    ]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_holonomy_coordinates_match_the_curvature_parts_oracles(p):
+    """nabla R read in the holonomy basis, rebuilt as parts, and Ricci read from
+    the connection forms, against the kernels that read `curvature_parts`."""
+    alg = algebra.build(p)
+    parallel = []
+    for conn in skew_connections(alg):
+        geo = cn.Geometry(alg, conn)
+        derivatives = [curvature_derivative_oracle(geo, a) for a in conn.omega]
+        assert [nabla_curvature_parts(geo, x) for x in range(alg.dim)] == derivatives
+        assert geo.curvature_parallel == all(not d for d in derivatives)
+        assert geo.ricci == ricci_parts_oracle(geo) and not geo.ricci.is_zero()
+        parallel.append(geo.curvature_parallel)
+    # only the canonical curvature is parallel, so nonzero nabla R is compared too
+    assert parallel == [True, False, False, False]
 
 
 def test_curvature_parallel_stops_at_the_first_direction_that_moves(monkeypatch):
     alg = algebra.build(1)
     calls = []
-    derivative = cn.Geometry._curvature_derivative
-    monkeypatch.setattr(cn.Geometry, "_curvature_derivative",
-                        lambda geo, a: calls.append(a) or derivative(geo, a))
+    derivative = cn.Geometry._nabla_curvature
+    monkeypatch.setattr(cn.Geometry, "_nabla_curvature",
+                        lambda geo, x: calls.append(x) or derivative(geo, x))
     assert not cn.Geometry(alg, cn.levi_civita(alg)).curvature_parallel
     assert 0 < len(calls) < alg.dim
-    # control: a parallel curvature is differentiated in every direction
+    # control: a parallel curvature is differentiated in every direction that
+    # has a nonzero form, the three vertical ones; nabla_{e_x} = 0 for the rest
     calls.clear()
-    assert cn.Geometry(alg, cn.canonical_connection(alg)).curvature_parallel
-    assert len(calls) == alg.dim
+    conn = cn.canonical_connection(alg)
+    assert cn.Geometry(alg, conn).curvature_parallel
+    assert calls == [x for x, a in enumerate(conn.omega) if not a.is_zero()] == [0, 1, 2]
 
 
 def test_is_parallel_stops_at_the_first_direction_that_moves(monkeypatch):
@@ -1065,7 +1159,7 @@ def test_is_parallel_agrees_with_every_derivative(which):
         assert len(derivatives) == alg.dim
         assert cn.is_parallel(conn, tensor) == all(d.is_zero() for d in derivatives)
     geo = cn.Geometry(alg, conn)
-    derivatives = [geo._curvature_derivative(a) for a in conn.omega]
+    derivatives = [curvature_derivative_oracle(geo, a) for a in conn.omega]
     assert geo.curvature_parallel == all(not d for d in derivatives) == (which == "canonical")
     with pytest.raises(TypeError, match="cannot differentiate int"):
         cn.is_parallel(conn, 0)

@@ -245,16 +245,20 @@ def test_contact_and_qc_suites_p8(suite):
 
 
 def test_connection_suite_builds_each_tensor_once():
-    """One report reads the curvature, holonomy and nabla R of each connection from its bundle."""
+    """One report reads the curvature, its holonomy coordinates, the holonomy
+    and nabla R of each connection from its bundle."""
     rep, ran = profiled_report(ReportConfig(p=5, suites=("connection",), fmt="json"))
     assert rep.all_passed and _digest(rep) == CONNECTION_DIGESTS[5]
-    calls = {name: ran[code_of(f"qhg.connections.{name}")]
-             for name in ("Geometry.curvature_parts", "_holonomy_at", "Geometry._curvature_derivative")}
-    # the canonical and the Levi-Civita curvature; one closure, at l = 1;
-    # one nabla R per frame direction (n = 23)
-    assert 1 <= calls["Geometry.curvature_parts"] <= 2
+    names = ("Geometry.curvature_parts", "Geometry.curvature_coordinates", "_holonomy_at",
+             "Geometry._nabla_curvature")
+    calls = {name: ran[code_of(f"qhg.connections.{name}")] for name in names}
+    # the canonical curvature only: the Levi-Civita Ricci is read from the
+    # forms; one coordinate read and one closure, at l = 1; one nabla R per
+    # direction with a nonzero canonical form, the three vertical ones
+    assert calls["Geometry.curvature_parts"] == 1
+    assert calls["Geometry.curvature_coordinates"] == 1
     assert calls["_holonomy_at"] == 1
-    assert 1 <= calls["Geometry._curvature_derivative"] <= 23
+    assert calls["Geometry._nabla_curvature"] == 3
 
 
 def test_spinor_checks_lift_the_levi_civita_forms_once(monkeypatch):
