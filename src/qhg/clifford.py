@@ -105,6 +105,8 @@ def spin_lift(a: Endo) -> Endo:
     """Lift of a skew endomorphism, (1/4) sum of A[k, l] g_l g_k over the
     stored entries, each pair in both orders, the products taken in that
     order: the unique normalization with [lift(A), g(X)] = g(AX)."""
+    if a.dim != AMBIENT_DIM:
+        raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
     if not a.is_skew():
         raise ValueError("endomorphism is not skew")
     return _endo(SPIN_DIM, _combination(

@@ -10,8 +10,8 @@ bundles one connection with the tensors read from it (torsion,
 curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
 once, on first read.  Torsion, curvature and Ricci are each one pass over
 the stored entries of the connection forms into integer parts keyed by
-index tuples.  The holonomy basis and the coordinates in it share one
-span; nabla R and hol + m read the curvature in those coordinates.
+index tuples.  The span of the curvature and the holonomy closure built
+on it share one basis; nabla R and hol + m read the curvature in it.
 """
 
 from __future__ import annotations
@@ -193,12 +193,12 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
 class Geometry:
     """One connection on one algebra, with the tensors every check reads:
     torsion and curvature as integer parts and their 3-form and per-pair
-    views, Ricci, the holonomy basis with its span and the curvature's
-    coordinates on it, the parallelism verdicts and the table of hol + m.
+    views, Ricci, the span of the curvature with the curvature's coordinates
+    on it, the holonomy basis, the parallelism verdicts and the table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
-    only the fields it needs: a transvection test that stops at torsion
-    which is not parallel never builds the holonomy.
+    only the fields it needs: a transvection test that stops at torsion or
+    curvature which is not parallel never builds the holonomy.
     """
 
     def __init__(self, alg: QHAlgebra, conn: Connection):
@@ -286,13 +286,10 @@ class Geometry:
 
     @cached_property
     def ricci(self) -> Endo:
-        """Ric(e_j, e_l) = sum_i g(R(e_i, e_j) e_l, e_i) = sum_i R(e_i, e_j)[i, l].
-
-        Each ordered pair (i, j) adds row i of R(e_i, e_j) = [Omega_i, Omega_j] -
-        sum_c [e_i, e_j]_c Omega_c alone.  A term (t, s, c, v) adds v times row s of
-        Omega_c into Ric(e_t, .): row i of Omega_i meets every Omega_j, Omega_j[i, m]
-        meets -Omega_i, and [e_a, e_b]_c = v gives -v at (t, s) = (b, a), v at (a, b).
-        """
+        """Ric(e_j, e_l) = sum_i R(e_i, e_j)[i, l], each ordered pair adding row i of
+        R(e_i, e_j) = [Omega_i, Omega_j] - sum_c [e_i, e_j]_c Omega_c alone.  A term (t, s,
+        c, v) adds v times row s of Omega_c into Ric(e_t, .): row i of Omega_i meets every
+        Omega_j, Omega_j[i, m] meets -Omega_i, [e_a, e_b]_c = v is -v at (b, a), v at (a, b)."""
         omega, n = self.conn.omega, self.alg.dim
         rows = [[(d, den, _rows(e)) for d, (den, e) in f.parts.items()] for f in omega]
         terms = [(d, den, j, m, j, v) for i, parts in enumerate(rows) for d, den, r in parts
@@ -318,8 +315,18 @@ class Geometry:
         return self._holonomy_span[0]
 
     @cached_property
+    def _curvature_span(self) -> tuple[list[Endo], Span]:
+        """A basis B_c of the span V of the curvature, each part of each R(e_i, e_j) at
+        degree 0 pushed in pair order (see `_push`); the holonomy closure goes on from it."""
+        n = self.alg.dim
+        span, members = Span(n * n + n * (n - 1) // 2), []  # so(n) bounds the basis
+        for den, e in (part for r in self.curvature.values() for part in r.parts.values()):
+            _push(span, members, _endo(n, {0: (den, e)}))
+        return members, span
+
+    @cached_property
     def _holonomy_span(self) -> tuple[list[Endo], Span]:
-        """The holonomy basis and the span it is built on (see `_push`)."""
+        """The holonomy basis and the span it is built on, which hold V first."""
         return _holonomy_at(self)
 
     @cached_property
@@ -329,48 +336,47 @@ class Geometry:
         return t3 is not None and is_parallel(self.conn, t3)
 
     @cached_property
-    def curvature_coordinates(self) -> dict:
-        """(i, j) -> the raw coordinates of -R(e_i, e_j), i < j, in the holonomy
-        basis B_c, read once on its span, or None outside it (`_coordinates`)."""
-        span = self._holonomy_span[1]
-        return {key: _coordinates(span, r) for key, r in self.curvature.items()}
-
-    @cached_property
-    def _coefficient_forms(self) -> list[KForm]:
-        """The 2-forms s^c of -R = sum_c s^c B_c; ArithmeticError for a pair outside the span."""
-        raw: list[list] = [[] for _ in self.holonomy]
-        for (i, j), coords in self.curvature_coordinates.items():
-            if coords is None:
-                raise ArithmeticError(f"R(e_{i}, e_{j}) outside the holonomy span")
-            for d, den, e in coords:
+    def curvature_coordinates(self) -> list[KForm]:
+        """The coordinates of -R in the basis B_c of V, read once on its span: the
+        2-forms s^c of -R = sum_c s^c B_c, one per B_c, none zero, as R spans V."""
+        members, span = self._curvature_span
+        raw: list[list] = [[] for _ in members]
+        for (i, j), r in self.curvature.items():
+            for d, den, e in _coordinates(span, r):  # never None: R(e_i, e_j) lies in V
                 for c, v in e.items():
                     raw[c].append((d, den, {(i, j): v}))
-        return [_kform(self.alg.dim, 2, graded(r)) for r in raw]
+        return [_kform(self.alg.dim, 2, graded(r)) for r in raw if r]
 
-    def _nabla_curvature(self, x: int) -> dict:
-        """nabla_{e_x} (-R) = sum_c D^c B_c as parts {(c, i, j): int} of the 2-forms
-        D^c = Omega_x . s^c + sum_b C^c_b s^b, C^c_b coordinate c of [Omega_x, B_b].
-        As the B_c are independent, nabla_{e_x} R = 0 iff every D^c is; the other
-        premises are reads that are not None: R(e_i, e_j) in hol, and [Omega_x,
-        hol] in hol (the closure brackets with every form), else ArithmeticError.
-        """
-        hol, span = self._holonomy_span
-        a, forms = self.conn.omega[x], self._coefficient_forms
-        raw = [(d, den, {(c, *ij): v for ij, v in e.items()})
-               for c, f in enumerate(forms) for d, (den, e) in _act_on_form(a, f).parts.items()]
-        for b, basis in enumerate(hol):
-            coords = _coordinates(span, basis.commutator(a))  # -[B_b, A] = [A, B_b]
+    def _nabla_curvature(self, x: int):
+        """The 2-forms D^c = Omega_x . s^c + sum_b C^c_b s^b of nabla_{e_x} (-R) = sum_c D^c B_c,
+        lazily in c, C^c_b coordinate c of [Omega_x, B_b]: exact, as the B_c are independent
+        and hold R and each [Omega_x, B_b].  nabla_{e_x} R = 0 puts [Omega_x, R(e_i, e_j)] =
+        R(Omega_x e_i, e_j) + R(e_i, Omega_x e_j) in V: for R homogeneous in l, each B_b a value
+        of R, a bracket outside the span answers None, nabla_{e_x} R != 0.  Else its parts
+        join the basis; the holonomy then fails its certificate and is never built."""
+        members, span = self._curvature_span
+        a, forms, n = self.conn.omega[x], self.curvature_coordinates, self.alg.dim
+        terms = {c: [(0, 1, 1, _act_on_form(a, f))] for c, f in enumerate(forms)}  # c -> (dc, nc, w, f)
+        for f, bracket in zip(forms, (b.commutator(a) for b in members)):  # -[B_b, A] = [A, B_b]
+            coords = _coordinates(span, bracket)
             if coords is None:
-                raise ArithmeticError(f"[Omega_{x}, B_{b}] outside the holonomy span")
-            raw += [(d + dc, den * nc, {(c, *ij): w * v for ij, v in e.items()})
-                    for dc, nc, ec in coords for c, w in ec.items()
-                    for d, (den, e) in forms[b].parts.items()]
-        return graded(raw)
+                if all(len(r.parts) == 1 for r in self.curvature.values()):
+                    return None
+                for den, e in bracket.parts.values():
+                    _push(span, members, _endo(n, {0: (den, e)}))
+                coords = _coordinates(span, bracket)
+            for dc, nc, ec in coords:
+                for c, w in ec.items():
+                    terms.setdefault(c, []).append((dc, nc, w, f))
+        return (_kform(n, 2, graded((d + dc, den * nc, {ij: w * v for ij, v in e.items()})
+                                    for dc, nc, w, f in terms.get(c, ()) for d, (den, e) in f.parts.items()))
+                for c in range(len(members)))
 
     @cached_property
     def curvature_parallel(self) -> bool:
-        """Whether nabla_{e_x} R = 0 for every x with Omega_x != 0, up to the first that moves."""
-        return not any(self._nabla_curvature(x) for x, a in enumerate(self.conn.omega) if a.parts)
+        """Whether nabla_{e_x} R = 0 for every x with Omega_x != 0, up to the first D^c that moves."""
+        return all((d := self._nabla_curvature(x)) is not None and not any(f.parts for f in d)
+                   for x, a in enumerate(self.conn.omega) if a.parts)
 
     @cached_property
     def transvection_algebra(self):
@@ -381,13 +387,15 @@ class Geometry:
         holonomy coordinates, read on the span of the closure, [A, e_i] =
         A e_i from the entries of A and -T(e_i, e_j) from `torsion_parts`,
         each bracket summed from its raw parts in one `graded`.  Requires, in
-        this order, totally skew and parallel torsion, a closure closed under
-        its bracket that holds R, and parallel R: (table, None), else (None, witness).
+        this order, totally skew and parallel torsion, parallel R and a closure
+        closed under its bracket that holds R: (table, None), else (None, witness).
         """
         if self.torsion_form is None:
             return None, ("torsion not totally skew",)
         if not self.torsion_parallel:
             return None, ("torsion not parallel",)
+        if not self.curvature_parallel:
+            return None, ("curvature not parallel",)
 
         hol, span = self._holonomy_span
         h, n = len(hol), self.alg.dim
@@ -397,12 +405,14 @@ class Geometry:
             if coords is None:
                 return None, ("holonomy not closed under bracket", a, b)
             raw[(a, b)] = coords
-        for (i, j), coords in self.curvature_coordinates.items():  # of -R(e_i, e_j)
-            if coords is None:
-                return None, ("curvature outside holonomy span", i, j)
-            raw[(h + i, h + j)] = list(coords)  # a copy: the torsion is appended below
-        if not self.curvature_parallel:
-            return None, ("curvature not parallel",)
+        forms = self.curvature_coordinates  # of -R, in the first B_c of hol
+        if len(forms) > h:  # the first pair with a coordinate past hol
+            pair = min(ij for f in forms[h:] for _, e in f.parts.values() for ij in e)
+            return None, ("curvature outside holonomy span", *pair)
+        for c, f in enumerate(forms):
+            for d, (den, e) in f.parts.items():
+                for (i, j), v in e.items():
+                    raw.setdefault((h + i, h + j), []).append((d, den, {c: v}))
         for a, form in enumerate(hol):
             for d, (den, e) in form.parts.items():
                 for (k, i), v in e.items():  # A e_i is column i of A
@@ -560,16 +570,13 @@ def _at_one(e: Endo, label: str) -> Endo:
 
 
 def _holonomy_at(geo: Geometry) -> tuple[list[Endo], Span]:
-    """The holonomy closure at l = 1.  Each connection form and each R(e_i, e_j)
-    is certified homogeneous in l, so at any l > 0 it is a positive multiple
-    of its value at 1, and the closure spans the same subspace."""
-    n = geo.alg.dim
-    span = Span(n * n + n * (n - 1) // 2)  # so(n) bounds the basis
-    members: list[Endo] = []
-    forms = (_at_one(geo.conn.form(i), f"connection form {i}") for i in range(n))
-    omegas = [o for o in forms if not o.is_zero()]
+    """The holonomy closure at l = 1, continuing `Geometry._curvature_span`.  Each
+    connection form and each R(e_i, e_j) is certified homogeneous in l, so at any
+    l > 0 it is a positive multiple of its value at 1, the element of the span."""
+    omegas = [o for i, f in enumerate(geo.conn.omega) if (o := _at_one(f, f"connection form {i}")).parts]
     for (i, j), e in geo.curvature.items():
-        _push(span, members, _at_one(e, f"R(e_{i}, e_{j})"))
+        homogeneous_part(e, f"R(e_{i}, e_{j})")
+    members, span = geo._curvature_span
     for h in members:  # members grows as it is read: a breadth-first closure
         for o in chain(omegas, members):
             _push(span, members, o.commutator(h))

@@ -84,6 +84,15 @@ def test_spin_lift_rejects_non_skew():
         cl.spin_lift(Endo.identity(7))
 
 
+@pytest.mark.parametrize("dim", [6, 8, 11])
+def test_spin_lift_rejects_another_dimension(dim):
+    skew = Endo(dim, {(0, dim - 1): 1, (dim - 1, 0): -1})
+    with pytest.raises(ValueError, match=f"^Clifford action needs ambient dimension 7, got {dim}$"):
+        cl.spin_lift(skew)
+    with pytest.raises(ValueError, match=f"got {dim}$"):
+        cl.spin_lift(Endo.zero(dim))
+
+
 def test_spin_lift_homomorphism_random():
     rng = random.Random(43)
     for _ in range(50):
