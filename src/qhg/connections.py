@@ -11,7 +11,7 @@ curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
 once, on first read.  Torsion, curvature and Ricci are each one pass over
 the stored entries of the connection forms into integer parts keyed by
 index tuples.  The span of the curvature and the holonomy closure built
-on it share one basis; nabla R and hol + m read the curvature in it.
+on it share one basis; nabla R and hol + m (m in the frame e_i / l) read R in it.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ class Geometry:
     """One connection on one algebra, with the tensors every check reads:
     torsion and curvature as integer parts and their 3-form and per-pair
     views, Ricci, the span of the curvature with the curvature's coordinates
-    on it, the holonomy basis, the parallelism verdicts and the table of hol + m.
+    on it, the holonomy basis, the parallelism verdicts and the one-part table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
     only the fields it needs: a transvection test that stops at torsion or
@@ -315,14 +315,15 @@ class Geometry:
         return self._holonomy_span[0]
 
     @cached_property
-    def _curvature_span(self) -> tuple[list[Endo], Span]:
-        """A basis B_c of the span V of the curvature, each part of each R(e_i, e_j) at
-        degree 0 pushed in pair order (see `_push`); the holonomy closure goes on from it."""
+    def _curvature_span(self) -> tuple[list[Endo], Span, list]:
+        """A basis B_c of the span V of the curvature, each part of each R(e_i, e_j) pushed at
+        degree 0 in pair order, and the coordinates of -R the pushes hand back (see `_push`),
+        as (i, j, degree, den, {c: int}); the holonomy closure goes on from V."""
         n = self.alg.dim
         span, members = Span(n * n + n * (n - 1) // 2), []  # so(n) bounds the basis
-        for den, e in (part for r in self.curvature.values() for part in r.parts.values()):
-            _push(span, members, _endo(n, {0: (den, e)}))
-        return members, span
+        coords = [(i, j, d, *_push(span, members, _endo(n, {0: part})))
+                  for (i, j), r in self.curvature.items() for d, part in r.parts.items()]
+        return members, span, coords
 
     @cached_property
     def _holonomy_span(self) -> tuple[list[Endo], Span]:
@@ -337,14 +338,13 @@ class Geometry:
 
     @cached_property
     def curvature_coordinates(self) -> list[KForm]:
-        """The coordinates of -R in the basis B_c of V, read once on its span: the
+        """The coordinates of -R in the basis B_c of V, as `_curvature_span` read them: the
         2-forms s^c of -R = sum_c s^c B_c, one per B_c, none zero, as R spans V."""
-        members, span = self._curvature_span
+        members, _, coords = self._curvature_span
         raw: list[list] = [[] for _ in members]
-        for (i, j), r in self.curvature.items():
-            for d, den, e in _coordinates(span, r):  # never None: R(e_i, e_j) lies in V
-                for c, v in e.items():
-                    raw[c].append((d, den, {(i, j): v}))
+        for i, j, d, den, e in coords:
+            for c, v in e.items():
+                raw[c].append((d, den, {(i, j): v}))
         return [_kform(self.alg.dim, 2, graded(r)) for r in raw if r]
 
     def _nabla_curvature(self, x: int):
@@ -354,7 +354,7 @@ class Geometry:
         R(Omega_x e_i, e_j) + R(e_i, Omega_x e_j) in V: for R homogeneous in l, each B_b a value
         of R, a bracket outside the span answers None, nabla_{e_x} R != 0.  Else its parts
         join the basis; the holonomy then fails its certificate and is never built."""
-        members, span = self._curvature_span
+        members, span, _ = self._curvature_span
         a, forms, n = self.conn.omega[x], self.curvature_coordinates, self.alg.dim
         terms = {c: [(0, 1, 1, _act_on_form(a, f))] for c, f in enumerate(forms)}  # c -> (dc, nc, w, f)
         for f, bracket in zip(forms, (b.commutator(a) for b in members)):  # -[B_b, A] = [A, B_b]
@@ -382,13 +382,18 @@ class Geometry:
     def transvection_algebra(self):
         """The homogeneous algebra hol + m as one structure-constant table.
 
-        hol takes the indices 0..h-1 of the holonomy basis, m the indices
-        h..h+n-1 of the frame.  The brackets are [A, B] and -R(e_i, e_j) in
-        holonomy coordinates, read on the span of the closure, [A, e_i] =
-        A e_i from the entries of A and -T(e_i, e_j) from `torsion_parts`,
-        each bracket summed from its raw parts in one `graded`.  Requires, in
-        this order, totally skew and parallel torsion, parallel R and a closure
-        closed under its bracket that holds R: (table, None), else (None, witness).
+        hol takes the indices 0..h-1 of the holonomy basis, m the indices h..h+n-1
+        of the frame X_i = e_i / l.  The brackets are [A, B] in holonomy coordinates,
+        read on the span of the closure, [A, X_i] = A X_i from the entries of A, and
+        [X_i, X_j] = -(R(e_i, e_j) + T(e_i, e_j)) / l^2 from `curvature_coordinates`
+        and `torsion_parts`, each summed from its raw parts in one `graded`.  The
+        frame scales each Jacobi sum and reductivity entry by a unit of the Laurent
+        ring, so for every l > 0 they vanish as in the frame e_i, at the same triples.
+        There the canonical R has degree 2 and T degree 1 (33 of the 162 brackets at
+        p = 5 hold both); dividing by l^2 sets both at 0, by a numeric l moves no
+        degree, and every bracket has one part.  Requires, in this order, totally
+        skew and parallel torsion, parallel R and a closure closed under its bracket
+        that holds R: (table, None), else (None, witness).
         """
         if self.torsion_form is None:
             return None, ("torsion not totally skew",)
@@ -409,17 +414,18 @@ class Geometry:
         if len(forms) > h:  # the first pair with a coordinate past hol
             pair = min(ij for f in forms[h:] for _, e in f.parts.values() for ij in e)
             return None, ("curvature outside holonomy span", *pair)
+        dl, nl, el = homogeneous_part(self.alg.lam)  # l = el[()] l^dl / nl
         for c, f in enumerate(forms):
             for d, (den, e) in f.parts.items():
-                for (i, j), v in e.items():
-                    raw.setdefault((h + i, h + j), []).append((d, den, {c: v}))
+                for (i, j), v in e.items():  # -R(e_i, e_j) / l^2
+                    raw.setdefault((h + i, h + j), []).append((d - 2 * dl, den * el[()] ** 2, {c: v * nl * nl}))
         for a, form in enumerate(hol):
             for d, (den, e) in form.parts.items():
-                for (k, i), v in e.items():  # A e_i is column i of A
+                for (k, i), v in e.items():  # A X_i is column i of A
                     raw.setdefault((a, h + i), []).append((d, den, {h + k: v}))
         for d, (den, e) in self.torsion_parts.items():
-            for (i, j, k), v in e.items():  # -T(e_i, e_j)
-                raw.setdefault((h + i, h + j), []).append((d, -den, {h + k: v}))
+            for (i, j, k), v in e.items():  # -T(e_i, e_j)_k / l at X_k
+                raw.setdefault((h + i, h + j), []).append((d - dl, -den * el[()], {h + k: v * nl}))
         table = {key: graded(raw[key]) for key in sorted(raw)}
         return StructureConstants(h + n, {key: _vector(h + n, v) for key, v in table.items() if v}), None
 
@@ -572,36 +578,45 @@ def _at_one(e: Endo, label: str) -> Endo:
 def _holonomy_at(geo: Geometry) -> tuple[list[Endo], Span]:
     """The holonomy closure at l = 1, continuing `Geometry._curvature_span`.  Each
     connection form and each R(e_i, e_j) is certified homogeneous in l, so at any
-    l > 0 it is a positive multiple of its value at 1, the element of the span."""
+    l > 0 it is a positive multiple of its value at 1, the element of the span.  Member
+    a meets each form and the members before it: each pair once.  Skew forms keep R and
+    every bracket in so(n), so the closure stops when n(n - 1)/2 members span all of it."""
     omegas = [o for i, f in enumerate(geo.conn.omega) if (o := _at_one(f, f"connection form {i}")).parts]
     for (i, j), e in geo.curvature.items():
         homogeneous_part(e, f"R(e_{i}, e_{j})")
-    members, span = geo._curvature_span
-    for h in members:  # members grows as it is read: a breadth-first closure
-        for o in chain(omegas, members):
+    members, span, _ = geo._curvature_span
+    full = geo.alg.dim * (geo.alg.dim - 1) // 2 if all(o.is_skew() for o in omegas) else None
+    for a, h in enumerate(members):  # members grows as it is read: a breadth-first closure
+        for o in chain(omegas, members[:a]):
+            if len(members) == full:
+                return members, span
             _push(span, members, o.commutator(h))
     return members, span
 
 
-def _push(span: Span, members: list[Endo], e: Endo) -> None:
-    """Append e, of degree 0, to the basis when it lies outside its span.
+def _push(span: Span, members: list[Endo], e: Endo) -> tuple[int, dict]:
+    """Append e, of degree 0, to the basis when it lies outside its span; return the
+    part (den, {a: int}) of the coordinates of -e in the basis, -1 at a when e is b_a.
 
     Element b_a, of part (d_a, t_a), is the one row [t_a | d_a e_a] =
     d_a [b_a | e_a].  A candidate e of part (den, t) reduces [t | 0] to res / res_den =
     den [e - s | -x], s = sum_a x_a b_a, so it is outside the span iff res has
     an entry below column n^2; then res with den res_den at column n^2 + a is
-    res_den den [e | e_a] modulo the span.  An element past so(n) raises.
+    res_den den [e | e_a] modulo the span.  Else res over den res_den is -x / den.
+    An element past so(n) raises.
     """
     if not e.parts:
-        return
+        return 1, {}
     ((den, entries),) = e.parts.values()  # of degree 0: one part
     nn = e.dim * e.dim
     res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
-    if min(res, default=nn) < nn:
-        if nn + len(members) == span.n:
-            raise ArithmeticError("holonomy closure exceeded so(n)")
-        span.add({**res, nn + len(members): den * res_den})
-        members.append(e)
+    if min(res, default=nn) >= nn:
+        return den * res_den, {j - nn: x for j, x in res.items()}
+    if nn + len(members) == span.n:
+        raise ArithmeticError("holonomy closure exceeded so(n)")
+    span.add({**res, nn + len(members): den * res_den})
+    members.append(e)
+    return 1, {len(members) - 1: -1}
 
 
 def _coordinates(span: Span, e: Endo) -> list | None:

@@ -22,8 +22,7 @@ The tensors of `exterior` index their parts by frame indices; a `Scalar`
 is the rank-0 case, indexed by the empty tuple, and its ring operations
 run through the same kernels.  Only ints and Fractions enter a `Scalar`,
 and only Fractions leave it: `coeff` and `terms` return ``Fraction``.  A
-report's tensors have one part each, except the vectors of the hol + m
-table, whose curvature coordinates and torsion sit at two degrees.
+report's tensors have one part each, the hol + m table among them.
 """
 
 from __future__ import annotations

@@ -416,8 +416,9 @@ def test_first_bianchi_levi_civita():
 
 
 def test_reductivity_is_total_skewness():
-    # the m-part of the rebuilt bracket [e_i, e_j] is -T(e_i, e_j), so the
-    # reductivity condition is exactly total skewness of the torsion
+    # the m-part of the rebuilt bracket [X_i, X_j], X_i = e_i / lam, is
+    # -T(e_i, e_j) / lam^2 = -T(e_i, e_j)_k / lam at X_k, so the reductivity
+    # condition is exactly total skewness of the torsion
     alg = algebra.build(1)
     geo = cn.Geometry(alg, cn.canonical_connection(alg))
     table, _ = geo.transvection_algebra
@@ -426,7 +427,7 @@ def test_reductivity_is_total_skewness():
     for i, j in combinations(range(n), 2):
         v = table.bracket_basis(h + i, h + j)
         for k in range(n):
-            assert v[h + k] == -t3.coeff((i, j, k))
+            assert v[h + k] == -t3.coeff((i, j, k)) / alg.lam
 
 
 def _skew_unit(n, r, c):
@@ -521,12 +522,15 @@ def test_vertical_irreducibility_certifies_each_row():
         cn.vertical_action_irreducible(alg, [mixed])
 
 
-def transvection_table_oracle(geo, hol):
-    """`Geometry.transvection_algebra` built pair by pair on the basis hol:
-    the torsion T(e_i, e_j) of each pair from its definition, the hol
-    coordinates from a second span of the rows [b_a | e_a], and every
-    bracket padded to dimension h + n by zero vectors."""
+def transvection_table_oracle(geo, hol, inverse=None):
+    """`Geometry.transvection_algebra` built pair by pair on the basis hol, m in
+    the frame X_i = inverse e_i, inverse = 1 / lam by default: the torsion
+    T(e_i, e_j) of each pair from its definition, the hol coordinates from a
+    second span of the rows [b_a | e_a], [X_i, X_j] = inverse^2 [e_i, e_j],
+    whose m-part -inverse^2 T(e_i, e_j) is -inverse T(e_i, e_j)_k at X_k,
+    and every bracket padded to dimension h + n by zero vectors."""
     alg = geo.alg
+    inverse = Scalar(1) / alg.lam if inverse is None else inverse
     h, n = len(hol), alg.dim
     tor = torsion_tensor_oracle(alg, geo.conn)
     nn = n * n
@@ -565,7 +569,7 @@ def transvection_table_oracle(geo, hol):
         coords = hol_coords(-geo.curvature.get((i, j), Endo.zero(n)))
         if coords is None:
             return None, ("curvature outside holonomy span", i, j)
-        put(h + i, h + j, coords, -tor.get((i, j), Vector.zero(n)))
+        put(h + i, h + j, coords.scale(inverse * inverse), -tor.get((i, j), Vector.zero(n)).scale(inverse))
     return StructureConstants(h + n, table), None
 
 
@@ -578,6 +582,59 @@ def test_transvection_table_matches_the_pairwise_oracle(p):
     assert witness is None and table.dim == oracle.dim == alg.dim + 3
     assert table._sc == oracle._sc
     assert list(table._sc) == sorted(table._sc)
+
+
+def test_curvature_coordinates_are_read_from_the_pushes(monkeypatch):
+    """`_push` hands back the coordinates of each part of R it reduced, so
+    `curvature_coordinates` reduces nothing a second time."""
+    alg = algebra.build(1)
+    geo = cn.Geometry(alg, cn.levi_civita(alg))
+    members = geo._curvature_span[0]
+    reduced = []
+    monkeypatch.setattr(Span, "reduce", lambda self, v: reduced.append(v))
+    forms = geo.curvature_coordinates
+    assert reduced == [] and len(forms) == len(members) == 21
+
+
+def lam_degrees(table) -> list[tuple[int, ...]]:
+    """The distinct degree sets of the stored brackets of a table."""
+    return sorted({tuple(sorted(v.parts)) for v in table._sc.values()})
+
+
+@pytest.mark.parametrize("p, lam", [(1, None), (2, None), (3, None), (1, Fraction(3, 2))])
+def test_transvection_table_has_one_part_per_bracket(p, lam):
+    """In the frame e_i / lam each stored bracket of hol + m has one part, at
+    degree 0, for the formal parameter and for a numeric one."""
+    alg = algebra.build(p, lam)
+    table, witness = cn.Geometry(alg, cn.canonical_connection(alg)).transvection_algebra
+    assert witness is None and lam_degrees(table) == [(0,)]
+
+
+def test_one_part_negative_control_ignores_the_degree_of_lam(monkeypatch):
+    """A shift of the curvature by -2 and the torsion by -1 that ignores the
+    degree of lam: at lam = 3/2 the table has parts at -2, -1 and 0."""
+    alg = algebra.build(1, Fraction(3, 2))
+    geo = cn.Geometry(alg, cn.canonical_connection(alg))
+    assert geo.curvature_parallel and geo.torsion_parallel and len(geo.holonomy) == 3
+    monkeypatch.setattr(alg, "lam", LAM)  # the formal degree, read by the table alone
+    table, _ = geo.transvection_algebra
+    assert lam_degrees(table) == [(-2, -1), (-1,), (0,)]
+    oracle, _ = transvection_table_oracle(geo, geo.holonomy, Scalar({-1: 1}))
+    assert table._sc == oracle._sc
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_transvection_jacobi_witness_in_the_scaled_frame(p):
+    """Negating the hol components of every m-m bracket breaks Jacobi at the
+    first triple (X_0, X_1, X_3) = indices (3, 4, 6), in the frame e_i / lam
+    as in the frame e_i: the change of frame keeps the witnesses."""
+    alg = algebra.build(p)
+    table, _ = cn.Geometry(alg, cn.canonical_connection(alg)).transvection_algebra
+    h = table.dim - alg.dim
+    assert algebra.jacobi_check(table) == (True, None)
+    structure = {(x, y): Vector([-c if a < h else c for a, c in enumerate(v)]) if x >= h else v
+                 for (x, y), v in table._sc.items()}  # x < y: an m-m bracket has x >= h
+    assert algebra.jacobi_check(StructureConstants(table.dim, structure)) == (False, (3, 4, 6))
 
 
 def test_transvection_algebra_holonomy_witnesses(monkeypatch):
@@ -637,6 +694,44 @@ def test_holonomy_closure_stops_at_so_n(monkeypatch):
         cn.Geometry(alg, cn.Connection(forms)).holonomy
     (span,) = built
     assert span.dim == n * (n - 1) // 2 and span.n == n * n + span.dim
+
+
+def counted_pushes(monkeypatch) -> list:
+    """The elements `connections._push` is handed from now on."""
+    pushed, push = [], cn._push
+
+    def counted(span, members, e):
+        pushed.append(e)
+        return push(span, members, e)
+
+    monkeypatch.setattr(cn, "_push", counted)
+    return pushed
+
+
+def test_dense_holonomy_stops_at_so_n(monkeypatch):
+    """A dense skew torsion whose curvature already spans so(11): the closure
+    of skew forms stops at n(n - 1)/2 members without bracketing a pair."""
+    alg = algebra.build(2)
+    geo = cn.Geometry(alg, cn.with_torsion(alg, random_form(random.Random(1), 11, 3, 0.3).scale(LAM)))
+    assert len(geo._curvature_span[0]) == 55
+    pushed = counted_pushes(monkeypatch)
+    assert len(geo.holonomy) == 55 and pushed == []
+
+
+def test_holonomy_closure_brackets_the_forms_and_each_pair_once(monkeypatch):
+    """On the abelian algebra, Omega_0 = A and Omega_1 = B rotating the planes
+    e_0 e_1 and e_1 e_2: the curvature spans [A, B] alone, and only the forms
+    bracket it up to so(3).  Member a meets the two forms and the a members
+    before it: 2 + 3 + 4 brackets for three members."""
+    alg = algebra.QHAlgebra(1, LAM, {})  # all brackets zero
+    n = alg.dim
+    a, b = _skew_unit(n, 0, 1), _skew_unit(n, 1, 2)
+    geo = cn.Geometry(alg, cn.Connection([a, b] + [Endo.zero(n)] * (n - 2)))
+    assert geo._curvature_span[0] == [a.commutator(b)]
+    pushed = counted_pushes(monkeypatch)
+    hol = geo.holonomy
+    assert len(hol) == 3 and len(pushed) == 9
+    assert cn.invariant_subspace(hol, (0, 1, 2)) and cn.invariant_subspace(hol, tuple(range(3, n)))
 
 
 def ricci_oracle(alg, conn):

@@ -3,7 +3,12 @@ module level; only `scalars` evaluates the metric parameter."""
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from qhg.exterior import KForm
+from qhg.report import ReportConfig, run
+from qhg.scalars import LAM, Scalar
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qhg"
 
@@ -64,8 +69,10 @@ def test_only_scalars_specializes_the_metric_parameter():
     `tests/support.specialize` evaluates a Scalar at a sampled l, and every
     other module reads the parameter at l = 1 through
     `scalars.homogeneous_part`, which certifies that one point suffices.
-    Only `.terms()` calls are caught: `Scalar.coeff` and `Scalar.parts` read
-    coefficients too, but `KForm.coeff` and `Endo.parts` share those names."""
+    Only `.terms()` calls are caught here: `Scalar.coeff` and `Scalar.parts`
+    read coefficients too, but `KForm.coeff` and `Endo.parts` share those
+    names, so `scalar_reads` catches them at run time, where the receiver's
+    type is known."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "scalars.py":
             assert rational_calls(path.read_text(), ("terms",)) == [], path.name
@@ -79,6 +86,66 @@ def test_terms_guard_flags_a_sampled_parameter():
     assert rational_calls(method, ("terms",)) == ["G.f:3"]
     assert rational_calls("x = s.terms()\n", ("terms",)) == ["<module>:1"]
     assert rational_calls("def f(s):\n    return homogeneous_part(s), s.terms\n", ("terms",)) == []
+
+
+def scalar_reads(action) -> list[str]:
+    """`file:function:line` of every read of a Scalar's coefficients by exponent,
+    a `Scalar.coeff` or `Scalar.terms` call or a read of `Scalar.parts`, that code
+    in src/ outside `scalars.py` makes while action() runs.  The class is patched
+    for the run, so a tensor's `coeff` or `parts` is never mistaken for one."""
+    found = set()
+    slot, coeff, terms = Scalar.parts, Scalar.coeff, Scalar.terms
+
+    def note():
+        frame = sys._getframe(2)  # the reader, past the patched attribute
+        path = Path(frame.f_code.co_filename)
+        if path.parent == SRC and path.name != "scalars.py":
+            found.add(f"{path.name}:{frame.f_code.co_name}:{frame.f_lineno}")
+
+    def parts(s):
+        note()
+        return slot.__get__(s)
+
+    def noted(method):
+        def read(s, *args):
+            note()
+            return method(s, *args)
+
+        return read
+
+    Scalar.parts, Scalar.coeff, Scalar.terms = property(parts, slot.__set__), noted(coeff), noted(terms)
+    try:
+        action()
+    finally:
+        Scalar.parts, Scalar.coeff, Scalar.terms = slot, coeff, terms
+    return sorted(found)
+
+
+def test_only_scalars_reads_a_scalar_by_exponent():
+    """Whole reports, formal at p = 1 and 2 and at l = 3/2, read no Scalar's
+    coefficients by exponent outside `scalars.py`."""
+    configs = [ReportConfig(p=1), ReportConfig(p=2), ReportConfig(p=1, lam=Fraction(3, 2))]
+    assert scalar_reads(lambda: [run(cfg) for cfg in configs]) == []
+
+
+def _in_src(source: str) -> dict:
+    """The names source defines, run as if it were a module of src/."""
+    names: dict = {}
+    exec(compile(source, str(SRC / "sampled.py"), "exec"), names)
+    return names
+
+
+def test_scalar_read_guard_flags_a_sampled_parameter():
+    at = _in_src("def _at(s, v):\n    return sum(s.coeff(e) * v**e for e in s.parts)\n")["_at"]
+    assert scalar_reads(lambda: at(LAM * 2 + 3, 2)) == ["sampled.py:<genexpr>:2", "sampled.py:_at:2"]
+    terms = _in_src("def f(s):\n    return dict(s.terms())\n")["f"]
+    assert scalar_reads(lambda: terms(LAM)) == ["sampled.py:f:2"]
+    # a 2-form's coeff and parts, and the same reads outside src/, are not flagged
+    form = KForm.basis(3, (0, 1)).scale(LAM)
+    tensor = _in_src("def f(t):\n    return t.coeff((0, 1)), t.parts\n")["f"]
+    assert scalar_reads(lambda: tensor(form)) == []
+    assert scalar_reads(lambda: sum(s.coeff(e) for s in [LAM] for e in s.parts)) == []
+    assert Scalar.parts.__class__.__name__ == "member_descriptor"  # restored
 
 
 def hand_accumulations(source: str) -> list[str]:

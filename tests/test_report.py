@@ -53,6 +53,16 @@ def test_specialized_parameter_report():
     assert ricci.values["s_riemannian"] == "-36"
 
 
+# SHA-256 of the JSON report of `--p 1 --lambda 3/2`: a numeric parameter
+# enters the hol + m table through its degree and denominator
+LAMBDA_3_2_DIGEST = "c9cd75690ffd0196f5847bfae9dc6d9c7dac31b8eaa226f671c958fed611f619"
+
+
+def test_specialized_parameter_report_digest():
+    rep = run(ReportConfig(p=1, lam=Fraction(3, 2), suites=("all",), fmt="json"))
+    assert rep.all_passed and _digest(rep) == LAMBDA_3_2_DIGEST
+
+
 # a monomial as Scalar prints it: l, -l, c*l, l^k, -l^k, c*l^k
 _MONOMIAL = re.compile(r"^(?:(-?\d+(?:/\d+)?)\*|(-))?l(?:\^(-?\d+))?$")
 
