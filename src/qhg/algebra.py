@@ -56,8 +56,9 @@ def derived(fn):
 class StructureConstants:
     """Sparse Lie bracket table on the basis e_0..e_{dim-1}.
 
-    `structure` maps (i, j) with i < j to the nonzero brackets [e_i, e_j].
-    `_derived` is the memo of the `derived` functions of the table.
+    `structure` maps (i, j) with 0 <= i < j < dim to the nonzero brackets
+    [e_i, e_j], vectors of dimension dim; any other key or vector raises
+    ValueError.  `_derived` is the memo of the `derived` functions of the table.
     """
 
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
@@ -67,6 +68,10 @@ class StructureConstants:
         # orders; a negative den negates (see scalars.graded)
         self._parts: list[dict[int, list]] = [{} for _ in range(dim)]
         for (i, j), v in structure.items():
+            if not 0 <= i < j < dim:
+                raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < {dim}")
+            if v.dim != dim:
+                raise ValueError(f"bracket {(i, j)} has dimension {v.dim}, not {dim}")
             self._parts[i][j] = [(d, den, e) for d, (den, e) in v.parts.items()]
             self._parts[j][i] = [(d, -den, e) for d, (den, e) in v.parts.items()]
         self._derived: dict = {}
@@ -221,29 +226,33 @@ def build(p: int, lam: int | Fraction | None = None) -> QHAlgebra:
 
 
 def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | None]:
-    """Exact Jacobi identity over all basis triples i < j < k.
+    """Exact Jacobi identity on i < j < k, read from the stored v_ab = [e_a, e_b].
 
-    Returns the lexicographically first triple with a nonzero cyclic sum.
-    A sum runs only over the nonzero brackets among its three vectors; the
-    table holds [e_i, e_k] for i < k, so [[e_k, e_i], e_j] is read as its
-    negative.
+    The sum on (i, j, k) is [v_ij, e_k] + [v_jk, e_i] - [v_ik, e_j].  For one i
+    at a time, each v_ij meets every e_c, c > i, c != j, at the sorted triple
+    (negated when c < j), and each v_jk, j > i, meets e_i; the least triple
+    with a nonzero sum, the lexicographically first, is returned.  A full scan
+    makes |stored| * (n - 2) products, not a walk over n^3/6 triples, and each
+    goes through `sc.bracket`, zero or not: no double bracket is assumed zero.
     """
-    n, get = sc.dim, sc._sc.get
+    n, bracket = sc.dim, sc.bracket
     basis = [sc.basis_vector(c) for c in range(n)]
+    rows = [[(j, sc._sc[i, j]) for j in sc._parts[i] if j > i] for i in range(n)]  # [(j, v_ij)]
     for i in range(n):
+        raw: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> raw parts of its sum
+        for j, v in rows[i]:
+            for c in range(i + 1, n):
+                if c != j:
+                    for d, (den, e) in bracket(v, basis[c]).parts.items():
+                        key = (i, j, c) if c > j else (i, c, j)
+                        raw.setdefault(key, []).append((d, den if c > j else -den, e))
         for j in range(i + 1, n):
-            ij = get((i, j))
-            for k in range(j + 1, n):
-                jk, ik = get((j, k)), get((i, k))
-                if ij is None and jk is None and ik is None:
-                    continue
-                raw = []  # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j]
-                for v, c, sign in ((ij, k, 1), (jk, i, 1), (ik, j, -1)):
-                    if v is not None:
-                        for d, (den, e) in sc.bracket(v, basis[c]).parts.items():
-                            raw.append((d, sign * den, e))
-                if raw and graded(raw):
-                    return False, (i, j, k)
+            for k, v in rows[j]:
+                for d, (den, e) in bracket(v, basis[i]).parts.items():
+                    raw.setdefault((i, j, k), []).append((d, den, e))
+        for key in sorted(raw):
+            if graded(raw[key]):
+                return False, key
     return True, None
 
 

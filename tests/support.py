@@ -12,7 +12,7 @@ from pathlib import Path
 
 from qhg import clifford, report
 from qhg.exterior import Endo, KForm, Vector, _kform
-from qhg.scalars import Scalar
+from qhg.scalars import Scalar, graded
 
 
 def cli_env() -> dict[str, str]:
@@ -70,6 +70,29 @@ def integer_part(row: dict) -> tuple[int, dict]:
     row = {j: x for j, x in row.items() if x}
     den = lcm(*(x.denominator for x in row.values()))
     return den, {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+
+
+def jacobi_oracle(sc) -> tuple[bool, tuple[int, int, int] | None]:
+    """Jacobi identity triple by triple over all i < j < k, the reference for
+    `algebra.jacobi_check`: the lexicographically first triple with a nonzero
+    cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j]."""
+    n, get = sc.dim, sc._sc.get
+    basis = [sc.basis_vector(c) for c in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ij = get((i, j))
+            for k in range(j + 1, n):
+                jk, ik = get((j, k)), get((i, k))
+                if ij is None and jk is None and ik is None:
+                    continue
+                raw = []  # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j]
+                for v, c, sign in ((ij, k, 1), (jk, i, 1), (ik, j, -1)):
+                    if v is not None:
+                        for d, (den, e) in sc.bracket(v, basis[c]).parts.items():
+                            raw.append((d, sign * den, e))
+                if raw and graded(raw):
+                    return False, (i, j, k)
+    return True, None
 
 
 def span_contains(span, v) -> bool:

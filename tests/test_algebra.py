@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from benchmarks import gate
 from qhg import algebra, connections
 from qhg.exterior import Endo, KForm, Vector, ce_differential, wedge
 from qhg.scalars import LAM, Scalar
+from support import jacobi_oracle
 
 
 def test_build_rejects_bad_p():
@@ -104,15 +108,118 @@ def test_center_is_the_exact_nullspace_of_ad():
     assert algebra.center_dimension(alg) == 5
 
 
+def sl2_tables():
+    """sl(2) = <h, e, f> and `broken`, the same table with [e, f] = e."""
+    h, e, f = (Vector.basis(3, i) for i in range(3))
+    table = {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): h}
+    return algebra.StructureConstants(3, table), algebra.StructureConstants(3, {**table, (1, 2): e})
+
+
 def test_structure_constants_on_a_non_nilpotent_table():
     """sl(2): [h, e] = 2e, [h, f] = -2f, [e, f] = h; Jacobi holds, center is 0."""
     h, e, f = (Vector.basis(3, i) for i in range(3))
-    sl2 = algebra.StructureConstants(3, {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): h})
+    sl2, broken = sl2_tables()
     assert sl2.bracket(e, h) == e.scale(-2)
     assert algebra.jacobi_check(sl2) == (True, None)
     assert algebra.center_dimension(sl2) == 0
-    broken = algebra.StructureConstants(3, {(0, 1): e.scale(2), (0, 2): f.scale(-2), (1, 2): e})
     assert algebra.jacobi_check(broken) == (False, (0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "structure, bad",
+    [
+        ({(0, 1): (2, 1), (0, 2): (-2, 2), (2, 1): (-1, 1)}, (2, 1)),  # `broken` with [e, f] read as -[f, e]
+        ({(0, 1): (2, 1), (1, 1): (1, 1)}, (1, 1)),  # diagonal: [e, e] would read as -e
+        ({(0, 1): (2, 1), (1, 3): (1, 1)}, (1, 3)),  # past dim
+        ({(-1, 1): (1, 1)}, (-1, 1)),
+    ],
+)
+def test_structure_constants_reject_a_key_outside_i_below_j_below_dim(structure, bad):
+    """Every key the table cannot honour is refused by name; `structure` maps
+    a key to (c, k), the bracket c e_k.  A reversed key was bracketed by
+    `bracket` but never read by Jacobi, which passed the reversed form of
+    `broken`; a diagonal key gave [e_1, e_1] != 0."""
+    vectors = {key: Vector.basis(3, k).scale(c) for key, (c, k) in structure.items()}
+    with pytest.raises(ValueError, match=rf"bracket key \({bad[0]}, {bad[1]}\)"):
+        algebra.StructureConstants(3, vectors)
+
+
+def test_structure_constants_reject_a_vector_of_another_dimension():
+    with pytest.raises(ValueError, match=r"bracket \(0, 1\) has dimension 4, not 3"):
+        algebra.StructureConstants(3, {(0, 2): Vector.basis(3, 1), (0, 1): Vector.basis(4, 2)})
+
+
+def canonical_hol_m(p):
+    alg = algebra.build(p)
+    return connections.Geometry(alg, connections.canonical_connection(alg)).transvection_algebra[0]
+
+
+def negated_hol_m(p):
+    """hol + m with the hol components of every m-m bracket negated; Jacobi
+    first fails at (3, 4, 6)."""
+    table = canonical_hol_m(p)
+    h = table.dim - 4 * p - 3
+    structure = {(x, y): Vector([-c if a < h else c for a, c in enumerate(v)]) if x >= h else v
+                 for (x, y), v in table._sc.items()}
+    return algebra.StructureConstants(table.dim, structure)
+
+
+ORACLE_TABLES = {
+    **{f"build({p})": lambda p=p: algebra.build(p) for p in (1, 2, 3)},
+    **{f"hol+m({p})": lambda p=p: canonical_hol_m(p) for p in (1, 2, 3)},
+    **{f"negated hol+m({p})": lambda p=p: negated_hol_m(p) for p in (1, 2, 3)},
+    "sl2": lambda: sl2_tables()[0],
+    "broken": lambda: sl2_tables()[1],
+    # fails at (0, 1, 3) and (0, 2, 3); the scan meets (0, 2, 3) first, at [v_03, e_2]
+    "two-at-0": lambda: algebra.StructureConstants(
+        4, {(0, 3): Vector.basis(4, 1), (1, 2): Vector.basis(4, 2), (1, 3): Vector.basis(4, 3)}),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_TABLES)
+def test_jacobi_check_matches_the_triple_by_triple_oracle(name):
+    table = ORACLE_TABLES[name]()
+    assert algebra.jacobi_check(table) == jacobi_oracle(table)
+
+
+@st.composite
+def sparse_tables(draw):
+    """A table of dimension 3..9 with a few sparse brackets whose entries mix
+    degrees and denominators; most such tables fail Jacobi at several triples."""
+    dim = draw(st.integers(3, 9))
+    keys = list(combinations(range(dim), 2))
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(keys), st.integers(0, dim - 1),  # [e_i, e_j] gets c lam^d e_k
+        st.integers(-1, 2), st.integers(-3, 3).filter(bool), st.integers(1, 4)), max_size=12))
+    comps: dict = {}
+    for key, k, d, num, den in entries:
+        row = comps.setdefault(key, {})
+        row[k] = row.get(k, Scalar(0)) + Scalar({d: Fraction(num, den)})
+    structure = {key: Vector([c.get(k, Scalar(0)) for k in range(dim)]) for key, c in comps.items()}
+    return algebra.StructureConstants(dim, {key: v for key, v in structure.items() if not v.is_zero()})
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_tables())
+def test_jacobi_check_matches_the_oracle_on_random_sparse_tables(table):
+    failing = [t for t in combinations(range(table.dim), 3) if gate.jacobi_sum_is_nonzero(table, t)]
+    expected = (False, failing[0]) if failing else (True, None)
+    assert algebra.jacobi_check(table) == jacobi_oracle(table) == expected
+
+
+def test_jacobi_witnesses_of_all_p4_mutants():
+    """All 1,920 mutants [tau_a, tau_b] += lam tau_c of the p = 4 algebra fail
+    at the triple of the oracle and of the benchmark's known answer."""
+    alg = algebra.build(4)
+    horizontal = alg.horizontal_indices
+    extras = {c: alg.basis_vector(c).scale(alg.lam) for c in horizontal}
+    for a, b in combinations(horizontal, 2):
+        for c in horizontal:
+            structure = dict(alg._sc)
+            structure[(a, b)] = structure[(a, b)] + extras[c] if (a, b) in structure else extras[c]
+            mutated = algebra.QHAlgebra(4, alg.lam, structure)
+            witness = gate.mutant_witness(4, a, b, c)
+            assert algebra.jacobi_check(mutated) == jacobi_oracle(mutated) == (False, witness)
 
 
 def test_two_step_nilpotent():
