@@ -1,6 +1,6 @@
 """Exact verification engine for quaternionic Heisenberg group geometry.
 
-Laurent-polynomial scalars over exact rationals feed an exterior-algebra
+Exact monomials c * l^d in the metric parameter feed an exterior-algebra
 kernel on the orthonormal frame of the (4p+3)-dimensional nilpotent Lie
 algebra; connection calculus, Clifford/spin computations, contact and
 quaternionic contact structures and the dimension-7 special geometry are

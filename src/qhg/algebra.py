@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exterior import Endo, KForm, Vector, _endo, _kform, _vector, two_form_endo, wedge
 from .linalg import nullspace
-from .scalars import LAM, Scalar, accumulate, graded, part
+from .scalars import LAM, ZERO_PART, Scalar, accumulate, graded
 
 # quaternion unit table (1, i, j, k): _QUAT[a][b] = (sign, index of a*b)
 _QUAT = [
@@ -57,23 +57,34 @@ class StructureConstants:
     """Sparse Lie bracket table on the basis e_0..e_{dim-1}.
 
     `structure` maps (i, j) with 0 <= i < j < dim to the nonzero brackets
-    [e_i, e_j], vectors of dimension dim; any other key or vector raises
-    ValueError.  `_derived` is the memo of the `derived` functions of the table.
+    [e_i, e_j], vectors of dimension dim, all of one degree in l, `degree`
+    (None when every bracket is zero); any other key or vector, or a bracket
+    of a second degree, raises ValueError.  `_derived` is the memo of the
+    `derived` functions of the table.
     """
 
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
         self.dim = dim
         self._sc = structure
-        # _parts[i][j] = [(d, den, {k: int})], the parts of [e_i, e_j] in both
-        # orders; a negative den negates (see scalars.graded)
-        self._parts: list[dict[int, list]] = [{} for _ in range(dim)]
+        # _parts[i][j] = (den, {k: int}), [e_i, e_j] = entries / den * l^degree
+        # in both orders; a negative den negates (see scalars.graded)
+        self._parts: list[dict[int, tuple]] = [{} for _ in range(dim)]
         for (i, j), v in structure.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < {dim}")
             if v.dim != dim:
                 raise ValueError(f"bracket {(i, j)} has dimension {v.dim}, not {dim}")
-            self._parts[i][j] = [(d, den, e) for d, (den, e) in v.parts.items()]
-            self._parts[j][i] = [(d, -den, e) for d, (den, e) in v.parts.items()]
+            _, den, e = v.part
+            if e:
+                self._parts[i][j], self._parts[j][i] = (den, e), (-den, e)
+        self.degree = first = None
+        for key in sorted(structure):
+            d = structure[key].part[0]
+            if d is None or d == self.degree:
+                continue
+            if first is not None:
+                raise ValueError(f"bracket {key} has degree {d} in l, not {self.degree} as bracket {first}")
+            self.degree, first = d, key
         self._derived: dict = {}
 
     def basis_vector(self, index: int) -> Vector:
@@ -88,31 +99,38 @@ class StructureConstants:
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension over the nonzero components of x and y."""
-        acc: dict[tuple[int, int], dict[int, int]] = {}  # (degree, den) -> sums
+        acc: dict[int, dict[int, int]] = {}  # den of the table -> sums
         table = self._parts
-        for dx, (nx, ex) in x.parts.items():
-            for i, a in ex.items():
-                row = table[i]
-                if not row:
-                    continue
-                for dy, (ny, ey) in y.parts.items():
-                    for j, b in ey.items():
-                        for d, den, v in row.get(j, ()):
-                            sums = acc.setdefault((dx + dy + d, nx * ny * den), {})
-                            ab = a * b
-                            for k, c in v.items():
-                                accumulate(sums, k, ab * c)
-        if len(acc) == 1:  # one (degree, den): the usual case
-            (((d, den), e),) = acc.items()
-            return _vector(self.dim, part(d, den, e))
-        return _vector(self.dim, graded((d, den, e) for (d, den), e in acc.items()) if acc else {})
+        dx, nx, ex = x.part
+        dy, ny, ey = y.part
+        for i, a in ex.items():
+            row = table[i]
+            if not row:
+                continue
+            for j, b in ey.items():
+                t = row.get(j)
+                if t:
+                    den, v = t
+                    sums = acc.get(den)
+                    if sums is None:
+                        sums = acc[den] = {}
+                    ab = a * b
+                    for k, c in v.items():
+                        accumulate(sums, k, ab * c)
+        if not acc:
+            return _vector(self.dim, ZERO_PART)
+        d, n = dx + dy + self.degree, nx * ny
+        return _vector(self.dim, graded(((d, n * den, e) for den, e in acc.items()), "bracket"))
 
     def ad(self, x: Vector) -> Endo:
         """ad_x = [x, -] read from the table: entry (k, j) is [x, e_j]_k."""
+        dx, nx, ex = x.part
+        if not ex or self.degree is None:
+            return Endo.zero(self.dim)
+        d = dx + self.degree
         return _endo(self.dim, graded(
-            (dx + d, nx * den, {(k, j): a * c for k, c in e.items()})
-            for dx, (nx, ex) in x.parts.items()
-            for i, a in ex.items() for j, terms in self._parts[i].items() for d, den, e in terms
+            (d, nx * den, {(k, j): a * c for k, c in e.items()})
+            for i, a in ex.items() for j, (den, e) in self._parts[i].items()
         ))
 
     @derived
@@ -122,8 +140,8 @@ class StructureConstants:
             raise IndexError(f"basis index {index} outside [0, {self.dim})")
         # d e^k (e_i, e_j) = -[e_i, e_j]_k
         return _kform(self.dim, 2, graded(
-            (d, -den, {(i, j): e[index]})
-            for (i, j), v in self._sc.items() for d, (den, e) in v.parts.items() if index in e
+            (self.degree, -den, {(i, j): e[index]})
+            for i, row in enumerate(self._parts) for j, (den, e) in row.items() if i < j and index in e
         ))
 
 
@@ -243,15 +261,17 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
         for j, v in rows[i]:
             for c in range(i + 1, n):
                 if c != j:
-                    for d, (den, e) in bracket(v, basis[c]).parts.items():
+                    d, den, e = bracket(v, basis[c]).part
+                    if e:
                         key = (i, j, c) if c > j else (i, c, j)
                         raw.setdefault(key, []).append((d, den if c > j else -den, e))
         for j in range(i + 1, n):
             for k, v in rows[j]:
-                for d, (den, e) in bracket(v, basis[i]).parts.items():
+                d, den, e = bracket(v, basis[i]).part
+                if e:
                     raw.setdefault((i, j, k), []).append((d, den, e))
         for key in sorted(raw):
-            if graded(raw[key]):
+            if graded(raw[key])[2]:
                 return False, key
     return True, None
 
@@ -259,17 +279,16 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
 def center_dimension(sc: StructureConstants) -> int:
     """Dimension of the center, the exact nullspace of x -> ad(x).
 
-    One row per (e_j, output index k, parameter power e) asks that the
-    coefficient of lam^e in [x, e_j]_k vanish; the terms of (e_j, k) are
-    raw parts over x, and `graded` brings each power to one denominator.
+    One row per (e_j, output index k) asks that [x, e_j]_k vanish; the terms
+    of (e_j, k) are raw parts over x, and `graded` brings them to one
+    denominator.
     """
     raw: dict[tuple[int, int], list] = {}
-    for (i, j), v in sc._sc.items():
-        for e, (den, entries) in v.parts.items():
-            for k, c in entries.items():
-                raw.setdefault((j, k), []).append((e, den, {i: c}))
-                raw.setdefault((i, k), []).append((e, -den, {j: c}))
-    rows = [row for terms in raw.values() for _, row in graded(terms).values()]
+    for i, row in enumerate(sc._parts):
+        for j, (den, entries) in row.items():
+            for k, c in entries.items():  # [e_i, e_j]_k = c: x_i c at (j, k)
+                raw.setdefault((j, k), []).append((sc.degree, den, {i: c}))
+    rows = [e for terms in raw.values() if (e := graded(terms)[2])]
     return len(nullspace(rows, sc.dim))
 
 
@@ -277,8 +296,8 @@ def two_step_nilpotent(sc: StructureConstants, center: tuple[int, ...]) -> bool:
     """Whether every bracket lies in span(e_k : k in center) and every
     bracket of a bracket vanishes: ad v = 0 for each stored bracket v."""
     brackets = sc._sc.values()
-    return all(k in center for v in brackets for _, e in v.parts.values() for k in e) and not any(
-        sc.ad(v).parts for v in brackets
+    return all(k in center for v in brackets for k in v.part[2]) and all(
+        sc.ad(v).is_zero() for v in brackets
     )
 
 

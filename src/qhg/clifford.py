@@ -82,23 +82,16 @@ def clifford_matrix(a: KForm) -> Endo:
     """Clifford action of a form: basis tuples become ordered products."""
     if a.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
-    return _endo(SPIN_DIM, _combination(
-        (d, den, c, gamma_product(idx).parts)
-        for d, (den, e) in a.parts.items()
-        for idx, c in e.items()
-    ))
+    d, den, e = a.part
+    return _endo(SPIN_DIM, _combination((d, den, c, gamma_product(idx).part) for idx, c in e.items()))
 
 
 def vector_action(x: Vector, s: Vector) -> Vector:
     """Clifford product of an ambient vector with a spinor."""
     if x.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {x.dim}")
-    g = gamma()
-    return _vector(SPIN_DIM, _combination(
-        (d, den, c, g[i].apply(s).parts)
-        for d, (den, e) in x.parts.items()
-        for i, c in e.items()
-    ))
+    g, (d, den, e) = gamma(), x.part
+    return _vector(SPIN_DIM, _combination((d, den, c, g[i].apply(s).part) for i, c in e.items()))
 
 
 def spin_lift(a: Endo) -> Endo:
@@ -109,8 +102,8 @@ def spin_lift(a: Endo) -> Endo:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
     if not a.is_skew():
         raise ValueError("endomorphism is not skew")
-    return _endo(SPIN_DIM, _combination(
-        (d, 4 * den, c, gamma_product((l, k)).parts) for d, (den, e) in a.parts.items() for (k, l), c in e.items()))
+    d, den, e = a.part
+    return _endo(SPIN_DIM, _combination((d, 4 * den, c, gamma_product((l, k)).part) for (k, l), c in e.items()))
 
 
 def relations_check() -> bool:
@@ -131,9 +124,9 @@ def lift_check(a: Endo) -> bool:
     products i < j of `clifford_matrix` against both orders in `spin_lift`."""
     lift, g = spin_lift(a), gamma()
     images = [[] for _ in range(AMBIENT_DIM)]  # column i -> terms of sum_k A[k, i] g_k
-    for d, (den, e) in a.parts.items():
-        for (k, i), c in e.items():
-            images[i].append((d, den, c, g[k].parts))
+    d, den, e = a.part
+    for (k, i), c in e.items():
+        images[i].append((d, den, c, g[k].part))
     return clifford_matrix(endo_two_form(a)) == lift.scale(2) and all(
         lift.commutator(g[i]) == _endo(SPIN_DIM, _combination(terms)) for i, terms in enumerate(images))
 

@@ -67,12 +67,7 @@ def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCrit
             lhs = torsions[i] - torsions[j]
             rhs = (mixed[i] - mixed[j]).scale(2)
             for idx, c in rhs.comps.items():
-                try:
-                    a = lhs.coeff(idx) / c
-                except ValueError:
-                    raise ArithmeticError(
-                        "coincidence system has a non-monomial ratio"
-                    ) from None
+                a = lhs.coeff(idx) / c
                 if candidate is None:
                     candidate = a
                 elif candidate != a:

@@ -8,8 +8,9 @@ frame-constant tensors nabla_X acts through the natural so(n) action of
 Omega(X), which is what all parallelism checks below use.  `Geometry`
 bundles one connection with the tensors read from it (torsion,
 curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
-once, on first read.  Torsion, curvature and Ricci are each one pass over
-the stored entries of the connection forms into integer parts keyed by
+once, on first read.  Every value holds one monomial c * l^d (see
+`scalars`).  Torsion, curvature and Ricci are each one pass over the
+stored entries of the connection forms into one integer part keyed by
 index tuples.  The span of the curvature and the holonomy closure built
 on it share one basis; nabla R and hol + m (m in the frame e_i / l) read R in it.
 """
@@ -35,7 +36,7 @@ from .exterior import (
     wedge,
 )
 from .linalg import Span
-from .scalars import Scalar, _normal, _product, accumulate, graded, homogeneous_part
+from .scalars import PartSum, Scalar, _product, accumulate, graded, homogeneous_part, part
 
 
 class Connection:
@@ -62,19 +63,16 @@ def levi_civita(alg: QHAlgebra) -> Connection:
     summed over the stored structure constants [e_a, e_b]_m, read in both
     orders: each lands in one entry of each of the three terms.
     """
-    n = alg.dim
-    # per direction: (degree, den) -> integer sums, halved through the den
-    sums: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
+    n, d = alg.dim, alg.degree
+    # per direction: den -> integer sums, halved through the den
+    sums: list[dict[int, dict]] = [{} for _ in range(n)]
     for a, row in enumerate(alg._parts):
-        for b, terms in row.items():
-            for d, den, e in terms:
-                for m, c in e.items():
-                    accumulate(sums[a].setdefault((d, den), {}), (m, b), c)
-                    accumulate(sums[m].setdefault((d, den), {}), (b, a), -c)
-                    accumulate(sums[b].setdefault((d, den), {}), (a, m), c)
-    return Connection([
-        _endo(n, graded((d, 2 * den, acc) for (d, den), acc in s.items())) for s in sums
-    ])
+        for b, (den, e) in row.items():
+            for m, c in e.items():
+                accumulate(sums[a].setdefault(den, {}), (m, b), c)
+                accumulate(sums[m].setdefault(den, {}), (b, a), -c)
+                accumulate(sums[b].setdefault(den, {}), (a, m), c)
+    return Connection([_endo(n, graded((d, 2 * den, acc) for den, acc in s.items())) for s in sums])
 
 
 def with_torsion(alg: QHAlgebra, t: KForm) -> Connection:
@@ -83,23 +81,24 @@ def with_torsion(alg: QHAlgebra, t: KForm) -> Connection:
     Omega(e_x) = Omega^g(e_x) + (1/2) e_x . t, in one pass over the nonzero
     entries of t: v e^{abc} adds v/2 at (c, b) of Omega(e_a), (a, c) of
     Omega(e_b) and (b, a) of Omega(e_c), and -v/2 at the transposed entries;
-    each direction then sums its Levi-Civita and torsion parts in one `graded`.
+    each direction then sums its Levi-Civita and torsion parts in one `graded`,
+    which raises where t meets a Levi-Civita form of another degree in l.
     """
     if t.degree != 3:
         raise ValueError("torsion must be a 3-form")
     if t.dim != alg.dim:
         raise ValueError("torsion does not live on this algebra")
-    raw = [[(d, den, e) for d, (den, e) in form.parts.items()] for form in levi_civita(alg).omega]
-    for d, (den, e) in t.parts.items():
-        # direction -> integer entries; a 3-form reaches each key at most once
-        half: dict[int, dict] = {}
-        for (a, b, c), v in e.items():
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):  # e_x . e^{xyz} = e^{yz}
-                acc = half.setdefault(x, {})
-                acc[(z, y)], acc[(y, z)] = v, -v
-        for x, acc in half.items():
-            raw[x].append((d, 2 * den, acc))
-    return Connection([_endo(alg.dim, graded(r)) for r in raw])
+    raw = [[form.part] for form in levi_civita(alg).omega]
+    d, den, e = t.part
+    # direction -> integer entries; a 3-form reaches each key at most once
+    half: dict[int, dict] = {}
+    for (a, b, c), v in e.items():
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):  # e_x . e^{xyz} = e^{yz}
+            acc = half.setdefault(x, {})
+            acc[(z, y)], acc[(y, z)] = v, -v
+    for x, acc in half.items():
+        raw[x].append((d, 2 * den, acc))
+    return Connection([_endo(alg.dim, graded(r, f"connection form {x}")) for x, r in enumerate(raw)])
 
 
 def flat_connection(alg: QHAlgebra) -> Connection:
@@ -148,22 +147,21 @@ def killing_one_forms_check(alg: QHAlgebra, lc: Connection) -> bool:
     (k, x) of the skew endomorphism of d eta_i."""
     vertical = alg.vertical_indices
     lhs = graded((d, den, {(i, x, k): v for (k, i), v in e.items() if i in vertical})
-                 for x, form in enumerate(lc.omega) for d, (den, e) in form.parts.items())
-    rhs = graded((d, 2 * den, {(i, x, k): v for (k, x), v in e.items()}) for i in vertical
-                 for d, (den, e) in two_form_endo(ce_differential(alg.eta(i + 1), alg)).parts.items())
+                 for x, (d, den, e) in enumerate(form.part for form in lc.omega))
+    d_eta = [two_form_endo(ce_differential(alg.eta(i + 1), alg)).part for i in vertical]
+    rhs = graded((d, 2 * den, {(i, x, k): v for (k, x), v in e.items()}) for i, (d, den, e) in zip(vertical, d_eta))
     return lhs == rhs
 
 
-def su2_curvature(alg: QHAlgebra) -> dict:
+def su2_curvature(alg: QHAlgebra) -> tuple:
     """Closed form of the canonical `Geometry.curvature_parts`: R(e_i, e_j) =
     lam^2 sum_k h_k(e_i, e_j) H_k, with h_k the su2_generators and H_k their
     endomorphisms, an entry (i, j) of h_k times an entry (k, l) of H_k."""
-    raw = []
-    for form in su2_generators(alg):
-        h = two_form_endo(form).scale(alg.lam * alg.lam)
-        raw += [(df + dh, nf * nh, {ij + kl: c * w for ij, c in ef.items() for kl, w in eh.items()})
-                for df, (nf, ef) in form.parts.items() for dh, (nh, eh) in h.parts.items()]
-    return graded(raw)
+    def outer(ef: dict, eh: dict) -> dict:
+        return {ij + kl: c * w for ij, c in ef.items() for kl, w in eh.items()}
+
+    return graded(_product(form.part, two_form_endo(form).scale(alg.lam * alg.lam).part, outer)
+                  for form in su2_generators(alg))
 
 
 def ricci_closed_form(alg: QHAlgebra) -> Endo:
@@ -194,7 +192,7 @@ class Geometry:
     """One connection on one algebra, with the tensors every check reads:
     torsion and curvature as integer parts and their 3-form and per-pair
     views, Ricci, the span of the curvature with the curvature's coordinates
-    on it, the holonomy basis, the parallelism verdicts and the one-part table of hol + m.
+    on it, the holonomy basis, the parallelism verdicts and the degree-0 table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
     only the fields it needs: a transvection test that stops at torsion or
@@ -208,81 +206,81 @@ class Geometry:
         self.conn = conn
 
     @cached_property
-    def torsion_parts(self) -> dict:
-        """T(e_i, e_j)_k, i < j, as parts {degree: (den, {(i, j, k): int})}.
+    def torsion_parts(self) -> tuple:
+        """T(e_i, e_j)_k, i < j, as one part (degree, den, {(i, j, k): int}).
 
         T(e_i, e_j) = Omega(e_i)e_j - Omega(e_j)e_i - [e_i, e_j] in one pass
         over the nonzero entries: entry (k, j) = v of Omega(e_i) lands at the
         sorted pair, v at (i, j, k) for i < j and -v at (j, i, k) for i > j;
         then the stored brackets [e_i, e_j]_k, i < j, are subtracted.
         """
-        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (i, j, k) -> sum
+        sums = PartSum("torsion")  # den -> (i, j, k) -> sum
         for i, form in enumerate(self.conn.omega):
-            for d, (den, e) in form.parts.items():
-                acc = buckets.setdefault((d, den), {})
+            d, den, e = form.part
+            if e:
+                acc = sums.at(d, den)
                 for (k, j), v in e.items():
                     if i != j:
                         accumulate(acc, (i, j, k) if i < j else (j, i, k), v if i < j else -v)
         for (i, j), bracket in self.alg._sc.items():
-            for d, (den, e) in bracket.parts.items():
-                acc = buckets.setdefault((d, den), {})
+            d, den, e = bracket.part
+            if e:
+                acc = sums.at(d, den)
                 for k, v in e.items():
                     accumulate(acc, (i, j, k), -v)
-        return graded((d, den, acc) for (d, den), acc in buckets.items())
+        return sums.part()
 
     @cached_property
     def torsion_form(self) -> KForm | None:
         """The torsion as a 3-form, or None when it is not totally skew, that is
         when a part of T is not the alternating extension of its i < j < k entries."""
-        raw = []
-        for d, (den, e) in self.torsion_parts.items():
-            t = {(i, j, k): v for (i, j, k), v in e.items() if j < k}
-            skew = {}
-            for (a, b, c), v in t.items():
-                skew[(a, b, c)], skew[(a, c, b)], skew[(b, c, a)] = v, -v, v
-            if skew != e:
-                return None
-            raw.append((d, den, t))
-        return _kform(self.alg.dim, 3, graded(raw))
+        d, den, e = self.torsion_parts
+        t = {(i, j, k): v for (i, j, k), v in e.items() if j < k}
+        skew = {}
+        for (a, b, c), v in t.items():
+            skew[(a, b, c)], skew[(a, c, b)], skew[(b, c, a)] = v, -v, v
+        if skew != e:
+            return None
+        return _kform(self.alg.dim, 3, part(d, den, t))
 
     @cached_property
-    def curvature_parts(self) -> dict:
-        """R(e_i, e_j)[k, l], i < j, as parts {degree: (den, {(i, j, k, l): int})}.
+    def curvature_parts(self) -> tuple:
+        """R(e_i, e_j)[k, l], i < j, as one part (degree, den, {(i, j, k, l): int}).
 
         R(e_i, e_j) = [Omega_i, Omega_j] - sum_c [e_i, e_j]_c Omega_c in one
-        pass over the stored entries: each pair of parts of Omega_i and Omega_j,
-        i < j, adds its integer commutator at (i, j, ., .), and each stored
-        bracket entry [e_i, e_j]_c = v subtracts v Omega_c there.
+        pass over the stored entries: each pair Omega_i, Omega_j, i < j, adds
+        its integer commutator at (i, j, ., .), and each stored bracket entry
+        [e_i, e_j]_c = v subtracts v Omega_c there.
         """
         forms = [(i, d, den, e, _rows(e))
-                 for i, f in enumerate(self.conn.omega) for d, (den, e) in f.parts.items()]
-        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (i, j, k, l) -> sum
+                 for i, (d, den, e) in enumerate(f.part for f in self.conn.omega) if e]
+        sums = PartSum("curvature")  # den -> (i, j, k, l) -> sum
         for i, di, ni, ei, ri in forms:
             for j, dj, nj, ej, rj in forms:
                 if i < j:
-                    acc = buckets.setdefault((di + dj, ni * nj), {})
+                    acc = sums.at(di + dj, ni * nj)
                     for ea, rows, sign in ((ei, rj, 1), (ej, ri, -1)):
                         for (k, m), v in ea.items():
                             for l, w in rows.get(m, ()):
                                 accumulate(acc, (i, j, k, l), sign * v * w)
+        omega = [f.part for f in self.conn.omega]
         for (i, j), bracket in self.alg._sc.items():
-            for d, (den, e) in bracket.parts.items():
-                for c, v in e.items():
-                    for dc, (nc, ec) in self.conn.omega[c].parts.items():
-                        acc = buckets.setdefault((d + dc, den * nc), {})
-                        for (k, l), w in ec.items():
-                            accumulate(acc, (i, j, k, l), -v * w)
-        return graded((d, den, acc) for (d, den), acc in buckets.items())
+            d, den, e = bracket.part
+            for c, v in e.items():
+                dc, nc, ec = omega[c]
+                if ec:
+                    acc = sums.at(d + dc, den * nc)
+                    for (k, l), w in ec.items():
+                        accumulate(acc, (i, j, k, l), -v * w)
+        return sums.part()
 
     @cached_property
     def curvature(self) -> dict[tuple[int, int], Endo]:
         """The nonzero R(e_i, e_j), i < j, in sorted pair order."""
-        parts, pairs = self.curvature_parts, {}
-        for d, (_, e) in parts.items():
-            for (i, j, k, l), v in e.items():
-                pairs.setdefault((i, j), {}).setdefault(d, {})[(k, l)] = v
-        return {key: _endo(self.alg.dim, {d: _normal(parts[d][0], e) for d, e in pairs[key].items()})
-                for key in sorted(pairs)}
+        (d, den, e), pairs = self.curvature_parts, {}
+        for (i, j, k, l), v in e.items():
+            pairs.setdefault((i, j), {})[(k, l)] = v
+        return {key: _endo(self.alg.dim, part(d, den, pairs[key])) for key in sorted(pairs)}
 
     @cached_property
     def ricci(self) -> Endo:
@@ -290,22 +288,22 @@ class Geometry:
         R(e_i, e_j) = [Omega_i, Omega_j] - sum_c [e_i, e_j]_c Omega_c alone.  A term (t, s,
         c, v) adds v times row s of Omega_c into Ric(e_t, .): row i of Omega_i meets every
         Omega_j, Omega_j[i, m] meets -Omega_i, [e_a, e_b]_c = v is -v at (b, a), v at (a, b)."""
-        omega, n = self.conn.omega, self.alg.dim
-        rows = [[(d, den, _rows(e)) for d, (den, e) in f.parts.items()] for f in omega]
-        terms = [(d, den, j, m, j, v) for i, parts in enumerate(rows) for d, den, r in parts
+        omega, n = [f.part for f in self.conn.omega], self.alg.dim
+        rows = [(d, den, _rows(e)) for d, den, e in omega]
+        terms = [(d, den, j, m, j, v) for i, (d, den, r) in enumerate(rows)
                  for m, v in r.get(i, ()) for j in range(n)]
-        terms += [(d, den, j, m, i, -v) for j, f in enumerate(omega)
-                  for d, (den, e) in f.parts.items() for (i, m), v in e.items()]
-        terms += [(d, den, t, s, c, f) for (a, b), bracket in self.alg._sc.items()
-                  for d, (den, e) in bracket.parts.items() for c, v in e.items()
-                  for t, s, f in ((b, a, -v), (a, b, v))]
-        buckets: dict[tuple[int, int], dict] = {}  # (degree, den) -> (t, l) -> sum
+        terms += [(d, den, j, m, i, -v) for j, (d, den, e) in enumerate(omega) for (i, m), v in e.items()]
+        terms += [(self.alg.degree, den, a, b, c, v) for a, row in enumerate(self.alg._parts)
+                  for b, (den, e) in row.items() for c, v in e.items()]  # [e_a, e_b]_c = v, both orders
+        sums = PartSum("Ricci")  # den -> (t, l) -> sum
         for d, den, t, s, c, v in terms:
-            for dc, nc, rc in rows[c]:
-                acc = buckets.setdefault((d + dc, den * nc), {})
-                for l, w in rc.get(s, ()):
+            dc, nc, rc = rows[c]
+            row = rc.get(s)
+            if row:
+                acc = sums.at(d + dc, den * nc)
+                for l, w in row:
                     accumulate(acc, (t, l), v * w)
-        return _endo(n, graded((d, den, acc) for (d, den), acc in buckets.items()))
+        return _endo(n, sums.part())
 
     @cached_property
     def holonomy(self) -> list[Endo]:
@@ -316,13 +314,13 @@ class Geometry:
 
     @cached_property
     def _curvature_span(self) -> tuple[list[Endo], Span, list]:
-        """A basis B_c of the span V of the curvature, each part of each R(e_i, e_j) pushed at
-        degree 0 in pair order, and the coordinates of -R the pushes hand back (see `_push`),
-        as (i, j, degree, den, {c: int}); the holonomy closure goes on from V."""
+        """A basis B_c of the span V of the curvature, each R(e_i, e_j) pushed at degree 0
+        in pair order, and the coordinates of -R the pushes hand back (see `_push`), as
+        (i, j, degree, den, {c: int}); the holonomy closure goes on from V."""
         n = self.alg.dim
         span, members = Span(n * n + n * (n - 1) // 2), []  # so(n) bounds the basis
-        coords = [(i, j, d, *_push(span, members, _endo(n, {0: part})))
-                  for (i, j), r in self.curvature.items() for d, part in r.parts.items()]
+        coords = [(i, j, d, *_push(span, members, _endo(n, (0, den, e))))
+                  for (i, j), (d, den, e) in ((key, r.part) for key, r in self.curvature.items())]
         return members, span, coords
 
     @cached_property
@@ -351,32 +349,27 @@ class Geometry:
         """The 2-forms D^c = Omega_x . s^c + sum_b C^c_b s^b of nabla_{e_x} (-R) = sum_c D^c B_c,
         lazily in c, C^c_b coordinate c of [Omega_x, B_b]: exact, as the B_c are independent
         and hold R and each [Omega_x, B_b].  nabla_{e_x} R = 0 puts [Omega_x, R(e_i, e_j)] =
-        R(Omega_x e_i, e_j) + R(e_i, Omega_x e_j) in V: for R homogeneous in l, each B_b a value
-        of R, a bracket outside the span answers None, nabla_{e_x} R != 0.  Else its parts
-        join the basis; the holonomy then fails its certificate and is never built."""
+        R(Omega_x e_i, e_j) + R(e_i, Omega_x e_j) in V, and each B_b is a value of R at l = 1,
+        as R is one monomial in l: a bracket outside the span answers None, nabla_{e_x} R != 0."""
         members, span, _ = self._curvature_span
         a, forms, n = self.conn.omega[x], self.curvature_coordinates, self.alg.dim
-        terms = {c: [(0, 1, 1, _act_on_form(a, f))] for c, f in enumerate(forms)}  # c -> (dc, nc, w, f)
+        terms = {c: [(0, 1, 1, _act_on_form(a, f).part)] for c, f in enumerate(forms)}  # c -> (dc, nc, w, f)
         for f, bracket in zip(forms, (b.commutator(a) for b in members)):  # -[B_b, A] = [A, B_b]
             coords = _coordinates(span, bracket)
             if coords is None:
-                if all(len(r.parts) == 1 for r in self.curvature.values()):
-                    return None
-                for den, e in bracket.parts.values():
-                    _push(span, members, _endo(n, {0: (den, e)}))
-                coords = _coordinates(span, bracket)
-            for dc, nc, ec in coords:
-                for c, w in ec.items():
-                    terms.setdefault(c, []).append((dc, nc, w, f))
+                return None
+            dc, nc, ec = coords
+            for c, w in ec.items():
+                terms.setdefault(c, []).append((dc, nc, w, f.part))
         return (_kform(n, 2, graded((d + dc, den * nc, {ij: w * v for ij, v in e.items()})
-                                    for dc, nc, w, f in terms.get(c, ()) for d, (den, e) in f.parts.items()))
+                                    for dc, nc, w, (d, den, e) in terms.get(c, ()) if e))
                 for c in range(len(members)))
 
     @cached_property
     def curvature_parallel(self) -> bool:
         """Whether nabla_{e_x} R = 0 for every x with Omega_x != 0, up to the first D^c that moves."""
-        return all((d := self._nabla_curvature(x)) is not None and not any(f.parts for f in d)
-                   for x, a in enumerate(self.conn.omega) if a.parts)
+        return all((d := self._nabla_curvature(x)) is not None and all(f.is_zero() for f in d)
+                   for x, a in enumerate(self.conn.omega) if not a.is_zero())
 
     @cached_property
     def transvection_algebra(self):
@@ -387,11 +380,11 @@ class Geometry:
         read on the span of the closure, [A, X_i] = A X_i from the entries of A, and
         [X_i, X_j] = -(R(e_i, e_j) + T(e_i, e_j)) / l^2 from `curvature_coordinates`
         and `torsion_parts`, each summed from its raw parts in one `graded`.  The
-        frame scales each Jacobi sum and reductivity entry by a unit of the Laurent
-        ring, so for every l > 0 they vanish as in the frame e_i, at the same triples.
-        There the canonical R has degree 2 and T degree 1 (33 of the 162 brackets at
-        p = 5 hold both); dividing by l^2 sets both at 0, by a numeric l moves no
-        degree, and every bracket has one part.  Requires, in this order, totally
+        frame scales each Jacobi sum and reductivity entry by a power of l, so for
+        every l > 0 they vanish as in the frame e_i, at the same triples.  There the
+        canonical R has degree 2 and T degree 1 (33 of the 162 brackets at p = 5
+        hold both); dividing by l^2 sets both at 0, by a numeric l moves no degree,
+        and every bracket has degree 0.  Requires, in this order, totally
         skew and parallel torsion, parallel R and a closure closed under its bracket
         that holds R: (table, None), else (None, witness).
         """
@@ -409,25 +402,25 @@ class Geometry:
             coords = _coordinates(span, hol[b].commutator(hol[a]))  # -[B, A] = [A, B]
             if coords is None:
                 return None, ("holonomy not closed under bracket", a, b)
-            raw[(a, b)] = coords
+            raw[(a, b)] = [coords]
         forms = self.curvature_coordinates  # of -R, in the first B_c of hol
         if len(forms) > h:  # the first pair with a coordinate past hol
-            pair = min(ij for f in forms[h:] for _, e in f.parts.values() for ij in e)
+            pair = min(ij for f in forms[h:] for ij in f.part[2])
             return None, ("curvature outside holonomy span", *pair)
         dl, nl, el = homogeneous_part(self.alg.lam)  # l = el[()] l^dl / nl
         for c, f in enumerate(forms):
-            for d, (den, e) in f.parts.items():
-                for (i, j), v in e.items():  # -R(e_i, e_j) / l^2
-                    raw.setdefault((h + i, h + j), []).append((d - 2 * dl, den * el[()] ** 2, {c: v * nl * nl}))
+            d, den, e = f.part
+            for (i, j), v in e.items():  # -R(e_i, e_j) / l^2
+                raw.setdefault((h + i, h + j), []).append((d - 2 * dl, den * el[()] ** 2, {c: v * nl * nl}))
         for a, form in enumerate(hol):
-            for d, (den, e) in form.parts.items():
-                for (k, i), v in e.items():  # A X_i is column i of A
-                    raw.setdefault((a, h + i), []).append((d, den, {h + k: v}))
-        for d, (den, e) in self.torsion_parts.items():
-            for (i, j, k), v in e.items():  # -T(e_i, e_j)_k / l at X_k
-                raw.setdefault((h + i, h + j), []).append((d - dl, -den * el[()], {h + k: v * nl}))
-        table = {key: graded(raw[key]) for key in sorted(raw)}
-        return StructureConstants(h + n, {key: _vector(h + n, v) for key, v in table.items() if v}), None
+            d, den, e = form.part
+            for (k, i), v in e.items():  # A X_i is column i of A
+                raw.setdefault((a, h + i), []).append((d, den, {h + k: v}))
+        d, den, e = self.torsion_parts
+        for (i, j, k), v in e.items():  # -T(e_i, e_j)_k / l at X_k
+            raw.setdefault((h + i, h + j), []).append((d - dl, -den * el[()], {h + k: v * nl}))
+        table = {key: graded(raw[key], f"bracket {key}") for key in sorted(raw)}
+        return StructureConstants(h + n, {key: _vector(h + n, v) for key, v in table.items() if v[2]}), None
 
     @cached_property
     def transvection(self):
@@ -462,38 +455,40 @@ class Geometry:
         t3 = self.torsion_form
         if t3 is None:
             raise ValueError("torsion of this connection is not totally skew")
-        # the defect per (degree, den) of its terms; `graded` sums them at the end
-        buckets: dict[tuple[int, int], dict] = {}
+        # the defect per den of its terms; `sums.part()` adds them at the end
+        sums = PartSum("first Bianchi defect")
 
         def put(acc: dict, triple: tuple[int, int, int], v: int, c: int):
             sign, key = _sort_tuple(triple)
             if sign:
                 accumulate(acc, key + (v,), c if sign > 0 else -c)
 
-        for d, (den, e) in self.curvature_parts.items():
-            acc = buckets.setdefault((d, den), {})
+        d, den, e = self.curvature_parts
+        if e:
+            acc = sums.at(d, den)
             for (i, j, v, k), c in e.items():  # g(R(e_i, e_j) e_k, e_v) = c
                 put(acc, (i, j, k), v, c)
-        for d, (den, e) in ce_differential(t3, self.alg).parts.items():
-            acc = buckets.setdefault((d, den), {})
+        d, den, e = ce_differential(t3, self.alg).part
+        if e:
+            acc = sums.at(d, den)
             for idx, c in e.items():
                 for s in range(4):  # dT(the other three slots, idx[s]) = (-1)^(3-s) c
                     put(acc, idx[:s] + idx[s + 1 :], idx[s], -c if s % 2 else c)
         for v, nt in enumerate(nabla_tensor(self.conn, t3)):
-            for d, (den, e) in nt.parts.items():
-                acc = buckets.setdefault((d, den), {})
+            d, den, e = nt.part
+            if e:
+                acc = sums.at(d, den)
                 for idx, c in e.items():
                     put(acc, idx, v, -c)
-        slices = {d: (den, _torsion_slices(e)) for d, (den, e) in t3.parts.items()}
-        for d1, (n1, s1) in slices.items():
-            for d2, (n2, s2) in slices.items():
-                acc = buckets.setdefault((d1 + d2, n1 * n2), {})
-                for m, pairs in s1.items():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
-                    for i, j, s in pairs:
-                        for k, v, t in s2.get(m, ()):
-                            put(acc, (i, j, k), v, s * t)
-                            put(acc, (i, j, v), k, -(s * t))
-        return not graded((d, den, acc) for (d, den), acc in buckets.items())
+        d, den, e = t3.part
+        if e:
+            acc, slices = sums.at(2 * d, den * den), _torsion_slices(e)
+            for m, pairs in slices.items():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
+                for i, j, s in pairs:
+                    for k, v, t in slices.get(m, ()):
+                        put(acc, (i, j, k), v, s * t)
+                        put(acc, (i, j, v), k, -(s * t))
+        return not sums.part()[2]
 
 
 def _torsion_slices(e: dict) -> dict[int, list[tuple[int, int, int]]]:
@@ -539,7 +534,7 @@ def _act_on_form(a: Endo, f: KForm) -> KForm:
                         accumulate(acc, key, -c * v if sign > 0 else c * v)
         return acc
 
-    return _kform(f.dim, f.degree, _product(a.parts, f.parts, act))
+    return _kform(f.dim, f.degree, _product(a.part, f.part, act))
 
 
 def _nabla_kernel(tensor):
@@ -569,23 +564,16 @@ def is_parallel(conn: Connection, tensor) -> bool:
 # -- holonomy ----------------------------------------------------------------
 
 
-def _at_one(e: Endo, label: str) -> Endo:
-    """e at l = 1, certified homogeneous in l: its one part, moved to degree 0."""
-    _, den, entries = homogeneous_part(e, label)
-    return _endo(e.dim, {0: (den, entries)} if entries else {})
-
-
 def _holonomy_at(geo: Geometry) -> tuple[list[Endo], Span]:
     """The holonomy closure at l = 1, continuing `Geometry._curvature_span`.  Each
-    connection form and each R(e_i, e_j) is certified homogeneous in l, so at any
-    l > 0 it is a positive multiple of its value at 1, the element of the span.  Member
-    a meets each form and the members before it: each pair once.  Skew forms keep R and
+    connection form and each R(e_i, e_j) is one monomial in l, so at any l > 0 it is
+    a positive multiple of its value at 1, the element of the span.  Member a meets
+    each form and the members before it: each pair once.  Skew forms keep R and
     every bracket in so(n), so the closure stops when n(n - 1)/2 members span all of it."""
-    omegas = [o for i, f in enumerate(geo.conn.omega) if (o := _at_one(f, f"connection form {i}")).parts]
-    for (i, j), e in geo.curvature.items():
-        homogeneous_part(e, f"R(e_{i}, e_{j})")
+    n = geo.alg.dim
+    omegas = [_endo(n, (0, den, e)) for _, den, e in (f.part for f in geo.conn.omega) if e]
     members, span, _ = geo._curvature_span
-    full = geo.alg.dim * (geo.alg.dim - 1) // 2 if all(o.is_skew() for o in omegas) else None
+    full = n * (n - 1) // 2 if all(o.is_skew() for o in omegas) else None
     for a, h in enumerate(members):  # members grows as it is read: a breadth-first closure
         for o in chain(omegas, members[:a]):
             if len(members) == full:
@@ -605,9 +593,9 @@ def _push(span: Span, members: list[Endo], e: Endo) -> tuple[int, dict]:
     res_den den [e | e_a] modulo the span.  Else res over den res_den is -x / den.
     An element past so(n) raises.
     """
-    if not e.parts:
+    _, den, entries = e.part  # of degree 0
+    if not entries:
         return 1, {}
-    ((den, entries),) = e.parts.values()  # of degree 0: one part
     nn = e.dim * e.dim
     res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
     if min(res, default=nn) >= nn:
@@ -619,20 +607,18 @@ def _push(span: Span, members: list[Endo], e: Endo) -> tuple[int, dict]:
     return 1, {len(members) - 1: -1}
 
 
-def _coordinates(span: Span, e: Endo) -> list | None:
-    """Raw parts (degree, den, {a: int}) of the coordinates of -e in the basis
-    b_a of `_push`, or None when e is outside its span.  A part (den, t) of e
+def _coordinates(span: Span, e: Endo) -> tuple | None:
+    """The raw part (degree, den, {a: int}) of the coordinates of -e in the basis
+    b_a of `_push`, or None when e is outside its span.  The part (d, den, t) of e
     reduces [t | 0] to res / res_den = [r | -x], t = r + sum_a x_a b_a: it is
     in the span iff r = 0, and then res over den res_den is -x / den.
     """
     nn = e.dim * e.dim
-    raw = []
-    for d, (den, entries) in e.parts.items():
-        res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
-        if min(res, default=nn) < nn:
-            return None
-        raw.append((d, den * res_den, {j - nn: x for j, x in res.items()}))
-    return raw
+    d, den, entries = e.part
+    res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
+    if min(res, default=nn) < nn:
+        return None
+    return d, den * res_den, {j - nn: x for j, x in res.items()}
 
 
 def invariant_subspace(basis: list[Endo], indices: tuple[int, ...]) -> bool:
@@ -641,8 +627,7 @@ def invariant_subspace(basis: list[Endo], indices: tuple[int, ...]) -> bool:
     return not any(
         c in inside and r not in inside
         for e in basis
-        for _, entries in e.parts.values()
-        for r, c in entries
+        for r, c in e.part[2]
     )
 
 
@@ -659,12 +644,10 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
         return False
     vertical = alg.vertical_indices
     span = Span(3)
-    for a, e in enumerate(basis):
-        for r in vertical:  # each row certified on its own: elements may differ in degree
-            raw = [(d, den, {k: x[r, c] for k, c in enumerate(vertical) if (r, c) in x})
-                   for d, (den, x) in e.parts.items()]
-            row = _vector(3, graded(raw))
-            span.add(homogeneous_part(row, f"row {r} of holonomy element {a}")[2])
+    for e in basis:  # a monomial in l: its rows at l = 1 span what they span at every l > 0
+        x = e.part[2]
+        for r in vertical:
+            span.add({k: x[r, c] for k, c in enumerate(vertical) if (r, c) in x})
     return span.dim == 3  # zero joint kernel
 
 
@@ -680,12 +663,11 @@ def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, i
     """
     h = table.dim - n
     for i in range(n):
-        raw = [
-            (d, den, {(k - h, j - h): v for (k, j), v in e.items() if k >= h and j >= h})
-            for d, (den, e) in table.ad(Vector.basis(table.dim, h + i)).parts.items()
-        ]
-        raw += [(d, den, {(j, k): v for (k, j), v in e.items()}) for d, den, e in raw]
-        bad = [key for _, e in graded(raw).values() for key in e]
+        a = {(k - h, j - h): v for (k, j), v in table.ad(Vector.basis(table.dim, h + i)).part[2].items()
+             if k >= h and j >= h}
+        bad = dict(a)  # A + A^T, on the integer entries of the one part
+        for (k, j), v in a.items():
+            accumulate(bad, (j, k), v)
         if bad:
             return i, *min(bad)
     return None

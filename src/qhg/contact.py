@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
 
 from .algebra import QHAlgebra, _unit_index, derived, quaternion_action
 from .connections import Connection, Geometry, flat_connection, is_parallel, levi_civita, with_torsion
 from .exterior import (Endo, KForm, Vector, _endo, _kform, _sort_tuple, _vector, ce_differential,
                        endo_two_form, interior, wedge)
 from .linalg import rref, solve
-from .scalars import ONE, ZERO, Scalar, _product, accumulate, graded, homogeneous_part
+from .scalars import ONE, ZERO, PartSum, Scalar, _product, accumulate, homogeneous_part, part
 
 
 class AlmostContact:
@@ -76,18 +75,19 @@ def _outer(v: Vector, form: KForm) -> Endo:
     def outer(ev: dict, ef: dict) -> dict:
         return {(a, b): x * y for a, x in ev.items() for (b,), y in ef.items()}
 
-    return _endo(v.dim, _product(v.parts, form.parts, outer))
+    return _endo(v.dim, _product(v.part, form.part, outer))
 
 
-def _where(parts: dict, keep) -> dict:
-    """The parts of the entries whose index satisfies `keep`."""
-    return graded((d, den, {k: v for k, v in e.items() if keep(k)}) for d, (den, e) in parts.items())
+def _where(p: tuple, keep) -> tuple:
+    """The part of the entries whose index satisfies `keep`."""
+    d, den, e = p
+    return part(d, den, {k: v for k, v in e.items() if keep(k)})
 
 
-def _on_h(alg: QHAlgebra, parts: dict) -> dict:
-    """The parts of the entries whose indices are all horizontal: a form
+def _on_h(alg: QHAlgebra, p: tuple) -> tuple:
+    """The part of the entries whose indices are all horizontal: a form
     restricted to H, an endomorphism cut to H x H."""
-    return _where(parts, lambda idx: not any(map(alg.is_vertical, idx)))
+    return _where(p, lambda idx: not any(map(alg.is_vertical, idx)))
 
 
 # -- almost contact metric structures -------------------------------------------
@@ -98,9 +98,9 @@ def _almost_contact_equations(alg: QHAlgebra, ac: AlmostContact) -> dict:
     as a thunk that decides it."""
     n, phi, xi, eta = alg.dim, ac.phi, ac.xi, ac.eta
     # phi^T, and the metric dual of eta: the same components, the frame being orthonormal
-    phi_t = _endo(n, {d: (den, {(c, r): v for (r, c), v in e.items()})
-                      for d, (den, e) in phi.parts.items()})
-    eta_v = _vector(n, {d: (den, {i: v for (i,), v in e.items()}) for d, (den, e) in eta.parts.items()})
+    (dp, np, ep), (de, ne, ee) = phi.part, eta.part
+    phi_t = _endo(n, (dp, np, {(c, r): v for (r, c), v in ep.items()}))
+    eta_v = _vector(n, (de, ne, {i: v for (i,), v in ee.items()}))
     one = Endo.identity(n)
     return {
         "phi^2 = -1 + xi (x) eta": lambda: phi.compose(phi) == _outer(xi, eta) - one,
@@ -152,7 +152,7 @@ def normality_check(alg: QHAlgebra, i: int, ac: AlmostContact | None = None) -> 
 
 def fundamental_form(alg: QHAlgebra, ac: AlmostContact) -> KForm:
     """F(X, Y) = g(X, phi Y)."""
-    return _kform(alg.dim, 2, _where(ac.phi.parts, lambda rc: rc[0] < rc[1]))
+    return _kform(alg.dim, 2, _where(ac.phi.part, lambda rc: rc[0] < rc[1]))
 
 
 def quasi_sasaki_check(alg: QHAlgebra, i: int) -> bool:
@@ -211,7 +211,7 @@ class QcStructure:
 def build_qc(alg: QHAlgebra) -> QcStructure:
     """Complex structures I_i = phi_i restricted to the horizontal space,
     1-forms -(2/lam) eta_i and Reeb fields -(lam/2) xi_i."""
-    complex_structures = [_endo(alg.dim, _on_h(alg, build_phi(alg, i).phi.parts)) for i in (1, 2, 3)]
+    complex_structures = [_endo(alg.dim, _on_h(alg, build_phi(alg, i).phi.part)) for i in (1, 2, 3)]
     scale = Scalar(-2) / alg.lam
     one_forms = [alg.eta(i).scale(scale) for i in (1, 2, 3)]
     reeb = [alg.xi(i).scale(alg.lam * Fraction(-1, 2)) for i in (1, 2, 3)]
@@ -221,8 +221,8 @@ def build_qc(alg: QHAlgebra) -> QcStructure:
 def _qc_equations(alg: QHAlgebra, qc: QcStructure) -> dict:
     """Each qc axiom, by name, as a thunk that decides it.  The joint kernel
     of the 1-forms is exactly H when they vanish on H and their block on the
-    vertical basis is invertible over the Laurent ring, i.e. its determinant
-    is a monomial, nonzero at every lam > 0."""
+    vertical basis is invertible: its determinant, one monomial c * l^d, is
+    nonzero, and so nonzero at every lam > 0."""
     i1, i2, i3 = qc.complex_structures
     d_eta = [ce_differential(f, alg) for f in qc.one_forms]
     p_h = Endo(alg.dim, {(h, h): 1 for h in alg.horizontal_indices})
@@ -231,14 +231,14 @@ def _qc_equations(alg: QHAlgebra, qc: QcStructure) -> dict:
                for s in permutations(range(3))), ZERO)
     return {
         "I_1 I_2 I_3 = -P_H": lambda: i1.compose(i2).compose(i3) == -p_h,
-        "eta_j = 0 on H": lambda: not any(_on_h(alg, f.parts) for f in qc.one_forms),
-        "eta_j(xi_i) invertible": lambda: det.is_monomial(),
+        "eta_j = 0 on H": lambda: not any(_on_h(alg, f.part)[2] for f in qc.one_forms),
+        "eta_j(xi_i) invertible": lambda: not det.is_zero(),
         "d eta_j = 2 g(I_j -, -) on H": lambda: all(
-            ij.is_skew() and _on_h(alg, dj.parts) == endo_two_form(ij).scale(2).parts
+            ij.is_skew() and _on_h(alg, dj.part) == endo_two_form(ij).scale(2).part
             for ij, dj in zip(qc.complex_structures, d_eta)
         ),
         "xi_k _| d eta_j + xi_j _| d eta_k = 0 on H": lambda: not any(
-            _on_h(alg, (interior(qc.reeb[k], d_eta[j]) + interior(qc.reeb[j], d_eta[k])).parts)
+            _on_h(alg, (interior(qc.reeb[k], d_eta[j]) + interior(qc.reeb[j], d_eta[k])).part)[2]
             for j, k in combinations_with_replacement(range(3), 2)
         ),
     }
@@ -251,13 +251,12 @@ def qc_axioms_check(alg: QHAlgebra, qc: QcStructure) -> bool:
 
 
 @derived
-def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> dict:
+def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> tuple:
     """The Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i] as a linear
-    map of A, with xi_i the i-th vertical basis vector:
-    {degree: (den, {(r, c): {(s, c', d'): int}})}, the column of the matrix
+    map of A, with xi_i the i-th vertical basis vector: one part
+    (degree, den, {(r, c): {(s, c', d'): int}}), the column of the matrix
     unit (r, c) of gl(n) at each key (s, c', d') of the tensor, den times
-    the entries of that degree.  Unlike tensor parts, the integers and den
-    may share a factor; the readers reduce what they return.
+    its entries.
 
     The tensor vanishes exactly when the connection form A preserves the qc
     structure: the V + H splitting, sum_i I_i (x) I_i and this tensor.  The
@@ -286,24 +285,25 @@ def _reeb_matrix(alg: QHAlgebra, qc: QcStructure) -> dict:
 
     One pass over the nonzero entries I_i[c, d] builds the matrix: each adds,
     for every x, (A xi_i)_x I_i[c, d] at (x, c, d), A[x, c] I_i[c, d] at
-    (i, x, d) and -I_i[c, d] A[d, x] at (i, c, x).  The memo keys on the qc
-    structure itself, which is never changed after it is built.
+    (i, x, d) and -I_i[c, d] A[d, x] at (i, c, x), keyed (unit, key) until
+    the sum is one part.  The memo keys on the qc structure itself, which is
+    never changed after it is built.
     """
-    dens: dict[int, int] = {}
-    for structure in qc.complex_structures:
-        for deg, (den, _) in structure.parts.items():
-            dens[deg] = lcm(dens.get(deg, 1), den)
-    matrix = {deg: (den, {}) for deg, den in dens.items()}
+    sums = PartSum("complex structures")
     for i, structure in enumerate(qc.complex_structures):
-        for deg, (den, e) in structure.parts.items():
-            f, columns = dens[deg] // den, matrix[deg][1]
+        deg, den, e = structure.part
+        if e:
+            acc = sums.at(deg, den)
             for (c, d), v in e.items():
-                v *= f
                 for x in range(alg.dim):
-                    accumulate(columns.setdefault((x, i), {}), (x, c, d), v)
-                    accumulate(columns.setdefault((x, c), {}), (i, x, d), v)
-                    accumulate(columns.setdefault((d, x), {}), (i, c, x), -v)
-    return matrix
+                    accumulate(acc, ((x, i), (x, c, d)), v)
+                    accumulate(acc, ((x, c), (i, x, d)), v)
+                    accumulate(acc, ((d, x), (i, c, x)), -v)
+    deg, den, flat = sums.part()
+    columns: dict = {}
+    for (unit, key), v in flat.items():
+        columns.setdefault(unit, {})[key] = v
+    return deg, den, columns
 
 
 def _apply_columns(ea: dict, columns: dict) -> dict:
@@ -317,11 +317,11 @@ def _apply_columns(ea: dict, columns: dict) -> dict:
 
 
 def _qc_defect(alg: QHAlgebra, qc: QcStructure, a: Endo) -> dict:
-    """Graded parts of the Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i]
+    """The part of the Reeb tensor sum_i (A xi_i) (x) I_i + xi_i (x) [A, I_i]
     at keys (s, c, d), with the common factor -lam/2 of the Reeb fields
-    dropped: the matrix of `_reeb_matrix` applied to the parts of A.  It has
-    no part exactly when A preserves the qc structure."""
-    return _product(a.parts, _reeb_matrix(alg, qc), _apply_columns)
+    dropped: the matrix of `_reeb_matrix` applied to the part of A.  It has
+    no entry exactly when A preserves the qc structure."""
+    return _product(a.part, _reeb_matrix(alg, qc), _apply_columns)
 
 
 def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
@@ -330,7 +330,7 @@ def qc_preservation_check(alg: QHAlgebra, conn: Connection) -> bool:
     A = conn.form(x) is tested by the Reeb equation alone, which implies
     the other two (see `_reeb_matrix`)."""
     qc = build_qc(alg)
-    return not any(_qc_defect(alg, qc, conn.form(x)) for x in range(alg.dim))
+    return not any(_qc_defect(alg, qc, conn.form(x))[2] for x in range(alg.dim))
 
 
 def flat_connection_check(alg: QHAlgebra) -> bool:
@@ -339,7 +339,7 @@ def flat_connection_check(alg: QHAlgebra) -> bool:
     flat = Geometry(alg, flat_connection(alg))
     return (
         qc_preservation_check(alg, flat.conn)
-        and not flat.curvature_parts
+        and not flat.curvature_parts[2]
         and len(flat.holonomy) == 0
         and flat.torsion_form is None
     )
@@ -350,19 +350,17 @@ def _qc_functionals(alg: QHAlgebra, qc: QcStructure) -> list[dict[int, int]]:
     is the qc-preserving forms, one distinct sparse integer row per equation.
 
     B_k runs over the 2-forms e_a ^ e_b, a < b, whose matrix has +1 at
-    (b, a) and -1 at (a, b).  Row (degree, key) reads the Reeb matrix at
-    that key on the two columns of each B_k: the integer entries of one
-    degree, den times the rational ones, so the row is exact.  Exact
-    duplicate rows are dropped.
+    (b, a) and -1 at (a, b).  Row key reads the Reeb matrix at that key on
+    the two columns of each B_k: den times the rational entries, so the
+    row is exact.  Exact duplicate rows are dropped.
     """
     k_of = {ab: k for k, ab in enumerate(combinations(range(alg.dim), 2))}
     rows: dict[tuple, dict[int, int]] = {}
-    for d, (_, columns) in _reeb_matrix(alg, qc).items():
-        for (r, c), column in columns.items():
-            if r != c:
-                k, sign = (k_of[(c, r)], 1) if c < r else (k_of[(r, c)], -1)
-                for key, v in column.items():
-                    accumulate(rows.setdefault((d, key), {}), k, sign * v)
+    for (r, c), column in _reeb_matrix(alg, qc)[2].items():
+        if r != c:
+            k, sign = (k_of[(c, r)], 1) if c < r else (k_of[(r, c)], -1)
+            for key, v in column.items():
+                accumulate(rows.setdefault(key, {}), k, sign * v)
     distinct = {tuple(sorted(row.items())) for row in rows.values() if row}
     return [dict(items) for items in sorted(distinct)]
 
@@ -424,5 +422,4 @@ def qc_unique_skew(alg: QHAlgebra):
     for row, rhs in zip(sys_rows, sys_rhs):
         if sum(v * xs.get(t, 0) for t, v in row.items()) != rhs * den:
             return 0, None
-    torsion = {d: (den, {triples[t]: v for t, v in xs.items()})} if xs else {}
-    return 1 + len(kernel), _kform(n, 3, torsion)
+    return 1 + len(kernel), _kform(n, 3, part(d, den, {triples[t]: v for t, v in xs.items()}))

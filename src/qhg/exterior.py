@@ -7,11 +7,12 @@ tuples over the frame 0..n-1.  The basis k-forms are orthonormal (no
 identified by  A X = X . a  (interior product), i.e. a(X,Y) = g(AX,Y).
 
 Vectors, forms and endomorphisms hold the one exact value type of
-`scalars`: graded parts {degree: (den, {index: int})}, indexed by frame
-indices, index tuples and (row, column) pairs; a `Scalar` is the same
-thing indexed by the empty tuple.  Their linear operations live once, in
-`Tensor`, and every kernel below loops over plain ints; `comps`, `m`,
-`coeff`, `entry` and indexing read entries out as Scalars on demand.
+`scalars`, one monomial c * l^d: the part (degree, den, {index: int}),
+indexed by frame indices, index tuples and (row, column) pairs; a `Scalar`
+is the same thing indexed by the empty tuple.  Their linear operations
+live once, in `Tensor`, and every kernel below loops over plain ints;
+`comps`, `m`, `coeff`, `entry` and indexing read entries out as Scalars on
+demand.
 """
 
 from __future__ import annotations
@@ -21,17 +22,21 @@ from itertools import repeat
 from .scalars import (
     ONE,
     ZERO,
+    ZERO_PART,
+    PartSum,
     Scalar,
     _merge,
     _negate,
-    _parts,
+    _part,
     _product,
+    _scalar,
     _scaled,
     accumulate,
     graded,
-    parts_of,
+    part,
+    part_of,
     scalar_at,
-    scalar_sum,
+    scalar_of,
     scalars_of,
 )
 
@@ -49,25 +54,26 @@ def _check_indices(dim: int, indices):
             raise IndexError(f"index {i} outside [0, {dim})")
 
 
-# -- graded kernels over the parts {degree: (den, {index: int})} ----------------
+# -- integer kernels over the part (degree, den, {index: int}) --------------------
 
 
-def _combination(terms) -> dict:
-    """Parts of sum c l^d / den * T over the terms (d, den, c, parts of T)."""
+def _combination(terms) -> tuple:
+    """The part of sum c l^d / den * T over the terms (d, den, c, part of T)."""
     return graded(
         (d + dt, den * nt, {k: c * v for k, v in et.items()})
-        for d, den, c, parts in terms
-        for dt, (nt, et) in parts.items()
+        for d, den, c, (dt, nt, et) in terms
+        if et
     )
 
 
-def _inner(a: dict, b: dict) -> Scalar:
+def _dot(ea: dict, eb: dict) -> dict:
+    s = sum(v * eb[k] for k, v in ea.items() if k in eb)
+    return {(): s} if s else {}
+
+
+def _inner(a: tuple, b: tuple) -> Scalar:
     """Sum over the common indices of the products of the entries of a and b."""
-    return scalar_sum(
-        (da + db, na * nb, sum(v * eb[k] for k, v in ea.items() if k in eb))
-        for da, (na, ea) in a.items()
-        for db, (nb, eb) in b.items()
-    )
+    return _scalar(_product(a, b, _dot))
 
 
 def _rows(e: dict) -> dict[int, list[tuple[int, int]]]:
@@ -105,15 +111,15 @@ def _apply(ea: dict, ex: dict) -> dict:
 
 
 class Tensor:
-    """Graded parts over a frame of dimension `dim`: the base of Vector,
-    KForm and Endo.
+    """One part over a frame of dimension `dim`: the base of Vector, KForm
+    and Endo.
 
-    The linear operations live here, built over each class's `_like(parts)`,
+    The linear operations live here, built over each class's `_like(part)`,
     a tensor of the same class, dimension and degree.  `degree` is that of
     a KForm; the other tensors have none.
     """
 
-    __slots__ = ("dim", "parts")
+    __slots__ = ("dim", "part")
     degree = None
 
     def _check(self, other):
@@ -126,33 +132,33 @@ class Tensor:
 
     def __add__(self, other):
         self._check(other)
-        return self._like(_merge(self.parts, other.parts, 1))
+        return self._like(_merge(self.part, other.part, 1, f"{type(self).__name__} sum"))
 
     def __sub__(self, other):
         self._check(other)
-        return self._like(_merge(self.parts, other.parts, -1))
+        return self._like(_merge(self.part, other.part, -1, f"{type(self).__name__} sum"))
 
     def __neg__(self):
-        return self._like(_negate(self.parts))
+        return self._like(_negate(self.part))
 
     def scale(self, c):
         """c times the tensor, for a Scalar, an int or a Fraction c."""
-        return self._like(_product(_parts(c), self.parts, _scaled))
+        return self._like(_product(_part(c), self.part, _scaled))
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.part[2]
 
     @property
     def comps(self) -> dict:
         """index -> nonzero Scalar, in sorted index order."""
-        return scalars_of(self.parts)
+        return scalars_of(self.part)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.dim == other.dim
             and self.degree == other.degree
-            and self.parts == other.parts
+            and self.part == other.part
         )
 
 
@@ -168,25 +174,25 @@ class Vector(Tensor):
     def __init__(self, components):
         components = list(components)
         self.dim = len(components)
-        self.parts = parts_of(dict(enumerate(components)))
+        self.part = part_of(enumerate(components), "Vector")
 
-    def _like(self, parts: dict) -> "Vector":
-        return _vector(self.dim, parts)
+    def _like(self, p: tuple) -> "Vector":
+        return _vector(self.dim, p)
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return _vector(dim, {})
+        return _vector(dim, ZERO_PART)
 
     @staticmethod
     def basis(dim: int, index: int) -> "Vector":
         if not 0 <= index < dim:
             raise IndexError(f"basis index {index} outside [0, {dim})")
-        return _vector(dim, {0: (1, {index: 1})})
+        return _vector(dim, (0, 1, {index: 1}))
 
     def __getitem__(self, i: int) -> Scalar:
         if not -self.dim <= i < self.dim:
             raise IndexError("vector index out of range")
-        return scalar_at(self.parts, i % self.dim)
+        return scalar_at(self.part, i % self.dim)
 
     def __iter__(self):
         return map(self.comps.get, range(self.dim), repeat(ZERO))
@@ -194,30 +200,30 @@ class Vector(Tensor):
     def dot(self, other: "Vector") -> Scalar:
         """Inner product of the orthonormal frame."""
         self._check(other)
-        return _inner(self.parts, other.parts)
+        return _inner(self.part, other.part)
 
     def __repr__(self):
         return f"Vector({[str(c) for c in self]})"
 
 
-# Raw constructors over parts already in normal form; no index check.
+# Raw constructors over a part already in normal form; no index check.
 
 
-def _vector(dim: int, parts: dict) -> Vector:
+def _vector(dim: int, p: tuple) -> Vector:
     out = Vector.__new__(Vector)
-    out.dim, out.parts = dim, parts
+    out.dim, out.part = dim, p
     return out
 
 
-def _kform(dim: int, degree: int, parts: dict) -> "KForm":
+def _kform(dim: int, degree: int, p: tuple) -> "KForm":
     out = KForm.__new__(KForm)
-    out.dim, out.degree, out.parts = dim, degree, parts
+    out.dim, out.degree, out.part = dim, degree, p
     return out
 
 
-def _endo(dim: int, parts: dict) -> "Endo":
+def _endo(dim: int, p: tuple) -> "Endo":
     out = Endo.__new__(Endo)
-    out.dim, out.parts = dim, parts
+    out.dim, out.part = dim, p
     return out
 
 
@@ -248,18 +254,18 @@ class KForm(Tensor):
             raise ValueError(f"degree {degree} out of range for dimension {dim}")
         self.dim = dim
         self.degree = degree
-        raw = []
+        items = []
         for idx, c in (comps or {}).items():
             _check_indices(dim, idx)
-            parts = _parts(c)
-            if parts and len(idx) != degree:
+            if _part(c)[2] and len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
             sign, key = _sort_tuple(tuple(idx))
-            raw += [(d, sign * den, {key: e[()]}) for d, (den, e) in parts.items() if sign]
-        self.parts = graded(raw)
+            if sign:
+                items.append((key, c if sign > 0 else -c))
+        self.part = part_of(items, "KForm")
 
-    def _like(self, parts: dict) -> "KForm":
-        return _kform(self.dim, self.degree, parts)
+    def _like(self, p: tuple) -> "KForm":
+        return _kform(self.dim, self.degree, p)
 
     @staticmethod
     def zero(dim: int, degree: int) -> "KForm":
@@ -280,7 +286,7 @@ class KForm(Tensor):
         sign, key = _sort_tuple(tuple(idx))
         if sign == 0:
             return ZERO
-        c = scalar_at(self.parts, key)
+        c = scalar_at(self.part, key)
         return c if sign > 0 else -c
 
     def evaluate(self, *vectors: Vector) -> Scalar:
@@ -288,14 +294,14 @@ class KForm(Tensor):
         f(v_1, .., v_k) = v_k . ( .. (v_1 . f))."""
         if len(vectors) != self.degree:
             raise ValueError("wrong number of arguments")
-        parts = self.parts
+        p = self.part
         for v in vectors:
             _check_dims(v, self)
-            parts = _product(v.parts, parts, _interior)
-        return scalar_at(parts, ())
+            p = _product(v.part, p, _interior)
+        return scalar_at(p, ())
 
     def __str__(self):
-        if not self.parts:
+        if self.is_zero():
             return "0"
         return " + ".join(f"({c})e{list(k)}" for k, c in self.comps.items())
 
@@ -323,7 +329,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k > a.dim:
         # everything above top degree vanishes
         return KForm.zero(a.dim, a.dim)
-    return _kform(a.dim, k, _product(a.parts, b.parts, _wedge))
+    return _kform(a.dim, k, _product(a.part, b.part, _wedge))
 
 
 def _interior(ex: dict, ea: dict) -> dict:
@@ -341,27 +347,25 @@ def interior(x: Vector, a: KForm) -> KForm:
     _check_dims(x, a)
     if a.degree == 0:
         raise ValueError("interior product needs degree >= 1")
-    return _kform(a.dim, a.degree - 1, _product(x.parts, a.parts, _interior))
+    return _kform(a.dim, a.degree - 1, _product(x.part, a.part, _interior))
 
 
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the orthonormal frame, e_0^...^e_{n-1} positive."""
     frame = range(a.dim)
-    parts = {}
-    for d, (den, e) in a.parts.items():
-        starred = {}
-        for idx, c in e.items():
-            comp = tuple(i for i in frame if i not in idx)
-            sign, _ = _sort_tuple(idx + comp)
-            starred[comp] = c if sign > 0 else -c
-        parts[d] = (den, starred)
-    return _kform(a.dim, a.dim - a.degree, parts)
+    d, den, e = a.part
+    starred = {}
+    for idx, c in e.items():
+        comp = tuple(i for i in frame if i not in idx)
+        sign, _ = _sort_tuple(idx + comp)
+        starred[comp] = c if sign > 0 else -c
+    return _kform(a.dim, a.dim - a.degree, (d, den, starred))
 
 
 def form_inner(a: KForm, b: KForm) -> Scalar:
     """Inner product for which the basis k-forms are orthonormal."""
     a._check(b)
-    return _inner(a.parts, b.parts)
+    return _inner(a.part, b.part)
 
 
 class Endo(Tensor):
@@ -377,55 +381,50 @@ class Endo(Tensor):
         for key in entries:
             _check_indices(dim, key)
         self.dim = dim
-        self.parts = parts_of(entries)
+        self.part = part_of(entries.items(), "Endo")
 
     m = Tensor.comps
 
-    def _like(self, parts: dict) -> "Endo":
-        return _endo(self.dim, parts)
+    def _like(self, p: tuple) -> "Endo":
+        return _endo(self.dim, p)
 
     @staticmethod
     def zero(dim: int) -> "Endo":
-        return _endo(dim, {})
+        return _endo(dim, ZERO_PART)
 
     @staticmethod
     def identity(dim: int) -> "Endo":
-        return _endo(dim, {0: (1, {(i, i): 1 for i in range(dim)})} if dim else {})
+        return _endo(dim, (0, 1, {(i, i): 1 for i in range(dim)}) if dim else ZERO_PART)
 
     def entry(self, r: int, c: int) -> Scalar:
         _check_indices(self.dim, (r, c))
-        return scalar_at(self.parts, (r, c))
+        return scalar_at(self.part, (r, c))
 
     def is_skew(self) -> bool:
-        return all(
-            e.get((c, r), 0) == -v for _, e in self.parts.values() for (r, c), v in e.items()
-        )
+        e = self.part[2]
+        return all(e.get((c, r), 0) == -v for (r, c), v in e.items())
 
     def apply(self, x: Vector) -> Vector:
         _check_dims(self, x)
-        return _vector(self.dim, _product(self.parts, x.parts, _apply))
+        return _vector(self.dim, _product(self.part, x.part, _apply))
 
     def column(self, c: int) -> Vector:
         _check_indices(self.dim, (c,))
-        return _vector(self.dim, graded(
-            (d, den, {r: v for (r, cc), v in e.items() if cc == c})
-            for d, (den, e) in self.parts.items()
-        ))
+        d, den, e = self.part
+        return _vector(self.dim, part(d, den, {r: v for (r, cc), v in e.items() if cc == c}))
 
     def compose(self, other: "Endo") -> "Endo":
         """Matrix product self * other."""
         self._check(other)
-        return _endo(self.dim, _product(self.parts, other.parts, _compose))
+        return _endo(self.dim, _product(self.part, other.part, _compose))
 
     def commutator(self, other: "Endo") -> "Endo":
         self._check(other)
-        return _endo(self.dim, _product(self.parts, other.parts, _commutator))
+        return _endo(self.dim, _product(self.part, other.part, _commutator))
 
     def trace(self) -> Scalar:
-        return scalar_sum(
-            (d, den, sum(v for (r, c), v in e.items() if r == c))
-            for d, (den, e) in self.parts.items()
-        )
+        d, den, e = self.part
+        return scalar_of(d, den, sum(v for (r, c), v in e.items() if r == c))
 
     def __repr__(self):
         return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in self.m.items())}}})"
@@ -435,14 +434,12 @@ def two_form_endo(a: KForm) -> Endo:
     """Skew endomorphism of a 2-form: A X = X . a."""
     if a.degree != 2:
         raise ValueError("expected a 2-form")
-    parts = {}
-    for d, (den, e) in a.parts.items():
-        entries = {}
-        for (i, j), c in e.items():
-            entries[(j, i)] = c
-            entries[(i, j)] = -c
-        parts[d] = (den, entries)
-    return _endo(a.dim, parts)
+    d, den, e = a.part
+    entries = {}
+    for (i, j), c in e.items():
+        entries[(j, i)] = c
+        entries[(i, j)] = -c
+    return _endo(a.dim, (d, den, entries))
 
 
 def endo_two_form(a: Endo) -> KForm:
@@ -450,11 +447,8 @@ def endo_two_form(a: Endo) -> KForm:
     if not a.is_skew():
         raise ValueError("endomorphism is not skew")
     # the entries below the diagonal carry every value of a skew matrix up to sign
-    parts = {
-        d: (den, {(i, j): v for (j, i), v in e.items() if i < j})
-        for d, (den, e) in a.parts.items()
-    }
-    return _kform(a.dim, 2, parts)
+    d, den, e = a.part
+    return _kform(a.dim, 2, (d, den, {(i, j): v for (j, i), v in e.items() if i < j}))
 
 
 def ce_differential(a: KForm, alg) -> KForm:
@@ -469,20 +463,19 @@ def ce_differential(a: KForm, alg) -> KForm:
     if a.degree == 0 or a.degree == a.dim:
         return KForm.zero(a.dim, min(a.degree + 1, a.dim))
     # d e^I = sum_t (-1)^t e^{I[:t]} ^ d e^{I[t]} ^ e^{I[t+1:]}, one sort per term
-    held = {i for _, e in a.parts.values() for idx in e for i in idx}
-    d1 = {i: alg.d_basis_one_form(i).parts for i in held}
-    buckets: dict[tuple[int, int], dict] = {}
-    for d, (den, e) in a.parts.items():
-        for idx, c in e.items():
-            for t, i in enumerate(idx):
-                for dd, (dden, de) in d1[i].items():
-                    acc = buckets.setdefault((d + dd, den * dden), {})
-                    for pq, w in de.items():
-                        sign, key = _sort_tuple(idx[:t] + pq + idx[t + 1 :])
-                        if sign:
-                            accumulate(acc, key, c * w if (sign > 0) == (t % 2 == 0) else -c * w)
-    parts = graded((d, den, acc) for (d, den), acc in buckets.items())
-    return _kform(a.dim, a.degree + 1, parts)
+    d, den, e = a.part
+    d1 = {i: alg.d_basis_one_form(i).part for i in {i for idx in e for i in idx}}
+    sums = PartSum("Chevalley-Eilenberg differential")
+    for idx, c in e.items():
+        for t, i in enumerate(idx):
+            dd, dden, de = d1[i]
+            if de:
+                acc = sums.at(d + dd, den * dden)
+                for pq, w in de.items():
+                    sign, key = _sort_tuple(idx[:t] + pq + idx[t + 1 :])
+                    if sign:
+                        accumulate(acc, key, c * w if (sign > 0) == (t % 2 == 0) else -c * w)
+    return _kform(a.dim, a.degree + 1, sums.part())
 
 
 def consistency_check(alg) -> bool:

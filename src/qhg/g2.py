@@ -90,14 +90,13 @@ def hitchin_form(alg: QHAlgebra, omega: KForm) -> list[list[Scalar]]:
 def genericity_check(alg: QHAlgebra, omega: KForm) -> bool:
     """Definiteness (up to overall sign) of the Hitchin form.
 
-    The matrix is certified to be l^d times a rational matrix; l^d > 0
-    keeps definiteness, so one Sylvester test at l = 1 decides it for
-    every l > 0.
+    The matrix is l^d times a rational matrix; l^d > 0 keeps definiteness,
+    so one Sylvester test at l = 1 decides it for every l > 0.
     """
     b = hitchin_form(alg, omega)
     n = len(b)
     matrix = Endo(n, {(i, j): c for i, row in enumerate(b) for j, c in enumerate(row)})
-    _, _, m = homogeneous_part(matrix, "Hitchin form")
+    _, _, m = homogeneous_part(matrix)
     sign = -1 if m.get((0, 0), 0) < 0 else 1
     return _positive_definite([{j: sign * v for (r, j), v in m.items() if r == i} for i in range(n)])
 
@@ -142,8 +141,8 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
         om = conn.form(i)
         if om.is_zero():
             continue
-        # homogeneous in l: its kernel at l = 1 is its kernel at every l > 0
-        _, _, lift = homogeneous_part(spin_lift(om), f"lifted connection form {i}")
+        # one monomial in l: its kernel at l = 1 is its kernel at every l > 0
+        _, _, lift = homogeneous_part(spin_lift(om))
         rows.extend({c: v for (r, c), v in lift.items() if r == row} for row in range(8))
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
@@ -175,7 +174,7 @@ def splitting_dimensions(split: SpinorSplitting) -> tuple[int, int, int]:
     for group in ([split.psi0], split.vertical, split.horizontal):
         before = span.dim
         for v in group:
-            span.add(homogeneous_part(v, "spinor")[2])
+            span.add(homogeneous_part(v)[2])
         dims.append(span.dim - before)
     return tuple(dims)
 
@@ -220,15 +219,11 @@ def torsion_spectrum(alg: QHAlgebra, t: KForm, split: SpinorSplitting) -> dict:
 def _eigen_ratio(image: Vector, v: Vector) -> Scalar | None:
     """Scalar s with image = s*v, or None: s = image[k] / v[k] at the least
     index k of v, and one equation between integer parts, s v = image,
-    decides every entry.  None also when v[k] is not a monomial (no inverse
-    among Scalars); a zero v gives ZERO for a zero image, else None."""
+    decides every entry.  A zero v gives ZERO for a zero image, else None."""
     if v.is_zero():
         return ZERO if image.is_zero() else None
-    k = min(i for _, e in v.parts.values() for i in e)
-    try:
-        s = image[k] / v[k]
-    except ValueError:
-        return None
+    k = min(v.part[2])
+    s = image[k] / v[k]
     return s if v.scale(s) == image else None
 
 
@@ -285,10 +280,10 @@ def killing_via_torsion_check(alg: QHAlgebra, t: KForm, psi0: Vector) -> bool:
     if t.degree != 3:
         raise ValueError("torsion must be a 3-form")
     terms = [[] for _ in range(alg.dim)]  # direction -> terms of (X . t) psi0
-    for d, (den, e) in t.parts.items():
-        for (a, b, c), v in e.items():
-            for x, pair, w in ((a, (b, c), v), (b, (a, c), -v), (c, (a, b), v)):
-                terms[x].append((d, den, w, gamma_product(pair).apply(psi0).parts))
+    d, den, e = t.part
+    for (a, b, c), v in e.items():
+        for x, pair, w in ((a, (b, c), v), (b, (a, c), -v), (c, (a, b), v)):
+            terms[x].append((d, den, w, gamma_product(pair).apply(psi0).part))
     return all(
         lift.apply(psi0).scale(-4) == _vector(SPIN_DIM, _combination(x_terms))
         for lift, x_terms in zip(levi_civita_lifts(alg), terms)

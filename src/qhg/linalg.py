@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the rationals, run on integers.
 
-Callers with formal scalars read their rows at l = 1 through
-`scalars.homogeneous_part`, which certifies that one point decides the
-question for every l > 0, and pass the integer entries they hold: scaling
-a row keeps its span.  An input row maps columns in [0, ncols) to `int`
+Callers with formal values read their rows at l = 1 through
+`scalars.homogeneous_part`, where one point decides the question for
+every l > 0 (the homothety argument of `scalars`), and pass the integer
+entries they hold: scaling a row keeps its span.  An input row maps columns in [0, ncols) to `int`
 entries; any other entry raises ValueError naming the row.  A stored row,
 and every output, is a part `(den, {column: int})` in the normal form of
 `scalars._normal` (den > 0, no zero entry, gcd(den, *entries) = 1), worth
@@ -49,7 +49,8 @@ def _part(v: Row, ncols: int, index: int | None = None, rhs: int = 0) -> Part:
 
 def _combine(terms: list[Part]) -> Part:
     """The normal-form part of the sum of parts, through `scalars.graded`."""
-    return graded((0, den, e) for den, e in terms).get(0, (1, {}))
+    _, den, e = graded((0, den, e) for den, e in terms)
+    return den, e
 
 
 def _step(den: int, e: dict[int, int], dp: int, ep: dict[int, int], p: int) -> Part:

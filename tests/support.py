@@ -34,7 +34,7 @@ def random_form(rng, dim: int, degree: int, density: float = 0.5) -> KForm:
 
 def rational_value(s: Scalar) -> Fraction:
     """The value of a Scalar that does not depend on the parameter."""
-    if s.parts and s.parts.keys() != {0}:
+    if s and s.part[0] != 0:
         raise ValueError(f"{s} is not parameter-free")
     return s.coeff(0)
 
@@ -44,15 +44,15 @@ def specialize(s: Scalar, value) -> Fraction:
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
     v = Fraction(value)
-    if v == 0 and any(e < 0 for e in s.parts):
+    if v == 0 and s and s.part[0] < 0:
         raise ZeroDivisionError("negative exponent at parameter 0")
     return sum((c * v**e for e, c in s.terms()), Fraction(0))
 
 
 def dual(v: Vector) -> KForm:
     """The metric-dual 1-form of a vector (trivial in an orthonormal frame)."""
-    parts = {d: (den, {(i,): x for i, x in e.items()}) for d, (den, e) in v.parts.items()}
-    return _kform(v.dim, 1, parts)
+    d, den, e = v.part
+    return _kform(v.dim, 1, (d, den, {(i,): x for i, x in e.items()}))
 
 
 def form_of(conn, x: Vector) -> Endo:
@@ -88,9 +88,9 @@ def jacobi_oracle(sc) -> tuple[bool, tuple[int, int, int] | None]:
                 raw = []  # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] - [[e_i, e_k], e_j]
                 for v, c, sign in ((ij, k, 1), (jk, i, 1), (ik, j, -1)):
                     if v is not None:
-                        for d, (den, e) in sc.bracket(v, basis[c]).parts.items():
-                            raw.append((d, sign * den, e))
-                if raw and graded(raw):
+                        d, den, e = sc.bracket(v, basis[c]).part
+                        raw.append((d, sign * den, e))
+                if graded(raw)[2]:
                     return False, (i, j, k)
     return True, None
 

@@ -178,7 +178,7 @@ def test_criterion_7_qc_suite():
             flat = cn.flat_connection(alg)
             assert ct.qc_preservation_check(alg, flat)
             geo = cn.Geometry(alg, flat)
-            assert geo.curvature_parts == {}
+            assert not geo.curvature_parts[2]
             assert geo.holonomy == []
             assert geo.torsion_form is None
             dim, torsion = ct.qc_unique_skew(alg)

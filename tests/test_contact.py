@@ -289,7 +289,7 @@ def test_flat_connection_biquard_properties():
     alg = algebra.build(1)
     flat = cn.flat_connection(alg)
     geo = cn.Geometry(alg, flat)
-    assert geo.curvature_parts == {}
+    assert geo.curvature_parts == (None, 1, {})
     assert geo.holonomy == []
     assert geo.torsion_form is None
 
@@ -323,29 +323,34 @@ def _primitive(row: dict) -> tuple:
 
 
 def _odd_qc(alg) -> ct.QcStructure:
-    """The qc structure with I_1, I_2, I_3 scaled by l / 2, 1 / 3 and 1 / 5: the
-    Reeb matrix gets denominators and two degrees."""
+    """The qc structure with I_1, I_2, I_3 scaled by 1 / 2, 1 / 3 and 1 / 5: the
+    Reeb matrix gets denominators."""
     qc = ct.build_qc(alg)
-    factors = (LAM * Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    factors = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     scaled = [e.scale(f) for e, f in zip(qc.complex_structures, factors)]
     return ct.QcStructure(scaled, qc.one_forms, qc.reeb)
 
 
 def test_qc_functionals_are_exact_for_any_defect_denominator():
     # denominators enter through the I_i parts; each functional is then an integer
-    # multiple of the rational row the defects of the B_k give at one key and degree
+    # multiple of the rational row the defects of the B_k give at one key
     alg = algebra.build(1)
     odd = _odd_qc(alg)
-    assert {den for e in odd.complex_structures for den, _ in e.parts.values()} == {2, 3, 5}
+    assert {e.part[1] for e in odd.complex_structures} == {2, 3, 5}
     rows = ct._qc_functionals(alg, odd)
     assert all(type(v) is int for row in rows for v in row.values())
     exact = {}
     for k, ab in enumerate(combinations(range(alg.dim), 2)):
-        for d, (den, e) in ct._qc_defect(alg, odd, _rotation(alg, *ab)).items():
-            for key, v in e.items():
-                exact.setdefault((d, key), {})[k] = Fraction(v, den)
-    assert {d for d, _ in exact} == {0, 1}
+        _, den, e = ct._qc_defect(alg, odd, _rotation(alg, *ab))
+        for key, v in e.items():
+            exact.setdefault(key, {})[k] = Fraction(v, den)
     assert {_primitive(row) for row in rows} == {_primitive(row) for row in exact.values()}
+    # complex structures of two degrees make no Reeb matrix: its sum names both
+    qc = ct.build_qc(alg)
+    tilted = ct.QcStructure([qc.complex_structures[0].scale(LAM), *qc.complex_structures[1:]],
+                            qc.one_forms, qc.reeb)
+    with pytest.raises(TypeError, match=r"^complex structures: a term of degree 0 in l meets one of degree 1$"):
+        ct._reeb_matrix(alg, tilted)
 
 
 @pytest.mark.parametrize("p, dim", [(1, 9), (2, 16)])
@@ -358,12 +363,16 @@ def test_qc_kernel_grows_without_the_reeb_rows(p, dim):
 
 
 def test_qc_unique_skew_rejects_koszul_coefficients_of_mixed_degree(monkeypatch):
-    # the solve runs at l = 1 and scales the torsion back by l^d, which needs one degree d
+    # the solve runs at l = 1 and scales the torsion back by l^d, which needs one
+    # degree d across the forms; within one form a second degree cannot be built
     alg = algebra.build(1)
-    bump = KForm(alg.dim, 3, {(3, 4, 5): ONE})
-    monkeypatch.setattr(ct, "levi_civita", lambda a: cn.with_torsion(a, bump))
-    with pytest.raises(ArithmeticError, match=r"^Levi-Civita form \d+ at index \(\d, \d\): "):
+    lc = cn.levi_civita(alg)
+    raised = cn.Connection([f.scale(LAM) if x == 3 else f for x, f in enumerate(lc.omega)])
+    monkeypatch.setattr(ct, "levi_civita", lambda a: raised)
+    with pytest.raises(ArithmeticError, match=r"^Levi-Civita form 3 has degree 2 in l, expected 1$"):
         ct.qc_unique_skew(alg)
+    with pytest.raises(TypeError, match=r"^connection form 3: a term of degree 0 in l meets one of degree 1$"):
+        cn.with_torsion(alg, KForm(alg.dim, 3, {(3, 4, 5): ONE}))
 
 
 def test_qc_unique_skew_specialized_parameter():
@@ -392,7 +401,7 @@ def test_qc_unique_skew_without_splitting_constraint():
 def test_qc_unique_skew_at_a_non_integral_parameter(p, lam):
     # the Levi-Civita forms carry denominators here, so each form's rows are scaled by its own
     alg = algebra.build(p, lam)
-    assert any(den != 1 for x in range(alg.dim) for den, _ in cn.levi_civita(alg).form(x).parts.values())
+    assert any(cn.levi_civita(alg).form(x).part[1] != 1 for x in range(alg.dim))
     assert ct.qc_unique_skew(alg) == (1, cn.canonical_torsion(alg))
 
 
@@ -503,7 +512,7 @@ def test_qc_vertical_rotation_breaks_only_the_reeb_equation(p):
     conn = _connection_with_form(alg, 0, rot)
     assert _preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
-    assert ct._qc_defect(alg, qc, rot)
+    assert ct._qc_defect(alg, qc, rot)[2]
     assert _reference_broken_halves(qc, rot, alg.dim) == {"xi"}
 
 
@@ -516,7 +525,7 @@ def test_qc_horizontal_rotation_off_the_commutant_is_rejected(p):
     conn = _connection_with_form(alg, 3, rot)
     assert _preserves_splitting(alg, conn)
     assert not ct.qc_preservation_check(alg, conn)
-    assert ct._qc_defect(alg, qc, rot)
+    assert ct._qc_defect(alg, qc, rot)[2]
     # at p = 1 every horizontal rotation lies in so(4) = sp(1) + sp(1), which
     # keeps sum_i I_i (x) I_i, so there only the Reeb equation can break
     assert _reference_broken_halves(qc, rot, alg.dim) == ({"xi"} if p == 1 else {"I", "xi"})
@@ -527,8 +536,7 @@ def _preserves_splitting(alg, conn: cn.Connection) -> bool:
     return not any(
         alg.is_vertical(r) != alg.is_vertical(c)
         for i in range(alg.dim)
-        for _, e in conn.form(i).parts.values()
-        for r, c in e
+        for r, c in conn.form(i).part[2]
     )
 
 
@@ -684,7 +692,7 @@ def test_qc_defect_vanishes_exactly_when_the_reference_preserves(p):
             comps[ab] = comps.get(ab, 0) + rng.randint(1, 2)
             kinds.add(kind)
         form = two_form_endo(KForm(n, 2, comps))
-        defect = ct._qc_defect(alg, qc, form)
+        defect = ct._qc_defect(alg, qc, form)[2]
         assert (not defect) == _reference_form_preserves(alg, qc, form)
         verdicts.append(not defect)
     assert True in verdicts and False in verdicts
@@ -702,9 +710,9 @@ def test_reeb_equation_alone_decides_qc_preservation_on_gl_n(p):
     units = [(r, c) for r in range(n) for c in range(n)]
     rows = {}
     for k, rc in enumerate(units):
-        for d, (den, e) in ct._qc_defect(alg, qc, Endo(n, {rc: 1})).items():
-            for key, v in e.items():
-                rows.setdefault((d, key), {})[k] = Fraction(v, den)
+        _, den, e = ct._qc_defect(alg, qc, Endo(n, {rc: 1}))
+        for key, v in e.items():
+            rows.setdefault(key, {})[k] = Fraction(v, den)
     kernel = nullspace([integer_part(row)[1] for row in rows.values()], len(units))
     assert len(kernel) == 4 * p * p + 3
     if p <= 2:
@@ -759,8 +767,9 @@ def _qc_changes(alg) -> dict[str, ct.QcStructure]:
         "I_1 off H x H": ct.QcStructure(  # I_1 xi_1 = tau_1
             [_changed(structures[0], (h, 0)), *structures[1:]], forms, reeb
         ),
-        "eta_3 off V": ct.QcStructure(structures, [*forms[:2], forms[2] + alg.theta(1)], reeb),
-        "xi_2 off V": ct.QcStructure(structures, forms, [reeb[0], reeb[1] + alg.tau(1), reeb[2]]),
+        # each change at the degree in l of what it changes: eta_3 has -1, xi_2 has 1
+        "eta_3 off V": ct.QcStructure(structures, [*forms[:2], forms[2] + alg.theta(1).scale(ONE / alg.lam)], reeb),
+        "xi_2 off V": ct.QcStructure(structures, forms, [reeb[0], reeb[1] + alg.tau(1).scale(alg.lam), reeb[2]]),
     }
 
 
@@ -811,10 +820,13 @@ def test_the_joint_kernel_of_the_one_forms_is_exactly_h():
     differences = [eta[0] - eta[1], eta[1] - eta[2], eta[0] - eta[2]]
     assert not verdicts(differences)[kernel]()
     assert _dense_qc(alg, ct.QcStructure(qc.complex_structures, differences, qc.reeb))[kernel]
-    # an invertible block need not be diagonal; one whose determinant 1 - l
-    # vanishes at l = 1 is not invertible for every l > 0
-    assert verdicts([eta[0] + eta[1], eta[1], eta[2]])[kernel]()
-    assert not verdicts([eta[0] + eta[1].scale(LAM), eta[1] + eta[0], eta[2]])[kernel]()
+    # an invertible block need not be diagonal, nor of one degree; a 1-form whose
+    # block row mixes degrees, so that a determinant like 1 - l could vanish at
+    # l = 1 only, cannot be built
+    assert verdicts([eta[0] + eta[1], eta[1].scale(LAM), eta[2]])[kernel]()
+    assert not verdicts([eta[0] + eta[1], (eta[0] + eta[1]).scale(LAM), eta[2]])[kernel]()
+    with pytest.raises(TypeError, match=r"^KForm sum: a term of degree 1 in l meets one of degree 0$"):
+        eta[0] + eta[1].scale(LAM)
     assert verdicts(qc.one_forms)[kernel]()
 
 

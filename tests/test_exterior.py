@@ -254,10 +254,8 @@ def test_sparse_vector_matches_dense_definitions():
     rng = random.Random(23)
     n = 6
     for _ in range(40):
-        x, y = (
-            Vector([rng.randint(-2, 2) * LAM ** rng.randint(0, 1) for _ in range(n)])
-            for _ in range(2)
-        )
+        d = rng.randint(0, 1)  # x and y of one degree, so that they add
+        x, y = (Vector([rng.randint(-2, 2) * LAM**d for _ in range(n)]) for _ in range(2))
         dx, dy = list(x), list(y)
         assert len(dx) == n
         dot = ZERO
@@ -382,9 +380,9 @@ def test_linear_operations_need_one_class_dimension_and_degree():
 
 
 def test_endo_negation_and_subtraction():
-    a = Endo(3, {(0, 1): LAM, (1, 0): -LAM, (2, 2): 3})
-    b = Endo(3, {(0, 1): LAM, (2, 0): 1})
+    a = Endo(3, {(0, 1): LAM, (1, 0): -LAM, (2, 2): LAM * 3})
+    b = Endo(3, {(0, 1): LAM, (2, 0): LAM})
     assert -a == a.scale(-1)
     assert a - b == a + b.scale(-1)
     assert (a - a).is_zero() and (a - a).m == {}
-    assert (a - b).m == {(1, 0): -LAM, (2, 2): Scalar(3), (2, 0): Scalar(-1)}
+    assert (a - b).m == {(1, 0): -LAM, (2, 2): LAM * 3, (2, 0): -LAM}

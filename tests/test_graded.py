@@ -1,10 +1,10 @@
-"""The graded integer kernels against definitional Scalar sums.
+"""The integer kernels against definitional Scalar sums.
 
-Vectors, forms and endomorphisms keep their entries as parts
-{degree: (den, {index: int})}.  Every kernel is checked here, entry by
+Vectors, forms and endomorphisms keep their entries as one part
+(degree, den, {index: int}).  Every kernel is checked here, entry by
 entry, against a sum of `Scalar` products written out from the
-definition, on random tensors with Fraction coefficients whose entries
-may mix several degrees (two or more parts), which no report builds.
+definition, on random tensors with Fraction coefficients, each of one
+random degree in l.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhg.algebra import StructureConstants
 from qhg.connections import _act_on_form
 from qhg.exterior import Endo, KForm, Vector, form_inner, hodge_star, interior, wedge
 from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part
@@ -21,27 +22,42 @@ from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part
 DIM = 4
 
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-scalars = st.dictionaries(st.integers(-1, 2), coefficients, max_size=2).map(Scalar)
+degrees = st.integers(-1, 2)
 
 
-def sparse(keys):
-    return st.dictionaries(st.sampled_from(keys), scalars, max_size=6)
+def scalars(d):
+    return coefficients.map(lambda q: Scalar({d: q}))
 
 
-endos = sparse([(r, c) for r in range(DIM) for c in range(DIM)]).map(lambda m: Endo(DIM, m))
-vectors = st.lists(scalars, min_size=DIM, max_size=DIM).map(Vector)
+def sparse(keys, d):
+    return st.dictionaries(st.sampled_from(keys), scalars(d), max_size=6)
 
 
-def forms(k):
-    return sparse(list(combinations(range(DIM), k))).map(lambda m: KForm(DIM, k, m))
+def endos(d):
+    return sparse([(r, c) for r in range(DIM) for c in range(DIM)], d).map(lambda m: Endo(DIM, m))
+
+
+def vectors(d):
+    return st.lists(scalars(d), min_size=DIM, max_size=DIM).map(Vector)
+
+
+def forms(k, d):
+    return sparse(list(combinations(range(DIM), k)), d).map(lambda m: KForm(DIM, k, m))
+
+
+def pair(tensors):
+    """Two tensors of one random degree, so that they add."""
+    return degrees.flatmap(lambda d: st.tuples(tensors(d), tensors(d)))
 
 
 def assert_normal(t):
-    """den > 0, the content divided out, no zero entry and no empty part."""
-    for d, (den, e) in t.parts.items():
-        assert isinstance(d, int) and den > 0 and e
-        assert all(type(v) is int and v for v in e.values())
-        assert gcd(den, *e.values()) == 1
+    """den > 0, the content divided out and no zero entry; zero has no degree."""
+    d, den, e = t.part
+    assert den > 0 and all(type(v) is int and v for v in e.values())
+    if e:
+        assert isinstance(d, int) and gcd(den, *e.values()) == 1
+    else:
+        assert (d, den) == (None, 1)
 
 
 def endo_entries(a: Endo) -> dict:
@@ -74,8 +90,9 @@ def total(terms) -> Scalar:
 
 
 @settings(max_examples=40, deadline=None)
-@given(endos, endos, scalars)
-def test_endo_kernels_match_scalar_sums(a, b, c):
+@given(pair(endos), degrees.flatmap(scalars))
+def test_endo_kernels_match_scalar_sums(ab, c):
+    a, b = ab
     ea, eb = endo_entries(a), endo_entries(b)
     n = range(DIM)
     expected = {
@@ -101,8 +118,9 @@ def test_endo_kernels_match_scalar_sums(a, b, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(endos, vectors, vectors)
-def test_vector_kernels_match_scalar_sums(a, x, y):
+@given(degrees.flatmap(endos), pair(vectors))
+def test_vector_kernels_match_scalar_sums(a, xy):
+    x, y = xy
     ea = endo_entries(a)
     image = a.apply(x)
     assert_normal(image)
@@ -113,8 +131,10 @@ def test_vector_kernels_match_scalar_sums(a, x, y):
 
 
 @settings(max_examples=25, deadline=None)
-@given(forms(1), forms(2), forms(2), vectors, endos)
-def test_form_kernels_match_scalar_sums(f1, f2, g2, x, a):
+@given(degrees.flatmap(lambda d: forms(1, d)), pair(lambda d: forms(2, d)),
+       degrees.flatmap(vectors), degrees.flatmap(endos))
+def test_form_kernels_match_scalar_sums(f1, f2g2, x, a):
+    f2, g2 = f2g2
     ea = endo_entries(a)
     w = wedge(f1, f2)
     assert_normal(w)
@@ -149,24 +169,44 @@ def test_form_kernels_match_scalar_sums(f1, f2, g2, x, a):
 
 def test_equal_tensors_have_equal_parts():
     half = Fraction(1, 2)
-    a = Endo(3, {(0, 1): LAM * half, (1, 0): LAM * Fraction(3, 2), (2, 2): ONE})
-    b = Endo(3, {(0, 1): LAM, (1, 0): LAM * 3}).scale(half) + Endo(3, {(2, 2): ONE})
-    assert a.parts == b.parts == {1: (2, {(0, 1): 1, (1, 0): 3}), 0: (1, {(2, 2): 1})}
-    assert a.scale(2).parts == {1: (1, {(0, 1): 1, (1, 0): 3}), 0: (1, {(2, 2): 2})}
-    assert (a - a).parts == {}
+    a = Endo(3, {(0, 1): LAM * half, (1, 0): LAM * Fraction(3, 2), (2, 2): LAM})
+    b = Endo(3, {(0, 1): LAM, (1, 0): LAM * 3}).scale(half) + Endo(3, {(2, 2): LAM})
+    assert a.part == b.part == (1, 2, {(0, 1): 1, (1, 0): 3, (2, 2): 2})
+    assert a.scale(2).part == (1, 1, {(0, 1): 1, (1, 0): 3, (2, 2): 2})
+    assert (a - a).part == (None, 1, {})
 
 
 def test_homogeneous_part_rejects_a_second_part():
-    # the first index in sorted order sets the degree; the first other one fails
-    two_degrees = Endo(3, {(0, 1): LAM, (2, 0): ONE})
-    message = r"^endo at index \(2, 0\): 1 has degree 0 in l, expected 1$"
-    with pytest.raises(ArithmeticError, match=message):
-        homogeneous_part(two_degrees, "endo")
-    shared = Endo(3, {(1, 2): LAM + 1, (0, 0): ONE})
-    with pytest.raises(ArithmeticError, match=r"^endo at index \(1, 2\): l \+ 1 is not a monomial"):
-        homogeneous_part(shared, "endo")
-    with pytest.raises(ArithmeticError, match=r"\(0, 1\): l has degree 1 in l, expected 2"):
+    """A tensor of two degrees cannot be built: its construction names the index
+    and both degrees.  `homogeneous_part` reads the one part, and rejects a
+    degree other than the one asked for."""
+    with pytest.raises(TypeError, match=r"^Endo at index \(2, 0\): degree 0 in l meets degree 1 at index \(0, 1\)$"):
+        Endo(3, {(0, 1): LAM, (2, 0): ONE})
+    with pytest.raises(ArithmeticError, match=r"^endo has degree 1 in l, expected 2$"):
         homogeneous_part(Endo(3, {(0, 1): LAM}), "endo", 2)
     one = Endo(3, {(0, 1): LAM * Fraction(2, 3), (1, 0): LAM})
-    assert homogeneous_part(one) == (1, 3, {(0, 1): 2, (1, 0): 3})
+    assert homogeneous_part(one) == homogeneous_part(one, degree=1) == (1, 3, {(0, 1): 2, (1, 0): 3})
     assert homogeneous_part(Endo.zero(3)) == (None, 1, {})
+    assert homogeneous_part(Endo.zero(3), degree=2) == (2, 1, {})
+
+
+def test_a_value_of_two_degrees_cannot_be_built():
+    """Adding a length to an area: a Scalar, a Vector, a KForm, an Endo and a
+    structure table of two degrees in l each raise, naming it and both degrees."""
+    cases = [
+        (lambda: Scalar({0: 1, 1: 2}), TypeError, r"^Scalar: a term of degree 1 in l meets one of degree 0$"),
+        (lambda: ONE + LAM, TypeError, r"^Scalar sum: a term of degree 1 in l meets one of degree 0$"),
+        (lambda: Vector([LAM, ZERO, ONE]), TypeError,
+         r"^Vector at index 2: degree 0 in l meets degree 1 at index 0$"),
+        (lambda: KForm(3, 2, {(0, 1): LAM**2, (2, 1): LAM}), TypeError,
+         r"^KForm at index \(1, 2\): degree 1 in l meets degree 2 at index \(0, 1\)$"),
+        (lambda: Endo(3, {(0, 1): ONE, (1, 0): LAM**-1}), TypeError,
+         r"^Endo at index \(1, 0\): degree -1 in l meets degree 0 at index \(0, 1\)$"),
+        (lambda: Vector.basis(3, 0) + Vector.basis(3, 1).scale(LAM), TypeError,
+         r"^Vector sum: a term of degree 1 in l meets one of degree 0$"),
+        (lambda: StructureConstants(3, {(0, 1): Vector.basis(3, 2).scale(LAM), (1, 2): Vector.basis(3, 0)}),
+         ValueError, r"^bracket \(1, 2\) has degree 0 in l, not 1 as bracket \(0, 1\)$"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()

@@ -68,11 +68,12 @@ def test_only_scalars_specializes_the_metric_parameter():
     """No `.terms()` call outside `scalars.py`: `terms()` is how
     `tests/support.specialize` evaluates a Scalar at a sampled l, and every
     other module reads the parameter at l = 1 through
-    `scalars.homogeneous_part`, which certifies that one point suffices.
-    Only `.terms()` calls are caught here: `Scalar.coeff` and `Scalar.parts`
-    read coefficients too, but `KForm.coeff` and `Endo.parts` share those
-    names, so `scalar_reads` catches them at run time, where the receiver's
-    type is known."""
+    `scalars.homogeneous_part`, where the homothety of the `scalars`
+    docstring makes one point suffice.  Only `.terms()` calls are caught
+    here: `Scalar.coeff` and `Scalar.part` read the coefficient and the
+    degree too, but `KForm.coeff` and `Endo.part` share those names, so
+    `scalar_reads` catches them at run time, where the receiver's type is
+    known."""
     for path in sorted(SRC.glob("*.py")):
         if path.name != "scalars.py":
             assert rational_calls(path.read_text(), ("terms",)) == [], path.name
@@ -89,12 +90,12 @@ def test_terms_guard_flags_a_sampled_parameter():
 
 
 def scalar_reads(action) -> list[str]:
-    """`file:function:line` of every read of a Scalar's coefficients by exponent,
-    a `Scalar.coeff` or `Scalar.terms` call or a read of `Scalar.parts`, that code
+    """`file:function:line` of every read of a Scalar's coefficient by exponent,
+    a `Scalar.coeff` or `Scalar.terms` call or a read of `Scalar.part`, that code
     in src/ outside `scalars.py` makes while action() runs.  The class is patched
-    for the run, so a tensor's `coeff` or `parts` is never mistaken for one."""
+    for the run, so a tensor's `coeff` or `part` is never mistaken for one."""
     found = set()
-    slot, coeff, terms = Scalar.parts, Scalar.coeff, Scalar.terms
+    slot, coeff, terms = Scalar.part, Scalar.coeff, Scalar.terms
 
     def note():
         frame = sys._getframe(2)  # the reader, past the patched attribute
@@ -102,7 +103,7 @@ def scalar_reads(action) -> list[str]:
         if path.parent == SRC and path.name != "scalars.py":
             found.add(f"{path.name}:{frame.f_code.co_name}:{frame.f_lineno}")
 
-    def parts(s):
+    def part(s):
         note()
         return slot.__get__(s)
 
@@ -113,11 +114,11 @@ def scalar_reads(action) -> list[str]:
 
         return read
 
-    Scalar.parts, Scalar.coeff, Scalar.terms = property(parts, slot.__set__), noted(coeff), noted(terms)
+    Scalar.part, Scalar.coeff, Scalar.terms = property(part, slot.__set__), noted(coeff), noted(terms)
     try:
         action()
     finally:
-        Scalar.parts, Scalar.coeff, Scalar.terms = slot, coeff, terms
+        Scalar.part, Scalar.coeff, Scalar.terms = slot, coeff, terms
     return sorted(found)
 
 
@@ -136,16 +137,18 @@ def _in_src(source: str) -> dict:
 
 
 def test_scalar_read_guard_flags_a_sampled_parameter():
-    at = _in_src("def _at(s, v):\n    return sum(s.coeff(e) * v**e for e in s.parts)\n")["_at"]
-    assert scalar_reads(lambda: at(LAM * 2 + 3, 2)) == ["sampled.py:<genexpr>:2", "sampled.py:_at:2"]
+    at = _in_src("def _at(s, v):\n    return sum(s.coeff(e) * v**e for e in [s.part[0]])\n")["_at"]
+    assert scalar_reads(lambda: at(LAM * 2, 3)) == ["sampled.py:<genexpr>:2", "sampled.py:_at:2"]
+    degree = _in_src("def f(s, v):\n    d, den, e = s.part\n    return e[()] * v**d / den\n")["f"]
+    assert scalar_reads(lambda: degree(LAM * 2, 3)) == ["sampled.py:f:2"]
     terms = _in_src("def f(s):\n    return dict(s.terms())\n")["f"]
     assert scalar_reads(lambda: terms(LAM)) == ["sampled.py:f:2"]
-    # a 2-form's coeff and parts, and the same reads outside src/, are not flagged
+    # a 2-form's coeff and part, and the same reads outside src/, are not flagged
     form = KForm.basis(3, (0, 1)).scale(LAM)
-    tensor = _in_src("def f(t):\n    return t.coeff((0, 1)), t.parts\n")["f"]
+    tensor = _in_src("def f(t):\n    return t.coeff((0, 1)), t.part\n")["f"]
     assert scalar_reads(lambda: tensor(form)) == []
-    assert scalar_reads(lambda: sum(s.coeff(e) for s in [LAM] for e in s.parts)) == []
-    assert Scalar.parts.__class__.__name__ == "member_descriptor"  # restored
+    assert scalar_reads(lambda: sum(s.coeff(e) for s in [LAM] for e in [s.part[0]])) == []
+    assert Scalar.part.__class__.__name__ == "member_descriptor"  # restored
 
 
 def hand_accumulations(source: str) -> list[str]:
@@ -251,9 +254,9 @@ def test_linear_operation_guard_flags_a_copy_in_a_tensor_class():
         "class Endo:\n"
         "    _check = _check_dims\n"
         "    def __add__(self, other):\n"
-        "        return _endo(self.dim, _merge(self.parts, other.parts, 1))\n"
+        "        return _endo(self.dim, _merge(self.part, other.part, 1))\n"
         "    def scale(self, c):\n"
-        "        return _endo(self.dim, _scale(self.parts, c))\n"
+        "        return _endo(self.dim, _scale(self.part, c))\n"
         "    def compose(self, other):\n"
         "        return other\n"
     )
