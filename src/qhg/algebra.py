@@ -11,11 +11,12 @@ for the metric; its parameter enters through the brackets
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from fractions import Fraction
 
 from .exterior import Endo, KForm, Vector, _endo, _kform, _vector, two_form_endo, wedge
 from .linalg import nullspace
-from .scalars import LAM, ZERO_PART, Scalar, accumulate, graded
+from .scalars import LAM, Scalar, accumulate, graded, part
 
 # quaternion unit table (1, i, j, k): _QUAT[a][b] = (sign, index of a*b)
 _QUAT = [
@@ -66,25 +67,26 @@ class StructureConstants:
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
         self.dim = dim
         self._sc = structure
+        self._zero = Vector.zero(dim)  # every zero product; values are immutable
         # _parts[i][j] = (den, {k: int}), [e_i, e_j] = entries / den * l^degree
         # in both orders; a negative den negates (see scalars.graded)
         self._parts: list[dict[int, tuple]] = [{} for _ in range(dim)]
+        degrees = set()
         for (i, j), v in structure.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < {dim}")
             if v.dim != dim:
                 raise ValueError(f"bracket {(i, j)} has dimension {v.dim}, not {dim}")
-            _, den, e = v.part
+            d, den, e = v.part
             if e:
                 self._parts[i][j], self._parts[j][i] = (den, e), (-den, e)
-        self.degree = first = None
-        for key in sorted(structure):
-            d = structure[key].part[0]
-            if d is None or d == self.degree:
-                continue
-            if first is not None:
-                raise ValueError(f"bracket {key} has degree {d} in l, not {self.degree} as bracket {first}")
-            self.degree, first = d, key
+                degrees.add(d)
+        if len(degrees) > 1:  # name the first key, in sorted order, of a second degree
+            first, *keys = sorted(key for key, v in structure.items() if v.part[2])
+            d0 = structure[first].part[0]
+            key = next(key for key in keys if structure[key].part[0] != d0)
+            raise ValueError(f"bracket {key} has degree {structure[key].part[0]} in l, not {d0} as bracket {first}")
+        self.degree = next(iter(degrees), None)
         self._derived: dict = {}
 
     def basis_vector(self, index: int) -> Vector:
@@ -95,10 +97,11 @@ class StructureConstants:
         if v is not None:
             return v
         v = self._sc.get((j, i))
-        return -v if v is not None else Vector.zero(self.dim)
+        return -v if v is not None else self._zero
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension over the nonzero components of x and y."""
+        """Bilinear extension over the nonzero components of x and y; a zero
+        product costs its call and allocates nothing (the shared zero)."""
         acc: dict[int, dict[int, int]] = {}  # den of the table -> sums
         table = self._parts
         dx, nx, ex = x.part
@@ -118,8 +121,11 @@ class StructureConstants:
                     for k, c in v.items():
                         accumulate(sums, k, ab * c)
         if not acc:
-            return _vector(self.dim, ZERO_PART)
+            return self._zero
         d, n = dx + dy + self.degree, nx * ny
+        if len(acc) == 1:  # one table denominator: graded of one raw part is part
+            (den, e), = acc.items()
+            return _vector(self.dim, part(d, n * den, e))
         return _vector(self.dim, graded(((d, n * den, e) for den, e in acc.items()), "bracket"))
 
     def ad(self, x: Vector) -> Endo:
@@ -252,24 +258,25 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
     with a nonzero sum, the lexicographically first, is returned.  A full scan
     makes |stored| * (n - 2) products, not a walk over n^3/6 triples, and each
     goes through `sc.bracket`, zero or not: no double bracket is assumed zero.
+    A zero product costs its one call and allocates nothing.
     """
     n, bracket = sc.dim, sc.bracket
     basis = [sc.basis_vector(c) for c in range(n)]
     rows = [[(j, sc._sc[i, j]) for j in sc._parts[i] if j > i] for i in range(n)]  # [(j, v_ij)]
-    for i in range(n):
-        raw: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> raw parts of its sum
+    for i, ei in enumerate(basis):
+        raw = defaultdict(list)  # (i, j, k) -> raw parts of its sum
         for j, v in rows[i]:
             for c in range(i + 1, n):
                 if c != j:
                     d, den, e = bracket(v, basis[c]).part
                     if e:
                         key = (i, j, c) if c > j else (i, c, j)
-                        raw.setdefault(key, []).append((d, den if c > j else -den, e))
+                        raw[key].append((d, den if c > j else -den, e))
         for j in range(i + 1, n):
             for k, v in rows[j]:
-                d, den, e = bracket(v, basis[i]).part
+                d, den, e = bracket(v, ei).part
                 if e:
-                    raw.setdefault((i, j, k), []).append((d, den, e))
+                    raw[i, j, k].append((d, den, e))
         for key in sorted(raw):
             if graded(raw[key])[2]:
                 return False, key

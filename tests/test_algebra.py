@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from benchmarks import gate
 from qhg import algebra, connections
 from qhg.exterior import Endo, KForm, Vector, ce_differential, wedge
-from qhg.scalars import LAM, Scalar
+from qhg.scalars import LAM, ZERO_PART, Scalar
 from support import jacobi_oracle
 
 
@@ -255,6 +255,51 @@ def test_jacobi_witnesses_of_all_p4_mutants():
             mutated = algebra.QHAlgebra(4, alg.lam, structure)
             witness = gate.mutant_witness(4, a, b, c)
             assert algebra.jacobi_check(mutated) == jacobi_oracle(mutated) == (False, witness)
+
+
+CALL_COUNT_TABLES = {
+    **{f"build({p})": (lambda p=p: algebra.build(p), calls) for p, calls in ((1, 30), (2, 108), (3, 234))},
+    **{f"hol+m({p})": (lambda p=p: canonical_hol_m(p), calls) for p, calls in ((1, 336), (2, 864))},
+}
+
+
+@pytest.mark.parametrize("name", CALL_COUNT_TABLES)
+def test_jacobi_check_brackets_every_product_of_a_passing_table(name, monkeypatch):
+    """On a table that passes, every one of the |stored| * (n - 2) products,
+    zero or not, is one call of `bracket`: no double bracket is assumed zero."""
+    build, expected = CALL_COUNT_TABLES[name]
+    table, calls = build(), []
+    bracket = algebra.StructureConstants.bracket
+
+    def counted(sc, x, y):
+        calls.append((x, y))
+        return bracket(sc, x, y)
+
+    monkeypatch.setattr(algebra.StructureConstants, "bracket", counted)
+    monkeypatch.setattr(algebra.QHAlgebra, "bracket", counted)
+    stored = sum(j > i for i, row in enumerate(table._parts) for j in row)
+    assert algebra.jacobi_check(table) == (True, None)
+    assert len(calls) == stored * (table.dim - 2) == expected
+
+
+@pytest.mark.parametrize("name", ["build(2)", "hol+m(1)"])
+def test_a_zero_product_is_the_shared_zero_vector(name):
+    """A product that no table entry meets, and `bracket_basis` of an absent
+    pair, are the zero vector on the shared ZERO_PART, one object per table;
+    +, - and scale on it build new values and leave it zero."""
+    table = CALL_COUNT_TABLES[name][0]()
+    n = table.dim
+    i, j = next((i, j) for i, j in combinations(range(n), 2) if j not in table._parts[i])
+    zero = table.bracket(table.basis_vector(i), table.basis_vector(j))
+    assert zero == Vector.zero(n) and zero.part is ZERO_PART
+    assert table.bracket(table.basis_vector(j), table.basis_vector(i)) is zero
+    assert table.bracket(Vector.zero(n), Vector([1] * n)) is zero
+    assert table.bracket_basis(i, j) is zero and table.bracket_basis(j, i) is zero
+    x = table.bracket_basis(*next((i, j) for i, row in enumerate(table._parts) for j in row))
+    for value, expected in ((zero + zero, Vector.zero(n)), (zero + x, x), (zero - x, -x), (-zero, Vector.zero(n)),
+                            (zero.scale(LAM), Vector.zero(n))):
+        assert value is not zero and value == expected
+    assert zero == Vector.zero(n) and zero.part is ZERO_PART
 
 
 def test_two_step_nilpotent():
