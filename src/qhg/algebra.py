@@ -100,8 +100,9 @@ class StructureConstants:
         return -v if v is not None else self._zero
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension over the nonzero components of x and y; a zero
-        product costs its call and allocates nothing (the shared zero)."""
+        """Bilinear extension over the nonzero components of x and y; a
+        product that no table entry meets is the shared zero and allocates
+        nothing, one whose terms cancel is a new zero."""
         acc: dict[int, dict[int, int]] = {}  # den of the table -> sums
         table = self._parts
         dx, nx, ex = x.part
@@ -258,7 +259,7 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
     with a nonzero sum, the lexicographically first, is returned.  A full scan
     makes |stored| * (n - 2) products, not a walk over n^3/6 triples, and each
     goes through `sc.bracket`, zero or not: no double bracket is assumed zero.
-    A zero product costs its one call and allocates nothing.
+    A product that no table entry meets costs one call and allocates nothing.
     """
     n, bracket = sc.dim, sc.bracket
     basis = [sc.basis_vector(c) for c in range(n)]
