@@ -59,9 +59,10 @@ class StructureConstants:
 
     `structure` maps (i, j) with 0 <= i < j < dim to the nonzero brackets
     [e_i, e_j], vectors of dimension dim, all of one degree in l, `degree`
-    (None when every bracket is zero); any other key or vector, or a bracket
-    of a second degree, raises ValueError.  `_derived` is the memo of the
-    `derived` functions of the table.
+    (None when every bracket is zero); any other key or vector, a bracket of
+    a second degree, or an operand of `bracket` or `ad` of another dimension
+    raises ValueError.  `_derived` is the memo of the `derived` functions of
+    the table.
     """
 
     def __init__(self, dim: int, structure: dict[tuple[int, int], Vector]):
@@ -103,6 +104,8 @@ class StructureConstants:
         """Bilinear extension over the nonzero components of x and y; a
         product that no table entry meets is the shared zero and allocates
         nothing, one whose terms cancel is a new zero."""
+        if x.dim != self.dim or y.dim != self.dim:
+            raise ValueError(f"bracket operands have dimensions {x.dim} and {y.dim}, not {self.dim}")
         acc: dict[int, dict[int, int]] = {}  # den of the table -> sums
         table = self._parts
         dx, nx, ex = x.part
@@ -131,6 +134,8 @@ class StructureConstants:
 
     def ad(self, x: Vector) -> Endo:
         """ad_x = [x, -] read from the table: entry (k, j) is [x, e_j]_k."""
+        if x.dim != self.dim:
+            raise ValueError(f"ad operand has dimension {x.dim}, not {self.dim}")
         dx, nx, ex = x.part
         if not ex or self.degree is None:
             return Endo.zero(self.dim)
@@ -256,26 +261,36 @@ def jacobi_check(sc: StructureConstants) -> tuple[bool, tuple[int, int, int] | N
     The sum on (i, j, k) is [v_ij, e_k] + [v_jk, e_i] - [v_ik, e_j].  For one i
     at a time, each v_ij meets every e_c, c > i, c != j, at the sorted triple
     (negated when c < j), and each v_jk, j > i, meets e_i; the least triple
-    with a nonzero sum, the lexicographically first, is returned.  A full scan
-    makes |stored| * (n - 2) products, not a walk over n^3/6 triples, and each
-    goes through `sc.bracket`, zero or not: no double bracket is assumed zero.
-    A product that no table entry meets costs one call and allocates nothing.
+    with a nonzero sum, the lexicographically first, is returned.  [v, e_c]
+    depends only on the value of v, keyed by its normal form (den, entries):
+    within the call it goes through `sc.bracket` once, zero or not, when a
+    stored bracket of that value first needs it, so a full scan makes at most
+    |stored| * (n - 2) calls: no double bracket is assumed zero.
     """
     n, bracket = sc.dim, sc.bracket
     basis = [sc.basis_vector(c) for c in range(n)]
-    rows = [[(j, sc._sc[i, j]) for j in sc._parts[i] if j > i] for i in range(n)]  # [(j, v_ij)]
-    for i, ei in enumerate(basis):
+    memo: dict = {}  # normal-form (den, entries) of a stored value -> part of [v, e_c] by c
+    rows = [[] for _ in range(n)]  # rows[i] = [(j, v_ij, products of its value)]
+    for (i, j), v in sc._sc.items():
+        _, den, e = v.part
+        if e:
+            rows[i].append((j, v, memo.setdefault((den, frozenset(e.items())), [None] * n)))
+    for i in range(n):
         raw = defaultdict(list)  # (i, j, k) -> raw parts of its sum
-        for j, v in rows[i]:
+        for j, v, products in rows[i]:
             for c in range(i + 1, n):
                 if c != j:
-                    d, den, e = bracket(v, basis[c]).part
+                    if products[c] is None:
+                        products[c] = bracket(v, basis[c]).part
+                    d, den, e = products[c]
                     if e:
                         key = (i, j, c) if c > j else (i, c, j)
                         raw[key].append((d, den if c > j else -den, e))
         for j in range(i + 1, n):
-            for k, v in rows[j]:
-                d, den, e = bracket(v, ei).part
+            for k, v, products in rows[j]:
+                if products[i] is None:
+                    products[i] = bracket(v, basis[i]).part
+                d, den, e = products[i]
                 if e:
                     raw[i, j, k].append((d, den, e))
         for key in sorted(raw):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -149,6 +150,22 @@ def test_structure_constants_reject_a_vector_of_another_dimension():
         algebra.StructureConstants(3, {(0, 2): Vector.basis(3, 1), (0, 1): Vector.basis(4, 2)})
 
 
+def test_bracket_and_ad_reject_a_vector_of_another_dimension():
+    """A 5-dim operand of the 7-dim table once gave a 7-dim l xi_1, an 11-dim
+    one an IndexError."""
+    alg = algebra.build(1)
+    with pytest.raises(ValueError, match=r"^bracket operands have dimensions 5 and 5, not 7$"):
+        alg.bracket(Vector.basis(5, 3), Vector.basis(5, 4))
+    with pytest.raises(ValueError, match=r"^bracket operands have dimensions 7 and 11, not 7$"):
+        alg.bracket(alg.tau(1), Vector.basis(11, 9))
+    with pytest.raises(ValueError, match=r"^bracket operands have dimensions 11 and 7, not 7$"):
+        alg.bracket(Vector.basis(11, 9), alg.tau(1))
+    with pytest.raises(ValueError, match=r"^ad operand has dimension 11, not 7$"):
+        alg.ad(Vector.basis(11, 9))
+    with pytest.raises(ValueError, match=r"^ad operand has dimension 5, not 7$"):
+        alg.ad(Vector.basis(5, 3))
+
+
 def test_structure_constants_reject_brackets_of_two_degrees():
     """The table names the first key, in sorted order, whose degree in l is not
     that of the first bracket; zero brackets have no degree and pass."""
@@ -234,8 +251,31 @@ def sparse_tables(draw):
     return algebra.StructureConstants(dim, {key: v for key, v in structure.items() if not v.is_zero()})
 
 
-@settings(max_examples=120, deadline=None)
-@given(sparse_tables())
+@st.composite
+def pooled_tables(draw):
+    """A table of dimension 3..9 whose stored brackets are drawn from a pool of
+    2..3 values of one degree and their negatives, so most tables store one
+    value at several keys.  A pool value is 1, 2, 1/2 or 1/3 times one of at
+    most two sparse vectors (equal entries, other denominators), and a stored
+    bracket may be built at twice its value and halved."""
+    dim, d = draw(st.integers(3, 9)), draw(st.integers(-1, 2))
+    bases = draw(st.lists(st.dictionaries(
+        st.integers(0, dim - 1), st.integers(-2, 2).filter(bool), min_size=1, max_size=2), min_size=1, max_size=2))
+    pool = draw(st.lists(st.tuples(
+        st.sampled_from(bases), st.sampled_from([1, 2, Fraction(1, 2), Fraction(1, 3)])), min_size=2, max_size=3))
+    stored = draw(st.lists(st.tuples(
+        st.sampled_from(list(combinations(range(dim), 2))), st.sampled_from(pool),
+        st.sampled_from([1, -1]), st.booleans()), min_size=3, max_size=10, unique_by=lambda t: t[0]))
+    structure = {}
+    for key, (base, q), sign, halved in stored:
+        f = sign * q * (2 if halved else 1)
+        v = Vector([Scalar({d: Fraction(base.get(k, 0)) * f}) for k in range(dim)])
+        structure[key] = v.scale(Fraction(1, 2)) if halved else v
+    return algebra.StructureConstants(dim, structure)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_tables(), pooled_tables()))
 def test_jacobi_check_matches_the_oracle_on_random_sparse_tables(table):
     failing = [t for t in combinations(range(table.dim), 3) if gate.jacobi_sum_is_nonzero(table, t)]
     expected = (False, failing[0]) if failing else (True, None)
@@ -257,29 +297,60 @@ def test_jacobi_witnesses_of_all_p4_mutants():
             assert algebra.jacobi_check(mutated) == jacobi_oracle(mutated) == (False, witness)
 
 
+def bracket_calls(table, monkeypatch) -> Counter:
+    """Run `jacobi_check` on a passing table and count its `bracket` calls by
+    (value of the first operand, index of the basis vector in the second)."""
+    calls = Counter()
+    bracket = algebra.StructureConstants.bracket
+
+    def counted(sc, x, y):
+        (c,) = y.part[2]
+        assert y == sc.basis_vector(c)
+        calls[tuple(x), c] += 1
+        return bracket(sc, x, y)
+
+    monkeypatch.setattr(algebra.StructureConstants, "bracket", counted)
+    monkeypatch.setattr(algebra.QHAlgebra, "bracket", counted)
+    assert algebra.jacobi_check(table) == (True, None)
+    return calls
+
+
+def needed_products(table) -> Counter:
+    """Each pair of a distinct stored value v and an index c outside {a, b}
+    for some stored (a, b) with value v, once."""
+    return Counter({(tuple(v), c): 1 for (a, b), v in table._sc.items() if not v.is_zero()
+                    for c in range(table.dim) if c not in (a, b)})
+
+
 CALL_COUNT_TABLES = {
-    **{f"build({p})": (lambda p=p: algebra.build(p), calls) for p, calls in ((1, 30), (2, 108), (3, 234))},
-    **{f"hol+m({p})": (lambda p=p: canonical_hol_m(p), calls) for p, calls in ((1, 336), (2, 864))},
+    **{f"build({p})": (lambda p=p: algebra.build(p), calls) for p, calls in ((1, 24), (2, 44), (3, 60))},
+    **{f"hol+m({p})": (lambda p=p: canonical_hol_m(p), calls) for p, calls in ((1, 248), (2, 548))},
 }
 
 
 @pytest.mark.parametrize("name", CALL_COUNT_TABLES)
 def test_jacobi_check_brackets_every_product_of_a_passing_table(name, monkeypatch):
-    """On a table that passes, every one of the |stored| * (n - 2) products,
-    zero or not, is one call of `bracket`: no double bracket is assumed zero."""
+    """On a table that passes, `bracket` runs exactly once on each distinct
+    stored value v and each e_c that a stored bracket of value v meets, zero
+    or not: no double bracket is assumed zero, and none is computed twice."""
     build, expected = CALL_COUNT_TABLES[name]
-    table, calls = build(), []
-    bracket = algebra.StructureConstants.bracket
+    table = build()
+    calls = bracket_calls(table, monkeypatch)
+    assert calls == needed_products(table)
+    assert sum(calls.values()) == expected
 
-    def counted(sc, x, y):
-        calls.append((x, y))
-        return bracket(sc, x, y)
 
-    monkeypatch.setattr(algebra.StructureConstants, "bracket", counted)
-    monkeypatch.setattr(algebra.QHAlgebra, "bracket", counted)
-    stored = sum(j > i for i, row in enumerate(table._parts) for j in row)
-    assert algebra.jacobi_check(table) == (True, None)
-    assert len(calls) == stored * (table.dim - 2) == expected
+def test_equal_stored_brackets_built_differently_share_their_products(monkeypatch):
+    """[e_1, e_2] = (2l e_0) / 2 and [e_3, e_4] = l e_0 are one value and share
+    its five products; l/2 e_0 (equal entries, another denominator) and -l e_0
+    are two more values, three products each."""
+    e0 = Vector.basis(5, 0)
+    structure = {(1, 2): e0.scale(LAM * 2).scale(Fraction(1, 2)), (3, 4): e0.scale(LAM),
+                 (1, 3): e0.scale(LAM / 2), (2, 4): e0.scale(-LAM)}
+    table = algebra.StructureConstants(5, structure)
+    assert structure[1, 2].part == structure[3, 4].part
+    calls = bracket_calls(table, monkeypatch)
+    assert calls == needed_products(table) and sum(calls.values()) == 5 + 3 + 3
 
 
 @pytest.mark.parametrize("name", ["build(2)", "hol+m(1)"])
