@@ -18,36 +18,33 @@ from .scalars import Scalar
 class ConeCriterion:
     """Inputs and solution of the coincidence system S_1 = S_2 = S_3."""
 
-    __slots__ = ("torsions", "fundamental_forms", "constant", "common")
+    __slots__ = ("torsions", "constant", "common")
 
-    def __init__(self, torsions, fundamental_forms, constant, common):
+    def __init__(self, torsions, constant, common):
         self.torsions = torsions
-        self.fundamental_forms = fundamental_forms
         self.constant = constant
         self.common = common
 
 
 @derived
 def _characteristic_terms(alg: QHAlgebra):
-    """(T_i, F_i, eta_i ^ F_i) for i = 1, 2, 3, with T_i recomputed from its
+    """(T_i, eta_i ^ F_i) for i = 1, 2, 3, with T_i recomputed from its
     connection."""
     torsions = tuple(Geometry(alg, characteristic_connection(alg, i)).torsion_form for i in (1, 2, 3))
     for i, t in zip((1, 2, 3), torsions):
         if t is None:
             raise ValueError(f"torsion of characteristic connection {i} is not totally skew")
-    forms = tuple(fundamental_form(alg, build_phi(alg, i)) for i in (1, 2, 3))
-    mixed = tuple(wedge(alg.eta(i), f) for i, f in zip((1, 2, 3), forms))
-    return torsions, forms, mixed
+    mixed = tuple(wedge(alg.eta(i), fundamental_form(alg, build_phi(alg, i))) for i in (1, 2, 3))
+    return torsions, mixed
 
 
 def _mixed_terms(alg: QHAlgebra, opposite_convention: bool = False):
-    """(T_i, F_i, eta_i ^ F_i); the opposite 2-form convention negates F_i
-    and eta_i ^ F_i, and leaves the torsions as they are."""
-    torsions, forms, mixed = _characteristic_terms(alg)
+    """(T_i, eta_i ^ F_i); the opposite 2-form convention negates F_i, so
+    eta_i ^ F_i, and leaves the torsions as they are."""
+    torsions, mixed = _characteristic_terms(alg)
     if opposite_convention:
-        forms = tuple(f.scale(-1) for f in forms)
         mixed = tuple(m.scale(-1) for m in mixed)
-    return torsions, forms, mixed
+    return torsions, mixed
 
 
 def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCriterion:
@@ -60,7 +57,7 @@ def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCrit
     """
     if alg.p != 1:
         raise ValueError("the cone criterion is stated in dimension 7")
-    torsions, forms, mixed = _mixed_terms(alg, opposite_convention)
+    torsions, mixed = _mixed_terms(alg, opposite_convention)
     candidate: Scalar | None = None
     for i in range(3):
         for j in range(i + 1, 3):
@@ -80,14 +77,14 @@ def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCrit
     if any(not r.is_zero() for r in _residuals(torsions, mixed, candidate)):
         raise ArithmeticError("candidate does not make the three tensors coincide")
     common = torsions[0] - mixed[0].scale(candidate * 2)
-    return ConeCriterion(torsions, forms, candidate, common)
+    return ConeCriterion(torsions, candidate, common)
 
 
 def coincidence_residuals(
     alg: QHAlgebra, a: Scalar, opposite_convention: bool = False
 ) -> list[KForm]:
     """S_i - S_j at a given constant, for (i,j) = (1,2), (1,3), (2,3)."""
-    torsions, _, mixed = _mixed_terms(alg, opposite_convention)
+    torsions, mixed = _mixed_terms(alg, opposite_convention)
     return _residuals(torsions, mixed, a)
 
 

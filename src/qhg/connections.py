@@ -1,4 +1,4 @@
-"""Left-invariant metric connections: curvature, holonomy, reductivity.
+"""Left-invariant metric connections: curvature, holonomy, hol + m.
 
 A left-invariant connection is the linear map X -> Omega(X) into the
 skew endomorphisms, nabla_X Y = Omega(X) Y on invariant fields.  The
@@ -309,7 +309,7 @@ class Geometry:
     def holonomy(self) -> list[Endo]:
         """Ambrose-Singer closure: curvature endomorphisms, closed under
         bracketing with the connection forms and among themselves; a basis
-        of rational endomorphisms, valid for every l > 0 (see `_holonomy_at`)."""
+        of rational endomorphisms, valid for every l > 0 (see `_holonomy_span`)."""
         return self._holonomy_span[0]
 
     @cached_property
@@ -325,8 +325,21 @@ class Geometry:
 
     @cached_property
     def _holonomy_span(self) -> tuple[list[Endo], Span]:
-        """The holonomy basis and the span it is built on, which hold V first."""
-        return _holonomy_at(self)
+        """The holonomy basis at l = 1 and the span it is built on, continuing `_curvature_span`,
+        which holds V first.  Each connection form and each R(e_i, e_j) is one monomial in l,
+        so at any l > 0 it is a positive multiple of its value at 1, the element of the span.
+        Member a meets each form and the members before it: each pair once.  Skew forms keep R
+        and every bracket in so(n), so the closure stops when n(n - 1)/2 members span all of it."""
+        n = self.alg.dim
+        omegas = [_endo(n, (0, den, e)) for _, den, e in (f.part for f in self.conn.omega) if e]
+        members, span, _ = self._curvature_span
+        full = n * (n - 1) // 2 if all(o.is_skew() for o in omegas) else None
+        for a, h in enumerate(members):  # members grows as it is read: a breadth-first closure
+            for o in chain(omegas, members[:a]):
+                if len(members) == full:
+                    return members, span
+                _push(span, members, o.commutator(h))
+        return members, span
 
     @cached_property
     def torsion_parallel(self) -> bool:
@@ -380,13 +393,14 @@ class Geometry:
         read on the span of the closure, [A, X_i] = A X_i from the entries of A, and
         [X_i, X_j] = -(R(e_i, e_j) + T(e_i, e_j)) / l^2 from `curvature_coordinates`
         and `torsion_parts`, each summed from its raw parts in one `graded`.  The
-        frame scales each Jacobi sum and reductivity entry by a power of l, so for
-        every l > 0 they vanish as in the frame e_i, at the same triples.  There the
+        frame scales each Jacobi sum by a power of l, so for every l > 0 it
+        vanishes as in the frame e_i, at the same triples.  There the
         canonical R has degree 2 and T degree 1 (33 of the 162 brackets at p = 5
         hold both); dividing by l^2 sets both at 0, by a numeric l moves no degree,
         and every bracket has degree 0.  Requires, in this order, totally
         skew and parallel torsion, parallel R and a closure closed under its bracket
-        that holds R: (table, None), else (None, witness).
+        that holds R: (table, None), else (None, witness).  The m-part of [X_i, X_j]
+        is then -T(e_i, e_j) / l with T totally skew: hol + m is reductive.
         """
         if self.torsion_form is None:
             return None, ("torsion not totally skew",)
@@ -426,19 +440,16 @@ class Geometry:
     def transvection(self):
         """Rebuild hol + m and test it exactly: (True, None) or (False, witness).
 
-        Checks the Jacobi identity of the rebuilt table and the reductivity
-        condition <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0 on all frame triples.
+        Checks the Jacobi identity of the rebuilt table.  Reductivity,
+        <[X,Y]_m, Z> + <Y, [X,Z]_m> = 0, needs no second pass: the m-block A of
+        ad(X_i) has entries A[k, j] = -T_ijk / l, and `transvection_algebra`
+        builds no table before T is certified totally skew, so A + A^T = 0.
         """
         table, witness = self.transvection_algebra
         if table is None:
             return False, witness
         ok, triple = jacobi_check(table)
-        if not ok:
-            return False, ("jacobi failure", *triple)
-        triple = _reductivity_failure(table, self.alg.dim)
-        if triple is not None:
-            return False, ("reductivity failure", *triple)
-        return True, None
+        return (True, None) if ok else (False, ("jacobi failure", *triple))
 
     @cached_property
     def first_bianchi(self) -> bool:
@@ -564,61 +575,46 @@ def is_parallel(conn: Connection, tensor) -> bool:
 # -- holonomy ----------------------------------------------------------------
 
 
-def _holonomy_at(geo: Geometry) -> tuple[list[Endo], Span]:
-    """The holonomy closure at l = 1, continuing `Geometry._curvature_span`.  Each
-    connection form and each R(e_i, e_j) is one monomial in l, so at any l > 0 it is
-    a positive multiple of its value at 1, the element of the span.  Member a meets
-    each form and the members before it: each pair once.  Skew forms keep R and
-    every bracket in so(n), so the closure stops when n(n - 1)/2 members span all of it."""
-    n = geo.alg.dim
-    omegas = [_endo(n, (0, den, e)) for _, den, e in (f.part for f in geo.conn.omega) if e]
-    members, span, _ = geo._curvature_span
-    full = n * (n - 1) // 2 if all(o.is_skew() for o in omegas) else None
-    for a, h in enumerate(members):  # members grows as it is read: a breadth-first closure
-        for o in chain(omegas, members[:a]):
-            if len(members) == full:
-                return members, span
-            _push(span, members, o.commutator(h))
-    return members, span
-
-
 def _push(span: Span, members: list[Endo], e: Endo) -> tuple[int, dict]:
     """Append e, of degree 0, to the basis when it lies outside its span; return the
     part (den, {a: int}) of the coordinates of -e in the basis, -1 at a when e is b_a.
 
-    Element b_a, of part (d_a, t_a), is the one row [t_a | d_a e_a] =
-    d_a [b_a | e_a].  A candidate e of part (den, t) reduces [t | 0] to res / res_den =
-    den [e - s | -x], s = sum_a x_a b_a, so it is outside the span iff res has
-    an entry below column n^2; then res with den res_den at column n^2 + a is
-    res_den den [e | e_a] modulo the span.  Else res over den res_den is -x / den.
-    An element past so(n) raises.
+    Element b_a, of part (d_a, t_a), is the one row [t_a | d_a e_a] = d_a [b_a | e_a].
+    Outside the span, the row res that `_read` leaves, with den res_den d_a at column
+    n^2 + a, is res_den d_a [e | e_a] modulo the span.  An element past so(n) raises.
     """
-    _, den, entries = e.part  # of degree 0
-    if not entries:
+    if not e.part[2]:
         return 1, {}
+    _, den, res, coords = _read(span, e)
+    if coords is not None:
+        return den, coords
     nn = e.dim * e.dim
-    res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
-    if min(res, default=nn) >= nn:
-        return den * res_den, {j - nn: x for j, x in res.items()}
     if nn + len(members) == span.n:
         raise ArithmeticError("holonomy closure exceeded so(n)")
-    span.add({**res, nn + len(members): den * res_den})
+    span.add({**res, nn + len(members): den})
     members.append(e)
     return 1, {len(members) - 1: -1}
 
 
 def _coordinates(span: Span, e: Endo) -> tuple | None:
     """The raw part (degree, den, {a: int}) of the coordinates of -e in the basis
-    b_a of `_push`, or None when e is outside its span.  The part (d, den, t) of e
-    reduces [t | 0] to res / res_den = [r | -x], t = r + sum_a x_a b_a: it is
-    in the span iff r = 0, and then res over den res_den is -x / den.
+    b_a of `_push`, or None when e is outside its span (see `_read`)."""
+    d, den, _, coords = _read(span, e)
+    return None if coords is None else (d, den, coords)
+
+
+def _read(span: Span, e: Endo) -> tuple[int, int, dict, dict | None]:
+    """e, of part (d, den, t), reduced against the basis b_a of `_push`, as
+    (d, den res_den, res, coords).  [t | 0] reduces to res / res_den = den [e - s | -x],
+    s = sum_a x_a b_a, so e is in the span iff res has no entry below column n^2.
+    Then coords = {a: int} are the identity columns n^2 + a of res, and over
+    den res_den they are -x, the coordinates of -e; else coords is None.
     """
     nn = e.dim * e.dim
     d, den, entries = e.part
     res_den, res = span.reduce({r * e.dim + c: v for (r, c), v in entries.items()})
-    if min(res, default=nn) < nn:
-        return None
-    return d, den * res_den, {j - nn: x for j, x in res.items()}
+    inside = min(res, default=nn) >= nn
+    return d, den * res_den, res, {j - nn: x for j, x in res.items()} if inside else None
 
 
 def invariant_subspace(basis: list[Endo], indices: tuple[int, ...]) -> bool:
@@ -649,25 +645,3 @@ def vertical_action_irreducible(alg: QHAlgebra, basis: list[Endo]) -> bool:
         for r in vertical:
             span.add({k: x[r, c] for k, c in enumerate(vertical) if (r, c) in x})
     return span.dim == 3  # zero joint kernel
-
-
-# -- natural reductivity ------------------------------------------------------
-
-
-def _reductivity_failure(table: StructureConstants, n: int) -> tuple[int, int, int] | None:
-    """First (i, j, k) with <[e_i, e_j]_m, e_k> + <[e_i, e_k]_m, e_j> != 0.
-
-    For fixed i the sum is entry (k, j) of A + A^T, A the m-block of
-    ad(e_i).  It is symmetric in (j, k), so the first failing pair is the
-    least key of A + A^T: of the bad entries of A and their transposes.
-    """
-    h = table.dim - n
-    for i in range(n):
-        a = {(k - h, j - h): v for (k, j), v in table.ad(Vector.basis(table.dim, h + i)).part[2].items()
-             if k >= h and j >= h}
-        bad = dict(a)  # A + A^T, on the integer entries of the one part
-        for (k, j), v in a.items():
-            accumulate(bad, (j, k), v)
-        if bad:
-            return i, *min(bad)
-    return None

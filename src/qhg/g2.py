@@ -211,7 +211,6 @@ def torsion_spectrum(alg: QHAlgebra, t: KForm, split: SpinorSplitting) -> dict:
         "psi0": common_eigenvalue([split.psi0]),
         "vertical": common_eigenvalue(split.vertical),
         "horizontal": common_eigenvalue(split.horizontal),
-        "multiplicities": (1, len(split.vertical), len(split.horizontal)),
         "trace": tm.trace(),
     }
 

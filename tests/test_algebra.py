@@ -274,12 +274,91 @@ def pooled_tables(draw):
     return algebra.StructureConstants(dim, structure)
 
 
+@st.composite
+def solvable_extensions(draw, mutant=False):
+    """RD + N of dimension 3..9: N a random 2-step nilpotent table, [x_a, x_b] in
+    the span of the z_k, and D the diagonal derivation D x_a = w_a x_a, D z_k =
+    u_k z_k, u_k = w_a + w_b for every [x_a, x_b] that meets z_k.  The indices
+    are shuffled, each basis vector is rescaled by a random rational and every
+    bracket gets one degree in l.  Such a table passes Jacobi, with nonzero
+    double brackets such as [[D, x_a], x_b] = w_a [x_a, x_b].  A mutant adds
+    c l^d e_k to one stored bracket."""
+    gens, centre = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    dim, d = 1 + gens + centre, draw(st.integers(-1, 2))
+    w = draw(st.lists(st.integers(-2, 2), min_size=gens, max_size=gens).filter(any))  # D != 0
+    pairs = list(combinations(range(gens), 2))
+    u = [draw(st.sampled_from([w[a] + w[b] for a, b in pairs])) for _ in range(centre)]
+    raw = {}  # (a, b) -> {k: c}, [e_a, e_b] = sum_k c e_k before the rescaling
+    for k in range(centre):
+        for a, b in draw(st.lists(st.sampled_from([ab for ab in pairs if w[ab[0]] + w[ab[1]] == u[k]]),
+                                  min_size=1, max_size=3, unique=True)):
+            raw.setdefault((1 + a, 1 + b), {})[1 + gens + k] = draw(st.integers(-3, 3).filter(bool))
+    for x, weight in enumerate(w + u, start=1):  # D = e_0
+        if weight:
+            raw[(0, x)] = {x: weight}
+    order = draw(st.permutations(range(dim)))
+    scale = [Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4))) * draw(st.sampled_from([1, -1]))
+             for _ in range(dim)]
+    comps: dict = {}  # [f_a, f_b] = s_a s_b c / s_k f_k for f_i = s_i e_i, on the shuffled indices
+    for (a, b), entries in raw.items():
+        x, y = order[a], order[b]
+        sign = 1 if x < y else -1
+        row = comps.setdefault((min(x, y), max(x, y)), {})
+        for k, c in entries.items():
+            row[order[k]] = sign * c * scale[a] * scale[b] / scale[k]
+    if mutant:
+        key = draw(st.sampled_from(sorted(set(comps) | set(combinations(range(dim), 2)))))
+        row = comps.setdefault(key, {})
+        k = draw(st.integers(0, dim - 1))
+        row[k] = row.get(k, 0) + Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+    structure = {key: Vector([Scalar({d: row[k]}) if row.get(k) else Scalar(0) for k in range(dim)])
+                 for key, row in comps.items()}
+    return algebra.StructureConstants(dim, {key: v for key, v in structure.items() if not v.is_zero()})
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sparse_tables(), pooled_tables()))
+@given(st.one_of(sparse_tables(), pooled_tables(), solvable_extensions(), solvable_extensions(mutant=True)))
 def test_jacobi_check_matches_the_oracle_on_random_sparse_tables(table):
     failing = [t for t in combinations(range(table.dim), 3) if gate.jacobi_sum_is_nonzero(table, t)]
     expected = (False, failing[0]) if failing else (True, None)
     assert algebra.jacobi_check(table) == jacobi_oracle(table) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(solvable_extensions())
+def test_solvable_extensions_pass_jacobi_with_nonzero_double_brackets(table):
+    assert algebra.jacobi_check(table) == (True, None)
+    assert any(not table.ad(v).is_zero() for v in table._sc.values())
+
+
+def dilation_extension(alg, vertical_weight=2):
+    """RD + build(p), D the last basis vector: [D, tau] = l tau and [D, xi] =
+    vertical_weight l xi, one degree with the brackets lam xi.  D is a derivation,
+    the dilation of the solvable algebra of quaternionic hyperbolic space,
+    exactly when vertical_weight is 2."""
+    n = alg.dim
+    structure = {key: Vector([*v, Scalar(0)]) for key, v in alg._sc.items()}
+    for i in range(n):
+        weight = vertical_weight if i in alg.vertical_indices else 1
+        structure[(i, n)] = Vector.basis(n + 1, i).scale(-weight * alg.lam)  # [e_i, D] = -[D, e_i]
+    return algebra.StructureConstants(n + 1, structure)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dilation_extension_passes_jacobi_and_has_no_centre(p):
+    """The extension passes Jacobi through nonzero double brackets: [[D, tau_a],
+    tau_b] = l [tau_a, tau_b].  D acts on every basis vector, so the centre is 0,
+    and the table is not 2-step nilpotent.  Negative control: D xi = xi is no
+    derivation, and Jacobi fails at the oracle's first triple."""
+    alg = algebra.build(p)
+    table = dilation_extension(alg)
+    assert algebra.jacobi_check(table) == jacobi_oracle(table) == (True, None)
+    assert algebra.center_dimension(table) == 0
+    assert not algebra.two_step_nilpotent(table, alg.vertical_indices)
+    assert not algebra.two_step_nilpotent(table, tuple(range(table.dim)))
+    wrong = dilation_extension(alg, vertical_weight=1)
+    ok, triple = algebra.jacobi_check(wrong)
+    assert not ok and (ok, triple) == jacobi_oracle(wrong) and gate.jacobi_sum_is_nonzero(wrong, triple)
 
 
 def test_jacobi_witnesses_of_all_p4_mutants():

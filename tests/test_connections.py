@@ -415,19 +415,22 @@ def test_first_bianchi_levi_civita():
     assert cn.Geometry(alg, cn.levi_civita(alg)).first_bianchi
 
 
-def test_reductivity_is_total_skewness():
+@pytest.mark.parametrize("p, lam", [(1, None), (2, None), (3, None), (1, Fraction(3, 2))])
+def test_reductivity_is_total_skewness(p, lam):
     # the m-part of the rebuilt bracket [X_i, X_j], X_i = e_i / lam, is
-    # -T(e_i, e_j) / lam^2 = -T(e_i, e_j)_k / lam at X_k, so the reductivity
-    # condition is exactly total skewness of the torsion
-    alg = algebra.build(1)
+    # -T(e_i, e_j) / lam^2 = -T(e_i, e_j)_k / lam at X_k, so the m-block A of
+    # ad(X_i), A[k, j] = -T_ijk / lam, is skew: the reductivity condition is
+    # exactly total skewness of the torsion; a numeric lam moves no degree
+    alg = algebra.build(p, lam)
     geo = cn.Geometry(alg, cn.canonical_connection(alg))
     table, _ = geo.transvection_algebra
     h, n, t3 = len(geo.holonomy), alg.dim, geo.torsion_form
     assert not t3.is_zero()
-    for i, j in combinations(range(n), 2):
-        v = table.bracket_basis(h + i, h + j)
+    m = {(i, j): table.bracket_basis(h + i, h + j) for i in range(n) for j in range(n)}
+    for (i, j), v in m.items():
         for k in range(n):
             assert v[h + k] == -t3.coeff((i, j, k)) / alg.lam
+            assert (v[h + k] + m[i, k][h + j]).is_zero()  # A + A^T = 0
 
 
 def _skew_unit(n, r, c):
@@ -830,33 +833,54 @@ def test_one_slot_replacement_comparison_negative_control():
     assert ((0, 1), 0, 2) in replacement_disagreements(unsigned)
 
 
-def test_transvection_reductivity_negative_control(monkeypatch):
-    alg = algebra.build(1)
-    n = alg.dim
-    # [e_0, e_1] = e_1 on m alone (h = 0) is a Lie algebra, but ad(e_0) is not skew
-    table = algebra.StructureConstants(n, {(0, 1): Vector.basis(n, 1)})
-    assert algebra.jacobi_check(table) == (True, None)
-    monkeypatch.setattr(cn.Geometry, "transvection_algebra", property(lambda geo: (table, None)))
-    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
-    assert not ok and witness == ("reductivity failure", 0, 1, 1)
-    # off the diagonal: <[e_0, e_2], e_1> = -1 and <[e_0, e_1], e_2> = 0; the
-    # first failing triple has its nonzero entry in the transposed slot
-    table = algebra.StructureConstants(n, {(0, 2): Vector.basis(n, 1).scale(-1)})
-    assert algebra.jacobi_check(table) == (True, None)
-    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
-    assert not ok and witness == ("reductivity failure", 0, 1, 2)
-    # k = i: <[e_0, e_1]_m, e_0> = 1 fails at i = 0 already
-    table = algebra.StructureConstants(n, {(0, 1): Vector.basis(n, 0)})
-    assert algebra.jacobi_check(table) == (True, None)
-    ok, witness = cn.transvection_check(alg, cn.canonical_connection(alg))
-    assert not ok and witness == ("reductivity failure", 0, 0, 1)
+# the m-part {k: int} of [X_i, X_j], -T(e_i, e_j) / lam, as six wrong torsion blocks
+TORSION_BLOCK_MUTANTS = {
+    "at X_j": lambda i, j, m: {j: sum(m.values())},
+    "at X_i": lambda i, j, m: {i: sum(m.values())},
+    "k > j only": lambda i, j, m: {k: c for k, c in m.items() if k > j},
+    "k < j only": lambda i, j, m: {k: c for k, c in m.items() if k < j},
+    "doubled": lambda i, j, m: {k: 2 * c for k, c in m.items()},
+    "dropped": lambda i, j, m: {},
+}
+
+
+def with_torsion_block(table, n, mutate):
+    """hol + m with the m-part of every m-m bracket [X_i, X_j] replaced by
+    mutate(i, j, m), m its integer entries {k: int} at X_k; the hol part stays."""
+    h, structure = table.dim - n, {}
+    for (x, y), v in table._sc.items():
+        d, den, e = v.part
+        if x >= h:
+            m = {k - h: c for k, c in e.items() if k >= h}
+            e = {k: c for k, c in e.items() if k < h}
+            for k, c in mutate(x - h, y - h, m).items():
+                accumulate(e, h + k, c)
+        w = _vector(table.dim, graded([(d, den, e)]))
+        if not w.is_zero():
+            structure[(x, y)] = w
+    return StructureConstants(table.dim, structure)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_jacobi_rejects_every_torsion_block_mutant(p):
+    """`Geometry.transvection` tests Jacobi alone: each wrong torsion block of
+    the canonical hol + m, moved, cut, doubled or dropped, breaks Jacobi, so
+    none passes on a second, reductivity, pass."""
+    alg = algebra.build(p)
+    table, _ = cn.Geometry(alg, cn.canonical_connection(alg)).transvection_algebra
+    # control: the transform that keeps the block rebuilds the table, which passes
+    kept = with_torsion_block(table, alg.dim, lambda i, j, m: m)
+    assert kept._sc == table._sc and algebra.jacobi_check(kept) == (True, None)
+    for name, mutate in TORSION_BLOCK_MUTANTS.items():
+        ok, triple = algebra.jacobi_check(with_torsion_block(table, alg.dim, mutate))
+        assert not ok and triple is not None, name
 
 
 def test_transvection_stops_before_curvature_and_holonomy():
     """Torsion that is not parallel is reported from the lazy bundle before the
     curvature, its coordinates, its derivative or the holonomy closure is built."""
     kernels = ["qhg.connections.Geometry.curvature_parts", "qhg.connections.Geometry.curvature_coordinates",
-               "qhg.connections.Geometry._nabla_curvature", "qhg.connections._holonomy_at"]
+               "qhg.connections.Geometry._nabla_curvature", "qhg.connections.Geometry._holonomy_span"]
     alg = algebra.build(1)
     bump = wedge(wedge(alg.theta(1), alg.theta(2)), alg.theta(3)).scale(LAM)
     conn = cn.with_torsion(alg, cn.canonical_torsion(alg) + bump)
@@ -1208,8 +1232,40 @@ def test_levi_civita_transvection_stops_before_the_holonomy():
     out = []
     ran = executed_code(lambda: out.append(cn.transvection_check(alg, cn.levi_civita(alg))))
     assert out == [(False, ("curvature not parallel",))]
-    kernels = ["qhg.connections._holonomy_at", "qhg.connections.Geometry._nabla_curvature"]
+    kernels = ["qhg.connections.Geometry._holonomy_span", "qhg.connections.Geometry._nabla_curvature"]
     assert unexecuted(kernels, ran) == kernels[:1]
+
+
+def plane_rotations(alg, rotations):
+    """The connection with Omega(e_x) = lam (E_rc - E_cr) for each (x, r, c), else 0."""
+    omega = [Endo.zero(alg.dim) for _ in range(alg.dim)]
+    for x, r, c in rotations:
+        omega[x] = _skew_unit(alg.dim, r, c).scale(LAM)
+    return cn.Connection(omega)
+
+
+@pytest.mark.parametrize("make", ["canonical", "levi-civita", "rotations"])
+def test_holonomy_and_nabla_r_agree_in_either_order(make):
+    """The holonomy closure appends to the basis of V that `_nabla_curvature`
+    reads, so nabla R may run on V or on all of hol: reading the holonomy first
+    or last gives the same verdict, coordinates of -R and holonomy basis."""
+    alg = algebra.build(1)
+    conn = {"canonical": cn.canonical_connection, "levi-civita": cn.levi_civita,
+            "rotations": lambda alg: plane_rotations(alg, [(4, 1, 3), (6, 5, 3)])}[make](alg)
+    first, last = cn.Geometry(alg, conn), cn.Geometry(alg, conn)
+    hol = first.holonomy
+    verdict = last.curvature_parallel
+    # (None on V alone, None on hol) per direction, before `last` builds its holonomy
+    exits = [(last._nabla_curvature(x) is None, first._nabla_curvature(x) is None) for x in (4, 6)]
+    assert first.curvature_parallel == verdict
+    assert first.curvature_coordinates == last.curvature_coordinates
+    assert last.holonomy == hol
+    assert verdict == (make == "canonical")
+    if make == "rotations":
+        # dim V = 1 < dim hol = 3: on V alone a bracket [Omega_x, B] falls
+        # outside the span, while on hol every D^c is read and one moves
+        assert len(last.curvature_coordinates) == 1 and len(hol) == 3
+        assert exits == [(True, False), (True, False)]
 
 
 def test_curvature_parallel_stops_at_the_first_direction_that_moves(monkeypatch):

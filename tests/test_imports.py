@@ -293,7 +293,7 @@ def _functions(source: str) -> set[str]:
 # the functions that feed a span the integer parts they hold, or read its parts
 SPAN_FEEDERS = {
     "algebra.py": {"center_dimension"},
-    "connections.py": {"_push", "_coordinates", "vertical_action_irreducible"},
+    "connections.py": {"_push", "_coordinates", "_read", "vertical_action_irreducible"},
     "contact.py": {"_qc_functionals", "_qc_slots", "_reeb_matrix", "qc_unique_skew"},
     "g2.py": {"_positive_definite", "genericity_check"},
 }

@@ -259,7 +259,7 @@ def test_connection_suite_builds_each_tensor_once():
     and nabla R of each connection from its bundle."""
     rep, ran = profiled_report(ReportConfig(p=5, suites=("connection",), fmt="json"))
     assert rep.all_passed and _digest(rep) == CONNECTION_DIGESTS[5]
-    names = ("Geometry.curvature_parts", "Geometry.curvature_coordinates", "_holonomy_at",
+    names = ("Geometry.curvature_parts", "Geometry.curvature_coordinates", "Geometry._holonomy_span",
              "Geometry._nabla_curvature")
     calls = {name: ran[code_of(f"qhg.connections.{name}")] for name in names}
     # the canonical curvature only: the Levi-Civita Ricci is read from the
@@ -267,7 +267,7 @@ def test_connection_suite_builds_each_tensor_once():
     # direction with a nonzero canonical form, the three vertical ones
     assert calls["Geometry.curvature_parts"] == 1
     assert calls["Geometry.curvature_coordinates"] == 1
-    assert calls["_holonomy_at"] == 1
+    assert calls["Geometry._holonomy_span"] == 1
     assert calls["Geometry._nabla_curvature"] == 3
 
 
