@@ -29,7 +29,6 @@ from .exterior import (
     _endo,
     _kform,
     _rows,
-    _sort_tuple,
     _vector,
     ce_differential,
     two_form_endo,
@@ -469,36 +468,41 @@ class Geometry:
         # the defect per den of its terms; `sums.part()` adds them at the end
         sums = PartSum("first Bianchi defect")
 
-        def put(acc: dict, triple: tuple[int, int, int], v: int, c: int):
-            sign, key = _sort_tuple(triple)
-            if sign:
-                accumulate(acc, key + (v,), c if sign > 0 else -c)
+        def put(acc: dict, i: int, j: int, k: int, v: int, c: int):
+            if i > j:  # three compare-and-swaps sort (i, j, k), each negating c
+                i, j, c = j, i, -c
+            if j > k:
+                j, k, c = k, j, -c
+            if i > j:
+                i, j, c = j, i, -c
+            if i != j != k:
+                accumulate(acc, (i, j, k, v), c)
 
         d, den, e = self.curvature_parts
         if e:
             acc = sums.at(d, den)
             for (i, j, v, k), c in e.items():  # g(R(e_i, e_j) e_k, e_v) = c
-                put(acc, (i, j, k), v, c)
+                put(acc, i, j, k, v, c)
         d, den, e = ce_differential(t3, self.alg).part
         if e:
             acc = sums.at(d, den)
             for idx, c in e.items():
                 for s in range(4):  # dT(the other three slots, idx[s]) = (-1)^(3-s) c
-                    put(acc, idx[:s] + idx[s + 1 :], idx[s], -c if s % 2 else c)
+                    put(acc, *idx[:s], *idx[s + 1 :], idx[s], -c if s % 2 else c)
         for v, nt in enumerate(nabla_tensor(self.conn, t3)):
             d, den, e = nt.part
             if e:
                 acc = sums.at(d, den)
                 for idx, c in e.items():
-                    put(acc, idx, v, -c)
+                    put(acc, *idx, v, -c)
         d, den, e = t3.part
         if e:
             acc, slices = sums.at(2 * d, den * den), _torsion_slices(e)
             for m, pairs in slices.items():  # <T(e_i, e_j), T(e_k, e_v)>, k < v
                 for i, j, s in pairs:
                     for k, v, t in slices.get(m, ()):
-                        put(acc, (i, j, k), v, s * t)
-                        put(acc, (i, j, v), k, -(s * t))
+                        put(acc, i, j, k, v, s * t)
+                        put(acc, i, j, v, k, -(s * t))
         return not sums.part()[2]
 
 

@@ -229,16 +229,13 @@ def _endo(dim: int, p: tuple) -> "Endo":
 
 def _sort_tuple(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort an index tuple, returning the permutation sign (0 if repeated)."""
-    idx = list(idx)
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-            elif idx[j] == idx[j + 1]:
+    odd = False
+    for i, a in enumerate(idx):
+        for b in idx[i + 1 :]:
+            if a == b:
                 return 0, ()
-    return sign, tuple(idx)
+            odd ^= a > b
+    return -1 if odd else 1, tuple(sorted(idx))
 
 
 class KForm(Tensor):

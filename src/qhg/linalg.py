@@ -15,14 +15,21 @@ non-pivot column -> pivots whose row holds it, lets an insert visit only
 the rows that hold its new pivot.  `_insert` is the one elimination.  A
 new row's pivot is its lowest column: that keeps `rref` canonical, and the
 first k rows of a matrix with nonzero leading minors pivot at 0..k-1,
-which `g2._positive_definite` reads.  `solve` stops inserting once every
-unknown holds a pivot and the rhs none: the solution is then unique, so
-exact integer substitution decides each later row.
+which `g2._positive_definite` reads.  `solve` peels first: while a row
+holds one unknown not yet forced, it forces that unknown to an integer
+pair (num, den).  A forced unknown has one value in every solution and is
+0 in every kernel vector: a pivot of the full rref.  The row space is the
+forced coordinates plus the residual rows, those left with two or more
+unknowns, forced terms moved into the rhs, so these alone give the same
+free columns, kernel basis and particular solution (0 at free columns).
+Insertion stops once every unknown is forced or holds a pivot and the rhs
+none.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import gcd
 
 from .scalars import _normal, accumulate, graded
 
@@ -121,31 +128,72 @@ def rref(rows: Iterable[Row], ncols: int) -> tuple[list[Part], list[int]]:
     return [red[p] for p in piv], piv
 
 
+def _rest(e: Row, b: int, forced: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """b less the forced terms of the row e, as a pair (num, den), den > 0."""
+    num, den = b, 1
+    for j, x in e.items():
+        if j in forced:
+            n, d = forced[j]
+            num, den = num * d - x * n * den, den * d
+    return num, den
+
+
 def solve(rows: list[Row], rhs: list[int], ncols: int) -> tuple[Part | None, list[Part]]:
     """Exact solution set of rows * x = rhs: (one solution, kernel basis).
 
     The solution is None when the system is inconsistent; the kernel
     basis of the homogeneous system is returned either way, one vector
-    per free column, worth 1 there.  Elimination stops once every unknown
-    holds a pivot and the rhs column none: the solution x = xs / den is
-    then unique, and each later row is validated and decided by the exact
-    integer substitution sum v * xs[j] == b * den.
+    per free column, worth 1 there.  A row that forces its one unknown
+    left (module docstring) is never inserted.  Each row neither peeled
+    nor inserted is decided by the exact integer substitution
+    sum v * xs[j] == b * den of the solution x = xs / den.
     """
+    unknowns = list(map(len, rows))  # per row, its nonzero columns not yet forced
+    holders: list[list[int]] = [[] for _ in range(ncols)]  # column -> rows holding it
+    for i, (v, b) in enumerate(zip(rows, rhs, strict=True)):
+        if type(b) is not int:
+            _part(v, ncols, i, b)  # raises ValueError naming row i
+        for j, x in v.items():
+            if type(x) is not int or not 0 <= j < ncols:
+                _part(v, ncols, i, b)
+            if x:
+                holders[j].append(i)
+            else:
+                unknowns[i] -= 1
+    forced: dict[int, tuple[int, int]] = {}  # column -> (num, den), den > 0
+    queue = [i for i, k in enumerate(unknowns) if k == 1]
+    while queue:
+        i = queue.pop()
+        if unknowns[i] != 1:
+            continue  # its unknown was forced by another row: substituted below
+        j, a = next((j, x) for j, x in rows[i].items() if x and j not in forced)
+        num, den = _rest(rows[i], rhs[i], forced)
+        g = gcd(num, den * a) if a > 0 else -gcd(num, den * a)
+        forced[j] = num // g, den * a // g
+        unknowns[i] = -1  # holds by construction
+        for k in holders[j]:
+            unknowns[k] -= 1
+            if unknowns[k] == 1:
+                queue.append(k)
+    del holders, queue
     red: dict[int, Part] = {}
     cols: dict[int, set[int]] = {}
-    augmented = (_part(r, ncols, i, b) for i, (r, b) in enumerate(zip(rows, rhs, strict=True)))
-    for v in augmented:
-        _insert(red, cols, v)
-        if len(red) == ncols and ncols not in red:
-            break  # every unknown holds a pivot
+    unforced, substituted = ncols - len(forced), []
+    for i, k in enumerate(unknowns):
+        if k == 0 or k > 1 and len(red) == unforced and ncols not in red:
+            substituted.append(i)  # every unknown of row i is forced or holds a pivot
+        elif k > 1:
+            num, den = _rest(rows[i], rhs[i], forced)
+            e = {j: x * den for j, x in rows[i].items() if x and j not in forced}
+            _insert(red, cols, (1, {**e, ncols: num} if num else e))
     stored = sorted(red.items())
     x = None
     if ncols not in red:  # no pivot in the constant column
-        x = _combine([(den, {p: e[ncols]}) for p, (den, e) in stored if ncols in e])
-    for _, e in augmented:  # the rows after a break, each decided by substitution
-        if x and sum(v * x[1].get(j, 0) for j, v in e.items()) != e.get(ncols, 0) * x[0]:
+        values = forced | {p: (e[ncols], den) for p, (den, e) in stored if ncols in e}
+        den, xs = x = _combine([(den, {j: num}) for j, (num, den) in sorted(values.items()) if num])
+        if any(sum(v * xs.get(j, 0) for j, v in rows[i].items()) != rhs[i] * den for i in substituted):
             x = None
-    kernel = {f: [(1, {f: 1})] for f in sorted(set(range(ncols)) - red.keys())}
+    kernel = {f: [(1, {f: 1})] for f in sorted(set(range(ncols)) - red.keys() - forced.keys())}
     for p, (den, e) in stored:
         for j, c in e.items():
             if j in kernel:

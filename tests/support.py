@@ -12,6 +12,7 @@ from pathlib import Path
 
 from qhg import clifford, report
 from qhg.exterior import Endo, KForm, Vector, _kform
+from qhg.linalg import Part, Row, _combine, _insert, _part
 from qhg.scalars import Scalar, graded
 
 
@@ -93,6 +94,32 @@ def jacobi_oracle(sc) -> tuple[bool, tuple[int, int, int] | None]:
                 if graded(raw)[2]:
                     return False, (i, j, k)
     return True, None
+
+
+def solve_oracle(rows: list[Row], rhs: list[int], ncols: int) -> tuple[Part | None, list[Part]]:
+    """`linalg.solve` before its peel, the reference for it: every row is
+    inserted in turn until every unknown holds a pivot and the rhs column
+    none, and each later row is decided by substitution."""
+    red: dict[int, Part] = {}
+    cols: dict[int, set[int]] = {}
+    augmented = (_part(r, ncols, i, b) for i, (r, b) in enumerate(zip(rows, rhs, strict=True)))
+    for v in augmented:
+        _insert(red, cols, v)
+        if len(red) == ncols and ncols not in red:
+            break  # every unknown holds a pivot
+    stored = sorted(red.items())
+    x = None
+    if ncols not in red:  # no pivot in the constant column
+        x = _combine([(den, {p: e[ncols]}) for p, (den, e) in stored if ncols in e])
+    for _, e in augmented:  # the rows after a break, each decided by substitution
+        if x and sum(v * x[1].get(j, 0) for j, v in e.items()) != e.get(ncols, 0) * x[0]:
+            x = None
+    kernel = {f: [(1, {f: 1})] for f in sorted(set(range(ncols)) - red.keys())}
+    for p, (den, e) in stored:
+        for j, c in e.items():
+            if j in kernel:
+                kernel[j].append((den, {p: -c}))
+    return x, [_combine(terms) for terms in kernel.values()]
 
 
 def span_contains(span, v) -> bool:

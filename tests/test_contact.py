@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from qhg import algebra, connections as cn, contact as ct
+from qhg import algebra, connections as cn, contact as ct, linalg
 from qhg.exterior import Endo, KForm, _sort_tuple, ce_differential, two_form_endo
 from qhg.linalg import nullspace, rref, solve
 from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part, scalars_of
@@ -447,6 +447,21 @@ def test_qc_slot_table_builds_the_sort_tuple_system(monkeypatch, p):
     # the table sorts no triple: a warm algebra runs qc_unique_skew without _sort_tuple
     assert executed_code(lambda: ct.qc_unique_skew(alg))[_sort_tuple.__code__] == 0
 
+
+@pytest.mark.parametrize("p, unforced", [(1, 0), (2, 0), (3, 64)])
+def test_qc_solve_peels_every_unknown_outside_the_coupled_blocks(monkeypatch, p, unforced):
+    # the peel forces all 35 and 165 unknowns at p = 1 and 2, so the solve inserts
+    # no row; at p = 3 it leaves the 4 C(3, 3) blocks of 16 coupled unknowns
+    alg = algebra.build(p)
+    system, answer = _solved_system(monkeypatch, alg)
+    assert answer == (1, cn.canonical_torsion(alg))
+    inserted, insert = [], linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda rows, cols, v: inserted.append(v) or insert(rows, cols, v))
+    ncols = len(list(combinations(range(alg.dim), 3)))
+    x, kernel = solve(*system, ncols)
+    assert x is not None and kernel == []
+    assert len(set().union(*(e for _, e in inserted)) - {ncols}) == unforced
+    assert bool(inserted) == bool(unforced)
 
 def test_qc_slot_table_with_a_flipped_sign_fails_the_oracle(monkeypatch):
     # negative control: one sign flipped in the table of form 0 changes the system,

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -9,6 +9,7 @@ from qhg.exterior import (
     Endo,
     KForm,
     Vector,
+    _sort_tuple,
     ce_differential,
     endo_two_form,
     form_inner,
@@ -386,3 +387,21 @@ def test_endo_negation_and_subtraction():
     assert a - b == a + b.scale(-1)
     assert (a - a).is_zero() and (a - a).m == {}
     assert (a - b).m == {(1, 0): -LAM, (2, 2): LAM * 3, (2, 0): -LAM}
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_sort_tuple_is_the_sign_of_the_sorting_permutation(k):
+    # every k-tuple over k + 1 indices: a repeat gives (0, ()), else the sorted
+    # tuple and (-1)^(k - number of cycles) of the permutation that sorts it
+    for idx in product(range(k + 1), repeat=k):
+        if len(set(idx)) < k:
+            assert _sort_tuple(idx) == (0, ())
+            continue
+        perm = sorted(range(k), key=idx.__getitem__)
+        cycles, seen = 0, set()
+        for start in range(k):
+            cycles += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+        assert _sort_tuple(idx) == ((-1) ** (k - cycles), tuple(sorted(idx)))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhg import linalg
 from qhg.linalg import Span, nullspace, rref, solve
-from support import integer_part, span_contains
+from support import integer_part, solve_oracle, span_contains
 
 
 def dense_rref(rows):
@@ -187,19 +187,28 @@ def tall_full_rank(draw):
     return ncols, block + extra
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_solve_is_exact(data):
-    ncols, rows = data.draw(st.one_of(matrices(), tall_full_rank()))
-    if data.draw(st.booleans()):
-        x0 = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-        rhs = [dot(r, x0) for r in rows]
-    else:
-        rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    # each equation scaled to integers, its rhs with it
+@st.composite
+def with_rhs(draw, systems):
+    """A system of `systems` and a rhs, either rows * x0 for a drawn x0 or drawn."""
+    ncols, rows = draw(systems)
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        return ncols, rows, [dot(r, x0) for r in rows]
+    return ncols, rows, draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+
+
+def integer_system(rows, rhs, ncols):
+    """Each equation scaled to integers, its rhs with it: (rows, rhs) for solve."""
     augmented = integer_rows([r + [b] for r, b in zip(rows, rhs)])
-    int_rows = [{j: v for j, v in a.items() if j < ncols} for a in augmented]
-    x, kernel = solve(int_rows, [a.get(ncols, 0) for a in augmented], ncols)
+    return [{j: v for j, v in a.items() if j < ncols} for a in augmented], [a.get(ncols, 0) for a in augmented]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(with_rhs(matrices()), with_rhs(tall_full_rank())))
+def test_solve_is_exact(case):
+    ncols, rows, rhs = case
+    int_rows, int_rhs = integer_system(rows, rhs, ncols)
+    x, kernel = solve(int_rows, int_rhs, ncols)
     rank = len(dense_rref(rows)[0])
     consistent = len(dense_rref([r + [b] for r, b in zip(rows, rhs)])[0]) == rank
     assert (x is not None) == consistent
@@ -213,6 +222,57 @@ def test_solve_is_exact(data):
     assert nullspace(int_rows, ncols) == kernel
 
 
+@st.composite
+def peelable_systems(draw):
+    """(ncols, rows, rhs) over Q: a scaled triangular chain, whose row i pins
+    chain unknown i once the earlier ones are forced; a coupled block of 2-4
+    unknowns, each of its rows holding two or more of them and any chain
+    unknowns; redundant multiples of the rows; a rhs rows * x0, or, at
+    random, one more row that breaks consistency, a multiple of a chain row
+    or of a block row with its rhs off by one.  Columns and rows shuffled."""
+    nonzero = entries.filter(bool)
+    chain, size = draw(st.integers(0, 5)), draw(st.integers(2, 4))
+    ncols = chain + size + draw(st.integers(0, 1))  # maybe a column no row holds
+    col = draw(st.permutations(range(ncols)))
+    rows = []
+    for i in range(chain):
+        row = {col[i]: draw(nonzero)}
+        row.update({col[j]: draw(entries) for j in range(i) if draw(st.booleans())})
+        rows.append(row)
+    for _ in range(draw(st.integers(1, size + 1))):
+        held = draw(st.lists(st.sampled_from(range(size)), min_size=2, max_size=size, unique=True))
+        row = {col[chain + j]: draw(nonzero) for j in held}
+        row.update({col[j]: draw(entries) for j in range(chain) if draw(st.booleans())})
+        rows.append(row)
+    x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    rhs = [sum(v * x0[j] for j, v in row.items()) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        k, s = draw(st.integers(0, len(rows) - 1)), draw(nonzero)
+        rows.append({j: s * v for j, v in rows[k].items()})
+        rhs.append(s * rhs[k])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, chain - 1) if chain and draw(st.booleans()) else st.integers(chain, len(rows) - 1))
+        s = draw(nonzero)
+        rows.append({j: s * v for j, v in rows[k].items()})
+        rhs.append(s * rhs[k] + 1)
+    order = draw(st.permutations(range(len(rows))))
+    dense_rows = [[rows[i].get(j, Fraction(0)) for j in range(ncols)] for i in order]
+    return ncols, dense_rows, [rhs[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(with_rhs(matrices()), with_rhs(tall_full_rank()), peelable_systems()), st.randoms())
+def test_solve_and_nullspace_match_the_oracle(case, rng):
+    ncols, rows, rhs = case
+    int_rows, int_rhs = integer_system(rows, rhs, ncols)
+    expected = solve_oracle(int_rows, int_rhs, ncols)
+    assert solve(int_rows, int_rhs, ncols) == expected
+    assert nullspace(int_rows, ncols) == solve_oracle(int_rows, [0] * len(int_rows), ncols)[1]
+    order = list(range(len(int_rows)))
+    rng.shuffle(order)
+    assert solve([int_rows[i] for i in order], [int_rhs[i] for i in order], ncols) == expected
+
+
 def _counting_inserts(monkeypatch) -> list:
     """Patch linalg._insert to record each row it inserts."""
     inserted, insert = [], linalg._insert
@@ -221,12 +281,20 @@ def _counting_inserts(monkeypatch) -> list:
 
 
 def test_solve_substitutes_the_rows_after_full_column_rank(monkeypatch):
-    # x = (1, 2): rows 0 and 1 give every unknown a pivot, rows 2 and 3 are only substituted
+    # x = (1, 2): row 0 pins x0, and then each other row pins x1 or is substituted
     inserted = _counting_inserts(monkeypatch)
     assert solve([{0: 1}, {0: 1, 1: 1}, {0: 2, 1: 1}, {1: 3}], [1, 3, 4, 6], 2) == ((1, {0: 1, 1: 2}), [])
+    assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 3], 2) == ((6, {0: 3, 1: 2}), [])  # (1/2, 1/3)
+    assert inserted == []  # a row that pins one unknown is never inserted
+    # no row pins one unknown: rows 0 and 1 give every unknown a pivot, row 2 is only substituted
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: -1}, {0: 2, 1: 1}], [3, -1, 4], 2) == ((1, {0: 1, 1: 2}), [])
     assert len(inserted) == 2
     inserted.clear()
-    assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 3], 2) == ((6, {0: 3, 1: 2}), [])  # (1/2, 1/3)
+    # row 0 pins x0 = 1/2; the rest reach full column rank in x1, x2 after one insert each
+    assert solve([{1: 1, 2: 1, 0: 2}, {0: 2}, {1: 1, 2: -1}, {1: 2, 2: 2}], [6, 1, -1, 10], 3) == (
+        (2, {0: 1, 1: 4, 2: 6}),
+        [],
+    )
     assert len(inserted) == 2
     inserted.clear()
     # a system that never reaches full column rank inserts every row
@@ -238,11 +306,21 @@ def test_solve_rejects_an_inconsistent_row_after_full_column_rank(monkeypatch):
     inserted = _counting_inserts(monkeypatch)
     assert solve([{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 1}], [1, 2, 3, 2], 2) == (None, [])
     assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 4], 2) == (None, [])  # off by one unit at the end
-    assert len(inserted) == 4
-    # an inconsistency before full rank is a pivot in the rhs column: every row is inserted
-    inserted.clear()
     assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}], [1, 3, 0], 2) == (None, [])
+    assert inserted == []  # each row pins one unknown or is substituted
+    # no row pins one unknown: an inconsistency before full rank is a pivot in the rhs column,
+    # and every row is inserted
+    assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1, 1: -1}], [1, 3, 0], 2) == (None, [])
     assert len(inserted) == 3
+    inserted.clear()
+    # x1, x2 pinned; the residual x0 + x3 = 1, x0 - x3 = 1 reaches full rank, and the
+    # last row, substituted, is off by one
+    assert solve(
+        [{1: 1}, {1: 1, 2: 1}, {0: 1, 3: 1, 1: 1}, {0: 1, 3: -1}, {0: 2, 3: 1, 2: 1}],
+        [1, 3, 2, 1, 5],
+        4,
+    ) == (None, [])
+    assert len(inserted) == 2
 
 
 @pytest.mark.parametrize(
