@@ -10,7 +10,7 @@ from itertools import combinations
 from math import lcm
 from pathlib import Path
 
-from qhg import clifford, report
+from qhg import clifford, linalg, report
 from qhg.exterior import Endo, KForm, Vector, _kform
 from qhg.linalg import Part, Row, _combine, _insert, _part
 from qhg.scalars import Scalar, graded
@@ -121,6 +121,12 @@ def solve_oracle(rows: list[Row], rhs: list[int], ncols: int) -> tuple[Part | No
                 kernel[j].append((den, {p: -c}))
     return x, [_combine(terms) for terms in kernel.values()]
 
+
+def counting_inserts(monkeypatch) -> list:
+    """Patch linalg._insert to record each row it inserts."""
+    inserted, insert = [], linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda rows, cols, v: inserted.append(v) or insert(rows, cols, v))
+    return inserted
 
 def span_contains(span, v) -> bool:
     """Whether the row v lies in the linalg Span span."""

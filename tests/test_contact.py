@@ -7,11 +7,11 @@ from math import gcd
 
 import pytest
 
-from qhg import algebra, connections as cn, contact as ct, linalg
+from qhg import algebra, connections as cn, contact as ct
 from qhg.exterior import Endo, KForm, _sort_tuple, ce_differential, two_form_endo
 from qhg.linalg import nullspace, rref, solve
 from qhg.scalars import LAM, ONE, ZERO, Scalar, homogeneous_part, scalars_of
-from support import executed_code, integer_part, rational_value
+from support import counting_inserts, executed_code, integer_part, rational_value
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -455,8 +455,7 @@ def test_qc_solve_peels_every_unknown_outside_the_coupled_blocks(monkeypatch, p,
     alg = algebra.build(p)
     system, answer = _solved_system(monkeypatch, alg)
     assert answer == (1, cn.canonical_torsion(alg))
-    inserted, insert = [], linalg._insert
-    monkeypatch.setattr(linalg, "_insert", lambda rows, cols, v: inserted.append(v) or insert(rows, cols, v))
+    inserted = counting_inserts(monkeypatch)
     ncols = len(list(combinations(range(alg.dim), 3)))
     x, kernel = solve(*system, ncols)
     assert x is not None and kernel == []

@@ -10,9 +10,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhg import linalg
 from qhg.linalg import Span, nullspace, rref, solve
-from support import integer_part, solve_oracle, span_contains
+from support import counting_inserts, integer_part, solve_oracle, span_contains
 
 
 def dense_rref(rows):
@@ -273,16 +272,9 @@ def test_solve_and_nullspace_match_the_oracle(case, rng):
     assert solve([int_rows[i] for i in order], [int_rhs[i] for i in order], ncols) == expected
 
 
-def _counting_inserts(monkeypatch) -> list:
-    """Patch linalg._insert to record each row it inserts."""
-    inserted, insert = [], linalg._insert
-    monkeypatch.setattr(linalg, "_insert", lambda rows, cols, v: inserted.append(v) or insert(rows, cols, v))
-    return inserted
-
-
 def test_solve_substitutes_the_rows_after_full_column_rank(monkeypatch):
     # x = (1, 2): row 0 pins x0, and then each other row pins x1 or is substituted
-    inserted = _counting_inserts(monkeypatch)
+    inserted = counting_inserts(monkeypatch)
     assert solve([{0: 1}, {0: 1, 1: 1}, {0: 2, 1: 1}, {1: 3}], [1, 3, 4, 6], 2) == ((1, {0: 1, 1: 2}), [])
     assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 3], 2) == ((6, {0: 3, 1: 2}), [])  # (1/2, 1/3)
     assert inserted == []  # a row that pins one unknown is never inserted
@@ -303,7 +295,7 @@ def test_solve_substitutes_the_rows_after_full_column_rank(monkeypatch):
 
 
 def test_solve_rejects_an_inconsistent_row_after_full_column_rank(monkeypatch):
-    inserted = _counting_inserts(monkeypatch)
+    inserted = counting_inserts(monkeypatch)
     assert solve([{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 1}], [1, 2, 3, 2], 2) == (None, [])
     assert solve([{0: 2}, {1: 3}, {0: 4, 1: 3}], [1, 1, 4], 2) == (None, [])  # off by one unit at the end
     assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {0: 1}], [1, 3, 0], 2) == (None, [])
