@@ -17,12 +17,9 @@ def _parse_lambda(text: str) -> Fraction | None:
     if text == "formal":
         return None
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid metric parameter {text!r}: {exc}") from exc
-    if value <= 0:
-        raise ConfigError(f"metric parameter must be positive, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,41 +50,34 @@ def _mixed_terms(alg: QHAlgebra, opposite_convention: bool = False):
 def cone_constant(alg: QHAlgebra, opposite_convention: bool = False) -> ConeCriterion:
     """Solve T_i - 2a eta_i^F_i = T_j - 2a eta_j^F_j for the scalar a.
 
+    The candidate is the quotient at the first nonzero entry of some
+    2(eta_i^F_i - eta_j^F_j), pair (1, 2) first; a scalar solves the system
+    iff every residual vanishes at it, so the candidate is checked once.
     Raises ArithmeticError when no scalar or more than one scalar works;
-    with the standard 2-form convention the unique solution is the
-    metric parameter itself (the opposite convention flips its sign,
-    which is kept as a discriminator).
+    with the standard 2-form convention the unique solution is the metric
+    parameter itself (the opposite convention flips its sign, which is kept
+    as a discriminator).
     """
     if alg.p != 1:
         raise ValueError("the cone criterion is stated in dimension 7")
     torsions, mixed = _mixed_terms(alg, opposite_convention)
-    candidate: Scalar | None = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lhs = torsions[i] - torsions[j]
-            rhs = (mixed[i] - mixed[j]).scale(2)
-            for idx, c in rhs.comps.items():
-                a = lhs.coeff(idx) / c
-                if candidate is None:
-                    candidate = a
-                elif candidate != a:
-                    raise ArithmeticError(
-                        f"coincidence system is inconsistent: {candidate} vs {a}"
-                    )
+    candidate: Scalar | None = next(
+        ((torsions[i] - torsions[j]).coeff(idx) / c
+         for i, j in ((0, 1), (0, 2), (1, 2))
+         for idx, c in (mixed[i] - mixed[j]).scale(2).comps.items()),
+        None,
+    )
     if candidate is None:
         raise ArithmeticError("coincidence system is degenerate (no constraint on a)")
-    # full verification: every residual must vanish at the candidate
     if any(not r.is_zero() for r in _residuals(torsions, mixed, candidate)):
         raise ArithmeticError("candidate does not make the three tensors coincide")
     common = torsions[0] - mixed[0].scale(candidate * 2)
     return ConeCriterion(torsions, candidate, common)
 
 
-def coincidence_residuals(
-    alg: QHAlgebra, a: Scalar, opposite_convention: bool = False
-) -> list[KForm]:
+def coincidence_residuals(alg: QHAlgebra, a: Scalar) -> list[KForm]:
     """S_i - S_j at a given constant, for (i,j) = (1,2), (1,3), (2,3)."""
-    torsions, mixed = _mixed_terms(alg, opposite_convention)
+    torsions, mixed = _mixed_terms(alg)
     return _residuals(torsions, mixed, a)
 
 

@@ -11,8 +11,9 @@ curvature, Ricci, holonomy, parallelism, hol + m), each computed at most
 once, on first read.  Every value holds one monomial c * l^d (see
 `scalars`).  Torsion, curvature and Ricci are each one pass over the
 stored entries of the connection forms into one integer part keyed by
-index tuples.  The span of the curvature and the holonomy closure built
-on it share one basis; nabla R and hol + m (m in the frame e_i / l) read R in it.
+index tuples.  The holonomy basis is one field: the curvature pushed
+first, then closed under the forms and its own bracket; R, nabla R and
+hol + m (m in the frame e_i / l) are read in it.
 """
 
 from __future__ import annotations
@@ -190,12 +191,16 @@ def su2_holonomy_check(alg: QHAlgebra, hol: list[Endo]) -> bool:
 class Geometry:
     """One connection on one algebra, with the tensors every check reads:
     torsion and curvature as integer parts and their 3-form and per-pair
-    views, Ricci, the span of the curvature with the curvature's coordinates
-    on it, the holonomy basis, the parallelism verdicts and the degree-0 table of hol + m.
+    views, Ricci, the holonomy basis with the curvature's coordinates on it,
+    the parallelism verdicts and the degree-0 table of hol + m.
 
     Each field is computed at most once, on first read, and a field reads
-    only the fields it needs: a transvection test that stops at torsion or
-    curvature which is not parallel never builds the holonomy.
+    only the fields it needs: a transvection test that stops at torsion which
+    is not parallel never builds the curvature, and one that stops at
+    curvature which is not parallel never builds the table of hol + m.
+    nabla R is read in the holonomy basis, so for a connection whose forms
+    are not skew `curvature_parallel` inherits the closure's so(n) bound and
+    raises "holonomy closure exceeded so(n)" where the closure passes it.
     """
 
     def __init__(self, alg: QHAlgebra, conn: Connection):
@@ -312,33 +317,27 @@ class Geometry:
         return self._holonomy_span[0]
 
     @cached_property
-    def _curvature_span(self) -> tuple[list[Endo], Span, list]:
-        """A basis B_c of the span V of the curvature, each R(e_i, e_j) pushed at degree 0
-        in pair order, and the coordinates of -R the pushes hand back (see `_push`), as
-        (i, j, degree, den, {c: int}); the holonomy closure goes on from V."""
+    def _holonomy_span(self) -> tuple[list[Endo], Span, list]:
+        """The holonomy basis B_c at l = 1, its span and the coordinates (i, j, degree, den,
+        {c: int}) of each -R(e_i, e_j) in it.  Each R(e_i, e_j) is pushed first, at degree 0 in
+        pair order, its push handing back its coordinates (see `_push`), so the first members
+        span V, the span of the curvature.  Member a then meets each connection form and the
+        members before it, each pair once.  Each form and each R(e_i, e_j) is one monomial in l,
+        so at any l > 0 it is a positive multiple of its value at 1, the element of the span.
+        Skew forms keep R and every bracket in so(n): the closure stops when n(n - 1)/2 members
+        span all of it."""
         n = self.alg.dim
         span, members = Span(n * n + n * (n - 1) // 2), []  # so(n) bounds the basis
         coords = [(i, j, d, *_push(span, members, _endo(n, (0, den, e))))
                   for (i, j), (d, den, e) in ((key, r.part) for key, r in self.curvature.items())]
-        return members, span, coords
-
-    @cached_property
-    def _holonomy_span(self) -> tuple[list[Endo], Span]:
-        """The holonomy basis at l = 1 and the span it is built on, continuing `_curvature_span`,
-        which holds V first.  Each connection form and each R(e_i, e_j) is one monomial in l,
-        so at any l > 0 it is a positive multiple of its value at 1, the element of the span.
-        Member a meets each form and the members before it: each pair once.  Skew forms keep R
-        and every bracket in so(n), so the closure stops when n(n - 1)/2 members span all of it."""
-        n = self.alg.dim
         omegas = [_endo(n, (0, den, e)) for _, den, e in (f.part for f in self.conn.omega) if e]
-        members, span, _ = self._curvature_span
         full = n * (n - 1) // 2 if all(o.is_skew() for o in omegas) else None
         for a, h in enumerate(members):  # members grows as it is read: a breadth-first closure
             for o in chain(omegas, members[:a]):
                 if len(members) == full:
-                    return members, span
+                    return members, span, coords
                 _push(span, members, o.commutator(h))
-        return members, span
+        return members, span, coords
 
     @cached_property
     def torsion_parallel(self) -> bool:
@@ -348,9 +347,10 @@ class Geometry:
 
     @cached_property
     def curvature_coordinates(self) -> list[KForm]:
-        """The coordinates of -R in the basis B_c of V, as `_curvature_span` read them: the
-        2-forms s^c of -R = sum_c s^c B_c, one per B_c, none zero, as R spans V."""
-        members, _, coords = self._curvature_span
+        """The coordinates of -R in the holonomy basis, as its pushes read them: the 2-forms
+        s^c of -R = sum_c s^c B_c, one per member B_c of V, the first members, none zero,
+        as R spans V; s^c = 0 for the members the closure adds."""
+        members, _, coords = self._holonomy_span
         raw: list[list] = [[] for _ in members]
         for i, j, d, den, e in coords:
             for c, v in e.items():
@@ -359,17 +359,16 @@ class Geometry:
 
     def _nabla_curvature(self, x: int):
         """The 2-forms D^c = Omega_x . s^c + sum_b C^c_b s^b of nabla_{e_x} (-R) = sum_c D^c B_c,
-        lazily in c, C^c_b coordinate c of [Omega_x, B_b]: exact, as the B_c are independent
-        and hold R and each [Omega_x, B_b].  nabla_{e_x} R = 0 puts [Omega_x, R(e_i, e_j)] =
-        R(Omega_x e_i, e_j) + R(e_i, Omega_x e_j) in V, and each B_b is a value of R at l = 1,
-        as R is one monomial in l: a bracket outside the span answers None, nabla_{e_x} R != 0."""
-        members, span, _ = self._curvature_span
+        lazily in c, C^c_b coordinate c of [Omega_x, B_b]: exact, as the B_c of the holonomy
+        basis are independent, hold R and, closed under every ad Omega_x, each [Omega_x, B_b].
+        A bracket outside the span breaks that closure: it raises, and is never a verdict."""
+        members, span, _ = self._holonomy_span
         a, forms, n = self.conn.omega[x], self.curvature_coordinates, self.alg.dim
         terms = {c: [(0, 1, 1, _act_on_form(a, f).part)] for c, f in enumerate(forms)}  # c -> (dc, nc, w, f)
         for f, bracket in zip(forms, (b.commutator(a) for b in members)):  # -[B_b, A] = [A, B_b]
             coords = _coordinates(span, bracket)
             if coords is None:
-                return None
+                raise ArithmeticError(f"holonomy basis not closed under ad Omega_{x}")
             dc, nc, ec = coords
             for c, w in ec.items():
                 terms.setdefault(c, []).append((dc, nc, w, f.part))
@@ -380,7 +379,7 @@ class Geometry:
     @cached_property
     def curvature_parallel(self) -> bool:
         """Whether nabla_{e_x} R = 0 for every x with Omega_x != 0, up to the first D^c that moves."""
-        return all((d := self._nabla_curvature(x)) is not None and all(f.is_zero() for f in d)
+        return all(all(f.is_zero() for f in self._nabla_curvature(x))
                    for x, a in enumerate(self.conn.omega) if not a.is_zero())
 
     @cached_property
@@ -408,7 +407,7 @@ class Geometry:
         if not self.curvature_parallel:
             return None, ("curvature not parallel",)
 
-        hol, span = self._holonomy_span
+        hol, span, _ = self._holonomy_span
         h, n = len(hol), self.alg.dim
         raw: dict[tuple[int, int], list] = {}  # (x, y) -> raw parts of [x, y]
         for a, b in combinations(range(h), 2):

@@ -49,7 +49,7 @@ class ReportConfig:
         if self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
         if self.lam is not None and self.lam <= 0:
-            raise ConfigError("the metric parameter must be positive")
+            raise ConfigError(f"the metric parameter must be positive, got {self.lam}")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.p != 1:
@@ -442,10 +442,9 @@ def run(config: ReportConfig) -> VerificationReport:
     if config.p != 1:
         suites = tuple(s for s in suites if s not in P1_ONLY)
     alg = algebra.build(config.p, config.lam)
-    t = connections.canonical_torsion(alg)
-    can = Geometry(alg, connections.with_torsion(alg, t))
+    can = Geometry(alg, connections.canonical_connection(alg))
     lc = Geometry(alg, connections.levi_civita(alg))
-    r = _Run(alg, t, can, lc)
+    r = _Run(alg, connections.canonical_torsion(alg), can, lc)
     rows = [row for s in suites for row in CHECKS if row.name.split(".")[0] == s]
     rows = [row for row in rows if row.skip or row.p_max is None or alg.p <= row.p_max]
     return VerificationReport(config, [_decide(row, r) for row in rows])

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from qhg import algebra, cone, connections as cn, contact as ct
-from qhg.exterior import wedge
+from qhg.exterior import KForm, wedge
 from qhg.scalars import LAM, Scalar
 
 
@@ -69,3 +69,24 @@ def test_specialized_parameter():
     alg2 = algebra.build(1, Fraction(5, 2))
     crit = cone.cone_constant(alg2)
     assert crit.constant == Scalar(Fraction(5, 2))
+
+
+def test_equal_mixed_terms_are_degenerate(monkeypatch):
+    """All eta_i ^ F_i equal: no entry constrains a, and the solve names it."""
+    alg = algebra.build(1)
+    torsions, mixed = cone._characteristic_terms(alg)
+    monkeypatch.setattr(cone, "_characteristic_terms", lambda a: (torsions, (mixed[0],) * 3))
+    with pytest.raises(ArithmeticError, match=r"^coincidence system is degenerate \(no constraint on a\)$"):
+        cone.cone_constant(alg)
+
+
+def test_a_torsion_bumped_off_the_mixed_terms_is_rejected(monkeypatch):
+    """T_1 bumped at e^{345}, which no eta_i ^ F_i reaches: the candidate is still
+    read on the mixed entries, and the residual check rejects it."""
+    alg = algebra.build(1)
+    torsions, mixed = cone._characteristic_terms(alg)
+    assert all(m.coeff((3, 4, 5)) == 0 for m in mixed)
+    bumped = (torsions[0] + KForm.basis(alg.dim, (3, 4, 5)).scale(LAM), *torsions[1:])
+    monkeypatch.setattr(cone, "_characteristic_terms", lambda a: (bumped, mixed))
+    with pytest.raises(ArithmeticError, match=r"^candidate does not make the three tensors coincide$"):
+        cone.cone_constant(alg)

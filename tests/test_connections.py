@@ -461,7 +461,7 @@ def test_coordinates_are_exact():
     assert coordinates(span, b1.scale(Fraction(1, 3)), 2) == Vector([0, Fraction(1, 3)])
     assert coordinates(span, Endo.zero(3), 2) == Vector.zero(2)
     alg = algebra.build(1)
-    hol, span = cn.Geometry(alg, cn.canonical_connection(alg))._holonomy_span
+    hol, span, _ = cn.Geometry(alg, cn.canonical_connection(alg))._holonomy_span
     for a, e in enumerate(hol):
         assert coordinates(span, e.scale(LAM), 3) == Vector.basis(3, a).scale(LAM)
 
@@ -485,7 +485,7 @@ def test_coordinates_rebuild_the_curvature_at_its_degree():
     degree 2, comes back as coordinates of degree 2 that rebuild it."""
     alg = algebra.build(1)
     geo = cn.Geometry(alg, cn.canonical_connection(alg))
-    hol, span = geo._holonomy_span
+    hol, span, _ = geo._holonomy_span
     assert all(e.part[0] == 0 for e in hol)
     assert geo.curvature
     for r in geo.curvature.values():
@@ -588,10 +588,14 @@ def test_transvection_table_matches_the_pairwise_oracle(p):
 
 def test_curvature_coordinates_are_read_from_the_pushes(monkeypatch):
     """`_push` hands back the coordinates of each part of R it reduced, so
-    `curvature_coordinates` reduces nothing a second time."""
+    `curvature_coordinates` reduces nothing a second time.  The Levi-Civita
+    curvature spans so(7): one push per nonzero R(e_i, e_j), and the closure
+    pushes nothing."""
     alg = algebra.build(1)
     geo = cn.Geometry(alg, cn.levi_civita(alg))
-    members = geo._curvature_span[0]
+    pushed = counted_pushes(monkeypatch)
+    members = geo._holonomy_span[0]
+    assert pushed == at_one(geo.curvature.values())
     reduced = []
     monkeypatch.setattr(Span, "reduce", lambda self, v: reduced.append(v))
     forms = geo.curvature_coordinates
@@ -640,12 +644,16 @@ def test_transvection_algebra_holonomy_witnesses(monkeypatch):
     geo = cn.Geometry(alg, conn)
     hol = geo.holonomy
     got = {}
+    # nabla R and the coordinates of -R are read on the whole basis, before the patch
+    fresh = {k: cn.Geometry(alg, conn) for k in (2, 1)}
+    assert all(g.curvature_parallel and len(g.curvature_coordinates) == 3 for g in fresh.values())
+    coords = geo._holonomy_span[2]
     for k in (2, 1):
-        basis = holonomy_span(hol[:k], alg.dim)
+        basis = (*holonomy_span(hol[:k], alg.dim), coords)
         monkeypatch.setattr(cn.Geometry, "_holonomy_span", property(lambda _, basis=basis: basis))
-        got[k] = cn.Geometry(alg, conn).transvection_algebra
+        got[k] = fresh[k].transvection_algebra
         assert got[k] == transvection_table_oracle(geo, hol[:k])
-        assert cn.transvection_check(alg, conn) == (False, got[k][1])
+        assert fresh[k].transvection == (False, got[k][1])
     # su(2) has no 2-dim subalgebra, so two of its three basis elements
     # do not close under the bracket
     assert got[2] == (None, ("holonomy not closed under bracket", 0, 1))
@@ -706,14 +714,20 @@ def counted_pushes(monkeypatch) -> list:
     return pushed
 
 
+def at_one(endos) -> list:
+    """Each endomorphism at l = 1, of degree 0, as the holonomy basis pushes it."""
+    return [_endo(e.dim, (0, *e.part[1:])) for e in endos]
+
+
 def test_dense_holonomy_stops_at_so_n(monkeypatch):
     """A dense skew torsion whose curvature already spans so(11): the closure
-    of skew forms stops at n(n - 1)/2 members without bracketing a pair."""
+    of skew forms stops at n(n - 1)/2 members without bracketing a pair, after
+    one push per nonzero R(e_i, e_j)."""
     alg = algebra.build(2)
     geo = cn.Geometry(alg, cn.with_torsion(alg, random_form(random.Random(1), 11, 3, 0.3).scale(LAM)))
-    assert len(geo._curvature_span[0]) == 55
     pushed = counted_pushes(monkeypatch)
-    assert len(geo.holonomy) == 55 and pushed == []
+    assert len(geo.holonomy) == 55 and len(geo.curvature_coordinates) == 55
+    assert pushed == at_one(geo.curvature.values())
 
 
 def test_holonomy_closure_brackets_the_forms_and_each_pair_once(monkeypatch):
@@ -725,10 +739,11 @@ def test_holonomy_closure_brackets_the_forms_and_each_pair_once(monkeypatch):
     n = alg.dim
     a, b = _skew_unit(n, 0, 1), _skew_unit(n, 1, 2)
     geo = cn.Geometry(alg, cn.Connection([a, b] + [Endo.zero(n)] * (n - 2)))
-    assert geo._curvature_span[0] == [a.commutator(b)]
     pushed = counted_pushes(monkeypatch)
     hol = geo.holonomy
-    assert len(hol) == 3 and len(pushed) == 9
+    # the curvature push first, R(e_0, e_1) = [A, B], then the closure pushes
+    assert list(geo.curvature) == [(0, 1)] and pushed[0] == hol[0] == a.commutator(b)
+    assert len(hol) == 3 and len(pushed) == 1 + 9
     assert cn.invariant_subspace(hol, (0, 1, 2)) and cn.invariant_subspace(hol, tuple(range(3, n)))
 
 
@@ -1176,12 +1191,11 @@ def ricci_parts_oracle(geo):
 
 def nabla_curvature_parts(geo, x):
     """nabla_{e_x} R at the keys (i, j, k, l), rebuilt from the coefficient
-    2-forms D^c of nabla_{e_x} (-R) and the basis of the curvature span:
-    -sum_c D^c B_c; None where `_nabla_curvature` answers that it moves."""
+    2-forms D^c of nabla_{e_x} (-R) and the holonomy basis: -sum_c D^c B_c."""
     forms = geo._nabla_curvature(x)
-    return None if forms is None else graded(
+    return graded(
         (d + db, -den * nb, {(i, j, k, l): v * w for (k, l), w in eb.items()})
-        for (d, den, e), (db, nb, eb) in ((f.part, b.part) for f, b in zip(forms, geo._curvature_span[0]))
+        for (d, den, e), (db, nb, eb) in ((f.part, b.part) for f, b in zip(forms, geo.holonomy))
         for (i, j), v in e.items()
     )
 
@@ -1202,38 +1216,58 @@ def skew_connections(alg):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_curvature_span_coordinates_match_the_curvature_parts_oracles(p):
-    """nabla R read in the basis of the curvature span, rebuilt as parts, and
-    Ricci read from the connection forms, against the kernels that read
-    `curvature_parts`.  A direction answered None moves in the oracle too."""
+def test_curvature_span_coordinates_match_the_curvature_parts_oracles(monkeypatch, p):
+    """nabla R read in the holonomy basis, rebuilt as parts, and Ricci read
+    from the connection forms, against the kernels that read `curvature_parts`,
+    in every direction."""
     alg = algebra.build(p)
-    parallel, answered = [], []
+    pushed = counted_pushes(monkeypatch)
+    parallel, grown = [], []
     for conn in skew_connections(alg):
         geo = cn.Geometry(alg, conn)
         derivatives = [curvature_derivative_oracle(geo, a) for a in conn.omega]
+        pushed.clear()
         for x, d in enumerate(derivatives):
-            got = nabla_curvature_parts(geo, x)
-            assert got == d if got is not None else d[2]
-            answered.append(got is None)
+            assert nabla_curvature_parts(geo, x) == d
         assert geo.curvature_parallel == all(not d[2] for d in derivatives)
         assert geo.ricci == ricci_parts_oracle(geo) and not geo.ricci.is_zero()
         parallel.append(geo.curvature_parallel)
+        # one curvature push per nonzero R(e_i, e_j) first, then the closure pushes
+        r = len(geo.curvature)
+        assert pushed[:r] == at_one(geo.curvature.values())
+        grown.append(len(geo.holonomy) > len(geo.curvature_coordinates) and len(pushed) > r)
     # only the canonical curvature is parallel, so nonzero nabla R is compared too
     assert parallel == [True, False, False, False]
-    # at p = 2 both exits are taken: a bracket outside the span of the curvature
-    # answers None, and the other directions compare every D^c
-    assert any(answered) == (p == 2)
+    # at p = 2 a closure grows past the span V of the curvature, and nabla R
+    # reads the D^c of the members it adds
+    assert any(grown) == (p == 2)
 
 
-def test_levi_civita_transvection_stops_before_the_holonomy():
+def test_levi_civita_transvection_stops_before_the_table():
     """Parallel torsion and curvature that is not: the curvature verdict reads
-    the span of the curvature alone, before the holonomy closure is built."""
+    the holonomy basis, and neither the brackets of hol + m nor Jacobi run."""
     alg = algebra.build(2)
     out = []
     ran = executed_code(lambda: out.append(cn.transvection_check(alg, cn.levi_civita(alg))))
     assert out == [(False, ("curvature not parallel",))]
-    kernels = ["qhg.connections.Geometry._holonomy_span", "qhg.connections.Geometry._nabla_curvature"]
-    assert unexecuted(kernels, ran) == kernels[:1]
+    kernels = ["qhg.algebra.StructureConstants.__init__", "qhg.algebra.jacobi_check",
+               "qhg.connections.Geometry._holonomy_span", "qhg.connections.Geometry._nabla_curvature"]
+    assert unexecuted(kernels, ran) == kernels[:2]
+    # control: the canonical connection builds the table and tests it
+    ran = executed_code(lambda: out.append(cn.transvection_check(alg, cn.canonical_connection(alg))))
+    assert out[1] == (True, None) and unexecuted(kernels, ran) == []
+
+
+def test_a_bracket_outside_the_holonomy_span_raises(monkeypatch):
+    """The holonomy basis is closed under every ad Omega_x, so a bracket that
+    `_coordinates` cannot read is a broken invariant: `curvature_parallel`
+    raises, and does not answer False."""
+    alg = algebra.build(1)
+    conn = cn.canonical_connection(alg)
+    assert cn.Geometry(alg, conn).curvature_parallel
+    monkeypatch.setattr(cn, "_coordinates", lambda span, e: None)
+    with pytest.raises(ArithmeticError, match=r"^holonomy basis not closed under ad Omega_0$"):
+        cn.Geometry(alg, conn).curvature_parallel
 
 
 def plane_rotations(alg, rotations):
@@ -1246,26 +1280,25 @@ def plane_rotations(alg, rotations):
 
 @pytest.mark.parametrize("make", ["canonical", "levi-civita", "rotations"])
 def test_holonomy_and_nabla_r_agree_in_either_order(make):
-    """The holonomy closure appends to the basis of V that `_nabla_curvature`
-    reads, so nabla R may run on V or on all of hol: reading the holonomy first
-    or last gives the same verdict, coordinates of -R and holonomy basis."""
+    """nabla R and the holonomy read one basis: reading the holonomy first or
+    last gives the same verdict, coordinates of -R and holonomy basis."""
     alg = algebra.build(1)
     conn = {"canonical": cn.canonical_connection, "levi-civita": cn.levi_civita,
             "rotations": lambda alg: plane_rotations(alg, [(4, 1, 3), (6, 5, 3)])}[make](alg)
     first, last = cn.Geometry(alg, conn), cn.Geometry(alg, conn)
     hol = first.holonomy
     verdict = last.curvature_parallel
-    # (None on V alone, None on hol) per direction, before `last` builds its holonomy
-    exits = [(last._nabla_curvature(x) is None, first._nabla_curvature(x) is None) for x in (4, 6)]
     assert first.curvature_parallel == verdict
     assert first.curvature_coordinates == last.curvature_coordinates
     assert last.holonomy == hol
     assert verdict == (make == "canonical")
     if make == "rotations":
-        # dim V = 1 < dim hol = 3: on V alone a bracket [Omega_x, B] falls
-        # outside the span, while on hol every D^c is read and one moves
+        # dim V = 1 < dim hol = 3: [Omega_x, B] leaves V, and nabla_{e_x} R
+        # moves in a D^c of a member that the closure adds
         assert len(last.curvature_coordinates) == 1 and len(hol) == 3
-        assert exits == [(True, False), (True, False)]
+        for x in (4, 6):
+            moved = [c for c, f in enumerate(last._nabla_curvature(x)) if not f.is_zero()]
+            assert moved and min(moved) >= 1
 
 
 def test_curvature_parallel_stops_at_the_first_direction_that_moves(monkeypatch):

@@ -417,6 +417,44 @@ def test_cache_guard_flags_a_module_level_cache():
     assert decorators(allowed, "levi_civita") == ["derived"]
 
 
+def process_state(source: str) -> list[str]:
+    """Names that outlive every algebra: each name of a `global` statement, and
+    each module-level name bound to an empty {}, [] or set()."""
+    tree = ast.parse(source)
+    found = [name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
+    for top in tree.body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign)) and top.value is not None:
+            if ast.unparse(top.value) in ("{}", "[]", "set()"):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+# module state that lives for the whole process, each kept for a reason
+PROCESS_STATE_ALLOWED = {
+    "clifford._GAMMA": "process-lifetime Clifford cache, ROADMAP item 10",
+    "clifford._PRODUCTS": "process-lifetime Clifford cache, ROADMAP item 10",
+}
+
+
+def test_only_the_clifford_cache_lives_for_the_process():
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py")) for name in process_state(path.read_text())]
+    assert sorted(found) == sorted(PROCESS_STATE_ALLOWED)
+
+
+def test_process_state_guard_flags_a_module_cache_and_a_global():
+    source = (
+        "_CACHE = {}\n"
+        "_TABLE = {1: 2}\n"
+        "def f():\n"
+        "    global _X\n"
+        "    local = []\n"
+        "    return local\n"
+    )
+    assert process_state(source) == ["_CACHE", "_X"]
+    assert process_state("_SEEN: set[int] = set()\n_ROWS = []\n_N = 0\n") == ["_ROWS", "_SEEN"]
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """`module.function` and `module.Class.method` of every public definition
     that no module of `sources` (module name -> text) refers to.  A function
@@ -454,7 +492,6 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
 # public definitions that nothing in the package reads, each kept for a reason
 UNREFERENCED_ALLOWED = {
     "algebra.StructureConstants.bracket_basis": "read by the benchmark workloads (`structure_constants`)",
-    "connections.canonical_connection": "an entry point of the benchmark workloads",
     "connections.transvection_check": "an entry point of the benchmark workloads",
 }
 

@@ -170,6 +170,9 @@ def test_cli_config_error_exit_codes(capsys):
     assert main(["verify", "--p", "1", "--lambda", "x/y"]) == 2
     assert main(["verify", "--p", "0"]) == 2
     capsys.readouterr()
+    # one positivity check, in ReportConfig.validate, names the value on one line
+    assert main(["verify", "--p", "1", "--lambda", "-1"]) == 2
+    assert capsys.readouterr().err == "qhg: configuration error: the metric parameter must be positive, got -1\n"
 
 
 def test_cli_unknown_suite_is_argparse_error():
