@@ -396,8 +396,8 @@ class Geometry:
         canonical R has degree 2 and T degree 1 (33 of the 162 brackets at p = 5
         hold both); dividing by l^2 sets both at 0, by a numeric l moves no degree,
         and every bracket has degree 0.  Requires, in this order, totally
-        skew and parallel torsion, parallel R and a closure closed under its bracket
-        that holds R: (table, None), else (None, witness).  The m-part of [X_i, X_j]
+        skew and parallel torsion, parallel R and a closure closed under its bracket,
+        which holds R by construction: (table, None), else (None, witness).  The m-part of [X_i, X_j]
         is then -T(e_i, e_j) / l with T totally skew: hol + m is reductive.
         """
         if self.torsion_form is None:
@@ -416,9 +416,6 @@ class Geometry:
                 return None, ("holonomy not closed under bracket", a, b)
             raw[(a, b)] = [coords]
         forms = self.curvature_coordinates  # of -R, in the first B_c of hol
-        if len(forms) > h:  # the first pair with a coordinate past hol
-            pair = min(ij for f in forms[h:] for ij in f.part[2])
-            return None, ("curvature outside holonomy span", *pair)
         dl, nl, el = homogeneous_part(self.alg.lam)  # l = el[()] l^dl / nl
         for c, f in enumerate(forms):
             d, den, e = f.part

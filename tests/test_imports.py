@@ -9,6 +9,7 @@ from pathlib import Path
 from qhg.exterior import KForm
 from qhg.report import ReportConfig, run
 from qhg.scalars import LAM, Scalar
+from support import UNREFERENCED_ALLOWED
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qhg"
 
@@ -487,13 +488,6 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                     and f.name not in attributes
                 ]
     return sorted(found)
-
-
-# public definitions that nothing in the package reads, each kept for a reason
-UNREFERENCED_ALLOWED = {
-    "algebra.StructureConstants.bracket_basis": "read by the benchmark workloads (`structure_constants`)",
-    "connections.transvection_check": "an entry point of the benchmark workloads",
-}
 
 
 def test_every_public_definition_has_a_reader_in_the_package():

@@ -12,9 +12,17 @@ import pytest
 
 from qhg import algebra, cone, connections, contact, g2, report
 from qhg.cli import main
-from qhg.report import REQUIRED_OPS, ConfigError, ReportConfig, run
+from qhg.report import ConfigError, ReportConfig, run
 from qhg.scalars import Scalar
-from support import cli_env, code_of, executed_code, profiled_report, unexecuted
+from support import (
+    UNRUN_ALLOWED,
+    cli_env,
+    code_of,
+    executed_code,
+    profiled_report,
+    unexecuted,
+    unrun_in_cli_report,
+)
 
 
 # SHA-256 of the full formal JSON report; any change to its bytes shows here
@@ -129,12 +137,30 @@ def test_config_errors():
 
 
 def test_operation_coverage_of_full_suite():
-    """Every operation a row declares, and every operation in REQUIRED_OPS,
-    runs in the full report at p = 1, compared by code object."""
-    rep, ran = profiled_report(ReportConfig(p=1, suites=("all",)))
-    declared = {op for check in rep.checks for op in check.ops}
-    assert set(REQUIRED_OPS) <= declared
-    assert unexecuted(declared, ran) == []
+    """Every public definition of the package but the allowed ones runs in
+    the p = 1 CLI report, in JSON and in text, compared by code object."""
+    assert unrun_in_cli_report() == sorted(UNRUN_ALLOWED)
+
+
+def test_operation_coverage_names_a_public_function_no_report_calls(monkeypatch):
+    def orphan(alg):
+        return alg
+
+    def imported(alg):
+        return alg
+
+    orphan.__module__ = "qhg.contact"
+    imported.__module__ = "qhg.algebra"  # another module's name: left to that module
+    monkeypatch.setattr(contact, "orphan", orphan, raising=False)
+    monkeypatch.setattr(contact, "imported", imported, raising=False)
+    assert unrun_in_cli_report() == sorted([*UNRUN_ALLOWED, "contact.orphan"])
+
+
+def test_operation_coverage_names_the_reader_of_a_row_that_no_longer_calls_it(monkeypatch):
+    rows = [row._replace(check=lambda r: True) if row.name == "contact.normality" else row
+            for row in report.CHECKS]
+    monkeypatch.setattr(report, "CHECKS", tuple(rows))
+    assert unrun_in_cli_report() == sorted([*UNRUN_ALLOWED, "contact.normality_check"])
 
 
 def test_operation_coverage_fails_for_a_declaration_that_never_runs():
@@ -182,9 +208,7 @@ def test_cli_unknown_suite_is_argparse_error():
 
 
 def test_cli_failure_exit_code(monkeypatch, capsys):
-    failing = report.Check(
-        "algebra.injected", (), "injected failure for exit-code coverage", lambda r: False
-    )
+    failing = report.Check("algebra.injected", "injected failure for exit-code coverage", lambda r: False)
     monkeypatch.setattr(report, "CHECKS", (failing,))
     code = main(["verify", "--p", "1", "--suite", "algebra"])
     out = capsys.readouterr().out
