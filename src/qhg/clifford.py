@@ -8,11 +8,15 @@ the volume element) we fix the one whose volume element acts as +Id:
 it is the choice for which the canonical torsion acts on its invariant
 spinor with eigenvalue -2*lam and the generalized Killing eigenvalues
 come out with the signs of the 7-dimensional verification suite.
+
+The generators and their products live in the memo of an algebra
+(`algebra.derived`) and die with it, so each function that acts on
+spinors takes the algebra whose memo it reads.
 """
 
 from __future__ import annotations
 
-from .algebra import quat_mul
+from .algebra import QHAlgebra, derived, quat_mul
 from .exterior import Endo, KForm, Vector, _combination, _endo, _vector, endo_two_form
 
 SPIN_DIM = 8
@@ -37,8 +41,9 @@ def _oct_mul(a: int, b: int) -> tuple[int, int]:
     return -s, c
 
 
-def build_gamma() -> list[Endo]:
-    """The seven Clifford generators, indexed like the ambient frame.
+def gamma() -> list[Endo]:
+    """The seven Clifford generators, indexed like the ambient frame, built
+    afresh on every call; `generators` keeps them for one algebra.
 
     Generator i is minus the left multiplication by the i-th imaginary
     octonion unit; the minus sign selects the irreducible module with
@@ -51,50 +56,44 @@ def build_gamma() -> list[Endo]:
         for b in range(SPIN_DIM):
             s, c = _oct_mul(i, b)
             entries[(c, b)] = -s
-        gammas.append(Endo(SPIN_DIM, entries))
+        gammas.append(_endo(SPIN_DIM, (0, 1, entries)))
     return gammas
 
 
-_GAMMA: list[Endo] | None = None
-_PRODUCTS: dict[tuple[int, ...], Endo] = {}
+@derived
+def generators(alg: QHAlgebra) -> list[Endo]:
+    """The generators of `gamma`, built once per algebra."""
+    return gamma()
 
 
-def gamma() -> list[Endo]:
-    global _GAMMA
-    if _GAMMA is None:
-        _GAMMA = build_gamma()
-    return _GAMMA
+@derived
+def gamma_product(alg: QHAlgebra, indices: tuple[int, ...]) -> Endo:
+    """Product of the generators in the order of the index tuple, built once
+    per algebra and tuple: the product of all but the last index, itself
+    memoised, composed with the last generator of `generators`."""
+    g = generators(alg)
+    if len(indices) < 2:
+        return g[indices[0]] if indices else Endo.identity(SPIN_DIM)
+    return gamma_product(alg, indices[:-1]).compose(g[indices[-1]])
 
 
-def gamma_product(indices: tuple[int, ...]) -> Endo:
-    """Product of the generators in the order of the index tuple."""
-    if indices in _PRODUCTS:
-        return _PRODUCTS[indices]
-    g = gamma()
-    out = Endo.identity(SPIN_DIM)
-    for i in indices:
-        out = out.compose(g[i])
-    _PRODUCTS[indices] = out
-    return out
-
-
-def clifford_matrix(a: KForm) -> Endo:
+def clifford_matrix(alg: QHAlgebra, a: KForm) -> Endo:
     """Clifford action of a form: basis tuples become ordered products."""
     if a.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {a.dim}")
     d, den, e = a.part
-    return _endo(SPIN_DIM, _combination((d, den, c, gamma_product(idx).part) for idx, c in e.items()))
+    return _endo(SPIN_DIM, _combination((d, den, c, gamma_product(alg, idx).part) for idx, c in e.items()))
 
 
-def vector_action(x: Vector, s: Vector) -> Vector:
+def vector_action(alg: QHAlgebra, x: Vector, s: Vector) -> Vector:
     """Clifford product of an ambient vector with a spinor."""
     if x.dim != AMBIENT_DIM:
         raise ValueError(f"Clifford action needs ambient dimension 7, got {x.dim}")
-    g, (d, den, e) = gamma(), x.part
+    g, (d, den, e) = generators(alg), x.part
     return _vector(SPIN_DIM, _combination((d, den, c, g[i].apply(s).part) for i, c in e.items()))
 
 
-def spin_lift(a: Endo) -> Endo:
+def spin_lift(alg: QHAlgebra, a: Endo) -> Endo:
     """Lift of a skew endomorphism, (1/4) sum of A[k, l] g_l g_k over the
     stored entries, each pair in both orders, the products taken in that
     order: the unique normalization with [lift(A), g(X)] = g(AX)."""
@@ -103,37 +102,39 @@ def spin_lift(a: Endo) -> Endo:
     if not a.is_skew():
         raise ValueError("endomorphism is not skew")
     d, den, e = a.part
-    return _endo(SPIN_DIM, _combination((d, 4 * den, c, gamma_product((l, k)).part) for (k, l), c in e.items()))
+    terms = ((d, 4 * den, c, gamma_product(alg, (l, k)).part) for (k, l), c in e.items())
+    return _endo(SPIN_DIM, _combination(terms))
 
 
-def relations_check() -> bool:
-    """g_i g_j + g_j g_i = -2 delta_ij Id and the volume element is +Id;
-    the anticommutator is symmetric in (i, j), so only i <= j is checked."""
-    g, minus_two = gamma(), Endo.identity(SPIN_DIM).scale(-2)
-    return volume_sign() == 1 and all(
-        g[i].compose(g[j]) + g[j].compose(g[i]) == (minus_two if i == j else Endo.zero(SPIN_DIM))
+def relations_check(alg: QHAlgebra) -> bool:
+    """g_i g_j + g_j g_i = -2 delta_ij Id and the volume element is +Id,
+    read from the products of `gamma_product`: g_i g_i = -Id, and
+    g_i g_j = -g_j g_i for i < j, as the relation is symmetric in (i, j)."""
+    minus_one = Endo.identity(SPIN_DIM).scale(-1)
+    return volume_sign(alg) == 1 and all(
+        gamma_product(alg, (i, j)) == (minus_one if i == j else -gamma_product(alg, (j, i)))
         for i in range(AMBIENT_DIM)
         for j in range(i, AMBIENT_DIM)
     )
 
 
-def lift_check(a: Endo) -> bool:
+def lift_check(alg: QHAlgebra, a: Endo) -> bool:
     """[lift(A), g_i] = sum_k A[k, i] g_k, the Clifford image of A e_i, for
     every frame index i, with the coefficients read from column i of A in
     one pass over its entries; and the 2-form of A acts as 2 lift(A): the
     products i < j of `clifford_matrix` against both orders in `spin_lift`."""
-    lift, g = spin_lift(a), gamma()
+    lift, g = spin_lift(alg, a), generators(alg)
     images = [[] for _ in range(AMBIENT_DIM)]  # column i -> terms of sum_k A[k, i] g_k
     d, den, e = a.part
     for (k, i), c in e.items():
         images[i].append((d, den, c, g[k].part))
-    return clifford_matrix(endo_two_form(a)) == lift.scale(2) and all(
+    return clifford_matrix(alg, endo_two_form(a)) == lift.scale(2) and all(
         lift.commutator(g[i]) == _endo(SPIN_DIM, _combination(terms)) for i, terms in enumerate(images))
 
 
-def volume_sign() -> int:
+def volume_sign(alg: QHAlgebra) -> int:
     """Sign s with g_1 g_2 ... g_7 = s * Id (central, squares to +Id)."""
-    prod = gamma_product(tuple(range(AMBIENT_DIM)))
+    prod = gamma_product(alg, tuple(range(AMBIENT_DIM)))
     if prod == Endo.identity(SPIN_DIM):
         return 1
     if prod == Endo.identity(SPIN_DIM).scale(-1):

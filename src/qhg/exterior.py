@@ -11,7 +11,7 @@ Vectors, forms and endomorphisms hold the one exact value type of
 indexed by frame indices, index tuples and (row, column) pairs; a `Scalar`
 is the same thing indexed by the empty tuple.  Their linear operations
 live once, in `Tensor`, and every kernel below loops over plain ints;
-`comps`, `m`, `coeff`, `entry` and indexing read entries out as Scalars on
+`comps`, `coeff`, `entry` and indexing read entries out as Scalars on
 demand.
 """
 
@@ -297,12 +297,10 @@ class KForm(Tensor):
             p = _product(v.part, p, _interior)
         return scalar_at(p, ())
 
-    def __str__(self):
+    def __repr__(self):
         if self.is_zero():
             return "0"
         return " + ".join(f"({c})e{list(k)}" for k, c in self.comps.items())
-
-    __repr__ = __str__
 
 
 # -- core operations -------------------------------------------------------
@@ -368,7 +366,7 @@ def form_inner(a: KForm, b: KForm) -> Scalar:
 class Endo(Tensor):
     """Linear endomorphism of the frame space, a sparse matrix.
 
-    `m` maps each (row, column) with a nonzero entry to its Scalar.
+    `comps` maps each (row, column) with a nonzero entry to its Scalar.
     """
 
     __slots__ = ()
@@ -379,8 +377,6 @@ class Endo(Tensor):
             _check_indices(dim, key)
         self.dim = dim
         self.part = part_of(entries.items(), "Endo")
-
-    m = Tensor.comps
 
     def _like(self, p: tuple) -> "Endo":
         return _endo(self.dim, p)
@@ -424,7 +420,7 @@ class Endo(Tensor):
         return scalar_of(d, den, sum(v for (r, c), v in e.items() if r == c))
 
     def __repr__(self):
-        return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in self.m.items())}}})"
+        return f"Endo({self.dim}, {{{', '.join(f'{k}: {v}' for k, v in self.comps.items())}}})"
 
 
 def two_form_endo(a: KForm) -> Endo:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .algebra import QHAlgebra, derived
-from .clifford import SPIN_DIM, clifford_matrix, gamma, gamma_product, spin_lift, vector_action
+from .clifford import SPIN_DIM, clifford_matrix, gamma_product, generators, spin_lift, vector_action
 from .connections import Connection, levi_civita
 from .exterior import (
     Endo,
@@ -142,7 +142,7 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
         if om.is_zero():
             continue
         # one monomial in l: its kernel at l = 1 is its kernel at every l > 0
-        _, _, lift = homogeneous_part(spin_lift(om))
+        _, _, lift = homogeneous_part(spin_lift(alg, om))
         rows.extend({c: v for (r, c), v in lift.items() if r == row} for row in range(8))
     kernel = nullspace(rows, 8)
     if len(kernel) != 1:
@@ -151,8 +151,8 @@ def parallel_spinor(alg: QHAlgebra, conn: Connection) -> SpinorSplitting:
             "expected 1 (Clifford convention mismatch?)"
         )
     psi0 = _normalize_spinor(kernel[0])
-    vertical = [vector_action(alg.xi(i), psi0) for i in (1, 2, 3)]
-    horizontal = [vector_action(alg.tau(l), psi0) for l in range(1, 5)]
+    vertical = [vector_action(alg, alg.xi(i), psi0) for i in (1, 2, 3)]
+    horizontal = [vector_action(alg, alg.tau(l), psi0) for l in range(1, 5)]
     return SpinorSplitting(psi0, vertical, horizontal)
 
 
@@ -195,7 +195,7 @@ def torsion_spectrum(alg: QHAlgebra, t: KForm, split: SpinorSplitting) -> dict:
 
     Returns None entries when some summand is not an eigenspace.
     """
-    tm = clifford_matrix(t)
+    tm = clifford_matrix(alg, t)
 
     def common_eigenvalue(vectors: list[Vector]) -> Scalar | None:
         value = None
@@ -230,7 +230,7 @@ def _eigen_ratio(image: Vector, v: Vector) -> Scalar | None:
 def levi_civita_lifts(alg: QHAlgebra) -> list[Endo]:
     """The spinor lifts of the Levi-Civita connection forms, one per frame direction."""
     _require_p1(alg)
-    return [spin_lift(form) for form in levi_civita(alg).omega]
+    return [spin_lift(alg, form) for form in levi_civita(alg).omega]
 
 
 def generalized_killing_check(alg: QHAlgebra, psi: Vector) -> list[Scalar | None]:
@@ -240,7 +240,7 @@ def generalized_killing_check(alg: QHAlgebra, psi: Vector) -> list[Scalar | None
     not generalized Killing there).
     """
     lifts = levi_civita_lifts(alg)
-    return [_eigen_ratio(lift.apply(psi), g.apply(psi)) for lift, g in zip(lifts, gamma())]
+    return [_eigen_ratio(lift.apply(psi), g.apply(psi)) for lift, g in zip(lifts, generators(alg))]
 
 
 def invariant_killing_values(alg: QHAlgebra) -> list[Scalar]:
@@ -256,7 +256,7 @@ def translate_killing_check(alg: QHAlgebra, psi0: Vector) -> tuple[bool, set[str
     half = alg.lam * Fraction(1, 2)
     ok, horizontal = True, set()
     for i in (1, 2, 3):
-        ki = generalized_killing_check(alg, vector_action(alg.xi(i), psi0))
+        ki = generalized_killing_check(alg, vector_action(alg, alg.xi(i), psi0))
         horiz = {str(ki[idx]) for idx in alg.horizontal_indices}
         ok = (
             ok
@@ -282,7 +282,7 @@ def killing_via_torsion_check(alg: QHAlgebra, t: KForm, psi0: Vector) -> bool:
     d, den, e = t.part
     for (a, b, c), v in e.items():
         for x, pair, w in ((a, (b, c), v), (b, (a, c), -v), (c, (a, b), v)):
-            terms[x].append((d, den, w, gamma_product(pair).apply(psi0).part))
+            terms[x].append((d, den, w, gamma_product(alg, pair).apply(psi0).part))
     return all(
         lift.apply(psi0).scale(-4) == _vector(SPIN_DIM, _combination(x_terms))
         for lift, x_terms in zip(levi_civita_lifts(alg), terms)
@@ -298,7 +298,7 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
     of e_x . d eta_i is column x of the skew endomorphism of d eta_i, that
     of nabla^g_X xi_i column xi_i of Omega^g(X); each acts by `vector_action`.
     """
-    lc, lifts, g, psi0 = levi_civita(alg), levi_civita_lifts(alg), gamma(), split.psi0
+    lc, lifts, g, psi0 = levi_civita(alg), levi_civita_lifts(alg), generators(alg), split.psi0
     lifted = [lift.apply(psi0) for lift in lifts]  # nabla^g_X psi0
     for i in alg.vertical_indices:
         d_eta = two_form_endo(ce_differential(alg.eta(i + 1), alg))
@@ -307,7 +307,7 @@ def proof_identities_check(alg: QHAlgebra, split: SpinorSplitting) -> bool:
         for x in range(alg.dim):
             bridge_x = g[x].apply(bridge) if x in alg.horizontal_indices else Vector.zero(SPIN_DIM)
             # product rule: nabla^g_X(xi_i psi0) = (nabla^g_X xi_i) psi0 + xi_i nabla^g_X psi0
-            leibniz = vector_action(lc.form(x).column(i), psi0) + g[i].apply(lifted[x])
-            if vector_action(d_eta.column(x), psi0) != bridge_x or lifts[x].apply(xi_psi) != leibniz:
+            leibniz = vector_action(alg, lc.form(x).column(i), psi0) + g[i].apply(lifted[x])
+            if vector_action(alg, d_eta.column(x), psi0) != bridge_x or lifts[x].apply(xi_psi) != leibniz:
                 return False
     return True

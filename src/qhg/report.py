@@ -300,10 +300,10 @@ CHECKS = (
     Check("g2.characteristic-torsion", "the characteristic torsion of the 3-form equals the canonical torsion",
           _g2_characteristic_torsion),
     Check("spinors.clifford-relations", "generators anticommute, square to -Id, volume element is +Id",
-          lambda r: (clifford.relations_check(), {"volume_sign": clifford.volume_sign()})),
+          lambda r: (clifford.relations_check(r.alg), {"volume_sign": clifford.volume_sign(r.alg)})),
     Check("spinors.spin-lift",
           "the lift satisfies [lift(A), X] = AX and doubles the 2-form action",
-          lambda r: all(clifford.lift_check(a) for a in r.h)),
+          lambda r: all(clifford.lift_check(r.alg, a) for a in r.h)),
     Check("spinors.parallel-spinor",
           "the lifted connection has a 1-dim invariant spinor line and the "
           "translate splitting is orthogonal with dimensions 1+3+4",

@@ -216,7 +216,7 @@ def test_criterion_9_spinor_suite_attainable():
             assert killing0[i] == LAM * Fraction(-3, 4)
 
         for i in (1, 2, 3):
-            psi_i = cl.vector_action(alg.xi(i), split.psi0)
+            psi_i = cl.vector_action(alg, alg.xi(i), split.psi0)
             values = g2.generalized_killing_check(alg, psi_i)
             assert values[i - 1] == LAM * Fraction(1, 2)
             for j in (1, 2, 3):
@@ -252,7 +252,7 @@ def test_criterion_9_torsion_spectrum_as_stated():
 
         g = cl.gamma()
         for idx in combinations(range(7), 3):
-            prod = cl.gamma_product(idx)
+            prod = cl.gamma_product(alg, idx)
             assert prod.trace().is_zero()
             assert any(
                 g[k].compose(prod) == -prod.compose(g[k])
@@ -300,14 +300,14 @@ def test_criterion_9_translate_horizontal_eigenvalue_as_stated():
         killing0 = g2.generalized_killing_check(alg, psi0)
         for i in (1, 2, 3):
             xi = alg.xi(i)
-            psi_i = cl.vector_action(xi, psi0)
+            psi_i = cl.vector_action(alg, xi, psi0)
             values = g2.generalized_killing_check(alg, psi_i)
             d_eta = ce_differential(alg.eta(i), alg)
             for idx in alg.horizontal_indices:
                 x_xi_psi0 = g[idx].apply(psi_i)
                 x_d_eta = interior(alg.basis_vector(idx), d_eta)
                 assert dual(lc.form(idx).apply(xi)) == x_d_eta.scale(Fraction(1, 2))
-                bridge = cl.clifford_matrix(x_d_eta).apply(psi0)
+                bridge = cl.clifford_matrix(alg, x_d_eta).apply(psi0)
                 assert bridge == x_xi_psi0.scale(-LAM)
                 assert bridge != x_xi_psi0.scale(LAM)
 

@@ -285,7 +285,7 @@ def test_ricci_and_scalars(p):
 
 def flat(e):
     """The row-major entries of a rational endomorphism, scaled to integers."""
-    return integer_part({r * e.dim + c: rational_value(v) for (r, c), v in e.m.items()})[1]
+    return integer_part({r * e.dim + c: rational_value(v) for (r, c), v in e.comps.items()})[1]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -769,7 +769,7 @@ def test_ricci_matches_definitional_sum(p, which):
     expected = ricci_oracle(alg, conn)
     for (a, b), value in expected.items():
         assert ric.entry(a, b) == value, (a, b)
-    assert all(not v.is_zero() for v in ric.m.values())
+    assert all(not v.is_zero() for v in ric.comps.values())
     if which in ("perturbed", "random"):
         # off-diagonal and non-symmetric entries are covered, not only the diagonal
         off = [(a, b) for (a, b), v in expected.items() if a != b and not v.is_zero()]

@@ -69,7 +69,7 @@ def test_normality_negative_control():
     alg = algebra.build(1)
     ac = ct.build_phi(alg, 1)
     broken = Endo(
-        alg.dim, {k: v for k, v in ac.phi.m.items() if k != (2, 1)}
+        alg.dim, {k: v for k, v in ac.phi.comps.items() if k != (2, 1)}
     )
     bad = ct.AlmostContact(broken, ac.xi, ac.eta, 1)
     assert not ct.normality_check(alg, 1, bad)
@@ -561,7 +561,7 @@ def _reference_broken_halves(qc, a: Endo, n: int) -> set[str]:
     brackets = [a.commutator(e) for e in qc.complex_structures]
     pairs = set()
     for e in qc.complex_structures + brackets:
-        pairs.update(e.m.keys())
+        pairs.update(e.comps.keys())
     broken = set()
     for ab in pairs:
         for cd in pairs:
@@ -607,13 +607,13 @@ def _reference_rows(p: int) -> dict[str, list[list[Fraction]]]:
     nb = len(skew_basis)
     coords = {pair: idx for idx, pair in enumerate(skew_basis)}
     struct_entries = [
-        {k: rational_value(v) for k, v in e.m.items()} for e in qc.complex_structures
+        {k: rational_value(v) for k, v in e.comps.items()} for e in qc.complex_structures
     ]
     bracket_index = [{}, {}, {}]
     for k, ab in enumerate(skew_basis):
         b_k = _rotation(alg, *ab)
         for i, i_s in enumerate(qc.complex_structures):
-            for pq, v in b_k.commutator(i_s).m.items():
+            for pq, v in b_k.commutator(i_s).comps.items():
                 bracket_index[i].setdefault(pq, []).append((k, rational_value(v)))
     support = set()
     for i in range(3):
@@ -851,7 +851,7 @@ def _direct_reeb_tensor(alg, qc, a: Endo) -> dict:
         xi = alg.xi(i)
         for x, y in ((a.apply(xi), structure), (xi, a.commutator(structure))):
             for s in range(alg.dim):
-                for cd, w in y.m.items():
+                for cd, w in y.comps.items():
                     out[(s, *cd)] = out.get((s, *cd), ZERO) + x[s] * w
     return {key: v for key, v in out.items() if not v.is_zero()}
 

@@ -331,7 +331,7 @@ def test_constructors_reject_indices_outside_the_frame():
             KForm(3, 1, comps)
     with pytest.raises(IndexError, match=r"^index 3 outside \[0, 3\)$"):
         KForm.basis(3, (0, 3))
-    assert Endo(3, {(2, 0): 1, (0, 2): 0}).m == {(2, 0): ONE}
+    assert Endo(3, {(2, 0): 1, (0, 2): 0}).comps == {(2, 0): ONE}
     assert KForm(3, 2, {(2, 0): 1}) == KForm.basis(3, (0, 2)).scale(-1)
 
 
@@ -385,8 +385,8 @@ def test_endo_negation_and_subtraction():
     b = Endo(3, {(0, 1): LAM, (2, 0): LAM})
     assert -a == a.scale(-1)
     assert a - b == a + b.scale(-1)
-    assert (a - a).is_zero() and (a - a).m == {}
-    assert (a - b).m == {(1, 0): -LAM, (2, 2): LAM * 3, (2, 0): -LAM}
+    assert (a - a).is_zero() and (a - a).comps == {}
+    assert (a - b).comps == {(1, 0): -LAM, (2, 2): LAM * 3, (2, 0): -LAM}
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -182,7 +182,7 @@ def test_psi0_killed_by_lifted_generators(alg, split):
     from qhg.exterior import two_form_endo
 
     for f in cn.su2_generators(alg):
-        assert cl.spin_lift(two_form_endo(f)).apply(split.psi0).is_zero()
+        assert cl.spin_lift(alg, two_form_endo(f)).apply(split.psi0).is_zero()
 
 
 def test_parallel_spinor_aborts_on_wrong_connection(alg):
@@ -202,12 +202,12 @@ def test_torsion_spectrum(alg, split):
 
 def test_spectrum_examples(alg, split):
     t = cn.canonical_torsion(alg)
-    tm = cl.clifford_matrix(t)
+    tm = cl.clifford_matrix(alg, t)
     psi = split.psi0
     assert tm.apply(psi) == psi.scale(LAM * -2)
-    tau1_psi = cl.vector_action(alg.tau(1), psi)
+    tau1_psi = cl.vector_action(alg, alg.tau(1), psi)
     assert tm.apply(tau1_psi) == tau1_psi.scale(LAM * -4)
-    xi1_psi = cl.vector_action(alg.xi(1), psi)
+    xi1_psi = cl.vector_action(alg, alg.xi(1), psi)
     assert tm.apply(xi1_psi) == xi1_psi.scale(LAM * 6)
 
 
@@ -227,7 +227,7 @@ def test_killing_translates(alg, split):
     half = LAM * Fraction(1, 2)
     quarter = LAM * Fraction(1, 4)
     for i in (1, 2, 3):
-        psi_i = cl.vector_action(alg.xi(i), split.psi0)
+        psi_i = cl.vector_action(alg, alg.xi(i), split.psi0)
         values = g2.generalized_killing_check(alg, psi_i)
         assert values[i - 1] == half
         for j in (1, 2, 3):
@@ -249,9 +249,9 @@ def test_both_routes_to_killing_equation(alg, split):
     t = cn.canonical_torsion(alg)
     lc = cn.levi_civita(alg)
     for i in range(7):
-        lhs = cl.spin_lift(lc.form(i)).apply(split.psi0)
+        lhs = cl.spin_lift(alg, lc.form(i)).apply(split.psi0)
         rhs = (
-            cl.clifford_matrix(interior(alg.basis_vector(i), t))
+            cl.clifford_matrix(alg, interior(alg.basis_vector(i), t))
             .apply(split.psi0)
             .scale(Fraction(-1, 4))
         )
@@ -262,10 +262,8 @@ def test_proof_identities(alg, split):
     assert g2.proof_identities_check(alg, split)
     # explicit instance with the computed sign: (tau_1 . d eta_1) psi0 = -lam tau_1 xi_1 psi0
     d_eta = ce_differential(alg.eta(1), alg)
-    lhs = cl.clifford_matrix(interior(alg.tau(1), d_eta)).apply(split.psi0)
-    rhs = cl.vector_action(
-        alg.tau(1), cl.vector_action(alg.xi(1), split.psi0)
-    ).scale(-LAM)
+    lhs = cl.clifford_matrix(alg, interior(alg.tau(1), d_eta)).apply(split.psi0)
+    rhs = cl.vector_action(alg, alg.tau(1), cl.vector_action(alg, alg.xi(1), split.psi0)).scale(-LAM)
     assert lhs == rhs
     # vertical contractions vanish outright
     assert interior(alg.xi(2), d_eta).is_zero()
@@ -336,21 +334,21 @@ def proof_identities_oracle(alg, split):
     g = cl.gamma()
     for i in (1, 2, 3):
         d_eta = ce_differential(alg.eta(i), alg)
-        xi_psi = cl.vector_action(alg.xi(i), psi0)
+        xi_psi = cl.vector_action(alg, alg.xi(i), psi0)
         for idx in alg.horizontal_indices:
             x = alg.basis_vector(idx)
-            lhs = cl.clifford_matrix(interior(x, d_eta)).apply(psi0)
+            lhs = cl.clifford_matrix(alg, interior(x, d_eta)).apply(psi0)
             rhs = g[idx].apply(xi_psi).scale(-alg.lam)
             if lhs != rhs:
                 return False
         for idx in alg.vertical_indices:
             x = alg.basis_vector(idx)
-            if not cl.clifford_matrix(interior(x, d_eta)).apply(psi0).is_zero():
+            if not cl.clifford_matrix(alg, interior(x, d_eta)).apply(psi0).is_zero():
                 return False
         for idx in range(alg.dim):
             direct = lifts[idx].apply(xi_psi)
-            term1 = cl.vector_action(lc.form(idx).apply(alg.xi(i)), psi0)
-            term2 = cl.vector_action(alg.xi(i), lifts[idx].apply(psi0))
+            term1 = cl.vector_action(alg, lc.form(idx).apply(alg.xi(i)), psi0)
+            term2 = cl.vector_action(alg, alg.xi(i), lifts[idx].apply(psi0))
             if direct != term1 + term2:
                 return False
     return True
@@ -361,7 +359,7 @@ def killing_via_torsion_oracle(alg, t, psi0):
     lifts = g2.levi_civita_lifts(alg)
     return all(
         lifts[i].apply(psi0)
-        == cl.clifford_matrix(interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
+        == cl.clifford_matrix(alg, interior(alg.basis_vector(i), t)).apply(psi0).scale(Fraction(-1, 4))
         for i in range(alg.dim)
     )
 
@@ -375,7 +373,7 @@ def test_eigen_ratio_matches_the_oracle(alg, split):
     """Every (image, v) pair the p = 1 report forms, and mutated pairs: a
     spinor that is not an eigenvector, a divisor that is not a monomial and
     a zero v with a zero and with a nonzero image."""
-    tm = cl.clifford_matrix(cn.canonical_torsion(alg))
+    tm = cl.clifford_matrix(alg, cn.canonical_torsion(alg))
     lifts = g2.levi_civita_lifts(alg)
     spinors = [split.psi0, *split.vertical, *split.horizontal]
     pairs = [(tm.apply(v), v) for v in spinors]
@@ -420,7 +418,7 @@ def _seeded(lc, lifts):
 
 def _negated_entry(g, key):
     """The generator g with its entry at key negated."""
-    return Endo(8, {k: -v if k == key else v for k, v in g.m.items()})
+    return Endo(8, {k: -v if k == key else v for k, v in g.comps.items()})
 
 
 def _spinor_verdicts(alg, split, t):
@@ -445,7 +443,7 @@ def test_spinor_identities_match_the_oracles(alg, split):
     lc = cn.levi_civita(alg)
     bump = Endo(7, {(3, 0): LAM, (0, 3): -LAM})
     bumped = cn.Connection([f + bump if x == 4 else f for x, f in enumerate(lc.omega)])
-    own = _seeded(bumped, [cl.spin_lift(f) for f in bumped.omega])
+    own = _seeded(bumped, [cl.spin_lift(alg, f) for f in bumped.omega])
     assert _spinor_verdicts(own, split, t)[0] == (True, True)
     assert _spinor_verdicts(own, split, t)[1] == (False, False)
     old_lifts = _seeded(bumped, g2.levi_civita_lifts(alg))
@@ -456,13 +454,12 @@ def test_spinor_identities_match_the_oracles(alg, split):
 def test_spinor_identities_match_the_oracles_with_a_negated_generator_entry(
     alg, split, generator, monkeypatch
 ):
-    """Each of the 8 entries of the generator negated in turn; the lifts of
-    a fresh algebra are built with the mutated generators."""
-    t, g = cn.canonical_torsion(alg), cl.build_gamma()
-    for key in sorted(g[generator].m):
+    """Each of the 8 entries of the generator negated in turn; the
+    generators, products and lifts of a fresh algebra are built with the
+    mutated generators."""
+    t, g = cn.canonical_torsion(alg), cl.gamma()
+    for key in sorted(g[generator].comps):
         mutated = [_negated_entry(x, key) if i == generator else x for i, x in enumerate(g)]
         monkeypatch.setattr(cl, "gamma", lambda: mutated)
-        monkeypatch.setattr(g2, "gamma", lambda: mutated)
-        monkeypatch.setattr(cl, "_PRODUCTS", {})
         for new, oracle in _spinor_verdicts(algebra.build(1), split, t):
             assert new == oracle

@@ -432,13 +432,10 @@ def process_state(source: str) -> list[str]:
 
 
 # module state that lives for the whole process, each kept for a reason
-PROCESS_STATE_ALLOWED = {
-    "clifford._GAMMA": "process-lifetime Clifford cache, ROADMAP item 10",
-    "clifford._PRODUCTS": "process-lifetime Clifford cache, ROADMAP item 10",
-}
+PROCESS_STATE_ALLOWED: dict[str, str] = {}
 
 
-def test_only_the_clifford_cache_lives_for_the_process():
+def test_no_module_state_lives_for_the_process():
     found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py")) for name in process_state(path.read_text())]
     assert sorted(found) == sorted(PROCESS_STATE_ALLOWED)
 

@@ -175,6 +175,14 @@ def test_operation_coverage_fails_for_a_declaration_that_never_runs():
     assert contact.characteristic_connection.__code__ in ran
 
 
+def test_each_report_builds_its_own_clifford_generators():
+    """Two p = 1 reports in one process: each builds the generators once, in
+    the memo of its own algebra, so nothing the first built outlives it."""
+    for _ in range(2):
+        _, ran = profiled_report(ReportConfig(p=1))
+        assert ran[code_of("qhg.clifford.gamma")] == 1
+
+
 def test_cli_exit_zero_and_text_format(capsys):
     code = main(["verify", "--p", "1", "--suite", "algebra"])
     out = capsys.readouterr().out
